@@ -236,7 +236,7 @@ def test_precomputed_detection(benchmark, tmp_path):
     The replay-vs-detection gap in one table: the same trace, the same
     engine configuration, the same (asserted byte-identical)
     detections — once recomputing LPM attribution and the per-bin
-    stable sort from the raw columns, once reading the version-2
+    (OD, value) sort from the raw columns, once reading the version-2
     trace's precomputed OD/run-id columns.  The precomputed median is
     the number ``tools/check_perf.py`` holds to an absolute floor.
     """

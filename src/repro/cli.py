@@ -139,8 +139,6 @@ def _add_cluster_knobs(parser) -> None:
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes (each owns an OD-flow slice "
                         "or, on a shared trace, a row stripe)")
-    parser.add_argument("--queue-depth", type=int, default=16,
-                        help="in-flight summaries bound (back-pressure)")
     parser.add_argument("--transport", choices=("pipe", "tcp"),
                         default="pipe",
                         help="worker links: local multiprocessing pipes "
@@ -723,7 +721,6 @@ def _cmd_cluster(args) -> int:
             n_shards=args.shards,
             config=config,
             max_records_per_od=args.max_records,
-            queue_depth=args.queue_depth,
             on_detection=lambda verdict: _print_verdict(topo, verdict),
             trace_path=args.trace,
             resilience=_resilience_policy(args),
@@ -840,7 +837,6 @@ def _cmd_run(args) -> int:
             source,
             mode=args.mode,
             n_shards=args.shards,
-            queue_depth=args.queue_depth,
             on_detection=lambda verdict: _print_verdict(topo, verdict),
             meta={"scenario": scenario.name},
             resilience=_resilience_policy(args),

@@ -400,7 +400,6 @@ def run_cluster_source(
     source: RecordSource | SourceSpec,
     n_shards: int = 2,
     config: StreamConfig | None = None,
-    queue_depth: int = 16,
     start_method: str | None = None,
     on_detection: Callable[[StreamDetection], None] | None = None,
     detectors: tuple[str, ...] = DEFAULT_DETECTORS,
@@ -424,10 +423,6 @@ def run_cluster_source(
         n_shards: Worker process count (>= 1); overridden by ``tiers``.
         config: Engine knobs; ``exact_histograms``, sketch geometry and
             ``chunk_records`` also shape the shard monitors.
-        queue_depth: Legacy transport knob, still validated for
-            compatibility.  In-flight summaries are now bounded by each
-            worker's OS pipe buffer (workers block on a full pipe), so
-            this value no longer changes behaviour.
         start_method: ``multiprocessing`` start method (None: platform
             default, e.g. ``fork`` on Linux).
         on_detection: Callback invoked with each verdict as bins close
@@ -468,8 +463,6 @@ def run_cluster_source(
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    if queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume requires a checkpoint path")
     if transport not in ("pipe", "tcp"):
@@ -829,7 +822,6 @@ def run_cluster(
     n_shards: int = 2,
     config: StreamConfig | None = None,
     max_records_per_od: int = 400,
-    queue_depth: int = 16,
     start_method: str | None = None,
     on_detection: Callable[[StreamDetection], None] | None = None,
     trace_path: str | Path | None = None,
@@ -865,8 +857,6 @@ def run_cluster(
             ``chunk_records`` also shape the shard monitors.
         max_records_per_od: Records materialised per (OD flow, bin)
             (inline synthesis only).
-        queue_depth: Legacy transport knob (see
-            :func:`run_cluster_source`).
         start_method: ``multiprocessing`` start method.
         on_detection: Callback invoked with each verdict as bins close.
         trace_path: Optional recorded trace (:mod:`repro.io.trace`)
@@ -905,7 +895,6 @@ def run_cluster(
         source,
         n_shards=n_shards,
         config=config,
-        queue_depth=queue_depth,
         start_method=start_method,
         on_detection=on_detection,
         resilience=resilience,

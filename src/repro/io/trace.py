@@ -26,8 +26,10 @@ File layout (all integers little-endian)::
                  depth), same slab layout as the base columns
 
 The derived columns are what :mod:`repro.stream.replay` consumes to
-skip longest-prefix OD attribution and the per-bin stable sort during
-detection replay; version-1 traces stay fully readable (replay falls
+skip longest-prefix OD attribution and the per-bin (od, value) sort
+during detection replay — records with equal (od, value) get the same
+run id, so the file does not depend on how the sort orders ties;
+version-1 traces stay fully readable (replay falls
 back to computing both on the fly) and :func:`upgrade_trace` /
 ``repro trace upgrade`` backfills them in place.
 
@@ -109,7 +111,7 @@ _WIRE_DTYPES = tuple(
 #: index in its bin's canonical (od, value)-sorted grouped order
 #: (-1 for zero-packet records the kernel drops).  Replay rebuilds the
 #: kernel's exact per-bin histograms from these with one ``bincount``
-#: per feature: no longest-prefix attribution, no stable sort.
+#: per feature: no longest-prefix attribution, no sort.
 DERIVED_COLUMNS = ("od",) + tuple(f"runid_{name}" for name in FEATURES)
 _DERIVED_DTYPES = tuple((name, "<i8") for name in DERIVED_COLUMNS)
 _ITEM_SIZE = 8
@@ -252,8 +254,10 @@ def derive_columns(
     the record's ``(od, anonymized value)`` run in the bin's canonical
     grouped order for feature ``k`` — the exact order
     :func:`repro.kernels.group_reduce` produces, so replay can rebuild
-    each feature's count runs with one ``bincount`` instead of a stable
-    sort.  Zero-packet records (dropped by the kernel) get run id -1.
+    each feature's count runs with one ``bincount`` instead of a sort.
+    Records with equal ``(od, value)`` share one run id, so the ids do
+    not depend on the order :func:`repro.kernels.sort_order` leaves
+    ties in.  Zero-packet records (dropped by the kernel) get run id -1.
 
     ``batch`` must be one whole bin: run indices are bin-local.
     """
@@ -882,7 +886,7 @@ def write_trace(
         meta: Extra provenance merged into the header metadata.
         derive: Also write the precomputed derived columns (resolved OD
             index + per-feature run ids) so replay skips attribution
-            and the per-bin stable sort (trace version 2).
+            and the per-bin (od, value) sort (trace version 2).
 
     Returns:
         The written trace's :class:`TraceInfo`.

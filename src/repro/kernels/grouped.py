@@ -7,11 +7,23 @@ grouping with per-group Python loops (mask + copy per OD, ``Counter``
 per histogram) dominates the hot path at realistic record rates, so
 this module reduces whole record batches with array primitives instead:
 
-1. compose ``(group, value)`` into a single sortable int64 key —
-   bit-packed when the ranges allow (one ``argsort``), ``np.lexsort``
-   otherwise;
-2. one sort brings equal keys together, run boundaries fall out of a
-   single comparison, and ``np.add.reduceat`` sums the weights per run;
+1. one sort brings rows with equal ``(group, value)`` together.  Those
+   rows are *summed*, and integer sums commute, so the order of rows
+   sharing a key is unobservable and the sort need not be stable.  The
+   kernel therefore sorts keys, not indices, whenever the input's
+   observed bit widths allow — three tiers, chosen per call from
+   ``width(x) = bit_length(x.max())``:
+
+   * ``width(g) + width(v) + width(w) <= 63`` — pack
+     ``((group << vb | value) << wb) | weight`` into one int64, sort it
+     in place (a value sort: no index array, no gathers) and unpack the
+     three columns with shifts and masks;
+   * only ``width(g) + width(v) <= 63`` (byte-sized weights) — one
+     ``argsort`` of the packed ``(group, value)`` key, then gathers;
+   * otherwise (negative or oversized ids/values) — ``np.lexsort``;
+
+2. run boundaries fall out of one comparison pass over the sorted rows
+   and ``np.add.reduceat`` sums the weights per run;
 3. per-group Shannon entropies come from the sorted count runs in one
    vectorized pass (no per-group calls into :func:`sample_entropy`).
 
@@ -24,6 +36,7 @@ canonical histogram form the mergeable shard summaries serialize.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,44 +55,71 @@ __all__ = [
     "sort_order",
 ]
 
-#: Bit-packing layout: key = group << 32 | value.  Usable whenever the
-#: values fit 32 bits (IPv4 addresses, ports) and groups fit 31 bits
-#: ((bin, OD) composites included) — i.e. every workload this repo
-#: generates; :func:`group_reduce` falls back to lexsort otherwise.
-_VALUE_BITS = 32
+
+def _width(x: np.ndarray) -> int:
+    """Bits needed to hold every element of int64 ``x`` as an unsigned.
+
+    Negative elements read as >= 2**63 through the uint64 view, so one
+    scan both measures the range and keeps negatives out of every
+    packing budget.
+    """
+    return int(x.view(np.uint64).max()).bit_length() if x.size else 0
 
 
-def _sort_order(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Stable order sorting by (group, value)."""
-    if (
-        groups.size
-        and groups[0] >= 0  # cheap guard before the full min scan
-        and values.min() >= 0
-        and values.max() < (1 << _VALUE_BITS)
-        and groups.min() >= 0
-        and groups.max() < (1 << (63 - _VALUE_BITS))
-    ):
-        packed = (groups << _VALUE_BITS) | values
-        return np.argsort(packed, kind="stable")
-    return np.lexsort((values, groups))
+def _sort_pairs(keys: np.ndarray, payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, payload)`` rows sorted by key; tie order unspecified.
+
+    When key and payload together fit 63 bits the payload rides in the
+    low bits of one int64 and the rows are value-sorted in place;
+    otherwise one ``argsort`` of the keys and two gathers.
+    """
+    pb = _width(payload)
+    if _width(keys) + pb <= 63:
+        packed = keys << pb
+        packed |= payload
+        packed.sort()
+        return packed >> pb, packed & ((1 << pb) - 1)
+    order = np.argsort(keys)
+    return keys[order], payload[order]
+
+
+def _sorted_rows(
+    groups: np.ndarray, values: np.ndarray, payload: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(groups, values, payload)`` rows sorted by (group, value).
+
+    The order of rows sharing a (group, value) key is unspecified —
+    every caller either sums them or gives them one run id.
+    """
+    vb = _width(values)
+    if _width(groups) + vb <= 63:
+        key = groups << vb
+        key |= values
+        key, payload = _sort_pairs(key, payload)
+        return key >> vb, key & ((1 << vb) - 1), payload
+    order = np.lexsort((values, groups))
+    return groups[order], values[order], payload[order]
 
 
 def sort_order(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Public alias of the kernel's stable (group, value) sort order.
+    """A row order that sorts by (group, value), as an index array.
 
-    The trace store persists per-record run indices derived from exactly
-    this order, so precomputed-column replay reproduces the kernel's
-    canonical run layout bit for bit.
+    Rows with equal ``(group, value)`` come out in unspecified order:
+    the kernel sums them and the trace store gives them one run id, so
+    tie order is unobservable downstream — which is why the per-record
+    run indices the trace store derives from this order let
+    precomputed-column replay reproduce the kernel's canonical run
+    layout bit for bit.
     """
-    return _sort_order(
-        np.asarray(groups, dtype=np.int64), np.asarray(values, dtype=np.int64)
-    )
+    groups = np.asarray(groups, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    return _sorted_rows(groups, values, np.arange(len(groups), dtype=np.int64))[2]
 
 
 # -- shared thread pool for the parallel reduction path ------------------
 #
 # One process-wide pool, lazily created and grown to the largest
-# ``threads=`` request seen; numpy's argsort/reduceat release the GIL on
+# ``threads=`` request seen; numpy's sort/reduceat release the GIL on
 # large arrays, so partitions genuinely overlap.
 
 _POOL_LOCK = threading.Lock()
@@ -98,6 +138,19 @@ def _executor(workers: int) -> ThreadPoolExecutor:
             )
             _POOL_WORKERS = workers
         return _POOL
+
+
+def _forget_pool_after_fork() -> None:
+    """A forked child inherits the pool object without its threads (and
+    the lock in whatever state it was): a submit would wait forever."""
+    global _POOL_LOCK, _POOL, _POOL_WORKERS
+    _POOL_LOCK = threading.Lock()
+    _POOL = None
+    _POOL_WORKERS = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 @dataclass(frozen=True)
@@ -155,19 +208,8 @@ class GroupedRuns:
         return grouped_entropy(self.counts, self.starts)
 
 
-def _reduce_partition(
-    groups: np.ndarray, values: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort + reduce one partition's rows (no telemetry: runs off-thread).
-
-    Returns ``(group_ids, group_starts, run_values, counts)`` with
-    ``group_starts`` local to the partition and *without* the trailing
-    total — the stitcher offsets and terminates it.
-    """
-    order = _sort_order(groups, values)
-    g = groups[order]
-    v = values[order]
-    w = weights[order]
+def _reduce_sorted(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> GroupedRuns:
+    """Sum the weights of each (group, value) run of non-empty sorted rows."""
     new_run = np.empty(len(g), dtype=bool)
     new_run[0] = True
     np.logical_or(g[1:] != g[:-1], v[1:] != v[:-1], out=new_run[1:])
@@ -180,7 +222,8 @@ def _reduce_partition(
     new_group[0] = True
     np.not_equal(run_groups[1:], run_groups[:-1], out=new_group[1:])
     group_starts = np.flatnonzero(new_group)
-    return run_groups[group_starts], group_starts, run_values, counts
+    starts = np.append(group_starts, len(run_values)).astype(np.int64)
+    return GroupedRuns(run_groups[group_starts], starts, run_values, counts)
 
 
 def _group_reduce_parallel(
@@ -193,10 +236,10 @@ def _group_reduce_parallel(
     thread pool, stitch the CSR bundles back in canonical order.
 
     Every group id falls in exactly one partition (the ranges are
-    disjoint and ascending) and ``np.flatnonzero`` preserves each
-    partition's original row order, so a partition's stable sort equals
-    the global stable sort restricted to its group range — the stitched
-    result is bit-identical to the single-threaded reference.
+    disjoint and ascending) and a reduction's output does not depend on
+    its input's row order, so a partition's runs equal the global runs
+    restricted to its group range — the stitched result is
+    bit-identical to the single-threaded reference.
     """
     gmin = int(groups.min())
     gmax = int(groups.max())
@@ -211,31 +254,19 @@ def _group_reduce_parallel(
             idx = np.flatnonzero(part == i)
             if len(idx):
                 slices.append((groups[idx], values[idx], weights[idx]))
+        # The serial path's two steps per partition (un-spanned: they
+        # run off-thread, this span times the whole fan-out).
         pool = _executor(threads)
-        results = list(pool.map(lambda s: _reduce_partition(*s), slices))
+        parts = list(pool.map(lambda s: _reduce_sorted(*_sorted_rows(*s)), slices))
     with tel.span("kernel.reduceat"):
-        gid_parts: list[np.ndarray] = []
-        start_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        count_parts: list[np.ndarray] = []
-        run_offset = 0
-        for gids, gstarts, rvalues, rcounts in results:
-            if len(rvalues) == 0:
-                continue
-            gid_parts.append(gids)
-            start_parts.append(gstarts + run_offset)
-            value_parts.append(rvalues)
-            count_parts.append(rcounts)
-            run_offset += len(rvalues)
-        if not gid_parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
-        starts = np.append(np.concatenate(start_parts), run_offset).astype(np.int64)
+        run_offsets = np.cumsum([0] + [len(p) for p in parts])
+        starts = [p.starts[:-1] + off for p, off in zip(parts, run_offsets)]
+        starts.append(run_offsets[-1:])
         return GroupedRuns(
-            np.concatenate(gid_parts),
-            starts,
-            np.concatenate(value_parts),
-            np.concatenate(count_parts),
+            np.concatenate([p.group_ids for p in parts]),
+            np.concatenate(starts),
+            np.concatenate([p.values for p in parts]),
+            np.concatenate([p.counts for p in parts]),
         )
 
 
@@ -262,7 +293,8 @@ def group_reduce(
 
     Returns:
         The canonical sorted-run representation; counts are exact int64
-        sums of the weights per distinct (group, value).
+        sums of the weights per distinct (group, value).  Row order
+        never matters: rows sharing a (group, value) key are summed.
     """
     groups = np.asarray(groups, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
@@ -274,10 +306,11 @@ def group_reduce(
         weights = np.asarray(weights, dtype=np.int64)
         if weights.shape != groups.shape:
             raise ValueError("weights must align with groups")
-        if weights.size and weights.min() < 0:
+        min_weight = weights.min() if weights.size else 1
+        if min_weight < 0:
             raise ValueError("weights must be non-negative")
-        keep = weights > 0
-        if not keep.all():
+        if min_weight == 0:
+            keep = weights > 0
             groups, values, weights = groups[keep], values[keep], weights[keep]
     if len(groups) == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -288,26 +321,9 @@ def group_reduce(
         return _group_reduce_parallel(groups, values, weights, threads)
 
     with tel.span("kernel.sort"):
-        order = _sort_order(groups, values)
-        g = groups[order]
-        v = values[order]
-        w = weights[order]
-
+        rows = _sorted_rows(groups, values, weights)
     with tel.span("kernel.reduceat"):
-        new_run = np.empty(len(g), dtype=bool)
-        new_run[0] = True
-        np.logical_or(g[1:] != g[:-1], v[1:] != v[:-1], out=new_run[1:])
-        run_starts = np.flatnonzero(new_run)
-        counts = np.add.reduceat(w, run_starts)
-        run_groups = g[run_starts]
-        run_values = v[run_starts]
-
-        new_group = np.empty(len(run_groups), dtype=bool)
-        new_group[0] = True
-        np.not_equal(run_groups[1:], run_groups[:-1], out=new_group[1:])
-        group_starts = np.flatnonzero(new_group)
-        starts = np.append(group_starts, len(run_values)).astype(np.int64)
-    return GroupedRuns(run_groups[group_starts], starts, run_values, counts)
+        return _reduce_sorted(*rows)
 
 
 def grouped_entropy(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -398,9 +414,7 @@ def merge_histograms(
                              np.asarray(counts_b, dtype=np.int64)])
     if len(values) == 0:
         return values, counts
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = counts[order]
+    v, w = _sort_pairs(values, counts)
     new_run = np.empty(len(v), dtype=bool)
     new_run[0] = True
     np.not_equal(v[1:], v[:-1], out=new_run[1:])

@@ -169,7 +169,6 @@ class DetectionPipeline:
         source,
         mode: str = "stream",
         n_shards: int = 2,
-        queue_depth: int = 16,
         on_detection: Callable[[StreamDetection], None] | None = None,
         meta: dict | None = None,
         resilience=None,
@@ -188,7 +187,6 @@ class DetectionPipeline:
                 a trace-file path.
             mode: ``"batch"``, ``"stream"``, or ``"cluster"``.
             n_shards: Worker processes (cluster mode).
-            queue_depth: Summary-queue bound (cluster mode).
             on_detection: Callback invoked with each verdict as bins
                 are scored (all modes).
             meta: Extra provenance merged into the report metadata.
@@ -240,7 +238,6 @@ class DetectionPipeline:
             return self._run_cluster(
                 source,
                 n_shards,
-                queue_depth,
                 on_detection,
                 meta,
                 resilience=resilience,
@@ -315,7 +312,6 @@ class DetectionPipeline:
         self,
         source,
         n_shards,
-        queue_depth,
         on_detection,
         meta,
         resilience=None,
@@ -333,7 +329,6 @@ class DetectionPipeline:
             source,
             n_shards=n_shards,
             config=self.config,
-            queue_depth=queue_depth,
             on_detection=on_detection,
             detectors=self.detectors,
             meta=meta,

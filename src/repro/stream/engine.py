@@ -267,7 +267,7 @@ class StreamingDetectionEngine:
 
         The precomputed fast path: per-bin summaries are rebuilt from
         the trace's stored OD/run-id columns (version 2) — no
-        longest-prefix attribution, no per-bin stable sort — and scored
+        longest-prefix attribution, no per-bin (od, value) sort — and scored
         through the same detector bank, so the report is bit-identical
         to :meth:`process` over the same trace.  Version-1 traces work
         too (the columns are derived on the fly per bin).

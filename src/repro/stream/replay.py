@@ -2,11 +2,13 @@
 
 Warm mmap replay streams records ~40x faster than the exact detection
 path consumes them; the committed telemetry shows why — the per-bin
-stable sort inside :func:`repro.kernels.group_reduce` is the single
-hottest span.  A version-2 trace (:mod:`repro.io.trace`) stores what
-that sort produces: per record, the resolved OD index and — per
+(od, value) sort inside :func:`repro.kernels.group_reduce` is the
+single hottest span.  A version-2 trace (:mod:`repro.io.trace`) stores
+what that sort produces: per record, the resolved OD index and — per
 feature — the record's run index in the bin's canonical (od, value)
-grouped order.  With those columns the whole per-bin reduction
+grouped order.  Records sharing an (od, value) key share one run id and
+are summed, so the order the sort leaves them in is unobservable and
+nothing about it is stored.  With those columns the whole per-bin reduction
 collapses to one weighted ``bincount`` per feature (run ids are dense
 and already in canonical order), one scatter for the run -> OD map,
 and the same vectorized grouped-entropy pass the kernel uses, so the

@@ -415,8 +415,6 @@ class TestClusterRunner:
         with pytest.raises(ValueError):
             run_cluster(n_bins=0)
         with pytest.raises(ValueError):
-            run_cluster(queue_depth=0)
-        with pytest.raises(ValueError):
             run_cluster(network="arpanet")
 
 

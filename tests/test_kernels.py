@@ -1,11 +1,16 @@
 """The grouped-reduction kernel against its per-group references.
 
-Three contracts pin :mod:`repro.kernels`:
+Four contracts pin :mod:`repro.kernels`:
 
 * property tests (hypothesis): grouped histograms and entropies must
   equal the Counter-based :class:`FeatureHistogram` reference for
   arbitrary (groups, values, weights) batches — empty groups,
   single-value groups, weighted and zero-weight rows included;
+* the ordering core (hypothesis): ``GroupedRuns`` bytes do not depend
+  on input row order on any of the three sort tiers, the bit-budget
+  boundary between tiers agrees with the Counter reference on both
+  sides, and the run ids ``derive_columns`` writes into trace v2 files
+  equal an ``np.unique`` reference (tie order cannot leak);
 * :class:`SketchBank` batched conservative updates must leave *exactly*
   the same counters as one :meth:`CountMinSketch.add_histogram` call
   per group;
@@ -16,6 +21,7 @@ Three contracts pin :mod:`repro.kernels`:
 """
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import TimeBins, TrafficGenerator, abilene
 from repro.core.entropy import sample_entropy
-from repro.flows.features import FeatureHistogram, grouped_histograms
+from repro.flows.features import FEATURES, FeatureHistogram, grouped_histograms
 from repro.flows.records import FlowRecordBatch
 from repro.flows.sketches import (
     CountMinSketch,
@@ -34,12 +40,15 @@ from repro.flows.sketches import (
     entropy_from_sketch,
     entropy_from_sketch_runs,
 )
+from repro.io.trace import derive_columns
 from repro.kernels import (
+    GroupedRuns,
     group_reduce,
     group_sums,
     grouped_entropy,
     merge_histograms,
     segment_sums,
+    sort_order,
 )
 from repro.net.addressing import EPHEMERAL_PORT_START
 from repro.net.routing import Router
@@ -112,19 +121,21 @@ class TestGroupReduceProperties:
         } == ref
 
     @settings(deadline=None, max_examples=100)
-    @given(batches, batches)
-    def test_merge_histograms_is_canonical(self, a, b):
-        ga, va, wa = (np.asarray(c, dtype=np.int64) for c in a)
-        gb, vb, wb = (np.asarray(c, dtype=np.int64) for c in b)
-        ra = group_reduce(np.zeros_like(ga), va, wa)
-        rb = group_reduce(np.zeros_like(gb), vb, wb)
-        mv, mc = merge_histograms(ra.values, ra.counts, rb.values, rb.counts)
-        cv, cc = canonical_histogram(
-            np.concatenate([ra.values, rb.values]),
-            np.concatenate([ra.counts, rb.counts]),
+    @given(a=batches, b=batches, wide=st.booleans(), negative=st.booleans())
+    def test_merge_histograms_is_canonical(self, a, b, wide, negative):
+        (_, va, ca), (_, vb, cb) = (
+            [np.asarray(c, dtype=np.int64) for c in batch] for batch in (a, b)
         )
-        assert mv.tobytes() == cv.tobytes()
-        assert mc.tobytes() == cc.tobytes()
+        if wide:  # 32-bit values + counts past 2**31: too wide to pack
+            va, vb, ca, cb = va << 26, vb << 26, ca << 30, cb << 30
+        if negative:
+            va, vb = va - 20, vb - 20
+        merged = merge_histograms(va, ca, vb, cb)
+        expected = canonical_histogram(
+            np.concatenate([va, vb]), np.concatenate([ca, cb])
+        )
+        for got, want in zip(merged, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGroupReduceEdges:
@@ -144,12 +155,12 @@ class TestGroupReduceEdges:
         assert runs.counts.tolist() == [9]
         assert runs.entropies()[0] == 0.0
 
-    def test_negative_groups_use_lexsort_fallback(self):
+    def test_negative_groups(self):
         runs = group_reduce([-2, -2, 7], [1, 1, 0])
         assert runs.group_ids.tolist() == [-2, 7]
         assert runs.counts.tolist() == [2, 1]
 
-    def test_large_values_use_lexsort_fallback(self):
+    def test_values_past_32_bits(self):
         big = 1 << 40
         runs = group_reduce([0, 0], [big, big])
         assert runs.values.tolist() == [big]
@@ -180,6 +191,207 @@ class TestGroupReduceEdges:
         out = group_sums([0, 3, 3], [7, 1, 2], 5)
         assert out.tolist() == [7, 0, 0, 3, 0]
         assert out.dtype == np.int64
+
+
+def _bundle(runs: GroupedRuns):
+    """Every byte and dtype of a GroupedRuns result."""
+    arrays = (runs.group_ids, runs.starts, runs.values, runs.counts)
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+def _as_reference(runs: GroupedRuns):
+    return {
+        int(g): dict(zip(*map(np.ndarray.tolist, runs.slice(i))))
+        for i, g in enumerate(runs.group_ids)
+    }
+
+
+def _tier(groups, values, weights):
+    """The ordering tier the documented bit-budget rule selects."""
+    def width(x):
+        return 64 if x.min() < 0 else int(x.max()).bit_length()
+
+    if width(groups) + width(values) + width(weights) <= 63:
+        return "value-sort"
+    if width(groups) + width(values) <= 63:
+        return "argsort"
+    return "lexsort"
+
+
+#: Maps any ``batches`` draw onto each tier: byte-sized weights overflow
+#: the packing budget, negative values rule out packing altogether.
+_INTO_TIER = {
+    "value-sort": lambda g, v, w: (g, v, w),
+    "argsort": lambda g, v, w: (g, v + (1 << 31), w << 32),
+    "lexsort": lambda g, v, w: (g, v - 50, w),
+}
+
+
+class TestOrderingTiers:
+    @pytest.mark.parametrize("tier", sorted(_INTO_TIER))
+    @settings(deadline=None, max_examples=60)
+    @given(batch=batches, seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_invariance(self, tier, batch, seed):
+        columns = (np.asarray(c, dtype=np.int64) for c in batch)
+        groups, values, weights = _INTO_TIER[tier](*columns)
+        if weights.any():
+            assert _tier(groups, values, weights) == tier
+        shuffle = np.random.default_rng(seed).permutation(len(groups))
+        straight = group_reduce(groups, values, weights)
+        shuffled = group_reduce(groups[shuffle], values[shuffle], weights[shuffle])
+        assert _bundle(shuffled) == _bundle(straight)
+        assert _as_reference(straight) == _reference(groups, values, weights)
+
+    @pytest.mark.parametrize("weight_bits, tier", [(16, "value-sort"), (17, "argsort")])
+    def test_bit_budget_boundary(self, weight_bits, tier):
+        # 7 + 40 + 16 = 63 bits packs; one more weight bit must not.
+        rng = np.random.default_rng(weight_bits)
+        n = 4000
+        groups = rng.integers(0, 1 << 7, size=n)
+        values = rng.integers(0, 1 << 40, size=n) >> rng.integers(0, 40, size=n)
+        weights = rng.integers(0, 1 << weight_bits, size=n)
+        groups[0], values[0], weights[0] = (1 << 7) - 1, (1 << 40) - 1, (1 << weight_bits) - 1
+        groups[1], values[1], weights[1] = groups[0], values[0], weights[0]  # extreme run
+        assert _tier(groups, values, weights) == tier
+        runs = group_reduce(groups, values, weights)
+        assert _as_reference(runs) == _reference(groups, values, weights)
+        assert _bundle(group_reduce(groups, values, weights, threads=3)) == _bundle(runs)
+
+    def test_byte_sized_weights(self):
+        rng = np.random.default_rng(1)
+        n = 3000
+        groups = rng.integers(0, 121, size=n)
+        values = rng.integers(0, 1 << 32, size=n) & ~np.int64(0xFFFFF)
+        weights = rng.integers(0, 1 << 34, size=n)
+        assert weights.max() > 1 << 31
+        assert _tier(groups, values, weights) == "argsort"
+        runs = group_reduce(groups, values, weights)
+        assert _as_reference(runs) == _reference(groups, values, weights)
+
+    def test_negative_values_with_zero_weight_rows(self):
+        rng = np.random.default_rng(2)
+        n = 3000
+        groups = rng.integers(0, 30, size=n)
+        values = rng.integers(-50, 50, size=n)
+        weights = rng.integers(0, 3, size=n)
+        assert (weights == 0).any()
+        assert _tier(groups, values, weights) == "lexsort"
+        runs = group_reduce(groups, values, weights)
+        assert (runs.counts > 0).all()
+        assert _as_reference(runs) == _reference(groups, values, weights)
+
+    @pytest.mark.parametrize("weight", [1, 1 << 40])
+    def test_single_all_equal_key(self, weight):
+        n = 257
+        runs = group_reduce(np.full(n, 9), np.full(n, 1 << 31), np.full(n, weight))
+        assert _as_reference(runs) == {9: {1 << 31: n * weight}}
+        assert runs.starts.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "value_bits, tier", [(16, "value-sort"), (32, "argsort")]
+    )
+    def test_bin_od_composites_at_geant_day_scale(self, value_bits, tier):
+        # 288 bins x 484 ODs is an 18-bit group id: ports still pack with
+        # 16-bit packet counts, IPv4 addresses no longer do.
+        n_bins, p = 288, 484
+        rng = np.random.default_rng(value_bits)
+        n = 20000
+        groups = rng.integers(0, n_bins, size=n) * p + rng.integers(0, p, size=n)
+        groups[0] = n_bins * p - 1
+        values = rng.integers(0, 64, size=n) << (value_bits - 6)
+        weights = rng.integers(0, 1 << 16, size=n)
+        assert _tier(groups, values, weights) == tier
+        runs = group_reduce(groups, values, weights)
+        assert _as_reference(runs) == _reference(groups, values, weights)
+        assert _bundle(group_reduce(groups, values, weights, threads=4)) == _bundle(runs)
+
+    @settings(deadline=None, max_examples=60)
+    @given(batch=batches, wide=st.booleans(), negative=st.booleans())
+    def test_sort_order_sorts_on_every_tier(self, batch, wide, negative):
+        groups, values, _ = (np.asarray(c, dtype=np.int64) for c in batch)
+        if wide:  # (group, value) no longer fits one packed key
+            values = values << 56
+        if negative:
+            groups = groups - 3
+        order = sort_order(groups, values)
+        assert sorted(order.tolist()) == list(range(len(groups)))
+        keys = list(zip(groups[order].tolist(), values[order].tolist()))
+        assert keys == sorted(keys)
+
+
+class TestDerivedRunIds:
+    """Trace v2 run ids are a function of the (od, value) keys alone."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), anonymize=st.booleans())
+    def test_run_ids_equal_unique_reference(self, seed, anonymize):
+        topology = abilene()
+        router = Router(topology)
+        rng = np.random.default_rng(seed)
+        n = 400
+        pops = rng.integers(0, topology.n_pops, size=n)
+        prefixes = [pop.prefix for pop in topology.pops]
+        batch = FlowRecordBatch(
+            src_ip=np.array([prefixes[i].network for i in pops], dtype=np.int64)
+            | rng.integers(0, 4, size=n),
+            dst_ip=np.array(
+                [prefixes[i].network for i in rng.integers(0, len(prefixes), size=n)],
+                dtype=np.int64,
+            )
+            | rng.integers(0, 4, size=n),
+            src_port=rng.integers(1024, 1030, size=n),
+            dst_port=rng.integers(80, 83, size=n),
+            protocol=np.full(n, 6, dtype=np.int64),
+            packets=rng.integers(0, 4, size=n),  # ~1/4 zero-packet records
+            bytes=np.full(n, 40, dtype=np.int64),
+            timestamp=rng.uniform(0, 300, size=n),
+            ingress_pop=pops,
+        )
+        bits = topology.anonymization_bits if anonymize else 0
+        ods, runids = derive_columns(batch, router, bits)
+        anon = batch.anonymized(bits) if bits else batch
+        kept = batch.packets > 0
+        shuffle = rng.permutation(n)
+        _, shuffled = derive_columns(batch.select(shuffle), router, bits)
+        for name, rid, shuffled_rid in zip(FEATURES, runids, shuffled):
+            pairs = np.stack([ods[kept], getattr(anon, name)[kept]], axis=1)
+            _, inverse = np.unique(pairs, axis=0, return_inverse=True)
+            expected = np.full(n, -1, dtype=np.int64)
+            expected[kept] = inverse.ravel()
+            assert rid.dtype == np.int64
+            np.testing.assert_array_equal(rid, expected)
+            # ... and therefore of neither record order nor tie order.
+            np.testing.assert_array_equal(shuffled_rid, expected[shuffle])
+
+
+def _forked_reduce(columns, conn):
+    runs = group_reduce(*columns, threads=2)
+    conn.send(_bundle(runs))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_thread_pool_survives_fork():
+    """A forked child must not submit to the parent's (threadless) pool."""
+    rng = np.random.default_rng(0)
+    columns = tuple(rng.integers(1, 50, size=5000) for _ in range(3))
+    expected = _bundle(group_reduce(*columns, threads=2))  # pool now exists
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_reduce, args=(columns, child_end))
+    child.start()
+    try:
+        assert parent_end.poll(30), "forked child hung in group_reduce"
+        got = parent_end.recv()
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == expected
 
 
 class TestSketchBankEquivalence:
