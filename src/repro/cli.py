@@ -128,8 +128,7 @@ def _add_engine(parser) -> None:
     parser.add_argument("--threads", type=int, default=None,
                         help="grouped-reduction kernel threads (any value is "
                         "bit-identical to the single-threaded reference; "
-                        "default 1, except cluster workers which auto-size "
-                        "to cpus // shards)")
+                        "default 1, per worker in cluster mode)")
     parser.add_argument("--alpha", type=float, default=0.999)
     parser.add_argument("--components", type=int, default=10)
     parser.add_argument("--json", help="export the diagnosis-report JSON here")

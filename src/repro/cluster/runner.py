@@ -450,8 +450,9 @@ def run_cluster_source(
             processes each tree-merging B workers (A*B shards total,
             coordinator fan-in A).  Overrides ``n_shards``.
         worker_threads: Grouped-reduction threads inside each worker;
-            None auto-sizes to ``cpus // n_shards`` (at least 1)
-            unless ``config.threads`` was set explicitly.
+            None means ``config.threads`` (1 unless configured — extra
+            kernel threads measure slower than one at these bin sizes,
+            ``benchmarks/results/kernels.txt``).
         stripe: Exact-mode trace workers take contiguous per-bin row
             stripes instead of masking their OD slice (byte-identical
             detections either way).  Ignored in sketch mode.  Off by
@@ -481,21 +482,14 @@ def run_cluster_source(
     policy = resilience or ResiliencePolicy()
     cpus = _process_cpus()
     if worker_threads is None:
-        # Auto-size the grouped-reduction kernel: split the CPUs the
-        # process may use across workers (an explicitly configured
-        # engine thread count wins).
-        worker_threads = (
-            config.threads if config.threads != 1
-            else max(1, cpus // n_shards)
-        )
+        worker_threads = config.threads
     if worker_threads < 1:
         raise ValueError("worker threads must be >= 1")
     if worker_threads > 1 and worker_threads * n_shards > 2 * cpus:
         raise ValueError(
             f"--threads {worker_threads} across {n_shards} worker shard(s) "
             f"oversubscribes the {cpus} available CPU(s); omit --threads "
-            f"to auto-size (cpus // shards) or use at most "
-            f"{max(1, 2 * cpus // n_shards)}"
+            f"(1 per worker) or use at most {max(1, 2 * cpus // n_shards)}"
         )
     if isinstance(chaos, str):
         chaos = FaultPlan.parse(chaos)
@@ -871,7 +865,8 @@ def run_cluster(
         listen: ``HOST:PORT`` to await external ``repro worker``
             processes (TCP only).
         tiers: Aggregator layout ``"AxB"``; overrides ``n_shards``.
-        worker_threads: Kernel threads per worker (None: auto-size).
+        worker_threads: Kernel threads per worker (None:
+            ``config.threads``).
         stripe: Row-stripe exact-mode trace workers (see
             :func:`run_cluster_source`).
 

@@ -151,9 +151,8 @@ class ShardBinSummary:
 
         This is how a shard monitor exports a closed bin: the
         accumulator's pre-entropy state becomes the mergeable summary.
-        Exact parts are canonicalised and candidate sets copied; sketch
-        tables are handed off as-is, which is safe because the stage
-        discards the accumulator when it closes a bin.
+        Everything is copied out — the stage resets and reuses the
+        accumulator (sketch counter arrays included) for the next bin.
         """
         summary = cls(
             bin_index,
@@ -184,15 +183,18 @@ class ShardBinSummary:
                     if entry[k] is None:
                         entry[k] = _ExactFeature(empty, empty)
         else:
-            banks, candidates = accumulator.sketch_state()
-            for od, entry in candidates.items():
-                summary._features[od] = [
-                    # Views, not copies: the stage discards the
-                    # accumulator (and with it write access to the
-                    # banks) when the bin closes.
-                    _SketchFeature(banks[k].sketch(od, copy=False), set(entry[k]))
-                    for k in range(N_FEATURES)
-                ]
+            banks, candidates, active = accumulator.sketch_state()
+            ods = np.flatnonzero(active)
+            summary._features = {od: [] for od in ods.tolist()}
+            for bank, runs in zip(banks, candidates):
+                values = dict(zip(
+                    runs.group_ids.tolist(),
+                    (v.tolist() for v in np.split(runs.values, runs.starts[1:-1])),
+                ))
+                for od, sketch in zip(ods.tolist(), bank.sketches(ods)):
+                    summary._features[od].append(
+                        _SketchFeature(sketch, set(values.get(od, ())))
+                    )
         return summary
 
     # -- algebra ----------------------------------------------------------

@@ -247,7 +247,9 @@ class SketchBank:
     A bank holds all of a feature's per-group sketches in a single
     ``(slots, depth, width)`` counter array sharing one set of hash
     coefficients, so a whole chunk's grouped runs — any number of
-    groups — update in one gather / ``np.maximum.at`` scatter pass.
+    groups — update in one gather / scatter pass.  The array is
+    allocated once and reused: :meth:`reset` forgets every group by
+    zeroing only the cells written since the previous reset.
 
     Per-group semantics are *identical* to calling
     :meth:`CountMinSketch.add_histogram` once per group with that
@@ -266,27 +268,52 @@ class SketchBank:
         self._a, self._b = _hash_params(width, depth, seed)
         self.tables = np.zeros((0, depth, width), dtype=np.int64)
         self.totals = np.zeros(0, dtype=np.int64)
-        self._slot_of: dict[int, int] = {}
+        #: slot -> group id (first-seen order), and the slots in id order
+        self._gids = self._order = np.zeros(0, dtype=np.int64)
+        #: flat cell indices written since the last reset; ``None`` once
+        #: they outnumber the cells themselves (reset then clears the
+        #: used slots densely, so the list never outgrows the tables).
+        self._dirty: list[np.ndarray] | None = []
+        self._n_dirty = 0
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self._gids)
 
     @property
     def group_ids(self) -> list[int]:
         """Groups with a slot, in first-seen order."""
-        return list(self._slot_of)
+        return self._gids.tolist()
 
-    def _slots_for(self, group_ids: np.ndarray) -> np.ndarray:
-        """Slot per group id, allocating (and growing storage) as needed."""
-        slots = np.empty(len(group_ids), dtype=np.int64)
-        for i, gid in enumerate(group_ids):
-            gid = int(gid)
-            slot = self._slot_of.get(gid)
-            if slot is None:
-                slot = len(self._slot_of)
-                self._slot_of[gid] = slot
-            slots[i] = slot
-        n = len(self._slot_of)
+    def reset(self) -> None:
+        """Forget every group, keeping the allocated counters for reuse."""
+        if self._dirty is None:
+            self.tables[: len(self)] = 0
+        else:
+            flat_tables = self.tables.reshape(-1)
+            for cells in self._dirty:
+                flat_tables[cells] = 0
+        self._dirty, self._n_dirty = [], 0
+        self.totals[: len(self)] = 0
+        self._gids = self._order = self._gids[:0]
+
+    def _slots_for(self, group_ids: np.ndarray, allocate: bool = False) -> np.ndarray:
+        """Slot per group id (-1 when unseen); ``allocate`` gives unseen
+        (distinct) ids the next free slots, growing storage as needed."""
+        group_ids = np.asarray(group_ids, dtype=np.int64)
+        n = len(self._gids)
+        if n:
+            at = np.searchsorted(self._gids, group_ids, sorter=self._order)
+            slots = self._order[np.minimum(at, n - 1)]
+            slots[self._gids[slots] != group_ids] = -1
+        else:
+            slots = np.full(len(group_ids), -1, dtype=np.int64)
+        unseen = slots < 0
+        if not allocate or not unseen.any():
+            return slots
+        slots[unseen] = np.arange(n, n + int(unseen.sum()))
+        self._gids = np.concatenate([self._gids, group_ids[unseen]])
+        self._order = np.argsort(self._gids)
+        n = len(self._gids)
         if n > len(self.tables):
             capacity = max(8, 2 * len(self.tables))
             while capacity < n:
@@ -306,16 +333,16 @@ class SketchBank:
         """Conservative-update all groups of one chunk in one pass.
 
         Args take the :class:`repro.kernels.GroupedRuns` layout (CSR
-        runs with duplicates already aggregated per (group, value) and
-        counts positive); pass ``runs.group_ids, runs.starts,
-        runs.values, runs.counts`` directly.
+        runs over distinct, non-empty groups, duplicates already
+        aggregated per (group, value) and counts positive); pass
+        ``runs.group_ids, runs.starts, runs.values, runs.counts``
+        directly.
         """
         if len(values) == 0:
             return
         with tel.span("sketch.update"):
-            lengths = np.diff(starts)
-            slots = self._slots_for(group_ids)
-            slot_per_run = np.repeat(slots, lengths)
+            slots = self._slots_for(group_ids, allocate=True)
+            slot_per_run = np.repeat(slots, np.diff(starts))
             v = np.asarray(values, dtype=np.int64) % _PRIME
             cols = (self._a[:, None] * v[None, :] + self._b[:, None]) % _PRIME % self.width
             rows = np.arange(self.depth, dtype=np.int64)
@@ -342,6 +369,11 @@ class SketchBank:
             clobbered = np.flatnonzero(flat_tables[flat_1d] < write)
             if len(clobbered):
                 np.maximum.at(flat_tables, flat_1d[clobbered], write[clobbered])
+            if self._dirty is not None:
+                self._dirty.append(flat_1d)
+                self._n_dirty += len(flat_1d)
+                if self._n_dirty > self.tables.size:
+                    self._dirty = None
             if tel.enabled():
                 # A row whose counter exceeds the min estimate is shared
                 # with some other (group, value): a hash collision the
@@ -350,14 +382,14 @@ class SketchBank:
                 tel.count("sketch.updates", len(values))
                 tel.count("sketch.collisions",
                           int((gathered > estimates[None, :]).sum()))
-            self.totals[: len(self._slot_of)] += np.bincount(
-                slot_per_run, weights=counts, minlength=len(self._slot_of)
-            ).astype(np.int64)[: len(self._slot_of)]
+            self.totals[slots] += np.add.reduceat(
+                np.asarray(counts, dtype=np.int64), starts[:-1]
+            )
 
     def total(self, group_id: int) -> int:
         """Total weight added for one group (0 when never seen)."""
-        slot = self._slot_of.get(int(group_id))
-        return 0 if slot is None else int(self.totals[slot])
+        slot = int(self._slots_for([group_id])[0])
+        return 0 if slot < 0 else int(self.totals[slot])
 
     def query_runs(
         self, group_ids: np.ndarray, starts: np.ndarray, values: np.ndarray
@@ -372,14 +404,12 @@ class SketchBank:
         """
         values = np.asarray(values, dtype=np.int64)
         lengths = np.diff(np.asarray(starts, dtype=np.int64))
-        if len(self._slot_of) == 0:
+        if len(self) == 0:
             return (
                 np.zeros(len(values), dtype=np.int64),
                 np.zeros(len(group_ids), dtype=np.int64),
             )
-        slots = np.asarray(
-            [self._slot_of.get(int(g), -1) for g in group_ids], dtype=np.int64
-        )
+        slots = self._slots_for(group_ids)
         totals = np.where(slots >= 0, self.totals[np.maximum(slots, 0)], 0)
         if len(values) == 0:
             return np.zeros(0, dtype=np.int64), totals
@@ -395,19 +425,26 @@ class SketchBank:
         estimates[slot_per_value < 0] = 0
         return estimates, totals
 
-    def sketch(self, group_id: int, copy: bool = True) -> CountMinSketch:
-        """Materialise one group's state as a :class:`CountMinSketch`.
+    def sketches(self, group_ids: np.ndarray) -> list[CountMinSketch]:
+        """The groups' states as standalone :class:`CountMinSketch`
+        objects (empty for groups never seen).  The tables are copied
+        out in one gather, so they stay valid across later updates and
+        resets."""
+        slots = self._slots_for(group_ids)
+        seen = slots >= 0
+        tables = iter(self.tables[slots[seen]])
+        out = []
+        for slot in slots.tolist():
+            sketch = CountMinSketch(width=self.width, depth=self.depth, seed=self.seed)
+            if slot >= 0:
+                sketch.table = next(tables)
+                sketch.total = int(self.totals[slot])
+            out.append(sketch)
+        return out
 
-        With ``copy=False`` the sketch's table is a view into the bank
-        (cheap; safe once the bank will no longer be updated).
-        """
-        slot = self._slot_of.get(int(group_id))
-        sketch = CountMinSketch(width=self.width, depth=self.depth, seed=self.seed)
-        if slot is not None:
-            table = self.tables[slot]
-            sketch.table = table.copy() if copy else table
-            sketch.total = int(self.totals[slot])
-        return sketch
+    def sketch(self, group_id: int) -> CountMinSketch:
+        """One group's state (see :meth:`sketches`)."""
+        return self.sketches([group_id])[0]
 
 
 def sketch_histogram(

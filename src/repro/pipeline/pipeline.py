@@ -207,7 +207,7 @@ class DetectionPipeline:
             tiers: Aggregator tier layout ``"AxB"`` (cluster mode
                 only; overrides ``n_shards``).
             worker_threads: Kernel threads per worker (cluster mode
-                only; None auto-sizes to cpus // shards).
+                only; None means ``config.threads``).
 
         Returns:
             A :class:`PipelineResult`; exact-histogram detections are

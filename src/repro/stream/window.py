@@ -7,19 +7,24 @@ state is the bottleneck, so this stage swaps the histograms for
 :class:`repro.flows.sketches.CountMinSketch` summaries — entropy
 estimated from compact summaries in place of exact counts, following
 the sketch line of the paper's related work (Krishnamurthy et
-al. [22]).  Per bin it keeps one grouped store per feature — a
-:class:`repro.flows.sketches.SketchBank` holding every active OD's
-sketch in one array (plus capped candidate-value sets), updated for a
-whole chunk in one batched pass via the grouped-reduction kernel
-(:mod:`repro.kernels`) — and on bin close emits the ``(p, 4)`` entropy
-matrix and volume rows the detection engine consumes.
+al. [22]).  The stage keeps one grouped store per feature for its
+whole lifetime — a :class:`repro.flows.sketches.SketchBank` holding
+every active OD's sketch in one array, updated for a whole chunk in one
+batched pass via the grouped-reduction kernel (:mod:`repro.kernels`)
+and reset, not reallocated, when a bin closes — plus each OD's capped
+candidate values, held as the kernel's own sorted int64 runs.  On bin
+close it emits the ``(p, 4)`` entropy matrix and volume rows the
+detection engine consumes.
 
-Memory is bounded by ``active ODs x 4 x (width x depth + candidate
-cap)`` regardless of trace length; ``exact=True`` switches to exact
-histograms (same interface): chunk columns are stashed per feature and
-reduced once at bin close — one sort + ``reduceat`` + grouped-entropy
-pass for all ODs, used by small deployments and the streaming-vs-batch
-equivalence tests.
+Memory is ``slots x depth x width x 8 B`` per feature (slots = active
+ODs rounded up to a power of two: 8 MiB on Abilene at the default
+2048 x 4 geometry, 32 MiB for the four features), allocated once per
+stage, plus 8 B per tracked candidate value and per counter written in
+the open bin — regardless of trace length.  ``exact=True`` switches to
+exact histograms (same interface): chunk columns are stashed per
+feature and reduced once at bin close — one sort + ``reduceat`` +
+grouped-entropy pass for all ODs, used by small deployments and the
+streaming-vs-batch equivalence tests.
 """
 
 from __future__ import annotations
@@ -65,6 +70,11 @@ class BinSummary:
     n_records: int = 0
 
 
+def _no_runs() -> GroupedRuns:
+    empty = np.zeros(0, dtype=np.int64)
+    return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
+
+
 class BinAccumulator:
     """Aggregates one bin's records into per-OD feature summaries.
 
@@ -74,7 +84,9 @@ class BinAccumulator:
     on bin close (one sort + ``reduceat`` + grouped entropy per
     feature); sketch mode drives a :class:`SketchBank` per feature —
     every chunk's runs update all active ODs' sketches in one batched
-    conservative-update pass.  No code path loops over ODs per chunk.
+    conservative-update pass — and keeps candidate values as kernel
+    runs.  No code path loops over ODs, per chunk or at bin close;
+    :meth:`reset` readies the same storage for the next bin.
     """
 
     def __init__(
@@ -92,23 +104,33 @@ class BinAccumulator:
         self.seed = seed
         self.exact = exact
         self.threads = threads
-        if exact:
-            #: per feature: list of (ods, values, weights) column triples
-            self._parts: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-                [] for _ in range(N_FEATURES)
-            ]
-            self._banks = None
-            self._candidates = None
-        else:
-            self._parts = None
+        if not exact:
             self._banks = [
                 SketchBank(width=width, depth=depth, seed=seed)
                 for _ in range(N_FEATURES)
             ]
-            #: od -> per-feature candidate-value sets (capped)
-            self._candidates: dict[int, list[set[int]]] = {}
-        self._packets = np.zeros(n_od_flows, dtype=np.int64)
-        self._bytes = np.zeros(n_od_flows, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the accumulator for the next bin.  The sketch banks'
+        counter arrays are kept (allocated once, cleared in place)."""
+        if self.exact:
+            #: per feature: list of (ods, values, weights) column triples
+            self._parts: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
+                [] for _ in range(N_FEATURES)
+            ]
+        else:
+            for bank in self._banks:
+                bank.reset()
+            #: per feature: every OD's sorted distinct candidate values
+            #: (capped) as kernel runs; the runs' counts are not used
+            self._candidates = [_no_runs()] * N_FEATURES
+            #: ``(N_FEATURES, p)`` candidates tracked per (feature, OD)
+            self._distinct = np.zeros((N_FEATURES, self.n_od_flows), dtype=np.int64)
+            #: ODs that get a row in this bin's mergeable summary
+            self._active = np.zeros(self.n_od_flows, dtype=bool)
+        self._packets = np.zeros(self.n_od_flows, dtype=np.int64)
+        self._bytes = np.zeros(self.n_od_flows, dtype=np.int64)
         self.n_records = 0
         #: True once any record batch or histogram landed here (empty
         #: histograms included) — bins touched this way still close.
@@ -121,18 +143,24 @@ class BinAccumulator:
             return
         runs = group_reduce(ods, values, weights, threads=self.threads)
         self._banks[k].update(runs.group_ids, runs.starts, runs.values, runs.counts)
-        # Localised loop state: this runs once per (chunk, feature, OD)
-        # and the attribute/str lookups were visible in profiles.
-        table = self._candidates
-        starts = runs.starts.tolist()
-        run_values = runs.values
-        for i, od in enumerate(runs.group_ids.tolist()):
-            entry = table.get(od)
-            if entry is None:
-                entry = table[od] = [set() for _ in range(N_FEATURES)]
-            candidates = entry[k]
-            if len(candidates) < MAX_CANDIDATES:
-                candidates.update(run_values[starts[i]:starts[i + 1]].tolist())
+        self._active[runs.group_ids] = True
+        # An OD tracking fewer values than the cap takes all of the
+        # chunk's (check-then-insert, so it may end above the cap).  A
+        # bin's first chunk is its own candidate store — the kernel's
+        # runs are already sorted and distinct per OD; later chunks
+        # merge into it through one more grouped reduction.
+        eligible = self._distinct[k, runs.group_ids] < MAX_CANDIDATES
+        held = self._candidates[k]
+        if len(held) or not eligible.all():
+            keep = np.repeat(eligible, runs.lengths())
+            runs = group_reduce(
+                np.concatenate([np.repeat(held.group_ids, held.lengths()),
+                                np.repeat(runs.group_ids, runs.lengths())[keep]]),
+                np.concatenate([held.values, runs.values[keep]]),
+                threads=self.threads,
+            )
+        self._candidates[k] = runs
+        self._distinct[k, runs.group_ids] = runs.lengths()
 
     def add_batch(self, ods: np.ndarray, batch: FlowRecordBatch) -> None:
         """Add a record batch whose rows are already attributed to ODs."""
@@ -163,7 +191,7 @@ class BinAccumulator:
         if not self.exact:
             # Register the OD even when every histogram is empty, so
             # the closed bin still carries an (all-zero) row for it.
-            self._candidates.setdefault(int(od), [set() for _ in range(N_FEATURES)])
+            self._active[od] = True
         for k, (values, counts) in enumerate(histograms):
             values = np.asarray(values, dtype=np.int64)
             counts = np.asarray(counts, dtype=np.int64)
@@ -181,8 +209,7 @@ class BinAccumulator:
             raise ValueError("feature_runs() requires exact mode")
         parts = self._parts[k]
         if not parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
+            return _no_runs()
         if len(parts) == 1:
             ods, values, weights = parts[0]
         else:
@@ -192,13 +219,16 @@ class BinAccumulator:
         return group_reduce(ods, values, weights, threads=self.threads)
 
     def sketch_state(self):
-        """Sketch mode: ``(banks, candidates)`` — the four per-feature
-        :class:`SketchBank` objects and the ``od -> [set] * 4``
-        candidate-value map.  The hand-off the mergeable shard
-        summaries (:mod:`repro.cluster.summary`) build from."""
+        """Sketch mode: ``(banks, candidates, active)`` — the four
+        per-feature :class:`SketchBank` objects, the four per-feature
+        candidate-value runs (``runs.group(od)[0]`` is an OD's sorted
+        candidates) and the ``(p,)`` mask of ODs with a row.  The
+        hand-off the mergeable shard summaries
+        (:mod:`repro.cluster.summary`) build from; all of it is reused
+        by the next bin, so the caller must copy what it keeps."""
         if self.exact:
             raise ValueError("sketch_state() requires sketch mode")
-        return self._banks, self._candidates
+        return self._banks, self._candidates, self._active
 
     def finalize(self, bin_index: int) -> BinSummary:
         """Emit the bin's entropy matrix and volume rows."""
@@ -209,20 +239,14 @@ class BinAccumulator:
                 entropy[runs.group_ids, k] = runs.entropies()
         else:
             # One batched bank query + one vectorized estimator pass per
-            # feature covers every active OD's candidate set at once.
-            ods = np.asarray(sorted(self._candidates), dtype=np.int64)
-            for k in range(N_FEATURES):
-                candidates = [sorted(self._candidates[int(od)][k]) for od in ods]
-                lengths = np.array([len(c) for c in candidates], dtype=np.int64)
-                starts = np.zeros(len(ods) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=starts[1:])
-                values = (
-                    np.concatenate([np.asarray(c, dtype=np.int64) for c in candidates])
-                    if len(candidates)
-                    else np.zeros(0, dtype=np.int64)
+            # feature covers every OD's candidate values at once.
+            for k, runs in enumerate(self._candidates):
+                estimates, totals = self._banks[k].query_runs(
+                    runs.group_ids, runs.starts, runs.values
                 )
-                estimates, totals = self._banks[k].query_runs(ods, starts, values)
-                entropy[ods, k] = entropy_from_sketch_runs(estimates, totals, starts)
+                entropy[runs.group_ids, k] = entropy_from_sketch_runs(
+                    estimates, totals, runs.starts
+                )
         return BinSummary(
             bin=bin_index,
             entropy=entropy,
@@ -268,16 +292,16 @@ class StreamFeatureStage:
     apply_anonymization: bool = True
     threads: int = 1
     router: Router | None = None
-    _current: BinAccumulator | None = field(default=None, repr=False)
+    _current: BinAccumulator = field(init=False, repr=False)
     _current_bin: int | None = field(default=None, repr=False)
     late_records: int = 0
 
     def __post_init__(self) -> None:
         if self.router is None:
             self.router = Router(self.topology)
-
-    def _new_accumulator(self) -> BinAccumulator:
-        return BinAccumulator(
+        # One accumulator for the stage's lifetime, reset at every bin
+        # close: sketch mode allocates its counter arrays once.
+        self._current = BinAccumulator(
             self.topology.n_od_flows,
             width=self.width,
             depth=self.depth,
@@ -328,7 +352,6 @@ class StreamFeatureStage:
                     continue
                 if self._current_bin is None:
                     self._current_bin = b
-                    self._current = self._new_accumulator()
                 while b > self._current_bin:
                     closed.append(self._close())
                 sub = batch if single_bin else batch.select(mask)
@@ -361,7 +384,6 @@ class StreamFeatureStage:
         closed: list[BinSummary] = []
         if self._current_bin is None:
             self._current_bin = int(bin_index)
-            self._current = self._new_accumulator()
         if bin_index < self._current_bin:
             raise ValueError("histogram bins must arrive in order")
         while bin_index > self._current_bin:
@@ -385,18 +407,16 @@ class StreamFeatureStage:
             summary = self._finalize(self._current, self._current_bin)
         tel.count("reduce.bins_closed")
         self._current_bin += 1
-        self._current = self._new_accumulator()
+        self._current.reset()
         return summary
 
     def flush(self) -> list[BinSummary]:
         """Close the open bin (end of stream)."""
-        if self._current_bin is None or self._current is None:
-            return []
-        if not self._current.touched:
+        if self._current_bin is None or not self._current.touched:
             return []
         with tel.span("stage.reduce.close"):
             summary = self._finalize(self._current, self._current_bin)
         tel.count("reduce.bins_closed")
-        self._current = None
+        self._current.reset()
         self._current_bin = None
         return [summary]

@@ -246,6 +246,24 @@ class TestShardMonitor:
         assert [s.bin for s in final] == [2]
         assert monitor.shard_id == 3
 
+    def test_sketch_summary_survives_the_next_bins(self):
+        # The stage reuses its sketch counters for the next bin, so an
+        # exported summary must own copies: bin 0's bytes are the same
+        # whether or not bins 1 and 2 were ingested after it.
+        topo = abilene()
+        rng = np.random.default_rng(12)
+        first = _random_batch(60, rng, t0=0.0)
+        monitor = ShardMonitor(topo, exact=False, width=256)
+        assert monitor.ingest(first) == []
+        (summary,) = monitor.ingest(_random_batch(60, rng, t0=300.0))
+        payload = summary.to_bytes()
+        monitor.ingest(_random_batch(60, rng, t0=600.0))
+        assert summary.to_bytes() == payload
+        alone = ShardMonitor(topo, exact=False, width=256)
+        alone.ingest(first)
+        (expected,) = alone.flush()
+        assert payload == expected.to_bytes()
+
     def test_shard_ods_partitions_exactly(self):
         p = abilene().n_od_flows
         shards = [shard_ods(p, 4, s) for s in range(4)]

@@ -419,6 +419,45 @@ class TestSketchBankEquivalence:
             assert got.total == ref.total
             np.testing.assert_array_equal(got.query_many(probe), ref.query_many(probe))
 
+    # (group, value, weight) rows of one update: up to 24 groups so the
+    # 8-slot initial capacity doubles twice; zero weights are dropped.
+    _rows = st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 50), st.integers(0, 5)),
+        min_size=1, max_size=60,
+    )
+
+    @given(st.lists(_rows, max_size=4), st.lists(_rows, min_size=1, max_size=4),
+           st.sampled_from([8, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_reset_bank_matches_fresh_bank_exactly(self, before, after, width):
+        reused = SketchBank(width=width, depth=2, seed=5)
+        fresh = SketchBank(width=width, depth=2, seed=5)
+        # Three full rounds write 864 cell indices: more than the 512
+        # cells of the width-8 bank (reset clears densely), fewer than
+        # the 4096 of the width-64 bank (reset replays the indices).
+        full = [(g, v, 1) for g in range(24) for v in range(6)]
+        for rows in [full] * 3 + before:
+            runs = group_reduce(*np.array(rows).T)
+            reused.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+        reused.reset()
+        assert len(reused) == 0 and reused.group_ids == []
+        assert not reused.tables.any() and not reused.totals.any()
+        probe_groups = np.arange(25)  # 24 is never updated
+        probe_starts = np.arange(0, 26 * 51, 51)
+        probe_values = np.tile(np.arange(51), 25)
+        for rows in after:
+            runs = group_reduce(*np.array(rows).T)
+            for bank in (reused, fresh):
+                bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+            got = reused.query_runs(probe_groups, probe_starts, probe_values)
+            want = fresh.query_runs(probe_groups, probe_starts, probe_values)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert reused.group_ids == fresh.group_ids
+        for gid in fresh.group_ids:
+            np.testing.assert_array_equal(reused.sketch(gid).table, fresh.sketch(gid).table)
+            assert reused.total(gid) == fresh.total(gid)
+
     def test_query_runs_and_vectorized_entropy_match_scalar(self):
         rng = np.random.default_rng(29)
         bank = SketchBank(width=256, depth=4, seed=1)

@@ -1,0 +1,205 @@
+"""Sketch-mode streaming state: array candidate store and bank reuse.
+
+The accumulator keeps candidate values as kernel runs and reuses one
+:class:`SketchBank` per feature across bins.  Both are checked against
+references kept here: the set-based candidate store the accumulator
+used before (bitwise, through the same estimator), and per-OD
+:class:`CountMinSketch` objects built from scratch for every bin.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.flows.features import FEATURES, N_FEATURES
+from repro.flows.records import FlowRecordBatch
+from repro.flows.sketches import (
+    CountMinSketch,
+    SketchBank,
+    entropy_from_sketch,
+    entropy_from_sketch_runs,
+)
+from repro.kernels import group_reduce
+from repro.net.topology import abilene
+from repro.stream import window
+from repro.stream.window import BinAccumulator, StreamFeatureStage
+
+P = 6
+WIDTH = 64
+
+
+def _batch(rows, timestamps=None):
+    """Records whose four features have different distinct counts."""
+    v = np.array([r[1] for r in rows], dtype=np.int64)
+    n = len(rows)
+    return FlowRecordBatch(
+        src_ip=v,
+        dst_ip=v * 7 % 13,
+        src_port=v % 5,
+        dst_port=v * 3 % 11,
+        protocol=np.full(n, 6),
+        packets=np.array([r[2] for r in rows], dtype=np.int64),
+        bytes=np.full(n, 40),
+        timestamp=np.zeros(n) if timestamps is None else timestamps,
+        ingress_pop=np.zeros(n, dtype=np.int64),
+    )
+
+
+class SetBasedAccumulator:
+    """Reference: fresh banks per bin, candidates as ``od -> [set] * 4``."""
+
+    def __init__(self):
+        self.banks = [SketchBank(width=WIDTH) for _ in range(N_FEATURES)]
+        self.candidates = {}
+
+    def _add_feature(self, k, ods, values, weights):
+        runs = group_reduce(ods, values, weights)
+        self.banks[k].update(runs.group_ids, runs.starts, runs.values, runs.counts)
+        for i, od in enumerate(runs.group_ids.tolist()):
+            entry = self.candidates.setdefault(od, [set() for _ in range(N_FEATURES)])
+            if len(entry[k]) < window.MAX_CANDIDATES:
+                entry[k].update(runs.slice(i)[0].tolist())
+
+    def add_batch(self, ods, batch):
+        for k, name in enumerate(FEATURES):
+            self._add_feature(k, ods, getattr(batch, name), batch.packets)
+
+    def add_histograms(self, od, histograms, packets, byte_count):
+        self.candidates.setdefault(od, [set() for _ in range(N_FEATURES)])
+        for k, (values, counts) in enumerate(histograms):
+            ods = np.full(len(values), od, dtype=np.int64)
+            self._add_feature(k, ods, np.asarray(values, dtype=np.int64),
+                              np.asarray(counts, dtype=np.int64))
+
+    def entropy(self):
+        entropy = np.zeros((P, N_FEATURES))
+        ods = np.asarray(sorted(self.candidates), dtype=np.int64)
+        for k in range(N_FEATURES):
+            lists = [sorted(self.candidates[int(od)][k]) for od in ods]
+            starts = np.zeros(len(ods) + 1, dtype=np.int64)
+            np.cumsum([len(c) for c in lists], out=starts[1:])
+            values = np.array([v for c in lists for v in c], dtype=np.int64)
+            estimates, totals = self.banks[k].query_runs(ods, starts, values)
+            entropy[ods, k] = entropy_from_sketch_runs(estimates, totals, starts)
+        return entropy
+
+
+# (od, value, packets): few values so chunks overlap and a small cap is
+# crossed mid-bin; zero-packet rows are dropped by the kernel.
+record_rows = st.lists(
+    st.tuples(st.integers(0, P - 1), st.integers(0, 30), st.integers(0, 4)),
+    min_size=1, max_size=40,
+)
+histogram = st.lists(st.tuples(st.integers(0, 30), st.integers(1, 9)), max_size=6)
+histogram_op = st.tuples(
+    st.integers(0, P - 1), st.lists(histogram, min_size=N_FEATURES, max_size=N_FEATURES)
+)
+one_bin = st.lists(st.one_of(record_rows, histogram_op), min_size=1, max_size=6)
+
+
+def _feed(target, ops):
+    for op in ops:
+        if isinstance(op, tuple):
+            od, hists = op
+            target.add_histograms(
+                od,
+                [([v for v, _ in h], [c for _, c in h]) for h in hists],
+                packets=1, byte_count=40,
+            )
+        else:
+            ods = np.array([r[0] for r in op], dtype=np.int64)
+            target.add_batch(ods, _batch(op))
+
+
+class TestCandidateStore:
+    @given(st.lists(one_bin, min_size=1, max_size=3), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_set_based_reference_bitwise(self, bins, cap):
+        acc = BinAccumulator(n_od_flows=P, width=WIDTH)
+        with mock.patch.object(window, "MAX_CANDIDATES", cap):
+            for b, ops in enumerate(bins):
+                ref = SetBasedAccumulator()
+                _feed(acc, ops)
+                _feed(ref, ops)
+                assert acc.finalize(b).entropy.tobytes() == ref.entropy().tobytes()
+                _, _, active = acc.sketch_state()
+                assert np.flatnonzero(active).tolist() == sorted(ref.candidates)
+                acc.reset()
+
+    def test_all_empty_histograms_still_register_the_od(self):
+        acc = BinAccumulator(n_od_flows=P, width=WIDTH)
+        empty = np.zeros(0, dtype=np.int64)
+        acc.add_histograms(3, [(empty, empty)] * N_FEATURES, 0, 0)
+        assert acc.touched
+        assert np.flatnonzero(acc.sketch_state()[2]).tolist() == [3]
+        assert not acc.finalize(0).entropy.any()
+
+
+def _per_od_reference(topology, chunks):
+    """bin -> (p, 4) entropies (bitwise estimator, scalar estimator)
+    from one fresh ``CountMinSketch`` per (bin, OD, feature)."""
+    state = {}
+    for chunk, ods in chunks:
+        bins = np.floor(chunk.timestamp / 300.0).astype(np.int64)
+        for b in np.unique(bins):
+            for od in np.unique(ods[bins == b]):
+                rows = (bins == b) & (ods == od)
+                for k, name in enumerate(FEATURES):
+                    sketch, seen = state.setdefault(
+                        (int(b), int(od), k), (CountMinSketch(width=WIDTH), set())
+                    )
+                    values = getattr(chunk, name)[rows]
+                    sketch.add_histogram(values, chunk.packets[rows])
+                    seen.update(values.tolist())
+    out = {}
+    for (b, od, k), (sketch, seen) in state.items():
+        vector, scalar = out.setdefault(
+            b, (np.zeros((topology.n_od_flows, N_FEATURES)),
+                np.zeros((topology.n_od_flows, N_FEATURES)))
+        )
+        candidates = np.array(sorted(seen), dtype=np.int64)
+        vector[od, k] = entropy_from_sketch_runs(
+            sketch.query_many(candidates), [sketch.total], [0, len(candidates)]
+        )[0]
+        scalar[od, k] = entropy_from_sketch(sketch, candidates)
+    return out
+
+
+class TestStageParityAcrossBins:
+    def test_reused_banks_match_fresh_per_od_sketches(self):
+        topology = abilene()
+        rng = np.random.default_rng(8)
+        stamps = np.sort(rng.uniform(0.0, 5 * 300.0, size=1100))
+        stamps = stamps[stamps // 300 != 2]  # bin 2 is a gap
+        n = len(stamps)
+        records = _batch(
+            [(0, int(v), int(w)) for v, w in
+             zip(rng.zipf(1.4, size=n) % 200, rng.integers(1, 30, size=n))],
+            timestamps=stamps,
+        )
+        ods = rng.integers(0, 9, size=n)
+        # Chunk edges fall inside bins, so bins span chunks and chunks
+        # span bins.
+        chunks = [
+            (records.select(np.arange(lo, min(lo + 130, n))), ods[lo:lo + 130])
+            for lo in range(0, n, 130)
+        ]
+        stage = StreamFeatureStage(
+            topology, width=WIDTH, exact=False, apply_anonymization=False
+        )
+        summaries = []
+        for chunk, chunk_ods in chunks:
+            summaries.extend(stage.ingest(chunk, ods=chunk_ods))
+        summaries.extend(stage.flush())
+        reference = _per_od_reference(topology, chunks)
+        assert [s.bin for s in summaries] == [0, 1, 2, 3, 4]
+        assert sorted(reference) == [0, 1, 3, 4]
+        for summary in summaries:
+            if summary.bin == 2:
+                assert not summary.entropy.any()
+                continue
+            vector, scalar = reference[summary.bin]
+            assert summary.entropy.tobytes() == vector.tobytes()
+            np.testing.assert_allclose(summary.entropy, scalar, rtol=0, atol=1e-9)

@@ -6,7 +6,8 @@ Two gates, each comparing a freshly generated
 (``git show HEAD:...`` by default) and failing — exit code 1 — on a
 drop larger than the allowed fraction (default 20%):
 
-* **streaming** — exact-mode engine ingest (``streaming.json``);
+* **streaming** — exact-mode and sketch-mode engine ingest
+  (``streaming.json``, one gate each);
 * **trace replay** — warm mmap replay ingest of the columnar trace
   store (``trace.json``).  Skipped with a note when no fresh
   ``trace.json`` exists (so streaming-only runs keep working);
@@ -352,19 +353,22 @@ def main(argv: list[str] | None = None) -> int:
         if fresh_stages and base_stages:
             delta_sections.append((name, fresh_stages, base_stages))
 
-    _collect_delta(
-        "streaming exact",
-        fresh.get("stages", {}).get("streaming_exact"),
-        baseline.get("stages", {}).get("streaming_exact"),
-    )
-    ok = _gate(
-        "streaming exact",
-        _rate(fresh["records_per_sec"]["streaming_exact"]),
-        _rate(baseline["records_per_sec"]["streaming_exact"]),
-        args.max_regression,
-        fresh_stages=fresh.get("stages", {}).get("streaming_exact"),
-        base_stages=baseline.get("stages", {}).get("streaming_exact"),
-    )
+    ok = True
+    for name, key in (
+        ("streaming exact", "streaming_exact"),
+        ("streaming sketch", "streaming_sketch"),
+    ):
+        fresh_stages = fresh.get("stages", {}).get(key)
+        base_stages = baseline.get("stages", {}).get(key)
+        _collect_delta(name, fresh_stages, base_stages)
+        ok &= _gate(
+            name,
+            _rate(fresh["records_per_sec"][key]),
+            _rate(baseline["records_per_sec"][key]),
+            args.max_regression,
+            fresh_stages=fresh_stages,
+            base_stages=base_stages,
+        )
     ok &= _telemetry_overhead_gate(fresh, baseline, args.max_telemetry_overhead)
 
     trace_fresh_path = Path(args.trace_fresh)
