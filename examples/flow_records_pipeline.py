@@ -31,14 +31,12 @@ def main() -> None:
     bins = TimeBins.for_days(0.1)  # ~29 bins
     generator = TrafficGenerator(topology, bins, seed=41)
 
-    # Materialise raw records for a handful of OD flows and bins.
+    # Materialise raw records for a handful of OD flows and bins: the
+    # very rows every pipeline source draws for these (OD, bin) pairs
+    # (``materialize_bin(od, b)`` is the one-OD, one-bin case).
     print("Materialising flow records...")
-    batches = []
     ods = [topology.od_index("STTL", "NYCM"), topology.od_index("DNVR", "ATLA")]
-    for od in ods:
-        for b in range(4):
-            batches.append(generator.materialize_bin(od, b))
-    records = FlowRecordBatch.concat(batches)
+    records = FlowRecordBatch.concat(generator.materialize_bin_group(ods, range(4)))
     print(f"  {len(records)} records, {records.total_packets} packets")
     print(f"  e.g. {records.record(0)}")
 

@@ -946,6 +946,7 @@ def _cmd_trace(args) -> int:
 
     if args.trace_command == "info":
         from repro.io.trace import trace_info, verify_trace
+        from repro.traffic.generator import SYNTHESIS_SCHEME
 
         info = trace_info(args.path, allow_partial=args.allow_partial)
         size_mb = info.path.stat().st_size / 1e6
@@ -961,6 +962,11 @@ def _cmd_trace(args) -> int:
         derived = (f" (+{len(info.derived['columns'])} derived detection "
                    f"columns)" if info.derived else "")
         print(f"  version : {info.version}{derived}")
+        stale = ("" if info.synthesis == SYNTHESIS_SCHEME else
+                 f" (this build synthesises scheme {SYNTHESIS_SCHEME}: the stored "
+                 f"records replay unchanged, but the seeds in meta no longer "
+                 f"regenerate them)")
+        print(f"  synthesis: scheme {info.synthesis}{stale}")
         counts = info.bin_counts
         print(f"  per bin : min {int(counts.min())}, "
               f"median {int(np.median(counts))}, max {int(counts.max())}")

@@ -140,6 +140,12 @@ class TraceInfo:
         network: Generating topology name ("" when unknown).
         meta: Free-form provenance dict (generator seed, record caps,
             config fingerprint, ...).
+        synthesis: Record-synthesis scheme a generated trace was written
+            under (``meta["synthesis"]``; 1 when the key is missing,
+            i.e. the file predates it).  The stored records replay
+            unchanged under any build, but ``meta`` seeds regenerate
+            them only under a build of the same scheme
+            (:data:`repro.traffic.generator.SYNTHESIS_SCHEME`).
         bin_counts: ``(n_bins,)`` records per bin.
         declared_records: Record count the header claims the file holds.
         truncated: The file tail is missing and this info describes the
@@ -178,6 +184,7 @@ class TraceInfo:
         )
         self.network = str(header.get("network", ""))
         self.meta = dict(header.get("meta", {}))
+        self.synthesis = int(self.meta.get("synthesis", 1))
         self.bin_offsets = bin_offsets
         self.bin_counts = np.diff(bin_offsets)
 
@@ -298,6 +305,12 @@ class TraceWriter:
     is spooled to per-column temp files next to the target path, so
     writer RSS stays bounded by one batch; :meth:`close` assembles the
     final single file and removes the spools.
+
+    A trace stores records, not the recipe: it replays unchanged under
+    any build.  Writers of *synthesised* traces record the seeds and
+    the generator's ``"synthesis"`` scheme in ``meta``; regenerating
+    the same records from those seeds holds within one scheme only
+    (see :attr:`TraceInfo.synthesis`).
 
     Usage::
 
@@ -870,9 +883,9 @@ def write_trace(
 
     Produces records bit-identical to
     :func:`repro.stream.chunks.synthetic_record_stream` with the same
-    arguments (the per-(OD flow, bin) draws come from the same
-    ``record_rng`` streams), so detections computed from the written
-    trace match inline generation exactly.
+    arguments (it *is* that stream, and the stream's counter-based
+    draws do not depend on ``bin_group``), so detections computed from
+    the written trace match inline generation exactly.
 
     Args:
         path: Output trace path.
@@ -898,7 +911,11 @@ def write_trace(
         raise ValueError("bins must be strictly increasing")
     if not bins:
         raise ValueError("need at least one bin to write")
+    from repro.stream.chunks import synthetic_record_stream
+    from repro.traffic.generator import SYNTHESIS_SCHEME
+
     header_meta = {
+        "synthesis": SYNTHESIS_SCHEME,
         "generator_seed": int(generator.config.seed),
         "stream_seed": int(seed),
         "max_records_per_od": int(max_records_per_od),
@@ -907,8 +924,6 @@ def write_trace(
         "histogram_sampling": int(generator.histogram_sampling),
     }
     header_meta.update(meta or {})
-    from repro.stream.chunks import synthetic_record_stream
-
     source = synthetic_record_stream(
         generator,
         bins,

@@ -5,8 +5,8 @@ same :class:`repro.pipeline.DetectionPipeline` (and every deployment
 mode behind it) can consume any of them:
 
 * :class:`SyntheticSource` — inline synthesis from a
-  :class:`repro.traffic.generator.TrafficGenerator` (the deterministic
-  per-(OD, bin) ``record_rng`` streams);
+  :class:`repro.traffic.generator.TrafficGenerator` (counter-based
+  draws keyed on ``(seed, od, bin, record index)``);
 * :class:`TraceSource` — zero-copy mmap replay of a recorded columnar
   trace (:mod:`repro.io.trace`);
 * :class:`ScenarioSource` — a registered end-to-end workload from
@@ -15,9 +15,10 @@ mode behind it) can consume any of them:
 
 Every source reduces to a picklable :class:`SourceSpec` description, so
 cluster workers rebuild *their* view of the same source in another
-process (:func:`build_source`) and — because every record draw is
-seeded per (OD flow, bin), independent of the partition — see records
-bit-identical to an unsharded sweep of the same source.  That is the
+process (:func:`build_source`) and — because every record draw is a
+pure function of ``(seed, OD flow, bin, record index)``, independent of
+the partition, the bin grouping and where a restart resumes — see
+records bit-identical to an unsharded sweep of the same source.  That is the
 contract that keeps exact-mode detections identical across batch,
 stream, and cluster modes at any worker count.
 """
@@ -356,10 +357,10 @@ class ScenarioSource(RecordSource):
 
     The scenario's schedule is rebuilt deterministically from
     ``(scenario name, topology, n_bins, seed)`` in whichever process
-    consumes the source, and each event's records are drawn from a
-    per-(OD, bin) seeded stream — so shards regenerate exactly the
-    events their OD slice owns, and the union over shards equals the
-    unsharded stream.
+    consumes the source; background records are counter-based draws
+    and each event's records come from a per-(OD, bin) seeded stream —
+    so shards regenerate exactly the records their OD slice owns, and
+    the union over shards equals the unsharded stream.
     """
 
     def __init__(
@@ -430,12 +431,15 @@ class ScenarioSource(RecordSource):
 
         The written trace replays bit-identical to :meth:`batches`, so
         any mode fed from it sees exactly the inline records; the
-        scenario name lands in the trace header's provenance.
+        scenario name, seed and record-synthesis scheme land in the
+        trace header's provenance (the seed regenerates these records
+        only under a build of the same scheme).
 
         Returns:
             The written trace's :class:`repro.io.trace.TraceInfo`.
         """
         from repro.io.trace import TraceWriter
+        from repro.traffic.generator import SYNTHESIS_SCHEME
 
         spec = self.spec
         with TraceWriter(
@@ -448,6 +452,7 @@ class ScenarioSource(RecordSource):
                 "scenario": spec.scenario,
                 "seed": spec.seed,
                 "max_records_per_od": spec.max_records_per_od,
+                "synthesis": SYNTHESIS_SCHEME,
             },
         ) as writer:
             for b, batch in zip(range(spec.n_bins), self._stream()):

@@ -9,9 +9,10 @@ stages see a predictable memory envelope regardless of the source.
 Two matching sources cover the reproduction's workloads:
 
 * :func:`synthetic_record_stream` materialises one bin at a time from a
-  :class:`repro.traffic.generator.TrafficGenerator` (via the batched
-  whole-bin path), so an arbitrarily long synthetic trace can be
-  streamed without ever holding more than one bin group of records;
+  :class:`repro.traffic.generator.TrafficGenerator` (one vectorised
+  pass per OD flow over a group of bins), so an arbitrarily long
+  synthetic trace can be streamed without ever holding more than one
+  bin group of records;
 * :func:`trace_record_stream` replays a columnar trace file written by
   :mod:`repro.io.trace` as zero-copy memory-mapped views — the fast
   path once a trace has been recorded.
@@ -100,18 +101,21 @@ def synthetic_record_stream(
         max_records_per_od: Cap on records materialised per (OD, bin) —
             the knob trading trace size for fidelity.
         seed: Extra seed mixed into the per-bin record draw.
-        bin_group: Bins materialised per pass.  Within a group the OD
-            loop is outermost so each OD's (regenerable) histogram
-            stream is built once per group rather than once per bin;
-            memory is bounded by one group of records.
+        bin_group: Bins materialised per pass.  Each OD flow's model
+            is built once per group and its records for the whole group
+            drawn in one vectorised pass; memory is bounded by one
+            group of records.  The records do not depend on it.
 
     Yields:
         One time-sorted :class:`FlowRecordBatch` per bin, in ``bins``
-        order.  Records are drawn from per-(OD, bin) ``record_rng``
-        streams, so a cluster shard materialising only its OD slice
-        yields records bit-identical to a whole-trace sweep — and a
-        trace written by :func:`repro.io.trace.write_trace` replays
-        bit-identical to this inline stream.
+        order.  Every draw is a counter-based function of ``(generator
+        seed, seed, od, bin, record index)``
+        (:func:`repro.traffic.generator.record_uniforms`), so a cluster
+        shard materialising only its OD slice, a different
+        ``bin_group`` or a stream resumed at a later bin yields records
+        bit-identical to a whole-trace sweep — and a trace written by
+        :func:`repro.io.trace.write_trace` replays bit-identical to
+        this inline stream.
     """
     if bin_group < 1:
         raise ValueError("bin_group must be positive")

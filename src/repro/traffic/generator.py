@@ -12,18 +12,29 @@ of importance:
    (Poissonised multinomial sampling).
 2. **Deterministic regeneration.** The anomaly injector must recover
    the exact background histogram of any (OD flow, bin) to superimpose
-   anomaly packets onto it.  Every random quantity therefore derives
-   from ``SeedSequence([seed, od, tag])`` streams: regenerating an OD's
-   stream yields bit-identical histograms, so the cube stores only
-   entropies and volumes (storing all histograms for 3 weeks x 484 ODs
-   would be gigabytes).
-3. **Speed.** Histogram synthesis is vectorised over time; generating
-   three Abilene-weeks (6048 x 121 bins x 4 features) takes seconds.
+   anomaly packets onto it.  Every quantity of the cube therefore
+   derives from ``SeedSequence([seed, od, tag])`` streams: regenerating
+   an OD's stream yields bit-identical histograms, so the cube stores
+   only entropies and volumes (storing all histograms for 3 weeks x 484
+   ODs would be gigabytes).  Flow *records* go one step further: each
+   uniform a background record consumes is a pure function of ``(seed,
+   salt, od, bin, record index, draw slot)`` (:func:`record_uniforms`,
+   a counter-based splitmix64 read), so any process, OD partition, bin
+   grouping or restart that materialises a record draws it identically
+   — no generator object, hence no draw order, exists to disagree on.
+3. **Speed.** The model and the histograms are vectorised over time
+   (three Abilene-weeks, 6048 x 121 bins x 4 features, take seconds);
+   records are vectorised over a whole bin group per OD flow and sorted
+   once per group.
 
-The generator also materialises individual bins as flow-record batches
-(:meth:`TrafficGenerator.materialize_bin`) so the record-level pipeline
-(records -> binning -> OD aggregation -> cube) can be exercised
-end-to-end in examples and integration tests.
+An OD flow is built in two steps: :meth:`TrafficGenerator._od_model`
+(rates, per-feature concentration and support — everything random short
+of sampling) and a realisation of it.  :meth:`TrafficGenerator.od_stream`
+realises Poisson histograms for the cube and the injector;
+:meth:`TrafficGenerator.materialize_bin_group` realises flow records
+straight from the model's pmf rows (the record draw *is* the sampling
+step), so the record-level pipeline (records -> binning -> OD
+aggregation -> cube) can be exercised end-to-end.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import numpy as np
 
 from repro.core.entropy import entropy_rows
 from repro.flows.binning import TimeBins
-from repro.flows.features import DST_IP, DST_PORT, FEATURES, N_FEATURES, SRC_IP, SRC_PORT
+from repro.flows.features import DST_IP, DST_PORT, N_FEATURES, SRC_IP, SRC_PORT
 from repro.flows.odflows import TrafficCube
 from repro.flows.records import FlowRecordBatch
 from repro.net.addressing import EPHEMERAL_PORT_START, AddressPool, well_known_ports
@@ -44,12 +55,24 @@ from repro.traffic.distributions import active_support, port_pmf, zipf_pmf
 from repro.traffic.diurnal import DiurnalBasis, ar1_series
 from repro.traffic.gravity import od_mean_rates
 
-__all__ = ["FeatureModel", "GeneratorConfig", "ODStream", "TrafficGenerator"]
+__all__ = ["FeatureModel", "GeneratorConfig", "ODStream", "SYNTHESIS_SCHEME",
+           "TrafficGenerator", "record_uniforms"]
 
+#: Version of the record-synthesis scheme, written into trace provenance:
+#: a seed regenerates a trace's records only under the scheme that wrote
+#: it (1: per-(OD, bin) ``default_rng`` streams; 2: :func:`record_uniforms`).
+SYNTHESIS_SCHEME = 2
 # Tags for independent random streams per OD flow.
 _TAG_RATE, _TAG_DRIFT, _TAG_COUNTS, _TAG_BYTES, _TAG_WEIGHTS, _TAG_GLITCH = range(6)
 # Pseudo-OD ids for network-wide (shared) random streams.
 _GLOBAL_OD = 1 << 21
+#: Uniforms one background record consumes, in slot order: flow weight,
+#: the four feature ranks, timestamp.
+_DRAWS = 2 + N_FEATURES
+#: Rank draws and cdf tables are compared as integers of this many bits,
+#: so a rank cannot depend on how a row offset rounds in floating point.
+_RANK_BITS = 40
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -167,6 +190,36 @@ def _rng(seed: int, od: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, od, tag]))
 
 
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on a ``uint64`` *array* (array
+    arithmetic wraps silently; numpy warns on wrapping scalars)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def record_uniforms(
+    seed: int, salt: int, od: int, bins: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Counter-based uniforms of background records: ``(6, n)`` in [0, 1).
+
+    ``out[s, i]`` is a pure function of ``(seed, salt, od, bins[i],
+    index[i], s)``: the four key words are folded into a 64-bit key and
+    draw ``6 * index + s`` of the splitmix64 sequence started there is
+    kept to 53 bits.  No generator object exists, so whoever
+    materialises record ``index[i]`` of ``(od, bins[i])`` — any shard,
+    bin grouping or restart — reads the same six draws.
+    """
+    mask = (1 << 64) - 1
+    key = np.zeros(1, dtype=np.uint64)
+    for word in (seed, salt, od):
+        key = _mix64(key + np.uint64(int(word) & mask) + _GOLDEN)
+    key = _mix64(key + np.asarray(bins).astype(np.uint64) + _GOLDEN)
+    slots = np.arange(1, _DRAWS + 1, dtype=np.uint64)[:, None]
+    counter = np.asarray(index).astype(np.uint64) * np.uint64(_DRAWS) + slots
+    return (_mix64(key + counter * _GOLDEN) >> np.uint64(11)) * 2.0 ** -53
+
+
 @dataclass
 class ODStream:
     """Everything the generator computes for one OD flow.
@@ -275,10 +328,15 @@ class TrafficGenerator:
         return realised, expected
 
     def _feature_pmf_rows(
-        self, model: FeatureModel, alphas: np.ndarray, supports: np.ndarray
+        self, model: FeatureModel, alphas: np.ndarray, supports: np.ndarray,
+        n_max: int,
     ) -> np.ndarray:
-        """Per-bin pmfs ``(t, n_max)`` with drifting alpha and support."""
-        n_max = int(supports.max())
+        """Per-bin pmfs ``(t, n_max)`` with drifting alpha and support.
+
+        ``n_max`` is the widest support of the OD's *whole* stream, also
+        when only some of its bins are asked for, so a row's values do
+        not depend on which other rows came with it.
+        """
         ranks = np.arange(1, n_max + 1, dtype=np.float64)
         if model.kind == "port":
             base = port_pmf(n_max)
@@ -293,12 +351,17 @@ class TrafficGenerator:
         rows /= rows.sum(axis=1, keepdims=True)
         return rows
 
-    def od_stream(self, od: int) -> ODStream:
-        """Full synthetic stream for one OD flow (cached, deterministic)."""
-        cached = self._stream_cache.get(od)
-        if cached is not None:
-            self._stream_cache.move_to_end(od)
-            return cached
+    def _od_model(
+        self, od: int
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """``(packets, alphas, supports)``: one OD flow before sampling.
+
+        Everything random about the flow short of a realisation — packet
+        counts per bin and, per feature, the ``(t,)`` Zipf concentration
+        and active support — drawn from the ``_TAG_RATE`` / ``_TAG_DRIFT``
+        / ``_TAG_GLITCH`` streams.  :meth:`od_stream` realises it as
+        Poisson histograms, :meth:`materialize_bin_group` as records.
+        """
         cfg = self.config
         t = self.bins.n_bins
         rates, expected_rates = self._od_rates(od)
@@ -311,7 +374,6 @@ class TrafficGenerator:
         mean_sampled = float(sampled_expected.mean())
 
         drift_rng = _rng(cfg.seed, od, _TAG_DRIFT)
-        count_rng = _rng(cfg.seed, od, _TAG_COUNTS)
         # Benign transients: rare single-bin excursions of one feature's
         # concentration — detections with no scheduled cause (the
         # dataset's false-alarm population).
@@ -328,8 +390,7 @@ class TrafficGenerator:
                         float(glitch_rng.uniform(lo, hi) * glitch_rng.choice([-1, 1])),
                     )
                 )
-        histograms = []
-        entropy = np.empty((t, N_FEATURES))
+        all_alphas, all_supports = [], []
         for k, model in enumerate(cfg.feature_models):
             gain = drift_rng.uniform(0.7, 1.3)
             jitter = ar1_series(t, 0.9, model.alpha_sigma, drift_rng)
@@ -339,13 +400,33 @@ class TrafficGenerator:
             for g_bin, g_feat, g_delta in glitches:
                 if g_feat == k:
                     alphas[g_bin] = np.clip(alphas[g_bin] + g_delta, 0.05, 3.0)
-            supports = active_support(
-                model.support,
-                sampled_expected,
-                mean_sampled,
-                exponent=model.volume_exponent,
+            all_alphas.append(alphas)
+            all_supports.append(
+                active_support(
+                    model.support,
+                    sampled_expected,
+                    mean_sampled,
+                    exponent=model.volume_exponent,
+                )
             )
-            pmf_rows = self._feature_pmf_rows(model, alphas, supports)
+        return packets, all_alphas, all_supports
+
+    def od_stream(self, od: int) -> ODStream:
+        """Full synthetic stream for one OD flow (cached, deterministic)."""
+        cached = self._stream_cache.get(od)
+        if cached is not None:
+            self._stream_cache.move_to_end(od)
+            return cached
+        cfg = self.config
+        t = self.bins.n_bins
+        packets, alphas, supports = self._od_model(od)
+        count_rng = _rng(cfg.seed, od, _TAG_COUNTS)
+        histograms = []
+        entropy = np.empty((t, N_FEATURES))
+        for k, model in enumerate(cfg.feature_models):
+            pmf_rows = self._feature_pmf_rows(
+                model, alphas[k], supports[k], int(supports[k].max())
+            )
             lam = (packets / self.histogram_sampling)[:, None] * pmf_rows
             counts = count_rng.poisson(lam).astype(np.int64)
             histograms.append(counts)
@@ -389,24 +470,11 @@ class TrafficGenerator:
     def evict_stream(self, od: int) -> None:
         """Drop one OD's cached stream (regenerable; bounds memory).
 
-        Callers sweeping every OD flow (cube construction, the
-        streaming record source) evict as they go so the LRU cache
-        never balloons past the flows still in flight.
+        Callers sweeping every OD flow (cube construction, dataset
+        labelling) evict as they go so the LRU cache never balloons
+        past the flows still in flight.
         """
         self._stream_cache.pop(od, None)
-
-    def record_rng(self, od: int, b: int, salt: int = 0) -> np.random.Generator:
-        """Independent RNG for one (OD flow, bin) record draw.
-
-        Seeded from ``SeedSequence([config.seed, salt, od, b])``, so
-        *any* process materialising the same (OD, bin) — one reader
-        sweeping the whole trace, or one shard of a cluster owning an
-        OD slice — draws bit-identical records.  The sharded
-        deployment's partition-independence rests on this contract.
-        """
-        return np.random.default_rng(
-            np.random.SeedSequence([self.config.seed, salt, int(od), int(b)])
-        )
 
     # -- materialisation to real feature values -----------------------------
 
@@ -445,55 +513,7 @@ class TrafficGenerator:
             return np.concatenate([known, extra])
         raise ValueError(f"feature index out of range: {feature}")
 
-    def materialize_bin(
-        self, od: int, b: int, rng: np.random.Generator | None = None,
-        max_records: int = 4000,
-    ) -> FlowRecordBatch:
-        """Materialise one (OD, bin) as sampled flow records.
-
-        Feature values are drawn per *flow* from the bin's marginal
-        histograms (features independent across flows — sufficient for
-        exercising the record-level pipeline; the cube itself is built
-        from the exact histograms, not from these records).
-        """
-        if rng is None:
-            rng = _rng(self.config.seed, od, 10_000 + b)
-        stream = self.od_stream(od)
-        total_packets = int(stream.packets[b]) // self.histogram_sampling
-        total_packets = max(total_packets, 1)
-        n_records = int(min(max_records, max(1, total_packets // 3)))
-        # Heavy-tailed packets-per-flow, scaled to match the bin total.
-        weights = rng.pareto(1.5, size=n_records) + 1.0
-        pkts = np.maximum(1, np.round(weights * total_packets / weights.sum()))
-        pkts = pkts.astype(np.int64)
-
-        columns: dict[str, np.ndarray] = {}
-        names = ("src_ip", "src_port", "dst_ip", "dst_port")
-        for k, name in enumerate(names):
-            counts = stream.histograms[k][b].astype(np.float64)
-            total = counts.sum()
-            if total <= 0:
-                columns[name] = np.zeros(n_records, dtype=np.int64)
-                continue
-            ranks = rng.choice(len(counts), size=n_records, p=counts / total)
-            values = self.feature_values(od, feature_index_of(name), len(counts))
-            columns[name] = values[ranks]
-        origin, _ = self.topology.od_pair(od)
-        size = self.config.mean_packet_size
-        start = self.bins.bin_start(b)
-        return FlowRecordBatch(
-            src_ip=columns["src_ip"],
-            dst_ip=columns["dst_ip"],
-            src_port=columns["src_port"],
-            dst_port=columns["dst_port"],
-            protocol=np.full(n_records, 6, dtype=np.int64),
-            packets=pkts,
-            bytes=np.round(pkts * size).astype(np.int64),
-            timestamp=start + rng.uniform(0, self.bins.width, size=n_records),
-            ingress_pop=np.full(n_records, origin.index, dtype=np.int64),
-        )
-
-    # -- batched whole-bin materialisation ---------------------------------
+    # -- record materialisation ---------------------------------------------
 
     def _ip_table(self) -> np.ndarray:
         """``(n_pops, n_hosts)`` address matrix, one pool row per PoP.
@@ -529,130 +549,136 @@ class TrafficGenerator:
         group: "list[int]",
         max_records: int = 4000,
         salt: int = 0,
-        evict: bool = True,
     ) -> "list[FlowRecordBatch]":
-        """Materialise several bins for many OD flows in one batched pass.
+        """Materialise several bins of many OD flows as sampled flow records.
 
-        Semantically identical to calling :meth:`materialize_bin` for
-        every ``(od, b)`` with ``rng=self.record_rng(od, b, salt)``,
-        concatenating each bin's per-OD batches in ``ods`` order and
-        stable-sorting by timestamp — and *bit-identical* to it: every
-        random draw comes from the same per-(OD, bin) ``record_rng``
-        stream in the same order, so traces written through this path
-        reproduce the records the per-OD loop produced.  What is
-        batched is everything around the draws: rank-to-value mapping
-        goes through one precomputed per-PoP address table and one
-        vectorised port formula, and each bin assembles its nine
-        columns with a single concatenate + sort instead of one
-        :class:`FlowRecordBatch` per OD flow.
+        The one record-materialisation path.  An (OD flow, bin) emits
+        ``n = min(max_records, max(1, sampled packets // 3))`` records;
+        record ``i`` consumes the six :func:`record_uniforms` draws of
+        ``(seed, salt, od, bin, i)`` by inverse transform: a Pareto(1.5)
+        flow weight (weights scaled so the bin's packets match the
+        model's sampled total), one rank per feature through the bin's
+        model cdf (features independent across flows — sufficient for
+        exercising the record-level pipeline; the cube itself comes
+        from :meth:`od_stream`'s histograms), and a timestamp inside
+        the bin.  A record therefore does not depend on which other OD
+        flows or bins are materialised with it: the union over any OD
+        partition, any bin grouping and any restart point yield the
+        same per-bin batches.
+
+        Each OD flow is one vectorised pass over the whole group; the
+        group then pays one rank-to-value mapping (per-PoP address
+        table, port formula) and one stable time sort, cut at bin edges.
 
         Args:
-            ods: OD flows to include (ints; order fixes record order
-                before the time sort).
-            group: Bin indices to materialise in this pass.
+            ods: OD flows to include (order only breaks timestamp ties).
+            group: Strictly increasing bin indices to materialise.
             max_records: Cap on records per (OD flow, bin).
             salt: Extra seed mixed into every record draw.
-            evict: Drop each OD's cached histogram stream after use
-                (the bounded-memory default for whole-trace sweeps).
 
         Returns:
-            One time-sorted batch per bin, in ``group`` order.
+            One time-sorted batch per bin, in ``group`` order (column
+            views into group-wide arrays).
         """
-        group = [int(b) for b in group]
-        n_bins_grp = len(group)
-        names = ("src_ip", "src_port", "dst_ip", "dst_port")
-        # Per-bin accumulators: per-OD draw arrays, joined once per bin.
-        lengths: list[list[int]] = [[] for _ in range(n_bins_grp)]
-        pkts_parts: list[list[np.ndarray]] = [[] for _ in range(n_bins_grp)]
-        ts_parts: list[list[np.ndarray]] = [[] for _ in range(n_bins_grp)]
-        rank_parts: list[list[list[np.ndarray]]] = [
-            [[] for _ in range(N_FEATURES)] for _ in range(n_bins_grp)
-        ]
-        origin_pops: list[list[int]] = [[] for _ in range(n_bins_grp)]
-        dest_pops: list[list[int]] = [[] for _ in range(n_bins_grp)]
-        sampling = self.histogram_sampling
+        g = np.asarray(group, dtype=np.int64).reshape(-1)
+        if len(g) and (g[0] < 0 or g[-1] >= self.bins.n_bins or np.any(np.diff(g) <= 0)):
+            raise ValueError("group must be strictly increasing bin indices")
+        cfg = self.config
         width = self.bins.width
+        slots = np.arange(len(g))
+        bin_starts = self.bins.start + g * width
+        # Per-OD parts, kept compact until the group-wide sort: float64
+        # (timestamp, packets) and int32 feature ranks.  Seeded with
+        # empty parts so an empty ``ods`` still concatenates.
+        floats = [np.empty((2, 0))]
+        ranks = [np.empty((N_FEATURES, 0), dtype=np.int32)]
+        od_sizes, origins, destinations = [], [], []
+        bin_sizes = np.zeros(len(g), dtype=np.int64)
         for od in ods:
             od = int(od)
-            stream = self.od_stream(od)
+            packets, alphas, supports = self._od_model(od)
+            total = np.maximum(packets[g] // self.histogram_sampling, 1)
+            n = np.minimum(max_records, np.maximum(1, total // 3))
+            first = np.cumsum(n) - n
+            slot = np.repeat(slots, n)
+            index = np.arange(len(slot)) - first[slot]
+            u = record_uniforms(cfg.seed, salt, od, g[slot], index)
+            od_floats = np.empty((2, len(slot)))
+            od_floats[0] = bin_starts[slot] + u[_DRAWS - 1] * width
+            # Heavy-tailed packets-per-flow, scaled to match the bin total.
+            weights = (1.0 - u[0]) ** (-1 / 1.5)
+            scale = total / np.add.reduceat(weights, first)
+            od_floats[1] = np.maximum(1, np.round(weights * scale[slot]))
+            od_ranks = np.empty((N_FEATURES, len(slot)), dtype=np.int32)
+            for k, model in enumerate(cfg.feature_models):
+                cdf = self._feature_pmf_rows(
+                    model, alphas[k][g], supports[k][g], int(supports[k].max())
+                ).cumsum(axis=1)
+                dead = ~(cdf[:, -1] > 0)  # zero-total feature: literal zeros
+                cdf[dead] = 1.0
+                # Row j of the flattened table lives in [j, j + 1) << bits.
+                table = (cdf / cdf[:, -1:] * 2.0 ** _RANK_BITS).astype(np.int64)
+                table += (slots << _RANK_BITS)[:, None]
+                draws = (u[1 + k] * 2.0 ** _RANK_BITS).astype(np.int64)
+                draws += slot << _RANK_BITS
+                found = table.ravel().searchsorted(draws, side="right")
+                od_ranks[k] = found - slot * table.shape[1]
+                if dead.any():
+                    od_ranks[k][dead[slot]] = -1
+            floats.append(od_floats)
+            ranks.append(od_ranks)
+            od_sizes.append(len(slot))
+            bin_sizes += n
             origin, destination = self.topology.od_pair(od)
-            for j, b in enumerate(group):
-                rng = self.record_rng(od, b, salt=salt)
-                total_packets = max(int(stream.packets[b]) // sampling, 1)
-                n_records = int(min(max_records, max(1, total_packets // 3)))
-                weights = rng.pareto(1.5, size=n_records) + 1.0
-                pkts = np.maximum(1, np.round(weights * total_packets / weights.sum()))
-                pkts_parts[j].append(pkts.astype(np.int64))
-                for k in range(N_FEATURES):
-                    counts = stream.histograms[k][b].astype(np.float64)
-                    total = counts.sum()
-                    if total <= 0:
-                        # materialize_bin emits literal zeros here (and
-                        # skips the rng.choice draw); rank -1 marks it.
-                        ranks = np.full(n_records, -1, dtype=np.int64)
-                    else:
-                        # Draw-for-draw identical to materialize_bin's
-                        # rng.choice(len(counts), size, p=counts/total):
-                        # Generator.choice builds this cdf, renormalises
-                        # it, and searches one rng.random(size) batch —
-                        # done inline to skip its per-call validation
-                        # (pinned against rng.choice by the
-                        # materialize-equivalence tests).
-                        cdf = (counts / total).cumsum()
-                        cdf /= cdf[-1]
-                        ranks = cdf.searchsorted(
-                            rng.random(n_records), side="right"
-                        ).astype(np.int64)
-                    rank_parts[j][k].append(ranks)
-                ts_parts[j].append(rng.uniform(0, width, size=n_records))
-                lengths[j].append(n_records)
-                origin_pops[j].append(origin.index)
-                dest_pops[j].append(destination.index)
-            if evict:
-                self.evict_stream(od)
+            origins.append(origin.index)
+            destinations.append(destination.index)
+        # Bins are disjoint, increasing time intervals: one stable sort
+        # of absolute timestamps orders the group bin by bin.  Sorting
+        # the compact parts first lets every value column be built
+        # straight in its final order.
+        floats = np.concatenate(floats, axis=1)
+        order = np.argsort(floats[0], kind="stable")
+        timestamp = floats[0][order]
+        packets = floats[1][order].astype(np.int64)
+        del floats
+        ranks = np.concatenate(ranks, axis=1)[:, order]
+        ingress = np.repeat(np.asarray(origins, dtype=np.int64), od_sizes)[order]
+        egress = np.repeat(np.asarray(destinations, dtype=np.int64), od_sizes)[order]
+        del order
         ip_table = self._ip_table()
         n_hosts = ip_table.shape[1]
-        size = self.config.mean_packet_size
-        out: list[FlowRecordBatch] = []
-        for j, b in enumerate(group):
-            counts_j = np.asarray(lengths[j], dtype=np.int64)
-            packets = np.concatenate(pkts_parts[j]) if pkts_parts[j] else np.zeros(0, np.int64)
-            timestamps = self.bins.bin_start(b) + (
-                np.concatenate(ts_parts[j]) if ts_parts[j] else np.zeros(0)
-            )
-            columns: dict[str, np.ndarray] = {}
-            for k, name in enumerate(names):
-                ranks = (
-                    np.concatenate(rank_parts[j][k])
-                    if rank_parts[j][k]
-                    else np.zeros(0, np.int64)
-                )
-                if name in ("src_ip", "dst_ip"):
-                    pops = origin_pops[j] if name == "src_ip" else dest_pops[j]
-                    row_pop = np.repeat(np.asarray(pops, dtype=np.int64), counts_j)
-                    values = ip_table[row_pop, ranks % n_hosts]
-                else:
-                    values = self._port_values(ranks)
-                columns[name] = np.where(ranks >= 0, values, 0)
-            order = np.argsort(timestamps, kind="stable")
-            out.append(
-                FlowRecordBatch(
-                    src_ip=columns["src_ip"][order],
-                    dst_ip=columns["dst_ip"][order],
-                    src_port=columns["src_port"][order],
-                    dst_port=columns["dst_port"][order],
-                    protocol=np.full(len(order), 6, dtype=np.int64),
-                    packets=packets[order],
-                    bytes=np.round(packets * size).astype(np.int64)[order],
-                    timestamp=timestamps[order],
-                    ingress_pop=np.repeat(
-                        np.asarray(origin_pops[j], dtype=np.int64), counts_j
-                    )[order],
-                )
-            )
-        return out
+        values = {
+            "src_ip": ip_table[ingress, ranks[0] % n_hosts],
+            "src_port": self._port_values(ranks[1]),
+            "dst_ip": ip_table[egress, ranks[2] % n_hosts],
+            "dst_port": self._port_values(ranks[3]),
+        }
+        for rank, column in zip(ranks, values.values()):
+            column *= rank >= 0
+        columns = dict(
+            values,
+            protocol=np.full(len(packets), 6, dtype=np.int64),
+            packets=packets,
+            bytes=np.round(packets * cfg.mean_packet_size).astype(np.int64),
+            timestamp=timestamp,
+            ingress_pop=ingress,
+        )
+        edges = np.concatenate([[0], np.cumsum(bin_sizes)])
+        return [
+            FlowRecordBatch(**{name: col[lo:hi] for name, col in columns.items()})
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
 
+    def materialize_bin(
+        self, od: int, b: int, max_records: int = 4000, salt: int = 0
+    ) -> FlowRecordBatch:
+        """One (OD flow, bin) as time-sorted flow records.
 
-def feature_index_of(name: str) -> int:
-    """Index of a feature name in FEATURES (local helper)."""
-    return FEATURES.index(name)
+        The one-OD, one-bin case of :meth:`materialize_bin_group`: by
+        definition the ``(od, b)`` rows of
+        :func:`repro.stream.chunks.synthetic_record_stream` run with
+        ``seed=salt`` on this generator.
+        """
+        return self.materialize_bin_group(
+            [od], [b], max_records=max_records, salt=salt
+        )[0]

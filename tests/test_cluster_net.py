@@ -19,15 +19,15 @@ Three contracts pin the scale-out PR:
 import multiprocessing
 import socket
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parity_fixture import FIXTURE_PATH, render, seed_workload, stream_config
 from test_cluster import _random_batch, _summary_from_batch
-from test_trace_precompute import _render, _seed_workload, _write_batches
+from test_trace_precompute import _write_batches
 
 from repro.cli import main
 from repro.cluster import (
@@ -51,8 +51,6 @@ from repro.net.topology import abilene
 from repro.pipeline.sources import SyntheticSource, TraceSource
 from repro.resilience import ResiliencePolicy
 from repro.stream import StreamConfig
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestParseHelpers:
@@ -314,22 +312,15 @@ class _FixtureCluster:
 
     @pytest.fixture(scope="class")
     def fixture_env(self, tmp_path_factory):
-        wl, topology, batches = _seed_workload()
+        wl, topology, batches = seed_workload()
         path = tmp_path_factory.mktemp("net") / "seed.trace"
         _write_batches(path, wl, batches, derive=True)
-        config = StreamConfig(
-            warmup_bins=wl["warmup_bins"],
-            n_components=6,
-            refit_every=0,
-            exact_histograms=True,
-        )
-        fixture_bytes = (DATA_DIR / "seed_stream_detections.json").read_bytes()
-        return wl, path, config, fixture_bytes
+        return wl, path, stream_config(wl), FIXTURE_PATH.read_bytes()
 
     def run(self, fixture_env, **kwargs):
         wl, path, config, fixture_bytes = fixture_env
         result = run_cluster_source(TraceSource(path), config=config, **kwargs)
-        assert _render(wl, result.report) == fixture_bytes
+        assert render(wl, result.report) == fixture_bytes
         return result
 
 

@@ -1,12 +1,22 @@
 """Tests for the synthetic traffic generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.anomalies.builders import BUILDERS
 from repro.flows.binning import TimeBins
-from repro.flows.features import N_FEATURES
+from repro.flows.features import FEATURES, N_FEATURES
+from repro.flows.records import COLUMN_SPEC
 from repro.net.topology import abilene
-from repro.traffic.generator import FeatureModel, GeneratorConfig, TrafficGenerator
+from repro.scenarios import anomaly_record_batch
+from repro.traffic.generator import (
+    FeatureModel,
+    GeneratorConfig,
+    TrafficGenerator,
+    record_uniforms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +148,26 @@ class TestMaterialization:
         # Destination addresses come from the destination PoP's prefix pool.
         assert np.all(dest.prefix.contains_array(batch.dst_ip))
 
+    def test_materialize_bin_is_one_cell_of_the_group_path(self, small_gen):
+        ods, group = [3, 17, 40], [9, 10, 11]
+        batches = small_gen.materialize_bin_group(ods, group, max_records=50, salt=6)
+        single = small_gen.materialize_bin(17, 10, max_records=50, salt=6)
+        assert len(single) > 0
+        origin, dest = abilene().od_pair(17)
+        batch = batches[1]
+        rows = (batch.ingress_pop == origin.index) & dest.prefix.contains_array(
+            batch.dst_ip
+        )
+        for name, _ in COLUMN_SPEC:
+            np.testing.assert_array_equal(
+                getattr(batch, name)[rows], getattr(single, name), err_msg=name
+            )
+
+    def test_group_must_be_increasing_bins_on_the_grid(self, small_gen):
+        for group in ([5, 4], [5, 5], [-1], [small_gen.bins.n_bins]):
+            with pytest.raises(ValueError):
+                small_gen.materialize_bin_group([3], group)
+
     def test_feature_values_deterministic(self, small_gen):
         a = small_gen.feature_values(3, 0, 50)
         b = small_gen.feature_values(3, 0, 50)
@@ -150,6 +180,173 @@ class TestMaterialization:
     def test_feature_values_bad_index(self, small_gen):
         with pytest.raises(ValueError):
             small_gen.feature_values(3, 9, 10)
+
+
+class TestRecordDistributions:
+    """What one fat (OD, bin) draws, against the model it draws from."""
+
+    BIN = 5
+
+    @pytest.fixture(scope="class")
+    def fat(self):
+        gen = TrafficGenerator(abilene(), TimeBins(n_bins=12), seed=11)
+        od = int(np.argmax(gen.mean_rates))
+        batch = gen.materialize_bin(od, self.BIN, max_records=4000, salt=3)
+        return gen, od, batch
+
+    def test_rank_frequencies_follow_the_bin_pmf(self, fat):
+        gen, od, batch = fat
+        assert len(batch) == 4000
+        _, alphas, supports = gen._od_model(od)
+        b = [self.BIN]
+        for k, model in enumerate(gen.config.feature_models):
+            n_max = int(supports[k].max())
+            pmf = gen._feature_pmf_rows(model, alphas[k][b], supports[k][b], n_max)[0]
+            values = gen.feature_values(od, k, n_max)
+            order = np.argsort(values)
+            drawn = getattr(batch, FEATURES[k])
+            ranks = order[np.searchsorted(values[order], drawn)]
+            np.testing.assert_array_equal(values[ranks], drawn)
+            assert ranks.max() < supports[k][self.BIN]
+            observed = np.bincount(ranks, minlength=n_max) / len(batch)
+            # Total variation; 4000 draws over <= 192 ranks sit near
+            # 0.05, an off-by-one rank mapping above 0.2.
+            assert 0.5 * np.abs(observed - pmf).sum() < 0.08
+
+    def test_packets_match_the_sampled_bin_total(self, fat):
+        gen, od, batch = fat
+        packets, _, _ = gen._od_model(od)
+        total = int(packets[self.BIN]) // gen.histogram_sampling
+        assert np.all(batch.packets >= 1)
+        assert abs(int(batch.packets.sum()) - total) <= len(batch) / 2
+        np.testing.assert_array_equal(
+            batch.bytes, np.round(batch.packets * gen.config.mean_packet_size)
+        )
+
+    def test_timestamps_sorted_inside_the_bin(self, fat):
+        gen, _, batch = fat
+        start = gen.bins.bin_start(self.BIN)
+        assert np.all(batch.timestamp >= start)
+        assert np.all(batch.timestamp < start + gen.bins.width)
+        assert np.all(np.diff(batch.timestamp) >= 0)
+
+    def test_zero_total_feature_emits_literal_zeros(self, monkeypatch):
+        gen = TrafficGenerator(abilene(), TimeBins(n_bins=4), seed=11)
+        real = TrafficGenerator._feature_pmf_rows
+        dst_port = gen.config.feature_models[3]
+
+        def no_dst_ports_in_second_row(self, model, alphas, supports, n_max):
+            rows = real(self, model, alphas, supports, n_max)
+            if model is dst_port:
+                rows[1] = 0.0
+            return rows
+
+        monkeypatch.setattr(
+            TrafficGenerator, "_feature_pmf_rows", no_dst_ports_in_second_row
+        )
+        first, second = gen.materialize_bin_group([7], [1, 2], max_records=40)
+        assert np.all(first.dst_port > 0)
+        assert np.all(second.dst_port == 0)
+        assert np.all(second.src_port > 0)
+
+
+class TestRecordUniforms:
+    """The counter-based uniform source behind every record draw."""
+
+    N = 100_002  # 16,667 records x 6 draw slots
+
+    @staticmethod
+    def _looks_uniform(u):
+        n = len(u)
+        assert np.all((u >= 0) & (u < 1))
+        assert abs(u.mean() - 0.5) < 4 * np.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 4 * np.sqrt(1 / 180 / n)
+        counts = np.bincount((u * 64).astype(np.int64), minlength=64)
+        chi2 = ((counts - n / 64) ** 2 / (n / 64)).sum()
+        assert 25 < chi2 < 120  # 63 degrees of freedom
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 4 / np.sqrt(n)
+
+    def test_consecutive_counters(self):
+        index = np.arange(self.N // 6)
+        u = record_uniforms(11, 5, 14, np.zeros_like(index), index)
+        assert u.shape == (6, len(index))
+        self._looks_uniform(u.T.ravel())  # counter order: 6 * index + slot
+
+    def test_adjacent_bin_keys(self):
+        bins = np.arange(self.N)
+        u = record_uniforms(11, 5, 14, bins, np.zeros_like(bins))
+        for slot in range(6):
+            self._looks_uniform(u[slot])
+
+    def test_adjacent_od_keys(self):
+        bins = np.arange(200)
+        by_od = np.array([
+            record_uniforms(11, 5, od, bins, np.zeros_like(bins))[0]
+            for od in range(500)
+        ])
+        self._looks_uniform(by_od.T.ravel())  # od varies fastest
+
+    def test_no_duplicates_over_a_key_grid(self):
+        bins, index = (a.ravel() for a in np.meshgrid(np.arange(8), np.arange(50)))
+        grid = np.array([
+            record_uniforms(seed, salt, od, bins, index)
+            for seed in (0, 1) for salt in (0, 1) for od in range(4)
+        ])
+        assert len(np.unique(grid)) == grid.size
+
+    def test_pure_function_of_its_counter(self):
+        full = record_uniforms(3, 0, 9, np.full(40, 2), np.arange(40))
+        pick = np.array([31, 4, 17])
+        again = record_uniforms(3, 0, 9, np.full(3, 2), pick)
+        np.testing.assert_array_equal(again, full[:, pick])
+        for other in ((4, 0, 9), (3, 1, 9), (3, 0, 10)):  # seed, salt, od
+            changed = record_uniforms(*other, np.full(40, 2), np.arange(40))
+            assert not np.any(changed == full)
+        # Seeds wider than 64 bits fold instead of overflowing.
+        folded = record_uniforms(3 + 2**64, 0, 9, np.full(40, 2), np.arange(40))
+        np.testing.assert_array_equal(folded, full)
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedAgainstPreSplitParent:
+    """What the counter-based record path must not have moved.
+
+    Digests recorded at commit 01a1cfe (numpy 2.4, x86-64), before
+    ``od_stream`` was split into model and realisation: the cube, the
+    injector's background histograms and the anomaly record path are
+    bit-identical across that refactor, not merely statistically alike.
+    """
+
+    OD_STREAM = {
+        14: "eb30499919ec96ae7218f7702549bd68d828f5a3576e23e7d4782b9911326c99",
+        87: "36f57ce1ccf9af0c8ed5148627ae7c7ddd65fc55603ea0eb295b51beadbdecee",
+    }
+    ANOMALY = "1372d30392c956a10283d0a236a78a8a6bf684ec04c28e7317000f19521f66ff"
+
+    @pytest.fixture(scope="class")
+    def gen(self):
+        return TrafficGenerator(abilene(), TimeBins(n_bins=36), seed=11)
+
+    @pytest.mark.parametrize("od", sorted(OD_STREAM))
+    def test_od_stream_bit_identical(self, gen, od):
+        s = gen.od_stream(od)
+        got = _sha256([s.packets, s.bytes, s.entropy, *s.histograms])
+        assert got == self.OD_STREAM[od]
+
+    def test_anomaly_record_batch_bit_identical(self, gen):
+        trace = BUILDERS["port_scan"](np.random.default_rng(5), pps=400.0)
+        batch = anomaly_record_batch(gen, 14, 22, trace, salt=3)
+        assert len(batch) == 4000
+        got = _sha256([getattr(batch, name) for name, _ in COLUMN_SPEC])
+        assert got == self.ANOMALY
 
 
 class TestConfigValidation:

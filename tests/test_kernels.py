@@ -14,22 +14,21 @@ Four contracts pin :mod:`repro.kernels`:
 * :class:`SketchBank` batched conservative updates must leave *exactly*
   the same counters as one :meth:`CountMinSketch.add_histogram` call
   per group;
-* the streaming engine rebuilt on the kernel must reproduce the seed
-  implementation's detections byte-for-byte on a fixed-seed workload
-  with a planted port scan (fixture frozen from the pre-kernel code in
-  ``tests/data/seed_stream_detections.json``).
+* the streaming engine on the kernel must reproduce the frozen parity
+  fixture's detections byte-for-byte on a fixed-seed workload with a
+  planted port scan (``tests/data/seed_stream_detections.json``, built
+  and re-frozen through ``tests/parity_fixture.py``).
 """
 
-import json
 import multiprocessing
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TimeBins, TrafficGenerator, abilene
+import parity_fixture
+from repro import abilene
 from repro.core.entropy import sample_entropy
 from repro.flows.features import FEATURES, FeatureHistogram, grouped_histograms
 from repro.flows.records import FlowRecordBatch
@@ -50,16 +49,9 @@ from repro.kernels import (
     segment_sums,
     sort_order,
 )
-from repro.net.addressing import EPHEMERAL_PORT_START
 from repro.net.routing import Router
 from repro.net.topology import geant
-from repro.stream import (
-    StreamConfig,
-    StreamingDetectionEngine,
-    synthetic_record_stream,
-)
-
-DATA_DIR = Path(__file__).parent / "data"
+from repro.stream import StreamingDetectionEngine
 
 
 def _reference(groups, values, weights):
@@ -515,80 +507,22 @@ class TestVectorizedODAttribution:
 
 
 class TestSeedDetectionByteEquality:
-    """Exact-mode detections must match the pre-kernel implementation.
+    """Exact-mode detections must match the frozen parity fixture.
 
-    The fixture was generated by the seed (per-OD loop) implementation
-    on this exact workload; the kernel rewrite must reproduce it
-    byte-for-byte once serialized the same way.
+    The fixture pins one workload's detections
+    (``tests/parity_fixture.py`` builds it,
+    ``tools/freeze_parity_fixture.py`` re-freezes it on purpose); the
+    kernel path must reproduce it byte-for-byte once serialized the
+    same way.
     """
 
     def test_exact_mode_reproduces_seed_output(self):
-        fixture_path = DATA_DIR / "seed_stream_detections.json"
-        fixture = json.loads(fixture_path.read_text())
-        wl = fixture["workload"]
-        topology = abilene()
-        bins = TimeBins(n_bins=wl["n_bins"])
-        generator = TrafficGenerator(topology, bins, seed=wl["seed"])
-        rng = np.random.default_rng(7)
-        batches = []
-        stream = synthetic_record_stream(
-            generator, range(wl["n_bins"]),
-            max_records_per_od=wl["max_records_per_od"],
-        )
-        for b, batch in enumerate(stream):
-            if b == wl["attack"]["bin"]:
-                batch = FlowRecordBatch.concat(
-                    [batch, self._port_scan(topology, bins, wl["attack"], rng)]
-                ).sort_by_time()
-            batches.append(batch)
+        wl, topology, batches = parity_fixture.seed_workload()
         engine = StreamingDetectionEngine(
-            topology,
-            StreamConfig(
-                warmup_bins=wl["warmup_bins"],
-                n_components=6,
-                refit_every=0,
-                exact_histograms=True,
-            ),
+            topology, parity_fixture.stream_config(wl)
         )
         report = engine.process(batches)
-        detections = [
-            {
-                "bin": int(d.bin),
-                "entropy": bool(d.detected_by_entropy),
-                "volume": bool(d.detected_by_volume),
-                "ods": [int(f.od) for f in d.flows],
-                "cluster": None if d.cluster is None else int(d.cluster),
-            }
-            for d in report.detections
-        ]
-        payload = {"workload": wl, "detections": detections}
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert rendered.encode() == fixture_path.read_bytes()
+        rendered = parity_fixture.render(wl, report)
+        assert rendered == parity_fixture.FIXTURE_PATH.read_bytes()
         # The planted scan must actually be caught for this to mean much.
-        assert any(d["entropy"] and d["ods"] == [wl["attack"]["od"]]
-                   for d in detections)
-
-    @staticmethod
-    def _port_scan(topology, bins, attack, rng):
-        # RNG draw order (permutation, multinomial, uniform) must match
-        # the script that froze the fixture, or the records differ.
-        od = attack["od"]
-        origin, destination = topology.od_pair(od)
-        n = 1500
-        b = attack["bin"]
-        dst_port = EPHEMERAL_PORT_START + rng.permutation(n).astype(np.int64)
-        pkts = np.maximum(
-            1, rng.multinomial(int(attack["pps"] * bins.width), np.full(n, 1.0 / n))
-        )
-        timestamp = bins.bin_start(b) + rng.uniform(0, bins.width, size=n)
-        return FlowRecordBatch(
-            src_ip=np.full(n, origin.prefix.network | 0x2A, dtype=np.int64),
-            dst_ip=np.full(n, destination.prefix.network | 0x17, dtype=np.int64),
-            src_port=np.full(n, EPHEMERAL_PORT_START + 7, dtype=np.int64),
-            dst_port=dst_port,
-            protocol=np.full(n, 6, dtype=np.int64),
-            packets=pkts.astype(np.int64),
-            bytes=pkts * 40,
-            timestamp=timestamp,
-            ingress_pop=np.full(n, origin.index, dtype=np.int64),
-        )
+        assert parity_fixture.scan_caught(wl, report)

@@ -9,22 +9,20 @@ Two bit-identity contracts pin this PR's perf work:
 * exact detection replayed from a version-2 trace's derived columns
   (:meth:`StreamingDetectionEngine.process_precomputed`) must render
   detections byte-for-byte equal to the record-level engine — pinned
-  against the same frozen seed fixture the kernel rewrite is held to
-  (``tests/data/seed_stream_detections.json``), for stored columns
-  (v2), derive-on-read (v1), and an in-place ``upgrade_trace``.
+  against the same frozen parity fixture the kernel path is held to
+  (``tests/data/seed_stream_detections.json``, built through
+  ``tests/parity_fixture.py``), for stored columns (v2), derive-on-read
+  (v1), and an in-place ``upgrade_trace``.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parity_fixture import FIXTURE_PATH, render, seed_workload, stream_config
 from repro import TimeBins, TrafficGenerator, abilene
 from repro.flows.features import FEATURES
-from repro.flows.records import FlowRecordBatch
 from repro.io.trace import (
     TraceError,
     TraceReader,
@@ -36,12 +34,9 @@ from repro.io.trace import (
     write_trace,
 )
 from repro.kernels import group_reduce
-from repro.net.addressing import EPHEMERAL_PORT_START
 from repro.net.routing import Router
-from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream
+from repro.stream import StreamConfig, StreamingDetectionEngine
 from repro.stream.replay import iter_precomputed_summaries
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 def _bundle(runs):
@@ -112,51 +107,6 @@ class TestParallelKernelParity:
         assert len(empty.group_ids) == 0
 
 
-def _seed_workload():
-    """The frozen fixture's exact record stream (port scan included)."""
-    fixture = json.loads((DATA_DIR / "seed_stream_detections.json").read_text())
-    wl = fixture["workload"]
-    topology = abilene()
-    bins = TimeBins(n_bins=wl["n_bins"])
-    generator = TrafficGenerator(topology, bins, seed=wl["seed"])
-    rng = np.random.default_rng(7)
-    batches = []
-    stream = synthetic_record_stream(
-        generator, range(wl["n_bins"]), max_records_per_od=wl["max_records_per_od"]
-    )
-    for b, batch in enumerate(stream):
-        if b == wl["attack"]["bin"]:
-            batch = FlowRecordBatch.concat(
-                [batch, _port_scan(topology, bins, wl["attack"], rng)]
-            ).sort_by_time()
-        batches.append(batch)
-    return wl, topology, batches
-
-
-def _port_scan(topology, bins, attack, rng):
-    # Same RNG draw order as the script that froze the fixture.
-    od = attack["od"]
-    origin, destination = topology.od_pair(od)
-    n = 1500
-    b = attack["bin"]
-    dst_port = EPHEMERAL_PORT_START + rng.permutation(n).astype(np.int64)
-    pkts = np.maximum(
-        1, rng.multinomial(int(attack["pps"] * bins.width), np.full(n, 1.0 / n))
-    )
-    timestamp = bins.bin_start(b) + rng.uniform(0, bins.width, size=n)
-    return FlowRecordBatch(
-        src_ip=np.full(n, origin.prefix.network | 0x2A, dtype=np.int64),
-        dst_ip=np.full(n, destination.prefix.network | 0x17, dtype=np.int64),
-        src_port=np.full(n, EPHEMERAL_PORT_START + 7, dtype=np.int64),
-        dst_port=dst_port,
-        protocol=np.full(n, 6, dtype=np.int64),
-        packets=pkts.astype(np.int64),
-        bytes=pkts * 40,
-        timestamp=timestamp,
-        ingress_pop=np.full(n, origin.index, dtype=np.int64),
-    )
-
-
 def _write_batches(path, wl, batches, derive):
     with TraceWriter(
         path, n_bins=wl["n_bins"], network="Abilene", derive=derive
@@ -167,31 +117,7 @@ def _write_batches(path, wl, batches, derive):
 
 
 def _engine(topology, wl, threads=1):
-    return StreamingDetectionEngine(
-        topology,
-        StreamConfig(
-            warmup_bins=wl["warmup_bins"],
-            n_components=6,
-            refit_every=0,
-            exact_histograms=True,
-            threads=threads,
-        ),
-    )
-
-
-def _render(wl, report):
-    detections = [
-        {
-            "bin": int(d.bin),
-            "entropy": bool(d.detected_by_entropy),
-            "volume": bool(d.detected_by_volume),
-            "ods": [int(f.od) for f in d.flows],
-            "cluster": None if d.cluster is None else int(d.cluster),
-        }
-        for d in report.detections
-    ]
-    payload = {"workload": wl, "detections": detections}
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return StreamingDetectionEngine(topology, stream_config(wl, threads=threads))
 
 
 class TestPrecomputedReplayByteEquality:
@@ -199,32 +125,32 @@ class TestPrecomputedReplayByteEquality:
 
     @pytest.fixture(scope="class")
     def workload(self):
-        return _seed_workload()
+        return seed_workload()
 
     def test_stored_columns_reproduce_seed_fixture(self, workload, tmp_path):
         wl, topology, batches = workload
-        fixture_bytes = (DATA_DIR / "seed_stream_detections.json").read_bytes()
+        fixture_bytes = FIXTURE_PATH.read_bytes()
         path = tmp_path / "derived.trace"
         _write_batches(path, wl, batches, derive=True)
         report = _engine(topology, wl).process_precomputed(path)
-        assert _render(wl, report) == fixture_bytes
+        assert render(wl, report) == fixture_bytes
         assert report.meta["replay"] == "precomputed"
 
     def test_derive_on_read_reproduces_seed_fixture(self, workload, tmp_path):
         wl, topology, batches = workload
-        fixture_bytes = (DATA_DIR / "seed_stream_detections.json").read_bytes()
+        fixture_bytes = FIXTURE_PATH.read_bytes()
         path = tmp_path / "plain.trace"
         info = _write_batches(path, wl, batches, derive=False)
         assert info.derived is None
         report = _engine(topology, wl).process_precomputed(path)
-        assert _render(wl, report) == fixture_bytes
+        assert render(wl, report) == fixture_bytes
         assert report.meta["replay"] == "derive-on-read"
 
     def test_threaded_engine_reproduces_seed_fixture(self, workload):
         wl, topology, batches = workload
-        fixture_bytes = (DATA_DIR / "seed_stream_detections.json").read_bytes()
+        fixture_bytes = FIXTURE_PATH.read_bytes()
         report = _engine(topology, wl, threads=4).process(iter(batches))
-        assert _render(wl, report) == fixture_bytes
+        assert render(wl, report) == fixture_bytes
 
     def test_precomputed_summaries_match_stage_summaries(self, workload, tmp_path):
         wl, topology, batches = workload

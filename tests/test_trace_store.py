@@ -5,10 +5,12 @@ Load-bearing contracts:
 * **round trip** — a trace written bin by bin reads back byte-identical
   columns and bin slices for arbitrary record counts and bin
   boundaries (hypothesis);
-* **generation equivalence** — the batched whole-bin materialisation
-  path is bit-identical to the legacy per-(OD, bin)
-  ``materialize_bin`` loop, so written traces reproduce the records
-  inline synthesis produced;
+* **generation equivalence** — a background record is a counter-based
+  function of ``(seed, salt, od, bin, record index)``, so the union
+  over any OD partition, any ``bin_group`` and a resume from any bin
+  reproduce the unsharded stream column for column (what cluster
+  parity, chaos restarts and checkpoint resume rest on), and written
+  traces reproduce the records inline synthesis produces;
 * **replay equivalence** — exact-mode detections from a replayed trace
   match inline generation exactly, and ``run_cluster`` workers reading
   one shared trace file produce identical detections at any worker
@@ -35,8 +37,10 @@ from repro.io import (
     verify_trace,
     write_trace,
 )
+from repro.io.trace import upgrade_trace
 from repro.resilience import truncate_tail
 from repro.net.topology import abilene
+from repro.pipeline.sources import ScenarioSource, shard_ods
 from repro.stream import (
     StreamConfig,
     StreamingDetectionEngine,
@@ -46,7 +50,7 @@ from repro.stream import (
 )
 from repro.cluster import run_cluster
 from repro.flows.odflows import ODFlowAggregator
-from repro.traffic.generator import TrafficGenerator
+from repro.traffic.generator import SYNTHESIS_SCHEME, TrafficGenerator
 
 N_BINS = 14
 WARMUP_BINS = 10
@@ -217,33 +221,70 @@ class TestCorruptTraces:
 
 
 class TestGenerationEquivalence:
-    """The batched whole-bin path must match the per-OD loop bit for bit."""
+    """The same records, whoever materialises them and in what grouping."""
 
-    def test_matches_legacy_per_od_loop(self):
-        topology = abilene()
-        ods = [0, 3, 7, 110]
-        bins = range(5)
-        legacy_gen = TrafficGenerator(topology, TimeBins(n_bins=5), seed=SEED)
-        per_bin = {b: [] for b in bins}
-        for od in ods:
-            for b in bins:
-                per_bin[b].append(
-                    legacy_gen.materialize_bin(
-                        od, b,
-                        rng=legacy_gen.record_rng(od, b, salt=SEED),
-                        max_records=MAX_RECORDS_PER_OD,
-                    )
-                )
-            legacy_gen.evict_stream(od)
-        legacy = [
-            FlowRecordBatch.concat(per_bin[b]).sort_by_time() for b in bins
-        ]
-        batched_gen = TrafficGenerator(topology, TimeBins(n_bins=5), seed=SEED)
-        batched = batched_gen.materialize_bin_group(
-            ods, list(bins), max_records=MAX_RECORDS_PER_OD, salt=SEED
+    BINS = 9
+
+    @pytest.fixture(scope="class")
+    def whole(self):
+        return self._stream()
+
+    def _stream(self, ods=None, bins=None, **kwargs):
+        generator = TrafficGenerator(abilene(), TimeBins(n_bins=self.BINS), seed=SEED)
+        bins = range(self.BINS) if bins is None else bins
+        kwargs.setdefault("seed", SEED)
+        return list(
+            synthetic_record_stream(
+                generator, bins, ods=ods,
+                max_records_per_od=MAX_RECORDS_PER_OD, **kwargs,
+            )
         )
-        for a, b in zip(legacy, batched):
-            _columns_equal(a, b)
+
+    def _assert_union_is_whole(self, partition, whole):
+        shards = [self._stream(ods=ods) for ods in partition]
+        for b, expected in enumerate(whole):
+            union = FlowRecordBatch.concat([shard[b] for shard in shards])
+            _columns_equal(union.sort_by_time(), expected)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_union_over_round_robin_shards(self, whole, n_shards):
+        p = abilene().n_od_flows
+        self._assert_union_is_whole(
+            [shard_ods(p, n_shards, s) for s in range(n_shards)], whole
+        )
+
+    @settings(deadline=None, max_examples=5)
+    @given(owner=st.lists(st.integers(0, 2), min_size=121, max_size=121))
+    def test_union_over_any_partition(self, whole, owner):
+        partition = [[od for od, o in enumerate(owner) if o == s] for s in range(3)]
+        self._assert_union_is_whole(partition, whole)
+
+    @pytest.mark.parametrize("bin_group", [1, 7, 64])
+    def test_any_bin_grouping(self, whole, bin_group):
+        for got, expected in zip(self._stream(bin_group=bin_group), whole):
+            _columns_equal(got, expected)
+
+    def test_resume_from_a_later_bin(self, whole):
+        for k in (1, 5):
+            resumed = self._stream(bins=range(k, self.BINS), bin_group=3)
+            assert len(resumed) == self.BINS - k
+            for got, expected in zip(resumed, whole[k:]):
+                _columns_equal(got, expected)
+
+    def test_od_order_does_not_change_a_sorted_bin(self, whole):
+        shuffled = np.random.default_rng(0).permutation(121).tolist()
+        for got, expected in zip(self._stream(ods=shuffled), whole):
+            _columns_equal(got, expected)
+
+    def test_generator_seed_changes_records(self, whole):
+        other = TrafficGenerator(abilene(), TimeBins(n_bins=self.BINS), seed=SEED + 1)
+        batch = next(synthetic_record_stream(
+            other, [0], max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED
+        ))
+        assert batch.timestamp.tobytes() != whole[0].timestamp.tobytes()
+        assert self._stream(seed=SEED + 1)[0].timestamp.tobytes() != (
+            whole[0].timestamp.tobytes()
+        )
 
     def test_stream_seed_and_od_slice_change_records(self):
         generator = TrafficGenerator(abilene(), TimeBins(n_bins=2), seed=SEED)
@@ -499,6 +540,7 @@ class TestTraceCli:
         assert main(["trace", "info", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "records : " in out and "Abilene" in out
+        assert f"synthesis: scheme {SYNTHESIS_SCHEME}\n" in out
 
         code = main([
             "trace", "replay", str(out_path), "--warmup-bins", "8",
@@ -506,6 +548,26 @@ class TestTraceCli:
         ])
         out = capsys.readouterr().out
         assert code == 0 and "scored bins" in out
+
+    def test_info_flags_a_trace_from_an_older_synthesis_scheme(
+        self, tmp_path, capsys
+    ):
+        # No "synthesis" key: a file written before the key existed.
+        path = tmp_path / "old.trace"
+        rng = np.random.default_rng(1)
+        _write(path, [_random_batch(4, rng)], network="Abilene", meta={"seed": 3})
+        assert trace_info(path).synthesis == 1
+        assert main(["trace", "info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "synthesis: scheme 1 (this build synthesises scheme 2" in out
+
+    def test_written_traces_record_the_synthesis_scheme(self, small_trace, tmp_path):
+        _, info, _ = small_trace
+        assert info.meta["synthesis"] == info.synthesis == SYNTHESIS_SCHEME == 2
+        scenario = ScenarioSource("ddos-burst", n_bins=3, max_records_per_od=5)
+        written = scenario.write_trace(tmp_path / "scenario.trace")
+        assert written.synthesis == SYNTHESIS_SCHEME
+        assert upgrade_trace(written.path).synthesis == SYNTHESIS_SCHEME
 
     def test_info_verify_and_allow_partial(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"
