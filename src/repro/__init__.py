@@ -36,6 +36,15 @@ Quickstart::
     print(report.counts())
 """
 
+import os
+
+# OpenBLAS sizes its pool once, when numpy first loads it, and its idle
+# worker then busy-waits through every scored bin on a core the cluster
+# workers need; a 48 x 484 fit gains nothing from a second thread.  So
+# this runs ahead of the first numpy-importing import below.  A value
+# the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.cluster import (
     ClusterCoordinator,
     ShardBinSummary,

@@ -98,6 +98,11 @@ class ClusterCoordinator:
         self.on_bin_merged: Callable[[int, ShardBinSummary | None], None] | None = None
 
     @property
+    def next_bin(self) -> int:
+        """The merge frontier: every bin below it is merged and scored."""
+        return 0 if self._next_bin is None else self._next_bin
+
+    @property
     def n_pending_bins(self) -> int:
         """Bins buffered waiting for lagging shards (back-pressure gauge)."""
         return len(self._pending)
@@ -197,11 +202,10 @@ class ClusterCoordinator:
         to the original run's.  Must be called with contiguous bins
         starting at the frontier, before any shard delivers.
         """
-        expected = 0 if self._next_bin is None else self._next_bin
-        if bin_index != expected:
+        if bin_index != self.next_bin:
             raise ValueError(
                 f"preload must replay contiguous bins (expected bin "
-                f"{expected}, got {bin_index})"
+                f"{self.next_bin}, got {bin_index})"
             )
         if self._pending or self._highwater:
             raise ValueError("preload must run before any shard delivers")
@@ -277,7 +281,7 @@ class ClusterCoordinator:
             raise RuntimeError("pad_to requires all shards closed")
         verdicts: list[StreamDetection] = []
         p = self.engine.topology.n_od_flows
-        target = 0 if self._next_bin is None else self._next_bin
+        target = self.next_bin
         while target < n_bins:
             merged_bin = BinSummary(
                 bin=target,

@@ -563,6 +563,10 @@ def run_cluster_source(
     shard_records: dict[int, int] = {}
     degraded = False
     total_restarts = 0
+    #: strict mode: the first exhausted unit's error, raised once the
+    #: survivors' bins below ``drain_to`` are merged (and spilled)
+    fatal: RuntimeError | None = None
+    drain_to = n_bins
     start = time.perf_counter()
 
     def build_spec(unit_id: int):
@@ -612,13 +616,21 @@ def run_cluster_source(
                 on_detection(verdict)
 
     def exhaust(shard_id: int, reason: str) -> None:
-        nonlocal degraded
+        nonlocal degraded, fatal, drain_to
         tel.count("resilience.retries_exhausted")
         if not policy.degrade:
-            raise RuntimeError(
+            # The run fails — but raising here would lose to arrival
+            # order the bins this unit delivered and a slower survivor
+            # has not yet reported.  Stop supervising it (it stays open
+            # at the coordinator: no bin merges without it) and let the
+            # loop drain the survivors up to its high-water bin first.
+            fatal = fatal or RuntimeError(
                 f"shard {shard_id} failed after {attempt[shard_id] + 1} "
                 f"attempt(s): {reason}"
             )
+            drain_to = min(drain_to, coordinator.resume_bin(shard_id))
+            open_shards.discard(shard_id)
+            return
         degraded = True
         record = health[shard_id]
         record.status = "failed"
@@ -658,9 +670,9 @@ def run_cluster_source(
             try:
                 with tel.span("stage.merge"):
                     verdicts = coordinator.add_serialized(shard_id, payload)
-            except SummaryCorruptError:
+            except SummaryCorruptError as exc:
                 tel.count("resilience.corrupt_summaries")
-                fault(shard_id, "corrupt summary payload (CRC mismatch)")
+                fault(shard_id, f"corrupt summary payload: {exc}")
                 return
             if session is not None:
                 tel.gauge_max("cluster.straggler_lag_bins",
@@ -716,10 +728,13 @@ def run_cluster_source(
             spawn(shard_id)
         while open_shards:
             now = time.perf_counter()
-            if (
+            expired = (
                 policy.run_deadline_s is not None
                 and now - start > policy.run_deadline_s
-            ):
+            )
+            if fatal is not None and (expired or coordinator.next_bin >= drain_to):
+                break
+            if expired:
                 if not policy.degrade:
                     raise RuntimeError(
                         f"cluster run exceeded its deadline "
@@ -778,6 +793,8 @@ def run_cluster_source(
                 else:
                     handle(message)
             check_deadlines(time.perf_counter())
+        if fatal is not None:
+            raise fatal
         if degraded:
             # If every shard died early the tail bins have no
             # deliveries left to trigger the coordinator's gap path;

@@ -10,9 +10,9 @@ discard, OD attribution, collector anonymisation — is inherited from
 :class:`repro.stream.window.StreamFeatureStage`; only the bin-close
 hand-off differs, deferring entropy to the coordinator's merge point so
 the shard ships raw mergeable counts.  Since the accumulator's grouped
-store already holds each feature's counts as canonical sorted runs
-(:mod:`repro.kernels`), that export is a slice of the kernel output,
-not a per-OD canonicalisation pass.
+store already reduces each feature's counts to canonical sorted runs
+(:mod:`repro.kernels`), that export *is* the kernel output: four
+``GroupedRuns``, handed over as returned.
 """
 
 from __future__ import annotations

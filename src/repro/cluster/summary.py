@@ -3,32 +3,44 @@
 Section 8 of the paper poses distributed deployment as the open systems
 problem: monitors at each PoP observe feature histograms locally and a
 central point mines anomalies network-wide.  The object that makes this
-work is a *mergeable summary* — each shard reduces its slice of the
-records for one time bin into a :class:`ShardBinSummary`, ships it to
-the coordinator, and the coordinator folds the shards together with an
-associative, commutative :meth:`ShardBinSummary.merge` before entropy
-is ever computed.  Because the merge happens on raw counts (exact
-histograms) or on Count-Min counter tables (sketch mode), *any*
-partition of the records across shards yields the same merged summary:
-bit-identical in exact mode, within the sketch estimator's tolerance in
-sketch mode (conservative update makes a single-pass sketch slightly
-tighter than a merged one, but point queries never under-estimate in
-either).
+work is a *mergeable summary* — each shard reduces its slice of one
+time bin's records into a :class:`ShardBinSummary`, ships it, and the
+coordinator folds the shards with an associative, commutative
+:meth:`ShardBinSummary.merge` before entropy is ever computed.  The
+merge is on raw counts (exact mode) or Count-Min counter tables (sketch
+mode), so *any* partition of the records yields the same merged
+summary: bit-identical in exact mode, within the estimator's tolerance
+in sketch mode (conservative update makes a one-pass sketch slightly
+tighter than a merged one; point queries never under-estimate).
 
-Summaries serialize to a compact little-endian wire format
-(:meth:`to_bytes` / :meth:`from_bytes`) so worker processes — or, in a
-real deployment, PoP monitors — can ship them over queues and sockets
-without pickling.  Exact-mode payloads are canonical: two summaries
-describing the same counts serialize to identical bytes regardless of
-ingestion order or sharding.
+In exact mode the summary *is* the grouped-reduction kernel's output —
+one :class:`repro.kernels.GroupedRuns` per feature, keyed by OD flow —
+on the shard (as the kernel returned it), on the wire (its four int64
+arrays, raw) and at the coordinator (``np.frombuffer`` views of the
+received bytes); nothing on that path is per-OD Python.  Sketch mode
+keeps one object per (OD, feature): a 64 KiB counter table dwarfs it.
 
-The current wire version (``RBS2``) frames the original ``RBS1`` body
-with a CRC32 so bytes corrupted in transit raise
-:class:`SummaryCorruptError` at the coordinator — which can then retry
-the shard — instead of being silently merged into the diagnosis.
-``from_bytes`` still accepts bare ``RBS1`` payloads (older monitors,
-pre-CRC checkpoints); framing is additive, so the canonical-bytes
-property is preserved.
+Wire format (``RBS3``, the one version; little-endian, every slab
+8-byte aligned)::
+
+    b"RBS3" | CRC32 of the body | body
+    body   = mode u8, 3 pad, p i32, width i32, depth i32,
+             bin i64, n_records i64, sketch_seed i64, packets[p], bytes[p]
+    exact  : 4 x ( G, M, group_ids[G], starts[G+1], values[M], counts[M] )
+    sketch : n_active, then per OD ascending: od, 4 x ( total,
+             n_candidates, table[depth*width], candidates[n] )    all i64
+
+:meth:`ShardBinSummary.from_bytes` views nothing it has not checked.  A
+magic other than ``RBS3`` is a version mismatch: plain ``ValueError``
+naming both versions (an old checkpoint on ``--resume`` — not a fault
+to retry).  The CRC catches bytes damaged in transit; the shape checks
+catch what a valid CRC cannot — a declared size the payload does not
+hold, offsets that do not tile ``values``, OD ids out of range or
+order, non-positive counts, trailing bytes.  Both raise
+:class:`SummaryCorruptError`, which the supervisor answers by
+restarting the shard.  Exact payloads are canonical: the same counts
+serialize to the same bytes under any ingestion order, sharding or
+merge order.
 """
 
 from __future__ import annotations
@@ -40,41 +52,61 @@ import numpy as np
 
 from repro.flows.features import N_FEATURES
 from repro.flows.sketches import CountMinSketch, entropy_from_sketch
-from repro.kernels import group_reduce, grouped_entropy, merge_histograms
+from repro.kernels import GroupedRuns, group_reduce
 from repro.stream.window import BinAccumulator, BinSummary
 
 __all__ = ["ShardBinSummary", "SummaryCorruptError", "merge_summaries"]
 
-_MAGIC = b"RBS1"
-#: v2 frame: magic + CRC32 of the enclosed v1 payload (itself magic'd).
-_MAGIC_V2 = b"RBS2"
+_MAGIC = b"RBS3"
 _CRC = struct.Struct("<I")
-#: magic, mode, bin, n_od_flows, n_records, width, depth, sketch_seed
-_HEADER = struct.Struct("<4sBqiqiiq")
-_OD_HEADER = struct.Struct("<i")
-_COUNT = struct.Struct("<i")
-_TOTAL = struct.Struct("<q")
+#: magic + CRC: the body (what the CRC covers) starts here.
+_BODY = len(_MAGIC) + _CRC.size
+#: mode, n_od_flows, width, depth, bin, n_records, sketch_seed
+_HEADER = struct.Struct("<B3xiiiqqq")
 
 _EXACT, _SKETCH = 0, 1
 
+_NO_RUNS = group_reduce(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
 
 class SummaryCorruptError(ValueError):
-    """A wire payload failed its CRC (bytes corrupted in transit)."""
+    """A wire payload failed its CRC or its shape checks (bytes damaged
+    in transit, or a sender whose sizes do not add up)."""
 
 
-class _ExactFeature:
-    """One (OD, feature) histogram in canonical (sorted, grouped) form."""
+def _i8(values) -> np.ndarray:
+    """An array (or a few ints) as one contiguous little-endian int64
+    slab; the kernel's int64 arrays pass through uncopied."""
+    return np.ascontiguousarray(values, dtype="<i8")
 
-    __slots__ = ("values", "counts")
 
-    def __init__(self, values: np.ndarray, counts: np.ndarray) -> None:
-        self.values = values
-        self.counts = counts
+def _merge_runs(a: GroupedRuns, b: GroupedRuns) -> GroupedRuns:
+    """Sum two canonical per-OD run sets of one feature.
 
-    def merge(self, other: "_ExactFeature") -> "_ExactFeature":
-        return _ExactFeature(
-            *merge_histograms(self.values, self.counts, other.values, other.counts)
-        )
+    OD-partitioned shards (the default ``od % N`` split) never share an
+    OD, so their per-OD segments are already final: they are interleaved
+    by one ``argsort`` of the OD ids and no value is compared.  When any
+    OD appears on both sides (row stripes) every run goes through one
+    :func:`group_reduce`, whose output is the same canonical form — the
+    two branches agree wherever both apply.
+    """
+    if not a.n_groups or not b.n_groups:
+        return a if a.n_groups else b
+    ids = np.concatenate([a.group_ids, b.group_ids])
+    lengths = np.concatenate([a.lengths(), b.lengths()])
+    values = np.concatenate([a.values, b.values])
+    counts = np.concatenate([a.counts, b.counts])
+    order = np.argsort(ids)
+    merged_ids = ids[order]
+    if (merged_ids[1:] == merged_ids[:-1]).any():
+        return group_reduce(np.repeat(ids, lengths), values, counts)
+    lengths = lengths[order]
+    starts = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    source = np.concatenate([a.starts[:-1], b.starts[:-1] + len(a)])[order]
+    gather = np.repeat(source - starts[:-1], lengths)
+    gather += np.arange(len(values))
+    return GroupedRuns(merged_ids, starts, values[gather], counts[gather])
 
 
 class _SketchFeature:
@@ -104,10 +136,13 @@ class _SketchFeature:
 class ShardBinSummary:
     """One shard's reduction of one time bin, mergeable across shards.
 
-    State per active OD flow: four per-feature summaries (exact
-    canonical histograms, or Count-Min sketches plus candidate sets)
-    and int64 packet/byte counters.  ``merge`` is associative and
-    commutative, so a coordinator may fold shards in any order.
+    State: int64 packet/byte counters per OD flow, plus either four
+    per-feature :class:`GroupedRuns` keyed by OD (exact mode — the
+    kernel's canonical ``(od, value, count)`` runs) or, per active OD,
+    four Count-Min sketches with candidate sets.  ``merge`` is
+    associative and commutative, so a coordinator may fold shards in
+    any order.  Arrays may be read-only views of a received payload;
+    nothing here writes to them.
 
     Attributes:
         bin: Global bin index.
@@ -139,7 +174,10 @@ class ShardBinSummary:
         self.packets = np.zeros(n_od_flows, dtype=np.int64)
         self.bytes = np.zeros(n_od_flows, dtype=np.int64)
         self.n_records = 0
-        self._features: dict[int, list] = {}
+        #: exact mode: one GroupedRuns per feature, groups = OD flows
+        self._runs = [_NO_RUNS] * N_FEATURES if self.exact else None
+        #: sketch mode: OD flow -> its four _SketchFeature
+        self._sketches: dict[int, list] | None = None if self.exact else {}
 
     # -- construction ----------------------------------------------------
 
@@ -151,8 +189,9 @@ class ShardBinSummary:
 
         This is how a shard monitor exports a closed bin: the
         accumulator's pre-entropy state becomes the mergeable summary.
-        Everything is copied out — the stage resets and reuses the
-        accumulator (sketch counter arrays included) for the next bin.
+        The summary shares nothing with the accumulator, which the
+        stage resets and reuses for the next bin: exact runs are fresh
+        kernel output, volumes and sketch counters are copied out.
         """
         summary = cls(
             bin_index,
@@ -165,34 +204,18 @@ class ShardBinSummary:
         summary.packets, summary.bytes = accumulator.export_volumes()
         summary.n_records = accumulator.n_records
         if accumulator.exact:
-            # The kernel's sorted runs ARE the canonical per-OD
-            # histograms (values ascending, counts grouped): slice them
-            # straight into the summary, one grouped reduction per
-            # feature instead of a canonicalisation per (OD, feature).
-            for k in range(N_FEATURES):
-                runs = accumulator.feature_runs(k)
-                for i, od in enumerate(runs.group_ids):
-                    values, counts = runs.slice(i)
-                    entry = summary._features.setdefault(
-                        int(od), [None] * N_FEATURES
-                    )
-                    entry[k] = _ExactFeature(values.copy(), counts.copy())
-            empty = np.zeros(0, dtype=np.int64)
-            for entry in summary._features.values():
-                for k in range(N_FEATURES):
-                    if entry[k] is None:
-                        entry[k] = _ExactFeature(empty, empty)
+            summary._runs = [accumulator.feature_runs(k) for k in range(N_FEATURES)]
         else:
             banks, candidates, active = accumulator.sketch_state()
             ods = np.flatnonzero(active)
-            summary._features = {od: [] for od in ods.tolist()}
+            summary._sketches = {od: [] for od in ods.tolist()}
             for bank, runs in zip(banks, candidates):
                 values = dict(zip(
                     runs.group_ids.tolist(),
                     (v.tolist() for v in np.split(runs.values, runs.starts[1:-1])),
                 ))
                 for od, sketch in zip(ods.tolist(), bank.sketches(ods)):
-                    summary._features[od].append(
+                    summary._sketches[od].append(
                         _SketchFeature(sketch, set(values.get(od, ())))
                     )
         return summary
@@ -220,40 +243,20 @@ class ShardBinSummary:
         commutative; neither input is mutated)."""
         self._check_mergeable(other)
         merged = ShardBinSummary(
-            self.bin,
-            self.n_od_flows,
-            exact=self.exact,
-            width=self.width,
-            depth=self.depth,
-            sketch_seed=self.sketch_seed,
+            self.bin, self.n_od_flows, self.exact, self.width, self.depth, self.sketch_seed
         )
         merged.packets = self.packets + other.packets
         merged.bytes = self.bytes + other.bytes
         merged.n_records = self.n_records + other.n_records
-        overlap = self._features.keys() & other._features.keys()
-        for od in self._features.keys() | other._features.keys():
-            if od in overlap:
-                continue
-            mine, theirs = self._features.get(od), other._features.get(od)
-            merged._features[od] = list(mine if theirs is None else theirs)
-        if overlap:
-            if self.exact:
-                # Row-partitioned shards (trace striping) overlap on
-                # every active OD; folding them per (OD, feature) costs
-                # hundreds of tiny kernel calls per bin.  Batch all
-                # overlapping histograms of one feature into a single
-                # grouped reduction instead — its sorted runs are
-                # already the canonical form, so the merged bytes are
-                # identical to the pairwise path.
-                merged._features.update(
-                    _batched_exact_merge(self._features, other._features, overlap)
-                )
-            else:
-                for od in overlap:
-                    mine, theirs = self._features[od], other._features[od]
-                    merged._features[od] = [
-                        mine[k].merge(theirs[k]) for k in range(N_FEATURES)
-                    ]
+        if self.exact:
+            merged._runs = [_merge_runs(a, b) for a, b in zip(self._runs, other._runs)]
+        else:
+            ours, theirs = self._sketches, other._sketches
+            merged._sketches = {**ours, **theirs}
+            for od in ours.keys() & theirs.keys():
+                merged._sketches[od] = [
+                    a.merge(b) for a, b in zip(ours[od], theirs[od])
+                ]
         return merged
 
     # -- scoring hand-off --------------------------------------------------
@@ -261,29 +264,24 @@ class ShardBinSummary:
     @property
     def active_ods(self) -> list[int]:
         """OD flows with any data, sorted."""
-        return sorted(self._features)
+        if not self.exact:
+            return sorted(self._sketches)
+        ids = np.concatenate([runs.group_ids for runs in self._runs])
+        return np.unique(ids).tolist()
 
     def entropy_matrix(self) -> np.ndarray:
         """``(p, 4)`` per-feature sample entropies (zeros for idle ODs).
 
-        Exact mode funnels every OD's counts into one grouped-entropy
-        kernel pass per feature; sketch mode estimates per sketch.
+        Exact mode is one grouped-entropy kernel pass per feature —
+        the same arithmetic as :meth:`BinAccumulator.finalize`, bit for
+        bit; sketch mode estimates per sketch.
         """
         entropy = np.zeros((self.n_od_flows, N_FEATURES))
-        if not self._features:
-            return entropy
         if self.exact:
-            ods = self.active_ods
-            for k in range(N_FEATURES):
-                counts = [self._features[od][k].counts for od in ods]
-                lengths = np.array([len(c) for c in counts], dtype=np.int64)
-                starts = np.zeros(len(ods) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=starts[1:])
-                entropy[ods, k] = grouped_entropy(
-                    np.concatenate(counts) if counts else np.zeros(0), starts
-                )
+            for k, runs in enumerate(self._runs):
+                entropy[runs.group_ids, k] = runs.entropies()
         else:
-            for od, entry in self._features.items():
+            for od, entry in self._sketches.items():
                 for k in range(N_FEATURES):
                     entropy[od, k] = entry[k].entropy()
         return entropy
@@ -301,164 +299,143 @@ class ShardBinSummary:
     # -- wire format -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize to the CRC-framed wire format (canonical in exact mode).
-
-        Layout: ``b"RBS2"`` + CRC32 of the v1 body + the v1 body.  The
-        CRC covers everything after the frame, so any bit flipped in
-        transit is caught by :meth:`from_bytes` before the summary can
-        reach the merge.
-        """
-        body = self._to_bytes_v1()
-        return b"".join([_MAGIC_V2, _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF), body])
-
-    def _to_bytes_v1(self) -> bytes:
-        """The unframed (legacy ``RBS1``) body."""
-        mode = _EXACT if self.exact else _SKETCH
+        """Serialize to the one-frame wire format (module docstring;
+        canonical in exact mode).  The arrays are joined as they are —
+        no per-OD loop — and the CRC runs over the same parts, so any
+        bit flipped in transit is caught by :meth:`from_bytes` before
+        the summary can reach the merge."""
         parts = [
             _HEADER.pack(
-                _MAGIC,
-                mode,
-                self.bin,
+                _EXACT if self.exact else _SKETCH,
                 self.n_od_flows,
-                self.n_records,
                 self.width,
                 self.depth,
+                self.bin,
+                self.n_records,
                 self.sketch_seed,
             ),
-            self.packets.astype("<i8", copy=False).tobytes(),
-            self.bytes.astype("<i8", copy=False).tobytes(),
-            _COUNT.pack(len(self._features)),
+            _i8(self.packets),
+            _i8(self.bytes),
         ]
-        for od in sorted(self._features):
-            parts.append(_OD_HEADER.pack(od))
-            for feature in self._features[od]:
-                if self.exact:
-                    parts.append(_COUNT.pack(len(feature.values)))
-                    parts.append(feature.values.astype("<i8", copy=False).tobytes())
-                    parts.append(feature.counts.astype("<i8", copy=False).tobytes())
-                else:
-                    candidates = np.fromiter(
-                        sorted(feature.candidates),
-                        dtype="<i8",
-                        count=len(feature.candidates),
-                    )
-                    parts.append(_TOTAL.pack(feature.sketch.total))
-                    parts.append(_COUNT.pack(len(candidates)))
-                    parts.append(
-                        feature.sketch.table.astype("<i8", copy=False).tobytes()
-                    )
-                    parts.append(candidates.tobytes())
-        return b"".join(parts)
+        if self.exact:
+            for runs in self._runs:
+                parts.append(_i8((runs.n_groups, len(runs))))
+                parts.extend(
+                    map(_i8, (runs.group_ids, runs.starts, runs.values, runs.counts))
+                )
+        else:
+            parts.append(_i8((len(self._sketches),)))
+            for od in sorted(self._sketches):
+                parts.append(_i8((od,)))
+                for feature in self._sketches[od]:
+                    candidates = sorted(feature.candidates)
+                    parts.append(_i8((feature.sketch.total, len(candidates))))
+                    parts.append(_i8(feature.sketch.table))
+                    parts.append(_i8(candidates))
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        return b"".join([_MAGIC, _CRC.pack(crc), *parts])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardBinSummary":
         """Rebuild a summary serialized by :meth:`to_bytes`.
 
-        Accepts both wire versions: CRC-framed ``RBS2`` payloads (the
-        frame is verified, :class:`SummaryCorruptError` on mismatch)
-        and bare legacy ``RBS1`` bodies, which predate the checksum.
+        The arrays of the result are read-only views into ``data``
+        (zero-copy).  Raises ``ValueError`` for another wire version
+        and :class:`SummaryCorruptError` for a failed CRC or a body
+        whose declared shapes do not check out (module docstring).
         """
-        if data[:4] == _MAGIC_V2:
-            (stored_crc,) = _CRC.unpack_from(data, 4)
-            data = data[4 + _CRC.size :]
-            if zlib.crc32(data) & 0xFFFFFFFF != stored_crc:
-                raise SummaryCorruptError(
-                    "ShardBinSummary payload failed its CRC "
-                    "(bytes corrupted in transit)"
-                )
-        if data[:4] != _MAGIC:
-            raise ValueError("not a ShardBinSummary payload")
-        (_, mode, bin_index, p, n_records, width, depth, sketch_seed) = _HEADER.unpack_from(
-            data, 0
+        view = memoryview(data)
+        found = bytes(view[: len(_MAGIC)])
+        if found != _MAGIC:
+            raise ValueError(
+                f"not a ShardBinSummary payload this build can read: found "
+                f"wire version {found!r}, expected {_MAGIC!r}"
+            )
+        if (
+            len(view) < _BODY + _HEADER.size
+            or zlib.crc32(view[_BODY:]) != _CRC.unpack_from(view, len(_MAGIC))[0]
+        ):
+            raise SummaryCorruptError(
+                "ShardBinSummary payload is truncated or failed its CRC "
+                "(bytes corrupted in transit)"
+            )
+        mode, p, width, depth, bin_index, n_records, sketch_seed = (
+            _HEADER.unpack_from(view, _BODY)
         )
-        offset = _HEADER.size
-        summary = cls(
-            bin_index,
-            p,
-            exact=(mode == _EXACT),
-            width=width,
-            depth=depth,
-            sketch_seed=sketch_seed,
-        )
-        summary.n_records = n_records
+        offset = _BODY + _HEADER.size
 
-        def take_array(n: int) -> np.ndarray:
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise SummaryCorruptError(f"malformed ShardBinSummary payload: {what}")
+
+        def take(n: int) -> np.ndarray:
+            """The next ``n`` int64 as a view — after checking the
+            payload holds them, so a declared size is never trusted."""
             nonlocal offset
-            array = np.frombuffer(data, dtype="<i8", count=n, offset=offset)
+            check(
+                0 <= n <= (len(view) - offset) // 8,
+                f"{n} values declared, {len(view) - offset} bytes left",
+            )
+            array = np.frombuffer(view, dtype="<i8", count=n, offset=offset)
             offset += 8 * n
-            return array.astype(np.int64)
+            return array
 
-        summary.packets = take_array(p)
-        summary.bytes = take_array(p)
-        (n_active,) = _COUNT.unpack_from(data, offset)
-        offset += _COUNT.size
-        for _ in range(n_active):
-            (od,) = _OD_HEADER.unpack_from(data, offset)
-            offset += _OD_HEADER.size
-            entry = []
+        check(mode in (_EXACT, _SKETCH), f"unknown mode {mode}")
+        packets, byte_counts = take(p), take(p)  # also bounds p itself
+        summary = cls(bin_index, p, mode == _EXACT, width, depth, sketch_seed)
+        summary.n_records = n_records
+        summary.packets, summary.bytes = packets, byte_counts
+        if summary.exact:
+            summary._runs = []
             for _ in range(N_FEATURES):
-                if summary.exact:
-                    (n,) = _COUNT.unpack_from(data, offset)
-                    offset += _COUNT.size
-                    entry.append(_ExactFeature(take_array(n), take_array(n)))
-                else:
-                    (total,) = _TOTAL.unpack_from(data, offset)
-                    offset += _TOTAL.size
-                    (n_candidates,) = _COUNT.unpack_from(data, offset)
-                    offset += _COUNT.size
+                n_groups, n_runs = take(2).tolist()
+                runs = GroupedRuns(
+                    take(n_groups), take(n_groups + 1), take(n_runs), take(n_runs)
+                )
+                ods = runs.group_ids
+                check(
+                    not n_groups
+                    or (ods[0] >= 0 and ods[-1] < p and (ods[1:] > ods[:-1]).all()),
+                    "OD ids out of range or order",
+                )
+                check(
+                    runs.starts[0] == 0
+                    and runs.starts[-1] == n_runs
+                    and (runs.lengths() > 0).all(),
+                    "run offsets do not tile the values",
+                )
+                check(not n_runs or runs.counts.min() > 0, "non-positive count")
+                summary._runs.append(runs)
+        else:
+            check(width >= 8 and depth >= 1, "sketch geometry")
+            (n_active,) = take(1).tolist()
+            last = -1
+            for _ in range(n_active):
+                (od,) = take(1).tolist()
+                check(last < od < p, "OD ids out of range or order")
+                last = od
+                entry = []
+                for _ in range(N_FEATURES):
+                    total, n_candidates = take(2).tolist()
+                    table = take(depth * width).reshape(depth, width)
                     sketch = CountMinSketch(width=width, depth=depth, seed=sketch_seed)
-                    sketch.table = take_array(depth * width).reshape(depth, width)
+                    sketch.table = table
                     sketch.total = total
                     entry.append(
-                        _SketchFeature(sketch, set(take_array(n_candidates).tolist()))
+                        _SketchFeature(sketch, set(take(n_candidates).tolist()))
                     )
-            summary._features[od] = entry
-        if offset != len(data):
-            raise ValueError("trailing bytes in ShardBinSummary payload")
+                summary._sketches[od] = entry
+        check(offset == len(view), "trailing bytes")
         return summary
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else f"sketch w={self.width} d={self.depth}"
         return (
-            f"ShardBinSummary(bin={self.bin}, active_ods={len(self._features)}, "
+            f"ShardBinSummary(bin={self.bin}, active_ods={len(self.active_ods)}, "
             f"records={self.n_records}, {mode})"
         )
-
-
-def _batched_exact_merge(
-    a: dict[int, list], b: dict[int, list], overlap: set[int]
-) -> dict[int, list]:
-    """Merge the exact feature entries of ODs present in *both* maps.
-
-    One :func:`group_reduce` call per feature over every overlapping
-    OD's concatenated (value, count) runs, keyed by OD.  The kernel's
-    ascending (group, value) runs with positive summed counts are
-    exactly the canonical histogram form ``_ExactFeature.merge``
-    produces, so this is byte-for-byte the pairwise result.
-    """
-    ods = np.fromiter(sorted(overlap), dtype=np.int64, count=len(overlap))
-    merged: dict[int, list] = {int(od): [None] * N_FEATURES for od in ods}
-    empty = np.zeros(0, dtype=np.int64)
-    for k in range(N_FEATURES):
-        features = [side[int(od)][k] for od in ods for side in (a, b)]
-        lengths = np.fromiter(
-            (len(f.values) for f in features), dtype=np.int64, count=len(features)
-        )
-        runs = group_reduce(
-            np.repeat(np.repeat(ods, 2), lengths),
-            np.concatenate([f.values for f in features]),
-            np.concatenate([f.counts for f in features]),
-        )
-        for entry in merged.values():
-            # ODs whose histograms are empty on both sides have no rows,
-            # so the kernel omits them: pre-fill, then overwrite.
-            entry[k] = _ExactFeature(empty, empty)
-        for i, od in enumerate(runs.group_ids):
-            values, counts = runs.slice(i)
-            # Views, not copies: the runs arrays back the merged
-            # summary's histograms directly.
-            merged[int(od)][k] = _ExactFeature(values, counts)
-    return merged
 
 
 def merge_summaries(summaries) -> ShardBinSummary:

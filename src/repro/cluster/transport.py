@@ -5,8 +5,8 @@ worker lives; a :class:`SummaryTransport` owns the links and normalises
 whatever happens on them into plain tuples:
 
 * ``("summary", shard, attempt, payload, heartbeat)`` — one wire-format
-  :class:`~repro.cluster.summary.ShardBinSummary` (``RBS2`` bytes, CRC
-  inside, verified at merge time);
+  :class:`~repro.cluster.summary.ShardBinSummary` (``RBS3`` frame, CRC
+  inside, verified with its shapes at merge time);
 * ``("close", shard, attempt, n_records, late, snapshot)`` — the shard
   finished; ``n_records`` is an int for a leaf worker, a per-child dict
   for an aggregator;
@@ -31,7 +31,7 @@ Two implementations:
         <u32 total_len> <u32 header_len> <header JSON> <payload bytes>
 
     The header carries the message kind and scalar fields; the payload
-    carries the ``RBS2`` summary bytes (which embed their own CRC32,
+    carries the ``RBS3`` summary bytes (which embed their own CRC32,
     so a flipped bit surfaces as ``SummaryCorruptError`` at the merge,
     not silent skew), the close snapshot JSON, or the pickled worker
     spec.  Without ``--listen`` the transport binds a loopback

@@ -229,8 +229,8 @@ def corrupt_payload(payload: bytes) -> bytes:
     """Flip one bit in the middle of a wire payload.
 
     The midpoint of any ShardBinSummary payload is well inside the
-    CRC-covered region (past both the v2 frame and the v1 header), so
-    the coordinator's checksum is guaranteed to catch the damage.
+    CRC-covered body (past the 8-byte magic + CRC prefix), so the
+    coordinator's checksum is guaranteed to catch the damage.
     """
     if not payload:
         return payload

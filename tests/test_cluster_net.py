@@ -128,7 +128,7 @@ class TestFrameCodec:
 
     def test_corrupt_summary_payload_survives_framing(self):
         # Framing must deliver a bit-flipped summary intact so the
-        # CRC inside the RBS2 payload (not the transport) catches it.
+        # CRC inside the summary payload (not the transport) catches it.
         from repro.cluster import ShardBinSummary
         from repro.resilience import corrupt_payload
 
@@ -144,6 +144,27 @@ class TestFrameCodec:
         assert delivered == bad
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(delivered)
+
+
+    def test_shape_lie_under_a_valid_crc_survives_framing_too(self):
+        # What the CRC cannot catch — a body that lies about its sizes
+        # — is refused by the summary's shape checks with the same
+        # error class, so over TCP it takes the same restart path.
+        from test_cluster_summary import HOSTILE_EXACT, _payload, _reframe
+
+        from repro.cluster import ShardBinSummary
+
+        for case in ("G huge", "starts do not end at M", "group ids unsorted"):
+            bad = _reframe(_payload(), HOSTILE_EXACT[case])
+            frames = _FrameBuffer().feed(
+                encode_message(("summary", 1, 0, bad, None))
+            )
+            delivered = decode_message(*frames[0])[3]
+            assert delivered == bad
+            with pytest.raises(SummaryCorruptError):
+                ShardBinSummary.from_bytes(delivered)
+            with pytest.raises(SummaryCorruptError):
+                TierMerge([1]).add_serialized(1, delivered)
 
 
 def _child_streams(n_children=3, n_bins=4, seed=8):
@@ -382,6 +403,33 @@ class TestChaosOverTcp(_FixtureCluster):
             resilience=ResiliencePolicy(backoff_s=0.01),
         )
         assert result.restarts == 1
+
+    def test_shape_lie_over_tcp_restarts_to_parity(self, fixture_env, monkeypatch):
+        # The chaos ``corrupt`` fault, re-armed to ship a body whose
+        # CSR offsets lie under a *recomputed* CRC (forked workers
+        # inherit the patch): the coordinator's shape checks refuse it
+        # and the supervisor restarts the shard, as for a flipped bit.
+        from test_cluster_summary import _reframe
+
+        p = abilene().n_od_flows
+
+        def break_offsets(words):
+            # packets[p] bytes[p] | G M group_ids[G] starts[G+1] ...
+            words[2 * p + 2 + int(words[2 * p])] = 1  # starts[0] must be 0
+            return words
+
+        monkeypatch.setattr(
+            "repro.cluster.runner.corrupt_payload",
+            lambda payload: _reframe(payload, break_offsets),
+        )
+        result = self.run(
+            fixture_env, n_shards=2, transport="tcp", start_method="fork",
+            chaos="corrupt:shard=0,bin=23",
+            resilience=ResiliencePolicy(backoff_s=0.01),
+        )
+        assert result.restarts == 1
+        health = result.report.meta["shard_health"]["0"]
+        assert "run offsets" in health["faults"][0]
 
     def test_exhausted_tcp_worker_degrades_with_gaps(self, fixture_env):
         wl, path, config, _ = fixture_env

@@ -33,6 +33,7 @@ from repro.cluster import (
 from repro.flows.binning import TimeBins
 from repro.net.topology import abilene
 from repro.pipeline import DetectionPipeline
+from repro.pipeline.bank import DEFAULT_DETECTORS
 from repro.pipeline.sources import SyntheticSource
 from repro.resilience import (
     CheckpointError,
@@ -188,7 +189,7 @@ class TestSummaryWire:
     def test_v2_round_trip_and_crc(self):
         summary = self._summary()
         payload = summary.to_bytes()
-        assert payload[:4] == b"RBS2"
+        assert payload[:4] == b"RBS3"
         restored = ShardBinSummary.from_bytes(payload)
         assert restored.to_bytes() == payload
 
@@ -197,13 +198,16 @@ class TestSummaryWire:
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(corrupt_payload(payload))
 
-    def test_v1_payload_still_parses(self):
-        summary = self._summary()
-        v2 = summary.to_bytes()
-        v1 = v2[8:]  # the v1 body: magic RBS1 onward, no CRC envelope
-        assert v1[:4] == b"RBS1"
-        restored = ShardBinSummary.from_bytes(v1)
-        assert restored.to_bytes() == v2
+    @pytest.mark.parametrize("magic", [b"RBS1", b"RBS2", b"RBS4"])
+    def test_other_wire_versions_are_rejected_by_name(self, magic):
+        # One wire version: an older (or newer) payload is refused with
+        # both versions named — it is not a transit fault to retry, and
+        # it is never mis-parsed.
+        payload = self._summary().to_bytes()
+        with pytest.raises(ValueError, match="RBS3") as excinfo:
+            ShardBinSummary.from_bytes(magic + payload[4:])
+        assert magic.decode() in str(excinfo.value)
+        assert not isinstance(excinfo.value, SummaryCorruptError)
 
     def test_crc_matches_body(self):
         payload = self._summary().to_bytes()
@@ -368,6 +372,37 @@ class TestChaosCluster:
         assert _signature(resumed.report) == baseline_signature
         final = load_checkpoint(path)
         assert final.next_bin == N_BINS
+
+    def test_strict_exhaustion_drains_survivors_before_raising(
+        self, tmp_path, baseline_signature
+    ):
+        # The scripted form of the race above: shard 0 sits on bin 0
+        # while shard 1 ships bins 0-8 and dies for good at bin 9.  The
+        # supervisor must merge and spill what shard 1 delivered (once
+        # shard 0 catches up) before it raises, not lose it to arrival
+        # order.
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(RuntimeError, match="shard 1 failed after 1"):
+            self._run(
+                chaos="stall:shard=0,bin=0,secs=0.5;"
+                      "kill:shard=1,bin=9,attempts=10",
+                resilience=ResiliencePolicy(max_retries=0, backoff_s=0.01),
+                checkpoint=path,
+            )
+        assert load_checkpoint(path).next_bin == 9
+        resumed = self._run(checkpoint=path, resume=True)
+        assert resumed.preloaded_bins == 9
+        assert _signature(resumed.report) == baseline_signature
+
+    def test_resume_rejects_an_old_wire_version_in_the_checkpoint(self, tmp_path):
+        source = _source()
+        path = tmp_path / "old.ckpt"
+        fingerprint = run_fingerprint(source.spec, _config(), DEFAULT_DETECTORS)
+        with CheckpointWriter(path, fingerprint) as writer:
+            writer.append(0, b"RBS2" + bytes(64))
+        with pytest.raises(ValueError, match="RBS2.*RBS3"):
+            run_cluster_source(source, n_shards=2, config=_config(),
+                               checkpoint=path, resume=True)
 
     def test_resume_rejects_different_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
