@@ -7,9 +7,7 @@ bit-identical.  The sweep covers:
 
 * flat pipe clusters at 1/2/4 workers (the committed scaling curve),
 * a 2-worker loopback-TCP cluster (framed-socket transport overhead),
-* a ``2x2`` aggregator tree over pipes (tree-merge overhead),
-* a 2-worker row-striped cluster (the opt-in record partition, kept
-  in the curve so the OD-vs-stripe trade-off stays measured).
+* a ``2x2`` aggregator tree over pipes (tree-merge overhead).
 
 The curve is persisted as ``results/cluster_net.json`` and gated by
 ``tools/check_perf.py --min-cluster-speedup``: with >= 2 CPUs the
@@ -53,7 +51,6 @@ CONFIGS = (
     ("pipe.4", {"n_shards": 4}),
     ("tcp.2", {"n_shards": 2, "transport": "tcp"}),
     ("tiers.2x2", {"tiers": "2x2"}),
-    ("stripe.2", {"n_shards": 2, "stripe": True}),
 )
 
 
@@ -151,8 +148,8 @@ def test_cluster_net_scaling(benchmark, tmp_path):
         },
     )
 
-    # Contract: every transport, tier shape and record partition lands
-    # the same verdicts as the single-worker run.
+    # Contract: every transport and tier shape lands the same verdicts
+    # as the single-worker run.
     for label, _ in CONFIGS[1:]:
         assert results[label].n_records == baseline.n_records, label
         assert detections[label] == detections[label0], label

@@ -93,7 +93,7 @@ def alpha_flow(
     """Unusually large point-to-point flow (e.g. bandwidth tests).
 
     ``nat=True`` produces the paper's cluster-7 variant discovered via
-    clustering: a NAT box on the path stripes the flow across many
+    clustering: a NAT box on the path spreads the flow across many
     ports, dispersing both port features while addresses stay
     concentrated.
     """

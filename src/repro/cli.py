@@ -125,10 +125,6 @@ def _add_engine(parser) -> None:
                         help="exact histograms instead of Count-Min sketches")
     parser.add_argument("--refit-every", type=int, default=12,
                         help="clean bins between model refits (0 freezes)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="grouped-reduction kernel threads (any value is "
-                        "bit-identical to the single-threaded reference; "
-                        "default 1, per worker in cluster mode)")
     parser.add_argument("--alpha", type=float, default=0.999)
     parser.add_argument("--components", type=int, default=10)
     parser.add_argument("--json", help="export the diagnosis-report JSON here")
@@ -136,8 +132,7 @@ def _add_engine(parser) -> None:
 
 def _add_cluster_knobs(parser) -> None:
     parser.add_argument("--shards", type=int, default=2,
-                        help="worker processes (each owns an OD-flow slice "
-                        "or, on a shared trace, a row stripe)")
+                        help="worker processes (each owns an OD-flow slice)")
     parser.add_argument("--transport", choices=("pipe", "tcp"),
                         default="pipe",
                         help="worker links: local multiprocessing pipes "
@@ -542,7 +537,6 @@ def _stream_config(args):
         sketch_width=args.sketch_width,
         exact_histograms=args.exact,
         chunk_records=args.chunk_records,
-        threads=args.threads or 1,
     )
 
 
@@ -729,7 +723,6 @@ def _cmd_cluster(args) -> int:
             transport=args.transport,
             listen=args.listen,
             tiers=args.tiers,
-            worker_threads=args.threads,
         )
         run_info.update({"n_records": result.n_records,
                          "elapsed_s": result.elapsed})
@@ -845,10 +838,6 @@ def _cmd_run(args) -> int:
             transport=args.transport,
             listen=args.listen,
             tiers=args.tiers,
-            # --threads also configures in-process kernels for
-            # batch/stream modes; only cluster mode treats it as a
-            # per-worker override.
-            worker_threads=args.threads if args.mode == "cluster" else None,
         )
         run_info.update({"n_records": result.n_records,
                          "elapsed_s": result.elapsed})

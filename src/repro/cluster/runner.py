@@ -104,18 +104,6 @@ from repro.stream.engine import StreamConfig, StreamDetection, StreamingDetectio
 __all__ = ["ClusterResult", "run_cluster", "run_cluster_source", "shard_ods"]
 
 
-def _process_cpus() -> int:
-    """CPUs available to this process (3.13's process_cpu_count, with
-    an affinity-aware fallback for older interpreters)."""
-    getter = getattr(os, "process_cpu_count", None)
-    if getter is not None:
-        return getter() or 1
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class _WorkerSpec:
     """Everything a worker needs to rebuild its shard (picklable)."""
@@ -128,16 +116,6 @@ class _WorkerSpec:
     sketch_width: int
     sketch_depth: int
     sketch_seed: int
-    #: grouped-reduction kernel threads inside the worker (bit-identical
-    #: at any value; 1 = the pinned single-threaded reference).
-    threads: int = 1
-    #: exact-mode trace workers read contiguous per-bin row stripes
-    #: instead of masking their OD slice.  Off by default: stripes give
-    #: every shard the full OD set with near-complete distinct-value
-    #: histograms, which roughly doubles summary bytes and merge work —
-    #: measured slower end-to-end than the disjoint OD split even
-    #: though the reads themselves are ~20x cheaper.
-    stripe: bool = False
     #: run a telemetry session inside the worker and ship snapshots in
     #: the heartbeat/close messages (set when the parent's is active).
     telemetry: bool = False
@@ -201,7 +179,6 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
             depth=spec.sketch_depth,
             sketch_seed=spec.sketch_seed,
             exact=spec.exact,
-            threads=spec.threads,
             shard_id=spec.shard_id,
         )
         # Fast-forward on resume: chunks entirely before the resume bin
@@ -216,12 +193,6 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
                 spec.n_shards,
                 router=monitor.router,
                 chunk_records=spec.chunk_records,
-                # Exact merge is canonical under *any* record partition,
-                # so ``stripe`` may hand trace workers contiguous row
-                # stripes; the spec builder clears it in sketch mode
-                # (striping would split an OD's records across
-                # conservative-update sketches).
-                stripe=spec.stripe,
             ),
             "stage.source",
         )
@@ -411,8 +382,6 @@ def run_cluster_source(
     transport: str = "pipe",
     listen: str | tuple[str, int] | None = None,
     tiers: str | tuple[int, int] | None = None,
-    worker_threads: int | None = None,
-    stripe: bool = False,
 ) -> ClusterResult:
     """Run the sharded pipeline over any :class:`RecordSource`.
 
@@ -449,15 +418,6 @@ def run_cluster_source(
         tiers: Declarative aggregator layout ``"AxB"`` — A aggregator
             processes each tree-merging B workers (A*B shards total,
             coordinator fan-in A).  Overrides ``n_shards``.
-        worker_threads: Grouped-reduction threads inside each worker;
-            None means ``config.threads`` (1 unless configured — extra
-            kernel threads measure slower than one at these bin sizes,
-            ``benchmarks/results/kernels.txt``).
-        stripe: Exact-mode trace workers take contiguous per-bin row
-            stripes instead of masking their OD slice (byte-identical
-            detections either way).  Ignored in sketch mode.  Off by
-            default — see :class:`_WorkerSpec.stripe` for the measured
-            trade-off.
 
     Returns:
         A :class:`ClusterResult` with the merged report and throughput.
@@ -480,17 +440,6 @@ def run_cluster_source(
         raise ValueError("source must cover at least one bin")
     config = config or StreamConfig()
     policy = resilience or ResiliencePolicy()
-    cpus = _process_cpus()
-    if worker_threads is None:
-        worker_threads = config.threads
-    if worker_threads < 1:
-        raise ValueError("worker threads must be >= 1")
-    if worker_threads > 1 and worker_threads * n_shards > 2 * cpus:
-        raise ValueError(
-            f"--threads {worker_threads} across {n_shards} worker shard(s) "
-            f"oversubscribes the {cpus} available CPU(s); omit --threads "
-            f"(1 per worker) or use at most {max(1, 2 * cpus // n_shards)}"
-        )
     if isinstance(chaos, str):
         chaos = FaultPlan.parse(chaos)
     if chaos is not None:
@@ -583,8 +532,6 @@ def run_cluster_source(
                 sketch_width=config.sketch_width,
                 sketch_depth=config.sketch_depth,
                 sketch_seed=config.sketch_seed,
-                threads=worker_threads,
-                stripe=stripe and config.exact_histograms,
                 telemetry=session is not None,
                 attempt=unit_attempt,
                 resume_bin=resume_from,
@@ -843,8 +790,6 @@ def run_cluster(
     transport: str = "pipe",
     listen: str | tuple[str, int] | None = None,
     tiers: str | tuple[int, int] | None = None,
-    worker_threads: int | None = None,
-    stripe: bool = False,
 ) -> ClusterResult:
     """Run the sharded pipeline on a synthetic or recorded trace.
 
@@ -882,10 +827,6 @@ def run_cluster(
         listen: ``HOST:PORT`` to await external ``repro worker``
             processes (TCP only).
         tiers: Aggregator layout ``"AxB"``; overrides ``n_shards``.
-        worker_threads: Kernel threads per worker (None:
-            ``config.threads``).
-        stripe: Row-stripe exact-mode trace workers (see
-            :func:`run_cluster_source`).
 
     Returns:
         A :class:`ClusterResult` with the merged report and throughput.
@@ -916,6 +857,4 @@ def run_cluster(
         transport=transport,
         listen=listen,
         tiers=tiers,
-        worker_threads=worker_threads,
-        stripe=stripe,
     )

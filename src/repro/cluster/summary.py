@@ -83,12 +83,14 @@ def _i8(values) -> np.ndarray:
 def _merge_runs(a: GroupedRuns, b: GroupedRuns) -> GroupedRuns:
     """Sum two canonical per-OD run sets of one feature.
 
-    OD-partitioned shards (the default ``od % N`` split) never share an
-    OD, so their per-OD segments are already final: they are interleaved
-    by one ``argsort`` of the OD ids and no value is compared.  When any
-    OD appears on both sides (row stripes) every run goes through one
-    :func:`group_reduce`, whose output is the same canonical form — the
-    two branches agree wherever both apply.
+    OD-partitioned shards (the cluster's ``od % N`` split) never share
+    an OD, so their per-OD segments are already final: they are
+    interleaved by one ``argsort`` of the OD ids and no value is
+    compared.  When any OD appears on both sides (summaries of any other
+    record partition) every run goes through one :func:`group_reduce`,
+    whose output is the same canonical form, so
+    :meth:`ShardBinSummary.merge` stays correct for any partition and
+    the two branches agree wherever both apply.
     """
     if not a.n_groups or not b.n_groups:
         return a if a.n_groups else b

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.anomalies.base import AnomalyTrace
 from repro.anomalies.builders import known_traces
 from repro.flows.features import DST_IP, SRC_IP
 

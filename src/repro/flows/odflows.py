@@ -159,15 +159,11 @@ class ODFlowAggregator:
             (e.g. Abilene's 11 bits) is applied to record addresses
             *before* histogramming — anonymisation happens at the
             collector, so this is the realistic default.
-        threads: Grouped-reduction kernel threads (any value is
-            bit-identical to the single-threaded reference; see
-            :func:`repro.kernels.group_reduce`).
     """
 
     topology: Topology
     router: Router | None = None
     apply_anonymization: bool = True
-    threads: int = 1
     _parts: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -281,7 +277,6 @@ class ODFlowAggregator:
         cube.bytes[:] = group_sums(groups, column("bytes"), n_groups).reshape(-1, p)
         entropy_flat = cube.entropy.reshape(n_groups, N_FEATURES)
         for k, name in enumerate(FEATURES):
-            runs = group_reduce(groups, column(name), packets,
-                                threads=self.threads)
+            runs = group_reduce(groups, column(name), packets)
             entropy_flat[runs.group_ids, k] = runs.entropies()
         return cube

@@ -798,21 +798,6 @@ class TraceReader:
         """One bin's records as a zero-copy view batch."""
         return self._batch(*self.bin_range(b))
 
-    def read_rows(self, start: int, stop: int) -> FlowRecordBatch:
-        """An arbitrary row range ``[start, stop)`` as a zero-copy view.
-
-        The unit of cluster row striping: a shard reading only its
-        contiguous slice of each bin (see
-        :meth:`repro.pipeline.sources.TraceSource.shard_batches`)
-        touches 1/N of every column instead of scanning the trace.
-        """
-        if not 0 <= start <= stop <= self.n_records:
-            raise ValueError(
-                f"row range [{start}, {stop}) outside trace of "
-                f"{self.n_records} record(s)"
-            )
-        return self._batch(start, stop)
-
     def iter_chunks(
         self,
         chunk_records: int = 8192,

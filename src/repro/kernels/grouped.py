@@ -2,10 +2,10 @@
 
 Every entropy time series in the paper (Section 4) is built from
 (group, feature value) -> packet count histograms, where a *group* is
-an OD flow, a (bin, OD flow) pair, or a shard partition.  Doing that
-grouping with per-group Python loops (mask + copy per OD, ``Counter``
-per histogram) dominates the hot path at realistic record rates, so
-this module reduces whole record batches with array primitives instead:
+an OD flow or a (bin, OD flow) pair.  Doing that grouping with
+per-group Python loops (mask + copy per OD, ``Counter`` per histogram)
+dominates the hot path at realistic record rates, so this module
+reduces whole record batches with array primitives instead:
 
 1. one sort brings rows with equal ``(group, value)`` together.  Those
    rows are *summed*, and integer sums commute, so the order of rows
@@ -36,9 +36,6 @@ canonical histogram form the mergeable shard summaries serialize.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,43 +113,6 @@ def sort_order(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _sorted_rows(groups, values, np.arange(len(groups), dtype=np.int64))[2]
 
 
-# -- shared thread pool for the parallel reduction path ------------------
-#
-# One process-wide pool, lazily created and grown to the largest
-# ``threads=`` request seen; numpy's sort/reduceat release the GIL on
-# large arrays, so partitions genuinely overlap.
-
-_POOL_LOCK = threading.Lock()
-_POOL: ThreadPoolExecutor | None = None
-_POOL_WORKERS = 0
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_WORKERS < workers:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-kernel"
-            )
-            _POOL_WORKERS = workers
-        return _POOL
-
-
-def _forget_pool_after_fork() -> None:
-    """A forked child inherits the pool object without its threads (and
-    the lock in whatever state it was): a submit would wait forever."""
-    global _POOL_LOCK, _POOL, _POOL_WORKERS
-    _POOL_LOCK = threading.Lock()
-    _POOL = None
-    _POOL_WORKERS = 0
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
-
-
 @dataclass(frozen=True)
 class GroupedRuns:
     """Sorted (group, value, count) runs in CSR layout.
@@ -226,55 +186,10 @@ def _reduce_sorted(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> GroupedRuns:
     return GroupedRuns(run_groups[group_starts], starts, run_values, counts)
 
 
-def _group_reduce_parallel(
-    groups: np.ndarray,
-    values: np.ndarray,
-    weights: np.ndarray,
-    threads: int,
-) -> GroupedRuns:
-    """Partition rows by group range, reduce partitions on the shared
-    thread pool, stitch the CSR bundles back in canonical order.
-
-    Every group id falls in exactly one partition (the ranges are
-    disjoint and ascending) and a reduction's output does not depend on
-    its input's row order, so a partition's runs equal the global runs
-    restricted to its group range — the stitched result is
-    bit-identical to the single-threaded reference.
-    """
-    gmin = int(groups.min())
-    gmax = int(groups.max())
-    span = gmax - gmin + 1
-    t = min(threads, span)
-    # Group-range pivots: partition i owns groups in [edges[i-1], edges[i]).
-    edges = gmin + (span * np.arange(1, t)) // t
-    part = np.searchsorted(edges, groups, side="right")
-    with tel.span("kernel.sort"):
-        slices = []
-        for i in range(t):
-            idx = np.flatnonzero(part == i)
-            if len(idx):
-                slices.append((groups[idx], values[idx], weights[idx]))
-        # The serial path's two steps per partition (un-spanned: they
-        # run off-thread, this span times the whole fan-out).
-        pool = _executor(threads)
-        parts = list(pool.map(lambda s: _reduce_sorted(*_sorted_rows(*s)), slices))
-    with tel.span("kernel.reduceat"):
-        run_offsets = np.cumsum([0] + [len(p) for p in parts])
-        starts = [p.starts[:-1] + off for p, off in zip(parts, run_offsets)]
-        starts.append(run_offsets[-1:])
-        return GroupedRuns(
-            np.concatenate([p.group_ids for p in parts]),
-            np.concatenate(starts),
-            np.concatenate([p.values for p in parts]),
-            np.concatenate([p.counts for p in parts]),
-        )
-
-
 def group_reduce(
     groups: np.ndarray,
     values: np.ndarray,
     weights: np.ndarray | None = None,
-    threads: int = 1,
 ) -> GroupedRuns:
     """Reduce (group, value, weight) triples into :class:`GroupedRuns`.
 
@@ -285,11 +200,6 @@ def group_reduce(
             per row (pure occurrence counting).  Zero-weight rows are
             dropped — they are not part of the empirical histogram,
             matching :meth:`FeatureHistogram.add`.
-        threads: Sort/reduce partitions on this many pool threads
-            (``1``, the default, is the pinned single-threaded
-            reference).  Any value produces bit-identical output — the
-            parallel path partitions by disjoint group ranges and
-            stitches runs back in canonical order.
 
     Returns:
         The canonical sorted-run representation; counts are exact int64
@@ -315,10 +225,6 @@ def group_reduce(
     if len(groups) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
-
-    threads = max(1, int(threads))
-    if threads > 1:
-        return _group_reduce_parallel(groups, values, weights, threads)
 
     with tel.span("kernel.sort"):
         rows = _sorted_rows(groups, values, weights)

@@ -178,7 +178,6 @@ class DetectionPipeline:
         transport: str = "pipe",
         listen=None,
         tiers=None,
-        worker_threads: int | None = None,
     ) -> PipelineResult:
         """Run the full pipeline over a source in the chosen mode.
 
@@ -206,8 +205,6 @@ class DetectionPipeline:
                 processes (cluster mode, TCP only).
             tiers: Aggregator tier layout ``"AxB"`` (cluster mode
                 only; overrides ``n_shards``).
-            worker_threads: Kernel threads per worker (cluster mode
-                only; None means ``config.threads``).
 
         Returns:
             A :class:`PipelineResult`; exact-histogram detections are
@@ -223,7 +220,6 @@ class DetectionPipeline:
                 "resume": resume or None,
                 "listen": listen,
                 "tiers": tiers,
-                "worker_threads": worker_threads,
                 "transport": None if transport == "pipe" else transport,
             }
             given = [k for k, v in cluster_only.items() if v is not None]
@@ -247,7 +243,6 @@ class DetectionPipeline:
                 transport=transport,
                 listen=listen,
                 tiers=tiers,
-                worker_threads=worker_threads,
             )
         if mode == "batch":
             return self._run_batch(source, on_detection, meta)
@@ -321,7 +316,6 @@ class DetectionPipeline:
         transport="pipe",
         listen=None,
         tiers=None,
-        worker_threads=None,
     ) -> PipelineResult:
         from repro.cluster.runner import run_cluster_source
 
@@ -339,7 +333,6 @@ class DetectionPipeline:
             transport=transport,
             listen=listen,
             tiers=tiers,
-            worker_threads=worker_threads,
         )
         return PipelineResult(
             report=result.report,

@@ -169,20 +169,12 @@ class RecordSource:
         n_shards: int,
         router,
         chunk_records: int = DEFAULT_CHUNK_RECORDS,
-        stripe: bool = False,
     ) -> Iterator[tuple[FlowRecordBatch, np.ndarray | None]]:
         """One shard's ``(chunk, ods)`` pairs.
 
-        By default the split is the round-robin OD partition
-        (``od % n_shards``).  ``stripe=True`` permits the source to use
-        *any* record partition instead — valid only for exact-mode
-        consumers, whose per-bin merge is canonical under arbitrary
-        partitions; sketch consumers must keep the OD split so each
-        OD's records meet a single conservative-update sketch.  Trace
-        sources honor it with contiguous per-bin row stripes (each
-        shard touches 1/N of every column instead of scanning
-        everything and masking); generative sources ignore it, since
-        materialising only the owned ODs *is* their cheap path.
+        The split is the round-robin OD partition (``od % n_shards``,
+        :func:`shard_ods`): each shard owns every record of its ODs, so
+        every OD's records meet one shard's histograms or sketches.
 
         ``ods`` is the per-record OD attribution when the source
         already resolved it (trace replay, where attribution doubles
@@ -239,7 +231,7 @@ class SyntheticSource(RecordSource):
         return self._rechunk(self._stream(), chunk_records)
 
     def shard_batches(self, shard_id, n_shards, router,
-                      chunk_records=DEFAULT_CHUNK_RECORDS, stripe=False):
+                      chunk_records=DEFAULT_CHUNK_RECORDS):
         ods = shard_ods(self.topology.n_od_flows, n_shards, shard_id)
         for chunk in iter_record_chunks(self._stream(ods=ods), chunk_records):
             yield chunk, None
@@ -297,7 +289,7 @@ class TraceSource(RecordSource):
         )
 
     def shard_batches(self, shard_id, n_shards, router,
-                      chunk_records=DEFAULT_CHUNK_RECORDS, stripe=False):
+                      chunk_records=DEFAULT_CHUNK_RECORDS):
         from repro.io.trace import TraceReader
 
         reader = TraceReader(self.spec.trace_path)
@@ -306,31 +298,6 @@ class TraceSource(RecordSource):
         # offset maps every yielded chunk onto the stored column and
         # the whole LPM attribution pass disappears.
         stored = reader.derived_column("od") if reader.has_derived else None
-        if stripe and n_shards > 1:
-            # Row striping (exact-mode consumers): shard s takes the
-            # s-th contiguous slice of every bin's row range, so each
-            # worker touches 1/N of every column — zero-copy views, no
-            # full-trace scan, no mask/gather — and attribution (stored
-            # or LPM) runs only over the stripe's rows.  Exact per-bin
-            # merge is canonical under any record partition, so the
-            # merged result is byte-identical to the OD split.
-            for b in range(self.spec.n_bins):
-                lo, hi = reader.bin_range(b)
-                n = hi - lo
-                begin = lo + (n * shard_id) // n_shards
-                end = lo + (n * (shard_id + 1)) // n_shards
-                for row in range(begin, end, chunk_records):
-                    stop = min(end, row + chunk_records)
-                    chunk = reader.read_rows(row, stop)
-                    if stored is not None:
-                        ods = np.asarray(stored[row:stop], dtype=np.int64)
-                    else:
-                        ods = router.resolve_ods_mixed(
-                            chunk.ingress_pop, chunk.dst_ip
-                        )
-                    if len(chunk):
-                        yield chunk, ods
-            return
         offset = reader.bin_range(0)[0] if self.spec.n_bins else 0
         for chunk in reader.iter_chunks(
             chunk_records=chunk_records, bins=range(self.spec.n_bins)
@@ -421,7 +388,7 @@ class ScenarioSource(RecordSource):
         return self._rechunk(self._stream(), chunk_records)
 
     def shard_batches(self, shard_id, n_shards, router,
-                      chunk_records=DEFAULT_CHUNK_RECORDS, stripe=False):
+                      chunk_records=DEFAULT_CHUNK_RECORDS):
         ods = shard_ods(self.topology.n_od_flows, n_shards, shard_id)
         for chunk in iter_record_chunks(self._stream(ods=ods), chunk_records):
             yield chunk, None

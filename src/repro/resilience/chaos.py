@@ -31,7 +31,7 @@ chaos-smoke job against the columnar trace store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

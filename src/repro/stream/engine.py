@@ -80,9 +80,6 @@ class StreamConfig:
         sketch_width / sketch_depth / sketch_seed: Count-Min geometry.
         exact_histograms: Bypass sketches (exact per-value histograms).
         chunk_records: Re-chunking bound for :meth:`process`.
-        threads: Grouped-reduction kernel threads (1 = the pinned
-            single-threaded reference; any value is bit-identical, see
-            :func:`repro.kernels.group_reduce`).
     """
 
     warmup_bins: int = 288
@@ -103,7 +100,6 @@ class StreamConfig:
     sketch_seed: int = 0
     exact_histograms: bool = False
     chunk_records: int = DEFAULT_CHUNK_RECORDS
-    threads: int = 1
 
 
 class StreamingDetectionEngine:
@@ -142,7 +138,6 @@ class StreamingDetectionEngine:
             depth=cfg.sketch_depth,
             sketch_seed=cfg.sketch_seed,
             exact=cfg.exact_histograms,
-            threads=cfg.threads,
         )
         self.bank = DetectorBank(cfg, detectors=detectors)
         #: Free-form provenance copied onto the final report (scenario

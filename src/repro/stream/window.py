@@ -96,14 +96,12 @@ class BinAccumulator:
         depth: int = 4,
         seed: int = 0,
         exact: bool = False,
-        threads: int = 1,
     ) -> None:
         self.n_od_flows = n_od_flows
         self.width = width
         self.depth = depth
         self.seed = seed
         self.exact = exact
-        self.threads = threads
         if not exact:
             self._banks = [
                 SketchBank(width=width, depth=depth, seed=seed)
@@ -141,7 +139,7 @@ class BinAccumulator:
         if self.exact:
             self._parts[k].append((ods, values, weights))
             return
-        runs = group_reduce(ods, values, weights, threads=self.threads)
+        runs = group_reduce(ods, values, weights)
         self._banks[k].update(runs.group_ids, runs.starts, runs.values, runs.counts)
         self._active[runs.group_ids] = True
         # An OD tracking fewer values than the cap takes all of the
@@ -157,7 +155,6 @@ class BinAccumulator:
                 np.concatenate([np.repeat(held.group_ids, held.lengths()),
                                 np.repeat(runs.group_ids, runs.lengths())[keep]]),
                 np.concatenate([held.values, runs.values[keep]]),
-                threads=self.threads,
             )
         self._candidates[k] = runs
         self._distinct[k, runs.group_ids] = runs.lengths()
@@ -216,7 +213,7 @@ class BinAccumulator:
             ods = np.concatenate([p[0] for p in parts])
             values = np.concatenate([p[1] for p in parts])
             weights = np.concatenate([p[2] for p in parts])
-        return group_reduce(ods, values, weights, threads=self.threads)
+        return group_reduce(ods, values, weights)
 
     def sketch_state(self):
         """Sketch mode: ``(banks, candidates, active)`` — the four
@@ -278,8 +275,6 @@ class StreamFeatureStage:
         exact: Use exact histograms instead of sketches.
         apply_anonymization: Apply the topology's address anonymisation
             (the realistic collector default).
-        threads: Grouped-reduction kernel threads (bit-identical at any
-            value; 1 is the pinned reference).
     """
 
     topology: Topology
@@ -290,7 +285,6 @@ class StreamFeatureStage:
     sketch_seed: int = 0
     exact: bool = False
     apply_anonymization: bool = True
-    threads: int = 1
     router: Router | None = None
     _current: BinAccumulator = field(init=False, repr=False)
     _current_bin: int | None = field(default=None, repr=False)
@@ -307,7 +301,6 @@ class StreamFeatureStage:
             depth=self.depth,
             seed=self.sketch_seed,
             exact=self.exact,
-            threads=self.threads,
         )
 
     def ingest(

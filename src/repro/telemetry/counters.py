@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Dict, Optional
 
 try:

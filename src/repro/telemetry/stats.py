@@ -14,7 +14,7 @@ Reconstructs a session snapshot from exported events, then renders:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .spans import SpanStats, iter_top_level_stage_time
 

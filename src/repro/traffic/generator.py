@@ -51,7 +51,7 @@ from repro.flows.odflows import TrafficCube
 from repro.flows.records import FlowRecordBatch
 from repro.net.addressing import EPHEMERAL_PORT_START, AddressPool, well_known_ports
 from repro.net.topology import Topology
-from repro.traffic.distributions import active_support, port_pmf, zipf_pmf
+from repro.traffic.distributions import active_support, port_pmf
 from repro.traffic.diurnal import DiurnalBasis, ar1_series
 from repro.traffic.gravity import od_mean_rates
 

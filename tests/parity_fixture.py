@@ -84,14 +84,13 @@ def seed_workload():
     return wl, topology, batches
 
 
-def stream_config(wl, threads: int = 1) -> StreamConfig:
+def stream_config(wl) -> StreamConfig:
     """The exact-mode engine config the fixture was frozen under."""
     return StreamConfig(
         warmup_bins=wl["warmup_bins"],
         n_components=6,
         refit_every=0,
         exact_histograms=True,
-        threads=threads,
     )
 
 

@@ -11,9 +11,8 @@ Three contracts pin the scale-out PR:
   (per-child bin order is the only requirement), so an aggregator
   tier can never change a detection;
 * **end-to-end bit-identity** — detections over loopback TCP, at any
-  shard count and tier shape, striped or OD-sharded, render
-  byte-for-byte equal to the frozen single-process fixture
-  (``tests/data/seed_stream_detections.json``).
+  shard count and tier shape, render byte-for-byte equal to the frozen
+  single-process fixture (``tests/data/seed_stream_detections.json``).
 """
 
 import multiprocessing
@@ -267,65 +266,83 @@ class TestTierMergeInvariance:
             TierMerge([])
 
 
-class TestStripedTraceReads:
-    @pytest.fixture(scope="class")
-    def trace(self, tmp_path_factory):
+class TestODSplitTraceReads:
+    """``TraceSource.shard_batches``: the OD split over one shared trace.
+
+    Small chunks put chunk boundaries inside every bin, and two bins
+    hold a single OD each, so their one chunk has no row of most
+    shards.  Both trace versions: v1 (ODs from longest-prefix match)
+    and v2 (the stored ``od`` column read at a running offset).
+    """
+
+    CHUNK_RECORDS = 64
+
+    @pytest.fixture(scope="class", params=["v1", "v2"])
+    def trace(self, request, tmp_path_factory):
         from repro.flows.binning import TimeBins
-        from repro.io.trace import write_trace
+        from repro.stream.chunks import synthetic_record_stream
         from repro.traffic.generator import TrafficGenerator
 
-        path = tmp_path_factory.mktemp("stripe") / "v2.trace"
-        generator = TrafficGenerator(abilene(), TimeBins(n_bins=6), seed=5)
-        write_trace(path, generator, max_records_per_od=30, seed=0, derive=True)
+        n_bins = 6
+        generator = TrafficGenerator(abilene(), TimeBins(n_bins=n_bins), seed=5)
+        batches = list(synthetic_record_stream(
+            generator, range(n_bins), max_records_per_od=30, seed=0
+        ))
+        router = Router(abilene())
+        for b, od in ((2, 0), (4, 1)):
+            ods = router.resolve_ods_mixed(batches[b].ingress_pop,
+                                           batches[b].dst_ip)
+            batches[b] = batches[b].select(ods == od)
+        path = tmp_path_factory.mktemp("odsplit") / f"{request.param}.trace"
+        _write_batches(path, {"n_bins": n_bins}, batches,
+                       derive=request.param == "v2")
         return path
 
-    @pytest.mark.parametrize("n_shards", [2, 3, 5])
-    def test_stripes_tile_every_bin_exactly(self, trace, n_shards):
-        from repro.io.trace import TraceReader
-
+    def _shards(self, trace, n_shards):
         source = TraceSource(trace)
         router = Router(source.topology)
-        # Collect each shard's stripes grouped by bin: chunk rows are
-        # contiguous, so per bin the shards' pieces — concatenated in
-        # shard order — must reproduce the full bin byte-for-byte.
-        per_shard = [
-            list(source.shard_batches(s, n_shards, router, chunk_records=64,
-                                      stripe=True))
+        return source, router, [
+            list(source.shard_batches(s, n_shards, router,
+                                      chunk_records=self.CHUNK_RECORDS))
             for s in range(n_shards)
         ]
-        by_bin = {}
-        for s, chunks in enumerate(per_shard):
-            for chunk, ods in chunks:
-                b = int(chunk.timestamp[0] // source.spec.bin_width)
-                by_bin.setdefault(b, ([], []))
-                by_bin[b][0].append(chunk.src_ip)
-                by_bin[b][1].append(ods)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_every_row_lands_in_exactly_one_shard(self, trace, n_shards):
+        from repro.flows.records import COLUMN_SPEC, FlowRecordBatch
+        from repro.io.trace import TraceReader
+
+        _, router, shards = self._shards(trace, n_shards)
         with TraceReader(trace) as reader:
-            stored = np.asarray(reader.derived_column("od"), dtype=np.int64)
-            for b in range(reader.n_bins):
-                lo, hi = reader.bin_range(b)
-                if hi == lo:
-                    assert b not in by_bin
-                    continue
-                whole = reader.read_bin(b)
-                rebuilt_src = np.concatenate(by_bin[b][0])
-                rebuilt_ods = np.concatenate(by_bin[b][1])
-                np.testing.assert_array_equal(rebuilt_src, whole.src_ip)
-                np.testing.assert_array_equal(rebuilt_ods, stored[lo:hi])
+            assert reader.has_derived == trace.name.startswith("v2")
+            bins = [reader.read_bin(b) for b in range(reader.n_bins)]
+        n_chunks = sum(-(-len(batch) // self.CHUNK_RECORDS) for batch in bins)
+        whole = FlowRecordBatch.concat(bins)
+        whole_ods = router.resolve_ods_mixed(whole.ingress_pop, whole.dst_ip)
+        assert sum(len(c) for chunks in shards for c, _ in chunks) == len(whole)
+        for shard, chunks in enumerate(shards):
+            assert all(len(chunk) for chunk, _ in chunks)
+            if n_shards > 1:  # some chunk held none of this shard's rows
+                assert len(chunks) < n_chunks
+            ods = np.concatenate([o for _, o in chunks])
+            assert (ods % n_shards == shard).all()
+            # The shard's rows are exactly the trace rows it owns, in
+            # row order, column for column.
+            owned = whole_ods % n_shards == shard
+            np.testing.assert_array_equal(ods, whole_ods[owned])
+            got = FlowRecordBatch.concat(c for c, _ in chunks)
+            for name, _ in COLUMN_SPEC:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(whole, name)[owned])
 
-    def test_stored_and_derived_ods_agree_per_stripe(self, trace):
-        source = TraceSource(trace)
-        router = Router(source.topology)
-        for chunk, ods in source.shard_batches(1, 2, router, stripe=True):
-            resolved = router.resolve_ods_mixed(chunk.ingress_pop, chunk.dst_ip)
-            np.testing.assert_array_equal(ods, resolved)
-
-    def test_single_shard_ignores_striping(self, trace):
-        source = TraceSource(trace)
-        router = Router(source.topology)
-        a = [c for c, _ in source.shard_batches(0, 1, router, stripe=True)]
-        b = [c for c, _ in source.shard_batches(0, 1, router, stripe=False)]
-        assert sum(len(c) for c in a) == sum(len(c) for c in b)
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_ods_equal_longest_prefix_match(self, trace, n_shards):
+        _, router, shards = self._shards(trace, n_shards)
+        for chunks in shards:
+            for chunk, ods in chunks:
+                np.testing.assert_array_equal(
+                    ods, router.resolve_ods_mixed(chunk.ingress_pop, chunk.dst_ip)
+                )
 
 
 class _FixtureCluster:
@@ -367,23 +384,6 @@ class TestLoopbackParity(_FixtureCluster):
         # Tiered shard accounting is per *worker*, not per aggregator.
         assert sorted(result.shard_records) == [0, 1, 2, 3]
         assert result.report.meta["tiers"] == "2x2"
-
-    def test_striping_balances_shared_trace_reads(self, fixture_env):
-        # OD-sharding splits abilene's skewed flows unevenly; row
-        # striping (opt-in) hands every worker an equal slice of each
-        # bin — and still renders the frozen fixture byte-for-byte.
-        wl = fixture_env[0]
-        result = self.run(fixture_env, n_shards=2, transport="pipe",
-                          stripe=True)
-        low, high = sorted(result.shard_records.values())
-        # At most one record of rounding per bin — never OD skew
-        # (abilene's top OD alone is thousands of records per bin).
-        assert high - low <= wl["n_bins"]
-
-    def test_striped_tcp_matches_masked_default(self, fixture_env):
-        # Both record partitions of the same trace must merge to the
-        # same canonical summaries, over either transport.
-        self.run(fixture_env, n_shards=2, transport="tcp", stripe=True)
 
 
 class TestChaosOverTcp(_FixtureCluster):
@@ -511,15 +511,6 @@ class TestRemoteWorkers:
 
 
 class TestClusterNetCli:
-    def test_oversubscribed_threads_exit_2(self, capsys):
-        code = main([
-            "cluster", "--shards", "2", "--threads", "64",
-            "--warmup-bins", "8", "--live-bins", "2", "--max-records", "5",
-            "--exact",
-        ])
-        assert code == 2
-        assert "oversubscribes" in capsys.readouterr().err
-
     def test_bad_tiers_exit_2(self, capsys):
         assert main(["cluster", "--tiers", "2x"]) == 2
         assert "tier layout" in capsys.readouterr().err

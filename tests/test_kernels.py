@@ -20,8 +20,6 @@ Four contracts pin :mod:`repro.kernels`:
   and re-frozen through ``tests/parity_fixture.py``).
 """
 
-import multiprocessing
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,7 +245,6 @@ class TestOrderingTiers:
         assert _tier(groups, values, weights) == tier
         runs = group_reduce(groups, values, weights)
         assert _as_reference(runs) == _reference(groups, values, weights)
-        assert _bundle(group_reduce(groups, values, weights, threads=3)) == _bundle(runs)
 
     def test_byte_sized_weights(self):
         rng = np.random.default_rng(1)
@@ -295,7 +292,6 @@ class TestOrderingTiers:
         assert _tier(groups, values, weights) == tier
         runs = group_reduce(groups, values, weights)
         assert _as_reference(runs) == _reference(groups, values, weights)
-        assert _bundle(group_reduce(groups, values, weights, threads=4)) == _bundle(runs)
 
     @settings(deadline=None, max_examples=60)
     @given(batch=batches, wide=st.booleans(), negative=st.booleans())
@@ -354,36 +350,6 @@ class TestDerivedRunIds:
             np.testing.assert_array_equal(rid, expected)
             # ... and therefore of neither record order nor tie order.
             np.testing.assert_array_equal(shuffled_rid, expected[shuffle])
-
-
-def _forked_reduce(columns, conn):
-    runs = group_reduce(*columns, threads=2)
-    conn.send(_bundle(runs))
-    conn.close()
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
-def test_thread_pool_survives_fork():
-    """A forked child must not submit to the parent's (threadless) pool."""
-    rng = np.random.default_rng(0)
-    columns = tuple(rng.integers(1, 50, size=5000) for _ in range(3))
-    expected = _bundle(group_reduce(*columns, threads=2))  # pool now exists
-    ctx = multiprocessing.get_context("fork")
-    parent_end, child_end = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_forked_reduce, args=(columns, child_end))
-    child.start()
-    try:
-        assert parent_end.poll(30), "forked child hung in group_reduce"
-        got = parent_end.recv()
-        child.join(30)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert got == expected
 
 
 class TestSketchBankEquivalence:

@@ -1,24 +1,16 @@
-"""The precomputed-detection fast path and the parallel kernel.
+"""The precomputed-detection fast path.
 
-Two bit-identity contracts pin this PR's perf work:
-
-* the chunked multi-threaded :func:`repro.kernels.group_reduce` must
-  return the *same bytes* as the pinned single-threaded reference for
-  any (groups, values, weights) input, at any thread count — the
-  partition boundaries and stitch order must never leak into results;
-* exact detection replayed from a version-2 trace's derived columns
-  (:meth:`StreamingDetectionEngine.process_precomputed`) must render
-  detections byte-for-byte equal to the record-level engine — pinned
-  against the same frozen parity fixture the kernel path is held to
-  (``tests/data/seed_stream_detections.json``, built through
-  ``tests/parity_fixture.py``), for stored columns (v2), derive-on-read
-  (v1), and an in-place ``upgrade_trace``.
+Exact detection replayed from a version-2 trace's derived columns
+(:meth:`StreamingDetectionEngine.process_precomputed`) must render
+detections byte-for-byte equal to the record-level engine — pinned
+against the same frozen parity fixture the kernel path is held to
+(``tests/data/seed_stream_detections.json``, built through
+``tests/parity_fixture.py``), for stored columns (v2), derive-on-read
+(v1), and an in-place ``upgrade_trace``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from parity_fixture import FIXTURE_PATH, render, seed_workload, stream_config
 from repro import TimeBins, TrafficGenerator, abilene
@@ -33,78 +25,9 @@ from repro.io.trace import (
     verify_trace,
     write_trace,
 )
-from repro.kernels import group_reduce
 from repro.net.routing import Router
 from repro.stream import StreamConfig, StreamingDetectionEngine
 from repro.stream.replay import iter_precomputed_summaries
-
-
-def _bundle(runs):
-    """Every byte of a GroupedRuns result, for exact comparison."""
-    return (
-        runs.group_ids.tobytes(),
-        runs.starts.tobytes(),
-        runs.values.tobytes(),
-        runs.counts.tobytes(),
-        runs.entropies().tobytes(),
-    )
-
-
-class TestParallelKernelParity:
-    """threads=N must be byte-identical to the threads=1 reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=400),
-        n_groups=st.integers(min_value=1, max_value=50),
-        n_values=st.integers(min_value=1, max_value=30),
-        threads=st.integers(min_value=2, max_value=16),
-        zero_weights=st.booleans(),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_any_thread_count_matches_reference(
-        self, n, n_groups, n_values, threads, zero_weights, seed
-    ):
-        rng = np.random.default_rng(seed)
-        groups = rng.integers(0, n_groups, size=n)
-        values = rng.integers(0, n_values, size=n)
-        weights = rng.integers(0 if zero_weights else 1, 20, size=n)
-        reference = group_reduce(groups, values, weights)
-        parallel = group_reduce(groups, values, weights, threads=threads)
-        assert _bundle(parallel) == _bundle(reference)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        threads=st.integers(min_value=2, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_wide_values_lexsort_fallback_matches(self, threads, seed):
-        # Values wide enough to overflow the packed composite key force
-        # the kernel's lexsort fallback; the partitioned path must take
-        # the identical fallback per partition.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 300))
-        groups = rng.integers(0, 10, size=n)
-        values = rng.integers(0, 2**62, size=n)
-        weights = rng.integers(1, 5, size=n)
-        reference = group_reduce(groups, values, weights)
-        parallel = group_reduce(groups, values, weights, threads=threads)
-        assert _bundle(parallel) == _bundle(reference)
-
-    def test_more_threads_than_groups(self):
-        groups = np.zeros(10, dtype=np.int64)
-        values = np.arange(10, dtype=np.int64)
-        weights = np.ones(10, dtype=np.int64)
-        reference = group_reduce(groups, values, weights)
-        parallel = group_reduce(groups, values, weights, threads=32)
-        assert _bundle(parallel) == _bundle(reference)
-
-    def test_single_record_and_empty(self):
-        one = group_reduce([5], [7], [3], threads=4)
-        assert one.group_ids.tolist() == [5]
-        assert one.counts.tolist() == [3]
-        empty = group_reduce([], [], [], threads=4)
-        assert len(empty.group_ids) == 0
 
 
 def _write_batches(path, wl, batches, derive):
@@ -116,8 +39,8 @@ def _write_batches(path, wl, batches, derive):
     return writer.info
 
 
-def _engine(topology, wl, threads=1):
-    return StreamingDetectionEngine(topology, stream_config(wl, threads=threads))
+def _engine(topology, wl):
+    return StreamingDetectionEngine(topology, stream_config(wl))
 
 
 class TestPrecomputedReplayByteEquality:
@@ -145,12 +68,6 @@ class TestPrecomputedReplayByteEquality:
         report = _engine(topology, wl).process_precomputed(path)
         assert render(wl, report) == fixture_bytes
         assert report.meta["replay"] == "derive-on-read"
-
-    def test_threaded_engine_reproduces_seed_fixture(self, workload):
-        wl, topology, batches = workload
-        fixture_bytes = FIXTURE_PATH.read_bytes()
-        report = _engine(topology, wl, threads=4).process(iter(batches))
-        assert render(wl, report) == fixture_bytes
 
     def test_precomputed_summaries_match_stage_summaries(self, workload, tmp_path):
         wl, topology, batches = workload
