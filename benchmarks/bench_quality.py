@@ -8,14 +8,21 @@ intensity × sketch width × sampling rate.  The JSON result
 timestamps, rates, or machine facts — so the committed baseline diffs
 meaningfully across commits and ``tools/check_quality.py`` can gate
 precision/recall drops the way ``check_perf.py`` gates throughput.
+
+Also runs the null-calibration curve (:func:`repro.quality.null_calibration`)
+over :data:`NULL_SEEDS` and commits ``results/null_calibration.json``
+/ ``.txt``: the measured per-channel false-alarm rate on attack-free
+traffic against alpha and the calibration margins.  It is reported,
+not gated.
 """
 
 from _util import emit, run_once, write_json_result
 
-from repro.quality import quality_payload
+from repro.quality import null_calibration, quality_payload
 from repro.quality.grid import QUALITY_SEED
 
 N_FUZZED = 10
+NULL_SEEDS = tuple(range(1, 21))
 
 
 def _format_report(payload: dict) -> str:
@@ -42,6 +49,43 @@ def _format_report(payload: dict) -> str:
                 f"R {cell['channels']['any']['recall']:.2f}"
             )
     return "\n".join(lines)
+
+
+def _format_null_calibration(payload: dict) -> str:
+    shape = payload["shape"]
+    lines = [
+        f"Null calibration ({payload['scenario']}, seeds "
+        f"{payload['seeds'][0]}-{payload['seeds'][-1]}, {shape['n_bins']} bins, "
+        f"warm-up {shape['warmup_bins']}, {shape['max_records_per_od']} "
+        f"records/OD, m={shape['n_components']}, exact)",
+        f"  {'alpha':<6} {'margin':<8} {'nominal':>7}  "
+        f"{'entropy alarms  rate [95% CI]':<34} volume alarms  rate [95% CI]",
+    ]
+    for cell in payload["cells"]:
+        parts = []
+        for ch in ("entropy", "volume"):
+            c = cell["channels"][ch]
+            lo, hi = c["ci95"]
+            parts.append(
+                f"{c['alarms']:>3}/{c['scored_bins']:<4} {c['rate']:.4f} "
+                f"[{lo:.4f}, {hi:.4f}]"
+            )
+        margin = cell["margin"]
+        if margin == "default":
+            margin = f"{cell['calibration_margin']:g}/{cell['volume_calibration_margin']:g}"
+        lines.append(
+            f"  {cell['alpha']:<6} {margin:<8} {cell['nominal_rate']:>7.3f}  "
+            f"{parts[0]:<34} {parts[1]}"
+        )
+    lines.append("  (margin a/b: the engine defaults, entropy/volume)")
+    return "\n".join(lines)
+
+
+def test_null_calibration(benchmark):
+    payload = run_once(benchmark, null_calibration, NULL_SEEDS)
+    assert len(payload["cells"]) == 12
+    emit("null_calibration", _format_null_calibration(payload))
+    write_json_result("null_calibration", payload)
 
 
 def test_quality_grid(benchmark):

@@ -9,18 +9,29 @@ feature coordinates; the anomaly hypothesis is::
     h = h_typical + theta_k @ f_k
 
 with ``f_k`` the 4-vector of entropy displacement caused by flow k.
-Projecting onto the residual subspace (the typical part lives in the
-normal subspace) gives a small least-squares problem per candidate
-flow; the flow whose best-fit displacement explains the most residual
-energy is selected:
+The typical part lives in the normal subspace, so projecting onto the
+residual subspace leaves a least-squares problem per candidate; the
+flow whose best-fit displacement explains the most residual energy is
+selected:
 
     l = argmin_k  min_{f_k} || C (h - theta_k f_k) ||
 
-where C = I - P P^T is the residual projector.  Following the paper we
-re-apply the method recursively — subtract the identified component and
-repeat — until the remaining state drops below the detection threshold
-(or a flow cap is reached), which is how multi-OD-flow anomalies are
-attributed to several flows.
+where C = I - P P^T is the residual projector.  C is symmetric and
+idempotent and ``h_res = C h``, so with ``P_k`` the four rows of P at
+OD k's columns (4 x m) the normal equations need no 4p x 4 matrix:
+
+    (C theta_k)^T h_res          = h_res[theta_columns(k)]
+    (C theta_k)^T (C theta_k)    = I - P_k P_k^T
+
+The minimiser is ``f_k = G_k h_res[cols]`` with ``G_k = pinv(I - P_k
+P_k^T)`` and the remaining energy ``||h_res||^2 - f_k . h_res[cols]``.
+:func:`od_gram_pinv` builds every ``G_k`` as one ``(p, 4, 4)`` array —
+once per fitted basis — and a greedy round is then one gather, one
+batched product and one argmin over all candidates.  Following the
+paper we re-apply the method recursively — subtract the identified
+component and repeat — until the remaining state drops below the
+detection threshold (or a flow cap is reached), which is how
+multi-OD-flow anomalies are attributed to several flows.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import numpy as np
 
 from repro.flows.features import N_FEATURES
 
-__all__ = ["IdentifiedFlow", "identify_flows", "theta_columns"]
+__all__ = ["IdentifiedFlow", "identify_flows", "od_gram_pinv", "theta_columns"]
 
 MAX_FLOWS_DEFAULT = 5
 
@@ -62,22 +73,12 @@ def theta_columns(od: int, n_od_flows: int) -> np.ndarray:
     return od + n_od_flows * np.arange(N_FEATURES)
 
 
-def _best_fit(
-    h_res: np.ndarray,
-    C_theta: np.ndarray,
-    gram_pinv: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Solve ``min_f ||h_res - C_theta f||`` via cached normal equations.
-
-    With ``M = pinv(C_theta^T C_theta)`` precomputed, the minimiser is
-    ``f = M (C_theta^T h)`` and the residual norm is
-    ``||h||^2 - f . (C_theta^T h)`` — O(p) per candidate instead of a
-    full least-squares factorisation.
-    """
-    ath = C_theta.T @ h_res
-    f = gram_pinv @ ath
-    remaining = float(h_res @ h_res) - float(f @ ath)
-    return f, max(remaining, 0.0)
+def od_gram_pinv(normal_basis: np.ndarray, n_od_flows: int) -> np.ndarray:
+    """``(p, 4, 4)`` stack of ``pinv(I - P_k P_k^T)``, one block per OD."""
+    P = np.asarray(normal_basis, dtype=np.float64)
+    blocks = P.reshape(N_FEATURES, n_od_flows, -1).transpose(1, 0, 2)
+    gram = np.eye(N_FEATURES) - blocks @ blocks.transpose(0, 2, 1)
+    return np.linalg.pinv(gram)
 
 
 def identify_flows(
@@ -87,7 +88,7 @@ def identify_flows(
     threshold: float,
     max_flows: int = MAX_FLOWS_DEFAULT,
     candidates: np.ndarray | None = None,
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    gram_pinv: np.ndarray | None = None,
 ) -> list[IdentifiedFlow]:
     """Attribute an anomalous state vector to OD flows, greedily.
 
@@ -102,10 +103,10 @@ def identify_flows(
         max_flows: Hard cap on the recursion depth.
         candidates: Optional subset of OD indices to consider (speeds up
             sweeps where the injected flow set is known); defaults to
-            all p flows.
-        cache: Optional dict for memoising the projected selection
-            matrices ``C theta_k`` across calls against the same basis
-            (the multiway detector passes one per detection run).
+            all p flows.  Ties go to the earliest candidate.
+        gram_pinv: :func:`od_gram_pinv` of ``normal_basis``; callers
+            scoring many states against one basis build it once.
+            Computed here when omitted.
 
     Returns:
         Identified flows in discovery order (strongest first).  Can be
@@ -113,59 +114,36 @@ def identify_flows(
     """
     h = np.asarray(h_centered, dtype=np.float64)
     P = np.asarray(normal_basis, dtype=np.float64)
-    if h.ndim != 1 or h.size != N_FEATURES * n_od_flows:
+    p = n_od_flows
+    if h.ndim != 1 or h.size != N_FEATURES * p:
         raise ValueError("state vector has wrong length")
-    if candidates is None:
-        candidates = np.arange(n_od_flows)
-
-    def project_residual(x: np.ndarray) -> np.ndarray:
-        return x - P @ (P.T @ x)
+    live = np.arange(p) if candidates is None else np.asarray(candidates, dtype=np.intp)
+    if live.size and not (0 <= live.min() and live.max() < p):
+        raise ValueError("candidate OD index out of range")
+    if gram_pinv is None:
+        gram_pinv = od_gram_pinv(P, p)
 
     identified: list[IdentifiedFlow] = []
     current = h.copy()
-    h_res = project_residual(current)
+    h_res = current - P @ (P.T @ current)
     spe = float(h_res @ h_res)
-    if cache is None:
-        cache = {}
-    used: set[int] = set()
-    while spe > threshold and len(identified) < max_flows:
-        best_od = -1
-        best_fit: tuple[np.ndarray, float] | None = None
-        for od in candidates:
-            od = int(od)
-            if od in used:
-                continue
-            entry = cache.get(od)
-            if entry is None:
-                # C theta_k = theta_k - P (P^T theta_k); theta_k's
-                # columns are identity columns, so P^T theta_k is just
-                # four rows of P transposed — no big allocation needed.
-                cols = theta_columns(od, n_od_flows)
-                C_theta = -(P @ P[cols].T)
-                C_theta[cols, np.arange(N_FEATURES)] += 1.0
-                gram_pinv = np.linalg.pinv(C_theta.T @ C_theta)
-                entry = (C_theta, gram_pinv)
-                cache[od] = entry
-            fit = _best_fit(h_res, entry[0], entry[1])
-            if best_fit is None or fit[1] < best_fit[1]:
-                best_fit = fit
-                best_od = od
-        if best_od < 0 or best_fit is None:
-            break
-        f_k, remaining_spe = best_fit
-        if remaining_spe >= spe - 1e-15:
+    while spe > threshold and len(identified) < max_flows and live.size:
+        ath = h_res.reshape(N_FEATURES, p)[:, live].T
+        f = (gram_pinv[live] @ ath[:, :, None])[:, :, 0]
+        remaining = np.maximum(spe - (f * ath).sum(axis=1), 0.0)
+        best = int(np.argmin(remaining))
+        if remaining[best] >= spe - 1e-15:
             # No candidate explains any residual energy; stop rather
             # than loop forever.
             break
+        od = int(live[best])
         identified.append(
             IdentifiedFlow(
-                od=best_od, displacement=f_k.copy(), residual_spe=remaining_spe
+                od=od, displacement=f[best].copy(), residual_spe=float(remaining[best])
             )
         )
-        used.add(best_od)
-        cols = theta_columns(best_od, n_od_flows)
-        current = current.copy()
-        current[cols] -= f_k
-        h_res = project_residual(current)
+        live = live[live != od]
+        current[theta_columns(od, p)] -= f[best]
+        h_res = current - P @ (P.T @ current)
         spe = float(h_res @ h_res)
     return identified

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.identification import IdentifiedFlow, identify_flows
+from repro.core.identification import IdentifiedFlow, identify_flows, od_gram_pinv
 from repro.core.subspace import (
     DEFAULT_ALPHA,
     DEFAULT_N_COMPONENTS,
@@ -158,7 +158,11 @@ class MultiwaySubspaceDetector:
 
     The fitted state (normalisation scales + subspace model) can score
     tensors other than the one fitted on — the fixed-subspace mode used
-    by the injection sweeps.
+    by the injection sweeps.  Q_alpha is memoised on the fitted
+    :class:`SubspaceModel`, so scoring bin after bin against one fit
+    evaluates it once; :meth:`detect` builds the per-OD identification
+    blocks (:func:`repro.core.identification.od_gram_pinv`) at most
+    once per call and shares them across its detections.
     """
 
     def __init__(
@@ -240,17 +244,19 @@ class MultiwaySubspaceDetector:
         spe = (residuals ** 2).sum(axis=1)
         threshold = self.model.threshold(a)
         detections = []
-        id_cache: dict[int, np.ndarray] = {}
+        gram_pinv = None
         for b in np.flatnonzero(spe > threshold):
             flows: list[IdentifiedFlow] = []
             if self.identify:
+                if gram_pinv is None:
+                    gram_pinv = od_gram_pinv(self.model.normal_basis, self.n_od_flows)
                 flows = identify_flows(
                     Hn[b] - self.model.pca.mean,
                     self.model.normal_basis,
                     self.n_od_flows,
                     threshold=threshold,
                     max_flows=self.max_identified_flows,
-                    cache=id_cache,
+                    gram_pinv=gram_pinv,
                 )
             detections.append(
                 MultiwayDetection(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.identification import IdentifiedFlow, identify_flows
+from repro.core.identification import IdentifiedFlow, identify_flows, od_gram_pinv
 from repro.core.multiway import MultiwaySubspaceDetector
 from repro.core.subspace import SubspaceModel
 from repro.flows.features import N_FEATURES
@@ -67,6 +67,14 @@ class OnlineMultiwayDetector:
 
     ``refit_every`` controls periodic retraining from the sliding
     window (0 disables refits; the subspace stays frozen).
+
+    Everything that depends only on the fitted model is computed once
+    per fit (:meth:`warm_up` and every refit), never per bin: the
+    threshold (Q_alpha, calibration-floored) and, when ``identify`` is
+    on, the ``(p, 4, 4)`` identification blocks
+    (:func:`repro.core.identification.od_gram_pinv`) every alarm
+    against this fit shares.  :attr:`last_spe` holds the SPE of the
+    most recently observed bin, clean bins included.
     """
 
     def __init__(
@@ -94,7 +102,7 @@ class OnlineMultiwayDetector:
         # is-normal calibration.  0 disables it (pure Q_alpha, the
         # paper's threshold).
         self.calibration_margin = calibration_margin
-        self._empirical_threshold = 0.0
+        self._threshold = 0.0
         # Anomalous bins are excluded from the sliding buffer so attacks
         # cannot poison the normal model — but under genuine concept
         # drift that policy locks up (every bin looks anomalous and the
@@ -112,7 +120,8 @@ class OnlineMultiwayDetector:
         self._buffer: np.ndarray | None = None
         self._seen = 0
         self._since_refit = 0
-        self._id_cache: dict[int, np.ndarray] = {}
+        self._gram_pinv: np.ndarray | None = None
+        self.last_spe = 0.0
 
     @property
     def is_warm(self) -> bool:
@@ -124,9 +133,7 @@ class OnlineMultiwayDetector:
         """Current detection threshold (Q_alpha, calibration-floored)."""
         if self._detector.model is None:
             raise RuntimeError("call warm_up() first")
-        return max(
-            self._detector.model.threshold(self.alpha), self._empirical_threshold
-        )
+        return self._threshold
 
     def warm_up(self, history: np.ndarray) -> None:
         """Fit on a historical tensor and seed the sliding buffer."""
@@ -136,19 +143,23 @@ class OnlineMultiwayDetector:
         if history.shape[0] < 8:
             raise ValueError("history too short")
         self._buffer = history[-self.window :].copy()
-        self._detector.fit(self._buffer)
-        self._calibrate()
-        self._id_cache.clear()
+        self._fit()
         self._seen = history.shape[0]
-        self._since_refit = 0
 
-    def _calibrate(self) -> None:
-        """Empirical threshold floor: margin * max in-window SPE."""
-        self._empirical_threshold = 0.0
-        if not self.calibration_margin:
-            return
-        window_spe = self._detector.score(self._buffer).spe
-        self._empirical_threshold = float(self.calibration_margin * window_spe.max())
+    def _fit(self) -> None:
+        """Fit the buffer; compute everything that depends only on the fit."""
+        self._detector.fit(self._buffer)
+        model = self._detector.model
+        self._threshold = model.threshold(self.alpha)
+        if self.calibration_margin:
+            # Empirical floor: margin * max in-window SPE.
+            window_spe = self._detector.score(self._buffer).spe
+            self._threshold = max(
+                self._threshold, float(self.calibration_margin * window_spe.max())
+            )
+        if self.identify:
+            self._gram_pinv = od_gram_pinv(model.normal_basis, self._detector.n_od_flows)
+        self._since_refit = 0
 
     def observe(self, bin_entropy: np.ndarray) -> OnlineDetection | None:
         """Score one new bin; returns a detection or None.
@@ -166,11 +177,10 @@ class OnlineMultiwayDetector:
                 f"observation shape {obs.shape} != {self._buffer.shape[1:]}"
             )
         tensor = obs[None, :, :]
-        result = self._detector.score(tensor)
-        threshold = max(result.threshold, self._empirical_threshold)
+        threshold = self._threshold
         bin_index = self._seen
         self._seen += 1
-        spe = float(result.spe[0])
+        spe = self.last_spe = float(self._detector.score(tensor).spe[0])
         if spe > threshold:
             self._consecutive_hits += 1
             flows: list[IdentifiedFlow] = []
@@ -182,7 +192,7 @@ class OnlineMultiwayDetector:
                     model.normal_basis,
                     self._detector.n_od_flows,
                     threshold=threshold,
-                    cache=self._id_cache,
+                    gram_pinv=self._gram_pinv,
                 )
             if (
                 self.drift_reset_after
@@ -204,10 +214,7 @@ class OnlineMultiwayDetector:
         self._since_refit += 1
         due = self.refit_every and self._since_refit >= self.refit_every
         if force_refit or due:
-            self._detector.fit(self._buffer)
-            self._calibrate()
-            self._id_cache.clear()
-            self._since_refit = 0
+            self._fit()
 
 
 class OnlineVolumeDetector:

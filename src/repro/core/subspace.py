@@ -22,7 +22,7 @@ appeared at m ~ 10 (85% of variance); both selection rules are offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -141,10 +141,15 @@ def q_threshold(residual_eigenvalues: np.ndarray, alpha: float) -> float:
 
 @dataclass
 class SubspaceModel:
-    """A fitted normal/residual split of a metric ensemble."""
+    """A fitted normal/residual split of a metric ensemble.
+
+    A model is immutable once fitted (every refit builds a new one), so
+    :meth:`threshold` memoises Q_alpha per ``alpha``.
+    """
 
     pca: PCAModel
     n_components: int
+    _thresholds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_components <= self.pca.n_effective:
@@ -202,8 +207,11 @@ class SubspaceModel:
         return (res ** 2).sum(axis=1)
 
     def threshold(self, alpha: float = DEFAULT_ALPHA) -> float:
-        """Q_alpha for this model's residual spectrum."""
-        return q_threshold(self.residual_eigenvalues, alpha)
+        """Q_alpha for this model's residual spectrum (memoised)."""
+        q = self._thresholds.get(alpha)
+        if q is None:
+            q = self._thresholds[alpha] = q_threshold(self.residual_eigenvalues, alpha)
+        return q
 
 
 @dataclass

@@ -140,7 +140,7 @@ class EntropyMultiwayDetector(BinDetector):
         hit = self.detector.observe(summary.entropy)
         return DetectorVerdict(
             hit=hit is not None,
-            spe=hit.spe if hit is not None else 0.0,
+            spe=self.detector.last_spe,
             threshold=threshold,
             flows=hit.flows if hit is not None else [],
         )

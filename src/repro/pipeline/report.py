@@ -38,8 +38,8 @@ class StreamDetection:
 
     Attributes:
         bin: Global bin index.
-        spe_entropy: Multiway SPE of the bin (0 for clean bins; the
-            online detector only reports SPE on detections).
+        spe_entropy: Multiway SPE of the bin, clean bins included (0
+            only when the bank runs no entropy detector).
         threshold: Q threshold the SPE was compared against.
         detected_by_entropy: Multiway SPE exceeded the threshold.
         detected_by_volume: Packet or byte row exceeded its threshold.

@@ -11,9 +11,13 @@ answers "did it get slower?"; this package answers "did it get
   and OD-identification accuracy per detection channel;
 * :mod:`repro.quality.grid` — the labeled accuracy grid over
   intensity × sketch width × sampling rate, and the bit-reproducible
-  baseline payload ``tools/check_quality.py`` gates CI on.
+  baseline payload ``tools/check_quality.py`` gates CI on;
+* :mod:`repro.quality.calibration` — the null-calibration curve: the
+  measured per-channel false-alarm rate on attack-free traffic against
+  alpha and the calibration margins, with Clopper–Pearson intervals.
 """
 
+from repro.quality.calibration import clopper_pearson, null_calibration
 from repro.quality.fuzzer import (
     FuzzSpec,
     FuzzedScenarioSource,
@@ -35,9 +39,11 @@ __all__ = [
     "FuzzSpec",
     "FuzzedScenarioSource",
     "QUALITY_SEED",
+    "clopper_pearson",
     "fuzz_scenario",
     "fuzz_sources",
     "match_bins",
+    "null_calibration",
     "quality_config",
     "quality_payload",
     "run_grid",

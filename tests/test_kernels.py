@@ -492,3 +492,17 @@ class TestSeedDetectionByteEquality:
         assert rendered == parity_fixture.FIXTURE_PATH.read_bytes()
         # The planted scan must actually be caught for this to mean much.
         assert parity_fixture.scan_caught(wl, report)
+
+    def test_every_scored_bin_carries_its_entropy_spe(self):
+        """Clean bins report their SPE too, and the entropy flag is
+        exactly "SPE above the threshold"."""
+        wl, topology, batches = parity_fixture.seed_workload()
+        engine = StreamingDetectionEngine(
+            topology, parity_fixture.stream_config(wl)
+        )
+        report = engine.process(batches)
+        assert report.detections
+        assert not all(d.detected_by_entropy for d in report.detections)
+        for d in report.detections:
+            assert d.spe_entropy > 0, d.bin
+            assert d.detected_by_entropy == (d.spe_entropy > d.threshold), d.bin

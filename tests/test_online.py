@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import subspace
 from repro.core.online import OnlineClassifier, OnlineMultiwayDetector
+from repro.core.subspace import SubspaceModel
 from repro.flows.features import N_FEATURES
+from repro.pipeline.bank import DetectorBank
+from repro.stream.engine import StreamConfig
+from repro.stream.window import BinSummary
 
 
 def _tensor(t=600, p=10, noise=0.01, seed=0):
@@ -72,6 +77,65 @@ class TestOnlineMultiwayDetector:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             OnlineMultiwayDetector(window=2)
+
+
+class TestThresholdOncePerFit:
+    """Q_alpha depends only on the fitted model and alpha, so a scored
+    stream evaluates it once per fitted model — never per bin — and a
+    refit's new model gets its own."""
+
+    @staticmethod
+    def _summaries(t=60, p=10, seed=3):
+        rng = np.random.default_rng(seed)
+        entropy = _tensor(t=t, p=p, seed=seed)
+        packets = rng.uniform(1e4, 2e4, size=(t, p))
+        return [
+            BinSummary(bin=b, entropy=entropy[b], packets=packets[b],
+                       bytes=40 * packets[b], n_records=100)
+            for b in range(t)
+        ]
+
+    @staticmethod
+    def _bank(**overrides):
+        return DetectorBank(
+            StreamConfig(warmup_bins=40, n_components=4, exact_histograms=True, **overrides)
+        )
+
+    def test_evaluated_once_per_fitted_model(self, monkeypatch):
+        calls, fits = [], []
+        real_q = subspace.q_threshold
+        real_fit = SubspaceModel.fit.__func__
+
+        def counting_q(lam, alpha):
+            calls.append(alpha)
+            return real_q(lam, alpha)
+
+        def counting_fit(cls, *args, **kwargs):
+            fits.append(1)
+            return real_fit(cls, *args, **kwargs)
+
+        monkeypatch.setattr(subspace, "q_threshold", counting_q)
+        monkeypatch.setattr(SubspaceModel, "fit", classmethod(counting_fit))
+        bank = self._bank(refit_every=0, drift_reset_after=0)
+        verdicts = [bank.observe(s) for s in self._summaries()]
+        assert sum(v is not None for v in verdicts) == 20
+        assert len(fits) == 3  # entropy + packets + bytes, fitted once
+        assert len(calls) == len(fits)
+
+    def test_verdict_threshold_follows_the_current_model(self):
+        bank = self._bank(refit_every=4, calibration_margin=0.0)
+        entropy = bank.detectors["entropy"].detector
+        models = set()
+        for summary in self._summaries():
+            model = entropy._detector.model
+            verdict = bank.observe(summary)
+            if verdict is None:
+                continue
+            models.add(id(model))
+            assert verdict.threshold == subspace.q_threshold(
+                model.residual_eigenvalues, entropy.alpha
+            )
+        assert len(models) >= 3  # refits happened while scoring
 
 
 class TestOnlineClassifier:
