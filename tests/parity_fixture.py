@@ -1,4 +1,4 @@
-"""The frozen mode-parity workload: one builder, one renderer, one file.
+"""The frozen mode-parity workload: one builder, one renderer, two files.
 
 ``tests/data/seed_stream_detections.json`` pins the detections of one
 small workload (Abilene, 28 bins, a port scan planted in bin 22) so
@@ -8,8 +8,14 @@ byte-for-byte to a single answer.  The file stores its own workload
 block; everything that turns that block into records, an engine config
 and rendered bytes lives here, shared by ``test_kernels.py``,
 ``test_trace_precompute.py``, ``test_cluster_net.py`` and
-``tools/freeze_parity_fixture.py`` (which rewrites the file, or with
+``tools/freeze_parity_fixture.py`` (which rewrites the files, or with
 ``--check`` reports drift).
+
+``tests/data/seed_stream_sketch_detections.json`` pins the same
+workload in sketch mode (Count-Min histograms, default 2048 × 4
+geometry): the same rows plus every bin's entropy SPE as
+``float.hex()``, so any change to the sketch's hashing or estimator
+that moves a counter shows up as a byte diff.
 
 The detections are a function of the synthesised records, so a PR that
 changes record synthesis or detector calibration on purpose re-freezes
@@ -28,6 +34,7 @@ from repro.net.addressing import EPHEMERAL_PORT_START
 from repro.stream import StreamConfig, synthetic_record_stream
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "seed_stream_detections.json"
+SKETCH_FIXTURE_PATH = FIXTURE_PATH.with_name("seed_stream_sketch_detections.json")
 
 
 def load_workload() -> dict:
@@ -84,28 +91,33 @@ def seed_workload():
     return wl, topology, batches
 
 
-def stream_config(wl) -> StreamConfig:
-    """The exact-mode engine config the fixture was frozen under."""
+def stream_config(wl, exact: bool = True) -> StreamConfig:
+    """The engine config a fixture was frozen under (``exact=False``:
+    the sketch fixture's default Count-Min geometry)."""
     return StreamConfig(
         warmup_bins=wl["warmup_bins"],
         n_components=6,
         refit_every=0,
-        exact_histograms=True,
+        exact_histograms=exact,
     )
 
 
-def detection_rows(report) -> list[dict]:
-    """One JSON-ready row per scored bin of a streaming report."""
-    return [
-        {
+def detection_rows(report, spe: bool = False) -> list[dict]:
+    """One JSON-ready row per scored bin of a streaming report; ``spe``
+    adds the bin's entropy SPE, bit-exact as ``float.hex()``."""
+    rows = []
+    for d in report.detections:
+        row = {
             "bin": int(d.bin),
             "entropy": bool(d.detected_by_entropy),
             "volume": bool(d.detected_by_volume),
             "ods": [int(f.od) for f in d.flows],
             "cluster": None if d.cluster is None else int(d.cluster),
         }
-        for d in report.detections
-    ]
+        if spe:
+            row["spe_entropy"] = float(d.spe_entropy).hex()
+        rows.append(row)
+    return rows
 
 
 def scan_caught(wl, report) -> bool:
@@ -118,7 +130,8 @@ def scan_caught(wl, report) -> bool:
     )
 
 
-def render(wl, report) -> bytes:
-    """The fixture file's bytes for ``report`` over workload ``wl``."""
-    payload = {"workload": wl, "detections": detection_rows(report)}
+def render(wl, report, spe: bool = False) -> bytes:
+    """A fixture file's bytes for ``report`` over workload ``wl`` (the
+    sketch fixture renders with ``spe=True``)."""
+    payload = {"workload": wl, "detections": detection_rows(report, spe)}
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

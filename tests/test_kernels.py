@@ -506,3 +506,19 @@ class TestSeedDetectionByteEquality:
         for d in report.detections:
             assert d.spe_entropy > 0, d.bin
             assert d.detected_by_entropy == (d.spe_entropy > d.threshold), d.bin
+
+
+class TestSeedSketchDetectionByteEquality:
+    """Sketch-mode detections, entropy SPEs included, must match their
+    frozen fixture: a hashing or estimator change that moves any
+    Count-Min counter moves an SPE bit."""
+
+    def test_sketch_mode_reproduces_seed_output(self):
+        wl, topology, batches = parity_fixture.seed_workload()
+        engine = StreamingDetectionEngine(
+            topology, parity_fixture.stream_config(wl, exact=False)
+        )
+        report = engine.process(batches)
+        rendered = parity_fixture.render(wl, report, spe=True)
+        assert rendered == parity_fixture.SKETCH_FIXTURE_PATH.read_bytes()
+        assert parity_fixture.scan_caught(wl, report)
