@@ -34,11 +34,13 @@ def _format_report(payload: dict) -> str:
     ]
     for name, entry in payload["scenarios"].items():
         ch = entry["channels"]["any"]
+        en = entry["channels"]["entropy"]
         lines.append(
             f"  {name:<18} {entry['events']} events: "
             f"P {ch['precision']:.2f} R {ch['recall']:.2f} "
             f"F1 {ch['f1']:.2f} "
-            f"(entropy R {entry['channels']['entropy']['recall']:.2f})"
+            f"(entropy R {en['recall']:.2f}, misassigned "
+            f"{en['cluster_errors']}/{en['cluster_total']})"
         )
     lines.append("  grid (any-channel recall by sampling rate, exact sketch):")
     for cell in payload["grid"]:

@@ -62,6 +62,50 @@ def _hash_params(width: int, depth: int, seed: int) -> tuple[np.ndarray, np.ndar
     return params
 
 
+def hash_columns(
+    a: np.ndarray, b: np.ndarray, values, width: int
+) -> np.ndarray:
+    """Count-Min columns, ``(depth, n)`` int64, of ``values`` per row.
+
+    The one hash every sketch path uses (:class:`CountMinSketch` and
+    :class:`SketchBank`, hence stream, cluster and quality-grid sketch
+    modes).  Row ``r`` maps an int64 value ``v`` to::
+
+        h = a[r] * (v mod p) + b[r]     # int64: wraps modulo 2**64
+        column = (h mod p) mod width    # floor mod: both in [0, p)
+
+    with ``p = 2**61 - 1``.  The product ``a[r] * (v mod p)`` (up to
+    122 bits) wraps to a signed 64-bit word *before* the ``mod p``, so
+    this is not the pairwise-independent family ``(a·v + b) mod p``
+    that the Count-Min error bound assumes; it is, bit for bit, what
+    every sketch in this repository has always computed.  Whether to
+    change it is ROADMAP item 9(4)'s decision: any change moves every
+    counter and re-freezes the sketch parity fixture.
+
+    numpy does not vectorise int64 ``%`` (about 7 ns per element) but
+    does vectorise floor division by a scalar, so each ``mod`` here is
+    ``x - (x // m) * m`` (Python floor semantics, exact under int64
+    wrap-around because the true result lies in ``[0, m)``), a
+    power-of-two ``width`` is a mask, and the ``v mod p`` pass is
+    skipped when every value already lies in ``[0, p)``.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and (v.min() < 0 or v.max() >= _PRIME):
+        v = v - (v // _PRIME) * _PRIME
+    h = np.multiply.outer(a, v)
+    h += b[:, None]
+    q = h // _PRIME
+    q *= _PRIME
+    h -= q
+    if width & (width - 1) == 0:
+        h &= width - 1
+    else:
+        np.floor_divide(h, width, out=q)
+        q *= width
+        h -= q
+    return h
+
+
 def aggregate_histogram(
     values: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,6 +145,11 @@ def canonical_histogram(
 class CountMinSketch:
     """Count-Min sketch with conservative update.
 
+    Values are int64.  Each of the ``depth`` rows hashes a value to a
+    column with :func:`hash_columns` — an int64-wrapping variant of
+    ``(a·v + b) mod p``, not the pairwise-independent family the
+    classic error bound assumes (see there, and ROADMAP item 9(4)).
+
     Args:
         width: Counters per row (error ~ total/width).
         depth: Independent hash rows (failure prob ~ exp(-depth)).
@@ -120,8 +169,7 @@ class CountMinSketch:
         self._distinct_estimate: set[int] = set()
 
     def _rows(self, value: int) -> np.ndarray:
-        hashed = (self._a * np.int64(value % _PRIME) + self._b) % _PRIME
-        return (hashed % self.width).astype(np.int64)
+        return self._cols_many([value])[:, 0]
 
     def add(self, value: int, count: int = 1) -> None:
         """Add ``count`` packets carrying ``value`` (conservative update)."""
@@ -147,9 +195,7 @@ class CountMinSketch:
 
     def _cols_many(self, values: np.ndarray) -> np.ndarray:
         """Column indices, ``(depth, n)``, for an array of values."""
-        v = np.asarray(values, dtype=np.int64) % _PRIME
-        hashed = (self._a[:, None] * v[None, :] + self._b[:, None]) % _PRIME
-        return (hashed % self.width).astype(np.int64)
+        return hash_columns(self._a, self._b, values, self.width)
 
     def add_histogram(self, values: np.ndarray, counts: np.ndarray) -> None:
         """Vectorised bulk add of a (values, counts) histogram.
@@ -326,6 +372,14 @@ class SketchBank:
             )
         return slots
 
+    def _cells(self, slots: np.ndarray, values) -> np.ndarray:
+        """Flat ``tables`` indices, ``(depth, n)``, of every value's
+        counters in its slot (``slots`` holds one slot per value)."""
+        flat = hash_columns(self._a, self._b, values, self.width)
+        flat += np.arange(0, self.depth * self.width, self.width)[:, None]
+        flat += slots * (self.depth * self.width)
+        return flat
+
     def update(
         self, group_ids: np.ndarray, starts: np.ndarray,
         values: np.ndarray, counts: np.ndarray,
@@ -343,12 +397,7 @@ class SketchBank:
         with tel.span("sketch.update"):
             slots = self._slots_for(group_ids, allocate=True)
             slot_per_run = np.repeat(slots, np.diff(starts))
-            v = np.asarray(values, dtype=np.int64) % _PRIME
-            cols = (self._a[:, None] * v[None, :] + self._b[:, None]) % _PRIME % self.width
-            rows = np.arange(self.depth, dtype=np.int64)
-            flat = (
-                (slot_per_run[None, :] * self.depth + rows[:, None]) * self.width + cols
-            )
+            flat = self._cells(slot_per_run, values)
             flat_tables = self.tables.reshape(-1)
             gathered = flat_tables[flat]
             estimates = gathered.min(axis=0)
@@ -414,13 +463,7 @@ class SketchBank:
         if len(values) == 0:
             return np.zeros(0, dtype=np.int64), totals
         slot_per_value = np.repeat(slots, lengths)
-        v = values % _PRIME
-        cols = (self._a[:, None] * v[None, :] + self._b[:, None]) % _PRIME % self.width
-        rows = np.arange(self.depth, dtype=np.int64)
-        flat = (
-            (np.maximum(slot_per_value, 0)[None, :] * self.depth + rows[:, None])
-            * self.width + cols
-        )
+        flat = self._cells(np.maximum(slot_per_value, 0), values)
         estimates = self.tables.reshape(-1)[flat].min(axis=0)
         estimates[slot_per_value < 0] = 0
         return estimates, totals

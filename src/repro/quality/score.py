@@ -6,7 +6,7 @@ scored verdicts (:class:`repro.pipeline.report.StreamDetection`).  The
 scorer matches them per detection channel (``entropy``, ``volume``,
 ``any``) with a greedy one-to-one bin matching under a tolerance
 window, and reduces the matching to the usual retrieval quartet plus
-two pipeline-specific measures:
+three pipeline-specific measures:
 
 * **precision / recall / F1** — over bins; a run with no events and no
   detections is vacuously perfect (that is the ``baseline-diurnal``
@@ -16,6 +16,11 @@ two pipeline-specific measures:
 * **OD accuracy** — entropy channel only: of the matched events, the
   fraction whose target OD flow appears among the detection's
   identified flows (the paper's identification step).
+* **cluster misassignment** — entropy channel only: of the matched
+  events whose detection the online classifier assigned a cluster, how
+  many disagree with the event's ground-truth label under the best
+  one-to-one cluster → label map (the paper's Fig 7 metric, per run:
+  cluster ids are local to one run's classifier).
 
 Scores are plain counter bundles, so per-workload scores combine
 exactly (:meth:`DetectorScore.merge`) into grid-cell or fleet-level
@@ -25,6 +30,9 @@ aggregates without re-running anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "CHANNELS",
@@ -85,6 +93,10 @@ class DetectorScore:
         latency_total: Summed latency (bins) over the matches.
         od_total: Matches eligible for OD identification scoring.
         od_matched: Eligible matches whose event OD was identified.
+        cluster_total: Matches whose detection carries a cluster
+            (entropy channel only).
+        cluster_errors: Of those, the events whose label the best
+            one-to-one cluster → label map gets wrong.
     """
 
     detector: str
@@ -94,6 +106,8 @@ class DetectorScore:
     latency_total: int = 0
     od_total: int = 0
     od_matched: int = 0
+    cluster_total: int = 0
+    cluster_errors: int = 0
 
     @property
     def precision(self) -> float:
@@ -135,6 +149,8 @@ class DetectorScore:
             latency_total=self.latency_total + other.latency_total,
             od_total=self.od_total + other.od_total,
             od_matched=self.od_matched + other.od_matched,
+            cluster_total=self.cluster_total + other.cluster_total,
+            cluster_errors=self.cluster_errors + other.cluster_errors,
         )
 
     def to_dict(self) -> dict:
@@ -151,6 +167,8 @@ class DetectorScore:
         out["latency_bins"] = None if latency is None else round(latency, 6)
         od = self.od_accuracy
         out["od_accuracy"] = None if od is None else round(od, 6)
+        out["cluster_total"] = self.cluster_total
+        out["cluster_errors"] = self.cluster_errors
         return out
 
 
@@ -162,6 +180,20 @@ def _channel_detections(report, channel):
     if channel == "any":
         return [d for d in report.detections if d.detected]
     raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
+
+
+def _misassigned(clusters, labels) -> int:
+    """Disagreements under the best one-to-one cluster → label map.
+
+    Unequal numbers of clusters and labels leave the unmapped side's
+    members counted as errors.
+    """
+    cluster_ids, rows = np.unique(np.asarray(clusters), return_inverse=True)
+    label_ids, cols = np.unique(np.asarray(labels), return_inverse=True)
+    table = np.zeros((len(cluster_ids), len(label_ids)), dtype=np.int64)
+    np.add.at(table, (rows, cols), 1)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return len(clusters) - int(table[rows, cols].sum())
 
 
 def score_report(
@@ -186,15 +218,22 @@ def score_report(
         by_bin = {d.bin: d for d in detections}
         pairs = match_bins(event_bins, by_bin, tolerance_bins)
         latency = sum(d - event_bins[i] for i, d in pairs)
-        od_total = od_matched = 0
+        od_total = od_matched = cluster_errors = 0
+        classified = []
         if channel == "entropy":
-            # OD identification is the entropy method's deliverable;
-            # the volume baseline never names a flow.
+            # OD identification and classification are the entropy
+            # method's deliverables; the volume baseline never names a
+            # flow or a type.
             od_total = len(pairs)
             for i, d in pairs:
                 flows = by_bin[d].flows
                 if any(f.od == events[i].od for f in flows):
                     od_matched += 1
+            classified = [(i, d) for i, d in pairs if by_bin[d].cluster >= 0]
+            cluster_errors = _misassigned(
+                [by_bin[d].cluster for _, d in classified],
+                [events[i].label for i, _ in classified],
+            )
         scores[channel] = DetectorScore(
             detector=channel,
             tp=len(pairs),
@@ -203,5 +242,7 @@ def score_report(
             latency_total=latency,
             od_total=od_total,
             od_matched=od_matched,
+            cluster_total=len(classified),
+            cluster_errors=cluster_errors,
         )
     return scores

@@ -353,24 +353,30 @@ class TestDerivedRunIds:
 
 
 class TestSketchBankEquivalence:
-    def test_bank_matches_per_group_sketches_exactly(self):
+    @pytest.mark.parametrize("width, values", [
+        (128, (0, 4000)),
+        # A non-power-of-two width and values mostly outside [0, 2**61 - 1)
+        # take both of hash_columns' floor-division branches.
+        (1000, (-(1 << 63), (1 << 63) - 1)),
+    ])
+    def test_bank_matches_per_group_sketches_exactly(self, width, values):
         rng = np.random.default_rng(13)
-        bank = SketchBank(width=128, depth=4, seed=3)
+        bank = SketchBank(width=width, depth=4, seed=3)
         refs = {}
         for _ in range(5):
             n = int(rng.integers(1, 300))
             g = rng.integers(0, 11, size=n)
-            v = rng.integers(0, 4000, size=n)
+            v = rng.integers(*values, size=n)
             w = rng.integers(0, 5, size=n)
             runs = group_reduce(g, v, w)
             bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
             for i, gid in enumerate(runs.group_ids):
                 ref = refs.setdefault(
-                    int(gid), CountMinSketch(width=128, depth=4, seed=3)
+                    int(gid), CountMinSketch(width=width, depth=4, seed=3)
                 )
                 ref.add_histogram(*runs.slice(i))
         assert sorted(bank.group_ids) == sorted(refs)
-        probe = rng.integers(0, 4000, size=64)
+        probe = rng.integers(*values, size=64)
         for gid, ref in refs.items():
             got = bank.sketch(gid)
             np.testing.assert_array_equal(got.table, ref.table)

@@ -6,7 +6,7 @@ Covers the contracts the quality gate stands on:
   schedule and records, in any process (pickle round-trip through
   ``build_source``) — and sweeping the grid knobs perturbs magnitudes
   only, never the (bin, OD, label) schedule;
-* the scorer's matching, vacuous edges, latency/OD bookkeeping, and
+* the scorer's matching, vacuous edges, latency/OD/cluster bookkeeping, and
   lossless merge;
 * events thinned to zero packets stay in the ground truth but
   materialise no records;
@@ -200,7 +200,7 @@ class TestZeroPacketEvents:
 # -- scorer ----------------------------------------------------------------
 
 
-def _detection(b, entropy=False, volume=False, flows=()):
+def _detection(b, entropy=False, volume=False, flows=(), cluster=-1):
     return StreamDetection(
         bin=b,
         spe_entropy=1.0 if entropy else 0.0,
@@ -208,6 +208,7 @@ def _detection(b, entropy=False, volume=False, flows=()):
         detected_by_entropy=entropy,
         detected_by_volume=volume,
         flows=[SimpleNamespace(od=od) for od in flows],
+        cluster=cluster,
     )
 
 
@@ -221,8 +222,8 @@ def _report(detections):
     )
 
 
-def _event(b, od=0):
-    return SimpleNamespace(bin=b, od=od)
+def _event(b, od=0, label="dos"):
+    return SimpleNamespace(bin=b, od=od, label=label)
 
 
 class TestMatchBins:
@@ -288,11 +289,53 @@ class TestScoreReport:
         assert scores["volume"].od_accuracy is None
         assert scores["any"].od_accuracy is None
 
+    def test_cluster_misassignment_under_the_best_bijection(self):
+        events = [_event(b, label=lab) for b, lab in
+                  [(2, "dos"), (4, "dos"), (6, "worm"), (8, "worm"), (10, "dos")]]
+        report = _report([
+            _detection(2, entropy=True, cluster=1),
+            _detection(4, entropy=True, cluster=1),
+            _detection(6, entropy=True, cluster=0),
+            _detection(8, entropy=True, cluster=1),   # misassigned
+            _detection(10, entropy=True),             # never classified
+        ])
+        scores = score_report(events, report, tolerance_bins=0)
+        entropy = scores["entropy"]
+        assert (entropy.cluster_total, entropy.cluster_errors) == (4, 1)
+        assert (scores["any"].cluster_total, scores["any"].cluster_errors) == (0, 0)
+        payload = entropy.to_dict()
+        assert (payload["cluster_total"], payload["cluster_errors"]) == (4, 1)
+
+    def test_cluster_errors_equal_fig7_best_assignment(self):
+        from repro.experiments.fig7_known_clusters import (
+            _TYPES,
+            _best_assignment_errors,
+        )
+
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            labels = [_TYPES[t] for t in rng.integers(0, 3, size=n)]
+            clusters = rng.integers(0, 3, size=n).tolist()
+            events = [_event(2 * b, label=lab) for b, lab in enumerate(labels)]
+            report = _report([
+                _detection(2 * b, entropy=True, cluster=c)
+                for b, c in enumerate(clusters)
+            ])
+            entropy = score_report(events, report, tolerance_bins=0)["entropy"]
+            assert entropy.cluster_total == n
+            assert entropy.cluster_errors == _best_assignment_errors(
+                labels, np.array(clusters)
+            )
+
     def test_merge_is_lossless_and_guarded(self):
-        a = DetectorScore("any", tp=2, fp=1, fn=0, latency_total=3)
-        b = DetectorScore("any", tp=1, fp=0, fn=2, latency_total=0)
+        a = DetectorScore("any", tp=2, fp=1, fn=0, latency_total=3,
+                          cluster_total=2, cluster_errors=1)
+        b = DetectorScore("any", tp=1, fp=0, fn=2, latency_total=0,
+                          cluster_total=1, cluster_errors=0)
         merged = a.merge(b)
         assert (merged.tp, merged.fp, merged.fn) == (3, 1, 2)
+        assert (merged.cluster_total, merged.cluster_errors) == (3, 1)
         assert merged.mean_latency_bins == pytest.approx(1.0)
         with pytest.raises(ValueError, match="merge"):
             a.merge(DetectorScore("entropy"))

@@ -1,10 +1,14 @@
-"""Sketch-mode streaming state: array candidate store and bank reuse.
+"""Sketch-mode streaming state: the column hash, array candidate store
+and bank reuse.
 
-The accumulator keeps candidate values as kernel runs and reuses one
-:class:`SketchBank` per feature across bins.  Both are checked against
-references kept here: the set-based candidate store the accumulator
-used before (bitwise, through the same estimator), and per-OD
-:class:`CountMinSketch` objects built from scratch for every bin.
+Every sketch path hashes through :func:`hash_columns`; it is checked
+against the literal ``%`` expression it replaced (kept here as the
+reference) and pinned on a few values.  The accumulator keeps candidate
+values as kernel runs and reuses one :class:`SketchBank` per feature
+across bins.  Both are checked against references kept here: the
+set-based candidate store the accumulator used before (bitwise, through
+the same estimator), and per-OD :class:`CountMinSketch` objects built
+from scratch for every bin.
 """
 
 from unittest import mock
@@ -18,8 +22,10 @@ from repro.flows.records import FlowRecordBatch
 from repro.flows.sketches import (
     CountMinSketch,
     SketchBank,
+    _hash_params,
     entropy_from_sketch,
     entropy_from_sketch_runs,
+    hash_columns,
 )
 from repro.kernels import group_reduce
 from repro.net.topology import abilene
@@ -28,6 +34,68 @@ from repro.stream.window import BinAccumulator, StreamFeatureStage
 
 P = 6
 WIDTH = 64
+PRIME = (1 << 61) - 1
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def reference_columns(a, b, values, width):
+    """The column hash exactly as every sketch path spelled it before
+    :func:`hash_columns`: numpy int64 ``%`` throughout."""
+    v = np.asarray(values, dtype=np.int64) % PRIME
+    return (a[:, None] * v[None, :] + b[:, None]) % PRIME % width
+
+
+int64_values = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.integers(0, 1 << 32),
+    st.integers(-3, 3),
+    st.sampled_from([
+        INT64_MIN, INT64_MIN + 1, INT64_MAX, PRIME - 1, PRIME, PRIME + 1,
+        2 * PRIME, -PRIME, -PRIME - 1,
+    ]),
+)
+
+
+class TestHashColumns:
+    @given(
+        st.lists(int64_values, max_size=40),
+        st.one_of(st.sampled_from([8, 16, 256, 1024, 2048, 4096]),
+                  st.integers(8, 4096)),
+        st.integers(1, 6),
+        st.integers(0, 1 << 32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_modulo_expression(self, values, width, depth, seed):
+        a, b = _hash_params(width, depth, seed)
+        values = np.array(values, dtype=np.int64)
+        got = hash_columns(a, b, values, width)
+        assert got.dtype == np.int64 and got.shape == (depth, len(values))
+        np.testing.assert_array_equal(got, reference_columns(a, b, values, width))
+
+    def test_pinned_columns_at_the_default_seed(self):
+        """Geometry (2048, 4, 0).  ``a·v`` wraps modulo 2**64 before the
+        ``mod p``, so the hash is not pairwise independent: 0 and 49152,
+        or 65535 and 2**31 - 1, land at most two columns apart."""
+        pinned = {
+            0: [5, 616, 1735, 694],
+            1: [1837, 711, 1450, 124],
+            80: [1160, 1993, 1383, 153],
+            443: [570, 1295, 2012, 86],
+            49152: [7, 618, 1737, 692],
+            65535: [218, 518, 2023, 1262],
+            (1 << 31) - 1: [218, 519, 2024, 1262],
+            PRIME: [5, 616, 1735, 694],
+            INT64_MAX: [1406, 900, 878, 1032],
+            -1: [436, 425, 260, 1831],
+            INT64_MIN: [1082, 149, 1117, 1493],
+        }
+        sketch = CountMinSketch(width=2048, depth=4, seed=0)
+        values = np.array(list(pinned), dtype=np.int64)
+        assert hash_columns(sketch._a, sketch._b, values, 2048).T.tolist() == list(
+            pinned.values()
+        )
+        for value, cols in pinned.items():
+            assert sketch._rows(value).tolist() == cols
 
 
 def _batch(rows, timestamps=None):
