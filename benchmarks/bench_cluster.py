@@ -1,6 +1,6 @@
 """Benchmarks the sharded cluster runner's ingest-throughput scaling.
 
-Runs the same synthetic workload through :func:`repro.cluster.run_cluster`
+Runs the same synthetic workload through :func:`repro.cluster.run_cluster_source`
 at 1, 2 and 4 workers and records the records/sec curve — the number
 that matters for the distributed deployment is how ingest scales when
 record materialisation and per-shard reduction fan out across
@@ -20,7 +20,8 @@ import os
 
 from _util import emit, run_once, write_json_result
 
-from repro.cluster import run_cluster
+from repro.cluster import run_cluster_source
+from repro.pipeline import SyntheticSource
 from repro.stream import StreamConfig
 
 WORKERS = (1, 2, 4)
@@ -34,10 +35,13 @@ SPEEDUP_FLOOR = 1.5
 
 
 def _run(n_shards):
-    return run_cluster(
-        network="abilene",
-        n_bins=N_BINS,
-        seed=SEED,
+    return run_cluster_source(
+        SyntheticSource(
+            network="abilene",
+            n_bins=N_BINS,
+            seed=SEED,
+            max_records_per_od=MAX_RECORDS_PER_OD,
+        ),
         n_shards=n_shards,
         config=StreamConfig(
             warmup_bins=WARMUP_BINS,
@@ -45,7 +49,6 @@ def _run(n_shards):
             refit_every=0,
             exact_histograms=True,
         ),
-        max_records_per_od=MAX_RECORDS_PER_OD,
     )
 
 

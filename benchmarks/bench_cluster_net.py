@@ -24,10 +24,11 @@ import os
 
 from _util import emit, run_once, write_json_result
 
-from repro.cluster import run_cluster
+from repro.cluster import run_cluster_source
 from repro.flows.binning import TimeBins
 from repro.io import write_trace
 from repro.net.topology import abilene
+from repro.pipeline import TraceSource
 from repro.stream import StreamConfig
 from repro.traffic.generator import TrafficGenerator
 
@@ -44,7 +45,7 @@ SPEEDUP_FLOOR = 1.2
 #: regression this benchmark exists to pin down.
 SINGLE_CORE_FLOOR = 0.75
 
-#: (label, run_cluster overrides) — label doubles as the JSON key.
+#: (label, run_cluster_source overrides) — label doubles as the JSON key.
 CONFIGS = (
     ("pipe.1", {"n_shards": 1}),
     ("pipe.2", {"n_shards": 2}),
@@ -72,17 +73,14 @@ def _write_shared_trace(path):
 
 
 def _run(trace_path, **overrides):
-    return run_cluster(
-        network="abilene",
-        n_bins=N_BINS,
-        seed=SEED,
+    return run_cluster_source(
+        TraceSource(trace_path, network="abilene", n_bins=N_BINS),
         config=StreamConfig(
             warmup_bins=WARMUP_BINS,
             n_components=6,
             refit_every=0,
             exact_histograms=True,
         ),
-        trace_path=trace_path,
         **overrides,
     )
 

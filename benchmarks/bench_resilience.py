@@ -17,7 +17,8 @@ The ratios are persisted as ``results/resilience.json``.
 
 from _util import emit, run_once, write_json_result
 
-from repro.cluster import run_cluster
+from repro.cluster import run_cluster_source
+from repro.pipeline import SyntheticSource
 from repro.resilience import ResiliencePolicy
 from repro.stream import StreamConfig
 
@@ -32,10 +33,13 @@ RECOVERY_SLOWDOWN_CEILING = 4.0
 
 
 def _run(**kwargs):
-    return run_cluster(
-        network="abilene",
-        n_bins=N_BINS,
-        seed=SEED,
+    return run_cluster_source(
+        SyntheticSource(
+            network="abilene",
+            n_bins=N_BINS,
+            seed=SEED,
+            max_records_per_od=MAX_RECORDS_PER_OD,
+        ),
         n_shards=N_SHARDS,
         config=StreamConfig(
             warmup_bins=WARMUP_BINS,
@@ -43,7 +47,6 @@ def _run(**kwargs):
             refit_every=0,
             exact_histograms=True,
         ),
-        max_records_per_od=MAX_RECORDS_PER_OD,
         **kwargs,
     )
 

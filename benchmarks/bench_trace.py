@@ -11,7 +11,7 @@ Three questions, one workload (the 648k-record synthetic Abilene trace
   same records inline.  Replay is reported warm (page cache populated)
   and cold (pages dropped via ``posix_fadvise(DONTNEED)`` first, where
   the platform supports it);
-* **cluster sharing** — ``run_cluster`` ingest at 1 and 2 workers when
+* **cluster sharing** — ``run_cluster_source`` ingest at 1 and 2 workers when
   every worker memory-maps one shared trace instead of regenerating
   its OD slice, on the smaller bench_cluster workload.
 
@@ -34,11 +34,12 @@ from _util import (
     write_json_result,
 )
 
-from repro.cluster import run_cluster
+from repro.cluster import run_cluster_source
 from repro.flows.binning import TimeBins
 from repro.flows.records import COLUMN_SPEC
 from repro.io import TraceReader, write_trace
 from repro.net.topology import abilene
+from repro.pipeline import TraceSource
 from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream, trace_record_stream
 from repro.traffic.generator import TrafficGenerator
 
@@ -347,13 +348,10 @@ def test_cluster_on_shared_trace(tmp_path):
         exact_histograms=True,
     )
     results = {
-        workers: run_cluster(
-            network="abilene",
-            n_bins=CLUSTER_N_BINS,
-            seed=CLUSTER_SEED,
+        workers: run_cluster_source(
+            TraceSource(path, network="abilene", n_bins=CLUSTER_N_BINS),
             n_shards=workers,
             config=config,
-            trace_path=path,
         )
         for workers in CLUSTER_WORKERS
     }

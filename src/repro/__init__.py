@@ -49,7 +49,7 @@ from repro.cluster import (
     ClusterCoordinator,
     ShardBinSummary,
     ShardMonitor,
-    run_cluster,
+    run_cluster_source,
 )
 from repro.core import (
     AnomalyDiagnosis,
@@ -108,7 +108,7 @@ __all__ = [
     "ClusterCoordinator",
     "ShardBinSummary",
     "ShardMonitor",
-    "run_cluster",
+    "run_cluster_source",
     "GeneratorConfig",
     "TrafficGenerator",
     "__version__",

@@ -675,47 +675,38 @@ def _cmd_stream(args) -> int:
         _telemetry_end(args, session, meter, run_info)
 
 
-def _cmd_cluster(args) -> int:
-    from repro.cluster import run_cluster
-    from repro.net.topology import abilene, geant
+def _n_workers(args) -> int:
+    """Worker shards a cluster run starts: A*B under ``--tiers AxB``,
+    whatever ``--shards`` says."""
+    if not args.tiers:
+        return args.shards
+    from repro.cluster import parse_tiers
 
-    if args.shards < 1:
-        raise ValueError("--shards must be >= 1")
-    topo = abilene() if args.network == "abilene" else geant()
-    n_bins = args.warmup_bins + args.live_bins
-    config = _stream_config(args)
-    n_workers = args.shards
-    layout = "flat"
-    if args.tiers:
-        from repro.cluster import parse_tiers
+    n_aggs, fan_in = parse_tiers(args.tiers)
+    return n_aggs * fan_in
 
-        n_aggs, fan_in = parse_tiers(args.tiers)
-        n_workers = n_aggs * fan_in
-        layout = f"{n_aggs} aggregators x {fan_in} workers"
-    mode = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
-    origin = f"shared trace {args.trace}" if args.trace else "per-worker synthesis"
-    print(
-        f"clustering {topo.name}: {n_workers} shards ({layout}, "
-        f"{args.transport} transport), {n_bins} bins, {mode}, "
-        f"warm-up {args.warmup_bins} bins, source: {origin}"
-    )
-    if args.listen:
-        print(f"awaiting workers on {args.listen} "
-              f"(start them with: repro worker --connect HOST:PORT)")
 
-    session, meter = _telemetry_begin(args, total_bins=n_bins)
-    run_info = {"command": "cluster", "mode": "cluster", "network": args.network,
-                "n_shards": n_workers}
+def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None) -> int:
+    """Run ``source`` through the pipeline and print the summary.
+
+    The one call and output tail of ``repro run`` (every mode) and
+    ``repro cluster``.  ``run_info`` is the telemetry export's run
+    record; a cluster run adds its shard count before it starts, so a
+    run that raises keeps it too.
+    """
+    from repro.pipeline import DetectionPipeline
+
+    topo = source.topology
+    if mode == "cluster":
+        run_info["n_shards"] = _n_workers(args)
+    session, meter = _telemetry_begin(args, total_bins=source.spec.n_bins)
     try:
-        result = run_cluster(
-            network=args.network,
-            n_bins=n_bins,
-            seed=args.seed,
+        result = DetectionPipeline(_stream_config(args)).run(
+            source,
+            mode=mode,
             n_shards=args.shards,
-            config=config,
-            max_records_per_od=args.max_records,
             on_detection=lambda verdict: _print_verdict(topo, verdict),
-            trace_path=args.trace,
+            meta=meta,
             resilience=_resilience_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
@@ -729,21 +720,58 @@ def _cmd_cluster(args) -> int:
     finally:
         _telemetry_end(args, session, meter, run_info)
     report = result.report
-    balance = ", ".join(
-        f"shard {s}: {n}" for s, n in sorted(result.shard_records.items())
-    )
     print(
-        f"processed {result.n_records} records -> {report.n_bins_scored} scored bins "
-        f"in {result.elapsed:.2f}s ({result.records_per_sec:,.0f} records/s)"
+        f"processed {result.n_records} records -> {report.n_bins_scored} "
+        f"scored bins in {result.elapsed:.2f}s "
+        f"({result.records_per_sec:,.0f} records/s)"
     )
-    print(f"shard load: {balance}")
+    if result.shard_records:
+        balance = ", ".join(
+            f"shard {s}: {n}" for s, n in sorted(result.shard_records.items())
+        )
+        print(f"shard load: {balance}")
     _print_cluster_health(result)
     _print_detection_counts(report)
     if args.json:
         from repro.io import write_report_json
 
-        print(f"wrote {write_report_json(report.to_diagnosis_report(), args.json)}")
+        diagnosis = report.to_diagnosis_report(labels_by_bin=labels_by_bin)
+        print(f"wrote {write_report_json(diagnosis, args.json)}")
     return 0
+
+
+def _cmd_cluster(args) -> int:
+    from repro.pipeline import SyntheticSource, TraceSource
+
+    n_bins = args.warmup_bins + args.live_bins
+    if args.trace:
+        source = TraceSource(args.trace, network=args.network, n_bins=n_bins)
+    else:
+        source = SyntheticSource(
+            network=args.network,
+            n_bins=n_bins,
+            seed=args.seed,
+            max_records_per_od=args.max_records,
+        )
+    topo = source.topology
+    layout = "flat"
+    if args.tiers:
+        from repro.cluster import parse_tiers
+
+        n_aggs, fan_in = parse_tiers(args.tiers)
+        layout = f"{n_aggs} aggregators x {fan_in} workers"
+    mode = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
+    origin = f"shared trace {args.trace}" if args.trace else "per-worker synthesis"
+    print(
+        f"clustering {topo.name}: {_n_workers(args)} shards ({layout}, "
+        f"{args.transport} transport), {n_bins} bins, {mode}, "
+        f"warm-up {args.warmup_bins} bins, source: {origin}"
+    )
+    if args.listen:
+        print(f"awaiting workers on {args.listen} "
+              f"(start them with: repro worker --connect HOST:PORT)")
+    run_info = {"command": "cluster", "mode": "cluster", "network": args.network}
+    return _run_and_report(args, source, "cluster", run_info)
 
 
 def _cmd_worker(args) -> int:
@@ -758,14 +786,12 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.pipeline import DetectionPipeline, ScenarioSource, TraceSource
+    from repro.pipeline import ScenarioSource, TraceSource
     from repro.scenarios import get_scenario
 
     scenario = get_scenario(args.scenario)
     if args.trace and args.save_trace:
         raise ValueError("--trace and --save-trace are mutually exclusive")
-    if args.shards < 1:
-        raise ValueError("--shards must be >= 1")
 
     labels_by_bin = None
     if args.trace:
@@ -809,7 +835,6 @@ def _cmd_run(args) -> int:
         warmup = scenario.scaled_warmup(n_bins)
     warmup = max(1, min(warmup, n_bins - 1))
     args.warmup_bins = warmup  # _stream_config reads it
-    config = _stream_config(args)
 
     topo = source.topology
     mode_desc = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
@@ -819,49 +844,11 @@ def _cmd_run(args) -> int:
         f"{mode_desc}, warm-up {warmup} bins, "
         f"source: {source.provenance['source']}"
     )
-    session, meter = _telemetry_begin(args, total_bins=n_bins)
     run_info = {"command": "run", "scenario": scenario.name, "mode": args.mode,
                 "network": topo.name}
-    if args.mode == "cluster":
-        run_info["n_shards"] = args.shards
-    try:
-        result = DetectionPipeline(config).run(
-            source,
-            mode=args.mode,
-            n_shards=args.shards,
-            on_detection=lambda verdict: _print_verdict(topo, verdict),
-            meta={"scenario": scenario.name},
-            resilience=_resilience_policy(args),
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            chaos=args.chaos,
-            transport=args.transport,
-            listen=args.listen,
-            tiers=args.tiers,
-        )
-        run_info.update({"n_records": result.n_records,
-                         "elapsed_s": result.elapsed})
-    finally:
-        _telemetry_end(args, session, meter, run_info)
-    report = result.report
-    print(
-        f"processed {result.n_records} records -> {report.n_bins_scored} "
-        f"scored bins in {result.elapsed:.2f}s "
-        f"({result.records_per_sec:,.0f} records/s)"
-    )
-    if result.shard_records:
-        balance = ", ".join(
-            f"shard {s}: {n}" for s, n in sorted(result.shard_records.items())
-        )
-        print(f"shard load: {balance}")
-    _print_cluster_health(result)
-    _print_detection_counts(report)
-    if args.json:
-        from repro.io import write_report_json
-
-        diagnosis = report.to_diagnosis_report(labels_by_bin=labels_by_bin)
-        print(f"wrote {write_report_json(diagnosis, args.json)}")
-    return 0
+    return _run_and_report(args, source, args.mode, run_info,
+                           meta={"scenario": scenario.name},
+                           labels_by_bin=labels_by_bin)
 
 
 def _cmd_scenarios(args) -> int:

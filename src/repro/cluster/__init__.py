@@ -19,20 +19,18 @@ diagnosis as one process reading the whole trace.
 * :mod:`repro.cluster.aggregator` — :class:`TierMerge`, the
   order-invariant tree-merge behind declarative aggregator tiers
   (``--tiers AxB``), keeping coordinator fan-in flat as shards grow.
-* :mod:`repro.cluster.runner` — :func:`run_cluster`, the
-  ``multiprocessing`` driver behind the ``repro cluster`` command, and
-  its shard supervisor (restarts, deadlines, checkpoint/resume,
-  degraded completion — see :mod:`repro.resilience`).
+* :mod:`repro.cluster.supervisor` — :class:`Supervisor`, the pure
+  state machine deciding restarts, deadlines and degraded completion
+  (see :mod:`repro.resilience`).
+* :mod:`repro.cluster.runner` — :func:`run_cluster_source`, cluster
+  mode's one entry point: the ``multiprocessing`` driver behind
+  ``repro cluster`` and ``DetectionPipeline.run(mode="cluster")``,
+  running the supervisor's commands (plus checkpoint/resume).
 """
 
 from repro.cluster.aggregator import AggregatorSpec, TierMerge, parse_tiers
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.runner import (
-    ClusterResult,
-    run_cluster,
-    run_cluster_source,
-    shard_ods,
-)
+from repro.cluster.runner import run_cluster_source
 from repro.cluster.shard import ShardMonitor
 from repro.cluster.summary import ShardBinSummary, SummaryCorruptError, merge_summaries
 from repro.cluster.transport import (
@@ -46,7 +44,6 @@ from repro.cluster.transport import (
 __all__ = [
     "AggregatorSpec",
     "ClusterCoordinator",
-    "ClusterResult",
     "FrameError",
     "PipeTransport",
     "ShardBinSummary",
@@ -58,7 +55,5 @@ __all__ = [
     "merge_summaries",
     "parse_hostport",
     "parse_tiers",
-    "run_cluster",
     "run_cluster_source",
-    "shard_ods",
 ]

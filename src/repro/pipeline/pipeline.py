@@ -30,8 +30,8 @@ identical across all three — the parity contract
 ``tests/test_pipeline.py`` pins for every registered scenario.
 
 The pre-existing entry points — ``StreamingDetectionEngine``,
-``AnomalyDiagnosis``, ``run_cluster`` — remain as thin configurations
-of these same stages.
+``AnomalyDiagnosis`` — remain as thin configurations of these same
+stages.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class PipelineResult:
         n_records: Records ingested end-to-end.
         elapsed: Wall-clock seconds for the whole run.
         shard_records: Per-shard record counts (cluster mode only).
+        degraded: The run completed without one or more shards, whose
+            missing bins are gaps (cluster mode; mirrored in meta).
+        restarts: Worker restarts the supervisor performed (cluster
+            mode).
     """
 
     report: StreamingReport
@@ -231,11 +235,15 @@ class DetectionPipeline:
                 )
         source = self._normalize(source)
         if mode == "cluster":
-            return self._run_cluster(
+            from repro.cluster.runner import run_cluster_source
+
+            return run_cluster_source(
                 source,
-                n_shards,
-                on_detection,
-                meta,
+                n_shards=n_shards,
+                config=self.config,
+                on_detection=on_detection,
+                detectors=self.detectors,
+                meta=meta,
                 resilience=resilience,
                 checkpoint=checkpoint,
                 resume=resume,
@@ -301,45 +309,4 @@ class DetectionPipeline:
             mode="batch",
             n_records=counted.n_records,
             elapsed=elapsed,
-        )
-
-    def _run_cluster(
-        self,
-        source,
-        n_shards,
-        on_detection,
-        meta,
-        resilience=None,
-        checkpoint=None,
-        resume=False,
-        chaos=None,
-        transport="pipe",
-        listen=None,
-        tiers=None,
-    ) -> PipelineResult:
-        from repro.cluster.runner import run_cluster_source
-
-        result = run_cluster_source(
-            source,
-            n_shards=n_shards,
-            config=self.config,
-            on_detection=on_detection,
-            detectors=self.detectors,
-            meta=meta,
-            resilience=resilience,
-            checkpoint=checkpoint,
-            resume=resume,
-            chaos=chaos,
-            transport=transport,
-            listen=listen,
-            tiers=tiers,
-        )
-        return PipelineResult(
-            report=result.report,
-            mode="cluster",
-            n_records=result.n_records,
-            elapsed=result.elapsed,
-            shard_records=result.shard_records,
-            degraded=result.degraded,
-            restarts=result.restarts,
         )

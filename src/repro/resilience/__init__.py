@@ -9,8 +9,8 @@ contract (cluster detections bit-identical to an unsharded run):
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy`, the
   supervision knobs (bounded retries, exponential backoff, per-bin and
   whole-run deadlines, ``strict``/``degrade`` completion) and
-  :class:`ShardHealth`, the per-shard state machine the coordinator
-  publishes into report provenance;
+  :class:`ShardHealth`, the per-shard state the cluster supervisor
+  (:mod:`repro.cluster.supervisor`) publishes into report provenance;
 * :mod:`repro.resilience.checkpoint` — append-only checkpoint files of
   closed-bin merged summaries (byte-canonical wire payloads, each CRC
   framed) so a killed run resumes from the last closed bin instead of

@@ -187,8 +187,15 @@ class FaultPlan:
         and geometry always produce the same faults, and the traffic
         RNG is untouched.  Bins are drawn from the middle 80% of the
         run so a fault never lands trivially at the very first or very
-        last bin.
+        last bin.  An explicit fault aimed at a shard the run does not
+        have is a ``ValueError``.
         """
+        for fault in self.faults:
+            if fault.shard >= n_shards:
+                raise ValueError(
+                    f"chaos fault targets shard {fault.shard}, "
+                    f"but the run has only {n_shards} shard(s)"
+                )
         if not self.seeded:
             return self
         faults = list(self.faults)

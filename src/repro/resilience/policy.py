@@ -1,20 +1,28 @@
 """Supervision policy and per-shard health state.
 
-:class:`ResiliencePolicy` is the one knob bundle the cluster runner's
-shard supervisor reads: how many times a failed shard may be restarted,
+:class:`ResiliencePolicy` is the one knob bundle the cluster's shard
+supervisor reads: how many times a failed shard may be restarted,
 how the restart delay grows, how long a shard may go without delivering
 a bin before it is declared stalled, how long the whole run may take,
 and what happens when a shard is out of retries — ``strict`` (raise,
 the pre-supervision behaviour) or ``degrade`` (complete the run without
 the shard and flag the report).
 
-:class:`ShardHealth` is the supervisor's per-shard state machine::
+:class:`ShardHealth` is one unit's whole state in the pure
+:class:`repro.cluster.supervisor.Supervisor`::
 
-    running ──fault──▶ restarting ──launch──▶ running
-       │                   │
-       │ close             │ retries exhausted / run deadline
-       ▼                   ▼
-     closed              failed  (degrade: remaining bins become gaps)
+    (start)
+       │
+       ▼          tick at due: spawn
+   restarting ─────────────────────────▶ running ──close──▶ closed
+       ▲   │                              │   │
+       │   │ run deadline (degrade)       │   │ fault, no retries left,
+       │   ▼                              │   │ or run deadline (degrade)
+       │ failed ◀─────────────────────────┼───┘
+       │   (degrade: remaining bins       │
+       │    become gaps; strict: the run  │
+       │    raises once survivors drain)  │
+       └────── fault, retries left ───────┘
 
 Its :meth:`ShardHealth.to_meta` rendering lands in the report's
 provenance ``meta["shard_health"]`` so a degraded run documents exactly
@@ -100,22 +108,32 @@ class ShardHealth:
 
     Attributes:
         shard_id: The shard.
-        status: One of ``running | restarting | closed | failed``.
-        attempts: Worker launches so far (1 = never restarted).
-        restarts: Restarts performed (``attempts - 1``).
+        status: One of ``running | restarting | closed | failed``
+            (``restarting``: waiting for its next launch at ``due``).
+        attempts: Worker launches so far, the pending one included
+            (1 = never restarted).
         faults: Human-readable fault descriptions, in order.
         gap_bins: Bins this shard never contributed to a merge (only
             populated when the shard fails under a degrade policy).
         n_records: Records the shard's last completed attempt reported.
+        due: Supervisor clock time the pending launch is due.
+        last_seen: Supervisor clock time of the last launch or message
+            (the bin deadline counts from it).
     """
 
     shard_id: int
     status: str = "running"
     attempts: int = 1
-    restarts: int = 0
     faults: list[str] = field(default_factory=list)
     gap_bins: list[int] = field(default_factory=list)
     n_records: int = 0
+    due: float = 0.0
+    last_seen: float = 0.0
+
+    @property
+    def restarts(self) -> int:
+        """Restarts performed: every launch after the first."""
+        return self.attempts - 1
 
     def record_fault(self, reason: str) -> None:
         self.faults.append(str(reason))

@@ -20,13 +20,13 @@ from repro.cluster import (
     ShardBinSummary,
     ShardMonitor,
     merge_summaries,
-    run_cluster,
-    shard_ods,
+    run_cluster_source,
 )
 from repro.flows.binning import TimeBins
 from repro.flows.records import FlowRecordBatch
 from repro.flows.sketches import CountMinSketch
 from repro.net.topology import abilene
+from repro.pipeline.sources import SyntheticSource, shard_ods
 from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream
 from repro.stream.window import BinAccumulator
 from repro.traffic.generator import TrafficGenerator
@@ -407,13 +407,13 @@ class TestCoordinatorProtocol:
 
 class TestClusterRunner:
     def test_two_workers_match_single_process(self):
-        config = _equivalence_config()
-        kwargs = dict(
-            network="abilene", n_bins=N_BINS, seed=SEED, config=config,
+        source = SyntheticSource(
+            network="abilene", n_bins=N_BINS, seed=SEED,
             max_records_per_od=MAX_RECORDS_PER_OD,
         )
-        clustered = run_cluster(n_shards=2, **kwargs)
-        single = run_cluster(n_shards=1, **kwargs)
+        config = _equivalence_config()
+        clustered = run_cluster_source(source, n_shards=2, config=config)
+        single = run_cluster_source(source, n_shards=1, config=config)
         assert clustered.n_records == single.n_records > 0
         assert sorted(clustered.shard_records) == [0, 1]
         assert sum(clustered.shard_records.values()) == clustered.n_records
@@ -429,11 +429,11 @@ class TestClusterRunner:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            run_cluster(n_shards=0)
+            run_cluster_source(SyntheticSource(), n_shards=0)
         with pytest.raises(ValueError):
-            run_cluster(n_bins=0)
+            run_cluster_source(SyntheticSource(n_bins=0))
         with pytest.raises(ValueError):
-            run_cluster(network="arpanet")
+            run_cluster_source(SyntheticSource(network="arpanet"))
 
 
 class TestClusterCli:

@@ -387,6 +387,9 @@ class TestLoopbackParity(_FixtureCluster):
 
 
 class TestChaosOverTcp(_FixtureCluster):
+    """One live run per chaos fault kind over TCP (the supervision
+    logic itself is scripted in ``tests/test_supervisor.py``)."""
+
     def test_killed_tcp_worker_restarts_to_parity(self, fixture_env):
         result = self.run(
             fixture_env, n_shards=2, transport="tcp",
@@ -432,6 +435,8 @@ class TestChaosOverTcp(_FixtureCluster):
         assert "run offsets" in health["faults"][0]
 
     def test_exhausted_tcp_worker_degrades_with_gaps(self, fixture_env):
+        # The one live degraded run: the runner's result and meta
+        # rendering of a failed unit, end to end.
         wl, path, config, _ = fixture_env
         result = run_cluster_source(
             TraceSource(path), n_shards=2, transport="tcp", config=config,
@@ -440,9 +445,27 @@ class TestChaosOverTcp(_FixtureCluster):
                                         on_exhaustion="degrade"),
         )
         assert result.degraded
+        assert result.report.meta["degraded"] is True
+        assert result.report.n_bins_scored == wl["n_bins"] - config.warmup_bins
         health = result.report.meta["shard_health"]["1"]
         assert health["status"] == "failed"
-        assert health["gap_bins"]
+        assert health["gap_bins"] == [[24, wl["n_bins"] - 1]]
+        assert result.report.meta["shard_health"]["0"]["status"] == "closed"
+
+    def test_stalled_tcp_worker_is_waited_out(self, fixture_env):
+        result = self.run(
+            fixture_env, n_shards=2, transport="tcp",
+            chaos="stall:shard=0,bin=23,secs=0.2",
+        )
+        assert result.restarts == 0
+
+    def test_tcp_exit_after_close_is_clean(self, fixture_env):
+        result = self.run(
+            fixture_env, n_shards=2, transport="tcp",
+            chaos="exit-after-close:shard=1",
+        )
+        assert result.restarts == 0
+        assert not result.degraded
 
     def test_killed_tiered_worker_restarts_subtree_to_parity(self, fixture_env):
         # A child death inside an aggregator's subtree surfaces as the

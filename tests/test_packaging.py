@@ -5,6 +5,8 @@
 * No module under ``src/repro`` keeps a top-level import it never
   references (package ``__init__`` re-exports are exempt, and a name
   listed in ``__all__`` counts as used).
+* The cluster supervisor stays free of process, socket, signal, thread
+  and clock imports.
 """
 
 import ast
@@ -101,3 +103,22 @@ def test_no_unused_top_level_imports():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not unused, "unused top-level imports:\n" + "\n".join(unused)
+
+
+def test_supervisor_is_a_pure_state_machine():
+    """``cluster/supervisor.py`` imports nothing that touches processes,
+    sockets, signals, threads or the clock — at top level or inside a
+    function — so tests drive it with scripted events and fake time."""
+    path = PACKAGE / "cluster" / "supervisor.py"
+    banned = {"multiprocessing", "socket", "os", "signal", "threading", "time"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules
+                  if m.split(".")[0] in banned]
+    assert not found, "supervisor.py imports " + ", ".join(found)

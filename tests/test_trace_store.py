@@ -12,7 +12,7 @@ Load-bearing contracts:
   parity, chaos restarts and checkpoint resume rest on), and written
   traces reproduce the records inline synthesis produces;
 * **replay equivalence** — exact-mode detections from a replayed trace
-  match inline generation exactly, and ``run_cluster`` workers reading
+  match inline generation exactly, and ``run_cluster_source`` workers reading
   one shared trace file produce identical detections at any worker
   count;
 * **zero copy** — replayed chunks share memory with the file mapping,
@@ -40,7 +40,7 @@ from repro.io import (
 from repro.io.trace import upgrade_trace
 from repro.resilience import truncate_tail
 from repro.net.topology import abilene
-from repro.pipeline.sources import ScenarioSource, shard_ods
+from repro.pipeline.sources import ScenarioSource, TraceSource, shard_ods
 from repro.stream import (
     StreamConfig,
     StreamingDetectionEngine,
@@ -48,7 +48,7 @@ from repro.stream import (
     synthetic_record_stream,
     trace_record_stream,
 )
-from repro.cluster import run_cluster
+from repro.cluster import run_cluster_source
 from repro.flows.odflows import ODFlowAggregator
 from repro.traffic.generator import SYNTHESIS_SCHEME, TrafficGenerator
 
@@ -339,10 +339,9 @@ class TestReplayEquivalence:
             warmup_bins=WARMUP_BINS, refit_every=0, drift_reset_after=0,
             n_components=4, exact_histograms=True,
         )
-        kwargs = dict(network="abilene", n_bins=N_BINS, seed=SEED,
-                      config=config, trace_path=path)
-        single = run_cluster(n_shards=1, **kwargs)
-        sharded = run_cluster(n_shards=2, **kwargs)
+        source = TraceSource(path, network="abilene", n_bins=N_BINS)
+        single = run_cluster_source(source, n_shards=1, config=config)
+        sharded = run_cluster_source(source, n_shards=2, config=config)
         assert single.n_records == sharded.n_records > 0
         assert sum(sharded.shard_records.values()) == sharded.n_records
         assert [
@@ -384,9 +383,9 @@ class TestReplayEquivalence:
             warmup_bins=10, refit_every=0, n_components=4,
             exact_histograms=True,
         )
-        result = run_cluster(
-            network="abilene", n_bins=12, n_shards=1, config=config,
-            trace_path=path,
+        result = run_cluster_source(
+            TraceSource(path, network="abilene", n_bins=12), n_shards=1,
+            config=config,
         )
         # Every trace bin scores exactly once on the adopted 600s grid.
         assert result.n_records == info.n_records
@@ -395,11 +394,13 @@ class TestReplayEquivalence:
     def test_cluster_rejects_mismatched_trace(self, small_trace):
         path, _, _ = small_trace
         with pytest.raises(ValueError, match="recorded on"):
-            run_cluster(network="geant", n_shards=1, trace_path=path,
-                        n_bins=N_BINS)
+            run_cluster_source(TraceSource(path, network="geant", n_bins=N_BINS),
+                               n_shards=1)
         with pytest.raises(ValueError, match="covers"):
-            run_cluster(network="abilene", n_shards=1, trace_path=path,
-                        n_bins=N_BINS + 1)
+            run_cluster_source(
+                TraceSource(path, network="abilene", n_bins=N_BINS + 1),
+                n_shards=1,
+            )
 
 
 class TestZeroCopyReplay:
