@@ -67,8 +67,7 @@ def _write_shared_trace(path):
         abilene(), TimeBins(n_bins=N_BINS), seed=SEED
     )
     return write_trace(
-        path, generator, max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED,
-        derive=True,
+        path, generator, max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED
     )
 
 

@@ -4,7 +4,8 @@ Three questions, one workload (the 648k-record synthetic Abilene trace
 ``bench_streaming`` uses):
 
 * **write throughput** — how fast the batched whole-bin generator can
-  materialise records into a trace file;
+  materialise records into a trace file, deriving each bin's detection
+  columns (resolved OD + per-feature run ids) on the way;
 * **replay ingest vs inline generation** — records/sec of producing
   ready-to-ingest chunks from the mmap'd trace (every column touched,
   so the pages really stream through memory) against synthesising the
@@ -39,7 +40,7 @@ from repro.flows.binning import TimeBins
 from repro.flows.records import COLUMN_SPEC
 from repro.io import TraceReader, write_trace
 from repro.net.topology import abilene
-from repro.pipeline import TraceSource
+from repro.pipeline import DetectionPipeline, TraceSource
 from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream, trace_record_stream
 from repro.traffic.generator import TrafficGenerator
 
@@ -237,8 +238,8 @@ def test_precomputed_detection(benchmark, tmp_path):
     The replay-vs-detection gap in one table: the same trace, the same
     engine configuration, the same (asserted byte-identical)
     detections — once recomputing LPM attribution and the per-bin
-    (OD, value) sort from the raw columns, once reading the version-2
-    trace's precomputed OD/run-id columns.  The precomputed median is
+    (OD, value) sort from the raw columns, once reading the trace's
+    precomputed OD/run-id columns.  The precomputed median is
     the number ``tools/check_perf.py`` holds to an absolute floor.
     """
     path = tmp_path / "derived.trace"
@@ -246,8 +247,7 @@ def test_precomputed_detection(benchmark, tmp_path):
 
     def _write():
         return write_trace(
-            path, generator, max_records_per_od=DETECT_MAX_RECORDS, seed=0,
-            derive=True,
+            path, generator, max_records_per_od=DETECT_MAX_RECORDS, seed=0
         )
 
     info = run_once(benchmark, _write)
@@ -262,7 +262,7 @@ def test_precomputed_detection(benchmark, tmp_path):
         )
 
     def _detect_recompute():
-        return StreamingDetectionEngine(abilene(), _config()).process(str(path))
+        return DetectionPipeline(_config()).run(TraceSource(path)).report
 
     def _detect_precomputed():
         return StreamingDetectionEngine(abilene(), _config()).process_precomputed(
@@ -334,12 +334,12 @@ def test_cluster_on_shared_trace(tmp_path):
     generator = TrafficGenerator(
         abilene(), TimeBins(n_bins=CLUSTER_N_BINS), seed=CLUSTER_SEED
     )
-    # Version-2 trace: the stored OD column replaces each worker's
-    # longest-prefix attribution pass — this (with the disjoint OD
-    # split) is what removed the historical 2-worker inversion.
+    # The stored OD column replaces each worker's longest-prefix
+    # attribution pass — this (with the disjoint OD split) is what
+    # removed the historical 2-worker inversion.
     info = write_trace(
         path, generator, max_records_per_od=CLUSTER_MAX_RECORDS,
-        seed=CLUSTER_SEED, derive=True,
+        seed=CLUSTER_SEED,
     )
     config = StreamConfig(
         warmup_bins=CLUSTER_WARMUP,

@@ -311,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--bin-group", type=int, default=64,
                     help="bins materialised per generation pass (memory bound)")
     tw.add_argument("--output", required=True, help="output trace path")
-    tw.add_argument("--derive", action="store_true",
-                    help="also store the derived detection columns (resolved "
-                    "OD + per-feature run ids) for precomputed replay")
 
     ti = trace_sub.add_parser("info", help="print a trace file's header")
     ti.add_argument("path")
@@ -332,17 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "of replacing the input atomically in place")
 
     tr = trace_sub.add_parser(
-        "replay", help="replay a trace zero-copy through the streaming engine",
+        "replay", help="replay a trace zero-copy through the streaming engine "
+        "(exact runs detect straight off its derived columns)",
         parents=[_parent(_add_warmup, _add_engine, _add_telemetry)],
     )
     tr.add_argument("path")
     tr.add_argument("--allow-partial", action="store_true",
                     help="replay the complete leading bins of a truncated "
                     "trace instead of failing")
-    tr.add_argument("--precomputed", action="store_true",
-                    help="exact detection straight from the trace's derived "
-                    "columns (implies --exact; derives on the fly for "
-                    "version-1 traces)")
     tr.add_argument("--readahead", action="store_true",
                     help="advise the kernel to page the trace in ahead of the "
                     "replay (cold-cache variance)")
@@ -515,14 +509,25 @@ def _print_cluster_health(result) -> None:
         print(line)
 
 
-def _print_detection_counts(report) -> None:
-    """Table-2 style summary line of a streaming/cluster report."""
+def _print_report(args, report, labels_by_bin=None) -> None:
+    """Table-2 style detection counts of a streaming report, plus its
+    diagnosis JSON when ``--json`` asks."""
     counts = report.counts()
     print(
         f"detections: total={counts['total']} volume_only={counts['volume_only']} "
         f"entropy_only={counts['entropy_only']} both={counts['both']} "
         f"clusters={report.classifier.n_clusters}"
     )
+    if args.json:
+        from repro.io import write_report_json
+
+        diagnosis = report.to_diagnosis_report(labels_by_bin=labels_by_bin)
+        print(f"wrote {write_report_json(diagnosis, args.json)}")
+
+
+def _histograms(args) -> str:
+    """How a run reduces records, for the banner line."""
+    return "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
 
 
 def _stream_config(args):
@@ -597,84 +602,6 @@ def _telemetry_end(args, session, meter, run_info=None) -> None:
         telemetry.disable()
 
 
-def _drive_engine(topo, engine, source, json_path, verb="processed"):
-    """Run a streaming engine over a source, printing verdicts + summary.
-
-    The shared tail of the ``stream`` and ``trace replay`` commands:
-    events() re-chunks, ingests, and flushes the final bin, so the
-    per-detection lines cover every scored bin.  Returns
-    ``(report, elapsed)`` so callers can stamp telemetry exports.
-    """
-    import time
-
-    from repro import telemetry as tel
-
-    start = time.perf_counter()
-    for verdict in engine.events(tel.timed_iter(source, "stage.source")):
-        _print_verdict(topo, verdict)
-    with tel.span("stage.report"):
-        report = engine.finish()
-    elapsed = time.perf_counter() - start
-    rate = report.n_records / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"{verb} {report.n_records} records -> {report.n_bins_scored} scored bins "
-        f"in {elapsed:.2f}s ({rate:,.0f} records/s)"
-    )
-    _print_detection_counts(report)
-    if json_path:
-        from repro.io import write_report_json
-
-        print(f"wrote {write_report_json(report.to_diagnosis_report(), json_path)}")
-    return report, elapsed
-
-
-def _cmd_stream(args) -> int:
-    from repro.net.topology import abilene, geant
-    from repro.stream import StreamingDetectionEngine, synthetic_record_stream
-
-    topo = abilene() if args.network == "abilene" else geant()
-    n_bins = args.warmup_bins + args.live_bins
-    engine = StreamingDetectionEngine(topo, _stream_config(args))
-    mode = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
-    origin = f"trace {args.trace}" if args.trace else "inline synthesis"
-    print(
-        f"streaming {topo.name}: {n_bins} bins x {topo.n_od_flows} OD flows, "
-        f"{mode}, warm-up {args.warmup_bins} bins, source: {origin}"
-    )
-    if args.trace:
-        from repro.io.trace import TraceReader
-
-        reader = TraceReader(args.trace)
-        reader.info.ensure_compatible(
-            network=topo.name,
-            min_bins=n_bins,
-            bin_width=engine.stage.bin_width,
-            start=engine.stage.start,
-        )
-        source = reader.iter_chunks(
-            chunk_records=args.chunk_records, bins=range(n_bins)
-        )
-    else:
-        from repro.flows.binning import TimeBins
-        from repro.traffic.generator import TrafficGenerator
-
-        generator = TrafficGenerator(topo, TimeBins(n_bins=n_bins), seed=args.seed)
-        source = synthetic_record_stream(
-            generator,
-            range(n_bins),
-            max_records_per_od=args.max_records,
-            seed=args.seed,
-        )
-    session, meter = _telemetry_begin(args, total_bins=n_bins)
-    run_info = {"command": "stream", "mode": "stream", "network": args.network}
-    try:
-        report, elapsed = _drive_engine(topo, engine, source, args.json)
-        run_info.update({"n_records": report.n_records, "elapsed_s": elapsed})
-        return 0
-    finally:
-        _telemetry_end(args, session, meter, run_info)
-
-
 def _n_workers(args) -> int:
     """Worker shards a cluster run starts: A*B under ``--tiers AxB``,
     whatever ``--shards`` says."""
@@ -689,24 +616,18 @@ def _n_workers(args) -> int:
 def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None) -> int:
     """Run ``source`` through the pipeline and print the summary.
 
-    The one call and output tail of ``repro run`` (every mode) and
-    ``repro cluster``.  ``run_info`` is the telemetry export's run
-    record; a cluster run adds its shard count before it starts, so a
-    run that raises keeps it too.
+    The one call and output tail of ``repro run`` (every mode),
+    ``repro stream`` and ``repro cluster``.  ``run_info`` is the
+    telemetry export's run record; a cluster run adds its shard count
+    before it starts, so a run that raises keeps it too.
     """
     from repro.pipeline import DetectionPipeline
 
     topo = source.topology
-    if mode == "cluster":
-        run_info["n_shards"] = _n_workers(args)
-    session, meter = _telemetry_begin(args, total_bins=source.spec.n_bins)
-    try:
-        result = DetectionPipeline(_stream_config(args)).run(
-            source,
-            mode=mode,
+    cluster = {}
+    if hasattr(args, "shards"):  # `repro stream` has no cluster flags
+        cluster = dict(
             n_shards=args.shards,
-            on_detection=lambda verdict: _print_verdict(topo, verdict),
-            meta=meta,
             resilience=_resilience_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
@@ -714,6 +635,17 @@ def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None)
             transport=args.transport,
             listen=args.listen,
             tiers=args.tiers,
+        )
+    if mode == "cluster":
+        run_info["n_shards"] = _n_workers(args)
+    session, meter = _telemetry_begin(args, total_bins=source.spec.n_bins)
+    try:
+        result = DetectionPipeline(_stream_config(args)).run(
+            source,
+            mode=mode,
+            on_detection=lambda verdict: _print_verdict(topo, verdict),
+            meta=meta,
+            **cluster,
         )
         run_info.update({"n_records": result.n_records,
                          "elapsed_s": result.elapsed})
@@ -731,16 +663,13 @@ def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None)
         )
         print(f"shard load: {balance}")
     _print_cluster_health(result)
-    _print_detection_counts(report)
-    if args.json:
-        from repro.io import write_report_json
-
-        diagnosis = report.to_diagnosis_report(labels_by_bin=labels_by_bin)
-        print(f"wrote {write_report_json(diagnosis, args.json)}")
+    _print_report(args, report, labels_by_bin)
     return 0
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_stream(args) -> int:
+    """``repro stream`` and ``repro cluster``: inline synthesis or a
+    recorded trace, scored in-process or by sharded workers."""
     from repro.pipeline import SyntheticSource, TraceSource
 
     n_bins = args.warmup_bins + args.live_bins
@@ -754,24 +683,32 @@ def _cmd_cluster(args) -> int:
             max_records_per_od=args.max_records,
         )
     topo = source.topology
-    layout = "flat"
-    if args.tiers:
-        from repro.cluster import parse_tiers
+    if args.command == "stream":
+        origin = f"trace {args.trace}" if args.trace else "inline synthesis"
+        print(
+            f"streaming {topo.name}: {n_bins} bins x {topo.n_od_flows} OD flows, "
+            f"{_histograms(args)}, warm-up {args.warmup_bins} bins, "
+            f"source: {origin}"
+        )
+    else:
+        layout = "flat"
+        if args.tiers:
+            from repro.cluster import parse_tiers
 
-        n_aggs, fan_in = parse_tiers(args.tiers)
-        layout = f"{n_aggs} aggregators x {fan_in} workers"
-    mode = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
-    origin = f"shared trace {args.trace}" if args.trace else "per-worker synthesis"
-    print(
-        f"clustering {topo.name}: {_n_workers(args)} shards ({layout}, "
-        f"{args.transport} transport), {n_bins} bins, {mode}, "
-        f"warm-up {args.warmup_bins} bins, source: {origin}"
-    )
-    if args.listen:
-        print(f"awaiting workers on {args.listen} "
-              f"(start them with: repro worker --connect HOST:PORT)")
-    run_info = {"command": "cluster", "mode": "cluster", "network": args.network}
-    return _run_and_report(args, source, "cluster", run_info)
+            n_aggs, fan_in = parse_tiers(args.tiers)
+            layout = f"{n_aggs} aggregators x {fan_in} workers"
+        origin = f"shared trace {args.trace}" if args.trace else "per-worker synthesis"
+        print(
+            f"clustering {topo.name}: {_n_workers(args)} shards ({layout}, "
+            f"{args.transport} transport), {n_bins} bins, {_histograms(args)}, "
+            f"warm-up {args.warmup_bins} bins, source: {origin}"
+        )
+        if args.listen:
+            print(f"awaiting workers on {args.listen} "
+                  f"(start them with: repro worker --connect HOST:PORT)")
+    run_info = {"command": args.command, "mode": args.command,
+                "network": args.network}
+    return _run_and_report(args, source, args.command, run_info)
 
 
 def _cmd_worker(args) -> int:
@@ -837,11 +774,10 @@ def _cmd_run(args) -> int:
     args.warmup_bins = warmup  # _stream_config reads it
 
     topo = source.topology
-    mode_desc = "exact histograms" if args.exact else f"CM sketches (w={args.sketch_width})"
     print(
         f"scenario {scenario.name} [{args.mode}] on {topo.name}: "
         f"{source.spec.n_bins} bins x {topo.n_od_flows} OD flows, "
-        f"{mode_desc}, warm-up {warmup} bins, "
+        f"{_histograms(args)}, warm-up {warmup} bins, "
         f"source: {source.provenance['source']}"
     )
     run_info = {"command": "run", "scenario": scenario.name, "mode": args.mode,
@@ -888,15 +824,13 @@ def _cmd_trace(args) -> int:
             max_records_per_od=args.max_records,
             seed=args.seed,
             bin_group=args.bin_group,
-            derive=args.derive,
         )
         elapsed = time.perf_counter() - start
         rate = info.n_records / elapsed if elapsed > 0 else float("inf")
         size_mb = info.path.stat().st_size / 1e6
-        columns = " + derived columns" if args.derive else ""
         print(
             f"wrote {info.n_records} records ({info.n_bins} bins x "
-            f"{topo.n_od_flows} OD flows, {size_mb:.1f} MB{columns}) to "
+            f"{topo.n_od_flows} OD flows, {size_mb:.1f} MB) to "
             f"{info.path} in {elapsed:.2f}s ({rate:,.0f} records/s)"
         )
         return 0
@@ -909,8 +843,10 @@ def _cmd_trace(args) -> int:
         info = upgrade_trace(args.path, output=args.output)
         elapsed = time.perf_counter() - start
         if before.derived is not None:
+            done = ("nothing to do" if info.path == before.path
+                    else f"copied it unchanged to {info.path}")
             print(f"{before.path} already carries the derived columns "
-                  f"(version {before.version}); nothing to do")
+                  f"(version {before.version}); {done}")
             return 0
         size_mb = info.path.stat().st_size / 1e6
         print(
@@ -965,12 +901,11 @@ def _cmd_trace(args) -> int:
         return 0
 
     # replay
+    from repro import telemetry as tel
     from repro.io.trace import TraceReader
     from repro.net.topology import topology_by_name
     from repro.stream import StreamingDetectionEngine
 
-    if args.precomputed:
-        args.exact = True  # the precomputed path is exact by construction
     reader = TraceReader(
         args.path, allow_partial=args.allow_partial, readahead=args.readahead
     )
@@ -980,16 +915,14 @@ def _cmd_trace(args) -> int:
         topo, _stream_config(args),
         bin_width=reader.bins.width, start=reader.bins.start,
     )
-    if args.precomputed:
-        mode = ("precomputed columns" if reader.has_derived
-                else "precomputed (derived on the fly)")
-    elif args.exact:
-        mode = "exact histograms"
-    else:
-        mode = f"CM sketches (w={args.sketch_width})"
+    # Exact runs detect straight off the stored columns; sketch runs,
+    # truncated tails (which lose them) and version-1 files replay the
+    # records.
+    precomputed = args.exact and reader.has_derived
     print(
         f"replaying {reader.path} ({reader.n_records} records, "
-        f"{reader.n_bins} bins, {topo.name}): {mode}, "
+        f"{reader.n_bins} bins, {topo.name}): "
+        f"{'precomputed columns' if precomputed else _histograms(args)}, "
         f"warm-up {args.warmup_bins} bins"
     )
     if reader.info.truncated:
@@ -1001,32 +934,24 @@ def _cmd_trace(args) -> int:
     run_info = {"command": "trace replay", "mode": "stream",
                 "network": topo.name, "trace": str(reader.path)}
     try:
-        if args.precomputed:
-            start = time.perf_counter()
+        start = time.perf_counter()
+        if precomputed:
             report = engine.process_precomputed(reader)
-            elapsed = time.perf_counter() - start
-            for verdict in report.detections:
-                _print_verdict(topo, verdict)
-            rate = report.n_records / elapsed if elapsed > 0 else float("inf")
-            print(
-                f"replayed {report.n_records} records -> "
-                f"{report.n_bins_scored} scored bins in {elapsed:.2f}s "
-                f"({rate:,.0f} records/s)"
-            )
-            _print_detection_counts(report)
-            if args.json:
-                from repro.io import write_report_json
-
-                print(f"wrote "
-                      f"{write_report_json(report.to_diagnosis_report(), args.json)}")
         else:
-            report, elapsed = _drive_engine(
-                topo, engine, reader.iter_chunks(args.chunk_records),
-                args.json, verb="replayed",
-            )
+            chunks = reader.iter_chunks(args.chunk_records)
+            report = engine.process(tel.timed_iter(chunks, "stage.source"))
+        elapsed = time.perf_counter() - start
         run_info.update(n_records=report.n_records, elapsed_s=elapsed)
     finally:
         _telemetry_end(args, session, meter, run_info)
+    for verdict in report.detections:
+        _print_verdict(topo, verdict)
+    rate = report.n_records / elapsed if elapsed > 0 else float("inf")
+    print(
+        f"replayed {report.n_records} records -> {report.n_bins_scored} "
+        f"scored bins in {elapsed:.2f}s ({rate:,.0f} records/s)"
+    )
+    _print_report(args, report)
     return 0
 
 
@@ -1201,7 +1126,7 @@ def main(argv: list[str] | None = None) -> int:
         "detect": _cmd_detect,
         "inject": _cmd_inject,
         "stream": _cmd_stream,
-        "cluster": _cmd_cluster,
+        "cluster": _cmd_stream,
         "worker": _cmd_worker,
         "run": _cmd_run,
         "scenarios": _cmd_scenarios,

@@ -207,36 +207,6 @@ class ODFlowAggregator:
         finally:
             self._parts.clear()
 
-    def aggregate_trace(self, path, bins: TimeBins | None = None) -> TrafficCube:
-        """Aggregate a recorded columnar trace file into a cube.
-
-        The trace (:mod:`repro.io.trace`) is replayed as memory-mapped
-        chunk views; only the attribution keys and anonymised address
-        columns are ever copied, so peak RSS stays far below the trace
-        size.  ``bins`` defaults to the grid recorded in the trace
-        header.
-
-        Args:
-            path: Trace-file path or an open
-                :class:`repro.io.trace.TraceReader`.
-            bins: Optional override of the bin grid to aggregate on.
-
-        Returns:
-            The same cube :meth:`aggregate` builds from the equivalent
-            in-memory batch.
-        """
-        from repro.io.trace import TraceReader, trace_info
-        from repro.stream.chunks import trace_record_stream
-
-        if isinstance(path, TraceReader):
-            grid = bins or path.bins
-            source = trace_record_stream(path)
-        else:
-            # trace_info parses the header without mapping any columns.
-            grid = bins or trace_info(path).bins
-            source = trace_record_stream(path)
-        return self.aggregate_stream(source, grid)
-
     def _accumulate(self, batch: FlowRecordBatch, bins: TimeBins) -> None:
         """Attribute one batch to (bin, OD) groups and stash the columns."""
         if len(batch) == 0:

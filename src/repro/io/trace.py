@@ -18,20 +18,21 @@ File layout (all integers little-endian)::
                  occupy rows [index[b], index[b+1])
     then       : the nine FlowRecordBatch columns, each one contiguous
                  packed array of n_records values, in column order
-    then       : (version 2 only) five derived columns — the resolved
-                 OD index and, per feature, the record's bin-local run
-                 index in the kernel's canonical (od, value) grouped
-                 order — declared by the header's additive ``derived``
-                 table (column names, dtypes, CRCs, anonymization
-                 depth), same slab layout as the base columns
+    then       : five derived columns — the resolved OD index and, per
+                 feature, the record's bin-local run index in the
+                 kernel's canonical (od, value) grouped order —
+                 declared by the header's ``derived`` table (column
+                 names, dtypes, CRCs, anonymization depth), same slab
+                 layout as the base columns
 
-The derived columns are what :mod:`repro.stream.replay` consumes to
-skip longest-prefix OD attribution and the per-bin (od, value) sort
-during detection replay — records with equal (od, value) get the same
-run id, so the file does not depend on how the sort orders ties;
-version-1 traces stay fully readable (replay falls
-back to computing both on the fly) and :func:`upgrade_trace` /
-``repro trace upgrade`` backfills them in place.
+Every writer derives those columns (format version 2): they are what
+:mod:`repro.stream.replay` consumes to skip longest-prefix OD
+attribution and the per-bin (od, value) sort during detection replay,
+and what cluster workers read as their shard filter.  Records with
+equal (od, value) get the same run id, so the file does not depend on
+how the sort orders ties.  Version-1 files (base columns only) still
+open in :class:`TraceReader`, but detection sources refuse them until
+:func:`upgrade_trace` / ``repro trace upgrade`` backfills the columns.
 
 Because every column is a single contiguous slab, a reader can
 ``mmap`` the file and hand out :class:`FlowRecordBatch` chunks whose
@@ -58,7 +59,8 @@ order-independent for the downstream reduction either way.
 :class:`TraceWriter` keeps its own memory bounded too: appended batches
 are spooled column-wise to temporary files and concatenated into the
 final single file on close, so writing a trace never holds more than
-one batch in RAM.
+one bin in RAM (run ids are bin-local, so derivation needs the whole
+bin).
 """
 
 from __future__ import annotations
@@ -92,11 +94,12 @@ __all__ = [
 ]
 
 MAGIC = b"RPROTRC1"
+#: Base columns only: still readable, so :func:`upgrade_trace` can
+#: backfill it, but never written.
 TRACE_VERSION = 1
-#: Traces carrying the precomputed derived columns (resolved OD index +
-#: per-feature bin-local run indices) after the base slabs.  Version-1
-#: files remain fully readable; version-2 files add the ``derived``
-#: header key the same additive way ``column_crcs`` was added.
+#: What every writer produces: the base slabs plus the derived columns
+#: (resolved OD index + per-feature bin-local run indices), declared by
+#: the additive ``derived`` header key.
 TRACE_VERSION_DERIVED = 2
 _SUPPORTED_VERSIONS = (TRACE_VERSION, TRACE_VERSION_DERIVED)
 
@@ -302,9 +305,14 @@ class TraceWriter:
 
     Batches must arrive in nondecreasing bin order (several appends per
     bin are fine; bins with no records are fine).  Each appended batch
-    is spooled to per-column temp files next to the target path, so
-    writer RSS stays bounded by one batch; :meth:`close` assembles the
+    is spooled to per-column temp files next to the target path, and
+    each bin's derived columns are spooled when the next bin starts, so
+    writer RSS stays bounded by one bin; :meth:`close` assembles the
     final single file and removes the spools.
+
+    Deriving the OD column needs the backbone the records were sampled
+    on: ``topology``, or else the registered topology named by
+    ``network`` (:func:`repro.net.topology.topology_by_name`).
 
     A trace stores records, not the recipe: it replays unchanged under
     any build.  Writers of *synthesised* traces record the seeds and
@@ -328,34 +336,28 @@ class TraceWriter:
         start: float = 0.0,
         network: str = "",
         meta: dict | None = None,
-        derive: bool = False,
         topology=None,
     ) -> None:
+        from repro.net.routing import Router
+        from repro.net.topology import topology_by_name
+
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
+        if topology is None:
+            topology = topology_by_name(network)
         self.path = Path(path)
         self.n_bins = int(n_bins)
         self.bin_width = float(bin_width)
         self.start = float(start)
-        self.network = network
+        self.network = network or topology.name
         self.meta = dict(meta or {})
-        self.derive = bool(derive)
-        self._router = None
-        self._anon_bits = 0
+        self._router = Router(topology)
+        self._anon_bits = int(topology.anonymization_bits)
         #: Open bin's batches, buffered until the bin closes: run
         #: indices are bin-local, so derivation needs the whole bin.
         self._pending: list[FlowRecordBatch] = []
         self._pending_bin = -1
-        if self.derive:
-            from repro.net.routing import Router
-            from repro.net.topology import topology_by_name
-
-            if topology is None:
-                topology = topology_by_name(network)
-            self.network = network or topology.name
-            self._router = Router(topology)
-            self._anon_bits = int(topology.anonymization_bits)
-        n_columns = len(_WIRE_DTYPES) + (len(_DERIVED_DTYPES) if self.derive else 0)
+        n_columns = len(_WIRE_DTYPES) + len(_DERIVED_DTYPES)
         self._bin_counts = np.zeros(self.n_bins, dtype=np.int64)
         self._last_bin = -1
         self._n_records = 0
@@ -418,11 +420,10 @@ class TraceWriter:
             view = memoryview(column).cast("B")
             spool.write(view)
             self._crcs[k] = zlib.crc32(view, self._crcs[k])
-        if self.derive:
-            if b != self._pending_bin:
-                self._flush_derived()
-                self._pending_bin = b
-            self._pending.append(batch)
+        if b != self._pending_bin:
+            self._flush_derived()
+            self._pending_bin = b
+        self._pending.append(batch)
         self._bin_counts[b] += len(batch)
         self._n_records += len(batch)
 
@@ -458,15 +459,14 @@ class TraceWriter:
                 raise ValueError("writer was aborted")
             return self.info
         self._closed = True
-        if self.derive:
-            self._flush_derived()
+        self._flush_derived()
         for spool in self._spools:
             spool.close()
         bin_offsets = np.zeros(self.n_bins + 1, dtype="<i8")
         np.cumsum(self._bin_counts, out=bin_offsets[1:])
         n_base = len(_WIRE_DTYPES)
         header = {
-            "version": TRACE_VERSION_DERIVED if self.derive else TRACE_VERSION,
+            "version": TRACE_VERSION_DERIVED,
             "n_records": self._n_records,
             "n_bins": self.n_bins,
             "bins": {"width": self.bin_width, "start": self.start},
@@ -474,13 +474,12 @@ class TraceWriter:
             "column_crcs": [crc & 0xFFFFFFFF for crc in self._crcs[:n_base]],
             "network": self.network,
             "meta": self.meta,
-        }
-        if self.derive:
-            header["derived"] = {
+            "derived": {
                 "columns": [{"name": n, "dtype": d} for n, d in _DERIVED_DTYPES],
                 "crcs": [crc & 0xFFFFFFFF for crc in self._crcs[n_base:]],
                 "anonymization_bits": self._anon_bits,
-            }
+            },
+        }
         payload = _pad_header(json.dumps(header, sort_keys=True).encode())
         tmp_path = self.path.with_name(f".{self.path.name}.assembling.tmp")
         try:
@@ -748,8 +747,8 @@ class TraceReader:
         read-only memory-mapped array.
 
         Raises:
-            KeyError: For version-1 traces (no derived columns); use
-                :func:`upgrade_trace` or re-record with ``derive=True``.
+            KeyError: For version-1 traces (no derived columns); run
+                :func:`upgrade_trace` first.
         """
         return self._derived_columns[name]
 
@@ -802,7 +801,6 @@ class TraceReader:
         self,
         chunk_records: int = 8192,
         bins: Sequence[int] | None = None,
-        row_filter=None,
     ) -> Iterator[FlowRecordBatch]:
         """Yield the trace as time-ordered view batches.
 
@@ -810,13 +808,9 @@ class TraceReader:
             chunk_records: Upper bound on records per yielded chunk.
             bins: Bin indices to replay (default: every bin, which
                 streams the whole record range in one contiguous sweep).
-            row_filter: Optional callable ``batch -> bool mask`` applied
-                to every chunk (e.g. a cluster shard keeping only its OD
-                slice).  Filtered chunks are copies (selection), plain
-                chunks stay views.
 
         Yields:
-            Non-empty :class:`FlowRecordBatch` chunks in record order.
+            Non-empty :class:`FlowRecordBatch` view chunks in record order.
         """
         if chunk_records < 1:
             raise ValueError("chunk_records must be positive")
@@ -842,11 +836,6 @@ class TraceReader:
                             col = getattr(chunk, name)
                             if len(col):
                                 col[::_PAGE_STRIDE].max()
-                    if row_filter is not None:
-                        mask = row_filter(chunk)
-                        if not mask.any():
-                            continue
-                        chunk = chunk.select(mask)
                 if len(chunk):
                     tel.count("trace.records_replayed", len(chunk))
                     yield chunk
@@ -862,7 +851,6 @@ def write_trace(
     seed: int = 0,
     bin_group: int = 64,
     meta: dict | None = None,
-    derive: bool = False,
 ) -> TraceInfo:
     """Materialise a synthetic trace straight into a trace file.
 
@@ -882,9 +870,6 @@ def write_trace(
         seed: Extra stream seed mixed into each record draw.
         bin_group: Bins materialised per generation pass (memory knob).
         meta: Extra provenance merged into the header metadata.
-        derive: Also write the precomputed derived columns (resolved OD
-            index + per-feature run ids) so replay skips attribution
-            and the per-bin (od, value) sort (trace version 2).
 
     Returns:
         The written trace's :class:`TraceInfo`.
@@ -924,8 +909,7 @@ def write_trace(
         start=generator.bins.start,
         network=generator.topology.name,
         meta=header_meta,
-        derive=derive,
-        topology=generator.topology if derive else None,
+        topology=generator.topology,
     ) as writer:
         for b, batch in zip(bins, source):
             writer.append(b, batch)
@@ -937,13 +921,15 @@ def upgrade_trace(
 ) -> TraceInfo:
     """Backfill the derived columns into an existing trace.
 
-    Replays the trace bin by bin through a derive-enabled
-    :class:`TraceWriter`: the nine base slabs are copied byte-identical
-    (same records, same order, same CRCs) and the od/runid slabs are
-    appended, producing a version-2 file.  In-place by default — the
-    writer assembles into a temp file and ``os.replace``\\ s it over the
-    original, so a crash never corrupts the source trace.  Already
-    upgraded traces are returned unchanged.
+    The one way a version-1 trace becomes consumable by detection:
+    replays the trace bin by bin through a :class:`TraceWriter`, so the
+    nine base slabs are copied byte-identical (same records, same
+    order, same CRCs) and the od/runid slabs are appended — the same
+    bytes a direct write of those records produces.  In-place by
+    default — the writer assembles into a temp file and
+    ``os.replace``\\ s it over the original, so a crash never corrupts
+    the source trace.  A trace that already carries the columns is
+    returned unchanged (copied to ``output`` when one is given).
 
     Args:
         path: The trace to upgrade.
@@ -962,10 +948,6 @@ def upgrade_trace(
                 shutil.copyfile(path, output)
                 return trace_info(output)
             return reader.info
-        if topology is None:
-            from repro.net.topology import topology_by_name
-
-            topology = topology_by_name(reader.network)
         target = Path(output) if output is not None else path
         with TraceWriter(
             target,
@@ -974,7 +956,6 @@ def upgrade_trace(
             start=reader.bins.start,
             network=reader.network,
             meta=reader.meta,
-            derive=True,
             topology=topology,
         ) as writer:
             for b in range(reader.n_bins):

@@ -243,7 +243,9 @@ class TraceSource(RecordSource):
     The trace's own bin grid and network win: ``network``/``n_bins``
     arguments are validated against the header
     (:meth:`repro.io.trace.TraceInfo.ensure_compatible`), never used to
-    re-bin.
+    re-bin.  The trace must carry the derived detection columns (every
+    writer stores them); a version-1 file raises
+    :class:`~repro.io.trace.TraceError` naming ``repro trace upgrade``.
     """
 
     def __init__(
@@ -252,9 +254,14 @@ class TraceSource(RecordSource):
         network: str | None = None,
         n_bins: int | None = None,
     ) -> None:
-        from repro.io.trace import trace_info
+        from repro.io.trace import TraceError, trace_info
 
         info = trace_info(path)
+        if info.derived is None:
+            raise TraceError(
+                f"trace {path} has no derived detection columns (version "
+                f"{info.version}); run `repro trace upgrade {path}` first"
+            )
         recorded = info.network.lower() if info.network else None
         if network is not None:
             info.ensure_compatible(network=network)
@@ -293,23 +300,18 @@ class TraceSource(RecordSource):
         from repro.io.trace import TraceReader
 
         reader = TraceReader(self.spec.trace_path)
-        # A version-2 trace already stores the resolved OD per record;
-        # bins replay contiguously and in record order, so a running
-        # offset maps every yielded chunk onto the stored column and
-        # the whole LPM attribution pass disappears.
-        stored = reader.derived_column("od") if reader.has_derived else None
+        # The trace stores the resolved OD per record; bins replay
+        # contiguously and in record order, so a running offset maps
+        # every yielded chunk onto the stored column.  It doubles as
+        # the shard filter and is fed to the monitor, so no LPM pass
+        # runs anywhere.
+        stored = reader.derived_column("od")
         offset = reader.bin_range(0)[0] if self.spec.n_bins else 0
         for chunk in reader.iter_chunks(
             chunk_records=chunk_records, bins=range(self.spec.n_bins)
         ):
-            # Attribution doubles as the shard filter: resolved once,
-            # fed to the monitor so the stage skips its own LPM pass.
-            if stored is not None:
-                ods = np.asarray(stored[offset:offset + len(chunk)],
-                                 dtype=np.int64)
-                offset += len(chunk)
-            else:
-                ods = router.resolve_ods_mixed(chunk.ingress_pop, chunk.dst_ip)
+            ods = np.asarray(stored[offset:offset + len(chunk)], dtype=np.int64)
+            offset += len(chunk)
             if n_shards > 1:
                 mask = shard_mask(ods, n_shards, shard_id)
                 if not mask.any():
@@ -415,6 +417,7 @@ class ScenarioSource(RecordSource):
             bin_width=spec.bin_width,
             start=spec.bin_start,
             network=self.topology.name,
+            topology=self.topology,
             meta={
                 "scenario": spec.scenario,
                 "seed": spec.seed,

@@ -134,7 +134,6 @@ def trace_record_stream(
     trace,
     bins: Sequence[int] | None = None,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    row_filter=None,
 ) -> Iterator[FlowRecordBatch]:
     """Replay a recorded columnar trace as zero-copy record chunks.
 
@@ -143,22 +142,15 @@ def trace_record_stream(
             :class:`repro.io.trace.TraceReader`.
         bins: Bin indices to replay (default: the whole trace).
         chunk_records: Upper bound on records per yielded chunk.
-        row_filter: Optional ``batch -> bool mask`` predicate (e.g. a
-            cluster shard keeping only its OD slice); see
-            :meth:`repro.io.trace.TraceReader.iter_chunks`.
 
     Yields:
         Time-ordered :class:`FlowRecordBatch` chunks whose columns are
-        views into the file mapping (no copies unless filtered).
+        views into the file mapping.
     """
     from repro.io.trace import TraceReader
 
     if isinstance(trace, (str, Path)):
         with TraceReader(trace) as reader:
-            yield from reader.iter_chunks(
-                chunk_records=chunk_records, bins=bins, row_filter=row_filter
-            )
+            yield from reader.iter_chunks(chunk_records=chunk_records, bins=bins)
     else:
-        yield from trace.iter_chunks(
-            chunk_records=chunk_records, bins=bins, row_filter=row_filter
-        )
+        yield from trace.iter_chunks(chunk_records=chunk_records, bins=bins)

@@ -216,67 +216,38 @@ class StreamingDetectionEngine:
             meta=self.meta,
         )
 
-    def _chunks(
-        self, source: "str | Path | FlowRecordBatch | Iterable[FlowRecordBatch]"
-    ) -> Iterator[FlowRecordBatch]:
-        """Normalise any record source into bounded chunks.
-
-        A string or :class:`~pathlib.Path` names a columnar trace file
-        (:mod:`repro.io.trace`): it is replayed as zero-copy
-        memory-mapped chunks sized by ``config.chunk_records``, after
-        checking that the trace's network and bin grid match this
-        engine's (replaying onto a different grid would silently re-bin
-        every record).
-        """
-        if isinstance(source, (str, Path)):
-            from repro.io.trace import trace_info
-            from repro.stream.chunks import trace_record_stream
-
-            trace_info(source).ensure_compatible(
-                network=self.topology.name,
-                bin_width=self.stage.bin_width,
-                start=self.stage.start,
-            )
-            self.meta.setdefault("source", "trace")
-            self.meta.setdefault("trace_path", str(source))
-            return trace_record_stream(
-                source, chunk_records=self.config.chunk_records
-            )
-        return iter_record_chunks(source, self.config.chunk_records)
-
     def process(
-        self, source: "str | Path | FlowRecordBatch | Iterable[FlowRecordBatch]"
+        self, source: FlowRecordBatch | Iterable[FlowRecordBatch]
     ) -> StreamingReport:
         """Run a whole record stream end-to-end (re-chunked, bounded).
 
-        ``source`` may also be a trace-file path, replayed zero-copy.
+        A recorded trace enters through
+        :class:`repro.pipeline.TraceSource` or :meth:`process_precomputed`.
         """
-        for chunk in self._chunks(source):
+        for chunk in iter_record_chunks(source, self.config.chunk_records):
             self.ingest(chunk)
         return self.finish()
 
     def process_precomputed(
-        self, trace: "str | Path | TraceReader", readahead: bool = False
+        self, trace: "str | Path | TraceReader"
     ) -> StreamingReport:
         """Run exact detection straight from a trace's derived columns.
 
         The precomputed fast path: per-bin summaries are rebuilt from
-        the trace's stored OD/run-id columns (version 2) — no
-        longest-prefix attribution, no per-bin (od, value) sort — and scored
-        through the same detector bank, so the report is bit-identical
-        to :meth:`process` over the same trace.  Version-1 traces work
-        too (the columns are derived on the fly per bin).
+        the trace's stored OD/run-id columns — no longest-prefix
+        attribution, no per-bin (od, value) sort — and scored through
+        the same detector bank, so the report is bit-identical to
+        :meth:`process` over the trace's records.
 
         Args:
             trace: Trace path, or an already-open
                 :class:`~repro.io.trace.TraceReader`.
-            readahead: Issue ``posix_fadvise(WILLNEED)`` on open so a
-                cold replay overlaps page-ins with compute (ignored for
-                an already-open reader).
 
         Raises:
             ValueError: In sketch mode — sketches hash raw feature
                 values, which the derived columns do not store.
+            TraceError: The trace has no derived columns (run
+                ``repro trace upgrade``).
         """
         from repro.io.trace import TraceReader
         from repro.stream.replay import iter_precomputed_summaries
@@ -290,7 +261,7 @@ class StreamingDetectionEngine:
         if isinstance(trace, TraceReader):
             reader = trace
         else:
-            reader = TraceReader(trace, readahead=readahead)
+            reader = TraceReader(trace)
         reader.info.ensure_compatible(
             network=self.topology.name,
             bin_width=self.stage.bin_width,
@@ -298,12 +269,7 @@ class StreamingDetectionEngine:
         )
         self.meta.setdefault("source", "trace")
         self.meta.setdefault("trace_path", str(reader.path))
-        self.meta.setdefault(
-            "replay", "precomputed" if reader.has_derived else "derive-on-read"
-        )
-        for summary in iter_precomputed_summaries(
-            reader, self.topology, router=self.stage.router
-        ):
+        for summary in iter_precomputed_summaries(reader, self.topology):
             self._n_records += summary.n_records
             self.bank.observe(summary)
         return self.bank.finish(
@@ -311,13 +277,10 @@ class StreamingDetectionEngine:
         )
 
     def events(
-        self, source: "str | Path | FlowRecordBatch | Iterable[FlowRecordBatch]"
+        self, source: FlowRecordBatch | Iterable[FlowRecordBatch]
     ) -> Iterator[StreamDetection]:
-        """Iterate bin verdicts as the stream is consumed (lazy).
-
-        ``source`` may also be a trace-file path, replayed zero-copy.
-        """
-        for chunk in self._chunks(source):
+        """Iterate bin verdicts as the stream is consumed (lazy)."""
+        for chunk in iter_record_chunks(source, self.config.chunk_records):
             yield from self.ingest(chunk)
         for summary in self.stage.flush():
             verdict = self.bank.observe(summary)

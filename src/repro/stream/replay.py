@@ -16,10 +16,9 @@ emitted :class:`~repro.stream.window.BinSummary` is bit-identical to
 what :class:`~repro.stream.window.StreamFeatureStage` computes from
 raw records — detections from either path match byte for byte.
 
-Version-1 traces take the same code path with the derived columns
-computed on the fly per bin (:func:`repro.io.trace.derive_columns`),
-trading the speedup for compatibility; ``repro trace upgrade``
-backfills them permanently.
+A version-1 trace (no derived columns) is refused with a
+:class:`~repro.io.trace.TraceError` naming ``repro trace upgrade``,
+which backfills the columns once.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ import numpy as np
 
 from repro import telemetry as tel
 from repro.flows.features import N_FEATURES
-from repro.io.trace import TraceReader, derive_columns
+from repro.io.trace import TraceError, TraceReader
 from repro.kernels import group_sums, grouped_entropy
-from repro.net.routing import Router
 from repro.net.topology import Topology
 from repro.stream.window import BinSummary
 
@@ -102,41 +100,39 @@ def bin_summary_from_derived(
 
 
 def iter_precomputed_summaries(
-    reader: TraceReader,
-    topology: Topology,
-    router: Router | None = None,
+    reader: TraceReader, topology: Topology
 ) -> Iterator[BinSummary]:
     """Yield exact-mode bin summaries straight from a trace.
 
     Exactly the bins the record-level stage would close: from the first
     non-empty bin through the last (gap bins in between yield empty
-    summaries; leading/trailing empty bins never close).  Version-2
-    traces whose stored anonymization depth matches the topology read
-    the derived columns zero-copy; anything else derives them on the
-    fly per bin — same summaries, minus the speedup.
+    summaries; leading/trailing empty bins never close).
+
+    Raises:
+        TraceError: The trace has no derived columns (version 1, or a
+            truncated tail that lost them).
+        ValueError: The run ids were computed under another
+            anonymization depth than ``topology``'s.
     """
-    counts = reader.info.bin_counts
-    nonempty = np.flatnonzero(counts)
+    if not reader.has_derived:
+        raise TraceError(
+            f"{reader.path} has no derived detection columns; run "
+            f"`repro trace upgrade {reader.path}` to backfill them"
+        )
+    stored_bits = int(reader.info.derived.get("anonymization_bits", -1))
+    if stored_bits != int(topology.anonymization_bits):
+        raise ValueError(
+            f"{reader.path} derived its run ids under {stored_bits}-bit "
+            f"anonymization, but {topology.name} uses "
+            f"{topology.anonymization_bits}"
+        )
+    nonempty = np.flatnonzero(reader.info.bin_counts)
     if not len(nonempty):
         return
-    stored = (
-        reader.has_derived
-        and int(reader.info.derived.get("anonymization_bits", -1))
-        == int(topology.anonymization_bits)
-    )
-    if not stored and router is None:
-        router = Router(topology)
-    label = "replay.derived" if stored else "replay.derive_on_read"
     for b in range(int(nonempty[0]), int(nonempty[-1]) + 1):
-        with tel.span(label):
+        with tel.span("replay.derived"):
             lo, hi = reader.bin_range(b)
-            if stored:
-                ods, runids = reader.read_derived_bin(b)
-            else:
-                batch = reader.read_bin(b)
-                ods, runids = derive_columns(
-                    batch, router, topology.anonymization_bits
-                )
+            ods, runids = reader.read_derived_bin(b)
             summary = bin_summary_from_derived(
                 b,
                 ods,

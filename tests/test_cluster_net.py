@@ -271,14 +271,14 @@ class TestODSplitTraceReads:
 
     Small chunks put chunk boundaries inside every bin, and two bins
     hold a single OD each, so their one chunk has no row of most
-    shards.  Both trace versions: v1 (ODs from longest-prefix match)
-    and v2 (the stored ``od`` column read at a running offset).
+    shards.  ODs are the stored ``od`` column read at a running offset,
+    checked against longest-prefix match.
     """
 
     CHUNK_RECORDS = 64
 
-    @pytest.fixture(scope="class", params=["v1", "v2"])
-    def trace(self, request, tmp_path_factory):
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
         from repro.flows.binning import TimeBins
         from repro.stream.chunks import synthetic_record_stream
         from repro.traffic.generator import TrafficGenerator
@@ -293,9 +293,8 @@ class TestODSplitTraceReads:
             ods = router.resolve_ods_mixed(batches[b].ingress_pop,
                                            batches[b].dst_ip)
             batches[b] = batches[b].select(ods == od)
-        path = tmp_path_factory.mktemp("odsplit") / f"{request.param}.trace"
-        _write_batches(path, {"n_bins": n_bins}, batches,
-                       derive=request.param == "v2")
+        path = tmp_path_factory.mktemp("odsplit") / "split.trace"
+        _write_batches(path, {"n_bins": n_bins}, batches)
         return path
 
     def _shards(self, trace, n_shards):
@@ -314,7 +313,6 @@ class TestODSplitTraceReads:
 
         _, router, shards = self._shards(trace, n_shards)
         with TraceReader(trace) as reader:
-            assert reader.has_derived == trace.name.startswith("v2")
             bins = [reader.read_bin(b) for b in range(reader.n_bins)]
         n_chunks = sum(-(-len(batch) // self.CHUNK_RECORDS) for batch in bins)
         whole = FlowRecordBatch.concat(bins)
@@ -352,7 +350,7 @@ class _FixtureCluster:
     def fixture_env(self, tmp_path_factory):
         wl, topology, batches = seed_workload()
         path = tmp_path_factory.mktemp("net") / "seed.trace"
-        _write_batches(path, wl, batches, derive=True)
+        _write_batches(path, wl, batches)
         return wl, path, stream_config(wl), FIXTURE_PATH.read_bytes()
 
     def run(self, fixture_env, **kwargs):

@@ -2,12 +2,17 @@
 
 The full execution pass (``tools/check_docs.py --run``) runs in CI;
 here we keep the cheap guarantees in tier-1: the documents exist, link
-to each other, and every fenced python block parses.
+to each other, every fenced python block parses, and every flag the
+README's CLI table lists exists on that subcommand's parser.
 """
 
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -27,3 +32,24 @@ def test_readme_python_blocks_compile():
     )
     assert result.returncode == 0, result.stderr
     assert "README.md" in result.stdout
+
+
+def _subparser(parser, words):
+    for word in words:
+        (action,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = action.choices[word]
+    return parser
+
+
+def test_readme_cli_table_flags_exist():
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("## CLI reference", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z ]+)` \|[^|]*\|(.*)\|$", table, re.M)
+    assert len(rows) >= 15
+    for command, options in rows:
+        sub = _subparser(build_parser(), command.split())
+        known = {flag for action in sub._actions for flag in action.option_strings}
+        for flag in re.findall(r"--[a-z][a-z-]*", options):
+            assert flag in known, f"README lists {flag} for `repro {command}`"

@@ -440,7 +440,7 @@ class TestProvenanceMeta:
 
         path = shared_traces["baseline-diurnal"]
         engine = StreamingDetectionEngine(abilene(), _config())
-        report = engine.process(str(path))
+        report = engine.process_precomputed(str(path))
         assert report.meta["source"] == "trace"
         assert report.meta["trace_path"] == str(path)
 

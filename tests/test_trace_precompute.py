@@ -1,13 +1,19 @@
 """The precomputed-detection fast path.
 
-Exact detection replayed from a version-2 trace's derived columns
+Exact detection replayed from a trace's derived columns
 (:meth:`StreamingDetectionEngine.process_precomputed`) must render
 detections byte-for-byte equal to the record-level engine — pinned
 against the same frozen parity fixture the kernel path is held to
 (``tests/data/seed_stream_detections.json``, built through
-``tests/parity_fixture.py``), for stored columns (v2), derive-on-read
-(v1), and an in-place ``upgrade_trace``.
+``tests/parity_fixture.py``), for a direct write and for a version-1
+file brought back by ``upgrade_trace``.  Version-1 files (written
+here by stripping the derived slabs, the layout older writers
+produced) are refused by every detection source until upgraded.
 """
+
+import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +21,9 @@ import pytest
 from parity_fixture import FIXTURE_PATH, render, seed_workload, stream_config
 from repro import TimeBins, TrafficGenerator, abilene
 from repro.flows.features import FEATURES
+from repro.cli import main
 from repro.io.trace import (
+    MAGIC,
     TraceError,
     TraceReader,
     TraceWriter,
@@ -26,17 +34,32 @@ from repro.io.trace import (
     write_trace,
 )
 from repro.net.routing import Router
+from repro.pipeline import TraceSource
 from repro.stream import StreamConfig, StreamingDetectionEngine
 from repro.stream.replay import iter_precomputed_summaries
 
 
-def _write_batches(path, wl, batches, derive):
-    with TraceWriter(
-        path, n_bins=wl["n_bins"], network="Abilene", derive=derive
-    ) as writer:
+def _write_batches(path, wl, batches):
+    with TraceWriter(path, n_bins=wl["n_bins"], network="Abilene") as writer:
         for b, batch in enumerate(batches):
             writer.append(b, batch)
     return writer.info
+
+
+def _strip_to_v1(src, dst):
+    """Rewrite trace ``src`` as a version-1 file at ``dst``: the same
+    header minus the ``derived`` table, and the nine base slabs only."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + header_len])
+    n_derived = len(header.pop("derived")["columns"])
+    header["version"] = 1
+    payload = json.dumps(header, sort_keys=True).encode()
+    payload += b" " * (-len(payload) % 8)
+    body = data[16 + header_len:]
+    body = body[: len(body) - n_derived * 8 * header["n_records"]]
+    dst.write_bytes(MAGIC + struct.pack("<Q", len(payload)) + payload + body)
+    return dst
 
 
 def _engine(topology, wl):
@@ -54,25 +77,27 @@ class TestPrecomputedReplayByteEquality:
         wl, topology, batches = workload
         fixture_bytes = FIXTURE_PATH.read_bytes()
         path = tmp_path / "derived.trace"
-        _write_batches(path, wl, batches, derive=True)
+        info = _write_batches(path, wl, batches)
+        assert info.version == 2 and info.derived is not None
         report = _engine(topology, wl).process_precomputed(path)
         assert render(wl, report) == fixture_bytes
-        assert report.meta["replay"] == "precomputed"
 
-    def test_derive_on_read_reproduces_seed_fixture(self, workload, tmp_path):
+    def test_upgraded_v1_reproduces_seed_fixture(self, workload, tmp_path):
         wl, topology, batches = workload
-        fixture_bytes = FIXTURE_PATH.read_bytes()
-        path = tmp_path / "plain.trace"
-        info = _write_batches(path, wl, batches, derive=False)
-        assert info.derived is None
-        report = _engine(topology, wl).process_precomputed(path)
-        assert render(wl, report) == fixture_bytes
-        assert report.meta["replay"] == "derive-on-read"
+        direct = tmp_path / "derived.trace"
+        _write_batches(direct, wl, batches)
+        v1 = _strip_to_v1(direct, tmp_path / "plain.trace")
+        with pytest.raises(TraceError, match="repro trace upgrade"):
+            _engine(topology, wl).process_precomputed(v1)
+        upgrade_trace(v1)
+        assert v1.read_bytes() == direct.read_bytes()
+        report = _engine(topology, wl).process_precomputed(v1)
+        assert render(wl, report) == FIXTURE_PATH.read_bytes()
 
     def test_precomputed_summaries_match_stage_summaries(self, workload, tmp_path):
         wl, topology, batches = workload
         path = tmp_path / "derived.trace"
-        _write_batches(path, wl, batches, derive=True)
+        _write_batches(path, wl, batches)
         stage_engine = _engine(topology, wl)
         summaries = []
         for batch in batches:
@@ -99,6 +124,18 @@ class TestPrecomputedReplayByteEquality:
         with pytest.raises(ValueError, match="exact_histograms"):
             engine.process_precomputed(path)
 
+    def test_anonymization_mismatch_is_rejected(self, tmp_path):
+        path = tmp_path / "any.trace"
+        write_trace(
+            path,
+            TrafficGenerator(abilene(), TimeBins(n_bins=2), seed=0),
+            max_records_per_od=5,
+        )
+        unmasked = dataclasses.replace(abilene(), anonymization_bits=0)
+        with TraceReader(path) as reader:
+            with pytest.raises(ValueError, match="11-bit anonymization"):
+                list(iter_precomputed_summaries(reader, unmasked))
+
 
 class TestTraceV2Format:
     """The derived-column trace format: round-trip, upgrade, recovery."""
@@ -107,11 +144,9 @@ class TestTraceV2Format:
     def traces(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("v2")
         generator = TrafficGenerator(abilene(), TimeBins(n_bins=4), seed=5)
-        v1 = tmp / "v1.trace"
-        write_trace(v1, generator, max_records_per_od=40, seed=0)
         v2 = tmp / "v2.trace"
-        write_trace(v2, generator, max_records_per_od=40, seed=0, derive=True)
-        return v1, v2
+        write_trace(v2, generator, max_records_per_od=40, seed=0)
+        return _strip_to_v1(v2, tmp / "v1.trace"), v2
 
     def test_versions_and_header(self, traces):
         v1, v2 = traces
@@ -145,10 +180,37 @@ class TestTraceV2Format:
         upgraded = tmp_path / "upgraded.trace"
         info = upgrade_trace(v1, output=upgraded)
         assert info.version == 2
-        assert trace_info(upgraded).column_crcs == trace_info(v2).column_crcs
-        assert trace_info(upgraded).derived["crcs"] == (
-            trace_info(v2).derived["crcs"]
-        )
+        assert upgraded.read_bytes() == v2.read_bytes()
+
+    def test_v1_trace_source_names_the_upgrade(self, traces):
+        v1, v2 = traces
+        with pytest.raises(TraceError, match=f"repro trace upgrade {v1}"):
+            TraceSource(v1)
+        assert TraceSource(v2).info.version == 2
+
+    def test_v1_trace_cli_run_names_the_upgrade(self, traces, capsys):
+        v1, _ = traces
+        code = main(["stream", "--trace", str(v1), "--warmup-bins", "2",
+                     "--live-bins", "1"])
+        assert code == 2
+        assert f"run `repro trace upgrade {v1}` first" in capsys.readouterr().err
+
+    def test_v1_replay_takes_the_record_path(self, tmp_path, capsys):
+        v2 = tmp_path / "v2.trace"
+        main(["trace", "write", "--bins", "10", "--max-records", "10",
+              "--seed", "3", "--output", str(v2)])
+        v1 = _strip_to_v1(v2, tmp_path / "v1.trace")
+        args = ["--warmup-bins", "8", "--exact", "--refit-every", "0",
+                "--components", "4"]
+        detections = {}
+        for path, path_kind in ((v1, "exact histograms"), (v2, "precomputed columns")):
+            assert main(["trace", "replay", str(path), *args]) == 0
+            out = capsys.readouterr().out
+            assert path_kind in out
+            detections[path_kind] = [
+                line for line in out.splitlines() if line.startswith("detections:")
+            ]
+        assert detections["exact histograms"] == detections["precomputed columns"]
 
     def test_upgrade_in_place_is_idempotent(self, traces, tmp_path):
         v1, _ = traces
@@ -172,7 +234,6 @@ class TestTraceV2Format:
             TrafficGenerator(abilene(), TimeBins(n_bins=12), seed=5),
             max_records_per_od=40,
             seed=0,
-            derive=True,
         )
         full = trace_info(v2)
         clipped = tmp_path / "clipped.trace"
@@ -187,13 +248,15 @@ class TestTraceV2Format:
         with TraceReader(clipped, allow_partial=True) as reader:
             assert not reader.has_derived
             assert reader.n_bins >= 1
-        # The fast path still works — it derives on the fly.
-        engine = StreamingDetectionEngine(
-            abilene(),
-            StreamConfig(warmup_bins=8, n_components=2, refit_every=0,
-                         exact_histograms=True),
-        )
+        # The fast path refuses the tail; its records still replay.
+        config = StreamConfig(warmup_bins=8, n_components=2, refit_every=0,
+                              exact_histograms=True)
         with TraceReader(clipped, allow_partial=True) as reader:
-            report = engine.process_precomputed(reader)
-        assert report.n_records > 0
-        assert full.n_records >= report.n_records
+            with pytest.raises(TraceError, match="no derived detection columns"):
+                StreamingDetectionEngine(abilene(), config).process_precomputed(
+                    reader
+                )
+            report = StreamingDetectionEngine(abilene(), config).process(
+                reader.iter_chunks()
+            )
+        assert report.n_records == full.n_records

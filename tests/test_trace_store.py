@@ -40,6 +40,7 @@ from repro.io import (
 from repro.io.trace import upgrade_trace
 from repro.resilience import truncate_tail
 from repro.net.topology import abilene
+from repro.pipeline import DetectionPipeline
 from repro.pipeline.sources import ScenarioSource, TraceSource, shard_ods
 from repro.stream import (
     StreamConfig,
@@ -73,6 +74,7 @@ def _random_batch(n, rng, t0=0.0, width=300.0):
 
 
 def _write(path, per_bin_batches, **kwargs):
+    kwargs.setdefault("network", "Abilene")
     with TraceWriter(path, n_bins=len(per_bin_batches), **kwargs) as writer:
         for b, batch in enumerate(per_bin_batches):
             writer.append(b, batch)
@@ -115,12 +117,13 @@ class TestRoundTrip:
             _random_batch(n, rng, t0=300.0 * b) for b, n in enumerate(bin_counts)
         ]
         path = tmp_path_factory.mktemp("prop") / "t.trace"
-        info = _write(path, batches, network="testnet", meta={"k": 1})
+        info = _write(path, batches, meta={"k": 1})
         assert info.n_records == sum(bin_counts)
         assert info.bin_counts.tolist() == bin_counts
         with TraceReader(path) as reader:
             assert reader.n_bins == len(bin_counts)
-            assert reader.network == "testnet"
+            assert reader.network == "Abilene"
+            assert reader.has_derived
             assert reader.meta["k"] == 1
             for b, batch in enumerate(batches):
                 _columns_equal(reader.read_bin(b), batch)
@@ -132,7 +135,7 @@ class TestRoundTrip:
     def test_multiple_appends_per_bin_and_gaps(self, tmp_path):
         rng = np.random.default_rng(3)
         a, b = _random_batch(5, rng, t0=300.0), _random_batch(7, rng, t0=300.0)
-        with TraceWriter(tmp_path / "t.trace", n_bins=4) as writer:
+        with TraceWriter(tmp_path / "t.trace", n_bins=4, network="abilene") as writer:
             writer.append(1, a)
             writer.append(1, b)
             writer.append(3, FlowRecordBatch.empty())
@@ -141,11 +144,26 @@ class TestRoundTrip:
             _columns_equal(reader.read_bin(1), FlowRecordBatch.concat([a, b]))
             assert len(reader.read_bin(0)) == 0
 
+    def test_bin_split_across_appends_derives_as_one_bin(self, tmp_path):
+        # Run ids are bin-local: the writer must derive a bin once,
+        # over all of its appends, not once per appended batch.
+        rng = np.random.default_rng(4)
+        a, b = _random_batch(9, rng, t0=300.0), _random_batch(6, rng, t0=300.0)
+        split, whole = tmp_path / "split.trace", tmp_path / "whole.trace"
+        with TraceWriter(split, n_bins=2, network="Abilene") as writer:
+            writer.append(1, a)
+            writer.append(1, b)
+        _write(whole, [FlowRecordBatch.empty(), FlowRecordBatch.concat([a, b])])
+        assert split.read_bytes() == whole.read_bytes()
+
     def test_writer_rejects_misuse(self, tmp_path):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            TraceWriter(tmp_path / "x.trace", n_bins=0)
-        writer = TraceWriter(tmp_path / "t.trace", n_bins=3)
+            TraceWriter(tmp_path / "x.trace", n_bins=0, network="abilene")
+        # Deriving the OD column needs the backbone: no network, no writer.
+        with pytest.raises(ValueError, match="not a known topology"):
+            TraceWriter(tmp_path / "x.trace", n_bins=3)
+        writer = TraceWriter(tmp_path / "t.trace", n_bins=3, network="abilene")
         writer.append(2, _random_batch(1, rng, t0=600.0))
         with pytest.raises(ValueError):  # decreasing bin order
             writer.append(1, _random_batch(1, rng, t0=300.0))
@@ -160,7 +178,7 @@ class TestRoundTrip:
     def test_abort_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.trace"
         try:
-            with TraceWriter(path, n_bins=2) as writer:
+            with TraceWriter(path, n_bins=2, network="abilene") as writer:
                 writer.append(0, _random_batch(4, np.random.default_rng(0)))
                 raise RuntimeError("boom")
         except RuntimeError:
@@ -308,8 +326,11 @@ class TestReplayEquivalence:
         )
         topology = abilene()
         inline = StreamingDetectionEngine(topology, config).process(batches)
-        replayed = StreamingDetectionEngine(topology, config).process(str(path))
-        assert inline.n_records == replayed.n_records
+        replayed = DetectionPipeline(config).run(path, mode="stream").report
+        precomputed = StreamingDetectionEngine(topology, config).process_precomputed(
+            path
+        )
+        assert inline.n_records == replayed.n_records == precomputed.n_records
 
         def render(report):
             return [
@@ -319,7 +340,7 @@ class TestReplayEquivalence:
                 for d in report.detections
             ]
 
-        assert render(inline) == render(replayed)
+        assert render(inline) == render(replayed) == render(precomputed)
 
     def test_batch_pipeline_accepts_trace(self, small_trace):
         path, _, batches = small_trace
@@ -328,7 +349,9 @@ class TestReplayEquivalence:
         from_batch = ODFlowAggregator(topology).aggregate(
             FlowRecordBatch.concat(batches), bins
         )
-        from_trace = ODFlowAggregator(topology).aggregate_trace(path)
+        from_trace = ODFlowAggregator(topology).aggregate_stream(
+            TraceSource(path).batches(), bins
+        )
         np.testing.assert_array_equal(from_trace.packets, from_batch.packets)
         np.testing.assert_array_equal(from_trace.bytes, from_batch.bytes)
         np.testing.assert_array_equal(from_trace.entropy, from_batch.entropy)
@@ -360,16 +383,13 @@ class TestReplayEquivalence:
         )
         path = tmp_path / "wide.trace"
         write_trace(path, generator, max_records_per_od=5)
-        engine = StreamingDetectionEngine(
-            topology, StreamConfig(warmup_bins=10)
-        )  # default 300s grid
+        config = StreamConfig(warmup_bins=10, exact_histograms=True)
+        engine = StreamingDetectionEngine(topology, config)  # default 300s grid
         with pytest.raises(ValueError, match="binned on 600s"):
-            engine.process(str(path))
+            engine.process_precomputed(path)
         # An engine built on the trace's grid replays fine.
-        adopted = StreamingDetectionEngine(
-            topology, StreamConfig(warmup_bins=10), bin_width=600.0
-        )
-        report = adopted.process(str(path))
+        adopted = StreamingDetectionEngine(topology, config, bin_width=600.0)
+        report = adopted.process_precomputed(path)
         assert report.n_records == trace_info(path).n_records
 
     def test_cluster_adopts_trace_bin_grid(self, tmp_path):
@@ -461,10 +481,13 @@ class TestPartialTailRecovery:
     """A truncated trace recovers its complete leading bins."""
 
     def _truncated_copy(self, small_trace, tmp_path, cut=3000):
+        """A copy cut ``cut`` bytes into the base columns: the five
+        derived slabs after them go first."""
         path, info, _ = small_trace
         copy = tmp_path / "cut.trace"
         copy.write_bytes(path.read_bytes())
-        truncate_tail(copy, cut)
+        if cut:
+            truncate_tail(copy, cut + 5 * 8 * info.n_records)
         return path, copy, info
 
     def test_strict_read_raises_with_hint(self, small_trace, tmp_path):
@@ -549,6 +572,28 @@ class TestTraceCli:
         ])
         out = capsys.readouterr().out
         assert code == 0 and "scored bins" in out
+        assert "precomputed columns" in out  # exact: the derived columns
+
+        code = main([
+            "trace", "replay", str(out_path), "--warmup-bins", "8",
+            "--refit-every", "0", "--components", "4",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0 and "CM sketches" in out  # sketch: the records
+
+    def test_upgrade_output_copies_a_derived_trace(self, tmp_path, capsys):
+        path, out_path = tmp_path / "cli.trace", tmp_path / "copy.trace"
+        main(["trace", "write", "--bins", "4", "--max-records", "5",
+              "--output", str(path)])
+        capsys.readouterr()
+        code = main(["trace", "upgrade", str(path), "--output", str(out_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"copied it unchanged to {out_path}" in out
+        assert "nothing to do" not in out
+        assert out_path.read_bytes() == path.read_bytes()
+        assert main(["trace", "upgrade", str(path)]) == 0
+        assert "nothing to do" in capsys.readouterr().out
 
     def test_info_flags_a_trace_from_an_older_synthesis_scheme(
         self, tmp_path, capsys
@@ -600,7 +645,9 @@ class TestTraceCli:
             "--components", "4",
         ])
         assert code == 0
-        assert "truncated" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # A truncated tail loses the derived slabs: the records replay.
+        assert "truncated" in out and "exact histograms" in out
 
     def test_stream_and_cluster_accept_trace(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"
