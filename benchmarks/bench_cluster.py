@@ -21,7 +21,7 @@ import os
 from _util import emit, run_once, write_json_result
 
 from repro.cluster import run_cluster_source
-from repro.pipeline import SyntheticSource
+from repro.pipeline import ScenarioSource
 from repro.stream import StreamConfig
 
 WORKERS = (1, 2, 4)
@@ -36,7 +36,8 @@ SPEEDUP_FLOOR = 1.5
 
 def _run(n_shards):
     return run_cluster_source(
-        SyntheticSource(
+        ScenarioSource(
+            "baseline-diurnal",
             network="abilene",
             n_bins=N_BINS,
             seed=SEED,

@@ -25,12 +25,8 @@ import os
 from _util import emit, run_once, write_json_result
 
 from repro.cluster import run_cluster_source
-from repro.flows.binning import TimeBins
-from repro.io import write_trace
-from repro.net.topology import abilene
-from repro.pipeline import TraceSource
+from repro.pipeline import ScenarioSource, TraceSource
 from repro.stream import StreamConfig
-from repro.traffic.generator import TrafficGenerator
 
 N_BINS = 20
 WARMUP_BINS = 14
@@ -63,12 +59,10 @@ def _available_cores() -> int:
 
 
 def _write_shared_trace(path):
-    generator = TrafficGenerator(
-        abilene(), TimeBins(n_bins=N_BINS), seed=SEED
-    )
-    return write_trace(
-        path, generator, max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED
-    )
+    return ScenarioSource(
+        "baseline-diurnal", n_bins=N_BINS, seed=SEED,
+        max_records_per_od=MAX_RECORDS_PER_OD,
+    ).write_trace(path)
 
 
 def _run(trace_path, **overrides):

@@ -18,7 +18,7 @@ The ratios are persisted as ``results/resilience.json``.
 from _util import emit, run_once, write_json_result
 
 from repro.cluster import run_cluster_source
-from repro.pipeline import SyntheticSource
+from repro.pipeline import ScenarioSource
 from repro.resilience import ResiliencePolicy
 from repro.stream import StreamConfig
 
@@ -34,7 +34,8 @@ RECOVERY_SLOWDOWN_CEILING = 4.0
 
 def _run(**kwargs):
     return run_cluster_source(
-        SyntheticSource(
+        ScenarioSource(
+            "baseline-diurnal",
             network="abilene",
             n_bins=N_BINS,
             seed=SEED,

@@ -38,9 +38,9 @@ from _util import (
 from repro.cluster import run_cluster_source
 from repro.flows.binning import TimeBins
 from repro.flows.records import COLUMN_SPEC
-from repro.io import TraceReader, write_trace
+from repro.io import TraceReader
 from repro.net.topology import abilene
-from repro.pipeline import DetectionPipeline, TraceSource
+from repro.pipeline import DetectionPipeline, ScenarioSource, TraceSource
 from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream, trace_record_stream
 from repro.traffic.generator import TrafficGenerator
 
@@ -53,9 +53,9 @@ REPEATS = 3
 COLD_REPEATS = 5
 CHUNK_RECORDS = 65536
 
-#: The precomputed-detection workload: the ``repro trace write``
-#: default record density, so per-bin scoring cost is amortised the
-#: way a real recorded trace would amortise it.
+#: The precomputed-detection workload: a dense recorded trace, so
+#: per-bin scoring cost is amortised the way a real recorded trace
+#: would amortise it.
 DETECT_MAX_RECORDS = 400
 DETECT_WARMUP = 24
 DETECT_REPEATS = 5
@@ -69,6 +69,14 @@ CLUSTER_WORKERS = (1, 2)
 
 def _generator():
     return TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=SEED)
+
+
+def _write_trace(path, n_bins, max_records_per_od, seed):
+    """The background trace (``baseline-diurnal`` schedules no events)."""
+    return ScenarioSource(
+        "baseline-diurnal", n_bins=n_bins, seed=seed,
+        max_records_per_od=max_records_per_od,
+    ).write_trace(path)
 
 
 def _consume(chunks) -> int:
@@ -106,9 +114,7 @@ def test_trace_write_and_replay(benchmark, tmp_path):
 
     # Write throughput (the batched whole-bin generation path).
     def _write():
-        return write_trace(
-            path, _generator(), max_records_per_od=MAX_RECORDS_PER_OD, seed=0
-        )
+        return _write_trace(path, N_BINS, MAX_RECORDS_PER_OD, SEED)
 
     info = run_once(benchmark, _write)
     _, write_times = timed_repeats(_write, REPEATS)
@@ -120,7 +126,7 @@ def test_trace_write_and_replay(benchmark, tmp_path):
         return _consume(
             synthetic_record_stream(
                 _generator(), range(N_BINS), max_records_per_od=MAX_RECORDS_PER_OD,
-                seed=0,
+                seed=SEED,
             )
         )
 
@@ -221,7 +227,7 @@ def test_trace_write_and_replay(benchmark, tmp_path):
         first_inline = next(
             synthetic_record_stream(
                 check_gen, range(N_BINS), max_records_per_od=MAX_RECORDS_PER_OD,
-                seed=0,
+                seed=SEED,
             )
         )
         first_replayed = reader.read_bin(0)
@@ -243,12 +249,9 @@ def test_precomputed_detection(benchmark, tmp_path):
     the number ``tools/check_perf.py`` holds to an absolute floor.
     """
     path = tmp_path / "derived.trace"
-    generator = TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=SEED)
 
     def _write():
-        return write_trace(
-            path, generator, max_records_per_od=DETECT_MAX_RECORDS, seed=0
-        )
+        return _write_trace(path, N_BINS, DETECT_MAX_RECORDS, SEED)
 
     info = run_once(benchmark, _write)
     n_records = info.n_records
@@ -331,16 +334,10 @@ def test_precomputed_detection(benchmark, tmp_path):
 def test_cluster_on_shared_trace(tmp_path):
     """1/2-worker cluster ingest from one shared mmap'd trace file."""
     path = tmp_path / "cluster.trace"
-    generator = TrafficGenerator(
-        abilene(), TimeBins(n_bins=CLUSTER_N_BINS), seed=CLUSTER_SEED
-    )
     # The stored OD column replaces each worker's longest-prefix
     # attribution pass — this (with the disjoint OD split) is what
     # removed the historical 2-worker inversion.
-    info = write_trace(
-        path, generator, max_records_per_od=CLUSTER_MAX_RECORDS,
-        seed=CLUSTER_SEED,
-    )
+    info = _write_trace(path, CLUSTER_N_BINS, CLUSTER_MAX_RECORDS, CLUSTER_SEED)
     config = StreamConfig(
         warmup_bins=CLUSTER_WARMUP,
         n_components=6,

@@ -62,13 +62,12 @@ from repro.core import (
 )
 from repro.datasets import abilene_dataset, geant_dataset, make_labeled_dataset
 from repro.flows import FEATURES, TimeBins, TrafficCube
-from repro.io import TraceReader, TraceWriter, trace_info, write_trace
+from repro.io import TraceReader, TraceWriter, trace_info
 from repro.net import Topology, abilene, geant
 from repro.pipeline import (
     DetectionPipeline,
     PipelineResult,
     ScenarioSource,
-    SyntheticSource,
     TraceSource,
 )
 from repro.scenarios import Scenario, get_scenario, scenario_names
@@ -98,7 +97,6 @@ __all__ = [
     "PipelineResult",
     "Scenario",
     "ScenarioSource",
-    "SyntheticSource",
     "TraceSource",
     "get_scenario",
     "scenario_names",

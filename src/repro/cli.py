@@ -8,23 +8,22 @@ paper) actually runs:
   summary, optionally export CSV/JSON;
 * ``inject``   — inject a chosen anomaly into a clean cube and report
   whether volume/entropy detectors catch it;
-* ``stream``   — run the online pipeline (paper Section 8) over a
-  synthetic flow-record trace (inline synthesis or ``--trace`` replay):
-  chunked ingestion, sketch-backed per-bin entropy, streaming multiway
-  detection; reports throughput;
-* ``cluster``  — the sharded deployment: worker processes reduce their
-  OD-flow slice into mergeable per-bin summaries, a central
-  coordinator merges them and runs the same streaming diagnosis; with
-  ``--trace`` every worker memory-maps the same recorded trace;
-* ``run``      — run a registered end-to-end scenario
-  (``repro.scenarios``) through the composable detection pipeline in
-  any deployment mode (``--mode batch|stream|cluster``), inline or
-  from a recorded trace;
+* ``run``      — the one record-level run command: a registered
+  end-to-end scenario (``repro.scenarios``; ``baseline-diurnal`` is
+  plain background traffic) through the composable detection pipeline
+  in any deployment mode — ``--mode stream`` is the online pipeline of
+  paper Section 8, ``--mode cluster`` the sharded deployment (worker
+  processes reduce their OD-flow slice into mergeable per-bin
+  summaries, a central coordinator merges and scores them) — from
+  inline synthesis or a recorded ``--trace``;
+* ``worker``   — serve shard work to a ``run --mode cluster --listen``
+  coordinator on another host;
 * ``scenarios`` — inspect the scenario registry (``list``);
 * ``trace``    — record and replay columnar flow-record traces:
-  ``write`` materialises a synthetic trace into a single binary file,
-  ``info`` prints its header, ``replay`` streams it zero-copy through
-  the detection engine;
+  ``write`` records a scenario's stream into a single binary file,
+  ``info`` prints its header, ``upgrade`` backfills the derived
+  columns, ``replay`` streams it zero-copy through the detection
+  engine;
 * ``quality``  — the detection-quality harness (``repro.quality``):
   ``run`` scores every registered scenario plus a fuzzed fleet against
   ground truth (precision/recall/F1/latency per detection channel,
@@ -101,20 +100,22 @@ def _add_network(parser) -> None:
                         default="abilene")
 
 
-def _add_generation(parser) -> None:
+def _add_scenario_source(parser) -> None:
+    """The one synthesiser's options, shared by ``run`` and ``trace write``."""
+    parser.add_argument("scenario", help="registered scenario name "
+                        "(see `repro scenarios list`)")
+    parser.add_argument("--network", choices=("abilene", "geant"), default=None,
+                        help="override the scenario's network")
+    parser.add_argument("--bins", type=int, default=None,
+                        help="override the scenario's total bin count")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-records", type=int, default=400,
-                        help="records materialised per (OD flow, bin)")
+    parser.add_argument("--max-records", type=int, default=None,
+                        help="override the scenario's per-(OD, bin) record cap")
 
 
 def _add_warmup(parser) -> None:
     parser.add_argument("--warmup-bins", type=int, default=48,
                         help="bins accumulated from the stream before fitting")
-
-
-def _add_window(parser) -> None:
-    parser.add_argument("--live-bins", type=int, default=24,
-                        help="bins scored after warm-up")
 
 
 def _add_engine(parser) -> None:
@@ -191,9 +192,10 @@ def _add_telemetry(parser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing).
 
-    The network/bin-grid/seed/sketch flags shared by the record-level
-    commands (``stream``, ``cluster``, ``trace``, ``run``) are defined
-    once in parent parsers rather than copied per subcommand.
+    Option groups shared by several commands (the scenario source of
+    ``run`` and ``trace write``, the engine knobs of ``run`` and ``trace
+    replay``, telemetry) are defined once in parent parsers rather than
+    copied per subcommand.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -205,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     net_parent = _parent(_add_network)
-    engine_parent = _parent(_add_engine)
-    stream_parent = _parent(_add_network, _add_generation, _add_warmup,
-                            _add_window, _add_engine, _add_telemetry)
+    scenario_parent = _parent(_add_scenario_source)
 
     gen = sub.add_parser("generate", help="synthesise a traffic cube",
                          parents=[net_parent])
@@ -240,29 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     inj.add_argument("--seed", type=int, default=7)
     inj.add_argument("--alpha", type=float, default=0.999)
 
-    stream = sub.add_parser(
-        "stream", help="run the streaming engine on a synthetic trace",
-        parents=[stream_parent],
-    )
-    stream.add_argument("--trace", help="replay a recorded trace file instead of "
-                        "generating records inline")
-
-    cluster = sub.add_parser(
-        "cluster", help="run the sharded multi-process engine on a synthetic trace",
-        parents=[stream_parent],
-    )
-    cluster.add_argument("--trace", help="shared trace file all workers memory-map "
-                         "(instead of per-worker record generation)")
-    _add_cluster_knobs(cluster)
-    _add_resilience(cluster)
-
     worker = sub.add_parser(
         "worker",
-        help="serve shard work to a remote `repro cluster --listen` coordinator",
+        help="serve shard work to a remote `repro run --listen` coordinator",
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address announced by "
-                        "`repro cluster --transport tcp --listen`")
+                        "`repro run --mode cluster --transport tcp --listen`")
     worker.add_argument("--once", action="store_true",
                         help="exit after serving one shard assignment "
                         "(default: reconnect and serve until the "
@@ -270,25 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="run a registered scenario in any deployment mode",
-        parents=[engine_parent, _parent(_add_telemetry)],
+        parents=[scenario_parent, _parent(_add_engine, _add_telemetry)],
     )
-    run.add_argument("scenario", help="registered scenario name "
-                     "(see `repro scenarios list`)")
     run.add_argument("--mode", choices=("batch", "stream", "cluster"),
                      default="stream", help="deployment mode (default: stream)")
     run.add_argument("--trace", help="replay the scenario from this recorded "
-                     "trace instead of generating records inline")
-    run.add_argument("--save-trace", help="record the scenario's stream to this "
-                     "trace file and run from it")
-    run.add_argument("--network", choices=("abilene", "geant"), default=None,
-                     help="override the scenario's network")
-    run.add_argument("--bins", type=int, default=None,
-                     help="override the scenario's total bin count")
+                     "trace (`repro trace write`) instead of generating "
+                     "records inline")
     run.add_argument("--warmup-bins", type=int, default=None,
                      help="override the scenario's warm-up split")
-    run.add_argument("--max-records", type=int, default=None,
-                     help="override the scenario's per-(OD, bin) record cap")
-    run.add_argument("--seed", type=int, default=0)
     _add_cluster_knobs(run)
     _add_resilience(run)
 
@@ -304,12 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     tw = trace_sub.add_parser(
-        "write", help="materialise a synthetic trace into a columnar file",
-        parents=[_parent(_add_network, _add_generation)],
+        "write", help="record a scenario's stream into a columnar file",
+        parents=[scenario_parent],
     )
-    tw.add_argument("--bins", type=int, default=72, help="bins to materialise")
-    tw.add_argument("--bin-group", type=int, default=64,
-                    help="bins materialised per generation pass (memory bound)")
     tw.add_argument("--output", required=True, help="output trace path")
 
     ti = trace_sub.add_parser("info", help="print a trace file's header")
@@ -337,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--allow-partial", action="store_true",
                     help="replay the complete leading bins of a truncated "
                     "trace instead of failing")
-    tr.add_argument("--readahead", action="store_true",
-                    help="advise the kernel to page the trace in ahead of the "
-                    "replay (cold-cache variance)")
 
     quality = sub.add_parser(
         "quality", help="detection-quality harness: labeled scoring and fuzzing"
@@ -469,7 +437,7 @@ def _cmd_inject(args) -> int:
 
 
 def _print_verdict(topo, verdict) -> None:
-    """One detection line, shared by the stream and cluster commands."""
+    """One detection line, shared by ``run`` and ``trace replay``."""
     if not verdict.detected:
         return
     kind = "+".join(
@@ -531,7 +499,7 @@ def _histograms(args) -> str:
 
 
 def _stream_config(args):
-    """The StreamConfig shared by the stream/cluster/replay commands."""
+    """The StreamConfig shared by ``run`` and ``trace replay``."""
     from repro.stream import StreamConfig
 
     return StreamConfig(
@@ -572,15 +540,14 @@ def _telemetry_begin(args, total_bins=None):
     Returns ``(session, meter)`` — both None when telemetry is off, so
     callers pay nothing on the default path.
     """
-    wants = bool(getattr(args, "telemetry", None)) or getattr(args, "progress", False)
-    if not wants:
+    if not (args.telemetry or args.progress):
         return None, None
     from repro import telemetry
     from repro.telemetry.progress import ProgressMeter
 
     session = telemetry.enable()
     meter = None
-    if getattr(args, "progress", False):
+    if args.progress:
         meter = ProgressMeter(total_bins=total_bins).start()
     return session, meter
 
@@ -595,38 +562,115 @@ def _telemetry_end(args, session, meter, run_info=None) -> None:
     from repro.telemetry.export import write_jsonl
 
     try:
-        if getattr(args, "telemetry", None):
+        if args.telemetry:
             path = write_jsonl(args.telemetry, session.snapshot(), run_info)
             print(f"wrote {path}")
     finally:
         telemetry.disable()
 
 
-def _n_workers(args) -> int:
-    """Worker shards a cluster run starts: A*B under ``--tiers AxB``,
-    whatever ``--shards`` says."""
+def _scenario_source(args):
+    """The ScenarioSource the scenario-source options describe."""
+    from repro.pipeline import ScenarioSource
+
+    return ScenarioSource(
+        args.scenario,
+        network=args.network,
+        n_bins=args.bins,
+        seed=args.seed,
+        max_records_per_od=args.max_records,
+    )
+
+
+def _cluster_layout(args) -> tuple[int, str]:
+    """Worker shards a cluster run starts, and its layout for the banner:
+    A*B under ``--tiers AxB`` (whatever ``--shards`` says), else flat."""
     if not args.tiers:
-        return args.shards
+        return args.shards, "flat"
     from repro.cluster import parse_tiers
 
     n_aggs, fan_in = parse_tiers(args.tiers)
-    return n_aggs * fan_in
+    return n_aggs * fan_in, f"{n_aggs} aggregators x {fan_in} workers"
 
 
-def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None) -> int:
-    """Run ``source`` through the pipeline and print the summary.
+def _cmd_worker(args) -> int:
+    from repro.cluster.transport import parse_hostport, serve
 
-    The one call and output tail of ``repro run`` (every mode),
-    ``repro stream`` and ``repro cluster``.  ``run_info`` is the
-    telemetry export's run record; a cluster run adds its shard count
-    before it starts, so a run that raises keeps it too.
-    """
-    from repro.pipeline import DetectionPipeline
+    host, port = parse_hostport(args.connect)
+    print(f"connecting to coordinator at {host}:{port}"
+          + (" (single shard)" if args.once else ""))
+    served = serve((host, port), once=args.once)
+    print(f"served {served} shard assignment(s)")
+    return 0
+
+
+def _cmd_run(args) -> int:
+    """``repro run``: one scenario, synthesised inline or replayed from
+    ``--trace``, scored in any deployment mode."""
+    from repro.pipeline import DetectionPipeline, TraceSource
+    from repro.scenarios import get_scenario
+
+    labels_by_bin = None
+    if args.trace:
+        scenario = get_scenario(args.scenario)
+        source = TraceSource(args.trace, network=args.network, n_bins=args.bins)
+        recorded = source.info.meta.get("scenario")
+        if recorded is not None and recorded != scenario.name:
+            raise ValueError(
+                f"trace {args.trace} records scenario {recorded!r}, "
+                f"not {scenario.name!r}"
+            )
+        if recorded is not None and "seed" in source.info.meta:
+            # The header carries everything the schedule is a function
+            # of, so replayed reports keep their ground-truth labels.
+            events = scenario.events_for(
+                source.topology,
+                n_bins=source.info.n_bins,
+                seed=int(source.info.meta["seed"]),
+            )
+            labels_by_bin = {e.bin: e.label for e in events}
+        origin = f"trace {args.trace}"
+    else:
+        source = _scenario_source(args)
+        scenario = source.scenario
+        labels_by_bin = source.labels_by_bin()
+        origin = "inline synthesis"
+
+    n_bins = source.spec.n_bins
+    warmup = args.warmup_bins
+    if warmup is None:
+        # Same proportional rule the schedule builder applies, so the
+        # scenario's events always land in the scored window.
+        warmup = scenario.scaled_warmup(n_bins)
+    warmup = max(1, min(warmup, n_bins - 1))
+    args.warmup_bins = warmup  # _stream_config reads it
 
     topo = source.topology
-    cluster = {}
-    if hasattr(args, "shards"):  # `repro stream` has no cluster flags
-        cluster = dict(
+    # The telemetry export's run record; a cluster run adds its shard
+    # count before it starts, so a run that raises keeps it too.
+    run_info = {"command": "run", "scenario": scenario.name, "mode": args.mode,
+                "network": topo.name}
+    deployment = ""
+    if args.mode == "cluster":
+        n_workers, layout = _cluster_layout(args)
+        run_info["n_shards"] = n_workers
+        deployment = f", {n_workers} shards ({layout}, {args.transport} transport)"
+    print(
+        f"scenario {scenario.name} [{args.mode}] on {topo.name}: "
+        f"{n_bins} bins x {topo.n_od_flows} OD flows{deployment}, "
+        f"{_histograms(args)}, warm-up {warmup} bins, source: {origin}"
+    )
+    if args.mode == "cluster" and args.listen:
+        print(f"awaiting workers on {args.listen} "
+              f"(start them with: repro worker --connect HOST:PORT)")
+
+    session, meter = _telemetry_begin(args, total_bins=n_bins)
+    try:
+        result = DetectionPipeline(_stream_config(args)).run(
+            source,
+            mode=args.mode,
+            on_detection=lambda verdict: _print_verdict(topo, verdict),
+            meta={"scenario": scenario.name},
             n_shards=args.shards,
             resilience=_resilience_policy(args),
             checkpoint=args.checkpoint,
@@ -635,17 +679,6 @@ def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None)
             transport=args.transport,
             listen=args.listen,
             tiers=args.tiers,
-        )
-    if mode == "cluster":
-        run_info["n_shards"] = _n_workers(args)
-    session, meter = _telemetry_begin(args, total_bins=source.spec.n_bins)
-    try:
-        result = DetectionPipeline(_stream_config(args)).run(
-            source,
-            mode=mode,
-            on_detection=lambda verdict: _print_verdict(topo, verdict),
-            meta=meta,
-            **cluster,
         )
         run_info.update({"n_records": result.n_records,
                          "elapsed_s": result.elapsed})
@@ -665,126 +698,6 @@ def _run_and_report(args, source, mode, run_info, meta=None, labels_by_bin=None)
     _print_cluster_health(result)
     _print_report(args, report, labels_by_bin)
     return 0
-
-
-def _cmd_stream(args) -> int:
-    """``repro stream`` and ``repro cluster``: inline synthesis or a
-    recorded trace, scored in-process or by sharded workers."""
-    from repro.pipeline import SyntheticSource, TraceSource
-
-    n_bins = args.warmup_bins + args.live_bins
-    if args.trace:
-        source = TraceSource(args.trace, network=args.network, n_bins=n_bins)
-    else:
-        source = SyntheticSource(
-            network=args.network,
-            n_bins=n_bins,
-            seed=args.seed,
-            max_records_per_od=args.max_records,
-        )
-    topo = source.topology
-    if args.command == "stream":
-        origin = f"trace {args.trace}" if args.trace else "inline synthesis"
-        print(
-            f"streaming {topo.name}: {n_bins} bins x {topo.n_od_flows} OD flows, "
-            f"{_histograms(args)}, warm-up {args.warmup_bins} bins, "
-            f"source: {origin}"
-        )
-    else:
-        layout = "flat"
-        if args.tiers:
-            from repro.cluster import parse_tiers
-
-            n_aggs, fan_in = parse_tiers(args.tiers)
-            layout = f"{n_aggs} aggregators x {fan_in} workers"
-        origin = f"shared trace {args.trace}" if args.trace else "per-worker synthesis"
-        print(
-            f"clustering {topo.name}: {_n_workers(args)} shards ({layout}, "
-            f"{args.transport} transport), {n_bins} bins, {_histograms(args)}, "
-            f"warm-up {args.warmup_bins} bins, source: {origin}"
-        )
-        if args.listen:
-            print(f"awaiting workers on {args.listen} "
-                  f"(start them with: repro worker --connect HOST:PORT)")
-    run_info = {"command": args.command, "mode": args.command,
-                "network": args.network}
-    return _run_and_report(args, source, args.command, run_info)
-
-
-def _cmd_worker(args) -> int:
-    from repro.cluster.transport import parse_hostport, serve
-
-    host, port = parse_hostport(args.connect)
-    print(f"connecting to coordinator at {host}:{port}"
-          + (" (single shard)" if args.once else ""))
-    served = serve((host, port), once=args.once)
-    print(f"served {served} shard assignment(s)")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    from repro.pipeline import ScenarioSource, TraceSource
-    from repro.scenarios import get_scenario
-
-    scenario = get_scenario(args.scenario)
-    if args.trace and args.save_trace:
-        raise ValueError("--trace and --save-trace are mutually exclusive")
-
-    labels_by_bin = None
-    if args.trace:
-        source = TraceSource(args.trace, network=args.network, n_bins=args.bins)
-        recorded = source.info.meta.get("scenario")
-        if recorded is not None and recorded != scenario.name:
-            raise ValueError(
-                f"trace {args.trace} records scenario {recorded!r}, "
-                f"not {scenario.name!r}"
-            )
-        if recorded is not None and "seed" in source.info.meta:
-            # The header carries everything the schedule is a function
-            # of, so replayed reports keep their ground-truth labels.
-            events = scenario.events_for(
-                source.topology,
-                n_bins=source.info.n_bins,
-                seed=int(source.info.meta["seed"]),
-            )
-            labels_by_bin = {e.bin: e.label for e in events}
-    else:
-        source = ScenarioSource(
-            scenario,
-            network=args.network,
-            n_bins=args.bins,
-            seed=args.seed,
-            max_records_per_od=args.max_records,
-        )
-        labels_by_bin = source.labels_by_bin()
-        if args.save_trace:
-            info = source.write_trace(args.save_trace)
-            size_mb = info.path.stat().st_size / 1e6
-            print(f"recorded {info.n_records} records ({size_mb:.1f} MB) "
-                  f"to {info.path}")
-            source = TraceSource(args.save_trace)
-
-    n_bins = source.spec.n_bins
-    warmup = args.warmup_bins
-    if warmup is None:
-        # Same proportional rule the schedule builder applies, so the
-        # scenario's events always land in the scored window.
-        warmup = scenario.scaled_warmup(n_bins)
-    warmup = max(1, min(warmup, n_bins - 1))
-    args.warmup_bins = warmup  # _stream_config reads it
-
-    topo = source.topology
-    print(
-        f"scenario {scenario.name} [{args.mode}] on {topo.name}: "
-        f"{source.spec.n_bins} bins x {topo.n_od_flows} OD flows, "
-        f"{_histograms(args)}, warm-up {warmup} bins, "
-        f"source: {source.provenance['source']}"
-    )
-    run_info = {"command": "run", "scenario": scenario.name, "mode": args.mode,
-                "network": topo.name}
-    return _run_and_report(args, source, args.mode, run_info,
-                           meta={"scenario": scenario.name},
-                           labels_by_bin=labels_by_bin)
 
 
 def _cmd_scenarios(args) -> int:
@@ -808,29 +721,16 @@ def _cmd_trace(args) -> int:
     import time
 
     if args.trace_command == "write":
-        from repro.flows.binning import TimeBins
-        from repro.io.trace import write_trace
-        from repro.net.topology import topology_by_name
-        from repro.traffic.generator import TrafficGenerator
-
-        topo = topology_by_name(args.network)
-        generator = TrafficGenerator(
-            topo, TimeBins(n_bins=args.bins), seed=args.seed
-        )
+        source = _scenario_source(args)
         start = time.perf_counter()
-        info = write_trace(
-            args.output,
-            generator,
-            max_records_per_od=args.max_records,
-            seed=args.seed,
-            bin_group=args.bin_group,
-        )
+        info = source.write_trace(args.output)
         elapsed = time.perf_counter() - start
         rate = info.n_records / elapsed if elapsed > 0 else float("inf")
         size_mb = info.path.stat().st_size / 1e6
         print(
-            f"wrote {info.n_records} records ({info.n_bins} bins x "
-            f"{topo.n_od_flows} OD flows, {size_mb:.1f} MB) to "
+            f"wrote scenario {source.scenario.name}: {info.n_records} records "
+            f"({info.n_bins} bins x {source.topology.n_od_flows} OD flows, "
+            f"{size_mb:.1f} MB) to "
             f"{info.path} in {elapsed:.2f}s ({rate:,.0f} records/s)"
         )
         return 0
@@ -906,9 +806,7 @@ def _cmd_trace(args) -> int:
     from repro.net.topology import topology_by_name
     from repro.stream import StreamingDetectionEngine
 
-    reader = TraceReader(
-        args.path, allow_partial=args.allow_partial, readahead=args.readahead
-    )
+    reader = TraceReader(args.path, allow_partial=args.allow_partial)
     topo = topology_by_name(reader.network)
     # Replay adopts the trace's own bin grid (recorded in the header).
     engine = StreamingDetectionEngine(
@@ -1125,8 +1023,6 @@ def main(argv: list[str] | None = None) -> int:
         "generate": _cmd_generate,
         "detect": _cmd_detect,
         "inject": _cmd_inject,
-        "stream": _cmd_stream,
-        "cluster": _cmd_stream,
         "worker": _cmd_worker,
         "run": _cmd_run,
         "scenarios": _cmd_scenarios,

@@ -24,7 +24,7 @@ diagnosis as one process reading the whole trace.
   (see :mod:`repro.resilience`).
 * :mod:`repro.cluster.runner` — :func:`run_cluster_source`, cluster
   mode's one entry point: the ``multiprocessing`` driver behind
-  ``repro cluster`` and ``DetectionPipeline.run(mode="cluster")``,
+  ``repro run --mode cluster`` and ``DetectionPipeline.run(mode="cluster")``,
   running the supervisor's commands (plus checkpoint/resume).
 """
 

@@ -1,7 +1,7 @@
 """Multi-process cluster driver: the pipeline's ``cluster`` mode.
 
 :func:`run_cluster_source` is cluster mode's one entry point — behind
-``repro cluster``, ``repro run --mode cluster`` and
+``repro run SCENARIO --mode cluster`` and
 ``DetectionPipeline.run(mode="cluster")``.  N worker processes each run
 a :class:`repro.cluster.shard.ShardMonitor` over their OD-flow slice of
 a record source, ship wire-format summaries to the parent over a
@@ -18,19 +18,18 @@ only its shard's slice:
 * **trace** sources: every worker memory-maps the *same* columnar
   trace (:mod:`repro.io.trace`) and keeps only its OD-flow slice of
   each chunk — one producer pass at write time, zero regeneration;
-* **synthetic** sources: each worker materialises its OD slice from a
-  :class:`repro.traffic.generator.TrafficGenerator`;
-* **scenario** sources: synthetic background plus the scenario's
-  anomaly events — each worker regenerates exactly the events whose
-  target OD it owns.
+* **scenario** sources: each worker materialises its OD slice of the
+  synthetic background from a
+  :class:`repro.traffic.generator.TrafficGenerator`, plus exactly the
+  scenario's anomaly events whose target OD it owns.
 
 Determinism: every background record is a counter-based function of
 (seed, OD, bin, record index) —
 :func:`repro.traffic.generator.record_uniforms`, no generator object
 and so no draw order — each scenario anomaly's records come from a
 per-(OD, bin) seeded stream (:mod:`repro.scenarios.records`), and a
-trace written by :func:`repro.io.trace.write_trace` replays those exact
-records.  So whichever source a worker uses, it sees bit-identical
+trace written by :meth:`repro.pipeline.ScenarioSource.write_trace`
+replays those exact records.  So whichever source a worker uses, it sees bit-identical
 records for its ODs no matter how many shards exist or which bin it
 starts from, and the cluster's detections are bin-for-bin identical to
 a single process consuming the whole source (exact-histogram mode;

@@ -44,6 +44,21 @@ __all__ = [
 ]
 
 
+def _check_fit_rows(rows: int, n_components: int | None) -> None:
+    """Refuse a fit whose buffer leaves no residual subspace.
+
+    ``rows`` centred observations span at most ``rows - 1`` dimensions;
+    with fewer than ``n_components + 2`` rows the normal subspace fills
+    that span, Q_alpha collapses to ~0 and every later bin alarms.
+    ``n_components=None`` (variance-threshold selection) is exempt.
+    """
+    if n_components is not None and rows < n_components + 2:
+        raise ValueError(
+            f"warm-up fits {rows} rows, fewer than n_components + 2 = "
+            f"{n_components + 2}: no residual subspace would remain"
+        )
+
+
 @dataclass
 class OnlineDetection:
     """One online detection: bin counter, SPE, and identified flows."""
@@ -142,6 +157,8 @@ class OnlineMultiwayDetector:
             raise ValueError("history must be (t, p, k)")
         if history.shape[0] < 8:
             raise ValueError("history too short")
+        _check_fit_rows(min(history.shape[0], self.window),
+                        self._detector.n_components)
         self._buffer = history[-self.window :].copy()
         self._fit()
         self._seen = history.shape[0]
@@ -371,9 +388,10 @@ class OnlineVolumeDetector:
             raise ValueError("history too short")
         rows = self._transform(history)
         if self.detrend == "holt":
-            residuals = self._holt_batch(rows)
+            residuals = self._holt_batch(rows)  # one row fewer than history
         else:
             residuals = rows
+        _check_fit_rows(min(len(residuals), self.window), self.n_components)
         self._buffer = residuals[-self.window :].copy()
         self._fit()
 

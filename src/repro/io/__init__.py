@@ -30,7 +30,6 @@ from repro.io.trace import (
     TraceWriter,
     trace_info,
     verify_trace,
-    write_trace,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "TraceWriter",
     "trace_info",
     "verify_trace",
-    "write_trace",
 ]

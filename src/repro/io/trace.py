@@ -25,7 +25,10 @@ File layout (all integers little-endian)::
                  names, dtypes, CRCs, anonymization depth), same slab
                  layout as the base columns
 
-Every writer derives those columns (format version 2): they are what
+:class:`TraceWriter` is the one writer — synthesised records reach a
+file through :meth:`repro.pipeline.ScenarioSource.write_trace`
+(``repro trace write``), which drives it — and it always derives
+those columns (format version 2): they are what
 :mod:`repro.stream.replay` consumes to skip longest-prefix OD
 attribution and the per-bin (od, value) sort during detection replay,
 and what cluster workers read as their shard filter.  Records with
@@ -87,7 +90,6 @@ __all__ = [
     "TraceWriter",
     "TraceReader",
     "derive_columns",
-    "write_trace",
     "trace_info",
     "upgrade_trace",
     "verify_trace",
@@ -840,80 +842,6 @@ class TraceReader:
                     tel.count("trace.records_replayed", len(chunk))
                     yield chunk
         self._swept = True
-
-
-def write_trace(
-    path: str | Path,
-    generator,
-    bins: Sequence[int] | None = None,
-    ods: Sequence[int] | None = None,
-    max_records_per_od: int = 400,
-    seed: int = 0,
-    bin_group: int = 64,
-    meta: dict | None = None,
-) -> TraceInfo:
-    """Materialise a synthetic trace straight into a trace file.
-
-    Produces records bit-identical to
-    :func:`repro.stream.chunks.synthetic_record_stream` with the same
-    arguments (it *is* that stream, and the stream's counter-based
-    draws do not depend on ``bin_group``), so detections computed from
-    the written trace match inline generation exactly.
-
-    Args:
-        path: Output trace path.
-        generator: A :class:`repro.traffic.generator.TrafficGenerator`.
-        bins: Bin indices to materialise (default: the generator's full
-            grid), in increasing order.
-        ods: OD flows to include (default: all).
-        max_records_per_od: Records cap per (OD flow, bin).
-        seed: Extra stream seed mixed into each record draw.
-        bin_group: Bins materialised per generation pass (memory knob).
-        meta: Extra provenance merged into the header metadata.
-
-    Returns:
-        The written trace's :class:`TraceInfo`.
-    """
-    if bins is None:
-        bins = range(generator.bins.n_bins)
-    bins = [int(b) for b in bins]
-    if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
-        raise ValueError("bins must be strictly increasing")
-    if not bins:
-        raise ValueError("need at least one bin to write")
-    from repro.stream.chunks import synthetic_record_stream
-    from repro.traffic.generator import SYNTHESIS_SCHEME
-
-    header_meta = {
-        "synthesis": SYNTHESIS_SCHEME,
-        "generator_seed": int(generator.config.seed),
-        "stream_seed": int(seed),
-        "max_records_per_od": int(max_records_per_od),
-        "n_od_flows": int(generator.topology.n_od_flows),
-        "ods": "all" if ods is None else [int(od) for od in ods],
-        "histogram_sampling": int(generator.histogram_sampling),
-    }
-    header_meta.update(meta or {})
-    source = synthetic_record_stream(
-        generator,
-        bins,
-        ods=ods,
-        max_records_per_od=max_records_per_od,
-        seed=seed,
-        bin_group=bin_group,
-    )
-    with TraceWriter(
-        path,
-        n_bins=max(bins) + 1,
-        bin_width=generator.bins.width,
-        start=generator.bins.start,
-        network=generator.topology.name,
-        meta=header_meta,
-        topology=generator.topology,
-    ) as writer:
-        for b, batch in zip(bins, source):
-            writer.append(b, batch)
-    return writer.info
 
 
 def upgrade_trace(

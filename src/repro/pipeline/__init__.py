@@ -23,7 +23,6 @@ from repro.pipeline.sources import (
     RecordSource,
     ScenarioSource,
     SourceSpec,
-    SyntheticSource,
     TraceSource,
     build_source,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SourceSpec",
     "StreamDetection",
     "StreamingReport",
-    "SyntheticSource",
     "TraceSource",
     "build_source",
     "detector_names",

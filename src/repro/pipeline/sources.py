@@ -4,14 +4,16 @@ A :class:`RecordSource` abstracts where flow records come from so the
 same :class:`repro.pipeline.DetectionPipeline` (and every deployment
 mode behind it) can consume any of them:
 
-* :class:`SyntheticSource` — inline synthesis from a
-  :class:`repro.traffic.generator.TrafficGenerator` (counter-based
-  draws keyed on ``(seed, od, bin, record index)``);
+* :class:`ScenarioSource` — the one synthesiser: a registered
+  end-to-end workload from :mod:`repro.scenarios`, i.e. background
+  records from a :class:`repro.traffic.generator.TrafficGenerator`
+  (counter-based draws keyed on ``(seed, od, bin, record index)``) with
+  the scenario's anomaly events materialised as records and merged in.
+  ``baseline-diurnal`` schedules no events, so it is the plain
+  background stream; :meth:`ScenarioSource.write_trace` is the one way
+  synthesised records become a trace file;
 * :class:`TraceSource` — zero-copy mmap replay of a recorded columnar
-  trace (:mod:`repro.io.trace`);
-* :class:`ScenarioSource` — a registered end-to-end workload from
-  :mod:`repro.scenarios`: synthetic background with the scenario's
-  anomaly events materialised as records and merged in.
+  trace (:mod:`repro.io.trace`).
 
 Every source reduces to a picklable :class:`SourceSpec` description, so
 cluster workers rebuild *their* view of the same source in another
@@ -34,17 +36,12 @@ import numpy as np
 from repro.flows.binning import BIN_SECONDS, TimeBins
 from repro.flows.records import FlowRecordBatch
 from repro.net.topology import Topology, abilene, geant
-from repro.stream.chunks import (
-    DEFAULT_CHUNK_RECORDS,
-    iter_record_chunks,
-    synthetic_record_stream,
-)
+from repro.stream.chunks import DEFAULT_CHUNK_RECORDS, iter_record_chunks
 
 __all__ = [
     "RecordSource",
     "ScenarioSource",
     "SourceSpec",
-    "SyntheticSource",
     "TraceSource",
     "build_source",
     "shard_mask",
@@ -93,8 +90,7 @@ class SourceSpec:
     workers instead of sources.
 
     Attributes:
-        kind: ``"synthetic"``, ``"trace"``, ``"scenario"``, or
-            ``"fuzzed"``.
+        kind: ``"trace"``, ``"scenario"``, or ``"fuzzed"``.
         network: Topology name ("abilene"/"geant").
         n_bins: Bins the source covers (for traces: bins to replay).
         seed: Generator + record-draw seed (unused for traces).
@@ -187,54 +183,6 @@ class RecordSource:
         if chunk_records is None:
             return stream
         return iter_record_chunks(stream, chunk_records)
-
-
-class SyntheticSource(RecordSource):
-    """Inline synthesis from the deterministic traffic generator."""
-
-    def __init__(
-        self,
-        network: str = "abilene",
-        n_bins: int = 72,
-        seed: int = 0,
-        max_records_per_od: int = 400,
-        bin_width: float = BIN_SECONDS,
-        bin_start: float = 0.0,
-    ) -> None:
-        super().__init__(
-            SourceSpec(
-                kind="synthetic",
-                network=network,
-                n_bins=int(n_bins),
-                seed=int(seed),
-                max_records_per_od=int(max_records_per_od),
-                bin_width=float(bin_width),
-                bin_start=float(bin_start),
-            )
-        )
-
-    def _generator(self):
-        from repro.traffic.generator import TrafficGenerator
-
-        return TrafficGenerator(self.topology, self.bins, seed=self.spec.seed)
-
-    def _stream(self, ods=None):
-        return synthetic_record_stream(
-            self._generator(),
-            range(self.spec.n_bins),
-            ods=ods,
-            max_records_per_od=self.spec.max_records_per_od,
-            seed=self.spec.seed,
-        )
-
-    def batches(self, chunk_records=None):
-        return self._rechunk(self._stream(), chunk_records)
-
-    def shard_batches(self, shard_id, n_shards, router,
-                      chunk_records=DEFAULT_CHUNK_RECORDS):
-        ods = shard_ods(self.topology.n_od_flows, n_shards, shard_id)
-        for chunk in iter_record_chunks(self._stream(ods=ods), chunk_records):
-            yield chunk, None
 
 
 class TraceSource(RecordSource):
@@ -432,15 +380,6 @@ class ScenarioSource(RecordSource):
 
 def build_source(spec: SourceSpec) -> RecordSource:
     """Rebuild a source from its picklable description."""
-    if spec.kind == "synthetic":
-        return SyntheticSource(
-            network=spec.network,
-            n_bins=spec.n_bins,
-            seed=spec.seed,
-            max_records_per_od=spec.max_records_per_od,
-            bin_width=spec.bin_width,
-            bin_start=spec.bin_start,
-        )
     if spec.kind == "trace":
         if spec.trace_path is None:
             raise ValueError("trace source spec needs trace_path")

@@ -114,8 +114,8 @@ def synthetic_record_stream(
         shard materialising only its OD slice, a different
         ``bin_group`` or a stream resumed at a later bin yields records
         bit-identical to a whole-trace sweep — and a trace written by
-        :func:`repro.io.trace.write_trace` replays bit-identical to
-        this inline stream.
+        :meth:`repro.pipeline.ScenarioSource.write_trace` replays
+        bit-identical to the inline scenario stream built on it.
     """
     if bin_group < 1:
         raise ValueError("bin_group must be positive")

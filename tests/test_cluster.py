@@ -9,6 +9,8 @@ coordinator therefore reproduces the single-process engine's detections
 bin for bin.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from repro.flows.binning import TimeBins
 from repro.flows.records import FlowRecordBatch
 from repro.flows.sketches import CountMinSketch
 from repro.net.topology import abilene
-from repro.pipeline.sources import SyntheticSource, shard_ods
+from repro.pipeline.sources import ScenarioSource, shard_ods
 from repro.stream import StreamConfig, StreamingDetectionEngine, synthetic_record_stream
 from repro.stream.window import BinAccumulator
 from repro.traffic.generator import TrafficGenerator
@@ -407,8 +409,8 @@ class TestCoordinatorProtocol:
 
 class TestClusterRunner:
     def test_two_workers_match_single_process(self):
-        source = SyntheticSource(
-            network="abilene", n_bins=N_BINS, seed=SEED,
+        source = ScenarioSource(
+            "baseline-diurnal", network="abilene", n_bins=N_BINS, seed=SEED,
             max_records_per_od=MAX_RECORDS_PER_OD,
         )
         config = _equivalence_config()
@@ -429,11 +431,13 @@ class TestClusterRunner:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            run_cluster_source(SyntheticSource(), n_shards=0)
+            run_cluster_source(ScenarioSource("baseline-diurnal"), n_shards=0)
+        empty = ScenarioSource("baseline-diurnal")
+        empty.spec = dataclasses.replace(empty.spec, n_bins=0)
+        with pytest.raises(ValueError, match="at least one bin"):
+            run_cluster_source(empty)
         with pytest.raises(ValueError):
-            run_cluster_source(SyntheticSource(n_bins=0))
-        with pytest.raises(ValueError):
-            run_cluster_source(SyntheticSource(network="arpanet"))
+            run_cluster_source(ScenarioSource("baseline-diurnal", network="arpanet"))
 
 
 class TestClusterCli:
@@ -445,8 +449,8 @@ class TestClusterCli:
 
     def test_cluster_command_runs(self, capsys):
         code = main([
-            "cluster", "--shards", "2", "--warmup-bins", "8", "--live-bins", "2",
-            "--max-records", "10", "--exact", "--refit-every", "0",
+            "run", "baseline-diurnal", "--mode", "cluster", "--shards", "2",
+            "--bins", "10", "--warmup-bins", "8", "--max-records", "10", "--exact", "--refit-every", "0",
             "--components", "4",
         ])
         out = capsys.readouterr().out
@@ -454,5 +458,6 @@ class TestClusterCli:
         assert "2 shards" in out and "records/s" in out and "shard load" in out
 
     def test_invalid_input_exits_2(self):
-        assert main(["cluster", "--shards", "0"]) == 2
+        assert main(["run", "baseline-diurnal", "--mode", "cluster",
+                     "--shards", "0"]) == 2
         assert main(["detect", "--cube", "/definitely/not/there.npz"]) == 2

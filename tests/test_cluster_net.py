@@ -47,7 +47,7 @@ from repro.cluster.transport import (
 )
 from repro.net.routing import Router
 from repro.net.topology import abilene
-from repro.pipeline.sources import SyntheticSource, TraceSource
+from repro.pipeline.sources import ScenarioSource, TraceSource
 from repro.resilience import ResiliencePolicy
 from repro.stream import StreamConfig
 
@@ -509,8 +509,8 @@ class TestRemoteWorkers:
             proc.start()
         try:
             result = run_cluster_source(
-                SyntheticSource(network="abilene", n_bins=14, seed=5,
-                                max_records_per_od=20),
+                ScenarioSource("baseline-diurnal", network="abilene",
+                               n_bins=14, seed=5, max_records_per_od=20),
                 n_shards=2,
                 transport="tcp",
                 listen=("127.0.0.1", port),
@@ -533,11 +533,13 @@ class TestRemoteWorkers:
 
 class TestClusterNetCli:
     def test_bad_tiers_exit_2(self, capsys):
-        assert main(["cluster", "--tiers", "2x"]) == 2
+        assert main(["run", "baseline-diurnal", "--mode", "cluster",
+                     "--tiers", "2x"]) == 2
         assert "tier layout" in capsys.readouterr().err
 
     def test_listen_requires_tcp(self, capsys):
-        assert main(["cluster", "--listen", "127.0.0.1:9100"]) == 2
+        assert main(["run", "baseline-diurnal", "--mode", "cluster",
+                     "--listen", "127.0.0.1:9100"]) == 2
         assert "tcp" in capsys.readouterr().err
 
     def test_worker_refused_connection_exits_2(self, capsys):
@@ -553,8 +555,9 @@ class TestClusterNetCli:
 
     def test_cluster_tcp_command_runs(self, capsys):
         code = main([
-            "cluster", "--shards", "2", "--transport", "tcp",
-            "--warmup-bins", "8", "--live-bins", "2", "--max-records", "10",
+            "run", "baseline-diurnal", "--mode", "cluster", "--shards", "2",
+            "--transport", "tcp", "--bins", "10", "--warmup-bins", "8",
+            "--max-records", "10",
             "--exact", "--refit-every", "0", "--components", "4",
         ])
         out = capsys.readouterr().out

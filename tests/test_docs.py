@@ -43,13 +43,51 @@ def _subparser(parser, words):
     return parser
 
 
+def _leaf_commands(parser=None, prefix=""):
+    """Every runnable command path, e.g. ``"run"``, ``"trace write"``."""
+    parser = parser or build_parser()
+    actions = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return [prefix.strip()]
+    return [leaf for word, sub in actions[0].choices.items()
+            for leaf in _leaf_commands(sub, f"{prefix} {word}")]
+
+
 def test_readme_cli_table_flags_exist():
     readme = (REPO / "README.md").read_text()
     table = readme.split("## CLI reference", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([a-z ]+)` \|[^|]*\|(.*)\|$", table, re.M)
-    assert len(rows) >= 15
+    # One row per command, no row for a command that does not exist.
+    assert sorted(command for command, _ in rows) == sorted(_leaf_commands())
     for command, options in rows:
         sub = _subparser(build_parser(), command.split())
         known = {flag for action in sub._actions for flag in action.option_strings}
         for flag in re.findall(r"--[a-z][a-z-]*", options):
             assert flag in known, f"README lists {flag} for `repro {command}`"
+
+
+def test_documented_invocations_are_parsed():
+    sys.path.insert(0, str(REPO / "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.remove(str(REPO / "tools"))
+    block = (
+        "PYTHONPATH=src python -m repro run ddos-burst \\\n"
+        "    --mode cluster --exact   # trailing comment\n"
+        "python -m repro trace write flash-crowd --output t.trace && "
+        "python3 -m repro stats t.jsonl > /dev/null\n"
+        "echo not-repro | python -m repro stream --live-bins 2\n"
+    )
+    argvs = list(check_docs.repro_invocations(block))
+    assert argvs == [
+        ["run", "ddos-burst", "--mode", "cluster", "--exact"],
+        ["trace", "write", "flash-crowd", "--output", "t.trace"],
+        ["stats", "t.jsonl"],
+        ["stream", "--live-bins", "2"],
+    ]
+    assert [check_docs.check_invocation(a) is None for a in argvs] == [
+        True, True, True, False
+    ]
+    assert "invalid choice: 'stream'" in check_docs.check_invocation(argvs[-1])

@@ -16,6 +16,12 @@ sums):
   feature's distribution where it was.  Volume is not invariant, so only
   the entropy channel's verdicts are held.
 
+A third moves the ODs instead of the values: renumbering the PoPs
+(topology, records' ingress PoP, and so every OD index) permutes the
+rows of each bin's entropy matrix and the identified ODs, and must leave
+every SPE and both channels' verdicts where they were — OD order must
+not leak into the arithmetic.
+
 The workload is the frozen parity fixture's (``tests/parity_fixture.py``:
 Abilene, 28 bins, a port scan planted in bin 22), run in exact mode
 through :class:`repro.pipeline.DetectionPipeline` in stream and batch
@@ -29,6 +35,7 @@ held to the same invariances.  Sketch mode is excluded: relabelling
 moves its hash collisions.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -42,6 +49,7 @@ import parity_fixture as pf
 from scripted_cluster import drive, shard_streams
 
 from repro.io.trace import TraceWriter
+from repro.net.topology import Topology
 from repro.pipeline import DetectionPipeline
 from repro.pipeline.bank import DetectorBank
 from repro.pipeline.sources import RecordSource, SourceSpec, shard_mask
@@ -53,9 +61,10 @@ MODES = ("stream", "batch", "cluster", "precomputed")
 class _MemorySource(RecordSource):
     """Already-built per-bin batches as a pipeline source."""
 
-    def __init__(self, batches, n_bins: int) -> None:
+    def __init__(self, batches, n_bins: int, topology=None) -> None:
         super().__init__(SourceSpec(kind="memory", n_bins=n_bins))
         self._batches = batches
+        self._topology = topology
 
     def batches(self, chunk_records=None):
         return self._rechunk(iter(self._batches), chunk_records)
@@ -82,7 +91,7 @@ def _precomputed(source, config):
         return engine.process_precomputed(path)
 
 
-def _run(wl, batches, mode):
+def _run(wl, batches, mode, topology=None):
     """``(bin -> entropy matrix, report)`` of one exact run."""
     entropy = {}
     observe = DetectorBank.observe
@@ -91,7 +100,7 @@ def _run(wl, batches, mode):
         entropy[summary.bin] = summary.entropy.copy()
         return observe(bank, summary)
 
-    source = _MemorySource(batches, wl["n_bins"])
+    source = _MemorySource(batches, wl["n_bins"], topology)
     config = pf.stream_config(wl)
     with mock.patch.object(DetectorBank, "observe", recording_observe):
         if mode == "cluster":
@@ -207,3 +216,44 @@ def test_uniform_weight_scaling_keeps_entropy_channel(reference, factor):
             [d.spe_entropy for d in want_report.detections],
             rtol=1e-9, err_msg=mode,
         )
+
+
+def _renumbered(topology, pi):
+    """``topology`` with PoP ``o`` moved to index ``pi[o]``: same codes,
+    prefixes and links, so routing is unchanged up to the renumbering."""
+    order = np.argsort(pi)
+    pops = [dataclasses.replace(topology.pops[old], index=new)
+            for new, old in enumerate(order)]
+    return Topology(name=topology.name, pops=pops, links=topology.links,
+                    sampling_rate=topology.sampling_rate,
+                    anonymization_bits=topology.anonymization_bits)
+
+
+@given(pops=st.permutations(range(11)))
+@settings(max_examples=6, deadline=None)
+def test_od_relabelling_permutes_ods_and_keeps_verdicts(reference, pops):
+    """Renumber the PoPs by a permutation pi: OD ``o*n + d`` becomes
+    ``pi(o)*n + pi(d)``.  Each bin's entropy matrix is the reference's
+    with its rows moved there (1e-12), each entropy SPE is unchanged
+    (1e-9 relative), both channels' flags are identical and every
+    identified OD maps through pi."""
+    wl, batches, expected = reference
+    pi = np.asarray(pops)
+    topology = _renumbered(pf.seed_workload()[1], pi)
+    n = topology.n_pops
+    od_map = (pi[:, None] * n + pi[None, :]).ravel()
+    renumbered = [b.with_columns(ingress_pop=pi[b.ingress_pop]) for b in batches]
+    for mode in MODES:
+        entropy, report = _run(wl, renumbered, mode, topology)
+        want_entropy, want_report = expected[mode]
+        _assert_entropy_close(
+            {b: matrix[od_map] for b, matrix in entropy.items()}, want_entropy, mode
+        )
+        got, want = report.detections, want_report.detections
+        assert [(d.bin, d.detected_by_entropy, d.detected_by_volume) for d in got] \
+            == [(d.bin, d.detected_by_entropy, d.detected_by_volume) for d in want], mode
+        np.testing.assert_allclose([d.spe_entropy for d in got],
+                                   [d.spe_entropy for d in want],
+                                   rtol=1e-9, err_msg=mode)
+        assert [[int(f.od) for f in d.flows] for d in got] \
+            == [[int(od_map[f.od]) for f in d.flows] for d in want], mode

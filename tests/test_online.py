@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import subspace
-from repro.core.online import OnlineClassifier, OnlineMultiwayDetector
+from repro.core.online import (
+    OnlineClassifier,
+    OnlineMultiwayDetector,
+    OnlineVolumeDetector,
+)
 from repro.core.subspace import SubspaceModel
 from repro.flows.features import N_FEATURES
 from repro.pipeline.bank import DetectorBank
@@ -77,6 +81,56 @@ class TestOnlineMultiwayDetector:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             OnlineMultiwayDetector(window=2)
+
+
+class TestWarmUpLeavesAResidual:
+    """A warm-up too short for ``n_components`` used to be accepted: the
+    normal basis filled the centred span, Q_alpha fell to ~1e-31 and
+    every following bin alarmed.  Both detectors now refuse it."""
+
+    @staticmethod
+    def _history(*shape):
+        """Random history of ``shape``: ``(t, p, k)`` entropy, ``(t, p)`` volume."""
+        return np.random.default_rng(shape[0]).normal(size=shape)
+
+    @pytest.mark.parametrize("t", [8, 10, 11])
+    def test_multiway_refuses_a_history_without_residual(self, t):
+        det = OnlineMultiwayDetector(window=2016, n_components=10)
+        with pytest.raises(ValueError, match=f"{t} rows.*n_components \\+ 2 = 12"):
+            det.warm_up(self._history(t, 121, N_FEATURES))
+        assert not det.is_warm
+
+    def test_multiway_counts_the_window_not_the_history(self):
+        det = OnlineMultiwayDetector(window=11, n_components=10)
+        with pytest.raises(ValueError, match="11 rows"):
+            det.warm_up(self._history(40, 121, N_FEATURES))
+
+    def test_multiway_accepts_the_smallest_fitting_history(self):
+        # One residual dimension: Q_alpha is a real threshold again.
+        det = OnlineMultiwayDetector(window=2016, n_components=10)
+        det.warm_up(self._history(12, 121, N_FEATURES))
+        assert det.threshold > 1e-6
+
+    def test_without_fixed_components_the_guard_is_exempt(self):
+        # No fixed dimension to check; the fit itself asks for one.
+        for det, shape in ((OnlineMultiwayDetector(n_components=None), (8, 121, N_FEATURES)),
+                           (OnlineVolumeDetector(n_components=None), (8, 121))):
+            with pytest.raises(ValueError, match="specify n_components"):
+                det.warm_up(self._history(*shape))
+
+    @pytest.mark.parametrize("detrend, t", [("none", 11), ("holt", 12)])
+    def test_volume_refuses_a_buffer_without_residual(self, detrend, t):
+        # Holt residuals drop the first row: t history rows fit t - 1.
+        det = OnlineVolumeDetector(n_components=10, detrend=detrend)
+        with pytest.raises(ValueError, match="11 rows.*= 12"):
+            det.warm_up(self._history(t, 121))
+        assert not det.is_warm
+
+    @pytest.mark.parametrize("detrend, t", [("none", 12), ("holt", 13)])
+    def test_volume_accepts_the_smallest_fitting_buffer(self, detrend, t):
+        det = OnlineVolumeDetector(n_components=10, detrend=detrend)
+        det.warm_up(self._history(t, 121))
+        assert det.threshold > 1e-6
 
 
 class TestThresholdOncePerFit:

@@ -27,7 +27,6 @@ from repro.pipeline import (
     DetectorBank,
     ScenarioSource,
     SourceSpec,
-    SyntheticSource,
     TraceSource,
     build_source,
     detector_names,
@@ -264,7 +263,8 @@ class TestAnomalyRecords:
 class TestSources:
     def test_spec_round_trip(self):
         for source in (
-            SyntheticSource(n_bins=4, seed=1, max_records_per_od=8),
+            ScenarioSource("baseline-diurnal", n_bins=4, seed=1,
+                           max_records_per_od=8),
             _scenario_source("flash-crowd"),
         ):
             rebuilt = build_source(source.spec)
@@ -288,7 +288,7 @@ class TestSources:
     def test_pipeline_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             DetectionPipeline(_config()).run(
-                SyntheticSource(n_bins=2), mode="hybrid"
+                _scenario_source("baseline-diurnal"), mode="hybrid"
             )
 
 
@@ -466,6 +466,21 @@ class TestRunCLI:
         assert "scenario worm-outbreak [stream]" in out
         assert "detections:" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--warmup-bins", "8"],
+        ["cluster", "--shards", "3"],
+        ["run", "baseline-diurnal", "--save-trace", "x.trace"],
+        ["trace", "write", "baseline-diurnal", "--output", "x.trace",
+         "--bin-group", "4"],
+        ["trace", "replay", "x.trace", "--readahead"],
+    ])
+    def test_removed_commands_and_flags_exit_2(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_run_unknown_scenario_exits_2(self, capsys):
         from repro.cli import main
 
@@ -481,25 +496,32 @@ class TestRunCLI:
         ]) == 2
         assert "records scenario" in capsys.readouterr().err
 
-    def test_run_save_trace_then_replay_matches(self, tmp_path, capsys):
+    def test_trace_write_then_run_replay_matches(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "saved.trace"
-        args = [
-            "--bins", str(N_BINS), "--warmup-bins", str(WARMUP),
-            "--seed", str(SEED), "--exact", "--components", "3",
-            "--refit-every", "0",
-        ]
-        assert main(["run", "flash-crowd", "--max-records", str(MAX_RECORDS),
-                     "--save-trace", str(path)] + args) == 0
+        source = ["--bins", str(N_BINS), "--seed", str(SEED)]
+        args = source + ["--warmup-bins", str(WARMUP), "--exact",
+                         "--components", "3", "--refit-every", "0", "--json"]
+        assert main(["run", "flash-crowd", "--max-records", str(MAX_RECORDS)]
+                    + args + [str(tmp_path / "inline.json")]) == 0
         first = capsys.readouterr().out
-        assert main(["run", "flash-crowd", "--trace", str(path)] + args) == 0
+        assert main(["trace", "write", "flash-crowd", "--max-records",
+                     str(MAX_RECORDS), "--output", str(path)] + source) == 0
+        capsys.readouterr()
+        assert main(["run", "flash-crowd", "--trace", str(path)]
+                    + args + [str(tmp_path / "replay.json")]) == 0
         second = capsys.readouterr().out
-        # Identical detections line for line (the recorded header lines
-        # differ: one names the save, both name the source).
+        # Identical detections line for line (the banners name the
+        # source), and the same diagnosis JSON apart from its provenance.
         pick = lambda text: [l for l in text.splitlines()
                              if l.startswith(("  bin", "detections:"))]
         assert pick(first) == pick(second)
+        inline, replay = (json.loads((tmp_path / f"{name}.json").read_text())
+                          for name in ("inline", "replay"))
+        assert replay.pop("meta")["source"] == "trace"
+        assert inline.pop("meta")["source"] == "scenario"
+        assert replay == inline
 
 
 def _bins():

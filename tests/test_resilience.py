@@ -38,7 +38,7 @@ from repro.flows.binning import TimeBins
 from repro.net.topology import abilene
 from repro.pipeline import DetectionPipeline
 from repro.pipeline.bank import DEFAULT_DETECTORS
-from repro.pipeline.sources import SyntheticSource
+from repro.pipeline.sources import ScenarioSource
 from repro.resilience import (
     CheckpointError,
     CheckpointWriter,
@@ -72,8 +72,8 @@ def _config(**overrides):
 
 
 def _source():
-    return SyntheticSource(
-        network="abilene", n_bins=N_BINS, seed=SEED,
+    return ScenarioSource(
+        "baseline-diurnal", network="abilene", n_bins=N_BINS, seed=SEED,
         max_records_per_od=MAX_RECORDS_PER_OD,
     )
 
@@ -361,8 +361,8 @@ class TestChaosCluster:
     def test_resume_rejects_different_run(self, tmp_path):
         path = tmp_path / "run.ckpt"
         self._run(checkpoint=path)
-        other = SyntheticSource(
-            network="abilene", n_bins=N_BINS, seed=SEED + 94,
+        other = ScenarioSource(
+            "baseline-diurnal", network="abilene", n_bins=N_BINS, seed=SEED + 94,
             max_records_per_od=MAX_RECORDS_PER_OD,
         )
         with pytest.raises(ValueError, match="checkpoint"):
@@ -395,8 +395,9 @@ class TestResilienceCli:
         from repro.cli import main
 
         code = main([
-            "cluster", "--warmup-bins", str(WARMUP_BINS), "--live-bins",
-            str(N_BINS - WARMUP_BINS), "--max-records",
+            "run", "baseline-diurnal", "--mode", "cluster",
+            "--warmup-bins", str(WARMUP_BINS), "--bins", str(N_BINS),
+            "--seed", str(SEED), "--max-records",
             str(MAX_RECORDS_PER_OD), "--exact", "--components", "4",
             "--refit-every", "0", "--shards", "2",
             "--chaos", "kill:shard=1,bin=9",
@@ -408,6 +409,7 @@ class TestResilienceCli:
     def test_bad_chaos_spec_is_a_cli_error(self, capsys):
         from repro.cli import main
 
-        code = main(["cluster", "--chaos", "explode:shard=0"])
+        code = main(["run", "baseline-diurnal", "--mode", "cluster",
+                     "--chaos", "explode:shard=0"])
         assert code == 2
         assert "error" in capsys.readouterr().err

@@ -10,18 +10,22 @@ The cluster-parity contract rests on two properties of
   stay inside the target OD flow's destination prefix, so
   longest-prefix egress resolution attributes every anomaly record to
   the OD flow the schedule targeted.
+
+And one identity: ``baseline-diurnal`` is the plain background stream.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anomalies.builders import BUILDERS
 from repro.flows.binning import TimeBins
+from repro.flows.records import COLUMN_SPEC, FlowRecordBatch
 from repro.net.topology import abilene
-from repro.pipeline.sources import shard_ods
+from repro.pipeline.sources import ScenarioSource, shard_ods
 from repro.scenarios import ScenarioEvent, anomaly_record_batch, scenario_record_batches
-from repro.stream.chunks import iter_record_chunks
+from repro.stream.chunks import iter_record_chunks, synthetic_record_stream
 from repro.traffic.generator import TrafficGenerator
 
 N_BINS = 4
@@ -175,3 +179,48 @@ class TestAttributionSafety:
         placed = batch.dst_ip[batch.dst_ip != 0]
         assert destination.prefix.contains_array(placed).all()
         assert int(batch.packets.sum()) >= trace.packets  # min-1 rounding only adds
+
+
+class TestBaselineIsTheBackgroundStream:
+    """``baseline-diurnal`` schedules no events, so its source is the
+    plain background stream, whole and per shard — the identity that
+    makes :class:`ScenarioSource` the one synthesiser."""
+
+    @staticmethod
+    def _background(topology, seed, ods=None):
+        generator = TrafficGenerator(topology, TimeBins(n_bins=N_BINS), seed=seed)
+        return FlowRecordBatch.concat(list(synthetic_record_stream(
+            generator, range(N_BINS), ods=ods,
+            max_records_per_od=MAX_RECORDS, seed=seed,
+        )))
+
+    @staticmethod
+    def _assert_columns_equal(a, b):
+        assert len(a) == len(b) > 0
+        for name, _ in COLUMN_SPEC:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                          err_msg=name)
+
+    def test_has_no_events(self):
+        assert ScenarioSource("baseline-diurnal").events == []
+        assert ScenarioSource("baseline-diurnal", network="geant", n_bins=300,
+                              seed=11).events == []
+
+    @pytest.mark.parametrize("network, seed", [("abilene", 0), ("geant", 7)])
+    def test_stream_and_shards_equal_the_background(self, network, seed):
+        source = ScenarioSource("baseline-diurnal", network=network,
+                                n_bins=N_BINS, seed=seed,
+                                max_records_per_od=MAX_RECORDS)
+        topology = source.topology
+        self._assert_columns_equal(
+            FlowRecordBatch.concat(list(source.batches())),
+            self._background(topology, seed),
+        )
+        for shard in range(2):
+            chunks = [chunk for chunk, ods in
+                      source.shard_batches(shard, 2, router=None)]
+            self._assert_columns_equal(
+                FlowRecordBatch.concat(chunks),
+                self._background(topology, seed,
+                                 ods=shard_ods(topology.n_od_flows, 2, shard)),
+            )

@@ -31,7 +31,7 @@ from repro.cluster import ClusterCoordinator
 from repro.cluster.supervisor import TICK, Supervisor
 from repro.pipeline import DetectionPipeline
 from repro.pipeline.bank import DEFAULT_DETECTORS
-from repro.pipeline.sources import SyntheticSource
+from repro.pipeline.sources import ScenarioSource
 from repro.resilience import (
     CheckpointWriter,
     FaultPlan,
@@ -44,8 +44,8 @@ from repro.stream import StreamConfig, StreamingDetectionEngine
 N_BINS = 14
 WARMUP_BINS = 8
 N_SHARDS = 2
-SOURCE = SyntheticSource(network="abilene", n_bins=N_BINS, seed=5,
-                         max_records_per_od=20)
+SOURCE = ScenarioSource("baseline-diurnal", network="abilene", n_bins=N_BINS,
+                        seed=5, max_records_per_od=20)
 CONFIG = StreamConfig(warmup_bins=WARMUP_BINS, refit_every=0,
                       drift_reset_after=0, n_components=4,
                       exact_histograms=True)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from parity_fixture import FIXTURE_PATH, render, seed_workload, stream_config
-from repro import TimeBins, TrafficGenerator, abilene
+from repro import ScenarioSource, abilene
 from repro.flows.features import FEATURES
 from repro.cli import main
 from repro.io.trace import (
@@ -31,7 +31,6 @@ from repro.io.trace import (
     trace_info,
     upgrade_trace,
     verify_trace,
-    write_trace,
 )
 from repro.net.routing import Router
 from repro.pipeline import TraceSource
@@ -44,6 +43,10 @@ def _write_batches(path, wl, batches):
         for b, batch in enumerate(batches):
             writer.append(b, batch)
     return writer.info
+
+
+def _scenario(**kwargs):
+    return ScenarioSource("baseline-diurnal", **kwargs)
 
 
 def _strip_to_v1(src, dst):
@@ -115,22 +118,14 @@ class TestPrecomputedReplayByteEquality:
 
     def test_sketch_mode_is_rejected(self, tmp_path):
         path = tmp_path / "any.trace"
-        write_trace(
-            path,
-            TrafficGenerator(abilene(), TimeBins(n_bins=2), seed=0),
-            max_records_per_od=5,
-        )
+        _scenario(n_bins=2, max_records_per_od=5).write_trace(path)
         engine = StreamingDetectionEngine(abilene(), StreamConfig(warmup_bins=8))
         with pytest.raises(ValueError, match="exact_histograms"):
             engine.process_precomputed(path)
 
     def test_anonymization_mismatch_is_rejected(self, tmp_path):
         path = tmp_path / "any.trace"
-        write_trace(
-            path,
-            TrafficGenerator(abilene(), TimeBins(n_bins=2), seed=0),
-            max_records_per_od=5,
-        )
+        _scenario(n_bins=2, max_records_per_od=5).write_trace(path)
         unmasked = dataclasses.replace(abilene(), anonymization_bits=0)
         with TraceReader(path) as reader:
             with pytest.raises(ValueError, match="11-bit anonymization"):
@@ -143,9 +138,8 @@ class TestTraceV2Format:
     @pytest.fixture(scope="class")
     def traces(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("v2")
-        generator = TrafficGenerator(abilene(), TimeBins(n_bins=4), seed=5)
         v2 = tmp / "v2.trace"
-        write_trace(v2, generator, max_records_per_od=40, seed=0)
+        _scenario(n_bins=4, seed=5, max_records_per_od=40).write_trace(v2)
         return _strip_to_v1(v2, tmp / "v1.trace"), v2
 
     def test_versions_and_header(self, traces):
@@ -190,15 +184,14 @@ class TestTraceV2Format:
 
     def test_v1_trace_cli_run_names_the_upgrade(self, traces, capsys):
         v1, _ = traces
-        code = main(["stream", "--trace", str(v1), "--warmup-bins", "2",
-                     "--live-bins", "1"])
+        code = main(["run", "baseline-diurnal", "--trace", str(v1)])
         assert code == 2
         assert f"run `repro trace upgrade {v1}` first" in capsys.readouterr().err
 
     def test_v1_replay_takes_the_record_path(self, tmp_path, capsys):
         v2 = tmp_path / "v2.trace"
-        main(["trace", "write", "--bins", "10", "--max-records", "10",
-              "--seed", "3", "--output", str(v2)])
+        main(["trace", "write", "baseline-diurnal", "--bins", "10",
+              "--max-records", "10", "--seed", "3", "--output", str(v2)])
         v1 = _strip_to_v1(v2, tmp_path / "v1.trace")
         args = ["--warmup-bins", "8", "--exact", "--refit-every", "0",
                 "--components", "4"]
@@ -229,12 +222,7 @@ class TestTraceV2Format:
 
     def test_truncation_into_derived_slabs_recovers_base(self, tmp_path):
         v2 = tmp_path / "full.trace"
-        write_trace(
-            v2,
-            TrafficGenerator(abilene(), TimeBins(n_bins=12), seed=5),
-            max_records_per_od=40,
-            seed=0,
-        )
+        _scenario(n_bins=12, seed=5, max_records_per_od=40).write_trace(v2)
         full = trace_info(v2)
         clipped = tmp_path / "clipped.trace"
         # Cut into the derived slabs: all base columns survive intact.

@@ -35,7 +35,6 @@ from repro.io import (
     TraceWriter,
     trace_info,
     verify_trace,
-    write_trace,
 )
 from repro.io.trace import upgrade_trace
 from repro.resilience import truncate_tail
@@ -81,6 +80,20 @@ def _write(path, per_bin_batches, **kwargs):
     return writer.info
 
 
+def _write_synthetic(path, generator, max_records_per_od):
+    """Background records on ``generator``'s own bin grid, through a
+    ``TraceWriter`` loop (a ScenarioSource always bins on 300 s)."""
+    bins = generator.bins
+    stream = synthetic_record_stream(
+        generator, range(bins.n_bins), max_records_per_od=max_records_per_od
+    )
+    with TraceWriter(path, n_bins=bins.n_bins, bin_width=bins.width,
+                     start=bins.start, topology=generator.topology) as writer:
+        for b, batch in enumerate(stream):
+            writer.append(b, batch)
+    return writer.info
+
+
 def _columns_equal(a: FlowRecordBatch, b: FlowRecordBatch):
     assert len(a) == len(b)
     for name, _ in COLUMN_SPEC:
@@ -91,10 +104,10 @@ def _columns_equal(a: FlowRecordBatch, b: FlowRecordBatch):
 def small_trace(tmp_path_factory):
     """A written trace plus the inline batches it must reproduce."""
     path = tmp_path_factory.mktemp("traces") / "abilene.trace"
-    generator = TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=SEED)
-    info = write_trace(
-        path, generator, max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED
-    )
+    info = ScenarioSource(
+        "baseline-diurnal", n_bins=N_BINS, seed=SEED,
+        max_records_per_od=MAX_RECORDS_PER_OD,
+    ).write_trace(path)
     inline_gen = TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=SEED)
     batches = list(
         synthetic_record_stream(
@@ -382,7 +395,7 @@ class TestReplayEquivalence:
             topology, TimeBins(n_bins=4, width=600.0), seed=SEED
         )
         path = tmp_path / "wide.trace"
-        write_trace(path, generator, max_records_per_od=5)
+        _write_synthetic(path, generator, max_records_per_od=5)
         config = StreamConfig(warmup_bins=10, exact_histograms=True)
         engine = StreamingDetectionEngine(topology, config)  # default 300s grid
         with pytest.raises(ValueError, match="binned on 600s"):
@@ -398,7 +411,7 @@ class TestReplayEquivalence:
             topology, TimeBins(n_bins=12, width=600.0), seed=SEED
         )
         path = tmp_path / "wide.trace"
-        info = write_trace(path, generator, max_records_per_od=5)
+        info = _write_synthetic(path, generator, max_records_per_od=5)
         config = StreamConfig(
             warmup_bins=10, refit_every=0, n_components=4,
             exact_histograms=True,
@@ -555,8 +568,8 @@ class TestTraceCli:
     def test_write_info_replay(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"
         code = main([
-            "trace", "write", "--bins", "12", "--max-records", "10",
-            "--seed", "3", "--output", str(out_path),
+            "trace", "write", "baseline-diurnal", "--bins", "12",
+            "--max-records", "10", "--seed", "3", "--output", str(out_path),
         ])
         out = capsys.readouterr().out
         assert code == 0 and "records/s" in out and out_path.exists()
@@ -583,8 +596,8 @@ class TestTraceCli:
 
     def test_upgrade_output_copies_a_derived_trace(self, tmp_path, capsys):
         path, out_path = tmp_path / "cli.trace", tmp_path / "copy.trace"
-        main(["trace", "write", "--bins", "4", "--max-records", "5",
-              "--output", str(path)])
+        main(["trace", "write", "baseline-diurnal", "--bins", "4",
+              "--max-records", "5", "--output", str(path)])
         capsys.readouterr()
         code = main(["trace", "upgrade", str(path), "--output", str(out_path)])
         out = capsys.readouterr().out
@@ -617,8 +630,8 @@ class TestTraceCli:
 
     def test_info_verify_and_allow_partial(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"
-        main(["trace", "write", "--bins", "12", "--max-records", "10",
-              "--seed", "3", "--output", str(out_path)])
+        main(["trace", "write", "baseline-diurnal", "--bins", "12",
+              "--max-records", "10", "--seed", "3", "--output", str(out_path)])
         capsys.readouterr()
 
         assert main(["trace", "info", str(out_path), "--verify"]) == 0
@@ -649,40 +662,37 @@ class TestTraceCli:
         # A truncated tail loses the derived slabs: the records replay.
         assert "truncated" in out and "exact histograms" in out
 
-    def test_stream_and_cluster_accept_trace(self, tmp_path, capsys):
+    def test_run_accepts_trace_in_stream_and_cluster_mode(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"
-        main(["trace", "write", "--bins", "10", "--max-records", "10",
-              "--seed", "3", "--output", str(out_path)])
+        main(["trace", "write", "baseline-diurnal", "--bins", "10",
+              "--max-records", "10", "--seed", "3", "--output", str(out_path)])
         capsys.readouterr()
-        code = main([
-            "stream", "--trace", str(out_path), "--warmup-bins", "8",
-            "--live-bins", "2", "--exact", "--refit-every", "0",
-            "--components", "4",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0 and f"trace {out_path}" in out
+        args = ["--trace", str(out_path), "--warmup-bins", "8", "--exact",
+                "--refit-every", "0", "--components", "4"]
+        code = main(["run", "baseline-diurnal", "--mode", "stream", *args])
+        stream = capsys.readouterr().out
+        assert code == 0 and f"source: trace {out_path}" in stream
 
-        code = main([
-            "cluster", "--trace", str(out_path), "--shards", "2",
-            "--warmup-bins", "8", "--live-bins", "2", "--exact",
-            "--refit-every", "0", "--components", "4",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0 and "shared trace" in out
+        code = main(["run", "baseline-diurnal", "--mode", "cluster",
+                     "--shards", "2", *args])
+        cluster = capsys.readouterr().out
+        assert code == 0 and "2 shards (flat, pipe transport)" in cluster
+        pick = lambda text: [l for l in text.splitlines()
+                             if l.startswith(("  bin", "detections:"))]
+        assert pick(stream) == pick(cluster)
 
     def test_invalid_trace_input_exits_2(self, tmp_path):
         missing = str(tmp_path / "missing.trace")
         assert main(["trace", "info", missing]) == 2
         assert main(["trace", "replay", missing]) == 2
-        assert main(["stream", "--trace", missing, "--warmup-bins", "8",
-                     "--live-bins", "1"]) == 2
+        assert main(["run", "baseline-diurnal", "--trace", missing]) == 2
 
-    def test_stream_rejects_network_mismatch(self, tmp_path, capsys):
+    def test_run_rejects_network_mismatch(self, tmp_path, capsys):
         path = tmp_path / "geant.trace"
-        main(["trace", "write", "--network", "geant", "--bins", "9",
-              "--max-records", "5", "--output", str(path)])
+        main(["trace", "write", "baseline-diurnal", "--network", "geant",
+              "--bins", "9", "--max-records", "5", "--output", str(path)])
         capsys.readouterr()
-        code = main(["stream", "--trace", str(path), "--warmup-bins", "8",
-                     "--live-bins", "1"])  # default --network abilene
+        code = main(["run", "baseline-diurnal", "--trace", str(path),
+                     "--network", "abilene"])
         assert code == 2
         assert "recorded on 'Geant'" in capsys.readouterr().err

@@ -6,8 +6,10 @@ least compile; blocks immediately preceded by an HTML comment marker::
     <!-- docs-check: run -->
 
 are additionally executed when ``--run`` is passed (CI does this), so
-the quickstarts cannot rot silently.  Bash blocks are checked for the
-obvious footgun of referencing files that do not exist.
+the quickstarts cannot rot silently.  In ```bash blocks every
+``python -m repro ...`` command (continuation lines joined) must parse
+under the CLI's own ``build_parser()``, so a documented invocation of a
+deleted command or flag fails here instead of in a reader's shell.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py [--run]
@@ -16,11 +18,15 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 DOCS = ("README.md", "docs/ARCHITECTURE.md")
 RUN_MARKER = "<!-- docs-check: run -->"
 
@@ -37,11 +43,53 @@ def extract_blocks(text: str):
         yield language, code, runnable, line
 
 
+def repro_invocations(code: str):
+    """Yield the argv of every ``python -m repro ...`` command in a
+    shell block: continuations joined, comments dropped, one argv per
+    command of a ``&&`` / ``|`` / ``;`` chain, cut at a redirection."""
+    for line in code.replace("\\\n", " ").splitlines():
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        command: list[str] = []
+        for token in [*lexer, ";"]:
+            if token not in ("&&", "||", "|", ";", "&"):
+                command.append(token)
+                continue
+            for i in range(len(command) - 2):
+                if command[i].startswith("python") and command[i + 1:i + 3] == ["-m", "repro"]:
+                    argv = command[i + 3:]
+                    cut = [j for j, t in enumerate(argv) if t[0] in "<>"]
+                    yield argv[: cut[0]] if cut else argv
+                    break
+            command = []
+
+
+def check_invocation(argv: list[str]) -> str | None:
+    """The CLI's complaint about ``argv``, or None if it parses."""
+    from repro.cli import build_parser
+
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            return stderr.getvalue().strip().splitlines()[-1]
+    return None
+
+
 def check_file(path: Path, run: bool) -> list[str]:
     errors = []
     text = path.read_text()
-    n_python = n_executed = 0
+    n_python = n_executed = n_commands = 0
     for language, code, runnable, line in extract_blocks(text):
+        if language == "bash":
+            for argv in repro_invocations(code):
+                n_commands += 1
+                problem = check_invocation(argv)
+                if problem:
+                    errors.append(f"{path.name}:{line}: `repro {' '.join(argv)}`: {problem}")
+            continue
         if language != "python":
             continue
         n_python += 1
@@ -58,7 +106,8 @@ def check_file(path: Path, run: bool) -> list[str]:
             except Exception as exc:  # noqa: BLE001 - report any failure
                 errors.append(f"{path.name}:{line}: execution failed: {exc!r}")
     mode = f"{n_executed} executed" if run else "compile-only"
-    print(f"{path.name}: {n_python} python block(s) checked ({mode})")
+    print(f"{path.name}: {n_python} python block(s) checked ({mode}), "
+          f"{n_commands} repro command(s) parsed")
     return errors
 
 
