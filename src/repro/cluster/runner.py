@@ -55,10 +55,10 @@ with whoever holds it), and the parent always observes a worker's
 messages *in order, before* the link's EOF — a worker whose ``close``
 is still in flight when it exits is drained, not misreported as a
 crash.  With ``transport="tcp"`` workers may live on other machines
-(``repro worker --connect``); with ``tiers="AxB"`` an aggregator tier
-(``repro.cluster.aggregator``) tree-merges each B-worker subtree
-before one summary per bin goes upstream, keeping coordinator fan-in
-flat as shard counts grow.
+(``repro worker --connect``); with ``tiers="AxB"`` A aggregator
+processes (:func:`_aggregator_worker`) each merge a B-worker subtree
+before one summary per bin goes upstream, splitting the per-bin decode
+and merge work that a flat coordinator does alone.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ from pathlib import Path
 from typing import Callable
 
 from repro import telemetry as tel
-from repro.cluster.aggregator import AggregatorSpec, TierMerge, parse_tiers
-from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.coordinator import BinAligner, ClusterCoordinator
 from repro.cluster.shard import ShardMonitor
-from repro.cluster.summary import SummaryCorruptError
+from repro.cluster.summary import ShardBinSummary, SummaryCorruptError
 from repro.cluster.supervisor import TICK, Supervisor
 from repro.cluster.transport import (
     PipeTransport,
@@ -94,7 +93,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.policy import ResiliencePolicy
 from repro.stream.engine import StreamConfig, StreamDetection, StreamingDetectionEngine
 
-__all__ = ["run_cluster_source"]
+__all__ = ["AggregatorSpec", "parse_tiers", "run_cluster_source"]
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,51 @@ class _WorkerSpec:
     chaos: FaultPlan | None = None
 
 
+def parse_tiers(spec) -> tuple[int, int]:
+    """Parse a declarative tier layout.
+
+    ``"AxB"`` means A aggregators with B workers each (A*B shards
+    total).  A 2-tuple passes through unchanged.
+
+    Raises:
+        ValueError: Malformed spec or non-positive dimensions.
+    """
+    parts = spec
+    if not isinstance(spec, tuple):
+        parts = str(spec).lower().replace("×", "x").split("x")
+    try:
+        n_aggregators, fan_in = (int(part) for part in parts)
+    except ValueError:
+        raise ValueError(
+            f"tier layout must look like 'AxB' (A aggregators x B workers "
+            f"each), got {spec!r}"
+        ) from None
+    if n_aggregators < 1 or fan_in < 1:
+        raise ValueError(
+            f"tier dimensions must be >= 1, got {n_aggregators}x{fan_in}"
+        )
+    return n_aggregators, fan_in
+
+
+@dataclass(frozen=True)
+class AggregatorSpec:
+    """Everything an aggregator process needs (picklable).
+
+    ``children`` are ordinary worker specs with *global* shard ids —
+    the aggregator adds no sharding semantics of its own, it only
+    merges.  ``shard_id`` is this aggregator's id on the upstream link
+    (the coordinator supervises aggregators as if they were shards).
+    """
+
+    children: tuple
+    shard_id: int
+    attempt: int = 0
+    telemetry: bool = False
+    #: transport for the aggregator's own children ("pipe" or "tcp").
+    child_transport: str = "pipe"
+    start_method: str | None = None
+
+
 def _heartbeat(session) -> dict | None:
     """Small per-bin progress payload piggybacked on summary messages."""
     if session is None:
@@ -133,6 +177,17 @@ def _heartbeat(session) -> dict | None:
         "bins": session.counters.get("reduce.bins_closed"),
         "rss_bytes": tel.sample_rss_bytes(),
     }
+
+
+def _report_error(conn, spec, exc: Exception) -> None:
+    """Ship a unit's failure, with its traceback, to the parent."""
+    import traceback
+
+    try:
+        conn.send(("error", spec.shard_id, spec.attempt,
+                   f"{exc!r}\n{traceback.format_exc()}"))
+    except OSError:
+        pass  # parent already faulted this attempt and closed up
 
 
 def _shard_worker(spec: _WorkerSpec, conn) -> None:
@@ -212,26 +267,23 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
             conn.close()
             os._exit(3)
     except Exception as exc:  # pragma: no cover - surfaced in the parent
-        import traceback
-
-        try:
-            conn.send(("error", spec.shard_id, spec.attempt,
-                       f"{exc!r}\n{traceback.format_exc()}"))
-        except OSError:
-            pass  # parent already faulted this attempt and closed up
+        _report_error(conn, spec, exc)
     finally:
         conn.close()
 
 
 def _aggregator_worker(spec: AggregatorSpec, conn) -> None:
-    """Aggregator entry point: run K children, tree-merge, forward.
+    """Aggregator entry point: run B children, merge each bin, forward.
 
-    Supervision is all-or-nothing inside the subtree: any child fault
-    (death before close, corrupt payload, raised exception) becomes
-    this aggregator's error, and the parent supervisor restarts or
-    degrades the whole subtree — the deterministic sources make the
-    recompute bit-identical, and the coordinator's reopened-shard
-    dedup absorbs re-delivered bins.
+    The children go through the coordinator's own :class:`BinAligner`:
+    a bin is forwarded as one :func:`merge_summaries` of its children
+    exactly when a coordinator would merge it, and a global gap is not
+    forwarded (the coordinator's gap handling covers it).  Any child
+    fault (death before close, corrupt payload, raised exception) is
+    this aggregator's error: the supervisor restarts or degrades the
+    whole subtree, deterministic sources make the recompute
+    bit-identical, and the coordinator's reopened-shard dedup absorbs
+    re-delivered bins.
     """
     session = tel.enable() if spec.telemetry else None
     # Aggregators run non-daemon (they have children), so a supervisor
@@ -251,28 +303,29 @@ def _aggregator_worker(spec: AggregatorSpec, conn) -> None:
         link: SummaryTransport = TcpTransport(context=context)
     else:
         link = PipeTransport(entry=_unit_main, context=context)
-    tier = TierMerge([child.shard_id for child in spec.children])
-    open_children = {child.shard_id for child in spec.children}
+    aligner = BinAligner([child.shard_id for child in spec.children])
     child_records: dict[int, int] = {}
     late_records = 0
 
-    def ship(merged) -> None:
+    def ship(released) -> None:
         # The receiver counts each link's bytes (the coordinator counts
         # this payload on arrival), so only span the send here — else
         # merged snapshots would tally the upstream link twice.
-        payload = merged.to_bytes()
-        with tel.span("stage.ship"):
-            conn.send(("summary", spec.shard_id, spec.attempt, payload,
-                       _heartbeat(session)))
+        for _, merged in released:
+            if merged is not None:  # a global gap: nothing to forward
+                payload = merged.to_bytes()
+                with tel.span("stage.ship"):
+                    conn.send(("summary", spec.shard_id, spec.attempt, payload,
+                               _heartbeat(session)))
 
     try:
         for child in spec.children:
             link.launch(child)
-        while open_children:
+        while aligner.open:
             for message in link.poll(1.0):
                 kind = message[0]
                 if kind == "eof":
-                    if message[1] in open_children:
+                    if message[1] in aligner.open:
                         raise RuntimeError(
                             f"child shard {message[1]} died with exit code "
                             f"{message[2]} before closing its stream"
@@ -293,28 +346,21 @@ def _aggregator_worker(spec: AggregatorSpec, conn) -> None:
                     # A corrupt child payload raises SummaryCorruptError
                     # here and surfaces as this aggregator's fault.
                     with tel.span("stage.merge"):
-                        merged = tier.add_serialized(child_id, message[3])
-                    for summary in merged:
-                        ship(summary)
+                        released = aligner.add(
+                            child_id, ShardBinSummary.from_bytes(message[3])
+                        )
+                    ship(released)
                 elif kind == "close":
                     child_records[child_id] = message[3]
                     late_records += message[4]
                     if session is not None:
                         session.add_shard(child_id, message[5])
-                    open_children.discard(child_id)
-                    for summary in tier.close_child(child_id):
-                        ship(summary)
+                    ship(aligner.close(child_id))
         snapshot = session.snapshot() if session is not None else None
         conn.send(("close", spec.shard_id, spec.attempt, child_records,
                    late_records, snapshot))
     except Exception as exc:
-        import traceback
-
-        try:
-            conn.send(("error", spec.shard_id, spec.attempt,
-                       f"{exc!r}\n{traceback.format_exc()}"))
-        except OSError:
-            pass  # parent already faulted this attempt and closed up
+        _report_error(conn, spec, exc)
     finally:
         link.shutdown()
         conn.close()

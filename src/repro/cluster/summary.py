@@ -4,14 +4,16 @@ Section 8 of the paper poses distributed deployment as the open systems
 problem: monitors at each PoP observe feature histograms locally and a
 central point mines anomalies network-wide.  The object that makes this
 work is a *mergeable summary* — each shard reduces its slice of one
-time bin's records into a :class:`ShardBinSummary`, ships it, and the
-coordinator folds the shards with an associative, commutative
-:meth:`ShardBinSummary.merge` before entropy is ever computed.  The
-merge is on raw counts (exact mode) or Count-Min counter tables (sketch
-mode), so *any* partition of the records yields the same merged
-summary: bit-identical in exact mode, within the estimator's tolerance
-in sketch mode (conservative update makes a one-pass sketch slightly
-tighter than a merged one; point queries never under-estimate).
+time bin's records into a :class:`ShardBinSummary` and ships it.  The
+algebra is :func:`merge_summaries`: one pass reduces a bin's K
+summaries to one before entropy is ever computed, at the coordinator
+and at every aggregator alike.  It sums raw counts (exact mode) or
+Count-Min counter tables (sketch mode), so *any* partition of the
+records, merged in any order or grouping, yields the same summary:
+bit-identical in exact mode, within the estimator's tolerance of a
+one-pass sketch in sketch mode (conservative update makes a one-pass
+sketch slightly tighter than a merged one; point queries never
+under-estimate).
 
 In exact mode the summary *is* the grouped-reduction kernel's output —
 one :class:`repro.kernels.GroupedRuns` per feature, keyed by OD flow —
@@ -36,7 +38,7 @@ naming both versions (an old checkpoint on ``--resume`` — not a fault
 to retry).  The CRC catches bytes damaged in transit; the shape checks
 catch what a valid CRC cannot — a declared size the payload does not
 hold, offsets that do not tile ``values``, OD ids out of range or
-order, non-positive counts, trailing bytes.  Both raise
+order, non-positive counts, negative counters, trailing bytes.  Both raise
 :class:`SummaryCorruptError`, which the supervisor answers by
 restarting the shard.  Exact payloads are canonical: the same counts
 serialize to the same bytes under any ingestion order, sharding or
@@ -66,6 +68,13 @@ _HEADER = struct.Struct("<B3xiiiqqq")
 
 _EXACT, _SKETCH = 0, 1
 
+#: what summaries must share to merge, and how a mismatch reads
+_MERGE_KEYS = (
+    ("bin", "bins"), ("n_od_flows", "ensembles"), ("exact", "modes"),
+    ("width", "sketch geometries"), ("depth", "sketch geometries"),
+    ("sketch_seed", "sketch geometries"),
+)
+
 _NO_RUNS = group_reduce(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
@@ -80,35 +89,45 @@ def _i8(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype="<i8")
 
 
-def _merge_runs(a: GroupedRuns, b: GroupedRuns) -> GroupedRuns:
-    """Sum two canonical per-OD run sets of one feature.
+def _merge_feature(runs) -> GroupedRuns:
+    """Sum one feature's canonical per-OD run sets from K summaries.
 
-    OD-partitioned shards (the cluster's ``od % N`` split) never share
-    an OD, so their per-OD segments are already final: they are
+    OD-partitioned shards (the cluster's ``od % K`` split) never share
+    an OD, so their per-OD segments are already final: all K are
     interleaved by one ``argsort`` of the OD ids and no value is
-    compared.  When any OD appears on both sides (summaries of any other
-    record partition) every run goes through one :func:`group_reduce`,
-    whose output is the same canonical form, so
-    :meth:`ShardBinSummary.merge` stays correct for any partition and
-    the two branches agree wherever both apply.
+    compared.  When any OD repeats (summaries of any other record
+    partition) every run goes through one :func:`group_reduce`, whose
+    output is the same canonical form, so the merge stays correct for
+    any partition and the two branches agree wherever both apply.
     """
-    if not a.n_groups or not b.n_groups:
-        return a if a.n_groups else b
-    ids = np.concatenate([a.group_ids, b.group_ids])
-    lengths = np.concatenate([a.lengths(), b.lengths()])
-    values = np.concatenate([a.values, b.values])
-    counts = np.concatenate([a.counts, b.counts])
+    runs = [r for r in runs if r.n_groups]
+    if len(runs) < 2:
+        return runs[0] if runs else _NO_RUNS
+    ids = np.concatenate([r.group_ids for r in runs])
+    lengths = np.concatenate([r.lengths() for r in runs])
+    values = np.concatenate([r.values for r in runs])
+    counts = np.concatenate([r.counts for r in runs])
     order = np.argsort(ids)
     merged_ids = ids[order]
     if (merged_ids[1:] == merged_ids[:-1]).any():
         return group_reduce(np.repeat(ids, lengths), values, counts)
+    first = np.cumsum(lengths) - lengths  # each OD's first run, concatenated
     lengths = lengths[order]
     starts = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    source = np.concatenate([a.starts[:-1], b.starts[:-1] + len(a)])[order]
-    gather = np.repeat(source - starts[:-1], lengths)
+    gather = np.repeat(first[order] - starts[:-1], lengths)
     gather += np.arange(len(values))
     return GroupedRuns(merged_ids, starts, values[gather], counts[gather])
+
+
+def _merge_sketches(features) -> "_SketchFeature":
+    """Sum one (OD, feature)'s Count-Min tables and totals across the
+    summaries that hold it, and union their candidate sets."""
+    first = features[0].sketch
+    sketch = CountMinSketch(width=first.width, depth=first.depth, seed=first.seed)
+    sketch.table = sum(f.sketch.table for f in features)
+    sketch.total = sum(f.sketch.total for f in features)
+    return _SketchFeature(sketch, set().union(*(f.candidates for f in features)))
 
 
 class _SketchFeature:
@@ -119,11 +138,6 @@ class _SketchFeature:
     def __init__(self, sketch: CountMinSketch, candidates: set[int]) -> None:
         self.sketch = sketch
         self.candidates = candidates
-
-    def merge(self, other: "_SketchFeature") -> "_SketchFeature":
-        return _SketchFeature(
-            self.sketch.merge(other.sketch), self.candidates | other.candidates
-        )
 
     def entropy(self) -> float:
         # Sorted candidates: float summation order (and hence the
@@ -141,10 +155,9 @@ class ShardBinSummary:
     State: int64 packet/byte counters per OD flow, plus either four
     per-feature :class:`GroupedRuns` keyed by OD (exact mode — the
     kernel's canonical ``(od, value, count)`` runs) or, per active OD,
-    four Count-Min sketches with candidate sets.  ``merge`` is
-    associative and commutative, so a coordinator may fold shards in
-    any order.  Arrays may be read-only views of a received payload;
-    nothing here writes to them.
+    four Count-Min sketches with candidate sets, reduced across shards
+    by :func:`merge_summaries`.  Arrays may be read-only views of a
+    received payload; nothing here writes to them.
 
     Attributes:
         bin: Global bin index.
@@ -222,44 +235,9 @@ class ShardBinSummary:
                     )
         return summary
 
-    # -- algebra ----------------------------------------------------------
-
-    def _check_mergeable(self, other: "ShardBinSummary") -> None:
-        if self.bin != other.bin:
-            raise ValueError(
-                f"cannot merge summaries of different bins ({self.bin} != {other.bin})"
-            )
-        if self.n_od_flows != other.n_od_flows:
-            raise ValueError("cannot merge summaries of different ensembles")
-        if self.exact != other.exact:
-            raise ValueError("cannot merge exact and sketch summaries")
-        if not self.exact and (self.width, self.depth, self.sketch_seed) != (
-            other.width,
-            other.depth,
-            other.sketch_seed,
-        ):
-            raise ValueError("cannot merge sketches of different geometry")
-
     def merge(self, other: "ShardBinSummary") -> "ShardBinSummary":
-        """Fold two shards' summaries of the same bin (associative,
-        commutative; neither input is mutated)."""
-        self._check_mergeable(other)
-        merged = ShardBinSummary(
-            self.bin, self.n_od_flows, self.exact, self.width, self.depth, self.sketch_seed
-        )
-        merged.packets = self.packets + other.packets
-        merged.bytes = self.bytes + other.bytes
-        merged.n_records = self.n_records + other.n_records
-        if self.exact:
-            merged._runs = [_merge_runs(a, b) for a, b in zip(self._runs, other._runs)]
-        else:
-            ours, theirs = self._sketches, other._sketches
-            merged._sketches = {**ours, **theirs}
-            for od in ours.keys() & theirs.keys():
-                merged._sketches[od] = [
-                    a.merge(b) for a, b in zip(ours[od], theirs[od])
-                ]
-        return merged
+        """``merge_summaries([self, other])`` (``benchmarks/ledger`` wraps it)."""
+        return merge_summaries([self, other])
 
     # -- scoring hand-off --------------------------------------------------
 
@@ -386,6 +364,7 @@ class ShardBinSummary:
 
         check(mode in (_EXACT, _SKETCH), f"unknown mode {mode}")
         packets, byte_counts = take(p), take(p)  # also bounds p itself
+        check((packets >= 0).all() and (byte_counts >= 0).all(), "negative volume")
         summary = cls(bin_index, p, mode == _EXACT, width, depth, sketch_seed)
         summary.n_records = n_records
         summary.packets, summary.bytes = packets, byte_counts
@@ -422,6 +401,7 @@ class ShardBinSummary:
                 for _ in range(N_FEATURES):
                     total, n_candidates = take(2).tolist()
                     table = take(depth * width).reshape(depth, width)
+                    check(total >= 0 and (table >= 0).all(), "negative sketch counter")
                     sketch = CountMinSketch(width=width, depth=depth, seed=sketch_seed)
                     sketch.table = table
                     sketch.total = total
@@ -441,10 +421,50 @@ class ShardBinSummary:
 
 
 def merge_summaries(summaries) -> ShardBinSummary:
-    """Fold an iterable of same-bin summaries into one (order-free)."""
-    result = None
-    for summary in summaries:
-        result = summary if result is None else result.merge(summary)
-    if result is None:
+    """Reduce a bin's K summaries to one in a single pass (order-free;
+    no input is mutated).
+
+    Exact mode concatenates the K run sets of each feature and sorts
+    the OD ids once (:func:`_merge_feature`); sketch mode sums each
+    OD's Count-Min tables over the summaries that hold it.  The result
+    is canonical: the same bytes for any partition, grouping or order
+    of the inputs (sketch mode: the same as folding
+    :meth:`CountMinSketch.merge` pairwise).
+
+    Raises:
+        ValueError: No summary, or summaries of different bins,
+            ensembles, modes or sketch geometries.
+    """
+    summaries = list(summaries)
+    if not summaries:
         raise ValueError("merge_summaries needs at least one summary")
-    return result
+    first = summaries[0]
+    for other in summaries[1:]:
+        for attr, what in _MERGE_KEYS:
+            if getattr(other, attr) != getattr(first, attr):
+                raise ValueError(
+                    f"cannot merge summaries of different {what} "
+                    f"({attr} {getattr(first, attr)} != {getattr(other, attr)})"
+                )
+    if len(summaries) == 1:
+        return first
+    merged = ShardBinSummary(
+        first.bin, first.n_od_flows, first.exact, first.width, first.depth,
+        first.sketch_seed,
+    )
+    merged.packets = sum(s.packets for s in summaries)
+    merged.bytes = sum(s.bytes for s in summaries)
+    merged.n_records = sum(s.n_records for s in summaries)
+    if first.exact:
+        merged._runs = [_merge_feature(runs) for runs in zip(*(s._runs for s in summaries))]
+    else:
+        holders: dict[int, list] = {}
+        for summary in summaries:
+            for od, entry in summary._sketches.items():
+                holders.setdefault(od, []).append(entry)
+        merged._sketches = {
+            od: entries[0] if len(entries) == 1
+            else [_merge_sketches(f) for f in zip(*entries)]
+            for od, entries in holders.items()
+        }
+    return merged

@@ -255,7 +255,15 @@ class DetectorBank:
     # -- scoring ---------------------------------------------------------
 
     def observe(self, summary) -> StreamDetection | None:
-        """Score one closed bin summary; None while still warming up."""
+        """Score one closed bin summary; None while still warming up.
+
+        Raises:
+            ValueError: Non-finite entropy, packets or bytes (a NaN
+                scores as clean and would poison the next refit).
+        """
+        for values in (summary.entropy, summary.packets, summary.bytes):
+            if not np.isfinite(values).all():
+                raise ValueError(f"bin {summary.bin} summary holds non-finite values")
         # One counter tick per observed bin in every mode — the bank is
         # the funnel batch, stream and cluster all converge on, which
         # is what lets `--progress` work everywhere.

@@ -2,7 +2,7 @@
 monitor, coordinator alignment, multiprocessing runner, CLI).
 
 The load-bearing contract: summaries form a commutative monoid under
-``merge``, so any partition of the records across shards reduces to the
+``merge_summaries``, so any partition of the records across shards reduces to the
 same network-wide state — bit-exactly in exact-histogram mode (asserted
 on the wire bytes), within estimator tolerance in sketch mode — and the
 coordinator therefore reproduces the single-process engine's detections
@@ -139,8 +139,12 @@ class TestSummaryAlgebra:
             for _ in range(3)
         ]
         a, b, c = summaries
-        assert a.merge(b).to_bytes() == b.merge(a).to_bytes()
-        assert a.merge(b).merge(c).to_bytes() == a.merge(b.merge(c)).to_bytes()
+        def m(*parts):
+            return merge_summaries(parts)
+
+        assert m(a, b).to_bytes() == m(b, a).to_bytes()
+        assert m(m(a, b), c).to_bytes() == m(a, m(b, c)).to_bytes()
+        assert m(a, b, c).to_bytes() == m(m(a, b), c).to_bytes()
 
     def test_k_partition_merge_equals_unsharded_exact(self):
         # The cluster contract: reduce a batch as one shard or as K
@@ -197,7 +201,8 @@ class TestSummaryAlgebra:
         np.testing.assert_allclose(clone.entropy_matrix(), summary.entropy_matrix())
         # A merged round-tripped summary still scores like the original.
         np.testing.assert_allclose(
-            clone.merge(summary).entropy_matrix(), summary.merge(clone).entropy_matrix()
+            merge_summaries([clone, summary]).entropy_matrix(),
+            merge_summaries([summary, clone]).entropy_matrix(),
         )
 
     def test_exact_payload_ignores_sketch_geometry(self):
@@ -210,7 +215,10 @@ class TestSummaryAlgebra:
         narrow = _summary_from_batch(batch, ods, width=512)
         wide = _summary_from_batch(batch, ods, width=4096)
         assert narrow.to_bytes() == wide.to_bytes()
-        assert narrow.merge(wide).to_bytes() == wide.merge(narrow).to_bytes()
+        assert (
+            merge_summaries([narrow, wide]).to_bytes()
+            == merge_summaries([wide, narrow]).to_bytes()
+        )
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -225,10 +233,10 @@ class TestSummaryAlgebra:
         sketchy = _summary_from_batch(
             _random_batch(30, rng), np.zeros(30, dtype=np.int64), exact=False
         )
-        with pytest.raises(ValueError):
-            base.merge(other_bin)
-        with pytest.raises(ValueError):
-            base.merge(sketchy)
+        with pytest.raises(ValueError, match="different bins"):
+            merge_summaries([base, base, other_bin])
+        with pytest.raises(ValueError, match="different modes"):
+            merge_summaries([base, sketchy])
         with pytest.raises(ValueError):
             merge_summaries([])
 

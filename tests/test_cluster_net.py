@@ -6,10 +6,11 @@ Three contracts pin the scale-out PR:
   message, rejects garbage with :class:`FrameError` (routing it into
   the supervised-restart path instead of crashing the coordinator),
   and reassembles frames from arbitrary stream fragmentation;
-* **merge invariance** — :class:`TierMerge` emits the same merged
-  bytes for *any* arrival interleaving of its children's summaries
-  (per-child bin order is the only requirement), so an aggregator
-  tier can never change a detection;
+* **merge invariance** — :class:`BinAligner`, the one alignment rule
+  behind the coordinator and every aggregator, releases the same merged
+  bytes for *any* arrival interleaving of its units' summaries
+  (per-unit bin order is the only requirement), so an aggregator tier
+  can never change a detection;
 * **end-to-end bit-identity** — detections over loopback TCP, at any
   shard count and tier shape, render byte-for-byte equal to the frozen
   single-process fixture (``tests/data/seed_stream_detections.json``).
@@ -31,12 +32,13 @@ from test_trace_precompute import _write_batches
 from repro.cli import main
 from repro.cluster import (
     FrameError,
+    ShardBinSummary,
     SummaryCorruptError,
-    TierMerge,
     parse_hostport,
     parse_tiers,
     run_cluster_source,
 )
+from repro.cluster.coordinator import BinAligner
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
     _encode_frame,
@@ -162,8 +164,7 @@ class TestFrameCodec:
             assert delivered == bad
             with pytest.raises(SummaryCorruptError):
                 ShardBinSummary.from_bytes(delivered)
-            with pytest.raises(SummaryCorruptError):
-                TierMerge([1]).add_serialized(1, delivered)
+
 
 
 def _child_streams(n_children=3, n_bins=4, seed=8):
@@ -190,18 +191,23 @@ _EVENT_POOL = [
 ]
 
 
+def _merged(released):
+    """``(bin, bytes)`` of released bins (gaps: the aligner's ``None``)."""
+    return [(b, None if m is None else m.to_bytes()) for b, m in released]
+
+
 def _reference_emission():
-    tier = TierMerge(range(len(_STREAMS)))
+    aligner = BinAligner(range(len(_STREAMS)))
     out = []
     for b in range(len(_STREAMS[0])):
         for child, stream in enumerate(_STREAMS):
-            out.extend(tier.add_summary(child, stream[b]))
+            out.extend(aligner.add(child, stream[b]))
     for child in range(len(_STREAMS)):
-        out.extend(tier.close_child(child))
-    return [(s.bin, s.to_bytes()) for s in out]
+        out.extend(aligner.close(child))
+    return _merged(out)
 
 
-class TestTierMergeInvariance:
+class TestBinAlignerInvariance:
     def test_emits_in_bin_order_once_all_children_advance(self):
         reference = _reference_emission()
         assert [b for b, _ in reference] == list(range(len(_STREAMS[0])))
@@ -217,53 +223,78 @@ class TestTierMergeInvariance:
         # order (the transport guarantees that), but children
         # interleave arbitrarily.
         per_child = [iter(stream) for stream in _STREAMS]
-        tier = TierMerge(range(len(_STREAMS)))
+        aligner = BinAligner(range(len(_STREAMS)))
         emitted = []
         for index in order:
             child = _EVENT_POOL[index][0]
-            emitted.extend(tier.add_summary(child, next(per_child[child])))
+            emitted.extend(aligner.add(child, next(per_child[child])))
         for child in close_order:
-            emitted.extend(tier.close_child(child))
-        assert [(s.bin, s.to_bytes()) for s in emitted] == _reference_emission()
+            emitted.extend(aligner.close(child))
+        assert _merged(emitted) == _reference_emission()
 
     def test_serialized_arrival_round_trips(self):
-        tier = TierMerge(range(len(_STREAMS)))
+        aligner = BinAligner(range(len(_STREAMS)))
         emitted = []
         for b in range(len(_STREAMS[0])):
             for child, stream in enumerate(_STREAMS):
-                emitted.extend(
-                    tier.add_serialized(child, stream[b].to_bytes())
-                )
+                wire = ShardBinSummary.from_bytes(stream[b].to_bytes())
+                emitted.extend(aligner.add(child, wire))
         for child in range(len(_STREAMS)):
-            emitted.extend(tier.close_child(child))
-        assert [(s.bin, s.to_bytes()) for s in emitted] == _reference_emission()
+            emitted.extend(aligner.close(child))
+        assert _merged(emitted) == _reference_emission()
 
     def test_closed_child_stops_gating(self):
-        tier = TierMerge([0, 1])
-        a, b = _STREAMS[0][0], _STREAMS[1][0]
-        assert tier.add_summary(0, a) == []
-        assert [s.bin for s in tier.close_child(1)] == [0]
-        assert not tier.done
+        aligner = BinAligner([0, 1])
+        assert aligner.add(0, _STREAMS[0][0]) == []
+        assert [b for b, _ in aligner.close(1)] == [0]
+        assert aligner.open == {0}
+
+    def test_gap_bins_release_as_none(self):
+        # A bin no unit delivered is released as a gap, in bin order:
+        # the coordinator scores it empty, an aggregator skips it.
+        aligner = BinAligner([0, 1])
+        later = _child_streams(n_children=1, n_bins=4)[0][3]
+        aligner.add(0, _STREAMS[0][0])
+        aligner.add(0, later)
+        released = aligner.close(1)
+        assert [(b, m is None) for b, m in released] == [
+            (0, False), (1, True), (2, True), (3, False),
+        ]
 
     def test_corrupt_child_payload_raises(self):
+        # What an aggregator feeds the aligner is a decoded payload:
+        # a corrupt child frame never gets that far.
         from repro.resilience import corrupt_payload
 
-        tier = TierMerge([0])
         with pytest.raises(SummaryCorruptError):
-            tier.add_serialized(0, corrupt_payload(_STREAMS[0][0].to_bytes()))
+            ShardBinSummary.from_bytes(corrupt_payload(_STREAMS[0][0].to_bytes()))
 
     def test_protocol_violations_raise(self):
-        tier = TierMerge([0, 1])
-        tier.add_summary(0, _STREAMS[0][0])
+        aligner = BinAligner([0, 1])
+        aligner.add(0, _STREAMS[0][0])
         with pytest.raises(ValueError):  # unknown child
-            tier.add_summary(9, _STREAMS[0][0])
+            aligner.add(9, _STREAMS[0][0])
         with pytest.raises(ValueError):  # unknown child
-            tier.close_child(9)
-        tier.close_child(1)  # emits bin 0
-        with pytest.raises(ValueError, match="re-delivered"):
-            tier.add_summary(0, _STREAMS[0][0])  # bin 0 already emitted
+            aligner.close(9)
+        with pytest.raises(ValueError, match="bin order"):
+            aligner.add(0, _STREAMS[0][0])  # bin 0 again from child 0
+        aligner.close(1)  # releases bin 0
+        with pytest.raises(ValueError, match="bin order"):
+            aligner.add(0, _STREAMS[1][0])  # bin 0 re-delivered after release
+        resumed = BinAligner([0])
+        resumed.frontier = 1  # as a coordinator's checkpoint preload leaves it
+        with pytest.raises(ValueError, match="already merged"):
+            resumed.add(0, _STREAMS[0][0])
         with pytest.raises(ValueError):
-            TierMerge([])
+            BinAligner([])
+
+    def test_reopened_unit_duplicates_are_dropped(self):
+        aligner = BinAligner([0, 1])
+        aligner.add(0, _STREAMS[0][0])
+        aligner.reopen(0)
+        assert aligner.add(0, _STREAMS[0][0]) == []
+        assert [b for b, _ in aligner.add(1, _STREAMS[1][0])] == [0]
+        assert aligner.add(0, _STREAMS[2][0]) == []  # bin 0, released
 
 
 class TestODSplitTraceReads:

@@ -5,9 +5,12 @@ Two contracts beyond ``test_cluster.py``'s:
 * **algebra on arrays** — however a bin's records are split (by OD, by
   row stripe, with empty parts) and in whatever order and grouping the
   parts are folded, the merged payload is the same bytes and scores
-  bit for bit like ``BinAccumulator.finalize`` on the unsplit records;
-  the no-value-sort interleave for disjoint OD sets and the
-  ``group_reduce`` path for overlapping ones agree wherever both apply;
+  bit for bit like ``BinAccumulator.finalize`` on the unsplit records —
+  the every-fold-order suite is the oracle for the one K-way
+  ``merge_summaries``; the no-value-sort interleave for disjoint OD
+  sets and the ``group_reduce`` path for overlapping ones agree
+  wherever both apply; sketch mode equals a pairwise
+  ``CountMinSketch.merge`` fold;
 * **hostile payloads** — ``from_bytes`` builds zero-copy views of
   whatever arrives, so a body that lies about its shapes *under a valid
   CRC* must be refused before any view is built from a declared size.
@@ -25,7 +28,6 @@ from hypothesis import strategies as st
 from test_cluster import _random_batch, _summary_from_batch
 
 from repro.cluster import ShardBinSummary, SummaryCorruptError, merge_summaries
-from repro.cluster.summary import _merge_runs
 from repro.kernels import group_reduce
 from repro.stream.window import BinAccumulator
 
@@ -33,14 +35,24 @@ P = 6  # OD flows in these tests' ensembles
 _BODY_WORDS = 48  # magic + CRC + header: the int64 words start here
 
 
-def _foldings(parts):
-    """Every order of ``parts`` under a left fold, a right fold and a
-    balanced tree — all the shapes a coordinator or tier can produce."""
-    for order in itertools.permutations(parts):
+def _orders(parts, seed=0, n_sampled=24):
+    """Every order of up to four parts; a seeded sample of the K!
+    orders beyond that."""
+    if len(parts) <= 4:
+        return list(itertools.permutations(parts))
+    rng = np.random.default_rng(seed)
+    return [[parts[i] for i in rng.permutation(len(parts))] for _ in range(n_sampled)]
+
+
+def _foldings(parts, seed=0):
+    """Orders of ``parts`` under one K-way merge, a right fold and a
+    balanced tree of two-way merges — all the shapes a coordinator or
+    tier can produce."""
+    for order in _orders(parts, seed):
         yield merge_summaries(order)
         right = order[-1]
         for part in reversed(order[:-1]):
-            right = part.merge(right)
+            right = merge_summaries([part, right])
         yield right
         level = list(order)
         while len(level) > 1:
@@ -55,7 +67,7 @@ class TestMergeAlgebra:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 120),
-        n_parts=st.integers(1, 4),
+        n_parts=st.integers(1, 8),
         by_od=st.booleans(),
     )
     def test_any_split_any_fold_is_the_unsplit_bin(self, seed, n, n_parts, by_od):
@@ -81,7 +93,7 @@ class TestMergeAlgebra:
         # Half the parts cross the wire first: read-only views and
         # fresh kernel output must be interchangeable.
         parts[::2] = [ShardBinSummary.from_bytes(s.to_bytes()) for s in parts[::2]]
-        for merged in _foldings(parts):
+        for merged in _foldings(parts, seed):
             assert merged.to_bytes() == reference
             scored = merged.to_bin_summary()
             np.testing.assert_array_equal(scored.entropy, expected.entropy)
@@ -90,21 +102,68 @@ class TestMergeAlgebra:
             assert (scored.bin, scored.n_records) == (3, expected.n_records)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80))
-    def test_interleave_agrees_with_group_reduce_on_disjoint_ods(self, seed, n):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 80),
+        n_parts=st.integers(2, 6),
+    )
+    def test_interleave_agrees_with_group_reduce_on_disjoint_ods(
+        self, seed, n, n_parts
+    ):
         rng = np.random.default_rng(seed)
         ods = rng.integers(0, 12, size=n)
         values = rng.integers(0, 9, size=n)
         weights = rng.integers(1, 50, size=n)
-        left = ods % 3 == 0  # disjoint OD sets, interleaved ids
-        a = group_reduce(ods[left], values[left], weights[left])
-        b = group_reduce(ods[~left], values[~left], weights[~left])
-        interleaved = _merge_runs(a, b)
+        parts = []
+        for s in range(n_parts):  # disjoint OD sets, interleaved ids
+            part = ShardBinSummary(0, 12)
+            mine = ods % n_parts == s
+            part._runs = [group_reduce(ods[mine], values[mine], weights[mine])] * 4
+            parts.append(part)
+        interleaved = merge_summaries(parts)._runs[0]
         reduced = group_reduce(ods, values, weights)  # the overlapping branch's call
         for name in ("group_ids", "starts", "values", "counts"):
             np.testing.assert_array_equal(
                 getattr(interleaved, name), getattr(reduced, name), err_msg=name
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_parts=st.integers(1, 6))
+    def test_sketch_merge_is_the_pairwise_count_min_fold(self, seed, n_parts):
+        # A random record split: parts share ODs, so an OD's tables are
+        # summed across every part that holds it.  The reference folds
+        # CountMinSketch.merge two at a time.
+        rng = np.random.default_rng(seed)
+        batch = _random_batch(150, rng)
+        batch.src_port[:] = rng.integers(0, 40, size=150)
+        ods = rng.integers(0, P, size=150)
+        owner = rng.integers(0, n_parts, size=150)
+        parts = [
+            _summary_from_batch(
+                batch.select(owner == s), ods[owner == s], n_od_flows=P,
+                exact=False, width=64, bin_index=2,
+            )
+            for s in range(n_parts)
+        ]
+        parts[1::2] = [ShardBinSummary.from_bytes(s.to_bytes()) for s in parts[1::2]]
+        merged = merge_summaries(parts[::-1])
+        for od in range(P):
+            holders = [part._sketches[od] for part in parts if od in part._sketches]
+            assert (od in merged._sketches) == bool(holders)
+            for k in range(4) if holders else ():
+                sketch = holders[0][k].sketch
+                for entry in holders[1:]:
+                    sketch = sketch.merge(entry[k].sketch)
+                ours = merged._sketches[od][k]
+                np.testing.assert_array_equal(ours.sketch.table, sketch.table)
+                assert ours.sketch.total == sketch.total
+                assert ours.candidates == set().union(
+                    *(entry[k].candidates for entry in holders)
+                )
+        np.testing.assert_array_equal(merged.packets, sum(p.packets for p in parts))
+        assert merged.n_records == 150
+        again = merge_summaries([merge_summaries(parts[:1]), *parts[1:]])
+        assert again.to_bytes() == merged.to_bytes()
 
     def test_partial_features_empty_shard_and_gap_bin_round_trip(self):
         acc = BinAccumulator(n_od_flows=P, exact=True)
@@ -127,8 +186,8 @@ class TestMergeAlgebra:
         assert partial.packets.tolist() == [0, 4, 0, 0, 2, 0]
         entropy = partial.entropy_matrix()
         assert entropy[1, 0] > 0 and not entropy[1, 1] and not entropy[4].any()
-        assert empty_shard.merge(partial).to_bytes() == partial.to_bytes()
-        assert partial.merge(empty_shard).to_bytes() == partial.to_bytes()
+        assert merge_summaries([empty_shard, partial]).to_bytes() == partial.to_bytes()
+        assert merge_summaries([partial, empty_shard]).to_bytes() == partial.to_bytes()
         assert gap.active_ods == [] and not gap.entropy_matrix().any()
 
     @pytest.mark.parametrize("overlap", [False, True])
@@ -146,7 +205,7 @@ class TestMergeAlgebra:
         a, b = (ShardBinSummary.from_bytes(payload) for payload in wire)
         assert not a.packets.flags.writeable
         assert not any(runs.counts.flags.writeable for runs in a._runs)
-        merged = a.merge(b)
+        merged = merge_summaries([a, b])
         assert [a.to_bytes(), b.to_bytes()] == wire
         whole = _summary_from_batch(batch, ods, n_od_flows=P)
         assert merged.to_bytes() == whole.to_bytes()
@@ -266,6 +325,26 @@ class TestHostilePayloads:
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(bad)
 
+    def test_every_negative_sketch_counter_is_refused(self):
+        # A negative total under a valid CRC used to pass and score as
+        # a NaN (or negative) entropy; walk the body to reach all 24
+        # (OD, feature) totals, then a table counter and a volume.
+        good = _payload(exact=False)
+        width, depth = struct.unpack_from("<B3xiiiqqq", good, 8)[2:4]
+        words = np.frombuffer(good, dtype="<i8", offset=_BODY_WORDS)
+        totals, at = [], 2 * P + 1
+        for _ in range(int(words[2 * P])):
+            at += 1  # the OD id
+            for _ in range(4):
+                totals.append(at)
+                at += 2 + depth * width + int(words[at + 1])
+        assert len(totals) == 4 * P and at == len(words)
+        for position in totals + [totals[0] + 2, 0, P]:
+            for value in (-1, -3, -(2**63)):
+                bad = _reframe(good, _set(position, value))
+                with pytest.raises(SummaryCorruptError, match="negative"):
+                    ShardBinSummary.from_bytes(bad)
+
     def test_short_and_foreign_payloads(self):
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(b"RBS3" + bytes(12))
@@ -294,8 +373,10 @@ class TestHostilePayloads:
         except SummaryCorruptError:
             return
         assert summary.entropy_matrix().shape == (P, 4)
-        merged = summary.merge(ShardBinSummary.from_bytes(good))
+        assert np.isfinite(summary.entropy_matrix()).all()
+        merged = merge_summaries([summary, ShardBinSummary.from_bytes(good)])
         assert merged.entropy_matrix().shape == (P, 4)
+        assert np.isfinite(merged.entropy_matrix()).all()
         again = summary.to_bytes()
         assert ShardBinSummary.from_bytes(again).to_bytes() == again
         if exact:  # views of the payload: nothing was re-derived

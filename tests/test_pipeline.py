@@ -352,6 +352,19 @@ class TestDetectorBank:
         report = bank.finish()
         assert [d.bin for d in report.detections] == [8, 9]
 
+    @pytest.mark.parametrize("field", ["entropy", "packets", "bytes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_summary_is_refused(self, field, bad):
+        # A NaN SPE compares as clean and would enter the refit buffer,
+        # so the bank refuses it before warm-up or scoring sees it.
+        p = 5
+        values = {"entropy": np.ones((p, 4)), "packets": np.ones(p), "bytes": np.ones(p)}
+        values[field][0] = bad
+        bank = DetectorBank(_config(warmup_bins=8))
+        with pytest.raises(ValueError, match="non-finite"):
+            bank.observe(BinSummary(bin=3, **values))
+        assert bank.n_bins_scored == 0 and not bank._warmup_summaries
+
     def test_entropy_only_bank_never_flags_volume(self):
         rng = np.random.default_rng(0)
         bank = DetectorBank(_config(warmup_bins=8), detectors=("entropy",))
