@@ -9,7 +9,8 @@ from repro.anomalies.builders import BUILDERS
 from repro.flows.binning import TimeBins
 from repro.flows.features import FEATURES, N_FEATURES
 from repro.flows.records import COLUMN_SPEC
-from repro.net.topology import abilene
+from repro.net.topology import abilene, geant
+from repro.pipeline import ScenarioSource
 from repro.scenarios import anomaly_record_batch
 from repro.traffic.generator import (
     FeatureModel,
@@ -347,6 +348,60 @@ class TestPinnedAgainstPreSplitParent:
         assert len(batch) == 4000
         got = _sha256([getattr(batch, name) for name, _ in COLUMN_SPEC])
         assert got == self.ANOMALY
+
+
+def _records_sha256(batches) -> str:
+    return _sha256(
+        [getattr(batch, name) for batch in batches for name, _ in COLUMN_SPEC]
+    )
+
+
+class TestPinnedBackgroundRecords:
+    """What a rewrite of the background record path must not move.
+
+    sha256 over all nine columns of every batch, recorded at commit
+    8091c56 (numpy 2.4, x86-64) before the record path was vectorised
+    across OD flows.  The detection fixtures only see these records
+    through verdicts; these digests see every byte.
+    """
+
+    ABILENE = "921a1be546c9630f1bede3893a45625c04cfdad2d23c9cac427ce22f1b0da5b7"
+    GEANT = "14185e6178dc80d05d75eb6867c4606f11db95d69e988c560f19283cd3980e14"
+    ONE_RECORD = "408a476f1ac38e4f97f15480f2affeef7426955661916c5c24be4dd4b0cd1b39"
+    SCENARIO = "66e4bf4a5e294ac71eb95cb9c8737ae427da4a265b49f7c7c670128dd0b75632"
+
+    @pytest.fixture(scope="class")
+    def gen(self):
+        return TrafficGenerator(abilene(), TimeBins(n_bins=36), seed=11)
+
+    def test_abilene_all_ods_one_group(self, gen):
+        batches = gen.materialize_bin_group(
+            range(121), range(36), max_records=60, salt=3
+        )
+        assert _records_sha256(batches) == self.ABILENE
+
+    def test_geant_unsorted_ods_with_a_duplicate_and_a_sparse_group(self):
+        gen = TrafficGenerator(geant(), TimeBins(n_bins=24), seed=5)
+        batches = gen.materialize_bin_group(
+            [300, 17, 451, 17, 0, 229], [2, 3, 7, 19], max_records=60, salt=1
+        )
+        assert _records_sha256(batches) == self.GEANT
+
+    def test_one_record_per_od_and_bin(self, gen):
+        batches = gen.materialize_bin_group(
+            range(121), [0, 5, 6], max_records=1, salt=3
+        )
+        assert [len(b) for b in batches] == [121] * 3
+        assert _records_sha256(batches) == self.ONE_RECORD
+
+    def test_scenario_stream_across_two_bin_groups(self):
+        source = ScenarioSource(
+            "mixed-anomaly-day", network="abilene", n_bins=72, seed=7,
+            max_records_per_od=60,
+        )
+        batches = list(source.batches())
+        assert len(batches) == 72
+        assert _records_sha256(batches) == self.SCENARIO
 
 
 class TestConfigValidation:
