@@ -101,10 +101,10 @@ def synthetic_record_stream(
         max_records_per_od: Cap on records materialised per (OD, bin) —
             the knob trading trace size for fidelity.
         seed: Extra seed mixed into the per-bin record draw.
-        bin_group: Bins materialised per pass.  Each OD flow's model
-            is built once per group and its records for the whole group
-            drawn in one vectorised pass; memory is bounded by one
-            group of records.  The records do not depend on it.
+        bin_group: Bins materialised per pass: every OD flow's model
+            and records for the whole group are array passes over all
+            ODs at once; memory is bounded by one group of records.  The
+            records do not depend on it (nor on the ODs passed with them).
 
     Yields:
         One time-sorted :class:`FlowRecordBatch` per bin, in ``bins``

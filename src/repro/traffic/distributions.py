@@ -154,21 +154,22 @@ def poisson_histogram_rows(
 
 
 def active_support(
-    base_support: int, totals: np.ndarray, mean_total: float, exponent: float = 0.5,
-    minimum: int = 8,
+    base_support: int, totals: np.ndarray, mean_total: float | np.ndarray,
+    exponent: float = 0.5, minimum: int = 8,
 ) -> np.ndarray:
     """Number of active feature values per bin, scaling with volume.
 
     The paper observes that entropy tends to rise with traffic volume
     because more distinct values appear in larger samples.  We reproduce
     that coupling by activating ``base * (total/mean)^exponent`` ranks
-    per bin (clipped to ``[minimum, base*2]``).
+    per bin (clipped to ``[minimum, base*2]``).  ``mean_total`` may be an
+    array broadcasting against ``totals`` (one mean per row).
 
     Returns an int array of per-bin support sizes.
     """
     if base_support < 1:
         raise ValueError("base_support must be >= 1")
     totals = np.asarray(totals, dtype=np.float64)
-    scale = np.power(np.maximum(totals, 1.0) / max(mean_total, 1.0), exponent)
+    scale = np.power(np.maximum(totals, 1.0) / np.maximum(mean_total, 1.0), exponent)
     support = np.round(base_support * scale).astype(np.int64)
     return np.clip(support, minimum, base_support * 2)

@@ -16,7 +16,30 @@ import numpy as np
 
 from repro.flows.binning import BINS_PER_DAY, BINS_PER_WEEK
 
-__all__ = ["DiurnalBasis", "ar1_series", "DiurnalModel"]
+__all__ = ["DiurnalBasis", "ar1_draws", "ar1_recursion", "ar1_series", "DiurnalModel"]
+
+
+def ar1_draws(
+    n: int, rho: float, sigma: float, rng: np.random.Generator
+) -> tuple[float, np.ndarray]:
+    """``(start, innovations)`` of a stationary AR(1) series, drawn from
+    ``rng`` innovations first."""
+    if not 0 <= rho < 1:
+        raise ValueError("rho must be in [0, 1)")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    innovations = rng.normal(0.0, sigma * np.sqrt(1 - rho ** 2), size=n)
+    return rng.normal(0.0, sigma), innovations
+
+
+def ar1_recursion(start, innovations: np.ndarray, rho: float) -> np.ndarray:
+    """``x[..., i] = rho * x[..., i - 1] + innovations[..., i]`` from
+    ``x[..., -1] = start``: one :func:`scipy.signal.lfilter` pass runs
+    every series side by side, each bit for bit a scalar loop's."""
+    from scipy.signal import lfilter  # heavy: imported on first use
+
+    zi = (rho * np.asarray(start, dtype=np.float64))[..., None]
+    return lfilter([1.0], [1.0, -rho], innovations, zi=zi)[0]
 
 
 def ar1_series(
@@ -24,17 +47,7 @@ def ar1_series(
 ) -> np.ndarray:
     """Stationary AR(1) series with autocorrelation ``rho`` and
     marginal standard deviation ``sigma``."""
-    if not 0 <= rho < 1:
-        raise ValueError("rho must be in [0, 1)")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    innovations = rng.normal(0.0, sigma * np.sqrt(1 - rho ** 2), size=n)
-    out = np.empty(n)
-    prev = rng.normal(0.0, sigma)
-    for i in range(n):
-        prev = rho * prev + innovations[i]
-        out[i] = prev
-    return out
+    return ar1_recursion(*ar1_draws(n, rho, sigma, rng), rho)
 
 
 @dataclass

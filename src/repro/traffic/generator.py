@@ -23,13 +23,15 @@ of importance:
    grouping or restart that materialises a record draws it identically
    — no generator object, hence no draw order, exists to disagree on.
 3. **Speed.** The model and the histograms are vectorised over time
-   (three Abilene-weeks, 6048 x 121 bins x 4 features, take seconds);
-   records are vectorised over a whole bin group per OD flow and sorted
-   once per group.
+   (three Abilene-weeks, 6048 x 121 bins x 4 features, take seconds); a
+   bin group of records is array passes over every OD flow at once,
+   sorted once.  Only the seeded per-OD draws and one small rank search
+   per OD loop in Python.  Every pass is elementwise or per row, so the
+   records are bit-identical to a per-OD loop's (scheme 2 unchanged).
 
-An OD flow is built in two steps: :meth:`TrafficGenerator._od_model`
-(rates, per-feature concentration and support — everything random short
-of sampling) and a realisation of it.  :meth:`TrafficGenerator.od_stream`
+OD flows are built in two steps: :meth:`TrafficGenerator._model` (rates,
+per-feature concentration and support — everything random short of
+sampling) and a realisation of it.  :meth:`TrafficGenerator.od_stream`
 realises Poisson histograms for the cube and the injector;
 :meth:`TrafficGenerator.materialize_bin_group` realises flow records
 straight from the model's pmf rows (the record draw *is* the sampling
@@ -52,7 +54,7 @@ from repro.flows.records import FlowRecordBatch
 from repro.net.addressing import EPHEMERAL_PORT_START, AddressPool, well_known_ports
 from repro.net.topology import Topology
 from repro.traffic.distributions import active_support, port_pmf
-from repro.traffic.diurnal import DiurnalBasis, ar1_series
+from repro.traffic.diurnal import DiurnalBasis, ar1_draws, ar1_recursion, ar1_series
 from repro.traffic.gravity import od_mean_rates
 
 __all__ = ["FeatureModel", "GeneratorConfig", "ODStream", "SYNTHESIS_SCHEME",
@@ -73,6 +75,8 @@ _DRAWS = 2 + N_FEATURES
 #: so a rank cannot depend on how a row offset rounds in floating point.
 _RANK_BITS = 40
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+#: What draw slot ``s`` adds to a record's splitmix64 state.
+_SLOT_STEPS = np.arange(1, _DRAWS + 1, dtype=np.uint64) * _GOLDEN
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,26 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _record_keys(seed: int, salt: int, ods, bins) -> np.ndarray:
+    """``(len(ods), len(bins))`` keys: seed, salt, od, bin folded in turn."""
+    mask = (1 << 64) - 1
+    key = np.zeros(1, dtype=np.uint64)
+    for word in (seed, salt):
+        key = _mix64(key + np.uint64(int(word) & mask) + _GOLDEN)
+    key = _mix64(key + np.asarray(ods).astype(np.uint64) + _GOLDEN)
+    return _mix64(key[:, None] + np.asarray(bins).astype(np.uint64) + _GOLDEN)
+
+
+def _record_counters(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """splitmix64 state of record ``index`` of a row, before its slot."""
+    return keys + np.asarray(index).astype(np.uint64) * np.uint64(_DRAWS) * _GOLDEN
+
+
+def _slot_uniforms(counters: np.ndarray, slot: int) -> np.ndarray:
+    """Draw ``slot`` of every record whose state :func:`_record_counters` gave."""
+    return (_mix64(counters + _SLOT_STEPS[slot]) >> np.uint64(11)) * 2.0 ** -53
+
+
 def record_uniforms(
     seed: int, salt: int, od: int, bins: np.ndarray, index: np.ndarray
 ) -> np.ndarray:
@@ -210,14 +234,20 @@ def record_uniforms(
     materialises record ``index[i]`` of ``(od, bins[i])`` — any shard,
     bin grouping or restart — reads the same six draws.
     """
-    mask = (1 << 64) - 1
-    key = np.zeros(1, dtype=np.uint64)
-    for word in (seed, salt, od):
-        key = _mix64(key + np.uint64(int(word) & mask) + _GOLDEN)
-    key = _mix64(key + np.asarray(bins).astype(np.uint64) + _GOLDEN)
-    slots = np.arange(1, _DRAWS + 1, dtype=np.uint64)[:, None]
-    counter = np.asarray(index).astype(np.uint64) * np.uint64(_DRAWS) + slots
-    return (_mix64(key + counter * _GOLDEN) >> np.uint64(11)) * 2.0 ** -53
+    counters = _record_counters(_record_keys(seed, salt, [od], bins)[0], index)
+    return np.stack([_slot_uniforms(counters, s) for s in range(_DRAWS)])
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` from the default (SIMD) sort:
+    every run of equal keys it leaves is re-sorted by input position."""
+    order = np.argsort(keys)
+    tied = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if len(tied):
+        member = np.union1d(tied, tied + 1)  # whole runs, in key order
+        part = order[member]
+        order[member] = part[np.lexsort((part, keys[part]))]
+    return order
 
 
 @dataclass
@@ -296,36 +326,7 @@ class TrafficGenerator:
             drifts.append(slow + wander)
         self.global_drift = np.vstack(drifts)  # (4, t)
 
-    # -- per-OD synthesis -------------------------------------------------
-
-    def _mix_weights(self, od: int) -> np.ndarray:
-        rng = _rng(self.config.seed, od, _TAG_WEIGHTS)
-        daily = rng.uniform(0.6, 1.4)
-        weekly = rng.uniform(0.2, 0.8)
-        constant = rng.uniform(0.5, 1.5)
-        return np.array([daily, weekly, constant])
-
-    def _od_rates(self, od: int) -> tuple[np.ndarray, np.ndarray]:
-        """(realised, expected) packet rates per bin for one OD flow.
-
-        The expected rate carries the shared (network-wide) factors
-        only; the realised rate adds the small idiosyncratic AR(1)
-        noise.  Active support sizes follow the *expected* rate so that
-        entropy co-varies with the diurnal cycle without inheriting
-        per-OD volume noise.
-        """
-        cfg = self.config
-        profile = self.basis.mix(self._mix_weights(od))
-        profile = profile / profile.mean()
-        level = self.mean_rates[od]
-        shared = np.exp(self.shared_load - cfg.shared_load_sigma ** 2 / 2)
-        expected = level * profile * shared
-        rng = _rng(cfg.seed, od, _TAG_RATE)
-        noise = ar1_series(
-            self.bins.n_bins, cfg.rate_noise_rho, cfg.rate_noise_sigma, rng
-        )
-        realised = expected * np.exp(noise - cfg.rate_noise_sigma ** 2 / 2)
-        return realised, expected
+    # -- the model: every OD flow at once ---------------------------------
 
     def _feature_pmf_rows(
         self, model: FeatureModel, alphas: np.ndarray, supports: np.ndarray,
@@ -351,65 +352,82 @@ class TrafficGenerator:
         rows /= rows.sum(axis=1, keepdims=True)
         return rows
 
-    def _od_model(
-        self, od: int
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """``(packets, alphas, supports)``: one OD flow before sampling.
+    def _model(self, ods) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(packets, alphas, supports)``: OD flows ``ods`` before sampling.
 
-        Everything random about the flow short of a realisation — packet
-        counts per bin and, per feature, the ``(t,)`` Zipf concentration
-        and active support — drawn from the ``_TAG_RATE`` / ``_TAG_DRIFT``
-        / ``_TAG_GLITCH`` streams.  :meth:`od_stream` realises it as
-        Poisson histograms, :meth:`materialize_bin_group` as records.
+        Everything random about a flow short of a realisation: ``(P, t)``
+        packet counts and ``(4, P, t)`` per-feature Zipf concentration and
+        active support.  Only the seeded per-OD streams are drawn OD by OD
+        (weights; rate; per feature gain and drift; glitches); the rest is
+        elementwise or per-row array passes, so a row is bit-identical
+        whichever ODs come with it.  :meth:`od_stream` realises one row as
+        Poisson histograms, :meth:`materialize_bin_group` rows as records.
         """
         cfg = self.config
         t = self.bins.n_bins
-        rates, expected_rates = self._od_rates(od)
-        packets = np.maximum(np.round(rates * self.bins.width), 1).astype(np.int64)
+        ods = [int(od) for od in ods]
+        profile = np.empty((len(ods), t))
+        gains = np.empty((N_FEATURES, len(ods)))
+        # AR(1) series 0 is the rate noise, 1 + k feature k's alpha jitter.
+        starts = np.empty((1 + N_FEATURES, len(ods)))
+        innovations = np.empty((1 + N_FEATURES, len(ods), t))
+        glitches = []
+        for i, od in enumerate(ods):
+            rng = _rng(cfg.seed, od, _TAG_WEIGHTS)
+            # Daily, weekly and constant mix; the vector-matrix product
+            # per OD keeps its rounding (a (P, 3) @ (3, t) one does not).
+            profile[i] = self.basis.mix(
+                [rng.uniform(0.6, 1.4), rng.uniform(0.2, 0.8), rng.uniform(0.5, 1.5)]
+            )
+            rng = _rng(cfg.seed, od, _TAG_RATE)
+            starts[0, i], innovations[0, i] = ar1_draws(
+                t, cfg.rate_noise_rho, cfg.rate_noise_sigma, rng
+            )
+            rng = _rng(cfg.seed, od, _TAG_DRIFT)
+            for k, model in enumerate(cfg.feature_models):
+                gains[k, i] = rng.uniform(0.7, 1.3)
+                starts[1 + k, i], innovations[1 + k, i] = ar1_draws(
+                    t, 0.9, model.alpha_sigma, rng
+                )
+            # Benign transients: rare single-bin excursions of one
+            # feature's concentration — detections with no scheduled
+            # cause (the dataset's false-alarm population).
+            if cfg.glitch_rate > 0:
+                rng = _rng(cfg.seed, od, _TAG_GLITCH)
+                lo, hi = cfg.glitch_magnitude
+                for _ in range(int(rng.poisson(cfg.glitch_rate * t))):
+                    glitches.append((i, int(rng.integers(t)), int(rng.integers(N_FEATURES)),
+                                     float(rng.uniform(lo, hi) * rng.choice([-1, 1]))))
+        noise = np.concatenate([
+            ar1_recursion(starts[:1], innovations[:1], cfg.rate_noise_rho),
+            ar1_recursion(starts[1:], innovations[1:], 0.9),
+        ])
+        profile = profile / profile.mean(axis=1, keepdims=True)
+        shared = np.exp(self.shared_load - cfg.shared_load_sigma ** 2 / 2)
+        expected = self.mean_rates[ods][:, None] * profile * shared
+        realised = expected * np.exp(noise[0] - cfg.rate_noise_sigma ** 2 / 2)
+        packets = np.maximum(np.round(realised * self.bins.width), 1).astype(np.int64)
         # Histograms are built from *sampled* packets (1 in
         # histogram_sampling), like real NetFlow-derived histograms.
+        # Active support follows the *expected* rate, so entropy
+        # co-varies with the diurnal cycle without inheriting per-OD
+        # volume noise.
         sampled_expected = np.maximum(
-            expected_rates * self.bins.width / self.histogram_sampling, 1.0
+            expected * self.bins.width / self.histogram_sampling, 1.0
         )
-        mean_sampled = float(sampled_expected.mean())
-
-        drift_rng = _rng(cfg.seed, od, _TAG_DRIFT)
-        # Benign transients: rare single-bin excursions of one feature's
-        # concentration — detections with no scheduled cause (the
-        # dataset's false-alarm population).
-        glitch_rng = _rng(cfg.seed, od, _TAG_GLITCH)
-        glitches: list[tuple[int, int, float]] = []
-        if cfg.glitch_rate > 0:
-            n_glitches = glitch_rng.poisson(cfg.glitch_rate * t)
-            lo, hi = cfg.glitch_magnitude
-            for _ in range(int(n_glitches)):
-                glitches.append(
-                    (
-                        int(glitch_rng.integers(t)),
-                        int(glitch_rng.integers(N_FEATURES)),
-                        float(glitch_rng.uniform(lo, hi) * glitch_rng.choice([-1, 1])),
-                    )
-                )
-        all_alphas, all_supports = [], []
-        for k, model in enumerate(cfg.feature_models):
-            gain = drift_rng.uniform(0.7, 1.3)
-            jitter = ar1_series(t, 0.9, model.alpha_sigma, drift_rng)
-            alphas = np.clip(
-                model.alpha + gain * self.global_drift[k] + jitter, 0.05, 3.0
-            )
-            for g_bin, g_feat, g_delta in glitches:
-                if g_feat == k:
-                    alphas[g_bin] = np.clip(alphas[g_bin] + g_delta, 0.05, 3.0)
-            all_alphas.append(alphas)
-            all_supports.append(
-                active_support(
-                    model.support,
-                    sampled_expected,
-                    mean_sampled,
-                    exponent=model.volume_exponent,
-                )
-            )
-        return packets, all_alphas, all_supports
+        mean_sampled = sampled_expected.mean(axis=1, keepdims=True)
+        base = np.array([m.alpha for m in cfg.feature_models])[:, None, None]
+        alphas = np.clip(
+            base + gains[:, :, None] * self.global_drift[:, None] + noise[1:], 0.05, 3.0
+        )
+        for i, b, k, delta in glitches:
+            alphas[k, i, b] = np.clip(alphas[k, i, b] + delta, 0.05, 3.0)
+        supports = np.stack([
+            active_support(m.support, sampled_expected, mean_sampled,
+                           exponent=m.volume_exponent)
+            for m in cfg.feature_models
+        ])
+        return packets, alphas, supports
 
     def od_stream(self, od: int) -> ODStream:
         """Full synthetic stream for one OD flow (cached, deterministic)."""
@@ -419,7 +437,7 @@ class TrafficGenerator:
             return cached
         cfg = self.config
         t = self.bins.n_bins
-        packets, alphas, supports = self._od_model(od)
+        packets, alphas, supports = (a[..., 0, :] for a in self._model([od]))
         count_rng = _rng(cfg.seed, od, _TAG_COUNTS)
         histograms = []
         entropy = np.empty((t, N_FEATURES))
@@ -530,18 +548,10 @@ class TrafficGenerator:
             self._ip_table_cache = table
         return table
 
-    @staticmethod
-    def _port_values(ranks: np.ndarray) -> np.ndarray:
-        """Vectorised rank -> port mapping (well-known head, then ephemeral).
-
-        Matches :meth:`feature_values` for port features: rank ``r``
-        maps to the ``r``-th well-known port while one exists, then to
-        consecutive ephemeral ports.
-        """
-        known = well_known_ports()
-        clipped = np.minimum(ranks, len(known) - 1)
-        ephemeral = EPHEMERAL_PORT_START + (ranks - len(known))
-        return np.where(ranks < len(known), known[np.maximum(clipped, 0)], ephemeral)
+    def _port_table(self, n: int) -> np.ndarray:
+        """:meth:`feature_values` of port ranks ``-1..n-1`` at ``[rank + 1]``:
+        rank -1 (a zero-total feature row) reads a literal 0."""
+        return np.concatenate([[0], self.feature_values(0, SRC_PORT, n)])
 
     def materialize_bin_group(
         self,
@@ -566,9 +576,12 @@ class TrafficGenerator:
         partition, any bin grouping and any restart point yield the
         same per-bin batches.
 
-        Each OD flow is one vectorised pass over the whole group; the
-        group then pays one rank-to-value mapping (per-PoP address
-        table, port formula) and one stable time sort, cut at bin edges.
+        The group is array passes over every (OD flow, bin) cell at once:
+        one model call, draws one slot at a time, cdf tables per feature
+        and stream-wide support with a small rank search per OD, one
+        stable time sort, lookup tables from rank to value.  Each pass
+        is elementwise or per row, so the records are bit for bit those
+        of a loop over ODs.
 
         Args:
             ods: OD flows to include (order only breaks timestamp ties).
@@ -583,87 +596,93 @@ class TrafficGenerator:
         g = np.asarray(group, dtype=np.int64).reshape(-1)
         if len(g) and (g[0] < 0 or g[-1] >= self.bins.n_bins or np.any(np.diff(g) <= 0)):
             raise ValueError("group must be strictly increasing bin indices")
+        if max_records < 1:
+            raise ValueError(f"max_records must be positive, got {max_records}")
+        if not len(g):
+            return []
         cfg = self.config
         width = self.bins.width
-        slots = np.arange(len(g))
-        bin_starts = self.bins.start + g * width
-        # Per-OD parts, kept compact until the group-wide sort: float64
-        # (timestamp, packets) and int32 feature ranks.  Seeded with
-        # empty parts so an empty ``ods`` still concatenates.
-        floats = [np.empty((2, 0))]
-        ranks = [np.empty((N_FEATURES, 0), dtype=np.int32)]
-        od_sizes, origins, destinations = [], [], []
-        bin_sizes = np.zeros(len(g), dtype=np.int64)
-        for od in ods:
-            od = int(od)
-            packets, alphas, supports = self._od_model(od)
-            total = np.maximum(packets[g] // self.histogram_sampling, 1)
-            n = np.minimum(max_records, np.maximum(1, total // 3))
-            first = np.cumsum(n) - n
-            slot = np.repeat(slots, n)
-            index = np.arange(len(slot)) - first[slot]
-            u = record_uniforms(cfg.seed, salt, od, g[slot], index)
-            od_floats = np.empty((2, len(slot)))
-            od_floats[0] = bin_starts[slot] + u[_DRAWS - 1] * width
-            # Heavy-tailed packets-per-flow, scaled to match the bin total.
-            weights = (1.0 - u[0]) ** (-1 / 1.5)
-            scale = total / np.add.reduceat(weights, first)
-            od_floats[1] = np.maximum(1, np.round(weights * scale[slot]))
-            od_ranks = np.empty((N_FEATURES, len(slot)), dtype=np.int32)
-            for k, model in enumerate(cfg.feature_models):
+        ods = np.array([int(od) for od in ods], dtype=np.int64)
+        packets, alphas, supports = self._model(ods)
+        # Rows are (OD, bin) cells, OD-major: record order is each OD's
+        # records in ``ods`` order, bin by bin — what breaks time ties.
+        totals = np.maximum(packets[:, g] // self.histogram_sampling, 1).ravel()
+        n = np.minimum(max_records, np.maximum(1, totals // 3))
+        first = np.cumsum(n) - n
+        od_edges = np.append(first[:: len(g)], n.sum())
+        row = np.repeat(np.arange(len(n)), n)
+        col = row % len(g)  # the record's slot in ``group``
+        counters = _record_counters(
+            _record_keys(cfg.seed, salt, ods, g).ravel()[row],
+            np.arange(len(row)) - first[row],
+        )
+        timestamp = (self.bins.start + g * width)[col]
+        timestamp += _slot_uniforms(counters, _DRAWS - 1) * width
+        # Heavy-tailed packets-per-flow, scaled to match the bin total.
+        weights = (1.0 - _slot_uniforms(counters, 0)) ** (-1 / 1.5)
+        scale = totals / np.add.reduceat(weights, first)
+        flow_packets = np.maximum(1, np.round(weights * scale[row]))
+        del weights
+        ranks = np.empty((N_FEATURES, len(row)), dtype=np.int32)
+        for k, model in enumerate(cfg.feature_models):
+            draws = (_slot_uniforms(counters, 1 + k) * 2.0 ** _RANK_BITS).astype(np.int64)
+            draws += col << _RANK_BITS
+            dead = np.zeros((len(ods), len(g)), dtype=bool)
+            # One cdf table per distinct stream-wide support (``port_pmf``
+            # and row sums depend on the row length, so rows are never
+            # padded), then one small search per OD.
+            n_max = supports[k].max(axis=1)
+            for n_f in np.unique(n_max):
+                members = np.flatnonzero(n_max == n_f)
+                cells = np.ix_(members, g)
                 cdf = self._feature_pmf_rows(
-                    model, alphas[k][g], supports[k][g], int(supports[k].max())
+                    model, alphas[k][cells].ravel(), supports[k][cells].ravel(), int(n_f)
                 ).cumsum(axis=1)
-                dead = ~(cdf[:, -1] > 0)  # zero-total feature: literal zeros
-                cdf[dead] = 1.0
-                # Row j of the flattened table lives in [j, j + 1) << bits.
+                dead_rows = ~(cdf[:, -1] > 0)  # zero-total feature: literal zeros
+                cdf[dead_rows] = 1.0
+                # Row j of an OD's flattened table lives in [j, j + 1) << bits.
                 table = (cdf / cdf[:, -1:] * 2.0 ** _RANK_BITS).astype(np.int64)
-                table += (slots << _RANK_BITS)[:, None]
-                draws = (u[1 + k] * 2.0 ** _RANK_BITS).astype(np.int64)
-                draws += slot << _RANK_BITS
-                found = table.ravel().searchsorted(draws, side="right")
-                od_ranks[k] = found - slot * table.shape[1]
-                if dead.any():
-                    od_ranks[k][dead[slot]] = -1
-            floats.append(od_floats)
-            ranks.append(od_ranks)
-            od_sizes.append(len(slot))
-            bin_sizes += n
-            origin, destination = self.topology.od_pair(od)
-            origins.append(origin.index)
-            destinations.append(destination.index)
+                table = table.reshape(len(members), len(g), n_f)
+                table += (np.arange(len(g)) << _RANK_BITS)[:, None]
+                for od_table, i in zip(table.reshape(len(members), -1), members):
+                    lo, hi = od_edges[i], od_edges[i + 1]
+                    found = od_table.searchsorted(draws[lo:hi], side="right")
+                    ranks[k, lo:hi] = found - col[lo:hi] * n_f
+                dead[members] = dead_rows.reshape(len(members), len(g))
+            if dead.any():
+                ranks[k][dead.ravel()[row]] = -1
+        del counters, draws, row, col
         # Bins are disjoint, increasing time intervals: one stable sort
         # of absolute timestamps orders the group bin by bin.  Sorting
         # the compact parts first lets every value column be built
         # straight in its final order.
-        floats = np.concatenate(floats, axis=1)
-        order = np.argsort(floats[0], kind="stable")
-        timestamp = floats[0][order]
-        packets = floats[1][order].astype(np.int64)
-        del floats
-        ranks = np.concatenate(ranks, axis=1)[:, order]
-        ingress = np.repeat(np.asarray(origins, dtype=np.int64), od_sizes)[order]
-        egress = np.repeat(np.asarray(destinations, dtype=np.int64), od_sizes)[order]
+        order = _stable_argsort(timestamp)
+        timestamp = timestamp[order]
+        flow_packets = flow_packets[order].astype(np.int64)
+        ranks = np.take(ranks, order, axis=1)
+        origin, destination = np.divmod(ods, self.topology.n_pops)
+        ingress = np.repeat(origin, np.diff(od_edges))[order]
+        egress = np.repeat(destination, np.diff(od_edges))[order]
         del order
         ip_table = self._ip_table()
         n_hosts = ip_table.shape[1]
-        values = {
-            "src_ip": ip_table[ingress, ranks[0] % n_hosts],
-            "src_port": self._port_values(ranks[1]),
-            "dst_ip": ip_table[egress, ranks[2] % n_hosts],
-            "dst_port": self._port_values(ranks[3]),
-        }
-        for rank, column in zip(ranks, values.values()):
-            column *= rank >= 0
+        src_ip = ip_table[ingress, ranks[0] % n_hosts]
+        dst_ip = ip_table[egress, ranks[2] % n_hosts]
+        src_ip *= ranks[0] >= 0
+        dst_ip *= ranks[2] >= 0
+        ports = self._port_table(int(ranks[[1, 3]].max(initial=-1)) + 1)
         columns = dict(
-            values,
-            protocol=np.full(len(packets), 6, dtype=np.int64),
-            packets=packets,
-            bytes=np.round(packets * cfg.mean_packet_size).astype(np.int64),
+            src_ip=src_ip,
+            src_port=ports[ranks[1] + 1],
+            dst_ip=dst_ip,
+            dst_port=ports[ranks[3] + 1],
+            protocol=np.full(len(flow_packets), 6, dtype=np.int64),
+            packets=flow_packets,
+            bytes=np.round(flow_packets * cfg.mean_packet_size).astype(np.int64),
             timestamp=timestamp,
             ingress_pop=ingress,
         )
-        edges = np.concatenate([[0], np.cumsum(bin_sizes)])
+        edges = np.concatenate([[0], np.cumsum(n.reshape(-1, len(g)).sum(axis=0))])
         return [
             FlowRecordBatch(**{name: col[lo:hi] for name, col in columns.items()})
             for lo, hi in zip(edges[:-1], edges[1:])

@@ -4,10 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.anomalies.builders import BUILDERS
 from repro.flows.binning import TimeBins
-from repro.flows.features import FEATURES, N_FEATURES
+from repro.flows.features import DST_PORT, FEATURES, N_FEATURES, SRC_PORT
 from repro.flows.records import COLUMN_SPEC
 from repro.net.topology import abilene, geant
 from repro.pipeline import ScenarioSource
@@ -16,6 +18,7 @@ from repro.traffic.generator import (
     FeatureModel,
     GeneratorConfig,
     TrafficGenerator,
+    _stable_argsort,
     record_uniforms,
 )
 
@@ -164,6 +167,13 @@ class TestMaterialization:
                 getattr(batch, name)[rows], getattr(single, name), err_msg=name
             )
 
+    def test_model_rows_do_not_depend_on_their_company(self, small_gen):
+        ods = [40, 3, 117, 3]
+        together = small_gen._model(ods)
+        for i, od in enumerate(ods):
+            for a, b in zip(together, small_gen._model([od])):
+                np.testing.assert_array_equal(a[..., i, :], b[..., 0, :])
+
     def test_group_must_be_increasing_bins_on_the_grid(self, small_gen):
         for group in ([5, 4], [5, 5], [-1], [small_gen.bins.n_bins]):
             with pytest.raises(ValueError):
@@ -198,7 +208,7 @@ class TestRecordDistributions:
     def test_rank_frequencies_follow_the_bin_pmf(self, fat):
         gen, od, batch = fat
         assert len(batch) == 4000
-        _, alphas, supports = gen._od_model(od)
+        _, alphas, supports = (a[..., 0, :] for a in gen._model([od]))
         b = [self.BIN]
         for k, model in enumerate(gen.config.feature_models):
             n_max = int(supports[k].max())
@@ -216,8 +226,8 @@ class TestRecordDistributions:
 
     def test_packets_match_the_sampled_bin_total(self, fat):
         gen, od, batch = fat
-        packets, _, _ = gen._od_model(od)
-        total = int(packets[self.BIN]) // gen.histogram_sampling
+        packets, _, _ = gen._model([od])
+        total = int(packets[0, self.BIN]) // gen.histogram_sampling
         assert np.all(batch.packets >= 1)
         assert abs(int(batch.packets.sum()) - total) <= len(batch) / 2
         np.testing.assert_array_equal(
@@ -236,19 +246,43 @@ class TestRecordDistributions:
         real = TrafficGenerator._feature_pmf_rows
         dst_port = gen.config.feature_models[3]
 
-        def no_dst_ports_in_second_row(self, model, alphas, supports, n_max):
+        def no_dst_ports_in_second_bin(self, model, alphas, supports, n_max):
             rows = real(self, model, alphas, supports, n_max)
             if model is dst_port:
-                rows[1] = 0.0
+                # One call builds (OD, bin) rows, OD-major, for every OD
+                # of one stream-wide support: zero each OD's second bin.
+                rows.reshape(-1, 2, n_max)[:, 1] = 0.0
             return rows
 
         monkeypatch.setattr(
-            TrafficGenerator, "_feature_pmf_rows", no_dst_ports_in_second_row
+            TrafficGenerator, "_feature_pmf_rows", no_dst_ports_in_second_bin
         )
-        first, second = gen.materialize_bin_group([7], [1, 2], max_records=40)
+        first, second = gen.materialize_bin_group([7, 40, 93], [1, 2], max_records=40)
         assert np.all(first.dst_port > 0)
         assert np.all(second.dst_port == 0)
         assert np.all(second.src_port > 0)
+
+
+class TestRecordPassPieces:
+    """The group-wide pieces of the record pass, against their oracles."""
+
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1.5, -2.0, 1e300]), max_size=300)
+        | st.lists(st.integers(0, 6).map(float), min_size=100, max_size=3000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_repaired_argsort_is_the_stable_sort(self, values):
+        keys = np.asarray(values, dtype=np.float64)
+        np.testing.assert_array_equal(
+            _stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_port_table_is_feature_values_from_rank_minus_one(self, small_gen):
+        n = 200  # past the well-known head, into the ephemeral ports
+        table = small_gen._port_table(n)
+        assert len(table) == n + 1 and table[0] == 0  # rank -1: literal 0
+        for feature in (SRC_PORT, DST_PORT):
+            np.testing.assert_array_equal(table[1:], small_gen.feature_values(3, feature, n))
 
 
 class TestRecordUniforms:

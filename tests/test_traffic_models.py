@@ -14,7 +14,13 @@ from repro.traffic.distributions import (
     sample_histogram,
     zipf_pmf,
 )
-from repro.traffic.diurnal import DiurnalBasis, DiurnalModel, ar1_series
+from repro.traffic.diurnal import (
+    DiurnalBasis,
+    DiurnalModel,
+    ar1_draws,
+    ar1_recursion,
+    ar1_series,
+)
 from repro.traffic.gravity import gravity_matrix, od_mean_rates, pop_masses
 
 
@@ -121,6 +127,26 @@ class TestAR1:
         series = ar1_series(100_000, 0.95, 1.0, np.random.default_rng(1))
         ac = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert ac == pytest.approx(0.95, abs=0.02)
+
+    def test_recursion_is_the_scalar_loop_bit_for_bit(self):
+        """The loop every series used to run is the oracle: one pass over
+        many series must equal it exactly, not to a tolerance."""
+        rng = np.random.default_rng(3)
+        start, innovations = rng.normal(size=(3, 5)), rng.normal(size=(3, 5, 300))
+        got = ar1_recursion(start, innovations, 0.93)
+        for idx in np.ndindex(3, 5):
+            prev, want = start[idx], []
+            for step in innovations[idx]:
+                prev = 0.93 * prev + step
+                want.append(prev)
+            np.testing.assert_array_equal(got[idx], want)
+
+    def test_series_is_its_draws_through_the_recursion(self):
+        start, innovations = ar1_draws(50, 0.8, 1.5, np.random.default_rng(4))
+        np.testing.assert_array_equal(
+            ar1_series(50, 0.8, 1.5, np.random.default_rng(4)),
+            ar1_recursion(start, innovations, 0.8),
+        )
 
     def test_validation(self):
         rng = np.random.default_rng(0)
