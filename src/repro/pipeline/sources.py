@@ -293,15 +293,20 @@ class ScenarioSource(RecordSource):
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         self.scenario = scenario
+        # None means "the scenario's default"; zero is not None.
+        n_bins = scenario.n_bins if n_bins is None else int(n_bins)
+        if max_records_per_od is None:
+            max_records_per_od = scenario.max_records_per_od
+        for name, value in (("n_bins", n_bins), ("max_records_per_od", max_records_per_od)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         super().__init__(
             SourceSpec(
                 kind="scenario",
                 network=network or scenario.network,
-                n_bins=int(n_bins or scenario.n_bins),
+                n_bins=n_bins,
                 seed=int(seed),
-                max_records_per_od=int(
-                    max_records_per_od or scenario.max_records_per_od
-                ),
+                max_records_per_od=int(max_records_per_od),
                 scenario=scenario.name,
             )
         )

@@ -120,9 +120,9 @@ class Scenario:
         ``n_bins`` (the same rule ``repro run`` applies), so events
         stay inside the scored window at any run length.
         """
-        n_bins = int(n_bins or self.n_bins)
+        n_bins = self.n_bins if n_bins is None else int(n_bins)
         if n_bins < 2:
-            raise ValueError("scenario needs at least 2 bins")
+            raise ValueError(f"n_bins: a scenario needs at least 2 bins, got {n_bins}")
         if warmup_bins is None:
             warmup = self.scaled_warmup(n_bins)
         else:

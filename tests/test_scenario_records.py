@@ -11,7 +11,8 @@ The cluster-parity contract rests on two properties of
   longest-prefix egress resolution attributes every anomaly record to
   the OD flow the schedule targeted.
 
-And one identity: ``baseline-diurnal`` is the plain background stream.
+And one identity: ``baseline-diurnal`` is the plain background stream;
+and one rule: a size of zero is a size, not "use the default".
 """
 
 import numpy as np
@@ -23,8 +24,14 @@ from repro.anomalies.builders import BUILDERS
 from repro.flows.binning import TimeBins
 from repro.flows.records import COLUMN_SPEC, FlowRecordBatch
 from repro.net.topology import abilene
+from repro.cli import main
 from repro.pipeline.sources import ScenarioSource, shard_ods
-from repro.scenarios import ScenarioEvent, anomaly_record_batch, scenario_record_batches
+from repro.scenarios import (
+    ScenarioEvent,
+    anomaly_record_batch,
+    get_scenario,
+    scenario_record_batches,
+)
 from repro.stream.chunks import iter_record_chunks, synthetic_record_stream
 from repro.traffic.generator import TrafficGenerator
 
@@ -224,3 +231,37 @@ class TestBaselineIsTheBackgroundStream:
                 self._background(topology, seed,
                                  ods=shard_ods(topology.n_od_flows, 2, shard)),
             )
+
+
+class TestZeroIsNotTheDefault:
+    """``0`` and negative sizes raise a ValueError naming the argument;
+    only ``None`` means "the scenario's default"."""
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["n_bins", "max_records_per_od"])
+    def test_scenario_source(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ScenarioSource("baseline-diurnal", **{name: value})
+
+    def test_events_for(self):
+        with pytest.raises(ValueError, match="n_bins"):
+            get_scenario("ddos-burst").events_for(abilene(), n_bins=0)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_materialize_bin_group(self, value):
+        generator = TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=1)
+        with pytest.raises(ValueError, match="max_records"):
+            generator.materialize_bin_group([3], [0], max_records=value)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "baseline-diurnal", "--max-records", "0"],
+        ["run", "baseline-diurnal", "--bins", "0"],
+        ["trace", "write", "baseline-diurnal", "--max-records", "0",
+         "--output", "never-written.trace"],
+    ])
+    def test_cli_exits_2_naming_the_argument(self, argv, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "never-written.trace").exists()
