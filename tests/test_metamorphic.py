@@ -48,12 +48,15 @@ from hypothesis import strategies as st
 import parity_fixture as pf
 from scripted_cluster import drive, shard_streams
 
+from repro import TimeBins, TrafficGenerator, abilene
+from repro.flows.binning import BIN_SECONDS
+from repro.flows.records import FlowRecordBatch
 from repro.io.trace import TraceWriter
 from repro.net.topology import Topology
 from repro.pipeline import DetectionPipeline
 from repro.pipeline.bank import DetectorBank
 from repro.pipeline.sources import RecordSource, SourceSpec, shard_mask
-from repro.stream import StreamingDetectionEngine
+from repro.stream import StreamingDetectionEngine, synthetic_record_stream
 
 MODES = ("stream", "batch", "cluster", "precomputed")
 
@@ -257,3 +260,70 @@ def test_od_relabelling_permutes_ods_and_keeps_verdicts(reference, pops):
                                    rtol=1e-9, err_msg=mode)
         assert [[int(f.od) for f in d.flows] for d in got] \
             == [[int(od_map[f.od]) for f in d.flows] for d in want], mode
+
+
+
+@pytest.fixture(scope="module")
+def day_workload():
+    """``(wl, batches)``: a 72-bin Abilene stream with a realistic 48-bin
+    warm-up (most scored bins clean, so refits happen) and the
+    fixture's port scan planted six bins after it."""
+    wl = dict(n_bins=72, warmup_bins=48, attack=dict(od=14, bin=54, pps=400.0))
+    topology, bins = abilene(), TimeBins(n_bins=wl["n_bins"])
+    generator = TrafficGenerator(topology, bins, seed=5)
+    rng = np.random.default_rng(7)
+    batches = list(synthetic_record_stream(
+        generator, range(wl["n_bins"]), max_records_per_od=20
+    ))
+    scan = pf.port_scan(topology, bins, wl["attack"], rng)
+    b = wl["attack"]["bin"]
+    batches[b] = FlowRecordBatch.concat([batches[b], scan]).sort_by_time()
+    return wl, batches
+
+
+def _prefixed(batches, k, warmup_bins):
+    """``k`` attack-free bins ahead of the stream, every record after them
+    shifted by ``k`` bin widths.  The prefix repeats the last ``k``
+    warm-up bins, so the prefixed run warms up on the reference's
+    warm-up rows (in another order) and scores the ``k`` repeated bins
+    in-sample before it reaches the reference's first scored bin."""
+    prefix = [
+        b.with_columns(timestamp=b.timestamp - (warmup_bins - k) * BIN_SECONDS)
+        for b in batches[warmup_bins - k:warmup_bins]
+    ]
+    return prefix + [
+        b.with_columns(timestamp=b.timestamp + k * BIN_SECONDS) for b in batches
+    ]
+
+
+@pytest.mark.parametrize(
+    "refit_every, drift_reset_after, k", [(1, 1, 2), (2, 2, 4), (3, 12, 3)]
+)
+def test_bin_aligned_time_shift_keeps_verdicts(
+    day_workload, refit_every, drift_reset_after, k
+):
+    """Prefix ``k`` attack-free bins (a multiple of ``refit_every``).
+    The prefixed run scores the ``k`` repeated warm-up bins clean (the
+    calibration floors put in-window rows under threshold), absorbs
+    them and refits where the reference fits, so from the reference's
+    first scored bin on no window holds a prefix row and every refit
+    phase, drift counter and classifier state matches: every verdict is
+    the reference's — flows, cluster and the entropy SPE bit for bit.
+    Holt volume detrending is off: its level and trend remember the
+    prefix forever (decaying, never exactly zero)."""
+    wl, batches = day_workload
+    config = dataclasses.replace(
+        pf.stream_config(wl), refit_every=refit_every,
+        drift_reset_after=drift_reset_after, volume_detrend="none",
+    )
+    prefixed = _prefixed(batches, k, wl["warmup_bins"])
+    with mock.patch.object(pf, "stream_config", lambda _wl: config):
+        for mode in MODES:
+            _, want = _run(wl, batches, mode)
+            assert pf.scan_caught(wl, want), mode
+            _, got = _run(dict(wl, n_bins=wl["n_bins"] + k), prefixed, mode)
+            rows = pf.detection_rows(got, spe=True)
+            assert not any(r["entropy"] or r["volume"] for r in rows[:k]), mode
+            for row in rows:
+                row["bin"] -= k
+            assert rows[k:] == pf.detection_rows(want, spe=True), mode
