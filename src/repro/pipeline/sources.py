@@ -294,7 +294,8 @@ class ScenarioSource(RecordSource):
             scenario = get_scenario(scenario)
         self.scenario = scenario
         # None means "the scenario's default"; zero is not None.
-        n_bins = scenario.n_bins if n_bins is None else int(n_bins)
+        if n_bins is None:
+            n_bins = scenario.n_bins
         if max_records_per_od is None:
             max_records_per_od = scenario.max_records_per_od
         for name, value in (("n_bins", n_bins), ("max_records_per_od", max_records_per_od)):
@@ -304,7 +305,7 @@ class ScenarioSource(RecordSource):
             SourceSpec(
                 kind="scenario",
                 network=network or scenario.network,
-                n_bins=n_bins,
+                n_bins=int(n_bins),
                 seed=int(seed),
                 max_records_per_od=int(max_records_per_od),
                 scenario=scenario.name,

@@ -27,7 +27,7 @@ of importance:
    bin group of records is array passes over every OD flow at once,
    sorted once.  Only the seeded per-OD draws and one small rank search
    per OD loop in Python.  Every pass is elementwise or per row, so the
-   records are bit-identical to a per-OD loop's (scheme 2 unchanged).
+   records are bit-identical to a per-OD loop's.
 
 OD flows are built in two steps: :meth:`TrafficGenerator._model` (rates,
 per-feature concentration and support — everything random short of
