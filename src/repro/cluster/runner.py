@@ -81,7 +81,6 @@ from repro.cluster.transport import (
     TcpTransport,
     parse_hostport,
 )
-from repro.pipeline.bank import DEFAULT_DETECTORS
 from repro.pipeline.pipeline import PipelineResult
 from repro.pipeline.sources import RecordSource, SourceSpec, build_source
 from repro.resilience.chaos import FaultPlan, corrupt_payload
@@ -407,7 +406,6 @@ def run_cluster_source(
     config: StreamConfig | None = None,
     start_method: str | None = None,
     on_detection: Callable[[StreamDetection], None] | None = None,
-    detectors: tuple[str, ...] = DEFAULT_DETECTORS,
     meta: dict | None = None,
     resilience: ResiliencePolicy | None = None,
     checkpoint: str | Path | None = None,
@@ -430,8 +428,6 @@ def run_cluster_source(
             default, e.g. ``fork`` on Linux).
         on_detection: Callback invoked with each verdict as bins close
             (live output; the verdicts also land in the report).
-        detectors: Detector-bank selection (see
-            :mod:`repro.pipeline.bank`).
         meta: Extra provenance merged into the report's metadata, on
             top of the source's own and ``mode``/``n_shards``.
         resilience: Supervision policy (retries, backoff, deadlines,
@@ -485,7 +481,6 @@ def run_cluster_source(
         config,
         bin_width=source.spec.bin_width,
         start=source.spec.bin_start,
-        detectors=detectors,
     )
     engine.meta.update(source.provenance)
     engine.meta.update({"mode": "cluster", "n_shards": int(n_shards),
@@ -504,7 +499,7 @@ def run_cluster_source(
     # attaching first would re-append every replayed bin).
     writer: CheckpointWriter | None = None
     if checkpoint is not None:
-        fingerprint = run_fingerprint(source.spec, config, detectors)
+        fingerprint = run_fingerprint(source.spec, config)
         state = None
         if resume and os.path.exists(checkpoint):
             state = load_checkpoint(str(checkpoint), fingerprint)

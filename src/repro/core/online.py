@@ -1,7 +1,7 @@
 """Online extensions (paper Section 8, "ongoing work").
 
 The paper closes by noting that online extensions of the methods are
-being studied.  This module provides two:
+being studied.  This module provides three:
 
 * :class:`OnlineMultiwayDetector` — freeze a multiway subspace model
   trained on a historical window and score new entropy observations
@@ -22,7 +22,9 @@ volume and entropy ensembles are diurnally nonstationary, so a model
 frozen forever drifts out of its own threshold (every bin starts to
 flag).  Detected bins are excluded from the buffer so anomalies cannot
 poison the normal model, with a drift-reset escape hatch for genuine
-regime changes.
+regime changes.  That window, refit and threshold policy is one shared
+core (:class:`_SlidingSubspace`); the two detectors only say how the
+buffer is fitted and how a row is scored.
 """
 
 from __future__ import annotations
@@ -44,21 +46,6 @@ __all__ = [
 ]
 
 
-def _check_fit_rows(rows: int, n_components: int | None) -> None:
-    """Refuse a fit whose buffer leaves no residual subspace.
-
-    ``rows`` centred observations span at most ``rows - 1`` dimensions;
-    with fewer than ``n_components + 2`` rows the normal subspace fills
-    that span, Q_alpha collapses to ~0 and every later bin alarms.
-    ``n_components=None`` (variance-threshold selection) is exempt.
-    """
-    if n_components is not None and rows < n_components + 2:
-        raise ValueError(
-            f"warm-up fits {rows} rows, fewer than n_components + 2 = "
-            f"{n_components + 2}: no residual subspace would remain"
-        )
-
-
 @dataclass
 class OnlineDetection:
     """One online detection: bin counter, SPE, and identified flows."""
@@ -68,7 +55,152 @@ class OnlineDetection:
     flows: list[IdentifiedFlow]
 
 
-class OnlineMultiwayDetector:
+class _SlidingSubspace:
+    """Sliding-window subspace scoring shared by both online detectors.
+
+    Owns the clean-row buffer (the last ``window`` rows the model may
+    learn from), the refit cadence (every ``refit_every`` clean bins; 0
+    freezes the model), the consecutive-hit drift reset and the
+    threshold rule.  Subclasses supply :meth:`_fit_model` (fit the
+    buffer, return a :class:`~repro.core.subspace.SubspaceModel`) and
+    :meth:`_spe` (score rows against it).
+
+    The threshold is Q_alpha of the fitted model.  The Jackson-Mudholkar
+    Q_alpha underestimates out-of-sample SPE when the window is short
+    relative to the dimension (the PCA partially fits the noise), so a
+    positive ``calibration_margin`` floors it at margin * the maximum
+    SPE the fitted model assigns to its own (clean) window — an
+    in-sample, everything-in-window-is-normal calibration.  0 disables
+    it (pure Q_alpha, the paper's threshold).
+
+    Anomalous bins are excluded from the buffer so attacks cannot
+    poison the normal model — but under genuine concept drift that
+    policy locks up (every bin looks anomalous and the buffer never
+    advances).  After ``drift_reset_after`` *consecutive* detections
+    the detector assumes drift, absorbs the bin, refits and starts
+    counting again from zero.  0 disables the reset.
+    """
+
+    def __init__(
+        self,
+        window: int,
+        refit_every: int,
+        n_components: int | None,
+        alpha: float,
+        drift_reset_after: int,
+        calibration_margin: float,
+    ) -> None:
+        if window < 8:
+            raise ValueError("window too small to fit a subspace")
+        if n_components is not None and n_components < 1:
+            raise ValueError(f"n_components must be >= 1 or None, got {n_components}")
+        if refit_every < 0:
+            raise ValueError(f"refit_every must be >= 0, got {refit_every}")
+        if drift_reset_after < 0:
+            raise ValueError(f"drift_reset_after must be >= 0, got {drift_reset_after}")
+        self.window = window
+        self.refit_every = refit_every
+        self.n_components = n_components
+        self.alpha = alpha
+        self.drift_reset_after = drift_reset_after
+        self.calibration_margin = calibration_margin
+        self._model: SubspaceModel | None = None
+        self._threshold = 0.0
+        self._buffer: np.ndarray | None = None
+        self._since_refit = 0
+        self._consecutive_hits = 0
+
+    @property
+    def is_warm(self) -> bool:
+        """Whether the detector has been fitted."""
+        return self._model is not None
+
+    @property
+    def threshold(self) -> float:
+        """Current detection threshold (Q_alpha, calibration-floored)."""
+        if self._model is None:
+            raise RuntimeError("call warm_up() first")
+        return self._threshold
+
+    @staticmethod
+    def _history(history, shape: str) -> np.ndarray:
+        """Validate a warm-up history with the dimensions ``shape`` names,
+        e.g. ``"(t, p)"``."""
+        history = np.asarray(history, dtype=np.float64)
+        if history.ndim != shape.count(",") + 1:
+            raise ValueError(f"history must be {shape}")
+        if history.shape[0] < 8:
+            raise ValueError("history too short")
+        return history
+
+    def _check_fit_rows(self, rows: int) -> None:
+        """Refuse a fit whose buffer leaves no residual subspace.
+
+        ``rows`` centred observations span at most ``rows - 1``
+        dimensions; with fewer than ``n_components + 2`` rows the normal
+        subspace fills that span, Q_alpha collapses to ~0 and every
+        later bin alarms.  ``n_components=None`` (variance-threshold
+        selection) is exempt.
+        """
+        if self.n_components is not None and rows < self.n_components + 2:
+            raise ValueError(
+                f"warm-up fits {rows} rows, fewer than n_components + 2 = "
+                f"{self.n_components + 2}: no residual subspace would remain"
+            )
+
+    def _seed(self, rows: np.ndarray) -> None:
+        """Seed the buffer with the trailing window of ``rows`` and fit."""
+        self._check_fit_rows(min(len(rows), self.window))
+        self._buffer = rows[-self.window :].copy()
+        self._fit()
+
+    def _row(self, observation) -> np.ndarray:
+        """One observation as float64, checked against the buffer's rows."""
+        if self._model is None or self._buffer is None:
+            raise RuntimeError("call warm_up() first")
+        row = np.asarray(observation, dtype=np.float64)
+        if row.shape != self._buffer.shape[1:]:
+            raise ValueError(
+                f"observation shape {row.shape} != {self._buffer.shape[1:]}"
+            )
+        return row
+
+    def _fit(self) -> None:
+        """Fit the buffer; compute everything that depends only on the fit."""
+        self._model = self._fit_model(self._buffer)
+        self._threshold = self._model.threshold(self.alpha)
+        if self.calibration_margin:
+            window_spe = self._spe(self._buffer)
+            self._threshold = max(
+                self._threshold, float(self.calibration_margin * window_spe.max())
+            )
+        self._since_refit = 0
+
+    def _advance(self, rows: np.ndarray, hit: bool) -> None:
+        """Account one scored bin (``rows``: its one-row buffer block).
+
+        A clean bin slides into the buffer and refits when
+        ``refit_every`` clean bins have passed; a hit stays out, unless
+        it completes ``drift_reset_after`` consecutive hits — then it is
+        absorbed and the model refits at once.
+        """
+        if hit:
+            self._consecutive_hits += 1
+            if (
+                not self.drift_reset_after
+                or self._consecutive_hits < self.drift_reset_after
+            ):
+                return
+            self._consecutive_hits = 0
+        else:
+            self._consecutive_hits = 0
+        self._buffer = np.concatenate([self._buffer[1:], rows], axis=0)
+        self._since_refit += 1
+        if hit or (self.refit_every and self._since_refit >= self.refit_every):
+            self._fit()
+
+
+class OnlineMultiwayDetector(_SlidingSubspace):
     """Streaming wrapper around the multiway subspace method.
 
     Usage::
@@ -80,13 +212,11 @@ class OnlineMultiwayDetector:
             if hit is not None:
                 ...
 
-    ``refit_every`` controls periodic retraining from the sliding
-    window (0 disables refits; the subspace stays frozen).
-
-    Everything that depends only on the fitted model is computed once
+    Window, refit, drift-reset and threshold semantics are those of
+    :class:`_SlidingSubspace`.  Blocks are variance-normalised, and
+    everything that depends only on the fitted model is computed once
     per fit (:meth:`warm_up` and every refit), never per bin: the
-    threshold (Q_alpha, calibration-floored) and, when ``identify`` is
-    on, the ``(p, 4, 4)`` identification blocks
+    threshold and the ``(p, 4, 4)`` identification blocks
     (:func:`repro.core.identification.od_gram_pinv`) every alarm
     against this fit shares.  :attr:`last_spe` holds the SPE of the
     most recently observed bin, clean bins included.
@@ -98,151 +228,68 @@ class OnlineMultiwayDetector:
         refit_every: int = 288,
         n_components: int | None = 10,
         alpha: float = 0.999,
-        normalization: str = "variance",
-        identify: bool = True,
         drift_reset_after: int = 12,
         calibration_margin: float = 0.0,
     ) -> None:
-        if window < 8:
-            raise ValueError("window too small to fit a subspace")
-        self.window = window
-        self.refit_every = refit_every
-        self.alpha = alpha
-        self.identify = identify
-        # The Jackson-Mudholkar Q_alpha underestimates out-of-sample SPE
-        # when the window is short relative to the dimension (the PCA
-        # partially fits the noise).  A positive margin floors the
-        # threshold at margin * the maximum SPE the fitted model assigns
-        # to its own (clean) window — an empirical everything-in-window-
-        # is-normal calibration.  0 disables it (pure Q_alpha, the
-        # paper's threshold).
-        self.calibration_margin = calibration_margin
-        self._threshold = 0.0
-        # Anomalous bins are excluded from the sliding buffer so attacks
-        # cannot poison the normal model — but under genuine concept
-        # drift that policy locks up (every bin looks anomalous and the
-        # buffer never advances).  After this many *consecutive*
-        # detections the detector assumes drift, absorbs the bin, and
-        # refits.  Set 0 to disable.
-        self.drift_reset_after = drift_reset_after
-        self._consecutive_hits = 0
-        self._detector = MultiwaySubspaceDetector(
-            n_components=n_components,
-            alpha=alpha,
-            normalization=normalization,
-            identify=False,
+        super().__init__(
+            window, refit_every, n_components, alpha, drift_reset_after,
+            calibration_margin,
         )
-        self._buffer: np.ndarray | None = None
+        self._detector = MultiwaySubspaceDetector(
+            n_components=n_components, alpha=alpha, identify=False
+        )
         self._seen = 0
-        self._since_refit = 0
         self._gram_pinv: np.ndarray | None = None
         self.last_spe = 0.0
 
-    @property
-    def is_warm(self) -> bool:
-        """Whether the detector has been fitted."""
-        return self._detector.model is not None
+    def _fit_model(self, buffer: np.ndarray) -> SubspaceModel:
+        model = self._detector.fit(buffer).model
+        self._gram_pinv = od_gram_pinv(model.normal_basis, self._detector.n_od_flows)
+        return model
 
-    @property
-    def threshold(self) -> float:
-        """Current detection threshold (Q_alpha, calibration-floored)."""
-        if self._detector.model is None:
-            raise RuntimeError("call warm_up() first")
-        return self._threshold
+    def _spe(self, rows: np.ndarray) -> np.ndarray:
+        return self._detector.score(rows).spe
 
     def warm_up(self, history: np.ndarray) -> None:
-        """Fit on a historical tensor and seed the sliding buffer."""
-        history = np.asarray(history, dtype=np.float64)
-        if history.ndim != 3:
-            raise ValueError("history must be (t, p, k)")
-        if history.shape[0] < 8:
-            raise ValueError("history too short")
-        _check_fit_rows(min(history.shape[0], self.window),
-                        self._detector.n_components)
-        self._buffer = history[-self.window :].copy()
-        self._fit()
+        """Fit on a historical ``(t, p, k)`` tensor and seed the buffer."""
+        history = self._history(history, "(t, p, k)")
+        self._seed(history)
         self._seen = history.shape[0]
 
-    def _fit(self) -> None:
-        """Fit the buffer; compute everything that depends only on the fit."""
-        self._detector.fit(self._buffer)
-        model = self._detector.model
-        self._threshold = model.threshold(self.alpha)
-        if self.calibration_margin:
-            # Empirical floor: margin * max in-window SPE.
-            window_spe = self._detector.score(self._buffer).spe
-            self._threshold = max(
-                self._threshold, float(self.calibration_margin * window_spe.max())
-            )
-        if self.identify:
-            self._gram_pinv = od_gram_pinv(model.normal_basis, self._detector.n_od_flows)
-        self._since_refit = 0
-
     def observe(self, bin_entropy: np.ndarray) -> OnlineDetection | None:
-        """Score one new bin; returns a detection or None.
+        """Score one new ``(p, k)`` bin; returns a detection or None.
 
-        The new observation also enters the sliding buffer, and a refit
-        happens every ``refit_every`` clean bins (anomalous bins are
-        *not* added to the buffer, so detected anomalies do not poison
-        the normal subspace).
+        An alarm's flows are identified against the model and threshold
+        the bin was scored with, before any drift-reset refit.
         """
-        if not self.is_warm or self._buffer is None:
-            raise RuntimeError("call warm_up() first")
-        obs = np.asarray(bin_entropy, dtype=np.float64)
-        if obs.shape != self._buffer.shape[1:]:
-            raise ValueError(
-                f"observation shape {obs.shape} != {self._buffer.shape[1:]}"
-            )
-        tensor = obs[None, :, :]
+        tensor = self._row(bin_entropy)[None, :, :]
         threshold = self._threshold
         bin_index = self._seen
         self._seen += 1
-        spe = self.last_spe = float(self._detector.score(tensor).spe[0])
-        if spe > threshold:
-            self._consecutive_hits += 1
-            flows: list[IdentifiedFlow] = []
-            if self.identify:
-                model = self._detector.model
-                Hn = self._detector._normalize(tensor)
-                flows = identify_flows(
-                    Hn[0] - model.pca.mean,
-                    model.normal_basis,
-                    self._detector.n_od_flows,
-                    threshold=threshold,
-                    gram_pinv=self._gram_pinv,
-                )
-            if (
-                self.drift_reset_after
-                and self._consecutive_hits >= self.drift_reset_after
-            ):
-                # Concept drift, not a burst of anomalies: absorb and refit.
-                self._absorb_and_maybe_refit(tensor, force_refit=True)
-                self._consecutive_hits = 0
-            return OnlineDetection(bin=bin_index, spe=spe, flows=flows)
-        # Clean bin: slide the buffer and maybe refit.
-        self._consecutive_hits = 0
-        self._absorb_and_maybe_refit(tensor)
-        return None
-
-    def _absorb_and_maybe_refit(
-        self, tensor: np.ndarray, force_refit: bool = False
-    ) -> None:
-        self._buffer = np.concatenate([self._buffer[1:], tensor], axis=0)
-        self._since_refit += 1
-        due = self.refit_every and self._since_refit >= self.refit_every
-        if force_refit or due:
-            self._fit()
+        spe = self.last_spe = float(self._spe(tensor)[0])
+        if spe <= threshold:
+            self._advance(tensor, hit=False)
+            return None
+        model = self._model
+        flows = identify_flows(
+            self._detector._normalize(tensor)[0] - model.pca.mean,
+            model.normal_basis,
+            self._detector.n_od_flows,
+            threshold=threshold,
+            gram_pinv=self._gram_pinv,
+        )
+        self._advance(tensor, hit=True)
+        return OnlineDetection(bin=bin_index, spe=spe, flows=flows)
 
 
-class OnlineVolumeDetector:
+class OnlineVolumeDetector(_SlidingSubspace):
     """Streaming subspace detection on one ``(t, p)`` volume matrix.
 
     The online counterpart of the volume baseline
     (:meth:`repro.core.detector.AnomalyDiagnosis.detect_volume` runs
-    one of these per metric, batch-fitted).  Semantics mirror
-    :class:`OnlineMultiwayDetector`: frozen-model scoring in O(p*m) per
-    bin, clean bins enter a sliding buffer, periodic refit, and a
-    consecutive-detection drift reset.
+    one of these per metric, batch-fitted).  Window, refit, drift-reset
+    and threshold semantics are those of :class:`_SlidingSubspace`,
+    shared with :class:`OnlineMultiwayDetector`.
 
     Volume ensembles are much less stationary than entropy ensembles —
     diurnal load both shifts the mean and (Poisson-like) inflates the
@@ -255,8 +302,8 @@ class OnlineVolumeDetector:
     * ``detrend="holt"`` — score residuals against a per-OD Holt
       (level + trend) one-step forecast instead of raw rows.
     * ``calibration_margin > 0`` — floor the threshold at
-      margin * max SPE of a held-out warm-up tail (see
-      :class:`OnlineMultiwayDetector.calibration_margin`).
+      margin * the max SPE over the whole fitted window (in-sample:
+      the same rows the model was fitted on).
     """
 
     def __init__(
@@ -272,42 +319,28 @@ class OnlineVolumeDetector:
         holt_trend: float = 0.2,
         calibration_margin: float = 0.0,
     ) -> None:
-        if window < 8:
-            raise ValueError("window too small to fit a subspace")
+        super().__init__(
+            window, refit_every, n_components, alpha, drift_reset_after,
+            calibration_margin,
+        )
         if transform not in ("none", "sqrt"):
             raise ValueError(f"unknown transform {transform!r}")
         if detrend not in ("none", "holt"):
             raise ValueError(f"unknown detrend {detrend!r}")
-        self.window = window
-        self.refit_every = refit_every
-        self.n_components = n_components
-        self.alpha = alpha
-        self.drift_reset_after = drift_reset_after
         self.transform = transform
         self.detrend = detrend
         self.holt_level = holt_level
         self.holt_trend = holt_trend
-        self.calibration_margin = calibration_margin
-        self._consecutive_hits = 0
-        self._model: SubspaceModel | None = None
-        self._threshold = 0.0
-        self._buffer: np.ndarray | None = None  # residual-space rows
-        self._since_refit = 0
         self._level: np.ndarray | None = None
         self._trend: np.ndarray | None = None
         self._residual_scale: np.ndarray | None = None
 
-    @property
-    def is_warm(self) -> bool:
-        """Whether the detector has been fitted."""
-        return self._model is not None
+    def _fit_model(self, buffer: np.ndarray) -> SubspaceModel:
+        self._residual_scale = np.maximum(buffer.std(axis=0), 1e-9)
+        return SubspaceModel.fit(buffer, n_components=self.n_components)
 
-    @property
-    def threshold(self) -> float:
-        """Current detection threshold (Q_alpha, calibration-floored)."""
-        if self._model is None:
-            raise RuntimeError("call warm_up() first")
-        return self._threshold
+    def _spe(self, rows: np.ndarray) -> np.ndarray:
+        return self._model.spe(rows)
 
     def _transform(self, rows: np.ndarray) -> np.ndarray:
         if self.transform == "sqrt":
@@ -381,30 +414,10 @@ class OnlineVolumeDetector:
 
     def warm_up(self, history: np.ndarray) -> None:
         """Fit on a historical ``(t, p)`` matrix and seed the buffer."""
-        history = np.asarray(history, dtype=np.float64)
-        if history.ndim != 2:
-            raise ValueError("history must be (t, p)")
-        if history.shape[0] < 8:
-            raise ValueError("history too short")
-        rows = self._transform(history)
+        rows = self._transform(self._history(history, "(t, p)"))
         if self.detrend == "holt":
-            residuals = self._holt_batch(rows)  # one row fewer than history
-        else:
-            residuals = rows
-        _check_fit_rows(min(len(residuals), self.window), self.n_components)
-        self._buffer = residuals[-self.window :].copy()
-        self._fit()
-
-    def _fit(self) -> None:
-        self._model = SubspaceModel.fit(self._buffer, n_components=self.n_components)
-        self._threshold = self._model.threshold(self.alpha)
-        if self.calibration_margin:
-            window_spe = self._model.spe(self._buffer)
-            self._threshold = max(
-                self._threshold, float(self.calibration_margin * window_spe.max())
-            )
-        self._residual_scale = np.maximum(self._buffer.std(axis=0), 1e-9)
-        self._since_refit = 0
+            rows = self._holt_batch(rows)  # one row fewer than history
+        self._seed(rows)
 
     def observe(self, row: np.ndarray) -> tuple[bool, float]:
         """Score one new ``(p,)`` volume row; returns (detected, spe).
@@ -414,33 +427,13 @@ class OnlineVolumeDetector:
         ``drift_reset_after`` consecutive detections force the drift
         interpretation (absorb + refit).
         """
-        if self._model is None or self._buffer is None:
-            raise RuntimeError("call warm_up() first")
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != self._buffer.shape[1:]:
-            raise ValueError(f"row shape {row.shape} != {self._buffer.shape[1:]}")
-        transformed = self._transform(row)
+        residual = self._transform(self._row(row))
         if self.detrend == "holt":
-            residual = self._holt_update(transformed)
-        else:
-            residual = transformed
-        spe = float(self._model.spe(residual)[0])
+            residual = self._holt_update(residual)
+        spe = float(self._spe(residual)[0])
         detected = spe > self._threshold
-        if detected:
-            self._consecutive_hits += 1
-            if self.drift_reset_after and self._consecutive_hits >= self.drift_reset_after:
-                self._absorb(residual, force_refit=True)
-                self._consecutive_hits = 0
-        else:
-            self._consecutive_hits = 0
-            self._absorb(residual)
+        self._advance(residual[None, :], detected)
         return detected, spe
-
-    def _absorb(self, residual: np.ndarray, force_refit: bool = False) -> None:
-        self._buffer = np.concatenate([self._buffer[1:], residual[None, :]], axis=0)
-        self._since_refit += 1
-        if force_refit or (self.refit_every and self._since_refit >= self.refit_every):
-            self._fit()
 
 
 class OnlineClassifier:

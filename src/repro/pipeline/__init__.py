@@ -1,22 +1,16 @@
 """Composable detection pipeline: one engine behind batch/stream/cluster.
 
 ``RecordSource → BinReducer → DetectorBank → report``: the paper's
-method as four swappable stages.  :class:`DetectionPipeline` drives
-them in any deployment mode over any source; the stage adapters live in
+method as four stages.  :class:`DetectionPipeline` drives them in any
+deployment mode over any source; the stages live in
 :mod:`repro.pipeline.sources` (where records come from),
-:mod:`repro.pipeline.bank` (the pluggable per-bin detector registry),
-and :mod:`repro.pipeline.report` (verdicts and reports with end-to-end
-provenance).  Registered end-to-end workloads runnable through the
+:mod:`repro.pipeline.bank` (the paper's two per-bin detectors and the
+online classifier), and :mod:`repro.pipeline.report` (verdicts and
+reports with end-to-end provenance).  Registered end-to-end workloads runnable through the
 pipeline live in :mod:`repro.scenarios`.
 """
 
-from repro.pipeline.bank import (
-    BinDetector,
-    DetectorBank,
-    DetectorVerdict,
-    detector_names,
-    register_detector,
-)
+from repro.pipeline.bank import DetectorBank
 from repro.pipeline.pipeline import MODES, DetectionPipeline, PipelineResult
 from repro.pipeline.report import StreamDetection, StreamingReport
 from repro.pipeline.sources import (
@@ -28,10 +22,8 @@ from repro.pipeline.sources import (
 )
 
 __all__ = [
-    "BinDetector",
     "DetectionPipeline",
     "DetectorBank",
-    "DetectorVerdict",
     "MODES",
     "PipelineResult",
     "RecordSource",
@@ -41,6 +33,4 @@ __all__ = [
     "StreamingReport",
     "TraceSource",
     "build_source",
-    "detector_names",
-    "register_detector",
 ]

@@ -44,7 +44,6 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry as tel
-from repro.pipeline.bank import DEFAULT_DETECTORS
 from repro.pipeline.report import StreamDetection, StreamingReport
 from repro.pipeline.sources import RecordSource, SourceSpec, TraceSource, build_source
 from repro.stream.window import BinSummary
@@ -110,7 +109,7 @@ class _CountingChunks:
 
 
 class DetectionPipeline:
-    """A configured detector bank runnable over any source in any mode.
+    """The detector bank runnable over any source in any mode.
 
     Usage::
 
@@ -122,19 +121,12 @@ class DetectionPipeline:
     Args:
         config: A :class:`repro.stream.engine.StreamConfig` (all knobs:
             warm-up, subspace dimensions, sketch geometry, chunking).
-        detectors: Detector-bank selection from the registry
-            (:mod:`repro.pipeline.bank`); default entropy + volume.
     """
 
-    def __init__(
-        self,
-        config=None,
-        detectors: tuple[str, ...] = DEFAULT_DETECTORS,
-    ) -> None:
+    def __init__(self, config=None) -> None:
         from repro.stream.engine import StreamConfig
 
         self.config = config or StreamConfig()
-        self.detectors = tuple(detectors)
 
     # -- engine assembly -------------------------------------------------
 
@@ -146,7 +138,6 @@ class DetectionPipeline:
             self.config,
             bin_width=source.spec.bin_width,
             start=source.spec.bin_start,
-            detectors=self.detectors,
         )
         engine.meta.update(source.provenance)
         engine.meta["mode"] = mode
@@ -242,7 +233,6 @@ class DetectionPipeline:
                 n_shards=n_shards,
                 config=self.config,
                 on_detection=on_detection,
-                detectors=self.detectors,
                 meta=meta,
                 resilience=resilience,
                 checkpoint=checkpoint,

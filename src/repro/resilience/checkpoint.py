@@ -83,12 +83,11 @@ class CheckpointState:
         return len(self.bins)
 
 
-def run_fingerprint(spec, config, detectors) -> dict:
+def run_fingerprint(spec, config) -> dict:
     """JSON-safe identity of a run, for checkpoint compatibility.
 
     Everything that shapes the merged summaries is included: the source
-    spec (traffic is a pure function of it), the engine config, and the
-    detector set.  Worker count is excluded on purpose — the canonical
+    spec (traffic is a pure function of it) and the engine config.  Worker count is excluded on purpose — the canonical
     merge makes summaries independent of sharding.
     """
     spec_dict = dataclasses.asdict(spec)
@@ -98,7 +97,6 @@ def run_fingerprint(spec, config, detectors) -> dict:
     return {
         "spec": spec_dict,
         "config": dataclasses.asdict(config),
-        "detectors": list(detectors),
     }
 
 
@@ -129,7 +127,7 @@ def load_checkpoint(path: str, fingerprint: dict | None = None) -> CheckpointSta
     if fingerprint is not None and stored != fingerprint:
         raise CheckpointError(
             f"{path}: checkpoint belongs to a different run "
-            "(source/config/detector fingerprint mismatch); "
+            "(source/config fingerprint mismatch); "
             "delete it or drop --resume"
         )
 

@@ -9,10 +9,9 @@ composition of two shared pieces — it owns no scoring logic of its own:
    ``(p, 4)`` entropy matrices (Count-Min sketches or exact
    kernel-reduced histograms);
 2. **detection + classification** —
-   :class:`repro.pipeline.bank.DetectorBank`, the pluggable scoring
-   core (multiway entropy subspace, volume baseline, online
-   classifier) shared with the batch driver and the cluster
-   coordinator.
+   :class:`repro.pipeline.bank.DetectorBank`, the scoring core
+   (multiway entropy subspace, volume baseline, online classifier)
+   shared with batch mode and the cluster coordinator.
 
 The engine either warms up from a historical
 :class:`repro.flows.odflows.TrafficCube` or accumulates its first
@@ -38,7 +37,7 @@ from repro.flows.binning import BIN_SECONDS
 from repro.flows.odflows import TrafficCube
 from repro.flows.records import FlowRecordBatch
 from repro.net.topology import Topology
-from repro.pipeline.bank import DEFAULT_DETECTORS, DetectorBank
+from repro.pipeline.bank import DetectorBank
 from repro.pipeline.report import StreamDetection, StreamingReport
 from repro.stream.chunks import DEFAULT_CHUNK_RECORDS, iter_record_chunks
 from repro.stream.window import BinSummary, StreamFeatureStage
@@ -52,15 +51,13 @@ class StreamConfig:
 
     Attributes:
         warmup_bins: Bins accumulated before fitting when warming up
-            from the stream itself (ignored after
-            :meth:`StreamingDetectionEngine.warm_up`).
-        window: Sliding-buffer length for periodic refits (default:
-            ``warmup_bins``).
+            from the stream itself, and the length of every detector's
+            sliding refit buffer (a historical cube passed to
+            :meth:`StreamingDetectionEngine.warm_up` seeds it with its
+            trailing ``warmup_bins`` bins).
         refit_every: Clean bins between refits (0 freezes the model).
         n_components: Normal-subspace dimension (paper default 10).
         alpha: Q-statistic confidence level (paper default 0.999).
-        normalization: Multiway feature-block normalisation mode.
-        identify: Run multi-attribute identification per detection.
         drift_reset_after: Consecutive detections treated as concept
             drift (absorb + refit); 0 disables.
         volume_transform / volume_detrend: Stabilisers for the online
@@ -76,25 +73,20 @@ class StreamConfig:
             Volume anomalies sit orders of magnitude above the noise, so
             a much larger margin costs no sensitivity and silences
             post-attack forecast echoes.
-        spawn_distance: Online-classifier new-cluster distance.
         sketch_width / sketch_depth / sketch_seed: Count-Min geometry.
         exact_histograms: Bypass sketches (exact per-value histograms).
         chunk_records: Re-chunking bound for :meth:`process`.
     """
 
     warmup_bins: int = 288
-    window: int | None = None
     refit_every: int = 288
     n_components: int | None = DEFAULT_N_COMPONENTS
     alpha: float = DEFAULT_ALPHA
-    normalization: str = "variance"
-    identify: bool = True
     drift_reset_after: int = 12
     volume_transform: str = "sqrt"
     volume_detrend: str = "holt"
     calibration_margin: float = 1.25
     volume_calibration_margin: float = 2.5
-    spawn_distance: float = 0.7
     sketch_width: int = 2048
     sketch_depth: int = 4
     sketch_seed: int = 0
@@ -125,7 +117,6 @@ class StreamingDetectionEngine:
         config: StreamConfig | None = None,
         bin_width: float = BIN_SECONDS,
         start: float = 0.0,
-        detectors: tuple[str, ...] = DEFAULT_DETECTORS,
     ) -> None:
         self.topology = topology
         self.config = config or StreamConfig()
@@ -139,24 +130,11 @@ class StreamingDetectionEngine:
             sketch_seed=cfg.sketch_seed,
             exact=cfg.exact_histograms,
         )
-        self.bank = DetectorBank(cfg, detectors=detectors)
+        self.bank = DetectorBank(cfg)
         #: Free-form provenance copied onto the final report (scenario
         #: name, source kind, trace path, mode ...).
         self.meta: dict = {}
         self._n_records = 0
-
-    # -- back-compat accessors into the bank -----------------------------
-
-    @property
-    def detector(self):
-        """The online multiway entropy detector (when configured)."""
-        adapter = self.bank.detectors.get("entropy")
-        return adapter.detector if adapter is not None else None
-
-    @property
-    def classifier(self):
-        """The bank's online classifier."""
-        return self.bank.classifier
 
     # -- warm-up ---------------------------------------------------------
 

@@ -83,6 +83,29 @@ class TestOnlineMultiwayDetector:
             OnlineMultiwayDetector(window=2)
 
 
+class TestKnobRanges:
+    """Out-of-range knobs used to be accepted silently: ``SubspaceModel``
+    clamped m to 1, a negative ``refit_every`` refitted after every
+    clean bin, and a negative ``drift_reset_after`` absorbed every
+    detected bin into the normal buffer."""
+
+    @pytest.mark.parametrize("cls", [OnlineMultiwayDetector, OnlineVolumeDetector])
+    @pytest.mark.parametrize("knob, value", [
+        ("n_components", 0),
+        ("n_components", -4),
+        ("refit_every", -1),
+        ("drift_reset_after", -1),
+    ])
+    def test_out_of_range_knob_is_refused(self, cls, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be >= "):
+            cls(**{knob: value})
+
+    @pytest.mark.parametrize("cls", [OnlineMultiwayDetector, OnlineVolumeDetector])
+    def test_boundary_values_are_accepted(self, cls):
+        cls(n_components=None, refit_every=0, drift_reset_after=0)
+        cls(n_components=1)
+
+
 class TestWarmUpLeavesAResidual:
     """A warm-up too short for ``n_components`` used to be accepted: the
     normal basis filled the centred span, Q_alpha fell to ~1e-31 and
@@ -178,7 +201,7 @@ class TestThresholdOncePerFit:
 
     def test_verdict_threshold_follows_the_current_model(self):
         bank = self._bank(refit_every=4, calibration_margin=0.0)
-        entropy = bank.detectors["entropy"].detector
+        entropy = bank.entropy
         models = set()
         for summary in self._summaries():
             model = entropy._detector.model

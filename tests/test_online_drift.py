@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineMultiwayDetector
+from repro.core.online import OnlineMultiwayDetector, OnlineVolumeDetector
 from repro.flows.features import N_FEATURES
 
 
@@ -75,3 +75,49 @@ class TestDriftAbsorption:
         assert det.observe(spike) is not None
         # Buffer unchanged by the anomalous observation.
         assert np.array_equal(det._buffer, buffer_before)
+
+
+class TestDriftCounter:
+    """The consecutive-hit counter, pinned on scripted hit/clean
+    sequences in both detectors (``refit_every=0``, so every refit is a
+    drift reset).  Each hit spikes a different OD, so an absorbed hit
+    does not mask the next one."""
+
+    D = 3  # drift_reset_after
+
+    def _run(self, kind, script):
+        """Observe ``script`` ("hit"/"clean" steps); returns what each
+        step reported as a hit and the drift resets after each step."""
+        rng = np.random.default_rng(5)
+        p = 10
+        shape = (p, N_FEATURES) if kind == "multiway" else (p,)
+        cls = OnlineMultiwayDetector if kind == "multiway" else OnlineVolumeDetector
+        det = cls(window=40, n_components=3, refit_every=0, drift_reset_after=self.D)
+        det.warm_up(100 + rng.normal(size=(40, *shape)))
+        models = [det._model]
+        reported, resets = [], []
+        for i, step in enumerate(script):
+            obs = 100 + rng.normal(size=shape)
+            if step == "hit":
+                obs[i % p] += 50.0
+            verdict = det.observe(obs)
+            reported.append(verdict is not None if kind == "multiway" else verdict[0])
+            models.append(det._model)
+            resets.append(sum(a is not b for a, b in zip(models, models[1:])))
+        return reported, resets
+
+    @pytest.mark.parametrize("kind", ["multiway", "volume"])
+    def test_2d_minus_1_hits_reset_exactly_once(self, kind):
+        script = ["hit"] * (2 * self.D - 1)
+        reported, resets = self._run(kind, script)
+        assert all(reported)
+        # The D-th hit resets; the counter restarts from zero, so the
+        # D - 1 hits after it do not reach D again.
+        assert resets == [0] * (self.D - 1) + [1] * self.D
+
+    @pytest.mark.parametrize("kind", ["multiway", "volume"])
+    def test_a_clean_bin_restarts_the_count(self, kind):
+        script = ["hit"] * (self.D - 1) + ["clean"] + ["hit"] * (self.D - 1)
+        reported, resets = self._run(kind, script)
+        assert reported == [step == "hit" for step in script]
+        assert resets == [0] * len(script)

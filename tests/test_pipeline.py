@@ -29,7 +29,6 @@ from repro.pipeline import (
     SourceSpec,
     TraceSource,
     build_source,
-    detector_names,
 )
 from repro.scenarios import (
     SCENARIOS,
@@ -293,28 +292,6 @@ class TestSources:
 
 
 class TestDetectorBank:
-    def test_registry_has_paper_methods(self):
-        assert {"entropy", "volume"} <= set(detector_names())
-
-    def test_unknown_detector_rejected(self):
-        with pytest.raises(ValueError, match="unknown detector"):
-            DetectorBank(_config(), detectors=("entropy", "wavelet"))
-        with pytest.raises(ValueError, match="at least one"):
-            DetectorBank(_config(), detectors=())
-
-    def test_duplicate_registration_rejected(self):
-        from repro.pipeline.bank import _DETECTOR_REGISTRY, register_detector
-
-        original = _DETECTOR_REGISTRY["entropy"]
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_detector("entropy")
-            class Impostor:
-                pass
-
-        # The rejection left the registry untouched.
-        assert _DETECTOR_REGISTRY["entropy"] is original
-
     def test_zero_record_bin_scores_as_ordinary_verdict(self):
         # A bin the aggregator closed empty (e.g. a synthesized cluster
         # gap) must flow through a warm bank as an ordinary verdict —
@@ -322,7 +299,7 @@ class TestDetectorBank:
         # anomaly, so the entropy channel flags it rather than crashing
         # on the all-zero summary.
         rng = np.random.default_rng(3)
-        bank = DetectorBank(_config(warmup_bins=8), detectors=("entropy", "volume"))
+        bank = DetectorBank(_config(warmup_bins=8))
         p = 5
         verdicts = {}
         for b in range(10):
@@ -365,26 +342,7 @@ class TestDetectorBank:
             bank.observe(BinSummary(bin=3, **values))
         assert bank.n_bins_scored == 0 and not bank._warmup_summaries
 
-    def test_entropy_only_bank_never_flags_volume(self):
-        rng = np.random.default_rng(0)
-        bank = DetectorBank(_config(warmup_bins=8), detectors=("entropy",))
-        p = 5
-        for b in range(12):
-            packets = np.full(p, 1e6) if b == 10 else rng.uniform(90, 110, p)
-            verdict = bank.observe(
-                BinSummary(
-                    bin=b,
-                    entropy=rng.normal(2.0, 0.01, (p, 4)),
-                    packets=packets,
-                    bytes=packets * 500,
-                )
-            )
-            if verdict is not None:
-                assert not verdict.detected_by_volume
-        assert bank.n_bins_scored == 4
-        assert bank.n_bins_warmup == 8
-
-    def test_volume_only_bank_flags_spike(self):
+    def test_volume_spike_sets_the_volume_flag(self):
         rng = np.random.default_rng(1)
         bank = DetectorBank(
             _config(
@@ -393,7 +351,6 @@ class TestDetectorBank:
                 volume_detrend="none",
                 volume_calibration_margin=0.0,
             ),
-            detectors=("volume",),
         )
         p = 5
         hits = []
@@ -411,8 +368,6 @@ class TestDetectorBank:
             )
             if verdict is not None and verdict.detected_by_volume:
                 hits.append(b)
-                assert not verdict.detected_by_entropy
-                assert verdict.threshold == 0.0
         assert 11 in hits
 
 
@@ -493,6 +448,20 @@ class TestRunCLI:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("knob, error", [
+        (["--components", "0"], "n_components must be >= 1"),
+        (["--components", "-4"], "n_components must be >= 1"),
+        (["--refit-every", "-1"], "refit_every must be >= 0"),
+    ], ids=["components=0", "components=-4", "refit-every=-1"])
+    def test_out_of_range_detector_knob_exits_2(self, knob, error, capsys):
+        # Each used to run to exit 0: m clamped to 1, a refit after
+        # every clean bin.
+        from repro.cli import main
+
+        assert main(["run", "baseline-diurnal", "--bins", "14", "--max-records",
+                     "5", "--warmup-bins", "10", "--exact"] + knob) == 2
+        assert error in capsys.readouterr().err
 
     def test_run_unknown_scenario_exits_2(self, capsys):
         from repro.cli import main

@@ -37,7 +37,6 @@ from repro.cluster import (
 from repro.flows.binning import TimeBins
 from repro.net.topology import abilene
 from repro.pipeline import DetectionPipeline
-from repro.pipeline.bank import DEFAULT_DETECTORS
 from repro.pipeline.sources import ScenarioSource
 from repro.resilience import (
     CheckpointError,
@@ -287,9 +286,9 @@ class TestCheckpoint:
 
     def test_fingerprint_ignores_sharding(self):
         source = _source()
-        fp = run_fingerprint(source.spec, _config(), ("entropy",))
+        fp = run_fingerprint(source.spec, _config())
         assert "n_shards" not in str(fp)
-        assert fp == run_fingerprint(source.spec, _config(), ("entropy",))
+        assert fp == run_fingerprint(source.spec, _config())
 
 
 class TestChaosCluster:
@@ -351,7 +350,7 @@ class TestChaosCluster:
     def test_resume_rejects_an_old_wire_version_in_the_checkpoint(self, tmp_path):
         source = _source()
         path = tmp_path / "old.ckpt"
-        fingerprint = run_fingerprint(source.spec, _config(), DEFAULT_DETECTORS)
+        fingerprint = run_fingerprint(source.spec, _config())
         with CheckpointWriter(path, fingerprint) as writer:
             writer.append(0, b"RBS2" + bytes(64))
         with pytest.raises(ValueError, match="RBS2.*RBS3"):

@@ -51,7 +51,6 @@ def _batch_equivalence_config(**overrides):
     """Engine config that scores exactly like the batch pipeline."""
     defaults = dict(
         warmup_bins=N_BINS,
-        window=N_BINS,
         refit_every=0,
         drift_reset_after=0,
         n_components=N_COMPONENTS,
@@ -187,7 +186,7 @@ class TestRecordLevelEquivalence:
         )
 
         engine = StreamingDetectionEngine(
-            topo, _batch_equivalence_config(warmup_bins=n_bins, window=n_bins)
+            topo, _batch_equivalence_config(warmup_bins=n_bins)
         )
         engine.warm_up(cube)
         summaries = []

@@ -30,7 +30,6 @@ from scripted_cluster import STEP_S, ScriptFault, drive, shard_streams
 from repro.cluster import ClusterCoordinator
 from repro.cluster.supervisor import TICK, Supervisor
 from repro.pipeline import DetectionPipeline
-from repro.pipeline.bank import DEFAULT_DETECTORS
 from repro.pipeline.sources import ScenarioSource
 from repro.resilience import (
     CheckpointWriter,
@@ -243,7 +242,7 @@ class TestStrictDrain:
         # and spilled, in order, before the run raises — then a resume
         # from that checkpoint finishes bit-identical.
         path = tmp_path / "run.ckpt"
-        fingerprint = run_fingerprint(SOURCE.spec, CONFIG, DEFAULT_DETECTORS)
+        fingerprint = run_fingerprint(SOURCE.spec, CONFIG)
         spilled = []
         with CheckpointWriter(path, fingerprint) as writer:
             def spill(bin_index, merged):
