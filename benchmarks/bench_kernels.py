@@ -66,7 +66,7 @@ def _sketch_loop(groups, values, weights):
 
 
 def _sketch_bank(groups, values, weights):
-    bank = SketchBank(width=2048, depth=4, seed=0)
+    bank = SketchBank(N_GROUPS, width=2048, depth=4, seed=0)
     runs = group_reduce(groups, values, weights)
     bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
     return bank
@@ -80,6 +80,15 @@ def test_grouped_kernel_vs_counter_loop(benchmark):
     counter_result, counter_times = timed_repeats(
         _counter_reference, REPEATS, groups, values, weights
     )
+    # Check what is timed: every group's bank table and total equal the
+    # per-OD loop's, bit for bit.
+    bank = _sketch_bank(groups, values, weights)
+    loop = _sketch_loop(groups, values, weights)
+    ids = np.arange(N_GROUPS)
+    for g, got in zip(ids.tolist(), bank.sketches(ids)):
+        want = loop.get(g, CountMinSketch(width=2048, depth=4, seed=0))
+        np.testing.assert_array_equal(got.table, want.table)
+        assert got.total == want.total
     _, bank_times = timed_repeats(_sketch_bank, REPEATS, groups, values, weights)
     _, loop_times = timed_repeats(_sketch_loop, REPEATS, groups, values, weights)
 

@@ -288,96 +288,90 @@ class CountMinSketch:
 class SketchBank:
     """Many Count-Min sketches updated as one batched array operation.
 
-    The streaming stage keeps one sketch per (active OD flow, feature);
+    The streaming stage keeps one sketch per (OD flow, feature);
     updating them one at a time costs a Python call per OD per chunk.
     A bank holds all of a feature's per-group sketches in a single
-    ``(slots, depth, width)`` counter array sharing one set of hash
-    coefficients, so a whole chunk's grouped runs — any number of
-    groups — update in one gather / scatter pass.  The array is
-    allocated once and reused: :meth:`reset` forgets every group by
-    zeroing only the cells written since the previous reset.
+    counter array sharing one set of hash coefficients, so a whole
+    chunk's grouped runs — any number of groups — update in one
+    gather / scatter pass.  The array is allocated once and reused:
+    :meth:`reset` forgets every group by zeroing only the cells written
+    since the previous reset.
+
+    The layout is value-major, ``(depth, width, n_groups)``: a group id
+    is its slot, and the cell of (group ``g``, row ``r``, value ``v``)
+    is ``(r * width + h_r(v)) * n_groups + g``.  Every group hashes a
+    value to the same columns, so one value's counters for every group
+    sit side by side — a value seen by many ODs in one chunk touches a
+    few cache lines, not one per OD.
 
     Per-group semantics are *identical* to calling
     :meth:`CountMinSketch.add_histogram` once per group with that
     group's aggregated (values, counts): estimates are read before any
     of the batch's updates land, every value's counters are raised to
     ``estimate + count``, and groups never share counters (distinct
-    slots), so point queries still never under-estimate.
+    slots), so point queries still never under-estimate.  A group not
+    updated since the last reset reads as zero counters and total.
     """
 
-    def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0) -> None:
+    def __init__(
+        self, n_groups: int, width: int = 1024, depth: int = 4, seed: int = 0
+    ) -> None:
         if width < 8 or depth < 1:
             raise ValueError("width must be >= 8 and depth >= 1")
+        if n_groups < 0:
+            raise ValueError("n_groups must be >= 0")
+        self.n_groups = n_groups
         self.width = width
         self.depth = depth
         self.seed = seed
         self._a, self._b = _hash_params(width, depth, seed)
-        self.tables = np.zeros((0, depth, width), dtype=np.int64)
-        self.totals = np.zeros(0, dtype=np.int64)
-        #: slot -> group id (first-seen order), and the slots in id order
-        self._gids = self._order = np.zeros(0, dtype=np.int64)
+        self.tables = np.zeros((depth, width, n_groups), dtype=np.int64)
+        self.totals = np.zeros(n_groups, dtype=np.int64)
         #: flat cell indices written since the last reset; ``None`` once
         #: they outnumber the cells themselves (reset then clears the
-        #: used slots densely, so the list never outgrows the tables).
+        #: tables densely, so the list never outgrows the tables).
         self._dirty: list[np.ndarray] | None = []
         self._n_dirty = 0
-
-    def __len__(self) -> int:
-        return len(self._gids)
-
-    @property
-    def group_ids(self) -> list[int]:
-        """Groups with a slot, in first-seen order."""
-        return self._gids.tolist()
+        #: the last update's ``(group_ids, starts, values)`` arguments and
+        #: their cells.  A (group, value) cell never moves, and bin close
+        #: usually probes the very runs of the bin's only chunk (the
+        #: accumulator's candidate store *is* those arrays, never
+        #: written), so :meth:`query_runs` given the same array objects
+        #: reuses the cells instead of hashing again.
+        self._last: tuple | None = None
 
     def reset(self) -> None:
         """Forget every group, keeping the allocated counters for reuse."""
         if self._dirty is None:
-            self.tables[: len(self)] = 0
+            self.tables[...] = 0
         else:
             flat_tables = self.tables.reshape(-1)
             for cells in self._dirty:
                 flat_tables[cells] = 0
         self._dirty, self._n_dirty = [], 0
-        self.totals[: len(self)] = 0
-        self._gids = self._order = self._gids[:0]
+        self.totals[...] = 0
 
-    def _slots_for(self, group_ids: np.ndarray, allocate: bool = False) -> np.ndarray:
-        """Slot per group id (-1 when unseen); ``allocate`` gives unseen
-        (distinct) ids the next free slots, growing storage as needed."""
+    def _check(self, group_ids) -> np.ndarray:
+        """``group_ids`` as int64, refusing ids outside ``[0, n_groups)``
+        (direct slot indexing would wrap or alias another group)."""
         group_ids = np.asarray(group_ids, dtype=np.int64)
-        n = len(self._gids)
-        if n:
-            at = np.searchsorted(self._gids, group_ids, sorter=self._order)
-            slots = self._order[np.minimum(at, n - 1)]
-            slots[self._gids[slots] != group_ids] = -1
-        else:
-            slots = np.full(len(group_ids), -1, dtype=np.int64)
-        unseen = slots < 0
-        if not allocate or not unseen.any():
-            return slots
-        slots[unseen] = np.arange(n, n + int(unseen.sum()))
-        self._gids = np.concatenate([self._gids, group_ids[unseen]])
-        self._order = np.argsort(self._gids)
-        n = len(self._gids)
-        if n > len(self.tables):
-            capacity = max(8, 2 * len(self.tables))
-            while capacity < n:
-                capacity *= 2
-            grown = np.zeros((capacity, self.depth, self.width), dtype=np.int64)
-            grown[: len(self.tables)] = self.tables
-            self.tables = grown
-            self.totals = np.concatenate(
-                [self.totals, np.zeros(capacity - len(self.totals), dtype=np.int64)]
+        if len(group_ids) and (
+            group_ids.min() < 0 or group_ids.max() >= self.n_groups
+        ):
+            bad = group_ids[(group_ids < 0) | (group_ids >= self.n_groups)][0]
+            raise ValueError(
+                f"group id {int(bad)} outside [0, {self.n_groups})"
             )
-        return slots
+        return group_ids
 
-    def _cells(self, slots: np.ndarray, values) -> np.ndarray:
+    def _cells(self, group_ids: np.ndarray, starts, values) -> np.ndarray:
         """Flat ``tables`` indices, ``(depth, n)``, of every value's
-        counters in its slot (``slots`` holds one slot per value)."""
+        counters in its group's slot (CSR runs layout)."""
+        starts = np.asarray(starts, dtype=np.int64)
         flat = hash_columns(self._a, self._b, values, self.width)
         flat += np.arange(0, self.depth * self.width, self.width)[:, None]
-        flat += slots * (self.depth * self.width)
+        flat *= self.n_groups
+        flat += np.repeat(group_ids, starts[1:] - starts[:-1])
         return flat
 
     def update(
@@ -390,14 +384,16 @@ class SketchBank:
         runs over distinct, non-empty groups, duplicates already
         aggregated per (group, value) and counts positive); pass
         ``runs.group_ids, runs.starts, runs.values, runs.counts``
-        directly.
+        directly.  Group ids must lie in ``[0, n_groups)``
+        (``ValueError`` otherwise, before any counter changes).
         """
+        args = (group_ids, starts, values)
+        group_ids = self._check(group_ids)
         if len(values) == 0:
             return
         with tel.span("sketch.update"):
-            slots = self._slots_for(group_ids, allocate=True)
-            slot_per_run = np.repeat(slots, np.diff(starts))
-            flat = self._cells(slot_per_run, values)
+            flat = self._cells(group_ids, starts, values)
+            self._last = (*args, flat)
             flat_tables = self.tables.reshape(-1)
             gathered = flat_tables[flat]
             estimates = gathered.min(axis=0)
@@ -431,14 +427,9 @@ class SketchBank:
                 tel.count("sketch.updates", len(values))
                 tel.count("sketch.collisions",
                           int((gathered > estimates[None, :]).sum()))
-            self.totals[slots] += np.add.reduceat(
+            self.totals[group_ids] += np.add.reduceat(
                 np.asarray(counts, dtype=np.int64), starts[:-1]
             )
-
-    def total(self, group_id: int) -> int:
-        """Total weight added for one group (0 when never seen)."""
-        slot = int(self._slots_for([group_id])[0])
-        return 0 if slot < 0 else int(self.totals[slot])
 
     def query_runs(
         self, group_ids: np.ndarray, starts: np.ndarray, values: np.ndarray
@@ -447,47 +438,36 @@ class SketchBank:
 
         ``values[starts[i]:starts[i+1]]`` are probed against group
         ``group_ids[i]``'s sketch; returns ``(estimates, totals)`` —
-        per-value estimates plus each group's total, groups never seen
-        contributing zeros.  One gather replaces a
-        :meth:`CountMinSketch.query_many` call per group.
+        per-value estimates plus each group's total.  One gather
+        replaces a :meth:`CountMinSketch.query_many` call per group.
         """
-        values = np.asarray(values, dtype=np.int64)
-        lengths = np.diff(np.asarray(starts, dtype=np.int64))
-        if len(self) == 0:
-            return (
-                np.zeros(len(values), dtype=np.int64),
-                np.zeros(len(group_ids), dtype=np.int64),
-            )
-        slots = self._slots_for(group_ids)
-        totals = np.where(slots >= 0, self.totals[np.maximum(slots, 0)], 0)
+        last = self._last
+        reuse = last is not None and (
+            last[0] is group_ids and last[1] is starts and last[2] is values
+        )
+        group_ids = self._check(group_ids)
+        totals = self.totals[group_ids]
         if len(values) == 0:
             return np.zeros(0, dtype=np.int64), totals
-        slot_per_value = np.repeat(slots, lengths)
-        flat = self._cells(np.maximum(slot_per_value, 0), values)
-        estimates = self.tables.reshape(-1)[flat].min(axis=0)
-        estimates[slot_per_value < 0] = 0
-        return estimates, totals
+        flat = last[3] if reuse else self._cells(group_ids, starts, values)
+        return self.tables.reshape(-1)[flat].min(axis=0), totals
 
     def sketches(self, group_ids: np.ndarray) -> list[CountMinSketch]:
         """The groups' states as standalone :class:`CountMinSketch`
-        objects (empty for groups never seen).  The tables are copied
-        out in one gather, so they stay valid across later updates and
-        resets."""
-        slots = self._slots_for(group_ids)
-        seen = slots >= 0
-        tables = iter(self.tables[slots[seen]])
+        objects, each with a contiguous ``(depth, width)`` table.  The
+        tables are copied out in one gather plus one transpose, so they
+        stay valid across later updates and resets."""
+        group_ids = self._check(group_ids)
+        per_group = np.ascontiguousarray(
+            self.tables.reshape(-1, self.n_groups)[:, group_ids].T
+        ).reshape(len(group_ids), self.depth, self.width)
         out = []
-        for slot in slots.tolist():
+        for table, total in zip(per_group, self.totals[group_ids].tolist()):
             sketch = CountMinSketch(width=self.width, depth=self.depth, seed=self.seed)
-            if slot >= 0:
-                sketch.table = next(tables)
-                sketch.total = int(self.totals[slot])
+            sketch.table = table
+            sketch.total = total
             out.append(sketch)
         return out
-
-    def sketch(self, group_id: int) -> CountMinSketch:
-        """One group's state (see :meth:`sketches`)."""
-        return self.sketches([group_id])[0]
 
 
 def sketch_histogram(

@@ -9,18 +9,19 @@ estimated from compact summaries in place of exact counts, following
 the sketch line of the paper's related work (Krishnamurthy et
 al. [22]).  The stage keeps one grouped store per feature for its
 whole lifetime — a :class:`repro.flows.sketches.SketchBank` holding
-every active OD's sketch in one array, updated for a whole chunk in one
+every OD's sketch in one array, updated for a whole chunk in one
 batched pass via the grouped-reduction kernel (:mod:`repro.kernels`)
 and reset, not reallocated, when a bin closes — plus each OD's capped
 candidate values, held as the kernel's own sorted int64 runs.  On bin
 close it emits the ``(p, 4)`` entropy matrix and volume rows the
 detection engine consumes.
 
-Memory is ``slots x depth x width x 8 B`` per feature (slots = active
-ODs rounded up to a power of two: 8 MiB on Abilene at the default
-2048 x 4 geometry, 32 MiB for the four features), allocated once per
-stage, plus 8 B per tracked candidate value and per counter written in
-the open bin — regardless of trace length.  ``exact=True`` switches to
+Memory is ``depth x width x p x 8 B`` per feature — one value-major
+``(depth, width, p)`` counter array indexed by OD id, 64 KiB per
+(OD, feature) at the default 2048 x 4 geometry: 7.6 MiB on Abilene's
+121 ODs, 30 MiB for the four features — allocated once per stage,
+plus 8 B per tracked candidate value and per counter written in the
+open bin — regardless of trace length.  ``exact=True`` switches to
 exact histograms (same interface): chunk columns are stashed per
 feature and reduced once at bin close — one sort + ``reduceat`` +
 grouped-entropy pass for all ODs, used by small deployments and the
@@ -70,6 +71,14 @@ class BinSummary:
     n_records: int = 0
 
 
+def _check_ods(ods: np.ndarray, p: int) -> None:
+    """Refuse OD ids outside ``[0, p)``, naming the first one: numpy
+    would wrap a negative id onto OD ``p + id`` and fail on ``p``."""
+    if len(ods) and (ods.min() < 0 or ods.max() >= p):
+        bad = ods[(ods < 0) | (ods >= p)][0]
+        raise ValueError(f"OD id {int(bad)} outside [0, {p})")
+
+
 def _no_runs() -> GroupedRuns:
     empty = np.zeros(0, dtype=np.int64)
     return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
@@ -104,7 +113,7 @@ class BinAccumulator:
         self.exact = exact
         if not exact:
             self._banks = [
-                SketchBank(width=width, depth=depth, seed=seed)
+                SketchBank(n_od_flows, width=width, depth=depth, seed=seed)
                 for _ in range(N_FEATURES)
             ]
         self.reset()
@@ -160,12 +169,14 @@ class BinAccumulator:
         self._distinct[k, runs.group_ids] = runs.lengths()
 
     def add_batch(self, ods: np.ndarray, batch: FlowRecordBatch) -> None:
-        """Add a record batch whose rows are already attributed to ODs."""
+        """Add a record batch whose rows are already attributed to ODs
+        (ids in ``[0, p)``; ``ValueError`` before any state changes)."""
         ods = np.asarray(ods, dtype=np.int64)
         if len(ods) != len(batch):
             raise ValueError("ods must align with the batch")
         if len(batch) == 0:
             return
+        _check_ods(ods, self.n_od_flows)
         self.touched = True
         for k, name in enumerate(FEATURES):
             self._add_feature(k, ods, getattr(batch, name), batch.packets)
@@ -184,6 +195,7 @@ class BinAccumulator:
         """
         if len(histograms) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} histograms")
+        _check_ods(np.array([od], dtype=np.int64), self.n_od_flows)
         self.touched = True
         if not self.exact:
             # Register the OD even when every histogram is empty, so
@@ -235,15 +247,26 @@ class BinAccumulator:
                 runs = self.feature_runs(k)
                 entropy[runs.group_ids, k] = runs.entropies()
         else:
-            # One batched bank query + one vectorized estimator pass per
-            # feature covers every OD's candidate values at once.
-            for k, runs in enumerate(self._candidates):
-                estimates, totals = self._banks[k].query_runs(
-                    runs.group_ids, runs.starts, runs.values
-                )
-                entropy[runs.group_ids, k] = entropy_from_sketch_runs(
-                    estimates, totals, runs.starts
-                )
+            # One batched bank query per feature covers every OD's
+            # candidate values at once; one vectorized estimator pass
+            # then covers all four features' (OD) groups.  The estimator
+            # works group by group, so this is bit for bit four passes.
+            cands = self._candidates
+            queried = [
+                bank.query_runs(runs.group_ids, runs.starts, runs.values)
+                for bank, runs in zip(self._banks, cands)
+            ]
+            offsets = np.cumsum([0] + [len(runs.values) for runs in cands])
+            starts = np.concatenate(
+                [[0]] + [runs.starts[1:] + off for runs, off in zip(cands, offsets)]
+            )
+            ods = np.concatenate([runs.group_ids for runs in cands])
+            features = np.repeat(np.arange(N_FEATURES), [runs.n_groups for runs in cands])
+            entropy[ods, features] = entropy_from_sketch_runs(
+                np.concatenate([estimates for estimates, _ in queried]),
+                np.concatenate([totals for _, totals in queried]),
+                starts,
+            )
         return BinSummary(
             bin=bin_index,
             entropy=entropy,
@@ -325,8 +348,12 @@ class StreamFeatureStage:
         closed: list[BinSummary] = []
         if len(batch) == 0:
             return closed
-        if ods is not None and len(ods) != len(batch):
-            raise ValueError("ods must align with the batch")
+        if ods is not None:
+            ods = np.asarray(ods, dtype=np.int64)
+            if len(ods) != len(batch):
+                raise ValueError("ods must align with the batch")
+            # Checked before any bin closes, so a bad id loses nothing.
+            _check_ods(ods, self.topology.n_od_flows)
         with tel.span("stage.reduce"):
             idx = np.floor((batch.timestamp - self.start) / self.bin_width).astype(np.int64)
             if idx.size > 1 and np.any(idx[1:] < idx[:-1]):
@@ -374,6 +401,8 @@ class StreamFeatureStage:
         Returns:
             Summaries of bins closed by advancing to ``bin_index``.
         """
+        _check_ods(np.fromiter(hists_by_od, dtype=np.int64, count=len(hists_by_od)),
+                   self.topology.n_od_flows)
         closed: list[BinSummary] = []
         if self._current_bin is None:
             self._current_bin = int(bin_index)

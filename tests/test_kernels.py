@@ -361,7 +361,7 @@ class TestSketchBankEquivalence:
     ])
     def test_bank_matches_per_group_sketches_exactly(self, width, values):
         rng = np.random.default_rng(13)
-        bank = SketchBank(width=width, depth=4, seed=3)
+        bank = SketchBank(11, width=width, depth=4, seed=3)
         refs = {}
         for _ in range(5):
             n = int(rng.integers(1, 300))
@@ -375,16 +375,16 @@ class TestSketchBankEquivalence:
                     int(gid), CountMinSketch(width=width, depth=4, seed=3)
                 )
                 ref.add_histogram(*runs.slice(i))
-        assert sorted(bank.group_ids) == sorted(refs)
+        assert set(np.flatnonzero(bank.totals)) == set(refs)
         probe = rng.integers(*values, size=64)
         for gid, ref in refs.items():
-            got = bank.sketch(gid)
+            got = bank.sketches([gid])[0]
             np.testing.assert_array_equal(got.table, ref.table)
             assert got.total == ref.total
             np.testing.assert_array_equal(got.query_many(probe), ref.query_many(probe))
 
-    # (group, value, weight) rows of one update: up to 24 groups so the
-    # 8-slot initial capacity doubles twice; zero weights are dropped.
+    # (group, value, weight) rows of one update over 24 of the bank's 25
+    # groups; zero weights are dropped.
     _rows = st.lists(
         st.tuples(st.integers(0, 23), st.integers(0, 50), st.integers(0, 5)),
         min_size=1, max_size=60,
@@ -394,17 +394,17 @@ class TestSketchBankEquivalence:
            st.sampled_from([8, 64]))
     @settings(max_examples=60, deadline=None)
     def test_reset_bank_matches_fresh_bank_exactly(self, before, after, width):
-        reused = SketchBank(width=width, depth=2, seed=5)
-        fresh = SketchBank(width=width, depth=2, seed=5)
-        # Three full rounds write 864 cell indices: more than the 512
+        reused = SketchBank(25, width=width, depth=2, seed=5)
+        fresh = SketchBank(25, width=width, depth=2, seed=5)
+        # Three full rounds write 864 cell indices: more than the 400
         # cells of the width-8 bank (reset clears densely), fewer than
-        # the 4096 of the width-64 bank (reset replays the indices).
+        # the 3200 of the width-64 bank (reset replays the indices).
         full = [(g, v, 1) for g in range(24) for v in range(6)]
         for rows in [full] * 3 + before:
             runs = group_reduce(*np.array(rows).T)
             reused.update(runs.group_ids, runs.starts, runs.values, runs.counts)
         reused.reset()
-        assert len(reused) == 0 and reused.group_ids == []
+        assert set(np.flatnonzero(reused.totals)) == set()
         assert not reused.tables.any() and not reused.totals.any()
         probe_groups = np.arange(25)  # 24 is never updated
         probe_starts = np.arange(0, 26 * 51, 51)
@@ -417,14 +417,16 @@ class TestSketchBankEquivalence:
             want = fresh.query_runs(probe_groups, probe_starts, probe_values)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
-        assert reused.group_ids == fresh.group_ids
-        for gid in fresh.group_ids:
-            np.testing.assert_array_equal(reused.sketch(gid).table, fresh.sketch(gid).table)
-            assert reused.total(gid) == fresh.total(gid)
+        assert set(np.flatnonzero(reused.totals)) == set(np.flatnonzero(fresh.totals))
+        for gid in np.flatnonzero(fresh.totals).tolist():
+            np.testing.assert_array_equal(
+                reused.sketches([gid])[0].table, fresh.sketches([gid])[0].table
+            )
+            assert reused.totals[gid] == fresh.totals[gid]
 
     def test_query_runs_and_vectorized_entropy_match_scalar(self):
         rng = np.random.default_rng(29)
-        bank = SketchBank(width=256, depth=4, seed=1)
+        bank = SketchBank(43, width=256, depth=4, seed=1)
         cands = {}
         for _ in range(3):
             g = rng.integers(0, 6, size=500)
@@ -442,9 +444,53 @@ class TestSketchBankEquivalence:
         entropies = entropy_from_sketch_runs(estimates, totals, starts)
         for i, od in enumerate(ods):
             ref = entropy_from_sketch(
-                bank.sketch(int(od)), np.asarray(lists[i], dtype=np.int64)
+                bank.sketches([int(od)])[0], np.asarray(lists[i], dtype=np.int64)
             )
             assert entropies[i] == pytest.approx(ref, abs=1e-9)
+
+    def test_query_of_the_updated_runs_reuses_nothing_stale(self):
+        # Probing the very arrays of the last update reuses their cells;
+        # any other arrays hash afresh.  Either way the estimates are the
+        # per-group sketches' own, after later updates and a reset alike.
+        rng = np.random.default_rng(3)
+        bank = SketchBank(9, width=32, depth=3, seed=2)
+        runs = group_reduce(rng.integers(0, 9, 400), rng.integers(0, 90, 400))
+        other = group_reduce(rng.integers(0, 9, 400), rng.integers(0, 90, 400))
+        # Same shape as the updated runs, other values.
+        shifted = GroupedRuns(runs.group_ids, runs.starts, runs.values + 1, runs.counts)
+        bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+        for step in ("updated", "other runs added", "reset"):
+            for probe in (runs, other, shifted):
+                estimates, totals = bank.query_runs(
+                    probe.group_ids, probe.starts, probe.values
+                )
+                sketches = bank.sketches(probe.group_ids)
+                want = [s.query_many(probe.slice(i)[0]) for i, s in enumerate(sketches)]
+                np.testing.assert_array_equal(estimates, np.concatenate(want), err_msg=step)
+                assert totals.tolist() == [s.total for s in sketches], step
+            if step == "updated":
+                bank.update(other.group_ids, other.starts, other.values, other.counts)
+                bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+            else:
+                bank.reset()
+        assert not estimates.any() and not totals.any()
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_group_ids_are_refused(self, bad):
+        # A group id is its slot: -1 would wrap onto group 5 and 6 would
+        # land on group 0's cell one column over, so both are refused
+        # before any counter moves.
+        bank = SketchBank(6, width=64, depth=2, seed=0)
+        runs = group_reduce(np.array([0, 3, 3]), np.array([7, 7, 9]))
+        bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+        tables, totals = bank.tables.copy(), bank.totals.copy()
+        ids, starts = np.array([2, bad]), np.array([0, 1, 2])
+        with pytest.raises(ValueError, match=f"group id {bad} outside"):
+            bank.update(ids, starts, np.array([7, 7]), np.array([1, 1]))
+        with pytest.raises(ValueError, match=f"group id {bad} outside"):
+            bank.query_runs(ids, starts, np.array([7, 7]))
+        np.testing.assert_array_equal(bank.tables, tables)
+        np.testing.assert_array_equal(bank.totals, totals)
 
 
 class TestVectorizedODAttribution:

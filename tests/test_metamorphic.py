@@ -31,8 +31,13 @@ split, wire payloads, supervisor and coordinator, all in-process: the
 test-local source cannot be rebuilt inside a worker process).  A fourth
 mode writes the transformed records to a trace and detects straight
 off its derived columns, so the run ids computed at write time are
-held to the same invariances.  Sketch mode is excluded: relabelling
-moves its hash collisions.
+held to the same invariances.
+
+Sketch mode is held to the OD renumbering only.  Relabelling values
+moves its hash collisions, but the hash sees values alone and no two
+ODs share a counter, so renumbering the PoPs moves each OD's sketch
+whole: its entropy rows must come out bit for bit, in stream mode and
+in scripted cluster mode.
 """
 
 import dataclasses
@@ -94,8 +99,9 @@ def _precomputed(source, config):
         return engine.process_precomputed(path)
 
 
-def _run(wl, batches, mode, topology=None):
-    """``(bin -> entropy matrix, report)`` of one exact run."""
+def _run(wl, batches, mode, topology=None, config=None):
+    """``(bin -> entropy matrix, report)`` of one run (by default exact,
+    under the fixture's config)."""
     entropy = {}
     observe = DetectorBank.observe
 
@@ -104,7 +110,7 @@ def _run(wl, batches, mode, topology=None):
         return observe(bank, summary)
 
     source = _MemorySource(batches, wl["n_bins"], topology)
-    config = pf.stream_config(wl)
+    config = config or pf.stream_config(wl)
     with mock.patch.object(DetectorBank, "observe", recording_observe):
         if mode == "cluster":
             report = drive(source, config, shard_streams(source, 2, config)).report
@@ -261,6 +267,48 @@ def test_od_relabelling_permutes_ods_and_keeps_verdicts(reference, pops):
         assert [[int(f.od) for f in d.flows] for d in got] \
             == [[int(od_map[f.od]) for f in d.flows] for d in want], mode
 
+
+SKETCH_MODES = ("stream", "cluster")
+
+
+@pytest.fixture(scope="module")
+def sketch_reference(reference):
+    wl, batches, _ = reference
+    config = pf.stream_config(wl, exact=False)
+    return {mode: _run(wl, batches, mode, config=config) for mode in SKETCH_MODES}
+
+
+@given(pops=st.permutations(range(11)))
+@settings(max_examples=3, deadline=None)
+def test_od_relabelling_in_sketch_mode_moves_each_sketch_whole(
+    reference, sketch_reference, pops
+):
+    """Sketch mode under the PoP renumbering pi: every bin's entropy
+    matrix is the reference's with its rows moved by ``od_map``, bit
+    for bit (a counter leaking across ODs would break this), both
+    channels' flags are identical and every identified OD maps
+    through pi."""
+    wl, batches, _ = reference
+    pi = np.asarray(pops)
+    topology = _renumbered(pf.seed_workload()[1], pi)
+    n = topology.n_pops
+    od_map = (pi[:, None] * n + pi[None, :]).ravel()
+    renumbered = [b.with_columns(ingress_pop=pi[b.ingress_pop]) for b in batches]
+    config = pf.stream_config(wl, exact=False)
+    for mode in SKETCH_MODES:
+        entropy, report = _run(wl, renumbered, mode, topology, config)
+        want_entropy, want_report = sketch_reference[mode]
+        assert sorted(entropy) == sorted(want_entropy), mode
+        for b, matrix in entropy.items():
+            assert np.array_equal(matrix[od_map], want_entropy[b]), (mode, b)
+        got, want = report.detections, want_report.detections
+        assert [(d.bin, d.detected_by_entropy, d.detected_by_volume) for d in got] \
+            == [(d.bin, d.detected_by_entropy, d.detected_by_volume) for d in want], mode
+        np.testing.assert_allclose([d.spe_entropy for d in got],
+                                   [d.spe_entropy for d in want],
+                                   rtol=1e-9, err_msg=mode)
+        assert [[int(f.od) for f in d.flows] for d in got] \
+            == [[int(od_map[f.od]) for f in d.flows] for d in want], mode
 
 
 @pytest.fixture(scope="module")

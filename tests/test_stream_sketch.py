@@ -14,6 +14,7 @@ from scratch for every bin.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +120,7 @@ class SetBasedAccumulator:
     """Reference: fresh banks per bin, candidates as ``od -> [set] * 4``."""
 
     def __init__(self):
-        self.banks = [SketchBank(width=WIDTH) for _ in range(N_FEATURES)]
+        self.banks = [SketchBank(P, width=WIDTH) for _ in range(N_FEATURES)]
         self.candidates = {}
 
     def _add_feature(self, k, ods, values, weights):
@@ -203,6 +204,81 @@ class TestCandidateStore:
         assert acc.touched
         assert np.flatnonzero(acc.sketch_state()[2]).tolist() == [3]
         assert not acc.finalize(0).entropy.any()
+
+
+class TestCountMinGuarantee:
+    @given(record_rows, st.lists(st.integers(0, 40), max_size=4),
+           st.sampled_from([8, 64]))
+    @settings(max_examples=80, deadline=None)
+    def test_estimates_bracket_the_true_count(self, rows, cuts, width):
+        """Whatever the chunking, every (OD, feature, candidate) estimate
+        lies between the value's true packet count and the OD's packet
+        total.  Width 8 forces collisions (31 values, 8 columns)."""
+        acc = BinAccumulator(n_od_flows=P, width=width)
+        edges = [0, *sorted(c % (len(rows) + 1) for c in cuts), len(rows)]
+        for lo, hi in zip(edges, edges[1:]):
+            if hi > lo:
+                _feed(acc, [rows[lo:hi]])
+        ods = np.array([r[0] for r in rows], dtype=np.int64)
+        packets = np.array([r[2] for r in rows], dtype=np.int64)
+        od_total = np.bincount(ods, weights=packets, minlength=P).astype(np.int64)
+        banks, candidates, _ = acc.sketch_state()
+        for k, name in enumerate(FEATURES):
+            column, runs = getattr(_batch(rows), name), candidates[k]
+            estimates, totals = banks[k].query_runs(
+                runs.group_ids, runs.starts, runs.values
+            )
+            np.testing.assert_array_equal(totals, od_total[runs.group_ids])
+            for i, od in enumerate(runs.group_ids.tolist()):
+                lo, hi = runs.starts[i], runs.starts[i + 1]
+                for value, estimate in zip(runs.values[lo:hi].tolist(),
+                                           estimates[lo:hi].tolist()):
+                    true = int(packets[(ods == od) & (column == value)].sum())
+                    assert 1 <= true <= estimate <= od_total[od]
+
+
+class TestODRange:
+    """OD ids outside ``[0, p)`` are refused before any state changes:
+    numpy would otherwise read -1 as OD p - 1 and fail on p."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("bad", [-1, P])
+    def test_accumulator_refuses_and_stays_empty(self, exact, bad):
+        acc = BinAccumulator(n_od_flows=P, width=WIDTH, exact=exact)
+        rows = [(0, 3, 2), (5, 4, 1), (bad, 7, 1)]
+        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
+            acc.add_batch(np.array([r[0] for r in rows]), _batch(rows))
+        hists = [([3], [2])] * N_FEATURES
+        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
+            acc.add_histograms(bad, hists, packets=2, byte_count=80)
+        assert not acc.touched and acc.n_records == 0
+        summary = acc.finalize(0)
+        assert not summary.entropy.any() and not summary.packets.any()
+        if not exact:
+            banks, _, active = acc.sketch_state()
+            assert not active.any()
+            assert not any(bank.tables.any() or bank.totals.any() for bank in banks)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_stage_refuses_before_closing_a_bin(self, exact, side):
+        topology = abilene()
+        bad = -1 if side == "below" else topology.n_od_flows
+        stage = StreamFeatureStage(
+            topology, width=WIDTH, exact=exact, apply_anonymization=False
+        )
+        rows = [(0, 3, 2), (5, 4, 1), (bad, 7, 1)]
+        assert stage.ingest(_batch(rows[:2]), ods=[0, 5]) == []
+        # A chunk of the next bin would close bin 0 first.
+        next_bin = _batch(rows, timestamps=np.full(3, 300.0))
+        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
+            stage.ingest(next_bin, ods=[r[0] for r in rows])
+        hists = [([3], [2])] * N_FEATURES
+        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
+            stage.ingest_histograms(1, {0: (hists, 2, 80), bad: (hists, 2, 80)})
+        (summary,) = stage.flush()
+        assert summary.bin == 0 and summary.n_records == 2
+        assert summary.packets.sum() == 3
 
 
 def _per_od_reference(topology, chunks):
