@@ -15,9 +15,10 @@ reduces whole record batches with array primitives instead:
    ``width(x) = bit_length(x.max())``:
 
    * ``width(g) + width(v) + width(w) <= 63`` — pack
-     ``((group << vb | value) << wb) | weight`` into one int64, sort it
-     in place (a value sort: no index array, no gathers) and unpack the
-     three columns with shifts and masks;
+     ``((group << vb | value) << wb) | weight`` into one int64 and sort
+     it in place (a value sort: no index array, no gathers); runs are
+     found on ``key >> wb`` and group and value are unpacked at the run
+     starts only;
    * only ``width(g) + width(v) <= 63`` (byte-sized weights) — one
      ``argsort`` of the packed ``(group, value)`` key, then gathers;
    * otherwise (negative or oversized ids/values) — ``np.lexsort``;
@@ -168,22 +169,40 @@ class GroupedRuns:
         return grouped_entropy(self.counts, self.starts)
 
 
-def _reduce_sorted(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> GroupedRuns:
-    """Sum the weights of each (group, value) run of non-empty sorted rows."""
-    new_run = np.empty(len(g), dtype=bool)
-    new_run[0] = True
-    np.logical_or(g[1:] != g[:-1], v[1:] != v[:-1], out=new_run[1:])
-    run_starts = np.flatnonzero(new_run)
-    counts = np.add.reduceat(w, run_starts)
-    run_groups = g[run_starts]
-    run_values = v[run_starts]
-
+def _group_runs(run_groups: np.ndarray, run_values: np.ndarray,
+                counts: np.ndarray) -> GroupedRuns:
+    """CSR bundle of the sorted runs' (group, value, count) columns."""
     new_group = np.empty(len(run_groups), dtype=bool)
     new_group[0] = True
     np.not_equal(run_groups[1:], run_groups[:-1], out=new_group[1:])
     group_starts = np.flatnonzero(new_group)
     starts = np.append(group_starts, len(run_values)).astype(np.int64)
     return GroupedRuns(run_groups[group_starts], starts, run_values, counts)
+
+
+def _reduce_sorted(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> GroupedRuns:
+    """Sum the weights of each (group, value) run of non-empty sorted rows."""
+    new_run = np.empty(len(g), dtype=bool)
+    new_run[0] = True
+    np.logical_or(g[1:] != g[:-1], v[1:] != v[:-1], out=new_run[1:])
+    run_starts = np.flatnonzero(new_run)
+    return _group_runs(g[run_starts], v[run_starts], np.add.reduceat(w, run_starts))
+
+
+def _reduce_packed(key: np.ndarray, vb: int, wb: int) -> GroupedRuns:
+    """Runs of a sorted packed ``((group << vb | value) << wb) | weight``
+    column: one comparison of ``key >> wb`` finds the run boundaries,
+    the weights are summed per run, and only the M run starts are
+    split back into group and value."""
+    gv = key >> wb
+    new_run = np.empty(len(gv), dtype=bool)
+    new_run[0] = True
+    np.not_equal(gv[1:], gv[:-1], out=new_run[1:])
+    run_starts = np.flatnonzero(new_run)
+    key &= (1 << wb) - 1
+    counts = np.add.reduceat(key, run_starts)
+    gv = gv[run_starts]
+    return _group_runs(gv >> vb, gv & ((1 << vb) - 1), counts)
 
 
 def group_reduce(
@@ -226,6 +245,16 @@ def group_reduce(
         empty = np.zeros(0, dtype=np.int64)
         return GroupedRuns(empty, np.zeros(1, dtype=np.int64), empty, empty)
 
+    vb, wb = _width(values), _width(weights)
+    if _width(groups) + vb + wb <= 63:
+        with tel.span("kernel.sort"):
+            key = groups << vb
+            key |= values
+            key <<= wb
+            key |= weights
+            key.sort()
+        with tel.span("kernel.reduceat"):
+            return _reduce_packed(key, vb, wb)
     with tel.span("kernel.sort"):
         rows = _sorted_rows(groups, values, weights)
     with tel.span("kernel.reduceat"):
@@ -246,14 +275,20 @@ def grouped_entropy(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
     n_segments = len(starts) - 1
-    out = np.zeros(n_segments)
     if n_segments == 0 or len(counts) == 0:
-        return out
+        return np.zeros(n_segments)
     lengths = np.diff(starts)
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return out
     with tel.span("kernel.entropy"):
+        if lengths.min() > 0 and counts.min() > 0:
+            # Every run of GroupedRuns: no empty segment, no zero count,
+            # so no guard below can fire — same arithmetic, unguarded.
+            seg_starts = starts[:-1]
+            p = counts / np.repeat(np.add.reduceat(counts, seg_starts), lengths)
+            return -np.add.reduceat(p * np.log2(p), seg_starts)
+        out = np.zeros(n_segments)
+        nonempty = lengths > 0
+        if not nonempty.any():
+            return out
         # reduceat over the non-empty segment starts only: consecutive
         # selected starts delimit exactly one segment each (empty
         # segments occupy zero width between them).

@@ -343,7 +343,13 @@ class StreamFeatureStage:
                 batch.  Callers that already resolved ODs (a cluster
                 worker slicing a shared trace) pass them here to skip
                 the stage's own longest-prefix pass; by default the
-                stage resolves via its router.
+                stage resolves the whole chunk via its router.
+
+        Raises:
+            ValueError: an OD id outside ``[0, p)`` (a bad ingress PoP,
+                or bad ``ods``) or a destination address outside
+                ``[0, 2**32)``, before any bin closes or any state
+                changes.
         """
         closed: list[BinSummary] = []
         if len(batch) == 0:
@@ -352,39 +358,33 @@ class StreamFeatureStage:
             ods = np.asarray(ods, dtype=np.int64)
             if len(ods) != len(batch):
                 raise ValueError("ods must align with the batch")
+        with tel.span("stage.reduce"):
+            if ods is None:
+                ods = self.router.resolve_ods_mixed(batch.ingress_pop, batch.dst_ip)
             # Checked before any bin closes, so a bad id loses nothing.
             _check_ods(ods, self.topology.n_od_flows)
-        with tel.span("stage.reduce"):
             idx = np.floor((batch.timestamp - self.start) / self.bin_width).astype(np.int64)
             if idx.size > 1 and np.any(idx[1:] < idx[:-1]):
                 order = np.argsort(idx, kind="stable")
                 idx = idx[order]
                 batch = batch.select(order)
-                if ods is not None:
-                    ods = ods[order]
-            distinct = np.unique(idx)
-            single_bin = len(distinct) == 1
-            for b in distinct:
-                b = int(b)
-                mask = None if single_bin else idx == b
+                ods = ods[order]
+            if self.apply_anonymization and self.topology.anonymization_bits:
+                batch = batch.anonymized(self.topology.anonymization_bits)
+            # ``idx`` is non-decreasing: each bin is one row range.
+            n = len(idx)
+            cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), n]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                b = int(idx[lo])
                 if self._current_bin is not None and b < self._current_bin:
-                    self.late_records += len(batch) if single_bin else int(mask.sum())
+                    self.late_records += hi - lo
                     continue
                 if self._current_bin is None:
                     self._current_bin = b
                 while b > self._current_bin:
                     closed.append(self._close())
-                sub = batch if single_bin else batch.select(mask)
-                if self.apply_anonymization and self.topology.anonymization_bits:
-                    anon = sub.anonymized(self.topology.anonymization_bits)
-                else:
-                    anon = sub
-                if ods is None:
-                    sub_ods = self.router.resolve_ods_mixed(sub.ingress_pop, sub.dst_ip)
-                else:
-                    sub_ods = ods if single_bin else ods[mask]
-                self._current.add_batch(sub_ods, anon)
-            tel.count("reduce.records", len(batch))
+                self._current.add_batch(ods[lo:hi], batch.select(slice(lo, hi)))
+            tel.count("reduce.records", n)
         return closed
 
     def ingest_histograms(

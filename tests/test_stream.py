@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.online import OnlineClassifier, OnlineVolumeDetector
 from repro.flows.features import N_FEATURES, BinFeatures
 from repro.flows.records import FlowRecordBatch
 from repro.flows.sketches import CountMinSketch
+from repro.net.routing import Router
 from repro.net.topology import abilene
 from repro.stream.chunks import iter_record_chunks
 from repro.stream.engine import StreamConfig, StreamingDetectionEngine
@@ -154,6 +157,108 @@ class TestStreamFeatureStage:
         stage = StreamFeatureStage(abilene())
         assert stage.ingest(FlowRecordBatch.empty()) == []
         assert stage.flush() == []
+
+
+    def test_bad_ingress_pop_loses_no_earlier_bin(self):
+        topo = abilene()
+        stage = StreamFeatureStage(topo)
+        rng = np.random.default_rng(8)
+        good = FlowRecordBatch.concat(
+            [_random_batch(20, rng, t0=0.0), _random_batch(15, rng, t0=300.0)]
+        )
+        bad = _random_batch(1, rng, t0=600.0, pop=topo.n_pops)
+        with pytest.raises(ValueError, match="OD id"):
+            stage.ingest(FlowRecordBatch.concat([good, bad]))
+        assert stage._current_bin is None and stage.late_records == 0
+        closed = stage.ingest(good) + stage.flush()
+        assert [(s.bin, s.n_records) for s in closed] == [(0, 20), (1, 15)]
+
+    @pytest.mark.parametrize("bad", ["wrapped", "minus_one", "negated"])
+    def test_out_of_range_address_changes_nothing(self, bad):
+        topo = abilene()
+        stage = StreamFeatureStage(topo)
+        rng = np.random.default_rng(9)
+        assert stage.ingest(_random_batch(10, rng, t0=0.0)) == []
+        chunk = _random_batch(10, rng, t0=300.0)
+        a = topo.pops[3].prefix.nth(5)
+        dst = chunk.dst_ip.copy()
+        dst[4] = {"wrapped": a + (1 << 32), "minus_one": -1, "negated": -a}[bad]
+        with pytest.raises(ValueError, match=f"address {dst[4]} outside"):
+            stage.ingest(chunk.with_columns(dst_ip=dst))
+        assert stage._current_bin == 0 and stage.late_records == 0
+        assert [(s.bin, s.n_records) for s in stage.flush()] == [(0, 10)]
+
+
+def _reference_split(topology, chunks, exact):
+    """The stage's bin split by the obvious route: ``np.unique`` over
+    each chunk's bin indices, a mask per bin, ODs resolved and
+    addresses anonymized per bin."""
+    router = Router(topology)
+    acc = BinAccumulator(topology.n_od_flows, width=64, depth=2, exact=exact)
+    current, late, out = None, 0, []
+    for chunk in chunks:
+        idx = np.floor(chunk.timestamp / 300.0).astype(np.int64)
+        for b in np.unique(idx).tolist():
+            mask = idx == b
+            if current is not None and b < current:
+                late += int(mask.sum())
+                continue
+            if current is None:
+                current = b
+            while b > current:
+                out.append(acc.finalize(current))
+                acc.reset()
+                current += 1
+            sub = chunk.select(mask)
+            acc.add_batch(router.resolve_ods_mixed(sub.ingress_pop, sub.dst_ip),
+                          sub.anonymized(topology.anonymization_bits))
+    if current is not None and acc.touched:
+        out.append(acc.finalize(current))
+    return out, late
+
+
+@st.composite
+def _chunk_plans(draw):
+    """1–4 chunks, each over 1–5 distinct bins of 0..9 (gaps and late
+    bins included), sorted by time or not."""
+    return [
+        (draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)),
+         draw(st.integers(1, 60)), draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@given(plans=_chunk_plans(), seed=st.integers(0, 2**32 - 1),
+       exact=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_slice_split_matches_unique_and_mask_split(plans, seed, exact):
+    topo = abilene()
+    rng = np.random.default_rng(seed)
+    prefixes = [pop.prefix for pop in topo.pops]
+    chunks = []
+    for bins, n, in_order in plans:
+        batch = _random_batch(n, rng, pop=0).with_columns(
+            timestamp=300.0 * rng.choice(bins, size=n) + rng.uniform(0, 300, size=n),
+            ingress_pop=rng.integers(0, topo.n_pops, size=n),
+            dst_ip=np.where(
+                rng.random(n) < 0.8,
+                [prefixes[i].nth(int(o)) for i, o in zip(
+                    rng.integers(0, len(prefixes), size=n),
+                    rng.integers(0, 1 << 16, size=n))],
+                rng.integers(0, 1 << 32, size=n),
+            ),
+        )
+        chunks.append(batch.sort_by_time() if in_order else batch)
+    stage = StreamFeatureStage(topo, width=64, depth=2, exact=exact)
+    got = [s for chunk in chunks for s in stage.ingest(chunk)] + stage.flush()
+    want, late = _reference_split(topo, chunks, exact)
+    assert stage.late_records == late
+    assert [s.bin for s in got] == [s.bin for s in want]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.entropy, w.entropy)
+        np.testing.assert_array_equal(g.packets, w.packets)
+        np.testing.assert_array_equal(g.bytes, w.bytes)
+        assert g.n_records == w.n_records
 
 
 def _summary(bin_index, entropy, packets=None, bytes_=None):

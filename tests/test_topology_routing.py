@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addressing import Prefix, parse_ip
 from repro.net.routing import PrefixTable, Router
@@ -156,6 +158,79 @@ class TestPrefixTable:
         }
 
 
+_TOP = (1 << 32) - 1
+
+
+@st.composite
+def _route_ops(draw):
+    """1–40 add / remove / replace operations over prefixes of every
+    length around 1–3 anchor addresses, so /0, nested and overlapping
+    prefixes and several longer-than-/16 prefixes in one /16 all occur."""
+    anchors = draw(st.lists(st.integers(0, _TOP), min_size=1, max_size=3))
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        anchor = draw(st.sampled_from(anchors))
+        flip = draw(st.one_of(st.integers(0, 0xFFFF), st.integers(0, _TOP)))
+        prefix = Prefix(anchor ^ flip, draw(st.integers(0, 32)))
+        ops.append((draw(st.sampled_from(["add", "add", "remove"])), prefix,
+                    draw(st.integers(0, 20))))
+    return ops
+
+
+def _probe_addresses(prefixes, extra):
+    """Every prefix's first and last address and their outside
+    neighbours (where in range), plus ``extra``."""
+    ips = list(extra)
+    for prefix in prefixes:
+        last = prefix.network + prefix.size - 1
+        ips += [prefix.network - 1, prefix.network, last, last + 1]
+    return np.array([ip for ip in ips if 0 <= ip <= _TOP], dtype=np.int64)
+
+
+class TestDirectTable:
+    """The direct-indexed array lookups against the scalar dict probe."""
+
+    @given(ops=_route_ops(), extra=st.lists(st.integers(0, _TOP), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_array_lookups_equal_scalar_lookups(self, ops, extra):
+        router = Router(abilene(), default_egress=4)
+        table = router.table
+        ips = _probe_addresses([prefix for _, prefix, _ in ops], extra)
+        held = {}
+        for action, prefix, value in ops:
+            if action == "add":
+                table.add(prefix, value)
+                held[prefix] = value
+            elif prefix in held:
+                table.remove(prefix)
+                del held[prefix]
+            # Each change must drop the cached direct table.
+            assert table.lookup_array(ips, None) == [table.lookup(int(ip)) for ip in ips]
+        assert router.egress_pops(ips).tolist() == [
+            router.egress_pop(int(ip)) for ip in ips
+        ]
+
+    def test_longer_prefixes_share_a_slash16(self):
+        table = PrefixTable()
+        table.add(Prefix.parse("10.1.0.0/16"), "16")
+        table.add(Prefix.parse("10.1.2.0/24"), "24")
+        table.add(Prefix.parse("10.1.2.128/25"), "25")
+        table.add(Prefix.parse("10.1.2.200/32"), "32")
+        table.add(Prefix.parse("0.0.0.0/0"), "0")
+        ips = [parse_ip(t) for t in (
+            "10.1.0.0", "10.1.2.0", "10.1.2.127", "10.1.2.128", "10.1.2.199",
+            "10.1.2.200", "10.1.2.201", "10.1.3.0", "10.2.0.0", "255.255.255.255",
+        )]
+        assert table.lookup_array(np.array(ips), None) == [
+            "16", "24", "24", "25", "25", "32", "25", "16", "0", "0",
+        ]
+
+    def test_empty_table_routes_nothing(self):
+        table = PrefixTable()
+        indices, values = table.lookup_indices(np.array([0, 12345, _TOP]))
+        assert indices.tolist() == [-1, -1, -1] and values == []
+
+
 class TestRouter:
     def test_egress_resolution_per_pop(self):
         topo = abilene()
@@ -177,6 +252,25 @@ class TestRouter:
         vec = router.egress_pops(ips)
         scalar = [router.egress_pop(int(ip)) for ip in ips]
         assert list(vec) == scalar
+
+    @pytest.mark.parametrize("bad", ["wrapped", "minus_one", "negated"])
+    def test_out_of_range_addresses_are_refused(self, bad):
+        topo = abilene()
+        router = Router(topo)
+        a = topo.pops[4].prefix.nth(9)
+        ip = {"wrapped": a + (1 << 32), "minus_one": -1, "negated": -a}[bad]
+        with pytest.raises(ValueError, match=f"address {ip} outside"):
+            router.egress_pop(ip)
+        with pytest.raises(ValueError, match=f"address {ip} outside"):
+            router.egress_pops(np.array([a, ip, a]))
+        with pytest.raises(ValueError, match=f"address {ip} outside"):
+            router.resolve_ods_mixed(np.array([0, 1, 2]), np.array([a, a, ip]))
+
+    def test_address_range_ends_are_routed(self):
+        router = Router(abilene(), default_egress=2)
+        ips = np.array([0, _TOP])
+        assert router.egress_pops(ips).tolist() == [2, 2]
+        assert [router.egress_pop(int(ip)) for ip in ips] == [2, 2]
 
     def test_resolve_od(self):
         topo = abilene()

@@ -1,0 +1,305 @@
+#!/usr/bin/env python
+"""Mutation gate: every listed code mutation must fail a named test.
+
+A test suite that still passes when the code is wrong proves nothing
+about that code.  Each row of :data:`MUTANTS` names one deliberate bug
+— an exact ``original`` snippet of a file under the repository and the
+``mutated`` text that replaces it — together with the test node ids
+expected to *kill* it (fail).  The gate:
+
+1. copies the repository (minus ``.git`` and build/run leftovers) to a
+   temporary directory and runs the union of all named tests there
+   unmutated — they must pass, or the table is broken;
+2. for each mutant, checks that ``original`` occurs exactly once in its
+   file (a snippet that no longer matches means the code moved and the
+   table must move with it), writes the mutated file, runs only that
+   mutant's tests, and restores the file;
+3. exits 1 if any mutant survives, if any snippet no longer matches,
+   or if a mutant listed as ``expected: survives`` is now killed (the
+   table is stale: promote it), and 0 otherwise.
+
+A survivor nobody kills yet is a finding, not a failure, when its row
+says so: ``expected`` names the open work that will kill it.
+
+Usage (from the repository root, stdlib only)::
+
+    python tools/mutants.py              # the whole table
+    python tools/mutants.py --list       # names, files and killers
+    python tools/mutants.py --only NAME  # one mutant (repeatable)
+
+Hypothesis runs with a fixed seed, so a kill does not depend on the
+draw of the day.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Left out of the temporary copy: history, caches and run outputs.
+_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis",
+    "*.egg-info", "out", "htmlcov", ".coverage",
+)
+
+_PYTEST = ("-q", "-x", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
+           "--hypothesis-seed=0")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One deliberate bug and the tests that must catch it."""
+
+    name: str
+    file: str
+    original: str
+    mutated: str
+    tests: tuple[str, ...]
+    #: ``"killed"``, or ``"survives: <the open work that will kill it>"``.
+    expected: str = "killed"
+
+
+_ONLINE = "src/repro/core/online.py"
+_SKETCHES = "src/repro/flows/sketches.py"
+_ROUTING = "src/repro/net/routing.py"
+_WINDOW = "src/repro/stream/window.py"
+_GROUPED = "src/repro/kernels/grouped.py"
+
+_TIME_SHIFT = "tests/test_metamorphic.py::test_bin_aligned_time_shift_keeps_verdicts"
+_DRIFT = "tests/test_online_drift.py::TestDriftCounter"
+_STALE = ("tests/test_kernels.py::TestSketchBankEquivalence::"
+          "test_query_of_the_updated_runs_reuses_nothing_stale")
+_NESTED = "tests/test_topology_routing.py::TestDirectTable::test_longer_prefixes_share_a_slash16"
+_BAD_POP = ("tests/test_stream.py::TestStreamFeatureStage::"
+            "test_bad_ingress_pop_loses_no_earlier_bin")
+_SEED_EXACT = ("tests/test_kernels.py::TestSeedDetectionByteEquality::"
+               "test_exact_mode_reproduces_seed_output")
+
+MUTANTS: tuple[Mutant, ...] = (
+    # -- the sliding subspace core (refit cadence and drift reset) ------
+    Mutant(
+        "refit-cadence-ge-to-gt", _ONLINE,
+        "self._since_refit >= self.refit_every",
+        "self._since_refit > self.refit_every",
+        (_TIME_SHIFT + "[1-1-2]", _TIME_SHIFT + "[2-2-4]"),
+    ),
+    Mutant(
+        "fit-keeps-since-refit", _ONLINE,
+        "                self._threshold, float(self.calibration_margin * window_spe.max())\n"
+        "            )\n"
+        "        self._since_refit = 0\n",
+        "                self._threshold, float(self.calibration_margin * window_spe.max())\n"
+        "            )\n",
+        (_TIME_SHIFT + "[2-2-4]", _TIME_SHIFT + "[3-12-3]"),
+    ),
+    Mutant(
+        "drift-counter-kept-after-reset", _ONLINE,
+        "                return\n"
+        "            self._consecutive_hits = 0\n",
+        "                return\n",
+        (_DRIFT,),
+    ),
+    Mutant(
+        "drift-reset-lt-to-le", _ONLINE,
+        "self._consecutive_hits < self.drift_reset_after",
+        "self._consecutive_hits <= self.drift_reset_after",
+        (_DRIFT,),
+    ),
+    # -- the value-major Count-Min bank --------------------------------
+    Mutant(
+        "sketch-query-next-slot", _SKETCHES,
+        "flat = last[3] if reuse else self._cells(group_ids, starts, values)",
+        "flat = self._cells((group_ids + 1) % self.n_groups, starts, values)",
+        (_STALE,),
+    ),
+    Mutant(
+        "sketch-cells-stride-minus-one", _SKETCHES,
+        "        flat *= self.n_groups\n",
+        "        flat *= self.n_groups - 1\n",
+        (_STALE,),
+    ),
+    Mutant(
+        "sketch-reuse-keyed-on-length", _SKETCHES,
+        "last[0] is group_ids and last[1] is starts and last[2] is values",
+        "len(last[0]) == len(group_ids) and len(last[2]) == len(values)",
+        (_STALE,),
+    ),
+    # -- direct-indexed longest-prefix match ---------------------------
+    Mutant(
+        "lpm-expansion-drops-last-slot", _ROUTING,
+        "span = np.arange(1 << bits, dtype=np.int64)",
+        "span = np.arange((1 << bits) - 1, dtype=np.int64)",
+        (_NESTED,),
+    ),
+    Mutant(
+        "lpm-longest-prefix-first", _ROUTING,
+        "            for length in sorted(self._tables):\n",
+        "            for length in sorted(self._tables, reverse=True):\n",
+        (_NESTED,),
+    ),
+    Mutant(
+        "lpm-level2-overlay-skipped", _ROUTING,
+        "flat[slots] = ids\n",
+        "flat[slots] = flat[slots]\n",
+        (_NESTED,),
+    ),
+    Mutant(
+        "lpm-range-check-gt-to-ge", _ROUTING,
+        "arr.max() > _MAX_IP):",
+        "arr.max() >= _MAX_IP):",
+        ("tests/test_topology_routing.py::TestRouter::test_address_range_ends_are_routed",),
+    ),
+    # -- the stage's bin split and OD range check ----------------------
+    Mutant(
+        "stage-split-boundary-minus-one", _WINDOW,
+        "np.flatnonzero(idx[1:] != idx[:-1]) + 1",
+        "np.flatnonzero(idx[1:] != idx[:-1])",
+        (_BAD_POP,),
+    ),
+    Mutant(
+        "stage-checks-ods-after-split", _WINDOW,
+        "            # Checked before any bin closes, so a bad id loses nothing.\n"
+        "            _check_ods(ods, self.topology.n_od_flows)\n",
+        "",
+        (_BAD_POP,),
+    ),
+    Mutant(
+        "od-range-check-ge-to-gt", _WINDOW,
+        "ods.max() >= p):",
+        "ods.max() > p):",
+        ("tests/test_stream_sketch.py::TestODRange",),
+    ),
+    # -- the grouped-reduction kernel ----------------------------------
+    Mutant(
+        "kernel-run-key-shift", _GROUPED,
+        "gv = key >> wb\n",
+        "gv = key >> (wb - 1)\n",
+        (_SEED_EXACT,),
+    ),
+    Mutant(
+        # Exact detections are invariant to a uniform scale of every
+        # entropy (so the byte-equal detection fixture cannot see this
+        # bug); only a test that reads entropy values kills it.
+        "entropy-fast-path-natural-log", _GROUPED,
+        "return -np.add.reduceat(p * np.log2(p), seg_starts)",
+        "return -np.add.reduceat(p * np.log(p), seg_starts)",
+        ("tests/test_stream.py::TestBinAccumulator::test_exact_mode_matches_feature_histograms",),
+    ),
+    # -- the threshold ---------------------------------------------------
+    Mutant(
+        # A 10 % error in Q_alpha flips a verdict of the exact fixture.
+        "q-threshold-times-1.1", "src/repro/core/subspace.py",
+        "    return float(scale * phi1 * term ** (1.0 / h0))\n",
+        "    return 1.1 * float(scale * phi1 * term ** (1.0 / h0))\n",
+        (_SEED_EXACT,),
+    ),
+    Mutant(
+        # The same mutation against the threshold's own unit tests: they
+        # read its ordering and scaling, and the false-alarm case's
+        # tolerance (0.2 %–5 % at alpha = 0.99) cannot see 10 %.
+        "q-threshold-times-1.1-unit-tests", "src/repro/core/subspace.py",
+        "    return float(scale * phi1 * term ** (1.0 / h0))\n",
+        "    return 1.1 * float(scale * phi1 * term ** (1.0 / h0))\n",
+        ("tests/test_subspace.py::TestQThreshold",),
+        expected="survives: ROADMAP 2 (null-calibration gate) or 11 (out-of-sample "
+                 "threshold) pins Q_alpha's value",
+    ),
+)
+
+
+def _pytest(workdir: Path, tests) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *_PYTEST, *tests],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _tail(output: str, lines: int = 15) -> str:
+    return "\n".join("    " + line for line in output.strip().splitlines()[-lines:])
+
+
+def run(mutants) -> int:
+    """Apply and test each mutant; return the process exit status."""
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        workdir = Path(tmp) / "repo"
+        shutil.copytree(REPO_ROOT, workdir, ignore=_IGNORE)
+        killers = sorted({t for m in mutants for t in m.tests})
+        t0 = time.perf_counter()
+        code, output = _pytest(workdir, killers)
+        if code != 0:
+            print(f"unmutated tests fail (pytest exit {code}):\n{_tail(output)}")
+            return 1
+        print(f"baseline: {len(killers)} test ids pass unmutated "
+              f"({time.perf_counter() - t0:.1f} s)")
+        for m in mutants:
+            path = workdir / m.file
+            source = path.read_text(encoding="utf-8")
+            hits = source.count(m.original)
+            if hits != 1:
+                failures.append(m.name)
+                print(f"STALE     {m.name}: snippet found {hits} times in {m.file}")
+                continue
+            path.write_text(source.replace(m.original, m.mutated), encoding="utf-8")
+            t0 = time.perf_counter()
+            try:
+                code, output = _pytest(workdir, m.tests)
+            finally:
+                path.write_text(source, encoding="utf-8")
+            took = time.perf_counter() - t0
+            survives = code == 0
+            want_survivor = m.expected.startswith("survives")
+            if survives and want_survivor:
+                print(f"SURVIVES  {m.name} ({took:.1f} s), as listed — {m.expected}")
+            elif survives:
+                failures.append(m.name)
+                print(f"SURVIVED  {m.name} ({took:.1f} s): {', '.join(m.tests)} "
+                      "still pass")
+            elif want_survivor:
+                failures.append(m.name)
+                print(f"KILLED    {m.name} ({took:.1f} s), listed as a survivor: "
+                      "promote it to expected killed\n" + _tail(output, 5))
+            else:
+                print(f"killed    {m.name} ({took:.1f} s)")
+    if failures:
+        print(f"{len(failures)} of {len(mutants)} mutants fail the gate: "
+              + ", ".join(failures))
+        return 1
+    print(f"all {len(mutants)} mutants as expected")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true", help="print the table and exit")
+    parser.add_argument("--only", action="append", metavar="NAME",
+                        help="run only this mutant (repeatable)")
+    args = parser.parse_args(argv)
+    mutants = MUTANTS
+    if args.only:
+        unknown = set(args.only) - {m.name for m in MUTANTS}
+        if unknown:
+            parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+        mutants = tuple(m for m in MUTANTS if m.name in args.only)
+    if args.list:
+        for m in mutants:
+            print(f"{m.name}  [{m.file}]  {m.expected}")
+            for test in m.tests:
+                print(f"    {test}")
+        return 0
+    return run(mutants)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
