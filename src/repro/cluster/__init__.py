@@ -10,8 +10,10 @@ reading the whole trace.
 * :mod:`repro.cluster.summary` — :class:`ShardBinSummary`, the
   mergeable per-bin unit of exchange and its wire format, and
   :func:`merge_summaries`, the one K-way merge.
-* :mod:`repro.cluster.shard` — :class:`ShardMonitor`, the shard-side
-  ingestion stage.
+* :mod:`repro.cluster.shard` — :func:`shard_summaries`, the summaries
+  one shard ships: a :class:`ShardMonitor` (the shard-side ingestion
+  stage) over its records, or, in exact mode over a trace, runs built
+  straight from the trace's stored run ids.
 * :mod:`repro.cluster.coordinator` — :class:`ClusterCoordinator`, the
   central merge point, on top of ``BinAligner``, the one bin-alignment
   rule (aggregators drive it too).
@@ -31,7 +33,7 @@ reading the whole trace.
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.runner import AggregatorSpec, parse_tiers, run_cluster_source
-from repro.cluster.shard import ShardMonitor
+from repro.cluster.shard import ShardMonitor, shard_summaries
 from repro.cluster.summary import ShardBinSummary, SummaryCorruptError, merge_summaries
 from repro.cluster.transport import (
     FrameError,
@@ -55,4 +57,5 @@ __all__ = [
     "parse_hostport",
     "parse_tiers",
     "run_cluster_source",
+    "shard_summaries",
 ]

@@ -3,10 +3,10 @@
 :func:`run_cluster_source` is cluster mode's one entry point — behind
 ``repro run SCENARIO --mode cluster`` and
 ``DetectionPipeline.run(mode="cluster")``.  N worker processes each run
-a :class:`repro.cluster.shard.ShardMonitor` over their OD-flow slice of
+:func:`repro.cluster.shard.shard_summaries` over their OD-flow slice of
 a record source, ship wire-format summaries to the parent over a
 per-worker link (back-pressure: a worker blocking on a full link stops
-producing records), and the parent's
+producing), and the parent's
 :class:`repro.cluster.coordinator.ClusterCoordinator` merges and scores
 them with a :class:`repro.stream.engine.StreamingDetectionEngine`.
 
@@ -16,8 +16,12 @@ rebuilds the source from its picklable :class:`SourceSpec` and consumes
 only its shard's slice:
 
 * **trace** sources: every worker memory-maps the *same* columnar
-  trace (:mod:`repro.io.trace`) and keeps only its OD-flow slice of
-  each chunk — one producer pass at write time, zero regeneration;
+  trace (:mod:`repro.io.trace`) and picks its OD-flow slice by the
+  stored OD column — one producer pass at write time, zero
+  regeneration.  In exact mode the worker reads no records: it builds
+  each bin's runs from the trace's stored run ids, so the parent
+  refuses a trace whose run ids were derived under another
+  anonymization depth before any worker starts;
 * **scenario** sources: each worker materialises its OD slice of the
   synthetic background from a
   :class:`repro.traffic.generator.TrafficGenerator`, plus exactly the
@@ -72,7 +76,7 @@ from typing import Callable
 
 from repro import telemetry as tel
 from repro.cluster.coordinator import BinAligner, ClusterCoordinator
-from repro.cluster.shard import ShardMonitor
+from repro.cluster.shard import shard_summaries
 from repro.cluster.summary import ShardBinSummary, SummaryCorruptError
 from repro.cluster.supervisor import TICK, Supervisor
 from repro.cluster.transport import (
@@ -91,6 +95,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.stream.engine import StreamConfig, StreamDetection, StreamingDetectionEngine
+from repro.stream.replay import check_derived
 
 __all__ = ["AggregatorSpec", "parse_tiers", "run_cluster_source"]
 
@@ -197,8 +202,6 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
     session = tel.enable() if spec.telemetry else None
 
     def ship(summary) -> None:
-        if summary.bin < spec.resume_bin:
-            return  # already merged or held by the coordinator
         payload = summary.to_bytes()
         if spec.chaos is not None:
             fault = spec.chaos.fault_for(spec.shard_id, summary.bin, spec.attempt)
@@ -216,48 +219,22 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
                        _heartbeat(session)))
 
     try:
-        source = build_source(spec.source)
-        topology = source.topology
-        monitor = ShardMonitor(
-            topology,
-            bin_width=spec.source.bin_width,
-            start=spec.source.bin_start,
+        scan = shard_summaries(
+            build_source(spec.source),
+            spec.shard_id,
+            spec.n_shards,
+            spec.resume_bin,
+            exact=spec.exact,
+            chunk_records=spec.chunk_records,
             width=spec.sketch_width,
             depth=spec.sketch_depth,
             sketch_seed=spec.sketch_seed,
-            exact=spec.exact,
-            shard_id=spec.shard_id,
         )
-        # Fast-forward on resume: chunks entirely before the resume bin
-        # only feed bins whose summaries would be dropped anyway.
-        resume_time = (
-            spec.source.bin_start + spec.resume_bin * spec.source.bin_width
-        )
-        n_records = 0
-        chunks = tel.timed_iter(
-            source.shard_batches(
-                spec.shard_id,
-                spec.n_shards,
-                router=monitor.router,
-                chunk_records=spec.chunk_records,
-            ),
-            "stage.source",
-        )
-        for chunk, ods in chunks:
-            if (
-                spec.resume_bin > 0
-                and len(chunk)
-                and chunk.timestamp.max() < resume_time
-            ):
-                continue
-            n_records += len(chunk)
-            for summary in monitor.ingest(chunk, ods=ods):
-                ship(summary)
-        for summary in monitor.flush():
+        for summary in scan:
             ship(summary)
         snapshot = session.snapshot() if session is not None else None
-        conn.send(("close", spec.shard_id, spec.attempt, n_records,
-                   monitor.late_records, snapshot))
+        conn.send(("close", spec.shard_id, spec.attempt, scan.n_records,
+                   scan.late_records, snapshot))
         if spec.chaos is not None and spec.chaos.close_fault(
             spec.shard_id, spec.attempt
         ):
@@ -472,6 +449,10 @@ def run_cluster_source(
     if n_bins < 1:
         raise ValueError("source must cover at least one bin")
     config = config or StreamConfig()
+    if config.exact_histograms and source.spec.kind == "trace":
+        # Exact shards build their runs from the trace's stored run ids:
+        # refuse a trace they cannot use before any worker starts.
+        check_derived(source.info, source.topology)
     if isinstance(chaos, str):
         chaos = FaultPlan.parse(chaos)
     if chaos is not None:

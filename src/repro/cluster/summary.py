@@ -208,31 +208,49 @@ class ShardBinSummary:
         stage resets and reuses for the next bin: exact runs are fresh
         kernel output, volumes and sketch counters are copied out.
         """
+        if accumulator.exact:
+            return cls.from_runs(
+                bin_index,
+                [accumulator.feature_runs(k) for k in range(N_FEATURES)],
+                *accumulator.export_volumes(),
+                n_records=accumulator.n_records,
+            )
         summary = cls(
             bin_index,
             accumulator.n_od_flows,
-            exact=accumulator.exact,
+            exact=False,
             width=accumulator.width,
             depth=accumulator.depth,
             sketch_seed=accumulator.seed,
         )
         summary.packets, summary.bytes = accumulator.export_volumes()
         summary.n_records = accumulator.n_records
-        if accumulator.exact:
-            summary._runs = [accumulator.feature_runs(k) for k in range(N_FEATURES)]
-        else:
-            banks, candidates, active = accumulator.sketch_state()
-            ods = np.flatnonzero(active)
-            summary._sketches = {od: [] for od in ods.tolist()}
-            for bank, runs in zip(banks, candidates):
-                values = dict(zip(
-                    runs.group_ids.tolist(),
-                    (v.tolist() for v in np.split(runs.values, runs.starts[1:-1])),
-                ))
-                for od, sketch in zip(ods.tolist(), bank.sketches(ods)):
-                    summary._sketches[od].append(
-                        _SketchFeature(sketch, set(values.get(od, ())))
-                    )
+        banks, candidates, active = accumulator.sketch_state()
+        ods = np.flatnonzero(active)
+        summary._sketches = {od: [] for od in ods.tolist()}
+        for bank, runs in zip(banks, candidates):
+            values = dict(zip(
+                runs.group_ids.tolist(),
+                (v.tolist() for v in np.split(runs.values, runs.starts[1:-1])),
+            ))
+            for od, sketch in zip(ods.tolist(), bank.sketches(ods)):
+                summary._sketches[od].append(
+                    _SketchFeature(sketch, set(values.get(od, ())))
+                )
+        return summary
+
+    @classmethod
+    def from_runs(
+        cls, bin_index: int, runs, packets: np.ndarray, byte_counts: np.ndarray,
+        n_records: int,
+    ) -> "ShardBinSummary":
+        """An exact-mode summary from its parts: four per-feature
+        :class:`GroupedRuns` keyed by OD (canonical, int64 counts) and
+        the ``(p,)`` int64 packet/byte counters."""
+        summary = cls(bin_index, len(packets))
+        summary.packets, summary.bytes = packets, byte_counts
+        summary.n_records = int(n_records)
+        summary._runs = list(runs)
         return summary
 
     def merge(self, other: "ShardBinSummary") -> "ShardBinSummary":

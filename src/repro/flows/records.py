@@ -176,11 +176,26 @@ class FlowRecordBatch:
 
         Slices produce *view* columns (no copies) — the zero-copy path
         chunked replay of memory-mapped traces depends on; masks and
-        index arrays copy, as numpy fancy indexing always does.
+        index arrays copy, as numpy fancy indexing always does.  A
+        boolean mask is turned into row indices once and every column
+        is gathered with ``take``, instead of nine boolean-index passes
+        that each rescan the mask.
+
+        Raises:
+            IndexError: A boolean mask whose length is not the batch's.
         """
-        columns = {
-            name: getattr(self, name)[mask_or_index] for name, _ in _COLUMNS
-        }
+        if isinstance(mask_or_index, np.ndarray) and mask_or_index.dtype == bool:
+            if mask_or_index.shape != (len(self),):
+                raise IndexError(
+                    f"boolean mask of shape {mask_or_index.shape} does not "
+                    f"match a batch of {len(self)} records"
+                )
+            rows = np.flatnonzero(mask_or_index)
+            columns = {name: getattr(self, name).take(rows) for name, _ in _COLUMNS}
+        else:
+            columns = {
+                name: getattr(self, name)[mask_or_index] for name, _ in _COLUMNS
+            }
         return FlowRecordBatch(**columns)
 
     def with_columns(self, **overrides: np.ndarray) -> "FlowRecordBatch":

@@ -34,7 +34,83 @@ from repro.kernels import group_sums, grouped_entropy
 from repro.net.topology import Topology
 from repro.stream.window import BinSummary
 
-__all__ = ["bin_summary_from_derived", "iter_precomputed_summaries"]
+__all__ = [
+    "bin_summary_from_derived",
+    "check_derived",
+    "derived_runs",
+    "iter_precomputed_summaries",
+]
+
+
+def check_derived(info, topology: Topology) -> None:
+    """Refuse a trace whose run ids cannot stand in for ``topology``'s
+    grouped reduction.
+
+    Args:
+        info: The trace's :class:`~repro.io.trace.TraceInfo`.
+
+    Raises:
+        TraceError: The trace has no derived columns (version 1, or a
+            truncated tail that lost them).
+        ValueError: The run ids were computed under another
+            anonymization depth than ``topology``'s.
+    """
+    if info.derived is None:
+        raise TraceError(
+            f"{info.path} has no derived detection columns; run "
+            f"`repro trace upgrade {info.path}` to backfill them"
+        )
+    stored_bits = int(info.derived.get("anonymization_bits", -1))
+    if stored_bits != int(topology.anonymization_bits):
+        raise ValueError(
+            f"{info.path} derived its run ids under {stored_bits}-bit "
+            f"anonymization, but {topology.name} uses "
+            f"{topology.anonymization_bits}"
+        )
+
+
+def derived_runs(
+    rid: np.ndarray,
+    ods: np.ndarray,
+    weights: np.ndarray,
+    values: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One feature's count runs from its stored run ids.
+
+    ``rid`` holds the (non-negative) run id of each record in the bin's
+    canonical (od, value) order, aligned with ``ods`` and the record
+    weights.  One weighted ``bincount`` sums each run, one scatter maps
+    run -> OD, and — when ``values`` is given — one more maps run ->
+    value.  Runs no record here reaches (another shard's, when the
+    records are one shard's slice of the bin) have count zero and are
+    compacted away.
+
+    Returns:
+        ``(group_ids, starts, counts, run_values)``: the distinct ODs
+        ascending, CSR offsets of each OD's runs, the float64 run sums
+        (integer weights sum exactly) and the runs' values (None when
+        ``values`` is None) — the layout of
+        :class:`repro.kernels.GroupedRuns`.
+    """
+    counts = np.bincount(rid, weights=weights)
+    # Every run with a non-zero count is written; the rest are dropped.
+    od_of_run = np.empty(len(counts), dtype=np.int64)
+    od_of_run[rid] = ods
+    run_values = None
+    if values is not None:
+        run_values = np.empty(len(counts), dtype=np.int64)
+        run_values[rid] = values
+    if not counts.all():
+        live = np.flatnonzero(counts > 0)
+        counts, od_of_run = counts[live], od_of_run[live]
+        if run_values is not None:
+            run_values = run_values[live]
+    new_group = np.empty(len(counts), dtype=bool)
+    new_group[0] = True
+    np.not_equal(od_of_run[1:], od_of_run[:-1], out=new_group[1:])
+    group_starts = np.flatnonzero(new_group)
+    starts = np.append(group_starts, len(counts)).astype(np.int64)
+    return od_of_run[group_starts], starts, counts, run_values
 
 
 def bin_summary_from_derived(
@@ -76,15 +152,8 @@ def bin_summary_from_derived(
                 rid = rid[valid]
             if not len(rid):
                 continue
-            counts = np.bincount(rid, weights=w_v)
-            od_of_run = np.zeros(len(counts), dtype=np.int64)
-            od_of_run[rid] = od_v
-            new_group = np.empty(len(counts), dtype=bool)
-            new_group[0] = True
-            np.not_equal(od_of_run[1:], od_of_run[:-1], out=new_group[1:])
-            group_starts = np.flatnonzero(new_group)
-            starts = np.append(group_starts, len(counts)).astype(np.int64)
-            entropy[od_of_run[group_starts], k] = grouped_entropy(counts, starts)
+            group_ids, starts, counts, _ = derived_runs(rid, od_v, w_v)
+            entropy[group_ids, k] = grouped_entropy(counts, starts)
         pk = group_sums(ods, packets, n_od_flows)
         by = group_sums(ods, byte_counts, n_od_flows)
     else:
@@ -114,18 +183,7 @@ def iter_precomputed_summaries(
         ValueError: The run ids were computed under another
             anonymization depth than ``topology``'s.
     """
-    if not reader.has_derived:
-        raise TraceError(
-            f"{reader.path} has no derived detection columns; run "
-            f"`repro trace upgrade {reader.path}` to backfill them"
-        )
-    stored_bits = int(reader.info.derived.get("anonymization_bits", -1))
-    if stored_bits != int(topology.anonymization_bits):
-        raise ValueError(
-            f"{reader.path} derived its run ids under {stored_bits}-bit "
-            f"anonymization, but {topology.name} uses "
-            f"{topology.anonymization_bits}"
-        )
+    check_derived(reader.info, topology)
     nonempty = np.flatnonzero(reader.info.bin_counts)
     if not len(nonempty):
         return

@@ -11,11 +11,14 @@ and rendered bytes lives here, shared by ``test_kernels.py``,
 ``tools/freeze_parity_fixture.py`` (which rewrites the files, or with
 ``--check`` reports drift).
 
+Both files store every scored bin's entropy SPE as ``float.hex()``
+next to its verdict row, so a change that moves an entropy without
+flipping a verdict — a uniform rescaling, which the subspace detectors
+cannot see — still shows up as a byte diff.
 ``tests/data/seed_stream_sketch_detections.json`` pins the same
 workload in sketch mode (Count-Min histograms, default 2048 × 4
-geometry): the same rows plus every bin's entropy SPE as
-``float.hex()``, so any change to the sketch's hashing or estimator
-that moves a counter shows up as a byte diff.
+geometry), so any change to the sketch's hashing or estimator that
+moves a counter shows up there.
 
 The detections are a function of the synthesised records, so a PR that
 changes record synthesis or detector calibration on purpose re-freezes
@@ -130,8 +133,8 @@ def scan_caught(wl, report) -> bool:
     )
 
 
-def render(wl, report, spe: bool = False) -> bytes:
-    """A fixture file's bytes for ``report`` over workload ``wl`` (the
-    sketch fixture renders with ``spe=True``)."""
-    payload = {"workload": wl, "detections": detection_rows(report, spe)}
+def render(wl, report) -> bytes:
+    """A fixture file's bytes for ``report`` over workload ``wl``: every
+    scored bin's row with its entropy SPE as ``float.hex()``."""
+    payload = {"workload": wl, "detections": detection_rows(report, spe=True)}
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

@@ -571,6 +571,6 @@ class TestSeedSketchDetectionByteEquality:
             topology, parity_fixture.stream_config(wl, exact=False)
         )
         report = engine.process(batches)
-        rendered = parity_fixture.render(wl, report, spe=True)
+        rendered = parity_fixture.render(wl, report)
         assert rendered == parity_fixture.SKETCH_FIXTURE_PATH.read_bytes()
         assert parity_fixture.scan_caught(wl, report)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flows.binning import BIN_SECONDS, BINS_PER_DAY, BINS_PER_WEEK, TimeBins, bin_flows
-from repro.flows.records import FlowRecord, FlowRecordBatch
+from repro.flows.records import COLUMN_SPEC, FlowRecord, FlowRecordBatch
 from repro.net.addressing import parse_ip
 
 
@@ -80,6 +82,22 @@ class TestFlowRecordBatch:
         sub = batch.select(mask)
         assert len(sub) == int(mask.sum())
         assert np.all(sub.packets > 50)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 2**16), density=st.floats(0, 1))
+    def test_select_mask_equals_per_column_mask(self, n, seed, density):
+        batch = _sample_batch(n, seed)
+        mask = np.random.default_rng(seed).uniform(size=n) < density
+        sub = batch.select(mask)
+        for name, dtype in COLUMN_SPEC:
+            got, want = getattr(sub, name), getattr(batch, name)[mask]
+            assert got.dtype == want.dtype == dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("length", [0, 9, 11])
+    def test_select_rejects_a_wrong_length_mask(self, length):
+        with pytest.raises(IndexError):
+            _sample_batch(10).select(np.ones(length, dtype=bool))
 
     def test_with_columns_rejects_unknown(self):
         with pytest.raises(KeyError):

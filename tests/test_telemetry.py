@@ -297,10 +297,23 @@ class TestCLI:
         assert stage_sum >= 0.5 * wall
 
     def test_cluster_stats_has_shard_table(self, tmp_path, capsys):
+        self._assert_shard_table(tmp_path, capsys, [])
+
+    def test_trace_cluster_stats_has_shard_table(self, tmp_path, capsys):
+        """The same over a trace, where exact shards build their
+        summaries from the stored run ids instead of records."""
+        from repro.cli import main
+
+        trace = tmp_path / "ddos.trace"
+        assert main(["trace", "write", "ddos-burst", "--bins", str(N_BINS),
+                     "--max-records", str(MAX_RECORDS), "--output", str(trace)]) == 0
+        self._assert_shard_table(tmp_path, capsys, ["--trace", str(trace)])
+
+    def _assert_shard_table(self, tmp_path, capsys, extra):
         from repro.cli import main
 
         out = tmp_path / "t.jsonl"
-        args = self._run_args("cluster", ["--telemetry", str(out)])
+        args = self._run_args("cluster", ["--telemetry", str(out), *extra])
         assert main(args) == 0
         capsys.readouterr()
         assert main(["stats", str(out)]) == 0

@@ -2,10 +2,11 @@
 """Re-freeze (or check) the mode-parity fixtures.
 
 ``tests/data/seed_stream_detections.json`` pins the exact-mode
-detections of one small workload; ``test_kernels.py``,
-``test_trace_precompute.py`` and ``test_cluster_net.py`` hold every
-deployment mode to its bytes.  ``tests/data/seed_stream_sketch_detections.json``
-pins the same workload in sketch mode, each bin's entropy SPE included.
+detections of one small workload, each scored bin's entropy SPE
+included; ``test_kernels.py``, ``test_trace_precompute.py`` and
+``test_cluster_net.py`` hold every deployment mode to its bytes.
+``tests/data/seed_stream_sketch_detections.json`` pins the same
+workload in sketch mode.
 The detections are a function of the synthesised records, the detector
 calibration and (for the sketch file) the Count-Min hashing, so a PR
 that changes one of them *on purpose* regenerates the files with this
@@ -51,8 +52,8 @@ def _freeze(pf, workload, path: Path, exact: bool, check: bool) -> int:
     report = StreamingDetectionEngine(
         topology, pf.stream_config(wl, exact=exact)
     ).process(batches)
-    fresh = pf.render(wl, report, spe=not exact)
-    new = {d["bin"]: d for d in pf.detection_rows(report, spe=not exact)}
+    fresh = pf.render(wl, report)
+    new = {d["bin"]: d for d in pf.detection_rows(report, spe=True)}
     name = path.relative_to(REPO_ROOT)
     if not pf.scan_caught(wl, report):
         attack = wl["attack"]

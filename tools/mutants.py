@@ -73,6 +73,8 @@ _SKETCHES = "src/repro/flows/sketches.py"
 _ROUTING = "src/repro/net/routing.py"
 _WINDOW = "src/repro/stream/window.py"
 _GROUPED = "src/repro/kernels/grouped.py"
+_REPLAY = "src/repro/stream/replay.py"
+_SHARD = "src/repro/cluster/shard.py"
 
 _TIME_SHIFT = "tests/test_metamorphic.py::test_bin_aligned_time_shift_keeps_verdicts"
 _DRIFT = "tests/test_online_drift.py::TestDriftCounter"
@@ -81,6 +83,8 @@ _STALE = ("tests/test_kernels.py::TestSketchBankEquivalence::"
 _NESTED = "tests/test_topology_routing.py::TestDirectTable::test_longer_prefixes_share_a_slash16"
 _BAD_POP = ("tests/test_stream.py::TestStreamFeatureStage::"
             "test_bad_ingress_pop_loses_no_earlier_bin")
+_SHARD_PARITY = ("tests/test_shard_summaries.py::"
+                 "test_stored_run_ids_ship_what_the_record_path_ships")
 _SEED_EXACT = ("tests/test_kernels.py::TestSeedDetectionByteEquality::"
                "test_exact_mode_reproduces_seed_output")
 
@@ -186,13 +190,34 @@ MUTANTS: tuple[Mutant, ...] = (
         (_SEED_EXACT,),
     ),
     Mutant(
-        # Exact detections are invariant to a uniform scale of every
-        # entropy (so the byte-equal detection fixture cannot see this
-        # bug); only a test that reads entropy values kills it.
+        # Exact verdicts are invariant to a uniform scale of every
+        # entropy.  The exact fixture's pinned SPEs see it only on bits:
+        # unit-energy normalisation cancels the scale up to 1-3 ulp.
+        # The entropy-valued test sees it on meaning.
         "entropy-fast-path-natural-log", _GROUPED,
         "return -np.add.reduceat(p * np.log2(p), seg_starts)",
         "return -np.add.reduceat(p * np.log(p), seg_starts)",
-        ("tests/test_stream.py::TestBinAccumulator::test_exact_mode_matches_feature_histograms",),
+        ("tests/test_stream.py::TestBinAccumulator::test_exact_mode_matches_feature_histograms",
+         _SEED_EXACT),
+    ),
+    # -- exact shards over a trace: runs from the stored run ids ---------
+    Mutant(
+        "stored-runs-keep-zero-counts", _REPLAY,
+        "    if not counts.all():\n",
+        "    if False:\n",
+        (_SHARD_PARITY,),
+    ),
+    Mutant(
+        "stored-runs-skip-anonymisation", _SHARD,
+        "        if name in _ADDRESSES and topology.anonymization_bits:\n",
+        "        if False:\n",
+        (_SHARD_PARITY,),
+    ),
+    Mutant(
+        "stored-runs-start-at-trace-first-bin", _SHARD,
+        "    for i in range(int(nonempty[0]), int(nonempty[-1]) + 1):\n",
+        "    for i in range(int(np.flatnonzero(np.diff(offsets))[0]), int(nonempty[-1]) + 1):\n",
+        (_SHARD_PARITY,),
     ),
     # -- the threshold ---------------------------------------------------
     Mutant(
