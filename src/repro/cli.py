@@ -20,10 +20,9 @@ paper) actually runs:
   coordinator on another host;
 * ``scenarios`` — inspect the scenario registry (``list``);
 * ``trace``    — record and replay columnar flow-record traces:
-  ``write`` records a scenario's stream into a single binary file,
-  ``info`` prints its header, ``upgrade`` backfills the derived
-  columns, ``replay`` streams it zero-copy through the detection
-  engine;
+  ``write`` records a scenario's stream into a single binary file
+  (with its derived detection columns), ``info`` prints its header,
+  ``replay`` streams it zero-copy through the detection engine;
 * ``quality``  — the detection-quality harness (``repro.quality``):
   ``run`` scores every registered scenario plus a fuzzed fleet against
   ground truth (precision/recall/F1/latency per detection channel,
@@ -291,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     ti.add_argument("--allow-partial", action="store_true",
                     help="recover the complete leading bins of a truncated "
                     "trace instead of failing")
-
-    tu = trace_sub.add_parser(
-        "upgrade", help="backfill the derived detection columns into a trace"
-    )
-    tu.add_argument("path")
-    tu.add_argument("--output", help="write the upgraded trace here instead "
-                    "of replacing the input atomically in place")
 
     tr = trace_sub.add_parser(
         "replay", help="replay a trace zero-copy through the streaming engine "
@@ -735,27 +727,6 @@ def _cmd_trace(args) -> int:
         )
         return 0
 
-    if args.trace_command == "upgrade":
-        from repro.io.trace import trace_info, upgrade_trace
-
-        before = trace_info(args.path)
-        start = time.perf_counter()
-        info = upgrade_trace(args.path, output=args.output)
-        elapsed = time.perf_counter() - start
-        if before.derived is not None:
-            done = ("nothing to do" if info.path == before.path
-                    else f"copied it unchanged to {info.path}")
-            print(f"{before.path} already carries the derived columns "
-                  f"(version {before.version}); {done}")
-            return 0
-        size_mb = info.path.stat().st_size / 1e6
-        print(
-            f"upgraded {before.path} -> {info.path} "
-            f"(version {before.version} -> {info.version}, "
-            f"{info.n_records} records, {size_mb:.1f} MB) in {elapsed:.2f}s"
-        )
-        return 0
-
     if args.trace_command == "info":
         from repro.io.trace import trace_info, verify_trace
         from repro.traffic.generator import SYNTHESIS_SCHEME
@@ -771,9 +742,9 @@ def _cmd_trace(args) -> int:
         print(f"  bins    : {info.n_bins} x {info.bins.width:.0f}s "
               f"(start {info.bins.start:.0f})")
         print(f"  network : {info.network or 'unknown'}")
-        derived = (f" (+{len(info.derived['columns'])} derived detection "
-                   f"columns)" if info.derived else "")
-        print(f"  version : {info.version}{derived}")
+        lost = ", lost to the truncation" if info.truncated else ""
+        print(f"  version : {info.version} (+{len(info.derived['columns'])} "
+              f"derived detection columns{lost})")
         stale = ("" if info.synthesis == SYNTHESIS_SCHEME else
                  f" (this build synthesises scheme {SYNTHESIS_SCHEME}: the stored "
                  f"records replay unchanged, but the seeds in meta no longer "
@@ -813,10 +784,9 @@ def _cmd_trace(args) -> int:
         topo, _stream_config(args),
         bin_width=reader.bins.width, start=reader.bins.start,
     )
-    # Exact runs detect straight off the stored columns; sketch runs,
-    # truncated tails (which lose them) and version-1 files replay the
-    # records.
-    precomputed = args.exact and reader.has_derived
+    # Exact runs detect straight off the stored columns; sketch runs and
+    # truncated tails (which lose them) replay the records.
+    precomputed = args.exact and not reader.info.truncated
     print(
         f"replaying {reader.path} ({reader.n_records} records, "
         f"{reader.n_bins} bins, {topo.name}): "

@@ -88,8 +88,10 @@ class ShardPass:
     """One shard's pass over its source (see :func:`shard_summaries`).
 
     Iterating yields the summaries to ship, in bin order.  Once the
-    iteration is exhausted, ``n_records`` is the records the shard
-    reduced and ``late_records`` those it dropped as late.
+    iteration is exhausted, ``n_records`` is every record the shard owns
+    in the source's bins — the same for a pass resumed mid-run as for
+    one from bin 0, so a restarted shard reports its whole load — and
+    ``late_records`` those it dropped as late.
     """
 
     def __init__(self) -> None:
@@ -160,12 +162,13 @@ def _record_summaries(
     scan: ShardPass, monitor: ShardMonitor, chunks, resume_bin: int
 ) -> Iterator[ShardBinSummary]:
     # Fast-forward on resume: chunks entirely before the resume bin
-    # only feed bins whose summaries would be dropped anyway.
+    # only feed bins whose summaries would be dropped anyway; they
+    # still count towards the shard's load.
     resume_time = monitor.start + resume_bin * monitor.bin_width
     for chunk, ods in tel.timed_iter(chunks, "stage.source"):
+        scan.n_records += len(chunk)
         if resume_bin > 0 and len(chunk) and chunk.timestamp.max() < resume_time:
             continue
-        scan.n_records += len(chunk)
         for summary in monitor.ingest(chunk, ods=ods):
             if summary.bin >= resume_bin:
                 yield summary
@@ -183,19 +186,20 @@ def _stored_run_summaries(
         reader = TraceReader(source.spec.trace_path)
         check_derived(reader.info, topology)
         first_bin = min(resume_bin, source.spec.n_bins)
-        offsets = reader.info.bin_offsets[first_bin:source.spec.n_bins + 1]
-        lo = int(offsets[0])
+        offsets = reader.info.bin_offsets[:source.spec.n_bins + 1]
         od = np.asarray(reader.derived_column("od"))
-        span = od[lo:offsets[-1]]
+        span = od[:offsets[-1]]
         _check_ods(span, topology.n_od_flows)
-        # Absolute indices of the shard's records (``od % n_shards ==
-        # shard_id``, looked up in a p-entry table: numpy's integer
-        # ``%`` costs three times the gather), and where each bin's
-        # share of them starts.
+        # Indices of the shard's records (``od % n_shards == shard_id``,
+        # looked up in a p-entry table: numpy's integer ``%`` costs
+        # three times the gather), and where each bin's share of them
+        # starts from the resume bin on.  All of them count towards
+        # the shard's load, whatever the resume bin.
         owned = np.zeros(topology.n_od_flows, dtype=bool)
         owned[shard_ods(topology.n_od_flows, n_shards, shard_id)] = True
         rows = np.flatnonzero(owned[span])
-        rows += lo
+        scan.n_records = len(rows)
+        offsets = offsets[first_bin:]
         bounds = np.searchsorted(rows, offsets)
         packets = np.asarray(reader.column("packets"))
         byte_counts = np.asarray(reader.column("bytes"))
@@ -213,7 +217,6 @@ def _stored_run_summaries(
             )
             tel.count("reduce.records", len(index))
         tel.count("reduce.bins_closed")
-        scan.n_records += len(index)
         yield summary
 
 

@@ -28,14 +28,15 @@ File layout (all integers little-endian)::
 :class:`TraceWriter` is the one writer — synthesised records reach a
 file through :meth:`repro.pipeline.ScenarioSource.write_trace`
 (``repro trace write``), which drives it — and it always derives
-those columns (format version 2): they are what
-:mod:`repro.stream.replay` consumes to skip longest-prefix OD
-attribution and the per-bin (od, value) sort during detection replay,
-and what cluster workers read as their shard filter.  Records with
-equal (od, value) get the same run id, so the file does not depend on
-how the sort orders ties.  Version-1 files (base columns only) still
-open in :class:`TraceReader`, but detection sources refuse them until
-:func:`upgrade_trace` / ``repro trace upgrade`` backfills the columns.
+those columns: they are what :mod:`repro.stream.replay` consumes to
+skip longest-prefix OD attribution and the per-bin (od, value) sort
+during detection replay, and what cluster workers read as their shard
+filter.  Records with equal (od, value) get the same run id, so the
+file does not depend on how the sort orders ties.  There is one format
+version, 2: :class:`TraceReader` opens nothing else, and a header
+without the derived table or the column checksums is refused at open
+with a :class:`TraceError` naming ``repro trace write``, which
+regenerates the file from the scenario and seed in its ``meta``.
 
 Because every column is a single contiguous slab, a reader can
 ``mmap`` the file and hand out :class:`FlowRecordBatch` chunks whose
@@ -44,16 +45,20 @@ deserialization, RSS bounded by the touched pages regardless of trace
 size.
 
 Fault tolerance: the writer records a CRC32 per column slab in the
-header (``column_crcs``; an additive key — older traces parse fine,
-they just can't be verified), and :func:`verify_trace` /
-``repro trace info --verify`` recompute them to catch silent
-corruption.  A trace cut off mid-write — a capture that lost power, a
-copy that died — normally fails the size check, but
-``TraceReader(path, allow_partial=True)`` (and ``--allow-partial`` on
-the CLI) instead recovers every bin whose rows survive in *all nine*
-column slabs: truncation eats the file tail, so the damage lands at
-the end of the last slabs and the recoverable prefix is the minimum
-complete row count across columns, rounded down to a whole bin.  The writer validates that every appended record's timestamp
+header (``column_crcs`` for the base slabs, ``derived.crcs`` for the
+derived ones), and :func:`verify_trace` / ``repro trace info
+--verify`` recompute them to catch silent corruption.  A trace cut off
+mid-write — a capture that lost power, a copy that died — normally
+fails the size check, but ``TraceReader(path, allow_partial=True)``
+(and ``--allow-partial`` on the CLI) instead recovers every bin whose
+rows survive in *all nine* base column slabs: truncation eats the file
+tail, so the damage lands at the end of the last slabs and the
+recoverable prefix is the minimum complete row count across columns,
+rounded down to a whole bin.  The derived slabs sit after the base
+nine, so a recovered tail has always lost them: the reader does not
+map them, detection from stored columns refuses it
+(:func:`repro.stream.replay.check_derived`), and its records replay
+instead.  The writer validates that every appended record's timestamp
 falls inside its declared bin (so replay re-bins records exactly where
 the index says they are); records within a bin are stored in append
 order — time-sorted when written from the synthetic stream, and
@@ -91,19 +96,14 @@ __all__ = [
     "TraceReader",
     "derive_columns",
     "trace_info",
-    "upgrade_trace",
     "verify_trace",
 ]
 
 MAGIC = b"RPROTRC1"
-#: Base columns only: still readable, so :func:`upgrade_trace` can
-#: backfill it, but never written.
-TRACE_VERSION = 1
-#: What every writer produces: the base slabs plus the derived columns
-#: (resolved OD index + per-feature bin-local run indices), declared by
-#: the additive ``derived`` header key.
-TRACE_VERSION_DERIVED = 2
-_SUPPORTED_VERSIONS = (TRACE_VERSION, TRACE_VERSION_DERIVED)
+#: The one format version, written and read: the base slabs plus the
+#: derived columns (resolved OD index + per-feature bin-local run
+#: indices) declared by the header's ``derived`` table.
+FORMAT_VERSION = 2
 
 #: Wire dtypes per column, little-endian (int64 columns -> "<i8",
 #: the timestamp column -> "<f8"), derived from the batch schema.
@@ -156,8 +156,12 @@ class TraceInfo:
         truncated: The file tail is missing and this info describes the
             recovered complete-bin prefix (``allow_partial=True``).
         dropped_records: Declared records lost to the truncation.
-        column_crcs: Per-column slab CRC32s from the header (None for
-            traces written before checksums existed).
+        column_crcs: Per-column CRC32s of the nine base slabs.
+        derived: The header's derived-column table: column names and
+            dtypes, their slab CRC32s (``crcs``) and the anonymization
+            depth the run ids were computed under
+            (``anonymization_bits``).  A truncated tail has lost those
+            slabs; the table still describes the file as written.
     """
 
     def __init__(
@@ -175,14 +179,9 @@ class TraceInfo:
         self.n_bins = len(bin_offsets) - 1
         self.truncated = bool(truncated)
         self.dropped_records = self.declared_records - self.n_records
-        crcs = header.get("column_crcs")
-        self.column_crcs = None if crcs is None else [int(c) for c in crcs]
-        self.version = int(header.get("version", TRACE_VERSION))
-        #: Derived-column header block (column table, CRCs, the
-        #: anonymization depth the run ids were computed under), or
-        #: None for version-1 traces and truncated tails that lost the
-        #: derived slabs.
-        self.derived = dict(header["derived"]) if "derived" in header else None
+        self.column_crcs = [int(c) for c in header["column_crcs"]]
+        self.version = int(header["version"])
+        self.derived = dict(header["derived"])
         grid = header["bins"]
         self.bins = TimeBins(
             n_bins=self.n_bins, width=float(grid["width"]), start=float(grid["start"])
@@ -468,7 +467,7 @@ class TraceWriter:
         np.cumsum(self._bin_counts, out=bin_offsets[1:])
         n_base = len(_WIRE_DTYPES)
         header = {
-            "version": TRACE_VERSION_DERIVED,
+            "version": FORMAT_VERSION,
             "n_records": self._n_records,
             "n_bins": self.n_bins,
             "bins": {"width": self.bin_width, "start": self.start},
@@ -500,6 +499,38 @@ class TraceWriter:
                 spool_path.unlink(missing_ok=True)
         self.info = TraceInfo(self.path, header, bin_offsets.astype(np.int64))
         return self.info
+
+
+def _check_format(path: Path, header: dict) -> None:
+    """Refuse any header but a version-2 one with both column tables and
+    every slab's checksum, naming the command that regenerates it."""
+    version, derived = header.get("version"), header.get("derived")
+    crcs = header.get("column_crcs") or ()
+    problem = None
+    if version != FORMAT_VERSION:
+        problem = f"trace format version {version!r}"
+    elif not isinstance(derived, dict) or not {
+        "columns", "crcs", "anonymization_bits"
+    } <= set(derived):
+        problem = "no derived-column table"
+    elif (len(crcs), len(derived["crcs"])) != (len(_WIRE_DTYPES), len(_DERIVED_DTYPES)):
+        problem = "no checksum for every column slab"
+    if problem:
+        raise TraceError(
+            f"{path}: {problem}; this reader opens only version-{FORMAT_VERSION} "
+            f"traces with derived columns and checksums — regenerate it with "
+            f"`repro trace write` from the scenario and seed in its meta"
+        )
+    tables = (
+        ("column table", header["columns"], _WIRE_DTYPES),
+        ("derived column table", derived["columns"], _DERIVED_DTYPES),
+    )
+    for what, columns, expected in tables:
+        declared = [(c["name"], c["dtype"]) for c in columns]
+        if declared != list(expected):
+            raise TraceError(
+                f"{path}: {what} {declared} does not match {list(expected)}"
+            )
 
 
 def _read_header(
@@ -539,35 +570,7 @@ def _read_header(
                 header = json.loads(payload)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}: corrupt trace header ({exc})") from None
-            version = header.get("version")
-            if version not in _SUPPORTED_VERSIONS:
-                raise TraceError(
-                    f"{path}: unsupported trace version {version!r} "
-                    f"(this reader handles {_SUPPORTED_VERSIONS})"
-                )
-            declared = [(c["name"], c["dtype"]) for c in header["columns"]]
-            if declared != list(_WIRE_DTYPES):
-                raise TraceError(
-                    f"{path}: column table {declared} does not match the "
-                    f"FlowRecordBatch schema {list(_WIRE_DTYPES)}"
-                )
-            n_derived = 0
-            if version == TRACE_VERSION_DERIVED:
-                derived = header.get("derived")
-                if not isinstance(derived, dict) or "columns" not in derived:
-                    raise TraceError(
-                        f"{path}: version-{version} trace is missing the "
-                        f"derived-column table"
-                    )
-                declared_derived = [
-                    (c["name"], c["dtype"]) for c in derived["columns"]
-                ]
-                if declared_derived != list(_DERIVED_DTYPES):
-                    raise TraceError(
-                        f"{path}: derived column table {declared_derived} does "
-                        f"not match {list(_DERIVED_DTYPES)}"
-                    )
-                n_derived = len(declared_derived)
+            _check_format(path, header)
             n_bins = int(header["n_bins"])
             n_records = int(header["n_records"])
             if n_bins < 1 or n_records < 0:
@@ -576,7 +579,7 @@ def _read_header(
             index_start = len(MAGIC) + 8 + header_len
             index_bytes = (n_bins + 1) * _ITEM_SIZE
             data_start = index_start + index_bytes
-            n_columns = len(_WIRE_DTYPES) + n_derived
+            n_columns = len(_WIRE_DTYPES) + len(_DERIVED_DTYPES)
             expected = data_start + n_records * _ITEM_SIZE * n_columns
             truncated = size != expected
             if truncated and not (allow_partial and data_start <= size < expected):
@@ -611,11 +614,7 @@ def _read_header(
                 # present in EVERY column are usable, and only whole
                 # bins of them.  Derived slabs sit after the base nine,
                 # so any truncation loses them first: a recovered trace
-                # always drops the derived columns and recovers the
-                # base-column prefix.
-                if n_derived:
-                    header = dict(header)
-                    header.pop("derived", None)
+                # is the base-column prefix only.
                 avail = [
                     max(
                         0,
@@ -688,7 +687,7 @@ class TraceReader:
                 offset=data_start + k * declared * _ITEM_SIZE,
                 shape=(n,),
             )
-        if self.info.derived is not None:
+        if not self.info.truncated:
             base = len(_WIRE_DTYPES)
             for j, (name, dtype) in enumerate(_DERIVED_DTYPES):
                 self._derived_columns[name] = np.memmap(
@@ -739,18 +738,13 @@ class TraceReader:
         """One whole column as a read-only memory-mapped array."""
         return self._columns[name]
 
-    @property
-    def has_derived(self) -> bool:
-        """Whether this trace carries the precomputed derived columns."""
-        return bool(self._derived_columns)
-
     def derived_column(self, name: str) -> np.ndarray:
         """One derived column (``od`` or ``runid_<feature>``) as a
         read-only memory-mapped array.
 
         Raises:
-            KeyError: For version-1 traces (no derived columns); run
-                :func:`upgrade_trace` first.
+            KeyError: For a tail recovered from a truncated file, which
+                lost its derived slabs.
         """
         return self._derived_columns[name]
 
@@ -844,55 +838,6 @@ class TraceReader:
         self._swept = True
 
 
-def upgrade_trace(
-    path: str | Path, topology=None, output: str | Path | None = None
-) -> TraceInfo:
-    """Backfill the derived columns into an existing trace.
-
-    The one way a version-1 trace becomes consumable by detection:
-    replays the trace bin by bin through a :class:`TraceWriter`, so the
-    nine base slabs are copied byte-identical (same records, same
-    order, same CRCs) and the od/runid slabs are appended — the same
-    bytes a direct write of those records produces.  In-place by
-    default — the writer assembles into a temp file and
-    ``os.replace``\\ s it over the original, so a crash never corrupts
-    the source trace.  A trace that already carries the columns is
-    returned unchanged (copied to ``output`` when one is given).
-
-    Args:
-        path: The trace to upgrade.
-        topology: The backbone to attribute ODs on; defaults to the
-            trace header's ``network`` looked up via
-            :func:`repro.net.topology.topology_by_name`.
-        output: Write the upgraded trace here instead of in place.
-
-    Returns:
-        The upgraded trace's :class:`TraceInfo`.
-    """
-    path = Path(path)
-    with TraceReader(path) as reader:
-        if reader.has_derived:
-            if output is not None and Path(output) != path:
-                shutil.copyfile(path, output)
-                return trace_info(output)
-            return reader.info
-        target = Path(output) if output is not None else path
-        with TraceWriter(
-            target,
-            n_bins=reader.n_bins,
-            bin_width=reader.bins.width,
-            start=reader.bins.start,
-            network=reader.network,
-            meta=reader.meta,
-            topology=topology,
-        ) as writer:
-            for b in range(reader.n_bins):
-                batch = reader.read_bin(b)
-                if len(batch):
-                    writer.append(b, batch)
-    return writer.info
-
-
 def trace_info(path: str | Path, allow_partial: bool = False) -> TraceInfo:
     """Parse a trace header without mapping the columns.
 
@@ -903,6 +848,11 @@ def trace_info(path: str | Path, allow_partial: bool = False) -> TraceInfo:
     path = Path(path)
     header, offsets, _, _, truncated = _read_header(path, allow_partial=allow_partial)
     return TraceInfo(path, header, offsets, truncated=truncated)
+
+
+#: The name the benchmark ledger's set-up (``benchmarks/ledger``) still
+#: calls on a freshly written trace; it reads the header and nothing else.
+upgrade_trace = trace_info
 
 
 def verify_trace(path: str | Path, chunk_bytes: int = 1 << 22) -> dict[str, dict]:
@@ -916,23 +866,12 @@ def verify_trace(path: str | Path, chunk_bytes: int = 1 << 22) -> dict[str, dict
         ``{column_name: {"stored": int, "computed": int, "ok": bool}}``.
 
     Raises:
-        TraceError: If the trace is unreadable, truncated, or predates
-            column checksums (no ``column_crcs`` header key).
+        TraceError: If the trace is unreadable or truncated.
     """
     path = Path(path)
-    header, offsets, data_start, declared, _ = _read_header(path)
-    stored = header.get("column_crcs")
-    if stored is None:
-        raise TraceError(
-            f"{path}: trace has no column checksums "
-            f"(written before they existed); rewrite it to verify"
-        )
-    columns: list[str] = [name for name, _ in _WIRE_DTYPES]
-    stored = [int(c) for c in stored]
-    derived = header.get("derived")
-    if derived is not None:
-        columns += [c["name"] for c in derived["columns"]]
-        stored += [int(c) for c in derived["crcs"]]
+    header, _, data_start, declared, _ = _read_header(path)
+    columns = [name for name, _ in _WIRE_DTYPES + _DERIVED_DTYPES]
+    stored = [int(c) for c in header["column_crcs"] + header["derived"]["crcs"]]
     results: dict[str, dict] = {}
     slab_bytes = declared * _ITEM_SIZE
     with path.open("rb") as handle:

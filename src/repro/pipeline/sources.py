@@ -191,9 +191,9 @@ class TraceSource(RecordSource):
     The trace's own bin grid and network win: ``network``/``n_bins``
     arguments are validated against the header
     (:meth:`repro.io.trace.TraceInfo.ensure_compatible`), never used to
-    re-bin.  The trace must carry the derived detection columns (every
-    writer stores them); a version-1 file raises
-    :class:`~repro.io.trace.TraceError` naming ``repro trace upgrade``.
+    re-bin.  The file must open whole: a truncated trace raises
+    :class:`~repro.io.trace.TraceError` here, and any header but the one
+    format version raises it naming ``repro trace write``.
     """
 
     def __init__(
@@ -202,14 +202,9 @@ class TraceSource(RecordSource):
         network: str | None = None,
         n_bins: int | None = None,
     ) -> None:
-        from repro.io.trace import TraceError, trace_info
+        from repro.io.trace import trace_info
 
         info = trace_info(path)
-        if info.derived is None:
-            raise TraceError(
-                f"trace {path} has no derived detection columns (version "
-                f"{info.version}); run `repro trace upgrade {path}` first"
-            )
         recorded = info.network.lower() if info.network else None
         if network is not None:
             info.ensure_compatible(network=network)

@@ -224,8 +224,9 @@ class StreamingDetectionEngine:
         Raises:
             ValueError: In sketch mode — sketches hash raw feature
                 values, which the derived columns do not store.
-            TraceError: The trace has no derived columns (run
-                ``repro trace upgrade``).
+            TraceError: The trace is a tail recovered from a truncated
+                file (``allow_partial``), which lost its derived columns:
+                replay its records with :meth:`process` instead.
         """
         from repro.io.trace import TraceReader
         from repro.stream.replay import iter_precomputed_summaries

@@ -3,7 +3,7 @@
 Warm mmap replay streams records ~40x faster than the exact detection
 path consumes them; the committed telemetry shows why — the per-bin
 (od, value) sort inside :func:`repro.kernels.group_reduce` is the
-single hottest span.  A version-2 trace (:mod:`repro.io.trace`) stores
+single hottest span.  Every trace (:mod:`repro.io.trace`) stores
 what that sort produces: per record, the resolved OD index and — per
 feature — the record's run index in the bin's canonical (od, value)
 grouped order.  Records sharing an (od, value) key share one run id and
@@ -16,9 +16,9 @@ emitted :class:`~repro.stream.window.BinSummary` is bit-identical to
 what :class:`~repro.stream.window.StreamFeatureStage` computes from
 raw records — detections from either path match byte for byte.
 
-A version-1 trace (no derived columns) is refused with a
-:class:`~repro.io.trace.TraceError` naming ``repro trace upgrade``,
-which backfills the columns once.
+A tail recovered from a truncated file (``allow_partial``) has lost
+its derived slabs: :func:`check_derived` refuses it with a
+:class:`~repro.io.trace.TraceError`, and its records replay instead.
 """
 
 from __future__ import annotations
@@ -50,17 +50,17 @@ def check_derived(info, topology: Topology) -> None:
         info: The trace's :class:`~repro.io.trace.TraceInfo`.
 
     Raises:
-        TraceError: The trace has no derived columns (version 1, or a
-            truncated tail that lost them).
+        TraceError: The trace is a tail recovered from a truncated file,
+            which lost its derived columns.
         ValueError: The run ids were computed under another
             anonymization depth than ``topology``'s.
     """
-    if info.derived is None:
+    if info.truncated:
         raise TraceError(
-            f"{info.path} has no derived detection columns; run "
-            f"`repro trace upgrade {info.path}` to backfill them"
+            f"{info.path} was recovered from a truncated file and lost its "
+            f"derived detection columns; replay its records instead"
         )
-    stored_bits = int(info.derived.get("anonymization_bits", -1))
+    stored_bits = int(info.derived["anonymization_bits"])
     if stored_bits != int(topology.anonymization_bits):
         raise ValueError(
             f"{info.path} derived its run ids under {stored_bits}-bit "
@@ -178,8 +178,8 @@ def iter_precomputed_summaries(
     summaries; leading/trailing empty bins never close).
 
     Raises:
-        TraceError: The trace has no derived columns (version 1, or a
-            truncated tail that lost them).
+        TraceError: The trace is a tail recovered from a truncated file,
+            which lost its derived columns.
         ValueError: The run ids were computed under another
             anonymization depth than ``topology``'s.
     """

@@ -441,6 +441,7 @@ class TestRunCLI:
         ["trace", "write", "baseline-diurnal", "--output", "x.trace",
          "--bin-group", "4"],
         ["trace", "replay", "x.trace", "--readahead"],
+        ["trace", "upgrade", "x.trace"],
     ])
     def test_removed_commands_and_flags_exit_2(self, argv, capsys):
         from repro.cli import main

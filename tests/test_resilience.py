@@ -37,7 +37,7 @@ from repro.cluster import (
 from repro.flows.binning import TimeBins
 from repro.net.topology import abilene
 from repro.pipeline import DetectionPipeline
-from repro.pipeline.sources import ScenarioSource
+from repro.pipeline.sources import ScenarioSource, TraceSource
 from repro.resilience import (
     CheckpointError,
     CheckpointWriter,
@@ -319,6 +319,22 @@ class TestChaosCluster:
         result = self._run(chaos="stall:shard=0,bin=3,secs=0.2")
         assert result.restarts == 0
         assert _signature(result.report) == baseline_signature
+
+    @pytest.mark.parametrize("kind", ["trace", "scenario"])
+    def test_restarted_shard_reports_its_whole_load(self, kind, tmp_path):
+        # The restarted attempt resumes mid-run; its close message must
+        # still count the records of the bins before its resume point.
+        source = _source()
+        if kind == "trace":
+            source = TraceSource(source.write_trace(tmp_path / "run.trace").path)
+        calm = run_cluster_source(source, n_shards=3, config=_config())
+        killed = run_cluster_source(
+            source, n_shards=3, config=_config(), chaos="seeded:seed=11,kind=kill",
+            resilience=ResiliencePolicy(backoff_s=0.01),
+        )
+        assert killed.restarts == 1
+        assert killed.shard_records == calm.shard_records
+        assert sum(killed.shard_records.values()) == killed.n_records
 
     def test_fault_for_unknown_shard_rejected(self):
         with pytest.raises(ValueError, match="shard"):

@@ -66,7 +66,8 @@ def _write(path, bins, topology=TOPOLOGY, seed=0):
 
 def _record_path(source, shard_id, n_shards, resume_bin, chunk_records=7):
     """The record path, spelled out: a monitor over ``shard_batches``,
-    fast-forwarding chunks before the resume bin."""
+    fast-forwarding chunks before the resume bin.  The record count is
+    every record the shard owns, fast-forwarded ones included."""
     monitor = ShardMonitor(
         source.topology, bin_width=source.spec.bin_width,
         start=source.spec.bin_start, exact=True, shard_id=shard_id,
@@ -76,9 +77,9 @@ def _record_path(source, shard_id, n_shards, resume_bin, chunk_records=7):
     for chunk, ods in source.shard_batches(
         shard_id, n_shards, router=monitor.router, chunk_records=chunk_records
     ):
+        n_records += len(chunk)
         if resume_bin and chunk.timestamp.max() < resume_time:
             continue
-        n_records += len(chunk)
         shipped += monitor.ingest(chunk, ods=ods)
     shipped += monitor.flush()
     return [s for s in shipped if s.bin >= resume_bin], n_records

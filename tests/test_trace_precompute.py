@@ -5,14 +5,13 @@ Exact detection replayed from a trace's derived columns
 detections byte-for-byte equal to the record-level engine — pinned
 against the same frozen parity fixture the kernel path is held to
 (``tests/data/seed_stream_detections.json``, built through
-``tests/parity_fixture.py``), for a direct write and for a version-1
-file brought back by ``upgrade_trace``.  Version-1 files (written
-here by stripping the derived slabs, the layout older writers
-produced) are refused by every detection source until upgraded.
+``tests/parity_fixture.py``).  Version 2 is the only trace format:
+any other header, or one without its checksums, is refused when the
+file is opened, and a tail recovered from a truncated file (which lost
+its derived slabs) replays its records instead.
 """
 
 import dataclasses
-import json
 import struct
 
 import numpy as np
@@ -23,19 +22,16 @@ from repro import ScenarioSource, abilene
 from repro.flows.features import FEATURES
 from repro.cli import main
 from repro.io.trace import (
-    MAGIC,
     TraceError,
     TraceReader,
     TraceWriter,
     derive_columns,
     trace_info,
-    upgrade_trace,
     verify_trace,
 )
 from repro.net.routing import Router
-from repro.pipeline import TraceSource
 from repro.stream import StreamConfig, StreamingDetectionEngine
-from repro.stream.replay import iter_precomputed_summaries
+from repro.stream.replay import check_derived, iter_precomputed_summaries
 
 
 def _write_batches(path, wl, batches):
@@ -49,20 +45,16 @@ def _scenario(**kwargs):
     return ScenarioSource("baseline-diurnal", **kwargs)
 
 
-def _strip_to_v1(src, dst):
-    """Rewrite trace ``src`` as a version-1 file at ``dst``: the same
-    header minus the ``derived`` table, and the nine base slabs only."""
-    data = src.read_bytes()
+def _patch_header(path, old, new):
+    """Replace ``old`` by the same-length ``new`` in the trace's header
+    JSON, in place: the file keeps its byte length and layout."""
+    assert len(old) == len(new)
+    data = path.read_bytes()
     (header_len,) = struct.unpack("<Q", data[8:16])
-    header = json.loads(data[16:16 + header_len])
-    n_derived = len(header.pop("derived")["columns"])
-    header["version"] = 1
-    payload = json.dumps(header, sort_keys=True).encode()
-    payload += b" " * (-len(payload) % 8)
-    body = data[16 + header_len:]
-    body = body[: len(body) - n_derived * 8 * header["n_records"]]
-    dst.write_bytes(MAGIC + struct.pack("<Q", len(payload)) + payload + body)
-    return dst
+    head, body = data[:16 + header_len], data[16 + header_len:]
+    assert head.count(old) == 1
+    path.write_bytes(head.replace(old, new) + body)
+    return path
 
 
 def _engine(topology, wl):
@@ -84,18 +76,6 @@ class TestPrecomputedReplayByteEquality:
         assert info.version == 2 and info.derived is not None
         report = _engine(topology, wl).process_precomputed(path)
         assert render(wl, report) == fixture_bytes
-
-    def test_upgraded_v1_reproduces_seed_fixture(self, workload, tmp_path):
-        wl, topology, batches = workload
-        direct = tmp_path / "derived.trace"
-        _write_batches(direct, wl, batches)
-        v1 = _strip_to_v1(direct, tmp_path / "plain.trace")
-        with pytest.raises(TraceError, match="repro trace upgrade"):
-            _engine(topology, wl).process_precomputed(v1)
-        upgrade_trace(v1)
-        assert v1.read_bytes() == direct.read_bytes()
-        report = _engine(topology, wl).process_precomputed(v1)
-        assert render(wl, report) == FIXTURE_PATH.read_bytes()
 
     def test_precomputed_summaries_match_stage_summaries(self, workload, tmp_path):
         wl, topology, batches = workload
@@ -133,33 +113,27 @@ class TestPrecomputedReplayByteEquality:
 
 
 class TestTraceV2Format:
-    """The derived-column trace format: round-trip, upgrade, recovery."""
+    """The one trace format: header, derived columns, refusals, recovery."""
 
     @pytest.fixture(scope="class")
-    def traces(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("v2")
-        v2 = tmp / "v2.trace"
-        _scenario(n_bins=4, seed=5, max_records_per_od=40).write_trace(v2)
-        return _strip_to_v1(v2, tmp / "v1.trace"), v2
+    def v2(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v2") / "v2.trace"
+        _scenario(n_bins=4, seed=5, max_records_per_od=40).write_trace(path)
+        return path
 
-    def test_versions_and_header(self, traces):
-        v1, v2 = traces
-        i1, i2 = trace_info(v1), trace_info(v2)
-        assert (i1.version, i2.version) == (1, 2)
-        assert i1.derived is None
-        assert [c["name"] for c in i2.derived["columns"]] == ["od"] + [
+    def test_version_and_header(self, v2):
+        info = trace_info(v2)
+        assert info.version == 2
+        assert [c["name"] for c in info.derived["columns"]] == ["od"] + [
             f"runid_{name}" for name in FEATURES
         ]
-        assert i2.derived["anonymization_bits"] == abilene().anonymization_bits
-        # Base columns are byte-identical regardless of derivation.
-        assert i1.column_crcs == i2.column_crcs
+        assert info.derived["anonymization_bits"] == abilene().anonymization_bits
+        assert len(info.column_crcs) == 9 and len(info.derived["crcs"]) == 5
 
-    def test_derived_columns_match_on_the_fly_derivation(self, traces):
-        _, v2 = traces
+    def test_derived_columns_match_on_the_fly_derivation(self, v2):
         topology = abilene()
         router = Router(topology)
         with TraceReader(v2) as reader:
-            assert reader.has_derived
             for b in range(reader.n_bins):
                 stored_ods, stored_runids = reader.read_derived_bin(b)
                 ods, runids = derive_columns(
@@ -169,58 +143,32 @@ class TestTraceV2Format:
                 for got, expected in zip(stored_runids, runids):
                     np.testing.assert_array_equal(got, expected)
 
-    def test_upgrade_matches_direct_derived_write(self, traces, tmp_path):
-        v1, v2 = traces
-        upgraded = tmp_path / "upgraded.trace"
-        info = upgrade_trace(v1, output=upgraded)
-        assert info.version == 2
-        assert upgraded.read_bytes() == v2.read_bytes()
+    @pytest.mark.parametrize("old, new", [
+        (b'"version": 2', b'"version": 1'),
+        (b'"column_crcs"', b'"column_crcx"'),
+    ], ids=["version-1", "no-checksums"])
+    @pytest.mark.parametrize("opener", ["reader", "info", "cli-info", "cli-run"])
+    def test_other_headers_are_refused_at_open(self, v2, tmp_path, capsys,
+                                               old, new, opener):
+        path = tmp_path / "patched.trace"
+        path.write_bytes(v2.read_bytes())
+        _patch_header(path, old, new)
+        assert path.stat().st_size == v2.stat().st_size
+        if opener.startswith("cli"):
+            argv = (["trace", "info", str(path)] if opener == "cli-info"
+                    else ["run", "baseline-diurnal", "--trace", str(path)])
+            assert main(argv) == 2
+            assert "repro trace write" in capsys.readouterr().err
+            return
+        with pytest.raises(TraceError, match="repro trace write"):
+            TraceReader(path) if opener == "reader" else trace_info(path)
 
-    def test_v1_trace_source_names_the_upgrade(self, traces):
-        v1, v2 = traces
-        with pytest.raises(TraceError, match=f"repro trace upgrade {v1}"):
-            TraceSource(v1)
-        assert TraceSource(v2).info.version == 2
-
-    def test_v1_trace_cli_run_names_the_upgrade(self, traces, capsys):
-        v1, _ = traces
-        code = main(["run", "baseline-diurnal", "--trace", str(v1)])
-        assert code == 2
-        assert f"run `repro trace upgrade {v1}` first" in capsys.readouterr().err
-
-    def test_v1_replay_takes_the_record_path(self, tmp_path, capsys):
-        v2 = tmp_path / "v2.trace"
-        main(["trace", "write", "baseline-diurnal", "--bins", "10",
-              "--max-records", "10", "--seed", "3", "--output", str(v2)])
-        v1 = _strip_to_v1(v2, tmp_path / "v1.trace")
-        args = ["--warmup-bins", "8", "--exact", "--refit-every", "0",
-                "--components", "4"]
-        detections = {}
-        for path, path_kind in ((v1, "exact histograms"), (v2, "precomputed columns")):
-            assert main(["trace", "replay", str(path), *args]) == 0
-            out = capsys.readouterr().out
-            assert path_kind in out
-            detections[path_kind] = [
-                line for line in out.splitlines() if line.startswith("detections:")
-            ]
-        assert detections["exact histograms"] == detections["precomputed columns"]
-
-    def test_upgrade_in_place_is_idempotent(self, traces, tmp_path):
-        v1, _ = traces
-        path = tmp_path / "inplace.trace"
-        path.write_bytes(v1.read_bytes())
-        first = upgrade_trace(path)
-        again = upgrade_trace(path)
-        assert first.version == again.version == 2
-        assert trace_info(path).n_records == trace_info(v1).n_records
-
-    def test_verify_covers_derived_columns(self, traces):
-        _, v2 = traces
+    def test_verify_covers_derived_columns(self, v2):
         results = verify_trace(v2)
         assert set(results) >= {"od", "runid_src_port", "runid_dst_ip"}
         assert all(r["ok"] for r in results.values())
 
-    def test_truncation_into_derived_slabs_recovers_base(self, tmp_path):
+    def test_truncated_tail_replays_its_records(self, tmp_path, capsys):
         v2 = tmp_path / "full.trace"
         _scenario(n_bins=12, seed=5, max_records_per_od=40).write_trace(v2)
         full = trace_info(v2)
@@ -231,16 +179,16 @@ class TestTraceV2Format:
         with pytest.raises(TraceError):
             trace_info(clipped)
         recovered = trace_info(clipped, allow_partial=True)
-        assert recovered.truncated
-        assert recovered.derived is None
-        with TraceReader(clipped, allow_partial=True) as reader:
-            assert not reader.has_derived
-            assert reader.n_bins >= 1
+        assert recovered.truncated and recovered.n_records == full.n_records
+        with pytest.raises(TraceError, match="replay its records"):
+            check_derived(recovered, abilene())
         # The fast path refuses the tail; its records still replay.
         config = StreamConfig(warmup_bins=8, n_components=2, refit_every=0,
                               exact_histograms=True)
         with TraceReader(clipped, allow_partial=True) as reader:
-            with pytest.raises(TraceError, match="no derived detection columns"):
+            with pytest.raises(KeyError):
+                reader.derived_column("od")
+            with pytest.raises(TraceError, match="replay its records"):
                 StreamingDetectionEngine(abilene(), config).process_precomputed(
                     reader
                 )
@@ -248,3 +196,9 @@ class TestTraceV2Format:
                 reader.iter_chunks()
             )
         assert report.n_records == full.n_records
+        code = main(["trace", "replay", str(clipped), "--exact", "--allow-partial",
+                     "--warmup-bins", "8", "--components", "2",
+                     "--refit-every", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "exact histograms" in out and f"replayed {full.n_records} records" in out

@@ -36,7 +36,6 @@ from repro.io import (
     trace_info,
     verify_trace,
 )
-from repro.io.trace import upgrade_trace
 from repro.resilience import truncate_tail
 from repro.net.topology import abilene
 from repro.pipeline import DetectionPipeline
@@ -136,7 +135,7 @@ class TestRoundTrip:
         with TraceReader(path) as reader:
             assert reader.n_bins == len(bin_counts)
             assert reader.network == "Abilene"
-            assert reader.has_derived
+            assert len(reader.derived_column("od")) == info.n_records
             assert reader.meta["k"] == 1
             for b, batch in enumerate(batches):
                 _columns_equal(reader.read_bin(b), batch)
@@ -594,20 +593,6 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert code == 0 and "CM sketches" in out  # sketch: the records
 
-    def test_upgrade_output_copies_a_derived_trace(self, tmp_path, capsys):
-        path, out_path = tmp_path / "cli.trace", tmp_path / "copy.trace"
-        main(["trace", "write", "baseline-diurnal", "--bins", "4",
-              "--max-records", "5", "--output", str(path)])
-        capsys.readouterr()
-        code = main(["trace", "upgrade", str(path), "--output", str(out_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert f"copied it unchanged to {out_path}" in out
-        assert "nothing to do" not in out
-        assert out_path.read_bytes() == path.read_bytes()
-        assert main(["trace", "upgrade", str(path)]) == 0
-        assert "nothing to do" in capsys.readouterr().out
-
     def test_info_flags_a_trace_from_an_older_synthesis_scheme(
         self, tmp_path, capsys
     ):
@@ -626,7 +611,7 @@ class TestTraceCli:
         scenario = ScenarioSource("ddos-burst", n_bins=3, max_records_per_od=5)
         written = scenario.write_trace(tmp_path / "scenario.trace")
         assert written.synthesis == SYNTHESIS_SCHEME
-        assert upgrade_trace(written.path).synthesis == SYNTHESIS_SCHEME
+        assert trace_info(written.path).synthesis == SYNTHESIS_SCHEME
 
     def test_info_verify_and_allow_partial(self, tmp_path, capsys):
         out_path = tmp_path / "cli.trace"

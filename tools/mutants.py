@@ -87,6 +87,20 @@ _SHARD_PARITY = ("tests/test_shard_summaries.py::"
                  "test_stored_run_ids_ship_what_the_record_path_ships")
 _SEED_EXACT = ("tests/test_kernels.py::TestSeedDetectionByteEquality::"
                "test_exact_mode_reproduces_seed_output")
+_MULTIWAY = "src/repro/core/multiway.py"
+_IDENTIFY = "src/repro/core/identification.py"
+_SUMMARY = "src/repro/cluster/summary.py"
+_NORMALIZE = "tests/test_multiway.py::TestNormalization"
+_IDENTIFY_LOOP = "tests/test_identification.py::TestBatchedSolve::test_matches_per_od_loop"
+_IDENTIFY_UNIT = "tests/test_identification.py::TestIdentifyFlows"
+_GRAM = ("tests/test_identification.py::TestBatchedSolve::"
+         "test_gram_blocks_match_per_od_normal_equations")
+_MERGE = "tests/test_cluster_summary.py::TestMergeAlgebra"
+_MERGE_KEYS = "tests/test_cluster.py::TestSummaryAlgebra::test_merge_rejects_mismatches"
+_OTHER_HEADERS = ("tests/test_trace_precompute.py::TestTraceV2Format::"
+                  "test_other_headers_are_refused_at_open")
+_TRUNCATED_TAIL = ("tests/test_trace_precompute.py::TestTraceV2Format::"
+                   "test_truncated_tail_replays_its_records")
 
 MUTANTS: tuple[Mutant, ...] = (
     # -- the sliding subspace core (refit cadence and drift reset) ------
@@ -218,6 +232,100 @@ MUTANTS: tuple[Mutant, ...] = (
         "    for i in range(int(nonempty[0]), int(nonempty[-1]) + 1):\n",
         "    for i in range(int(np.flatnonzero(np.diff(offsets))[0]), int(nonempty[-1]) + 1):\n",
         (_SHARD_PARITY,),
+    ),
+    # -- unit-energy normalisation of the unfolded entropy matrix -------
+    Mutant(
+        "normalize-energy-not-centred", _MULTIWAY,
+        "            energy = np.linalg.norm(block - block.mean(axis=0))\n",
+        "            energy = np.linalg.norm(block)\n",
+        (_NORMALIZE,),
+    ),
+    Mutant(
+        "normalize-divides-zero-energy", _MULTIWAY,
+        "        if energy > 0:\n            block /= energy\n",
+        "        if energy >= 0:\n            block /= energy\n",
+        (_NORMALIZE,),
+    ),
+    Mutant(
+        "normalize-scale-not-recorded", _MULTIWAY,
+        "            scales[j] = energy\n",
+        "            scales[j] = 1.0\n",
+        (_NORMALIZE,),
+    ),
+    Mutant(
+        "normalize-block-short-by-one", _MULTIWAY,
+        "        block = out[:, j * n_od_flows : (j + 1) * n_od_flows]\n",
+        "        block = out[:, j * n_od_flows : (j + 1) * n_od_flows - 1]\n",
+        (_NORMALIZE,),
+    ),
+    # -- greedy OD-flow identification and its per-OD Gram blocks --------
+    Mutant(
+        "identify-picks-worst-flow", _IDENTIFY,
+        "        best = int(np.argmin(remaining))\n",
+        "        best = int(np.argmax(remaining))\n",
+        (_IDENTIFY_LOOP, _IDENTIFY_UNIT),
+    ),
+    Mutant(
+        "identify-adds-the-displacement", _IDENTIFY,
+        "        current[theta_columns(od, p)] -= f[best]\n",
+        "        current[theta_columns(od, p)] += f[best]\n",
+        (_IDENTIFY_LOOP, _IDENTIFY_UNIT),
+    ),
+    Mutant(
+        "identify-keeps-found-flow-live", _IDENTIFY,
+        "        live = live[live != od]\n",
+        "",
+        (_IDENTIFY_LOOP,),
+    ),
+    Mutant(
+        "gram-adds-the-projection", _IDENTIFY,
+        "    gram = np.eye(N_FEATURES) - blocks @ blocks.transpose(0, 2, 1)\n",
+        "    gram = np.eye(N_FEATURES) + blocks @ blocks.transpose(0, 2, 1)\n",
+        (_GRAM, _IDENTIFY_LOOP),
+    ),
+    Mutant(
+        "gram-blocks-od-major", _IDENTIFY,
+        "    blocks = P.reshape(N_FEATURES, n_od_flows, -1).transpose(1, 0, 2)\n",
+        "    blocks = P.reshape(n_od_flows, N_FEATURES, -1)\n",
+        (_GRAM, _IDENTIFY_LOOP),
+    ),
+    # -- the K-way summary merge -----------------------------------------
+    Mutant(
+        "merge-skips-the-last-key-check", _SUMMARY,
+        "    for other in summaries[1:]:\n",
+        "    for other in summaries[1:-1]:\n",
+        (_MERGE_KEYS,),
+    ),
+    Mutant(
+        "merge-records-of-the-first-only", _SUMMARY,
+        "    merged.n_records = sum(s.n_records for s in summaries)\n",
+        "    merged.n_records = first.n_records\n",
+        (_MERGE,),
+    ),
+    Mutant(
+        "merge-interleaves-unsorted", _SUMMARY,
+        "    order = np.argsort(ids)\n",
+        "    order = np.arange(len(ids))\n",
+        (_MERGE,),
+    ),
+    Mutant(
+        "merge-never-reduces-shared-ods", _SUMMARY,
+        "    if (merged_ids[1:] == merged_ids[:-1]).any():\n",
+        "    if False:\n",
+        (_MERGE,),
+    ),
+    # -- the one trace format ----------------------------------------------
+    Mutant(
+        "trace-opens-any-version", "src/repro/io/trace.py",
+        "    if version != FORMAT_VERSION:\n",
+        "    if False:\n",
+        (_OTHER_HEADERS,),
+    ),
+    Mutant(
+        "check-derived-passes-truncated-tail", _REPLAY,
+        "    if info.truncated:\n        raise TraceError(\n",
+        "    if False:\n        raise TraceError(\n",
+        (_TRUNCATED_TAIL,),
     ),
     # -- the threshold ---------------------------------------------------
     Mutant(
