@@ -22,9 +22,9 @@ it depends on:
   record ingestion, sketch-backed per-bin features, streaming multiway
   detection and incremental classification.
 * :mod:`repro.cluster` — the sharded deployment (paper Section 8):
-  per-shard monitors reduce records into mergeable per-bin summaries;
-  a central coordinator merges them and drives the streaming engine
-  across worker processes.
+  per-shard monitors finish their OD flows into per-bin entropy and
+  volume rows; a central coordinator scatters them and drives the
+  streaming engine across worker processes.
 * :mod:`repro.experiments` — one module per paper table and figure.
 
 Quickstart::

@@ -13,8 +13,8 @@ paper) actually runs:
   plain background traffic) through the composable detection pipeline
   in any deployment mode — ``--mode stream`` is the online pipeline of
   paper Section 8, ``--mode cluster`` the sharded deployment (worker
-  processes reduce their OD-flow slice into mergeable per-bin
-  summaries, a central coordinator merges and scores them) — from
+  processes finish their OD flows into per-bin entropy and volume
+  rows, a central coordinator scatters and scores them) — from
   inline synthesis or a recorded ``--trace``;
 * ``worker``   — serve shard work to a ``run --mode cluster --listen``
   coordinator on another host;
@@ -141,10 +141,6 @@ def _add_cluster_knobs(parser) -> None:
                         help="with --transport tcp: bind here and wait for "
                         "external `repro worker --connect` processes "
                         "instead of spawning local ones")
-    parser.add_argument("--tiers", metavar="AxB",
-                        help="aggregator tier layout: A aggregators each "
-                        "tree-merging B workers (A*B shards total; "
-                        "overrides --shards)")
 
 
 def _add_resilience(parser) -> None:
@@ -574,17 +570,6 @@ def _scenario_source(args):
     )
 
 
-def _cluster_layout(args) -> tuple[int, str]:
-    """Worker shards a cluster run starts, and its layout for the banner:
-    A*B under ``--tiers AxB`` (whatever ``--shards`` says), else flat."""
-    if not args.tiers:
-        return args.shards, "flat"
-    from repro.cluster import parse_tiers
-
-    n_aggs, fan_in = parse_tiers(args.tiers)
-    return n_aggs * fan_in, f"{n_aggs} aggregators x {fan_in} workers"
-
-
 def _cmd_worker(args) -> int:
     from repro.cluster.transport import parse_hostport, serve
 
@@ -644,9 +629,8 @@ def _cmd_run(args) -> int:
                 "network": topo.name}
     deployment = ""
     if args.mode == "cluster":
-        n_workers, layout = _cluster_layout(args)
-        run_info["n_shards"] = n_workers
-        deployment = f", {n_workers} shards ({layout}, {args.transport} transport)"
+        run_info["n_shards"] = args.shards
+        deployment = f", {args.shards} shards ({args.transport} transport)"
     print(
         f"scenario {scenario.name} [{args.mode}] on {topo.name}: "
         f"{n_bins} bins x {topo.n_od_flows} OD flows{deployment}, "
@@ -670,7 +654,6 @@ def _cmd_run(args) -> int:
             chaos=args.chaos,
             transport=args.transport,
             listen=args.listen,
-            tiers=args.tiers,
         )
         run_info.update({"n_records": result.n_records,
                          "elapsed_s": result.elapsed})

@@ -1,35 +1,35 @@
-"""Central merge point: align shard summaries by bin, merge, diagnose.
+"""Central merge point: align shard row blocks by bin, scatter, diagnose.
 
 The :class:`ClusterCoordinator` is the "central point" of the paper's
 network-wide diagnosis applied to the sharded deployment: shards push
-per-bin :class:`ShardBinSummary` objects (in bin order, as their local
-streams advance), the coordinator holds each bin open until every
-still-open shard has advanced past it, then reduces the bin's summaries
-in one :func:`~repro.cluster.summary.merge_summaries` pass and drives
+per-bin :class:`ShardBinSummary` row blocks (in bin order, as their
+local streams advance), the coordinator holds each bin open until every
+still-open shard has advanced past it, then scatters the bin's blocks
+into one :class:`~repro.stream.window.BinSummary`
+(:func:`~repro.cluster.summary.merge_summaries`, which also refuses a
+block carrying an OD its shard does not own) and drives
 :meth:`repro.stream.engine.StreamingDetectionEngine.observe_summary` —
 so the cluster's output is the same stream of
 :class:`repro.stream.engine.StreamDetection` verdicts (and ultimately
 the same ``DiagnosisReport``) a single-process engine produces.
 
-Alignment rules (:class:`BinAligner`, their one copy; a *unit* is a
-shard, or an aggregator standing in for its subtree, and an aggregator
-drives the same class over its own children):
+Alignment rules (:class:`BinAligner`, their one copy):
 
-* each unit's summaries must arrive in increasing bin order (shard
-  monitors emit contiguous bins, gaps included);
-* bin ``b`` is merged once every open unit has delivered a summary
-  with bin >= ``b`` or closed — units whose streams start late simply
+* each shard's blocks must arrive in increasing bin order (shard
+  monitors emit contiguous bins, gaps included), one per bin;
+* bin ``b`` is merged once every open shard has delivered a block
+  with bin >= ``b`` or closed — shards whose streams start late simply
   contribute nothing to earlier bins;
-* bins no unit observed (a global gap) are scored as empty summaries,
+* bins no shard observed (a global gap) are scored as empty blocks,
   matching what a single feature stage would emit for a quiet bin.
 
 Supervision hooks serve the runner's supervisor and checkpoint:
 :meth:`~ClusterCoordinator.reopen_shard` (a restarted shard's
-re-deliveries become drops — the merge is canonical, so nothing is
-lost), :meth:`~ClusterCoordinator.resume_bin` (where its replacement
+re-deliveries become drops — its blocks are deterministic, so nothing
+is lost), :meth:`~ClusterCoordinator.resume_bin` (where its replacement
 starts), :meth:`~ClusterCoordinator.preload` (replay checkpointed bins
 on ``--resume``) and :attr:`~ClusterCoordinator.on_bin_merged` (every
-closed bin's merged summary, ``None`` for a gap: the spill point).
+closed bin's merged block, ``None`` for a gap: the spill point).
 """
 
 from __future__ import annotations
@@ -47,16 +47,16 @@ __all__ = ["BinAligner", "ClusterCoordinator"]
 class BinAligner:
     """The cluster's bin-alignment rule, free of any engine or transport.
 
-    Units :meth:`add` summaries, each unit in increasing bin order.
-    Bin ``b`` is released once every still-open unit has delivered a
-    bin >= ``b`` or closed; releases come in bin order from the
-    frontier, as ``(bin, merged summary)``, or ``(bin, None)`` for a
-    bin no unit delivered (a global gap).  A bin re-delivered at or
-    below a unit's high-water mark, or below the frontier, is a
-    protocol violation (``ValueError``) — unless the unit was
-    :meth:`reopen`-ed: its replacement legitimately recomputes bins,
-    and those copies are dropped (byte-identical to the kept one in
-    exact mode, estimator-equivalent in sketch mode).
+    Units (shards ``0..K-1``) :meth:`add` row blocks, each unit in
+    increasing bin order.  Bin ``b`` is released once every still-open
+    unit has delivered a bin >= ``b`` or closed; releases come in bin
+    order from the frontier, as ``(bin, merged block)``, or ``(bin,
+    None)`` for a bin no unit delivered (a global gap).  A block signed
+    by another shard, or a bin re-delivered at or below a unit's
+    high-water mark or below the frontier, is a protocol violation
+    (``ValueError``) — unless the unit was :meth:`reopen`-ed: its
+    replacement legitimately recomputes bins, and those copies are
+    dropped (byte-identical to the kept one in exact mode).
     """
 
     def __init__(self, unit_ids) -> None:
@@ -70,7 +70,7 @@ class BinAligner:
         self.reopened: set[int] = set()
         #: unit -> highest bin it delivered
         self.highwater: dict[int, int] = {}
-        #: bin -> its summaries so far, held until every open unit passes it
+        #: bin -> its blocks so far, held until every open unit passes it
         self.pending: dict[int, list[ShardBinSummary]] = {}
         #: next bin to release; None until the first release
         self.frontier: int | None = None
@@ -80,7 +80,7 @@ class BinAligner:
             raise ValueError(f"shard {unit} is unknown or already closed")
 
     def add(self, unit: int, summary: ShardBinSummary) -> list:
-        """Hold one unit's summary; return the ``(bin, merged | None)``
+        """Hold one unit's block; return the ``(bin, merged | None)``
         it released (a reopened unit's duplicate is dropped: ``[]``)."""
         self._check_open(unit)
         bin_index = summary.bin
@@ -98,6 +98,10 @@ class BinAligner:
             raise ValueError(
                 f"shard {unit} delivered bin {bin_index}, already merged "
                 f"(frontier is at bin {self.frontier})"
+            )
+        if summary.shard != unit:
+            raise ValueError(
+                f"shard {unit} delivered a block signed by shard {summary.shard}"
             )
         self.highwater[unit] = bin_index
         self.pending.setdefault(bin_index, []).append(summary)
@@ -121,13 +125,16 @@ class BinAligner:
             if any(self.highwater.get(u, target - 1) < target for u in self.open):
                 break
             group = self.pending.pop(target, None)
-            released.append((target, None if group is None else merge_summaries(group)))
+            released.append((
+                target,
+                None if group is None else merge_summaries(group, len(self.units)),
+            ))
             self.frontier = target + 1
         return released
 
 
 class ClusterCoordinator:
-    """Merges shard summaries bin-by-bin into a streaming diagnosis.
+    """Scatters shard row blocks bin-by-bin into a streaming diagnosis.
 
     Usage::
 
@@ -147,10 +154,10 @@ class ClusterCoordinator:
         self.shard_ids = self._aligner.units
         self._n_records = 0
         self._late_records = 0
-        #: bin -> perf_counter of its first summary's arrival; the gap
+        #: bin -> perf_counter of its first block's arrival; the gap
         #: to its merge is the bin's wait-for-stragglers latency.
         self._first_arrival: dict[int, float] = {}
-        #: invoked with (bin, merged summary | None-for-gap) as each
+        #: invoked with (bin, merged block | None-for-gap) as each
         #: bin closes — the checkpoint writer's append point.  Attach
         #: AFTER preload(), or replayed bins would be re-appended.
         self.on_bin_merged: Callable[[int, ShardBinSummary | None], None] | None = None
@@ -175,7 +182,7 @@ class ClusterCoordinator:
     def add_summary(
         self, shard_id: int, summary: ShardBinSummary
     ) -> list[StreamDetection]:
-        """Accept one shard's summary; returns verdicts of bins it freed."""
+        """Accept one shard's row block; returns verdicts of bins it freed."""
         expected_p = self.engine.topology.n_od_flows
         if summary.n_od_flows != expected_p:
             raise ValueError(
@@ -187,7 +194,7 @@ class ClusterCoordinator:
         return self._score(self._aligner.add(shard_id, summary))
 
     def add_serialized(self, shard_id: int, payload: bytes) -> list[StreamDetection]:
-        """Accept one wire-format summary (see :meth:`ShardBinSummary.to_bytes`)."""
+        """Accept one wire-format block (see :meth:`ShardBinSummary.to_bytes`)."""
         return self.add_summary(shard_id, ShardBinSummary.from_bytes(payload))
 
     def record_late(self, n_records: int) -> None:
@@ -222,8 +229,8 @@ class ClusterCoordinator:
         """Replay one checkpointed merged bin (``None`` = global gap).
 
         Drives the engine exactly as a live merge would have — the
-        merge is deterministic, so the replayed diagnosis is identical
-        to the original run's.  Must be called with contiguous bins
+        merged rows are deterministic, so the replayed diagnosis is
+        identical to the original run's.  Must be called with contiguous bins
         starting at the frontier, before any shard delivers.
         """
         if bin_index != self.next_bin:
@@ -242,10 +249,10 @@ class ClusterCoordinator:
         self._aligner.frontier = bin_index + 1
 
     def _observe(self, bin_index: int, merged: ShardBinSummary | None):
-        """Spill and score one closed bin's merged summary.
+        """Spill and score one closed bin's merged block.
 
         ``None`` is a global gap (no shard observed the bin): it is
-        scored as an empty summary, which renders exactly as the empty
+        scored as an empty block, which renders exactly as the empty
         bin a quiet single-process stage emits.
         """
         if self.on_bin_merged is not None:
@@ -262,7 +269,7 @@ class ClusterCoordinator:
             arrived = self._first_arrival.pop(target, None)
             if arrived is not None:
                 # Merge latency: how long the bin sat buffered between
-                # its first shard's summary and being merged/scored.
+                # its first shard's block and being merged/scored.
                 tel.record("cluster.bin_wait", time.perf_counter() - arrived)
             verdict = self._observe(target, merged)
             if verdict is not None:

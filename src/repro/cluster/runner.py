@@ -4,11 +4,13 @@
 ``repro run SCENARIO --mode cluster`` and
 ``DetectionPipeline.run(mode="cluster")``.  N worker processes each run
 :func:`repro.cluster.shard.shard_summaries` over their OD-flow slice of
-a record source, ship wire-format summaries to the parent over a
-per-worker link (back-pressure: a worker blocking on a full link stops
-producing), and the parent's
-:class:`repro.cluster.coordinator.ClusterCoordinator` merges and scores
-them with a :class:`repro.stream.engine.StreamingDetectionEngine`.
+a record source — each finishes its own OD flows — and ship each bin's
+entropy and volume rows as a wire-format row block to the parent over
+a per-worker link (back-pressure: a worker blocking on a full link
+stops producing); the parent's
+:class:`repro.cluster.coordinator.ClusterCoordinator` scatters the
+blocks and scores them with a
+:class:`repro.stream.engine.StreamingDetectionEngine`.
 
 Workers source their records through the pipeline's
 :class:`repro.pipeline.sources.RecordSource` adapters — each worker
@@ -19,7 +21,7 @@ only its shard's slice:
   trace (:mod:`repro.io.trace`) and picks its OD-flow slice by the
   stored OD column — one producer pass at write time, zero
   regeneration.  In exact mode the worker reads no records: it builds
-  each bin's runs from the trace's stored run ids, so the parent
+  each bin's rows from the trace's stored run ids, so the parent
   refuses a trace whose run ids were derived under another
   anonymization depth before any worker starts;
 * **scenario** sources: each worker materialises its OD slice of the
@@ -37,17 +39,18 @@ replays those exact records.  So whichever source a worker uses, it sees bit-ide
 records for its ODs no matter how many shards exist or which bin it
 starts from, and the cluster's detections are bin-for-bin identical to
 a single process consuming the whole source (exact-histogram mode;
-sketch mode matches within estimator tolerance).
+sketch mode matches within estimator tolerance: a shard's chunks group
+its records differently, and conservative update depends on grouping).
 
 Supervision (``repro.resilience``): the pure
 :class:`repro.cluster.supervisor.Supervisor` decides restarts,
 deadlines and strict-vs-degrade completion; this module is the I/O
 around it — it launches and discards workers, polls their links, and
 runs the supervisor's commands.  Determinism makes a restart safe: the
-replacement recomputes bit-identical summaries from
+replacement recomputes bit-identical blocks from
 :meth:`ClusterCoordinator.resume_bin` on, and the coordinator dedupes
 re-delivered bins.  With ``checkpoint=`` the coordinator spills every
-closed bin's merged summary to disk, and ``resume=True`` replays that
+closed bin's merged block to disk, and ``resume=True`` replays that
 file instead of recomputing; ``chaos=`` injects a deterministic
 :class:`repro.resilience.FaultPlan` at the workers' ship points for
 tests and the CI chaos-smoke job.
@@ -59,10 +62,7 @@ with whoever holds it), and the parent always observes a worker's
 messages *in order, before* the link's EOF — a worker whose ``close``
 is still in flight when it exits is drained, not misreported as a
 crash.  With ``transport="tcp"`` workers may live on other machines
-(``repro worker --connect``); with ``tiers="AxB"`` A aggregator
-processes (:func:`_aggregator_worker`) each merge a B-worker subtree
-before one summary per bin goes upstream, splitting the per-bin decode
-and merge work that a flat coordinator does alone.
+(``repro worker --connect``).
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro import telemetry as tel
-from repro.cluster.coordinator import BinAligner, ClusterCoordinator
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.shard import shard_summaries
-from repro.cluster.summary import ShardBinSummary, SummaryCorruptError
 from repro.cluster.supervisor import TICK, Supervisor
 from repro.cluster.transport import (
     PipeTransport,
@@ -97,7 +97,7 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.stream.engine import StreamConfig, StreamDetection, StreamingDetectionEngine
 from repro.stream.replay import check_derived
 
-__all__ = ["AggregatorSpec", "parse_tiers", "run_cluster_source"]
+__all__ = ["run_cluster_source"]
 
 
 @dataclass(frozen=True)
@@ -127,51 +127,6 @@ class _WorkerSpec:
     chaos: FaultPlan | None = None
 
 
-def parse_tiers(spec) -> tuple[int, int]:
-    """Parse a declarative tier layout.
-
-    ``"AxB"`` means A aggregators with B workers each (A*B shards
-    total).  A 2-tuple passes through unchanged.
-
-    Raises:
-        ValueError: Malformed spec or non-positive dimensions.
-    """
-    parts = spec
-    if not isinstance(spec, tuple):
-        parts = str(spec).lower().replace("×", "x").split("x")
-    try:
-        n_aggregators, fan_in = (int(part) for part in parts)
-    except ValueError:
-        raise ValueError(
-            f"tier layout must look like 'AxB' (A aggregators x B workers "
-            f"each), got {spec!r}"
-        ) from None
-    if n_aggregators < 1 or fan_in < 1:
-        raise ValueError(
-            f"tier dimensions must be >= 1, got {n_aggregators}x{fan_in}"
-        )
-    return n_aggregators, fan_in
-
-
-@dataclass(frozen=True)
-class AggregatorSpec:
-    """Everything an aggregator process needs (picklable).
-
-    ``children`` are ordinary worker specs with *global* shard ids —
-    the aggregator adds no sharding semantics of its own, it only
-    merges.  ``shard_id`` is this aggregator's id on the upstream link
-    (the coordinator supervises aggregators as if they were shards).
-    """
-
-    children: tuple
-    shard_id: int
-    attempt: int = 0
-    telemetry: bool = False
-    #: transport for the aggregator's own children ("pipe" or "tcp").
-    child_transport: str = "pipe"
-    start_method: str | None = None
-
-
 def _heartbeat(session) -> dict | None:
     """Small per-bin progress payload piggybacked on summary messages."""
     if session is None:
@@ -181,17 +136,6 @@ def _heartbeat(session) -> dict | None:
         "bins": session.counters.get("reduce.bins_closed"),
         "rss_bytes": tel.sample_rss_bytes(),
     }
-
-
-def _report_error(conn, spec, exc: Exception) -> None:
-    """Ship a unit's failure, with its traceback, to the parent."""
-    import traceback
-
-    try:
-        conn.send(("error", spec.shard_id, spec.attempt,
-                   f"{exc!r}\n{traceback.format_exc()}"))
-    except OSError:
-        pass  # parent already faulted this attempt and closed up
 
 
 def _shard_worker(spec: _WorkerSpec, conn) -> None:
@@ -243,111 +187,13 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
             conn.close()
             os._exit(3)
     except Exception as exc:  # pragma: no cover - surfaced in the parent
-        _report_error(conn, spec, exc)
+        try:
+            conn.send(("error", spec.shard_id, spec.attempt,
+                       f"{exc!r}\n{traceback.format_exc()}"))
+        except OSError:
+            pass  # parent already faulted this attempt and closed up
     finally:
         conn.close()
-
-
-def _aggregator_worker(spec: AggregatorSpec, conn) -> None:
-    """Aggregator entry point: run B children, merge each bin, forward.
-
-    The children go through the coordinator's own :class:`BinAligner`:
-    a bin is forwarded as one :func:`merge_summaries` of its children
-    exactly when a coordinator would merge it, and a global gap is not
-    forwarded (the coordinator's gap handling covers it).  Any child
-    fault (death before close, corrupt payload, raised exception) is
-    this aggregator's error: the supervisor restarts or degrades the
-    whole subtree, deterministic sources make the recompute
-    bit-identical, and the coordinator's reopened-shard dedup absorbs
-    re-delivered bins.
-    """
-    session = tel.enable() if spec.telemetry else None
-    # Aggregators run non-daemon (they have children), so a supervisor
-    # terminate() must still tear the subtree down: turn SIGTERM into
-    # SystemExit so the ``finally`` below reaches link.shutdown().
-    import signal
-
-    def _terminate(signum, frame):
-        raise SystemExit(143)
-
-    try:
-        signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:  # pragma: no cover - non-main thread
-        pass
-    context = multiprocessing.get_context(spec.start_method)
-    if spec.child_transport == "tcp":
-        link: SummaryTransport = TcpTransport(context=context)
-    else:
-        link = PipeTransport(entry=_unit_main, context=context)
-    aligner = BinAligner([child.shard_id for child in spec.children])
-    child_records: dict[int, int] = {}
-    late_records = 0
-
-    def ship(released) -> None:
-        # The receiver counts each link's bytes (the coordinator counts
-        # this payload on arrival), so only span the send here — else
-        # merged snapshots would tally the upstream link twice.
-        for _, merged in released:
-            if merged is not None:  # a global gap: nothing to forward
-                payload = merged.to_bytes()
-                with tel.span("stage.ship"):
-                    conn.send(("summary", spec.shard_id, spec.attempt, payload,
-                               _heartbeat(session)))
-
-    try:
-        for child in spec.children:
-            link.launch(child)
-        while aligner.open:
-            for message in link.poll(1.0):
-                kind = message[0]
-                if kind == "eof":
-                    if message[1] in aligner.open:
-                        raise RuntimeError(
-                            f"child shard {message[1]} died with exit code "
-                            f"{message[2]} before closing its stream"
-                        )
-                    continue
-                if kind == "frame_error":
-                    raise SummaryCorruptError(
-                        f"child shard {message[1]}: {message[2]}"
-                    )
-                if kind == "error":
-                    raise RuntimeError(
-                        f"child shard {message[1]} failed:\n{message[3]}"
-                    )
-                child_id = message[1]
-                if kind == "summary":
-                    tel.count("cluster.bytes_shipped", len(message[3]))
-                    tel.count(f"cluster.link{child_id}.bytes", len(message[3]))
-                    # A corrupt child payload raises SummaryCorruptError
-                    # here and surfaces as this aggregator's fault.
-                    with tel.span("stage.merge"):
-                        released = aligner.add(
-                            child_id, ShardBinSummary.from_bytes(message[3])
-                        )
-                    ship(released)
-                elif kind == "close":
-                    child_records[child_id] = message[3]
-                    late_records += message[4]
-                    if session is not None:
-                        session.add_shard(child_id, message[5])
-                    ship(aligner.close(child_id))
-        snapshot = session.snapshot() if session is not None else None
-        conn.send(("close", spec.shard_id, spec.attempt, child_records,
-                   late_records, snapshot))
-    except Exception as exc:
-        _report_error(conn, spec, exc)
-    finally:
-        link.shutdown()
-        conn.close()
-
-
-def _unit_main(spec, conn) -> None:
-    """Process entry shared by every transport: dispatch on spec type."""
-    if isinstance(spec, AggregatorSpec):
-        _aggregator_worker(spec, conn)
-    else:
-        _shard_worker(spec, conn)
 
 
 def _supervise(supervisor, link, build_spec, clock, on_detection) -> None:
@@ -390,7 +236,6 @@ def run_cluster_source(
     chaos: FaultPlan | str | None = None,
     transport: str = "pipe",
     listen: str | tuple[str, int] | None = None,
-    tiers: str | tuple[int, int] | None = None,
 ) -> PipelineResult:
     """Run the sharded pipeline over any :class:`RecordSource`.
 
@@ -398,7 +243,7 @@ def run_cluster_source(
         source: The record source (or its picklable spec).  Its bin
             grid and topology configure the engine and every shard
             monitor.
-        n_shards: Worker process count (>= 1); overridden by ``tiers``.
+        n_shards: Worker process count (>= 1).
         config: Engine knobs; ``exact_histograms``, sketch geometry and
             ``chunk_records`` also shape the shard monitors.
         start_method: ``multiprocessing`` start method (None: platform
@@ -410,7 +255,7 @@ def run_cluster_source(
         resilience: Supervision policy (retries, backoff, deadlines,
             strict-vs-degrade); None uses :class:`ResiliencePolicy`'s
             defaults (2 retries, strict completion).
-        checkpoint: Path to spill every closed bin's merged summary to;
+        checkpoint: Path to spill every closed bin's merged block to;
             enables crash recovery via ``resume``.
         resume: Replay an existing ``checkpoint`` file before starting
             workers, restarting the run from the last closed bin
@@ -423,9 +268,6 @@ def run_cluster_source(
         listen: ``"HOST:PORT"`` to bind and wait for external
             ``repro worker --connect`` processes instead of spawning
             local ones (TCP only).
-        tiers: Declarative aggregator layout ``"AxB"`` — A aggregator
-            processes each tree-merging B workers (A*B shards total,
-            coordinator fan-in A).  Overrides ``n_shards``.
 
     Returns:
         A ``mode="cluster"`` :class:`PipelineResult`: the merged report,
@@ -440,9 +282,6 @@ def run_cluster_source(
         raise ValueError(f"unknown transport {transport!r} (pipe or tcp)")
     if listen is not None and transport != "tcp":
         raise ValueError("--listen requires --transport tcp")
-    tier_shape = parse_tiers(tiers) if tiers is not None else None
-    if tier_shape is not None:
-        n_shards = tier_shape[0] * tier_shape[1]
     if isinstance(source, SourceSpec):
         source = build_source(source)
     n_bins = source.spec.n_bins
@@ -450,7 +289,7 @@ def run_cluster_source(
         raise ValueError("source must cover at least one bin")
     config = config or StreamConfig()
     if config.exact_histograms and source.spec.kind == "trace":
-        # Exact shards build their runs from the trace's stored run ids:
+        # Exact shards build their rows from the trace's stored run ids:
         # refuse a trace they cannot use before any worker starts.
         check_derived(source.info, source.topology)
     if isinstance(chaos, str):
@@ -466,15 +305,9 @@ def run_cluster_source(
     engine.meta.update(source.provenance)
     engine.meta.update({"mode": "cluster", "n_shards": int(n_shards),
                         "transport": transport})
-    if tier_shape is not None:
-        engine.meta["tiers"] = f"{tier_shape[0]}x{tier_shape[1]}"
     engine.meta.update(meta or {})
-    # The coordinator supervises *units*: plain workers when flat, one
-    # aggregator per subtree when tiered (fan-in A instead of A*B).
-    n_units = tier_shape[0] if tier_shape is not None else n_shards
-    coordinator = ClusterCoordinator(engine, shard_ids=range(n_units))
+    coordinator = ClusterCoordinator(engine, shard_ids=range(n_shards))
     telemetry = tel.active() is not None
-    tel.gauge("cluster.merge_depth", 2 if tier_shape is not None else 1)
 
     # -- checkpoint: replay, then attach the spill hook (in that order:
     # attaching first would re-append every replayed bin).
@@ -505,37 +338,22 @@ def run_cluster_source(
             context=context, listen=bind, spawn_local=listen is None
         )
     else:
-        link = PipeTransport(entry=_unit_main, context=context)
+        link = PipeTransport(entry=_shard_worker, context=context)
 
-    def build_spec(unit_id: int, attempt: int, resume_bin: int):
-        def worker_spec(shard_id: int) -> _WorkerSpec:
-            return _WorkerSpec(
-                source=source.spec,
-                shard_id=shard_id,
-                n_shards=n_shards,
-                chunk_records=config.chunk_records,
-                exact=config.exact_histograms,
-                sketch_width=config.sketch_width,
-                sketch_depth=config.sketch_depth,
-                sketch_seed=config.sketch_seed,
-                telemetry=telemetry,
-                attempt=attempt,
-                resume_bin=resume_bin,
-                chaos=chaos,
-            )
-
-        if tier_shape is None:
-            return worker_spec(unit_id)
-        fan_in = tier_shape[1]
-        return AggregatorSpec(
-            children=tuple(
-                worker_spec(unit_id * fan_in + j) for j in range(fan_in)
-            ),
-            shard_id=unit_id,
-            attempt=attempt,
+    def build_spec(shard_id: int, attempt: int, resume_bin: int) -> _WorkerSpec:
+        return _WorkerSpec(
+            source=source.spec,
+            shard_id=shard_id,
+            n_shards=n_shards,
+            chunk_records=config.chunk_records,
+            exact=config.exact_histograms,
+            sketch_width=config.sketch_width,
+            sketch_depth=config.sketch_depth,
+            sketch_seed=config.sketch_seed,
             telemetry=telemetry,
-            child_transport=transport,
-            start_method=start_method,
+            attempt=attempt,
+            resume_bin=resume_bin,
+            chaos=chaos,
         )
 
     start = time.perf_counter()

@@ -14,7 +14,7 @@ after every poll.  Its output is a list of commands:
 * ``("emit", verdicts)`` — verdicts of the bins a merge just scored;
 * ``("raise", error)`` — the run failed (terminal).
 
-A unit is a worker shard, or one aggregator subtree when tiered.  Its
+A unit is a worker shard.  Its
 :class:`~repro.resilience.policy.ShardHealth` is its whole state::
 
     state       event                         commands, next state
@@ -93,7 +93,6 @@ class Supervisor:
             for unit in coordinator.shard_ids
         }
         #: record counts from ``close`` messages, keyed by worker shard
-        #: (an aggregator reports each of its children's).
         self.shard_records: dict[int, int] = {}
         self.done = False
 
@@ -167,15 +166,8 @@ class Supervisor:
     def _close(self, record, n_records, late_records, snapshot) -> list[tuple]:
         unit = record.shard_id
         record.status = "closed"
-        if isinstance(n_records, dict):
-            # An aggregator reports per-child counts keyed by the
-            # children's global shard ids.
-            for child_id, child_records in n_records.items():
-                self.shard_records[int(child_id)] = int(child_records)
-            record.n_records = int(sum(n_records.values()))
-        else:
-            self.shard_records[unit] = n_records
-            record.n_records = n_records
+        self.shard_records[unit] = n_records
+        record.n_records = n_records
         self.coordinator.record_late(late_records)
         with tel.span("stage.merge"):
             verdicts = self.coordinator.close_shard(unit)

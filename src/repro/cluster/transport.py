@@ -5,11 +5,10 @@ worker lives; a :class:`SummaryTransport` owns the links and normalises
 whatever happens on them into plain tuples:
 
 * ``("summary", shard, attempt, payload, heartbeat)`` — one wire-format
-  :class:`~repro.cluster.summary.ShardBinSummary` (``RBS3`` frame, CRC
-  inside, verified with its shapes at merge time);
+  :class:`~repro.cluster.summary.ShardBinSummary` row block (``RBS4``
+  frame, CRC inside, verified with its shapes on arrival);
 * ``("close", shard, attempt, n_records, late, snapshot)`` — the shard
-  finished; ``n_records`` is an int for a leaf worker, a per-child dict
-  for an aggregator;
+  finished after reducing ``n_records`` records;
 * ``("error", shard, attempt, text)`` — the worker raised;
 * ``("eof", shard, exitcode)`` — the link died; everything the worker
   sent before dying has already been delivered (pipes and TCP both
@@ -31,7 +30,7 @@ Two implementations:
         <u32 total_len> <u32 header_len> <header JSON> <payload bytes>
 
     The header carries the message kind and scalar fields; the payload
-    carries the ``RBS3`` summary bytes (which embed their own CRC32,
+    carries the ``RBS4`` row-block bytes (which embed their own CRC32,
     so a flipped bit surfaces as ``SummaryCorruptError`` at the merge,
     not silent skew), the close snapshot JSON, or the pickled worker
     spec.  Without ``--listen`` the transport binds a loopback
@@ -112,8 +111,6 @@ def encode_message(message: tuple) -> bytes:
         return _encode_frame(header, payload)
     if kind == "close":
         _, shard, attempt, n_records, late, snapshot = message
-        if isinstance(n_records, dict):
-            n_records = {str(k): int(v) for k, v in n_records.items()}
         header = {"kind": kind, "shard": shard, "attempt": attempt,
                   "n_records": n_records, "late": late}
         payload = b"" if snapshot is None else json.dumps(snapshot).encode()
@@ -133,12 +130,9 @@ def decode_message(header: dict, payload: bytes) -> tuple:
             return ("summary", header["shard"], header["attempt"], payload,
                     header.get("heartbeat"))
         if kind == "close":
-            n_records = header["n_records"]
-            if isinstance(n_records, dict):
-                n_records = {int(k): int(v) for k, v in n_records.items()}
             snapshot = json.loads(payload) if payload else None
-            return ("close", header["shard"], header["attempt"], n_records,
-                    header["late"], snapshot)
+            return ("close", header["shard"], header["attempt"],
+                    header["n_records"], header["late"], snapshot)
         if kind == "error":
             return ("error", header["shard"], header["attempt"],
                     payload.decode(errors="replace"))
@@ -250,12 +244,8 @@ class PipeTransport(SummaryTransport):
     def launch(self, spec) -> None:
         unit_id = spec.shard_id
         reader, writer_end = self._context.Pipe(duplex=False)
-        # Aggregator units spawn their own children, which the daemon
-        # flag forbids; they install a SIGTERM handler instead so the
-        # subtree still dies with them.
         proc = self._context.Process(
-            target=self._entry, args=(spec, writer_end),
-            daemon=not hasattr(spec, "children"),
+            target=self._entry, args=(spec, writer_end), daemon=True
         )
         proc.start()
         # Close the parent's copy of the write end *now*: the pipe's
@@ -351,10 +341,9 @@ class TcpTransport(SummaryTransport):
         self._pending.append(spec)
         self._drain_parked()
         if self._spawn_local:
-            # Non-daemon: the connector may be handed an aggregator
-            # spec, and daemonic processes cannot have children.
             proc = self._context.Process(
-                target=serve, args=(self.address,), kwargs={"once": True}
+                target=serve, args=(self.address,), kwargs={"once": True},
+                daemon=True,
             )
             proc.start()
             self._unassigned.append(proc)
@@ -526,7 +515,7 @@ def serve(address: tuple[str, int], once: bool = False) -> int:
         OSError: The first connection attempt was refused (no
             coordinator is listening there).
     """
-    from repro.cluster.runner import _unit_main
+    from repro.cluster.runner import _shard_worker
 
     served = 0
     while True:
@@ -551,7 +540,7 @@ def serve(address: tuple[str, int], once: bool = False) -> int:
             if header.get("kind") != "spec":
                 return served
             spec = pickle.loads(payload)
-            _unit_main(spec, _SocketConn(sock))
+            _shard_worker(spec, _SocketConn(sock))
             served += 1
         finally:
             try:

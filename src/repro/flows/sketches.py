@@ -131,8 +131,8 @@ def canonical_histogram(
     Unlike :func:`aggregate_histogram` (which skips the sort when all
     values are already unique), the result is a *canonical form*: any
     two histograms describing the same value->count mapping serialize
-    to identical bytes.  The mergeable shard summaries rely on this so
-    that every partition of the records yields the same wire payload.
+    to identical bytes — the form the grouped-reduction kernel's runs
+    take, which the kernel tests compare against.
     """
     values = np.asarray(values, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)

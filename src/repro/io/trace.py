@@ -501,14 +501,24 @@ class TraceWriter:
         return self.info
 
 
+#: every header key :func:`_read_header` and :class:`TraceInfo` read
+_HEADER_KEYS = ("n_bins", "n_records", "bins", "columns", "column_crcs", "derived")
+
+
 def _check_format(path: Path, header: dict) -> None:
-    """Refuse any header but a version-2 one with both column tables and
-    every slab's checksum, naming the command that regenerates it."""
+    """Refuse any header but a version-2 one with every key the reader
+    reads, both column tables and every slab's checksum, naming the
+    command that regenerates it."""
     version, derived = header.get("version"), header.get("derived")
     crcs = header.get("column_crcs") or ()
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing += [f"bins.{key}" for key in ("width", "start")
+                if key not in (header.get("bins") or {})]
     problem = None
     if version != FORMAT_VERSION:
         problem = f"trace format version {version!r}"
+    elif missing:
+        problem = f"header lacks {', '.join(missing)}"
     elif not isinstance(derived, dict) or not {
         "columns", "crcs", "anonymization_bits"
     } <= set(derived):

@@ -30,9 +30,8 @@ reduces whole record batches with array primitives instead:
 
 The result — :class:`GroupedRuns`, a CSR-style bundle of sorted
 ``(group, value, count)`` runs — is the canonical representation the
-flows, stream, and cluster layers all exchange: within each group the
-values are ascending and counts positive, which is exactly the
-canonical histogram form the mergeable shard summaries serialize.
+flows and stream layers exchange: within each group the values are
+ascending and counts positive, the canonical histogram form.
 """
 
 from __future__ import annotations

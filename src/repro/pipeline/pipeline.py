@@ -19,9 +19,9 @@ and this module is its one execution engine::
   reduced into a :class:`repro.flows.odflows.TrafficCube` first (one
   kernel pass over composite ``bin*p+od`` keys), then the *same*
   detector bank scores the bins in order;
-* ``"cluster"`` — the sharded deployment: worker processes reduce
-  OD-flow slices into mergeable summaries, the coordinator merges and
-  scores them with the same bank
+* ``"cluster"`` — the sharded deployment: worker processes finish
+  their OD-flow slices into per-bin entropy rows, the coordinator
+  scatters and scores them with the same bank
   (:func:`repro.cluster.runner.run_cluster_source`).
 
 Because every mode reduces the same records with the same kernels and
@@ -172,7 +172,6 @@ class DetectionPipeline:
         chaos=None,
         transport: str = "pipe",
         listen=None,
-        tiers=None,
     ) -> PipelineResult:
         """Run the full pipeline over a source in the chosen mode.
 
@@ -198,8 +197,6 @@ class DetectionPipeline:
                 mode only; see :mod:`repro.cluster.transport`).
             listen: ``HOST:PORT`` to await external ``repro worker``
                 processes (cluster mode, TCP only).
-            tiers: Aggregator tier layout ``"AxB"`` (cluster mode
-                only; overrides ``n_shards``).
 
         Returns:
             A :class:`PipelineResult`; exact-histogram detections are
@@ -214,7 +211,6 @@ class DetectionPipeline:
                 "chaos": chaos,
                 "resume": resume or None,
                 "listen": listen,
-                "tiers": tiers,
                 "transport": None if transport == "pipe" else transport,
             }
             given = [k for k, v in cluster_only.items() if v is not None]
@@ -240,7 +236,6 @@ class DetectionPipeline:
                 chaos=chaos,
                 transport=transport,
                 listen=listen,
-                tiers=tiers,
             )
         if mode == "batch":
             return self._run_batch(source, on_detection, meta)

@@ -1,8 +1,8 @@
-"""Coordinator checkpoints: closed-bin merged summaries on disk.
+"""Coordinator checkpoints: closed-bin merged row blocks on disk.
 
 As the cluster coordinator closes bins, it appends each bin's *merged*
-:class:`~repro.cluster.summary.ShardBinSummary` — the same byte-canonical
-wire payload the workers ship — to an append-only checkpoint file.  If
+:class:`~repro.cluster.summary.ShardBinSummary` row block — the same
+wire format the workers ship — to an append-only checkpoint file.  If
 the run dies, ``--resume`` replays the checkpointed bins through the
 streaming engine (deterministic, so the replay is bit-identical to the
 original merges) and restarts the workers at the first unclosed bin.
@@ -28,8 +28,8 @@ The header ``fingerprint`` (see :func:`run_fingerprint`) pins the
 source spec, engine config, and detector set; resuming with a different
 workload raises :class:`CheckpointError` rather than silently merging
 incompatible summaries.  Shard count is deliberately *excluded* — the
-merge is canonical across shardings, so a run checkpointed at 4 workers
-may resume at 2.
+merged rows are the same at any shard count, so a run checkpointed at
+4 workers may resume at 2.
 """
 
 from __future__ import annotations

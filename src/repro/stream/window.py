@@ -134,7 +134,7 @@ class BinAccumulator:
             self._candidates = [_no_runs()] * N_FEATURES
             #: ``(N_FEATURES, p)`` candidates tracked per (feature, OD)
             self._distinct = np.zeros((N_FEATURES, self.n_od_flows), dtype=np.int64)
-            #: ODs that get a row in this bin's mergeable summary
+            #: ODs any record or histogram of this bin reached
             self._active = np.zeros(self.n_od_flows, dtype=bool)
         self._packets = np.zeros(self.n_od_flows, dtype=np.int64)
         self._bytes = np.zeros(self.n_od_flows, dtype=np.int64)
@@ -212,8 +212,7 @@ class BinAccumulator:
     def feature_runs(self, k: int) -> GroupedRuns:
         """Exact mode: feature ``k``'s accumulated (od, value, count)
         runs in canonical sorted form — per OD, values ascending and
-        counts grouped, exactly what the mergeable shard summaries
-        serialize."""
+        counts grouped."""
         if not self.exact:
             raise ValueError("feature_runs() requires exact mode")
         parts = self._parts[k]
@@ -231,10 +230,9 @@ class BinAccumulator:
         """Sketch mode: ``(banks, candidates, active)`` — the four
         per-feature :class:`SketchBank` objects, the four per-feature
         candidate-value runs (``runs.group(od)[0]`` is an OD's sorted
-        candidates) and the ``(p,)`` mask of ODs with a row.  The
-        hand-off the mergeable shard summaries
-        (:mod:`repro.cluster.summary`) build from; all of it is reused
-        by the next bin, so the caller must copy what it keeps."""
+        candidates) and the ``(p,)`` mask of ODs any record or
+        histogram reached.  All of it is reused by the next bin, so the
+        caller must copy what it keeps."""
         if self.exact:
             raise ValueError("sketch_state() requires sketch mode")
         return self._banks, self._candidates, self._active
@@ -274,10 +272,6 @@ class BinAccumulator:
             bytes=self._bytes.astype(np.float64),
             n_records=self.n_records,
         )
-
-    def export_volumes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the per-OD int64 packet/byte counters."""
-        return self._packets.copy(), self._bytes.copy()
 
 
 @dataclass
@@ -418,9 +412,8 @@ class StreamFeatureStage:
         """Build the emitted summary for one closed bin.
 
         Override point: the default emits a ready-to-score
-        :class:`BinSummary`; a shard monitor instead exports the
-        accumulator's mergeable state (entropy deferred to the central
-        merge point).
+        :class:`BinSummary`; a shard monitor wraps the same rows into
+        the row block it ships (:mod:`repro.cluster.summary`).
         """
         return accumulator.finalize(bin_index)
 

@@ -3,7 +3,7 @@
 ``run_cluster_source`` is I/O glue around a pure
 :class:`repro.cluster.supervisor.Supervisor`.  This module keeps
 everything else the live run uses — :class:`ShardMonitor` reductions,
-``RBS3`` wire payloads, the runner's command loop, the
+``RBS4`` wire payloads, the runner's command loop, the
 :class:`ClusterCoordinator` and the engine — and swaps the two I/O
 pieces for test doubles (:class:`ScriptedLink`):
 

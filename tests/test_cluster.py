@@ -1,12 +1,10 @@
-"""Tests for the sharded cluster subsystem (summary algebra, shard
-monitor, coordinator alignment, multiprocessing runner, CLI).
+"""Tests for the sharded cluster subsystem (row-block wire format,
+shard monitor, coordinator alignment, multiprocessing runner, CLI).
 
-The load-bearing contract: summaries form a commutative monoid under
-``merge_summaries``, so any partition of the records across shards reduces to the
-same network-wide state — bit-exactly in exact-histogram mode (asserted
-on the wire bytes), within estimator tolerance in sketch mode — and the
-coordinator therefore reproduces the single-process engine's detections
-bin for bin.
+The load-bearing contract: each shard owns its OD flows whole, so the
+rows it ships are the single-process rows of those ODs, and the
+coordinator's scatter therefore reproduces the single-process engine's
+detections bin for bin.
 """
 
 import dataclasses
@@ -21,7 +19,6 @@ from repro.cluster import (
     ClusterCoordinator,
     ShardBinSummary,
     ShardMonitor,
-    merge_summaries,
     run_cluster_source,
 )
 from repro.flows.binning import TimeBins
@@ -73,10 +70,11 @@ def _random_batch(n, rng, t0=0.0, width=300.0, pop=0):
     )
 
 
-def _summary_from_batch(batch, ods, n_od_flows=4, exact=True, bin_index=0, width=512):
+def _summary_from_batch(batch, ods, n_od_flows=4, exact=True, bin_index=0, width=512,
+                        shard=0):
     acc = BinAccumulator(n_od_flows=n_od_flows, exact=exact, width=width)
     acc.add_batch(ods, batch)
-    return ShardBinSummary.from_accumulator(acc, bin_index)
+    return ShardBinSummary.from_accumulator(acc, bin_index, shard)
 
 
 histogram_pairs = st.lists(
@@ -128,63 +126,7 @@ class TestSketchMergeAlgebra:
         assert clone.to_bytes() == sketch.to_bytes()
 
 
-class TestSummaryAlgebra:
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_merge_commutes_and_associates(self, exact):
-        rng = np.random.default_rng(1)
-        summaries = [
-            _summary_from_batch(
-                _random_batch(120, rng), rng.integers(0, 4, size=120), exact=exact
-            )
-            for _ in range(3)
-        ]
-        a, b, c = summaries
-        def m(*parts):
-            return merge_summaries(parts)
-
-        assert m(a, b).to_bytes() == m(b, a).to_bytes()
-        assert m(m(a, b), c).to_bytes() == m(a, m(b, c)).to_bytes()
-        assert m(a, b, c).to_bytes() == m(m(a, b), c).to_bytes()
-
-    def test_k_partition_merge_equals_unsharded_exact(self):
-        # The cluster contract: reduce a batch as one shard or as K
-        # disjoint shards — the merged summary is byte-identical.
-        rng = np.random.default_rng(2)
-        batch = _random_batch(400, rng)
-        ods = rng.integers(0, 4, size=400)
-        whole = _summary_from_batch(batch, ods)
-        for k in (2, 3, 5):
-            parts = []
-            for shard in range(k):
-                mask = np.arange(len(batch)) % k == shard
-                parts.append(_summary_from_batch(batch.select(mask), ods[mask]))
-            merged = merge_summaries(parts)
-            assert merged.to_bytes() == whole.to_bytes()
-            assert merged.n_records == whole.n_records
-
-    def test_k_partition_merge_close_in_sketch_mode(self):
-        # Conservative update makes a one-pass sketch slightly tighter
-        # than a merged one, so sketch mode promises tolerance (not
-        # bytes): merged entropies must track the one-pass estimate.
-        rng = np.random.default_rng(3)
-        batch = _random_batch(400, rng)
-        ods = np.zeros(400, dtype=np.int64)
-        whole = _summary_from_batch(batch, ods, n_od_flows=1, exact=False, width=4096)
-        parts = []
-        for shard in range(4):
-            mask = np.arange(len(batch)) % 4 == shard
-            parts.append(
-                _summary_from_batch(
-                    batch.select(mask), ods[mask], n_od_flows=1, exact=False,
-                    width=4096,
-                )
-            )
-        merged = merge_summaries(parts)
-        np.testing.assert_array_equal(merged.packets, whole.packets)
-        np.testing.assert_allclose(
-            merged.entropy_matrix(), whole.entropy_matrix(), atol=0.2
-        )
-
+class TestRowBlockWire:
     @pytest.mark.parametrize("exact", [True, False])
     def test_wire_round_trip_is_bit_exact(self, exact):
         rng = np.random.default_rng(4)
@@ -195,50 +137,24 @@ class TestSummaryAlgebra:
         payload = summary.to_bytes()
         clone = ShardBinSummary.from_bytes(payload)
         assert clone.to_bytes() == payload
-        assert (clone.bin, clone.n_records, clone.exact) == (7, 150, exact)
-        np.testing.assert_array_equal(clone.packets, summary.packets)
-        np.testing.assert_array_equal(clone.bytes, summary.bytes)
-        np.testing.assert_allclose(clone.entropy_matrix(), summary.entropy_matrix())
-        # A merged round-tripped summary still scores like the original.
-        np.testing.assert_allclose(
-            merge_summaries([clone, summary]).entropy_matrix(),
-            merge_summaries([summary, clone]).entropy_matrix(),
-        )
+        assert (clone.bin, clone.n_records) == (7, 150)
+        for name in ("ods", "entropy", "packets", "bytes"):
+            np.testing.assert_array_equal(getattr(clone, name), getattr(summary, name))
 
     def test_exact_payload_ignores_sketch_geometry(self):
         # Sketch knobs are meaningless in exact mode: two monitors with
-        # different widths must still produce byte-identical (and
-        # byte-commutative) exact summaries for the same records.
+        # different widths must still ship byte-identical blocks for
+        # the same records.
         rng = np.random.default_rng(9)
         batch = _random_batch(80, rng)
         ods = rng.integers(0, 4, size=80)
         narrow = _summary_from_batch(batch, ods, width=512)
         wide = _summary_from_batch(batch, ods, width=4096)
         assert narrow.to_bytes() == wide.to_bytes()
-        assert (
-            merge_summaries([narrow, wide]).to_bytes()
-            == merge_summaries([wide, narrow]).to_bytes()
-        )
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
             ShardBinSummary.from_bytes(b"not a summary")
-
-    def test_merge_rejects_mismatches(self):
-        rng = np.random.default_rng(5)
-        base = _summary_from_batch(_random_batch(30, rng), np.zeros(30, dtype=np.int64))
-        other_bin = _summary_from_batch(
-            _random_batch(30, rng), np.zeros(30, dtype=np.int64), bin_index=1
-        )
-        sketchy = _summary_from_batch(
-            _random_batch(30, rng), np.zeros(30, dtype=np.int64), exact=False
-        )
-        with pytest.raises(ValueError, match="different bins"):
-            merge_summaries([base, base, other_bin])
-        with pytest.raises(ValueError, match="different modes"):
-            merge_summaries([base, sketchy])
-        with pytest.raises(ValueError):
-            merge_summaries([])
 
 
 class TestShardMonitor:
@@ -342,19 +258,21 @@ class TestCoordinatorProtocol:
     def _engine(self):
         return StreamingDetectionEngine(abilene(), _equivalence_config())
 
-    def _summary(self, bin_index, n=30, seed=0):
+    def _summary(self, bin_index, n=30, seed=0, shard=0, n_shards=2):
+        """A block of ``shard``'s ODs (of ``n_shards``)."""
         rng = np.random.default_rng(seed)
         p = abilene().n_od_flows
+        ods = rng.integers(0, p // n_shards, size=n) * n_shards + shard
         return _summary_from_batch(
-            _random_batch(n, rng), rng.integers(0, p, size=n), n_od_flows=p,
-            bin_index=bin_index,
+            _random_batch(n, rng), ods, n_od_flows=p, bin_index=bin_index,
+            shard=shard,
         )
 
     def test_holds_bins_until_all_shards_advance(self):
         coordinator = ClusterCoordinator(self._engine(), shard_ids=range(2))
         coordinator.add_summary(0, self._summary(0))
         assert coordinator.n_pending_bins == 1  # shard 1 yet to advance
-        coordinator.add_summary(1, self._summary(0, seed=1))
+        coordinator.add_summary(1, self._summary(0, seed=1, shard=1))
         assert coordinator.n_pending_bins == 0  # warm-up absorbed bin 0
 
     def test_closed_shard_releases_buffered_bins(self):
@@ -387,6 +305,14 @@ class TestCoordinatorProtocol:
         assert set(by_bin) == {8, 9}
         assert by_bin[8].n_records == 0  # synthesized gap bin
         assert by_bin[9].n_records > 0  # the real summary
+
+    def test_a_shard_sending_a_foreign_od_is_refused(self):
+        coordinator = ClusterCoordinator(self._engine(), shard_ids=range(2))
+        coordinator.add_summary(0, self._summary(0))
+        liar = self._summary(0, seed=1, shard=1)
+        liar.ods = liar.ods - 1  # shard 0's ODs, signed by shard 1
+        with pytest.raises(ValueError, match="shard 1 of 2 sent OD"):
+            coordinator.add_summary(1, liar)
 
     def test_rejects_topology_mismatch(self):
         coordinator = ClusterCoordinator(self._engine(), shard_ids=[0])

@@ -1,18 +1,17 @@
-"""Tests for the networked cluster transport and the aggregator tier.
+"""Tests for the networked cluster transport and the bin alignment.
 
-Three contracts pin the scale-out PR:
+Three contracts pin the scale-out:
 
 * **wire safety** — the framed-TCP codec round-trips every runner
   message, rejects garbage with :class:`FrameError` (routing it into
   the supervised-restart path instead of crashing the coordinator),
   and reassembles frames from arbitrary stream fragmentation;
 * **merge invariance** — :class:`BinAligner`, the one alignment rule
-  behind the coordinator and every aggregator, releases the same merged
-  bytes for *any* arrival interleaving of its units' summaries
-  (per-unit bin order is the only requirement), so an aggregator tier
-  can never change a detection;
+  behind the coordinator, releases the same merged bytes for *any*
+  arrival interleaving of its units' blocks (per-unit bin order is the
+  only requirement);
 * **end-to-end bit-identity** — detections over loopback TCP, at any
-  shard count and tier shape, render byte-for-byte equal to the frozen
+  shard count, render byte-for-byte equal to the frozen
   single-process fixture (``tests/data/seed_stream_detections.json``).
 """
 
@@ -35,7 +34,6 @@ from repro.cluster import (
     ShardBinSummary,
     SummaryCorruptError,
     parse_hostport,
-    parse_tiers,
     run_cluster_source,
 )
 from repro.cluster.coordinator import BinAligner
@@ -63,15 +61,6 @@ class TestParseHelpers:
             with pytest.raises(ValueError):
                 parse_hostport(bad)
 
-    def test_tiers(self):
-        assert parse_tiers("2x2") == (2, 2)
-        assert parse_tiers("4X2") == (4, 2)
-        assert parse_tiers("2×3") == (2, 3)  # the unicode ×
-        assert parse_tiers((3, 5)) == (3, 5)
-        for bad in ("x2", "2x", "0x3", "2x0", "axb", "2x2x2", "-1x2", ""):
-            with pytest.raises(ValueError):
-                parse_tiers(bad)
-
 
 class TestFrameCodec:
     def _messages(self):
@@ -83,7 +72,6 @@ class TestFrameCodec:
             ("summary", 3, 1, payload, {"bin": 4, "rss": 123}),
             ("summary", 0, 0, payload, None),
             ("close", 2, 1, 4021, 7, {"counters": {"x": 1}}),
-            ("close", 1, 0, {0: 10, 1: 20}, 0, None),
             ("error", 5, 2, "Traceback (most recent call last):\n  boom"),
         ]
 
@@ -151,12 +139,12 @@ class TestFrameCodec:
         # What the CRC cannot catch — a body that lies about its sizes
         # — is refused by the summary's shape checks with the same
         # error class, so over TCP it takes the same restart path.
-        from test_cluster_summary import HOSTILE_EXACT, _payload, _reframe
+        from test_cluster_summary import HOSTILE, _payload, _reframe
 
         from repro.cluster import ShardBinSummary
 
-        for case in ("G huge", "starts do not end at M", "group ids unsorted"):
-            bad = _reframe(_payload(), HOSTILE_EXACT[case])
+        for case in ("n huge", "n one less than held", "OD ids unsorted"):
+            bad = _reframe(_payload(), *HOSTILE[case])
             frames = _FrameBuffer().feed(
                 encode_message(("summary", 1, 0, bad, None))
             )
@@ -168,16 +156,18 @@ class TestFrameCodec:
 
 
 def _child_streams(n_children=3, n_bins=4, seed=8):
-    """Per-child, per-bin summaries over a shared random workload."""
+    """Per-child, per-bin blocks over a shared random workload.  Child
+    ``c`` sees ODs ``c`` and ``c + 6`` of 12, which it owns among 2 or 3
+    units alike."""
     rng = np.random.default_rng(seed)
     streams = []
-    for _ in range(n_children):
+    for child in range(n_children):
         summaries = []
         for b in range(n_bins):
             batch = _random_batch(40, rng, t0=b * 300.0)
             summaries.append(
-                _summary_from_batch(batch, rng.integers(0, 4, size=40),
-                                    bin_index=b)
+                _summary_from_batch(batch, rng.choice([child, child + 6], size=40),
+                                    n_od_flows=12, bin_index=b, shard=child)
             )
         streams.append(summaries)
     return streams
@@ -251,7 +241,7 @@ class TestBinAlignerInvariance:
 
     def test_gap_bins_release_as_none(self):
         # A bin no unit delivered is released as a gap, in bin order:
-        # the coordinator scores it empty, an aggregator skips it.
+        # the coordinator scores it empty.
         aligner = BinAligner([0, 1])
         later = _child_streams(n_children=1, n_bins=4)[0][3]
         aligner.add(0, _STREAMS[0][0])
@@ -262,7 +252,7 @@ class TestBinAlignerInvariance:
         ]
 
     def test_corrupt_child_payload_raises(self):
-        # What an aggregator feeds the aligner is a decoded payload:
+        # What the coordinator feeds the aligner is a decoded payload:
         # a corrupt child frame never gets that far.
         from repro.resilience import corrupt_payload
 
@@ -287,6 +277,15 @@ class TestBinAlignerInvariance:
             resumed.add(0, _STREAMS[0][0])
         with pytest.raises(ValueError):
             BinAligner([])
+
+    def test_a_block_signed_by_another_shard_is_refused(self):
+        # A link delivers its own shard's blocks only: a block signed by
+        # another shard would be scattered as if that shard sent it.
+        aligner = BinAligner([0, 1])
+        with pytest.raises(ValueError, match="shard 1 delivered a block signed by shard 0"):
+            aligner.add(1, _STREAMS[0][0])
+        assert aligner.highwater == {} and aligner.pending == {}
+        assert aligner.add(0, _STREAMS[0][0]) == []
 
     def test_reopened_unit_duplicates_are_dropped(self):
         aligner = BinAligner([0, 1])
@@ -393,7 +392,7 @@ class _FixtureCluster:
 
 class TestLoopbackParity(_FixtureCluster):
     """Detections must be bit-identical to the frozen single-process
-    fixture at every shard count x tier shape x transport."""
+    fixture at every shard count x transport."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_tcp_flat(self, fixture_env, n_shards):
@@ -401,18 +400,8 @@ class TestLoopbackParity(_FixtureCluster):
         assert sorted(result.shard_records) == list(range(n_shards))
         assert sum(result.shard_records.values()) == result.n_records
 
-    def test_tcp_two_tier(self, fixture_env):
-        result = self.run(fixture_env, tiers="2x2", transport="tcp")
-        assert sorted(result.shard_records) == [0, 1, 2, 3]
-
     def test_pipe_flat_matches_tcp(self, fixture_env):
         self.run(fixture_env, n_shards=2, transport="pipe")
-
-    def test_pipe_two_tier(self, fixture_env):
-        result = self.run(fixture_env, tiers="2x2", transport="pipe")
-        # Tiered shard accounting is per *worker*, not per aggregator.
-        assert sorted(result.shard_records) == [0, 1, 2, 3]
-        assert result.report.meta["tiers"] == "2x2"
 
 
 class TestChaosOverTcp(_FixtureCluster):
@@ -437,22 +426,15 @@ class TestChaosOverTcp(_FixtureCluster):
         assert result.restarts == 1
 
     def test_shape_lie_over_tcp_restarts_to_parity(self, fixture_env, monkeypatch):
-        # The chaos ``corrupt`` fault, re-armed to ship a body whose
-        # CSR offsets lie under a *recomputed* CRC (forked workers
-        # inherit the patch): the coordinator's shape checks refuse it
-        # and the supervisor restarts the shard, as for a flipped bit.
-        from test_cluster_summary import _reframe
-
-        p = abilene().n_od_flows
-
-        def break_offsets(words):
-            # packets[p] bytes[p] | G M group_ids[G] starts[G+1] ...
-            words[2 * p + 2 + int(words[2 * p])] = 1  # starts[0] must be 0
-            return words
+        # The chaos ``corrupt`` fault, re-armed to ship a block whose
+        # OD ids lie under a *recomputed* CRC (forked workers inherit
+        # the patch): the coordinator's shape checks refuse it and the
+        # supervisor restarts the shard, as for a flipped bit.
+        from test_cluster_summary import HOSTILE, _reframe
 
         monkeypatch.setattr(
             "repro.cluster.runner.corrupt_payload",
-            lambda payload: _reframe(payload, break_offsets),
+            lambda payload: _reframe(payload, *HOSTILE["OD ids unsorted"]),
         )
         result = self.run(
             fixture_env, n_shards=2, transport="tcp", start_method="fork",
@@ -461,7 +443,7 @@ class TestChaosOverTcp(_FixtureCluster):
         )
         assert result.restarts == 1
         health = result.report.meta["shard_health"]["0"]
-        assert "run offsets" in health["faults"][0]
+        assert "OD ids out of order" in health["faults"][0]
 
     def test_exhausted_tcp_worker_degrades_with_gaps(self, fixture_env):
         # The one live degraded run: the runner's result and meta
@@ -495,17 +477,6 @@ class TestChaosOverTcp(_FixtureCluster):
         )
         assert result.restarts == 0
         assert not result.degraded
-
-    def test_killed_tiered_worker_restarts_subtree_to_parity(self, fixture_env):
-        # A child death inside an aggregator's subtree surfaces as the
-        # aggregator's fault; the whole unit restarts and detections
-        # still match the fixture bit-for-bit.
-        result = self.run(
-            fixture_env, tiers="2x2", transport="pipe",
-            chaos="kill:shard=3,bin=24",
-            resilience=ResiliencePolicy(backoff_s=0.01),
-        )
-        assert result.restarts == 1
 
 
 def _patient_serve(address, outcome):
@@ -563,11 +534,6 @@ class TestRemoteWorkers:
 
 
 class TestClusterNetCli:
-    def test_bad_tiers_exit_2(self, capsys):
-        assert main(["run", "baseline-diurnal", "--mode", "cluster",
-                     "--tiers", "2x"]) == 2
-        assert "tier layout" in capsys.readouterr().err
-
     def test_listen_requires_tcp(self, capsys):
         assert main(["run", "baseline-diurnal", "--mode", "cluster",
                      "--listen", "127.0.0.1:9100"]) == 2
@@ -597,7 +563,7 @@ class TestClusterNetCli:
 
     def test_run_mode_rejects_cluster_only_flags(self, capsys):
         code = main([
-            "run", "baseline-diurnal", "--mode", "stream", "--tiers", "2x2",
+            "run", "baseline-diurnal", "--mode", "stream", "--transport", "tcp",
             "--bins", "10",
         ])
         assert code == 2

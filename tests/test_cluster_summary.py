@@ -1,22 +1,19 @@
-"""The exact shard summary as arrays: merge algebra and hostile payloads.
+"""The shard row block: rows, scatter, ownership and hostile payloads.
 
-Two contracts beyond ``test_cluster.py``'s:
+Three contracts beyond ``test_cluster.py``'s:
 
-* **algebra on arrays** — however a bin's records are split (by OD, by
-  row stripe, with empty parts) and in whatever order and grouping the
-  parts are folded, the merged payload is the same bytes and scores
-  bit for bit like ``BinAccumulator.finalize`` on the unsplit records —
-  the every-fold-order suite is the oracle for the one K-way
-  ``merge_summaries``; the no-value-sort interleave for disjoint OD
-  sets and the ``group_reduce`` path for overlapping ones agree
-  wherever both apply; sketch mode equals a pairwise
-  ``CountMinSketch.merge`` fold;
+* **rows** — a block holds exactly the rows ``BinAccumulator.finalize``
+  computes for the ODs its shard saw, and scattering it back gives the
+  finalized ``BinSummary`` bit for bit;
+* **scatter** — blocks of an OD split, merged in any order, give the
+  unsplit bin's rows; a block carrying an OD its shard does not own, a
+  second block from one shard, and blocks of different bins are
+  refused;
 * **hostile payloads** — ``from_bytes`` builds zero-copy views of
   whatever arrives, so a body that lies about its shapes *under a valid
   CRC* must be refused before any view is built from a declared size.
 """
 
-import itertools
 import struct
 import zlib
 
@@ -28,144 +25,35 @@ from hypothesis import strategies as st
 from test_cluster import _random_batch, _summary_from_batch
 
 from repro.cluster import ShardBinSummary, SummaryCorruptError, merge_summaries
-from repro.kernels import group_reduce
 from repro.stream.window import BinAccumulator
 
 P = 6  # OD flows in these tests' ensembles
-_BODY_WORDS = 48  # magic + CRC + header: the int64 words start here
+_HEADER = "<iiqqq"  # n_od_flows, shard, bin, n_records, n rows
+_WORDS = 8 + struct.calcsize(_HEADER)  # magic + CRC + header: rows start here
 
 
-def _orders(parts, seed=0, n_sampled=24):
-    """Every order of up to four parts; a seeded sample of the K!
-    orders beyond that."""
-    if len(parts) <= 4:
-        return list(itertools.permutations(parts))
-    rng = np.random.default_rng(seed)
-    return [[parts[i] for i in rng.permutation(len(parts))] for _ in range(n_sampled)]
+def _assert_rows_equal(got, want):
+    np.testing.assert_array_equal(got.entropy, want.entropy)
+    np.testing.assert_array_equal(got.packets, want.packets)
+    np.testing.assert_array_equal(got.bytes, want.bytes)
+    assert (got.bin, got.n_records) == (want.bin, want.n_records)
 
 
-def _foldings(parts, seed=0):
-    """Orders of ``parts`` under one K-way merge, a right fold and a
-    balanced tree of two-way merges — all the shapes a coordinator or
-    tier can produce."""
-    for order in _orders(parts, seed):
-        yield merge_summaries(order)
-        right = order[-1]
-        for part in reversed(order[:-1]):
-            right = merge_summaries([part, right])
-        yield right
-        level = list(order)
-        while len(level) > 1:
-            level = [
-                merge_summaries(level[i:i + 2]) for i in range(0, len(level), 2)
-            ]
-        yield level[0]
+class TestRows:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_block_scatters_back_to_the_finalized_bin(self, exact):
+        rng = np.random.default_rng(4)
+        acc = BinAccumulator(n_od_flows=P, exact=exact, width=64)
+        acc.add_batch(rng.integers(1, P, size=150), _random_batch(150, rng))
+        block = ShardBinSummary.from_accumulator(acc, 7)
+        assert block.ods.tolist() == [1, 2, 3, 4, 5]  # OD 0 saw nothing
+        _assert_rows_equal(block.to_bin_summary(), acc.finalize(7))
+        clone = ShardBinSummary.from_bytes(block.to_bytes())
+        assert clone.to_bytes() == block.to_bytes()
+        assert not clone.entropy.flags.writeable  # views of the payload
+        _assert_rows_equal(clone.to_bin_summary(), acc.finalize(7))
 
-
-class TestMergeAlgebra:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(0, 120),
-        n_parts=st.integers(1, 8),
-        by_od=st.booleans(),
-    )
-    def test_any_split_any_fold_is_the_unsplit_bin(self, seed, n, n_parts, by_od):
-        rng = np.random.default_rng(seed)
-        # Few distinct values, so stripes genuinely share (OD, value)
-        # keys and the overlapping branch has counts to sum.
-        batch = _random_batch(n, rng)
-        batch.src_port[:] = rng.integers(0, 5, size=n)
-        ods = rng.integers(0, P, size=n)
-        whole = BinAccumulator(n_od_flows=P, exact=True)
-        whole.add_batch(ods, batch)
-        expected = whole.finalize(3)
-        reference = ShardBinSummary.from_accumulator(whole, 3).to_bytes()
-
-        owner = ods % n_parts if by_od else np.arange(n) % n_parts
-        parts = [
-            _summary_from_batch(
-                batch.select(owner == s), ods[owner == s], n_od_flows=P,
-                bin_index=3,
-            )
-            for s in range(n_parts)
-        ]
-        # Half the parts cross the wire first: read-only views and
-        # fresh kernel output must be interchangeable.
-        parts[::2] = [ShardBinSummary.from_bytes(s.to_bytes()) for s in parts[::2]]
-        for merged in _foldings(parts, seed):
-            assert merged.to_bytes() == reference
-            scored = merged.to_bin_summary()
-            np.testing.assert_array_equal(scored.entropy, expected.entropy)
-            np.testing.assert_array_equal(scored.packets, expected.packets)
-            np.testing.assert_array_equal(scored.bytes, expected.bytes)
-            assert (scored.bin, scored.n_records) == (3, expected.n_records)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(0, 80),
-        n_parts=st.integers(2, 6),
-    )
-    def test_interleave_agrees_with_group_reduce_on_disjoint_ods(
-        self, seed, n, n_parts
-    ):
-        rng = np.random.default_rng(seed)
-        ods = rng.integers(0, 12, size=n)
-        values = rng.integers(0, 9, size=n)
-        weights = rng.integers(1, 50, size=n)
-        parts = []
-        for s in range(n_parts):  # disjoint OD sets, interleaved ids
-            part = ShardBinSummary(0, 12)
-            mine = ods % n_parts == s
-            part._runs = [group_reduce(ods[mine], values[mine], weights[mine])] * 4
-            parts.append(part)
-        interleaved = merge_summaries(parts)._runs[0]
-        reduced = group_reduce(ods, values, weights)  # the overlapping branch's call
-        for name in ("group_ids", "starts", "values", "counts"):
-            np.testing.assert_array_equal(
-                getattr(interleaved, name), getattr(reduced, name), err_msg=name
-            )
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_parts=st.integers(1, 6))
-    def test_sketch_merge_is_the_pairwise_count_min_fold(self, seed, n_parts):
-        # A random record split: parts share ODs, so an OD's tables are
-        # summed across every part that holds it.  The reference folds
-        # CountMinSketch.merge two at a time.
-        rng = np.random.default_rng(seed)
-        batch = _random_batch(150, rng)
-        batch.src_port[:] = rng.integers(0, 40, size=150)
-        ods = rng.integers(0, P, size=150)
-        owner = rng.integers(0, n_parts, size=150)
-        parts = [
-            _summary_from_batch(
-                batch.select(owner == s), ods[owner == s], n_od_flows=P,
-                exact=False, width=64, bin_index=2,
-            )
-            for s in range(n_parts)
-        ]
-        parts[1::2] = [ShardBinSummary.from_bytes(s.to_bytes()) for s in parts[1::2]]
-        merged = merge_summaries(parts[::-1])
-        for od in range(P):
-            holders = [part._sketches[od] for part in parts if od in part._sketches]
-            assert (od in merged._sketches) == bool(holders)
-            for k in range(4) if holders else ():
-                sketch = holders[0][k].sketch
-                for entry in holders[1:]:
-                    sketch = sketch.merge(entry[k].sketch)
-                ours = merged._sketches[od][k]
-                np.testing.assert_array_equal(ours.sketch.table, sketch.table)
-                assert ours.sketch.total == sketch.total
-                assert ours.candidates == set().union(
-                    *(entry[k].candidates for entry in holders)
-                )
-        np.testing.assert_array_equal(merged.packets, sum(p.packets for p in parts))
-        assert merged.n_records == 150
-        again = merge_summaries([merge_summaries(parts[:1]), *parts[1:]])
-        assert again.to_bytes() == merged.to_bytes()
-
-    def test_partial_features_empty_shard_and_gap_bin_round_trip(self):
+    def test_partial_features_volume_only_od_and_gap_bin(self):
         acc = BinAccumulator(n_od_flows=P, exact=True)
         nothing = (np.zeros(0, dtype=np.int64),) * 2
         # OD 1 has source features only, OD 4 none at all (volume only).
@@ -174,210 +62,238 @@ class TestMergeAlgebra:
         )
         acc.add_histograms(4, [nothing] * 4, 2, 90)
         partial = ShardBinSummary.from_accumulator(acc, 5)
-        empty_shard = ShardBinSummary(5, P)  # a shard that saw no record
         gap = ShardBinSummary.from_accumulator(BinAccumulator(P, exact=True), 6)
-        for summary in (partial, empty_shard, gap):
-            clone = ShardBinSummary.from_bytes(summary.to_bytes())
-            assert clone.to_bytes() == summary.to_bytes()
-            np.testing.assert_array_equal(
-                clone.entropy_matrix(), summary.entropy_matrix()
-            )
-        assert partial.active_ods == [1]
-        assert partial.packets.tolist() == [0, 4, 0, 0, 2, 0]
-        entropy = partial.entropy_matrix()
-        assert entropy[1, 0] > 0 and not entropy[1, 1] and not entropy[4].any()
-        assert merge_summaries([empty_shard, partial]).to_bytes() == partial.to_bytes()
-        assert merge_summaries([partial, empty_shard]).to_bytes() == partial.to_bytes()
-        assert gap.active_ods == [] and not gap.entropy_matrix().any()
+        assert partial.ods.tolist() == [1, 4]
+        assert partial.packets.tolist() == [4, 2]
+        assert partial.entropy[0, 0] > 0 and not partial.entropy[1].any()
+        assert gap.ods.tolist() == [] and gap.n_records == 0
+        for block in (partial, gap, ShardBinSummary(5, P)):
+            clone = ShardBinSummary.from_bytes(block.to_bytes())
+            assert clone.to_bytes() == block.to_bytes()
+            _assert_rows_equal(clone.to_bin_summary(), block.to_bin_summary())
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_merge_mutates_neither_read_only_input(self, overlap):
+
+class TestScatter:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 120),
+        n_shards=st.integers(1, 8),
+    )
+    def test_od_split_in_any_order_is_the_unsplit_bin(self, seed, n, n_shards):
+        rng = np.random.default_rng(seed)
+        batch = _random_batch(n, rng)
+        batch.src_port[:] = rng.integers(0, 5, size=n)
+        ods = rng.integers(0, P, size=n)
+        whole = BinAccumulator(n_od_flows=P, exact=True)
+        whole.add_batch(ods, batch)
+        expected = whole.finalize(3)
+        blocks = [
+            _summary_from_batch(
+                batch.select(ods % n_shards == s), ods[ods % n_shards == s],
+                n_od_flows=P, bin_index=3, shard=s,
+            )
+            for s in range(n_shards)
+        ]
+        # Half the blocks cross the wire first: read-only views and
+        # fresh rows must be interchangeable.
+        blocks[::2] = [ShardBinSummary.from_bytes(b.to_bytes()) for b in blocks[::2]]
+        reference = None
+        for order in (blocks, blocks[::-1], list(rng.permutation(blocks))):
+            merged = merge_summaries(order, n_shards)
+            _assert_rows_equal(merged.to_bin_summary(), expected)
+            reference = reference or merged.to_bytes()
+            assert merged.to_bytes() == reference
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_k_od_split_is_the_unsplit_block_byte_for_byte(self, exact):
+        # Each OD's row depends only on its own records, so in either
+        # mode the K shards' blocks scatter to the one-shard block.
         rng = np.random.default_rng(2)
+        batch = _random_batch(400, rng)
+        ods = rng.integers(0, P, size=400)
+        whole = _summary_from_batch(batch, ods, n_od_flows=P, exact=exact)
+        for n_shards in (1, 2, 3, 5):
+            blocks = [
+                _summary_from_batch(
+                    batch.select(ods % n_shards == s), ods[ods % n_shards == s],
+                    n_od_flows=P, exact=exact, shard=s,
+                )
+                for s in range(n_shards)
+            ]
+            merged = merge_summaries(blocks, n_shards)
+            assert merged.to_bytes() == whole.to_bytes()
+            assert merged.n_records == 400
+
+    @pytest.mark.parametrize("wire", [True, False], ids=["read-only", "writable"])
+    def test_merge_mutates_neither_input(self, wire):
+        rng = np.random.default_rng(6)
         batch = _random_batch(90, rng)
         ods = rng.integers(0, P, size=90)
-        owner = np.arange(90) % 2 if overlap else ods % 2
-        wire = [
-            _summary_from_batch(
-                batch.select(owner == s), ods[owner == s], n_od_flows=P
-            ).to_bytes()
+        blocks = [
+            _summary_from_batch(batch.select(ods % 2 == s), ods[ods % 2 == s],
+                                n_od_flows=P, shard=s)
             for s in range(2)
         ]
-        a, b = (ShardBinSummary.from_bytes(payload) for payload in wire)
-        assert not a.packets.flags.writeable
-        assert not any(runs.counts.flags.writeable for runs in a._runs)
-        merged = merge_summaries([a, b])
-        assert [a.to_bytes(), b.to_bytes()] == wire
-        whole = _summary_from_batch(batch, ods, n_od_flows=P)
-        assert merged.to_bytes() == whole.to_bytes()
+        if wire:
+            blocks = [ShardBinSummary.from_bytes(b.to_bytes()) for b in blocks]
+        before = [b.to_bytes() for b in blocks]
+        merged = merge_summaries(blocks[::-1], 2)
+        scored = merged.to_bin_summary()
+        scored.entropy[:] = -1.0  # the scored bin is the caller's to write
+        assert [b.to_bytes() for b in blocks] == before
+        for block in blocks:
+            for name in ("ods", "entropy", "packets", "bytes"):
+                assert not np.shares_memory(getattr(merged, name), getattr(block, name))
+
+    def test_a_block_with_a_foreign_od_is_refused(self):
+        rng = np.random.default_rng(2)
+        batch = _random_batch(40, rng)
+        mine = _summary_from_batch(batch, np.full(40, 2), n_od_flows=P, shard=0)
+        theirs = _summary_from_batch(batch, np.full(40, 3), n_od_flows=P, shard=1)
+        assert mine.merge(theirs, 2).ods.tolist() == [2, 3]
+        liar = _summary_from_batch(batch, np.full(40, 5), n_od_flows=P, shard=0)
+        with pytest.raises(ValueError, match="shard 0 of 2 sent OD 5, which shard 1 owns"):
+            merge_summaries([liar, theirs], 2)
+        with pytest.raises(ValueError, match="shard 1 of 1 sent OD 3"):
+            merge_summaries([theirs], 1)
+
+    def test_mismatched_blocks_are_refused(self):
+        rng = np.random.default_rng(5)
+        batch = _random_batch(30, rng)
+        base = _summary_from_batch(batch, np.zeros(30, dtype=np.int64))
+        other_bin = _summary_from_batch(
+            batch, np.ones(30, dtype=np.int64), bin_index=1, shard=1
+        )
+        with pytest.raises(ValueError, match="different bins"):
+            merge_summaries([base, other_bin], 2)
+        with pytest.raises(ValueError, match="different bins or ensembles"):
+            merge_summaries([base, ShardBinSummary(0, P + 1, shard=1)], 2)
+        with pytest.raises(ValueError, match="two blocks of bin 0 from shard 0"):
+            merge_summaries([base, ShardBinSummary(0, 4)], 2)
+        with pytest.raises(ValueError):
+            merge_summaries([])
 
 
-def _payload(exact=True):
+def _payload():
     rng = np.random.default_rng(17)
     return _summary_from_batch(
         _random_batch(60, rng), rng.integers(0, P, size=60), n_od_flows=P,
-        exact=exact, width=16,
     ).to_bytes()
 
 
 def _reframe(payload, mutate=None, header=None):
-    """``payload`` with its int64 words (and/or header fields) tampered
+    """``payload`` with its row words (and/or header fields) tampered
     and the CRC recomputed over the result — a *valid* frame."""
-    fields = list(struct.unpack_from("<B3xiiiqqq", payload, 8))
+    fields = list(struct.unpack_from(_HEADER, payload, 8))
     for index, value in (header or {}).items():
-        fields[index] = value
-    words = np.frombuffer(payload, dtype="<i8", offset=_BODY_WORDS).copy()
+        fields[index] = value(fields) if callable(value) else value
+    words = np.frombuffer(payload, dtype="<i8", offset=_WORDS).copy()
     if mutate is not None:
         words = mutate(words)
-    body = struct.pack("<B3xiiiqqq", *fields) + words.tobytes()
-    return b"RBS3" + struct.pack("<I", zlib.crc32(body)) + body
+    body = struct.pack(_HEADER, *fields) + words.tobytes()
+    return b"RBS4" + struct.pack("<I", zlib.crc32(body)) + body
 
 
-# Word layout of the exact body after the header, p = P:
-# packets[P] bytes[P] | G M group_ids[G] starts[G+1] values[M] counts[M] | ...
-_G, _M, _IDS = 2 * P, 2 * P + 1, 2 * P + 2
-
-
-def _starts(words):
-    return _IDS + int(words[_G])
-
-
-def _counts(words):
-    return _starts(words) + int(words[_G]) + 1 + int(words[_M])
+# Word layout of the rows, n of them (P = 6 ODs, all seen here):
+# ods[n] entropy[4n] (float64 bits) packets[n] bytes[n]
+_N = P
+_ENTROPY, _PACKETS, _BYTES = _N, 5 * _N, 6 * _N
 
 
 def _set(index, value):
-    """A tampering that overwrites one word; ``index`` and ``value``
-    may be functions of the words (positions depend on G and M)."""
+    """A tampering that overwrites one word."""
     def mutate(words):
-        at = index(words) if callable(index) else index
-        words[at] = value(words) if callable(value) else value
+        words[index] = value
+        return words
+    return mutate
+
+
+def _set_float(index, value):
+    def mutate(words):
+        words.view("<f8")[index] = value
         return words
     return mutate
 
 
 def _swap(i, j):
     def mutate(words):
-        a, b = i(words), j(words)
-        words[[a, b]] = words[[b, a]]
+        words[[i, j]] = words[[j, i]]
         return words
     return mutate
 
 
-HOSTILE_EXACT = {
-    "G negative": _set(_G, -1),
-    "G huge": _set(_G, 2**62),
-    "G overflowing": _set(_G, 2**63 - 1),
-    "G one more than held": _set(_G, lambda w: w[_G] + 1),
-    "M negative": _set(_M, -3),
-    "M huge": _set(_M, 2**61),
-    "M one less than held": _set(_M, lambda w: w[_M] - 1),
-    "starts not non-decreasing": _swap(lambda w: _starts(w) + 1,
-                                       lambda w: _starts(w) + 2),
-    "starts do not begin at 0": _set(_starts, 1),
-    "starts do not end at M": _set(lambda w: _starts(w) + int(w[_G]),
-                                   lambda w: w[_M] - 1),
-    "an empty group": _set(lambda w: _starts(w) + 1, 0),
-    "group id >= n_od_flows": _set(lambda w: _IDS + int(w[_G]) - 1, P),
-    "group id negative": _set(_IDS, -1),
-    "group ids unsorted": _swap(lambda w: _IDS, lambda w: _IDS + 1),
-    "group ids repeated": _set(_IDS + 1, lambda w: w[_IDS]),
-    "zero count": _set(_counts, 0),
-    "negative count": _set(lambda w: _counts(w) + 1, -5),
-    "trailing bytes": lambda w: np.append(w, 0),
-    "truncated slab": lambda w: w[:-1],
-    "nothing after the header": lambda w: w[:0],
+HOSTILE = {
+    "n one more than held": (None, {4: lambda f: f[4] + 1}),
+    "n one less than held": (None, {4: lambda f: f[4] - 1}),
+    "n negative": (None, {4: -1}),
+    "n huge": (None, {4: 2**62}),
+    "n above the ensemble": (None, {0: _N - 1}),
+    "ensemble negative": (None, {0: -1}),
+    "shard negative": (None, {1: -2}),
+    "records negative": (None, {3: -1}),
+    "OD id negative": (_set(0, -1), None),
+    "OD id >= n_od_flows": (_set(_N - 1, P), None),
+    "OD ids unsorted": (_swap(0, 1), None),
+    "OD ids repeated": (_set(1, 0), None),
+    "negative packets": (_set(_PACKETS + 2, -1), None),
+    "negative bytes": (_set(_BYTES, -(2**63)), None),
+    "negative entropy": (_set_float(_ENTROPY + 3, -0.5), None),
+    "NaN entropy": (_set_float(_ENTROPY, np.nan), None),
+    "infinite entropy": (_set_float(_ENTROPY + 1, np.inf), None),
+    "trailing bytes": (lambda w: np.append(w, 0), None),
+    "truncated slab": (lambda w: w[:-1], None),
+    "nothing after the header": (lambda w: w[:0], None),
 }
 
 
 class TestHostilePayloads:
     def test_the_tampering_helper_is_an_identity_by_default(self):
         assert _reframe(_payload()) == _payload()
-        assert _reframe(_payload(exact=False)) == _payload(exact=False)
+        assert ShardBinSummary.from_bytes(_payload()).ods.tolist() == list(range(P))
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE_EXACT))
-    def test_exact_shape_lies_under_a_valid_crc_are_refused(self, case):
-        bad = _reframe(_payload(), HOSTILE_EXACT[case])
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_shape_lies_under_a_valid_crc_are_refused(self, case):
+        bad = _reframe(_payload(), *HOSTILE[case])
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(bad)
 
-    @pytest.mark.parametrize("header", [
-        {0: 7},          # unknown mode
-        {1: -1},         # negative ensemble width
-        {1: 2**31 - 1},  # ensemble far wider than the payload
-        {1: P - 1},      # every slab shifts by one OD
-    ])
-    def test_header_lies_under_a_valid_crc_are_refused(self, header):
-        with pytest.raises(SummaryCorruptError):
-            ShardBinSummary.from_bytes(_reframe(_payload(), header=header))
-
-    @pytest.mark.parametrize("mutate, header", [
-        (_set(2 * P, 2**40), None),       # n_active
-        (_set(2 * P, -1), None),          # no ODs, then trailing bytes
-        (_set(2 * P + 1, P), None),       # first OD id out of range
-        (_set(2 * P + 3, 2**59), None),   # n_candidates
-        (None, {2: 2**20}),               # width: tables the payload lacks
-        (None, {2: 4}),                   # width below the sketch minimum
-        (None, {3: -4}),                  # depth
-        (lambda w: w[:-1], None),
-    ])
-    def test_sketch_shape_lies_under_a_valid_crc_are_refused(self, mutate, header):
-        bad = _reframe(_payload(exact=False), mutate, header)
-        with pytest.raises(SummaryCorruptError):
+    def test_out_of_order_ods_are_named(self):
+        bad = _reframe(_payload(), *HOSTILE["OD ids unsorted"])
+        with pytest.raises(SummaryCorruptError, match="OD ids out of order"):
             ShardBinSummary.from_bytes(bad)
 
-    def test_every_negative_sketch_counter_is_refused(self):
-        # A negative total under a valid CRC used to pass and score as
-        # a NaN (or negative) entropy; walk the body to reach all 24
-        # (OD, feature) totals, then a table counter and a volume.
-        good = _payload(exact=False)
-        width, depth = struct.unpack_from("<B3xiiiqqq", good, 8)[2:4]
-        words = np.frombuffer(good, dtype="<i8", offset=_BODY_WORDS)
-        totals, at = [], 2 * P + 1
-        for _ in range(int(words[2 * P])):
-            at += 1  # the OD id
-            for _ in range(4):
-                totals.append(at)
-                at += 2 + depth * width + int(words[at + 1])
-        assert len(totals) == 4 * P and at == len(words)
-        for position in totals + [totals[0] + 2, 0, P]:
-            for value in (-1, -3, -(2**63)):
-                bad = _reframe(good, _set(position, value))
-                with pytest.raises(SummaryCorruptError, match="negative"):
-                    ShardBinSummary.from_bytes(bad)
+    @pytest.mark.parametrize("magic", [b"RBS3", b"XXXX", b""])
+    def test_foreign_and_older_magics_are_version_errors(self, magic):
+        with pytest.raises(ValueError, match="RBS4") as excinfo:
+            ShardBinSummary.from_bytes(magic + _payload()[4:])
+        assert not isinstance(excinfo.value, SummaryCorruptError)
 
-    def test_short_and_foreign_payloads(self):
+    def test_short_payload_is_corrupt(self):
         with pytest.raises(SummaryCorruptError):
-            ShardBinSummary.from_bytes(b"RBS3" + bytes(12))
-        with pytest.raises(ValueError, match="RBS3"):
-            ShardBinSummary.from_bytes(b"")
+            ShardBinSummary.from_bytes(b"RBS4" + bytes(12))
 
     @settings(max_examples=300, deadline=None)
     @given(
-        exact=st.booleans(),
         position=st.floats(0, 1, exclude_max=True),
         value=st.one_of(
             st.integers(-3, 2 * P),
             st.sampled_from([2**31, 2**62, 2**63 - 1, -(2**63)]),
         ),
     )
-    def test_any_single_word_lie_is_refused_or_harmless(self, exact, position, value):
+    def test_any_single_word_lie_is_refused_or_harmless(self, position, value):
         # Whatever one int64 of the body claims, from_bytes either
         # refuses it (ValueError, never IndexError / MemoryError /
-        # struct.error) or returns a summary that scores, merges and
-        # re-serializes within bounds.
-        good = _payload(exact)
-        n_words = (len(good) - _BODY_WORDS) // 8
+        # struct.error) or returns a block that scatters within bounds
+        # and re-serializes to the same bytes.
+        good = _payload()
+        n_words = (len(good) - _WORDS) // 8
         bad = _reframe(good, _set(int(position * n_words), value))
         try:
-            summary = ShardBinSummary.from_bytes(bad)
+            block = ShardBinSummary.from_bytes(bad)
         except SummaryCorruptError:
             return
-        assert summary.entropy_matrix().shape == (P, 4)
-        assert np.isfinite(summary.entropy_matrix()).all()
-        merged = merge_summaries([summary, ShardBinSummary.from_bytes(good)])
-        assert merged.entropy_matrix().shape == (P, 4)
-        assert np.isfinite(merged.entropy_matrix()).all()
-        again = summary.to_bytes()
-        assert ShardBinSummary.from_bytes(again).to_bytes() == again
-        if exact:  # views of the payload: nothing was re-derived
-            assert again == bad
+        scored = block.to_bin_summary()
+        assert scored.entropy.shape == (P, 4)
+        assert np.isfinite(scored.entropy).all()
+        assert block.to_bytes() == bad

@@ -442,6 +442,7 @@ class TestRunCLI:
          "--bin-group", "4"],
         ["trace", "replay", "x.trace", "--readahead"],
         ["trace", "upgrade", "x.trace"],
+        ["run", "baseline-diurnal", "--mode", "cluster", "--tiers", "2x2"],
     ])
     def test_removed_commands_and_flags_exit_2(self, argv, capsys):
         from repro.cli import main

@@ -192,7 +192,7 @@ class TestSummaryWire:
     def test_v2_round_trip_and_crc(self):
         summary = self._summary()
         payload = summary.to_bytes()
-        assert payload[:4] == b"RBS3"
+        assert payload[:4] == b"RBS4"
         restored = ShardBinSummary.from_bytes(payload)
         assert restored.to_bytes() == payload
 
@@ -201,13 +201,13 @@ class TestSummaryWire:
         with pytest.raises(SummaryCorruptError):
             ShardBinSummary.from_bytes(corrupt_payload(payload))
 
-    @pytest.mark.parametrize("magic", [b"RBS1", b"RBS2", b"RBS4"])
+    @pytest.mark.parametrize("magic", [b"RBS1", b"RBS2", b"RBS3", b"RBS5"])
     def test_other_wire_versions_are_rejected_by_name(self, magic):
         # One wire version: an older (or newer) payload is refused with
         # both versions named — it is not a transit fault to retry, and
         # it is never mis-parsed.
         payload = self._summary().to_bytes()
-        with pytest.raises(ValueError, match="RBS3") as excinfo:
+        with pytest.raises(ValueError, match="RBS4") as excinfo:
             ShardBinSummary.from_bytes(magic + payload[4:])
         assert magic.decode() in str(excinfo.value)
         assert not isinstance(excinfo.value, SummaryCorruptError)
@@ -368,8 +368,8 @@ class TestChaosCluster:
         path = tmp_path / "old.ckpt"
         fingerprint = run_fingerprint(source.spec, _config())
         with CheckpointWriter(path, fingerprint) as writer:
-            writer.append(0, b"RBS2" + bytes(64))
-        with pytest.raises(ValueError, match="RBS2.*RBS3"):
+            writer.append(0, b"RBS3" + bytes(64))
+        with pytest.raises(ValueError, match="RBS3.*RBS4"):
             run_cluster_source(source, n_shards=2, config=_config(),
                                checkpoint=path, resume=True)
 

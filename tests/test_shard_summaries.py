@@ -1,12 +1,15 @@
-"""``shard_summaries``: the stored-run-id path against the record path.
+"""``shard_summaries``: the stored-run-id path against the record path,
+and the coordinator's scattered rows against stream mode's.
 
-An exact-mode shard over a trace builds its summaries from the trace's
-stored OD and run-id columns; every other shard runs a
+An exact-mode shard over a trace builds its row blocks from the
+trace's stored OD and run-id columns; every other shard runs a
 :class:`ShardMonitor` over ``shard_batches``.  The two must ship the
 same bins with byte-identical payloads, count the same records and
 close the same number of bins — for every shard count, from bin 0 or
 from a resume point, over traces with gap bins, zero-packet records
-(run id -1) and shards that own nothing.
+(run id -1) and shards that own nothing.  Scattered by the
+coordinator, the blocks of any shard count must give stream mode's
+``BinSummary`` in every bin, bit for bit.
 """
 
 import dataclasses
@@ -20,12 +23,15 @@ from hypothesis import strategies as st
 
 from repro import telemetry as tel
 from repro.cli import main
+from repro.cluster import ClusterCoordinator
 from repro.cluster.shard import ShardMonitor, shard_summaries
 from repro.flows.records import FlowRecordBatch
 from repro.io.trace import TraceReader, TraceWriter
 from repro.net.topology import abilene
 from repro.pipeline import ScenarioSource, TraceSource
 from repro.stream import StreamConfig
+from repro.stream.replay import derived_runs
+from repro.stream.window import StreamFeatureStage
 
 TOPOLOGY = abilene()
 WIDTH = 300.0
@@ -136,6 +142,91 @@ def test_gap_bins_zero_packets_and_an_idle_shard(tmp_path):
         assert list(scan) == [] and scan.n_records == 0
     shipped = [s.bin for s in shard_summaries(source, 0, 5)]
     assert shipped == [1, 2, 3, 4]
+
+
+def test_derived_runs_drop_the_runs_a_shards_rows_miss():
+    """A shard's rows reach only its ODs' run ids: the runs between them
+    (another shard's OD 2) count zero and must not reach the entropy."""
+    rid = np.array([0, 1, 4, 4])  # runs 2-3 belong to OD 2, elsewhere
+    ods = np.array([1, 1, 3, 3])
+    group_ids, starts, counts, values = derived_runs(
+        rid, ods, np.array([2, 1, 1, 5]), np.array([7, 9, 7, 7])
+    )
+    assert group_ids.tolist() == [1, 3] and starts.tolist() == [0, 2, 3]
+    assert counts.tolist() == [2, 1, 6] and values.tolist() == [7, 9, 7]
+
+
+class _RowsEngine:
+    """Stands in for the detection engine: keeps every ``BinSummary``
+    the coordinator scores."""
+
+    def __init__(self, topology):
+        self.topology = topology
+        self.rows = {}
+
+    def observe_summary(self, summary):
+        self.rows[summary.bin] = summary
+
+
+def _stream_rows(source):
+    stage = StreamFeatureStage(
+        source.topology, bin_width=source.spec.bin_width,
+        start=source.spec.bin_start, exact=True,
+    )
+    rows = []
+    for batch in source.batches(chunk_records=11):
+        rows += stage.ingest(batch)
+    return {summary.bin: summary for summary in rows + stage.flush()}
+
+
+def _assert_cluster_rows_are_stream_rows(source, n_shards, resume_bin):
+    """Every shard ships its blocks before ``resume_bin``, is restarted
+    there (as a supervisor restarts a killed worker), and ships the
+    rest; the coordinator's scattered rows must be stream mode's."""
+    engine = _RowsEngine(source.topology)
+    coordinator = ClusterCoordinator(engine, range(n_shards))
+    for shard in range(n_shards):
+        for block in shard_summaries(source, shard, n_shards):
+            if block.bin < resume_bin:
+                coordinator.add_serialized(shard, block.to_bytes())
+        for block in shard_summaries(source, shard, n_shards, resume_bin):
+            coordinator.add_serialized(shard, block.to_bytes())
+        coordinator.close_shard(shard)
+    want = _stream_rows(source)
+    where = f"{n_shards} shards resumed at bin {resume_bin}"
+    assert sorted(engine.rows) == sorted(want), where
+    for b, got in engine.rows.items():
+        for name in ("entropy", "packets", "bytes"):
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(want[b], name), err_msg=f"{where}, bin {b}"
+            )
+        assert got.n_records == want[b].n_records, f"{where}, bin {b}"
+
+
+@settings(max_examples=15, deadline=None)
+@given(bins=st.lists(od_rows, min_size=1, max_size=7), seed=st.integers(0, 2**16))
+def test_cluster_rows_are_stream_rows_over_a_trace(bins, seed):
+    """K in {1, 2, 3, 5}, from bin 0 and resumed mid-run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source = _write(Path(tmp) / "t.trace", bins, seed=seed)
+        for n_shards in (1, 2, 3, 5):
+            for resume_bin in sorted({0, len(bins) // 2}):
+                _assert_cluster_rows_are_stream_rows(source, n_shards, resume_bin)
+
+
+def test_cluster_rows_are_stream_rows_with_gaps_and_an_idle_shard(tmp_path):
+    """Leading, gap and trailing empty bins, zero-packet records, and
+    shards 1-4 of 5 owning nothing (``test_gap_bins_zero_packets_and_an_idle_shard``'s
+    trace); then a scenario source, whose shards run the record path."""
+    source = _write(tmp_path / "t.trace", [
+        [], [(0, 3), (5, 0), (10, 2), (0, 1)], [], [(5, 0), (15, 0)],
+        [(20, 4), (0, 0), (20, 2)], [],
+    ])
+    scenario = ScenarioSource("mixed-anomaly-day", n_bins=6, max_records_per_od=4)
+    for source in (source, scenario):
+        for n_shards in (1, 2, 3, 5):
+            for resume_bin in (0, 3):
+                _assert_cluster_rows_are_stream_rows(source, n_shards, resume_bin)
 
 
 def test_counters_match_the_record_path(tmp_path):

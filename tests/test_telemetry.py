@@ -328,24 +328,15 @@ class TestCLI:
         run_event = next(e for e in events if e["event"] == "run")
         assert total == run_event["n_records"]
 
-    def test_tiered_cluster_run_info_counts_every_worker(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "t.jsonl"
-        args = self._run_args("cluster", ["--tiers", "1x3", "--telemetry", str(out)])
-        assert main(args) == 0
-        run_event = next(e for e in read_events(out) if e["event"] == "run")
-        assert run_event["n_shards"] == 3  # 1 aggregator x 3 workers, not --shards
-
     def test_failed_cluster_run_info_keeps_the_shard_count(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "t.jsonl"
         args = self._run_args("cluster", [
-            "--tiers", "1x3", "--telemetry", str(out), "--max-retries", "0",
+            "--shards", "3", "--telemetry", str(out), "--max-retries", "0",
             "--chaos", "kill:shard=2,bin=1,attempts=10",
         ])
-        with pytest.raises(RuntimeError, match="shard 0 failed after 1"):
+        with pytest.raises(RuntimeError, match="shard 2 failed after 1"):
             main(args)
         run_event = next(e for e in read_events(out) if e["event"] == "run")
         assert run_event["n_shards"] == 3

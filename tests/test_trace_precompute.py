@@ -163,6 +163,45 @@ class TestTraceV2Format:
         with pytest.raises(TraceError, match="repro trace write"):
             TraceReader(path) if opener == "reader" else trace_info(path)
 
+    @pytest.mark.parametrize("opener", ["reader", "info", "cli-info", "cli-run"])
+    def test_a_header_missing_a_key_is_refused_at_open(self, v2, tmp_path, capsys,
+                                                       opener):
+        # Once a bare KeyError: a header without a key the reader reads
+        # is a TraceError naming the key, and exit 2 at the CLI.
+        path = tmp_path / "patched.trace"
+        path.write_bytes(v2.read_bytes())
+        _patch_header(path, b'"n_bins"', b'"n_binz"')
+        if opener.startswith("cli"):
+            argv = (["trace", "info", str(path)] if opener == "cli-info"
+                    else ["run", "baseline-diurnal", "--trace", str(path)])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "lacks n_bins" in err and len(err.strip().splitlines()) == 1
+            return
+        with pytest.raises(TraceError, match="lacks n_bins.*repro trace write"):
+            TraceReader(path) if opener == "reader" else trace_info(path)
+
+    @pytest.mark.parametrize("key, old", [
+        pytest.param(key, old, id=key) for key, old in (
+            ("n_records", b'"n_records"'),
+            ("bins", b'"bins"'),
+            ("bins.width", b'"width"'),
+            ("bins.start", b'"start"'),
+            ("columns", b'"columns": [{"dtype": "<i8", "name": "src_ip"'),
+            ("column_crcs", b'"column_crcs"'),
+            ("derived", b'"derived"'),
+        )
+    ])
+    def test_every_key_the_reader_reads_is_required(self, v2, tmp_path, key, old):
+        path = tmp_path / "patched.trace"
+        path.write_bytes(v2.read_bytes())
+        # The key's last letter becomes "~": same length, key absent.
+        end = old.index(b'"', 1)
+        _patch_header(path, old, old[:end - 1] + b"~" + old[end:])
+        for opener in (TraceReader, trace_info):
+            with pytest.raises(TraceError, match=rf"lacks {key}\b"):
+                opener(path)
+
     def test_verify_covers_derived_columns(self, v2):
         results = verify_trace(v2)
         assert set(results) >= {"od", "runid_src_port", "runid_dst_ip"}

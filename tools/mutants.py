@@ -85,6 +85,12 @@ _BAD_POP = ("tests/test_stream.py::TestStreamFeatureStage::"
             "test_bad_ingress_pop_loses_no_earlier_bin")
 _SHARD_PARITY = ("tests/test_shard_summaries.py::"
                  "test_stored_run_ids_ship_what_the_record_path_ships")
+#: deterministic, so they run (and kill) before the hypothesis property
+_GAP_IDLE = "tests/test_shard_summaries.py::test_gap_bins_zero_packets_and_an_idle_shard"
+_MISSED_RUNS = ("tests/test_shard_summaries.py::"
+                "test_derived_runs_drop_the_runs_a_shards_rows_miss")
+_CLUSTER_ROWS = ("tests/test_shard_summaries.py::"
+                 "test_cluster_rows_are_stream_rows_with_gaps_and_an_idle_shard")
 _SEED_EXACT = ("tests/test_kernels.py::TestSeedDetectionByteEquality::"
                "test_exact_mode_reproduces_seed_output")
 _MULTIWAY = "src/repro/core/multiway.py"
@@ -95,8 +101,9 @@ _IDENTIFY_LOOP = "tests/test_identification.py::TestBatchedSolve::test_matches_p
 _IDENTIFY_UNIT = "tests/test_identification.py::TestIdentifyFlows"
 _GRAM = ("tests/test_identification.py::TestBatchedSolve::"
          "test_gram_blocks_match_per_od_normal_equations")
-_MERGE = "tests/test_cluster_summary.py::TestMergeAlgebra"
-_MERGE_KEYS = "tests/test_cluster.py::TestSummaryAlgebra::test_merge_rejects_mismatches"
+_ROWS = "tests/test_cluster_summary.py::TestRows::test_block_scatters_back_to_the_finalized_bin"
+_FOREIGN_OD = "tests/test_cluster_summary.py::TestScatter::test_a_block_with_a_foreign_od_is_refused"
+_OD_ORDER = "tests/test_cluster_summary.py::TestHostilePayloads::test_out_of_order_ods_are_named"
 _OTHER_HEADERS = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                   "test_other_headers_are_refused_at_open")
 _TRUNCATED_TAIL = ("tests/test_trace_precompute.py::TestTraceV2Format::"
@@ -219,19 +226,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "stored-runs-keep-zero-counts", _REPLAY,
         "    if not counts.all():\n",
         "    if False:\n",
-        (_SHARD_PARITY,),
-    ),
-    Mutant(
-        "stored-runs-skip-anonymisation", _SHARD,
-        "        if name in _ADDRESSES and topology.anonymization_bits:\n",
-        "        if False:\n",
-        (_SHARD_PARITY,),
+        (_MISSED_RUNS, _SHARD_PARITY),
     ),
     Mutant(
         "stored-runs-start-at-trace-first-bin", _SHARD,
         "    for i in range(int(nonempty[0]), int(nonempty[-1]) + 1):\n",
         "    for i in range(int(np.flatnonzero(np.diff(offsets))[0]), int(nonempty[-1]) + 1):\n",
-        (_SHARD_PARITY,),
+        (_GAP_IDLE, _SHARD_PARITY),
     ),
     # -- unit-energy normalisation of the unfolded entropy matrix -------
     Mutant(
@@ -289,30 +290,30 @@ MUTANTS: tuple[Mutant, ...] = (
         "    blocks = P.reshape(n_od_flows, N_FEATURES, -1)\n",
         (_GRAM, _IDENTIFY_LOOP),
     ),
-    # -- the K-way summary merge -----------------------------------------
+    # -- the row block and the coordinator's scatter --------------------
     Mutant(
-        "merge-skips-the-last-key-check", _SUMMARY,
-        "    for other in summaries[1:]:\n",
-        "    for other in summaries[1:-1]:\n",
-        (_MERGE_KEYS,),
+        "scatter-skips-the-ownership-check", _SUMMARY,
+        "        if foreign.any():\n",
+        "        if False:\n",
+        (_FOREIGN_OD,),
     ),
     Mutant(
-        "merge-records-of-the-first-only", _SUMMARY,
-        "    merged.n_records = sum(s.n_records for s in summaries)\n",
-        "    merged.n_records = first.n_records\n",
-        (_MERGE,),
+        "scatter-entropy-one-od-off", _SUMMARY,
+        "        entropy[self.ods] = self.entropy\n",
+        "        entropy[(self.ods + 1) % p] = self.entropy\n",
+        (_ROWS, _CLUSTER_ROWS),
     ),
     Mutant(
-        "merge-interleaves-unsorted", _SUMMARY,
-        "    order = np.argsort(ids)\n",
-        "    order = np.arange(len(ids))\n",
-        (_MERGE,),
+        "scatter-records-of-the-first-only", _SUMMARY,
+        "        rows(\"packets\"), rows(\"bytes\"), sum(s.n_records for s in summaries),\n",
+        "        rows(\"packets\"), rows(\"bytes\"), first.n_records,\n",
+        (_CLUSTER_ROWS,),
     ),
     Mutant(
-        "merge-never-reduces-shared-ods", _SUMMARY,
-        "    if (merged_ids[1:] == merged_ids[:-1]).any():\n",
-        "    if False:\n",
-        (_MERGE,),
+        "row-block-skips-the-od-order-check", _SUMMARY,
+        "        check((ods[1:] > ods[:-1]).all(), \"OD ids out of order\")\n",
+        "        check(True, \"OD ids out of order\")\n",
+        (_OD_ORDER,),
     ),
     # -- the one trace format ----------------------------------------------
     Mutant(
