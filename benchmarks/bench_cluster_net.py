@@ -1,16 +1,15 @@
-"""Benchmarks the networked cluster: transports and sharding.
+"""Benchmarks the cluster's scaling over worker count.
 
 One version-2 trace (stored OD attribution) is shared by every
 configuration, and the same detection verdicts must come out of all of
 them — the scaling curve is only meaningful if the answers are
-bit-identical.  The sweep covers:
-
-* flat pipe clusters at 1/2/4 workers (the committed scaling curve),
-* a 2-worker loopback-TCP cluster (framed-socket transport overhead).
+bit-identical.  The sweep runs local clusters at 1/2/4 workers, each
+worker on its own framed link; rows are named by worker count
+(``workers.K``).
 
 The curve is persisted as ``results/cluster_net.json`` and gated by
 ``tools/check_perf.py --min-cluster-speedup``: with >= 2 CPUs the
-2-worker pipe cluster must beat the 1-worker run by the floor; on a
+2-worker cluster must beat the 1-worker run by the floor; on a
 1-core host the gate only requires that forking does not re-open the
 historical 0.72x inversion (``SINGLE_CORE_FLOOR``).
 
@@ -42,10 +41,9 @@ SINGLE_CORE_FLOOR = 0.75
 
 #: (label, run_cluster_source overrides) — label doubles as the JSON key.
 CONFIGS = (
-    ("pipe.1", {"n_shards": 1}),
-    ("pipe.2", {"n_shards": 2}),
-    ("pipe.4", {"n_shards": 4}),
-    ("tcp.2", {"n_shards": 2, "transport": "tcp"}),
+    ("workers.1", {"n_shards": 1}),
+    ("workers.2", {"n_shards": 2}),
+    ("workers.4", {"n_shards": 4}),
 )
 
 
@@ -130,23 +128,23 @@ def test_cluster_net_scaling(benchmark, tmp_path):
             "cpus": cores,
             "repeats": REPEATS,
             "records_per_sec": {label: rates[label] for label, _ in CONFIGS},
-            "speedup_vs_pipe_1": {
-                label: rates[label] / rates["pipe.1"]
-                for label, _ in CONFIGS if label != "pipe.1"
+            "speedup_vs_workers_1": {
+                label: rates[label] / rates[label0]
+                for label, _ in CONFIGS[1:]
             },
         },
     )
 
-    # Contract: every transport and shard count lands the same verdicts
-    # as the single-worker run.
+    # Contract: every shard count lands the same verdicts as the
+    # single-worker run.
     for label, _ in CONFIGS[1:]:
         assert results[label].n_records == baseline.n_records, label
         assert detections[label] == detections[label0], label
-    speedup = rates["pipe.2"] / rates["pipe.1"]
+    speedup = rates["workers.2"] / rates["workers.1"]
     if cores >= MIN_CORES_FOR_SPEEDUP:
         assert speedup >= SPEEDUP_FLOOR, (
-            f"2-worker throughput {rates['pipe.2']:,.0f} records/s is below "
-            f"{SPEEDUP_FLOOR}x the 1-worker {rates['pipe.1']:,.0f} records/s"
+            f"2-worker throughput {rates['workers.2']:,.0f} records/s is below "
+            f"{SPEEDUP_FLOOR}x the 1-worker {rates['workers.1']:,.0f} records/s"
         )
     else:
         assert speedup >= SINGLE_CORE_FLOOR, (

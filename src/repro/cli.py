@@ -14,10 +14,12 @@ paper) actually runs:
   in any deployment mode — ``--mode stream`` is the online pipeline of
   paper Section 8, ``--mode cluster`` the sharded deployment (worker
   processes finish their OD flows into per-bin entropy and volume
-  rows, a central coordinator scatters and scores them) — from
-  inline synthesis or a recorded ``--trace``;
+  rows and ship them over one framed link each; a central
+  coordinator scatters and scores them) — from inline synthesis or a
+  recorded ``--trace``;
 * ``worker``   — serve shard work to a ``run --mode cluster --listen``
-  coordinator on another host;
+  coordinator on another host (without ``--listen`` the coordinator
+  spawns its workers locally and listens nowhere);
 * ``scenarios`` — inspect the scenario registry (``list``);
 * ``trace``    — record and replay columnar flow-record traces:
   ``write`` records a scenario's stream into a single binary file
@@ -133,14 +135,10 @@ def _add_engine(parser) -> None:
 def _add_cluster_knobs(parser) -> None:
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes (each owns an OD-flow slice)")
-    parser.add_argument("--transport", choices=("pipe", "tcp"),
-                        default="pipe",
-                        help="worker links: local multiprocessing pipes "
-                        "(default) or framed TCP sockets")
     parser.add_argument("--listen", metavar="HOST:PORT",
-                        help="with --transport tcp: bind here and wait for "
-                        "external `repro worker --connect` processes "
-                        "instead of spawning local ones")
+                        help="bind here and wait for external "
+                        "`repro worker --connect` processes instead of "
+                        "spawning local ones (trusted networks only)")
 
 
 def _add_resilience(parser) -> None:
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address announced by "
-                        "`repro run --mode cluster --transport tcp --listen`")
+                        "`repro run --mode cluster --listen`")
     worker.add_argument("--once", action="store_true",
                         help="exit after serving one shard assignment "
                         "(default: reconnect and serve until the "
@@ -630,7 +628,7 @@ def _cmd_run(args) -> int:
     deployment = ""
     if args.mode == "cluster":
         run_info["n_shards"] = args.shards
-        deployment = f", {args.shards} shards ({args.transport} transport)"
+        deployment = f", {args.shards} shards"
     print(
         f"scenario {scenario.name} [{args.mode}] on {topo.name}: "
         f"{n_bins} bins x {topo.n_od_flows} OD flows{deployment}, "
@@ -652,7 +650,6 @@ def _cmd_run(args) -> int:
             checkpoint=args.checkpoint,
             resume=args.resume,
             chaos=args.chaos,
-            transport=args.transport,
             listen=args.listen,
         )
         run_info.update({"n_records": result.n_records,

@@ -18,9 +18,9 @@ diagnosis as one process reading the whole trace.
 * :mod:`repro.cluster.coordinator` — :class:`ClusterCoordinator`, the
   central merge point, on top of ``BinAligner``, the one bin-alignment
   rule.
-* :mod:`repro.cluster.transport` — :class:`SummaryTransport`
-  implementations: per-worker pipes and framed TCP sockets
-  (``repro worker --connect`` for off-box workers).
+* :mod:`repro.cluster.transport` — :class:`WorkerLinks`, one framed
+  socket per worker: a private ``socketpair`` for a local worker, a
+  dialled-in TCP link for a remote ``repro worker --connect``.
 * :mod:`repro.cluster.supervisor` — :class:`Supervisor`, the pure
   state machine deciding restarts, deadlines and degraded completion
   (see :mod:`repro.resilience`).
@@ -34,23 +34,15 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.runner import run_cluster_source
 from repro.cluster.shard import ShardMonitor, shard_summaries
 from repro.cluster.summary import ShardBinSummary, SummaryCorruptError, merge_summaries
-from repro.cluster.transport import (
-    FrameError,
-    PipeTransport,
-    SummaryTransport,
-    TcpTransport,
-    parse_hostport,
-)
+from repro.cluster.transport import FrameError, WorkerLinks, parse_hostport
 
 __all__ = [
     "ClusterCoordinator",
     "FrameError",
-    "PipeTransport",
     "ShardBinSummary",
     "ShardMonitor",
     "SummaryCorruptError",
-    "SummaryTransport",
-    "TcpTransport",
+    "WorkerLinks",
     "merge_summaries",
     "parse_hostport",
     "run_cluster_source",

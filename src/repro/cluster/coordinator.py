@@ -230,13 +230,15 @@ class ClusterCoordinator:
 
         Drives the engine exactly as a live merge would have — the
         merged rows are deterministic, so the replayed diagnosis is
-        identical to the original run's.  Must be called with contiguous bins
-        starting at the frontier, before any shard delivers.
+        identical to the original run's.  Must be called with contiguous
+        bins — from the checkpoint's first, which is the original run's
+        first merged bin — before any shard delivers.
         """
-        if bin_index != self.next_bin:
+        frontier = self._aligner.frontier
+        if frontier is not None and bin_index != frontier:
             raise ValueError(
                 f"preload must replay contiguous bins (expected bin "
-                f"{self.next_bin}, got {bin_index})"
+                f"{frontier}, got {bin_index})"
             )
         if self._aligner.pending or self._aligner.highwater:
             raise ValueError("preload must run before any shard delivers")

@@ -55,14 +55,15 @@ file instead of recomputing; ``chaos=`` injects a deterministic
 :class:`repro.resilience.FaultPlan` at the workers' ship points for
 tests and the CI chaos-smoke job.
 
-Transport (``repro.cluster.transport``): each worker gets its *own*
-link — a ``multiprocessing.Pipe`` or a framed TCP socket — so killing
-one worker can never wedge another (a shared queue's write lock dies
-with whoever holds it), and the parent always observes a worker's
-messages *in order, before* the link's EOF — a worker whose ``close``
-is still in flight when it exits is drained, not misreported as a
-crash.  With ``transport="tcp"`` workers may live on other machines
-(``repro worker --connect``).
+Links (``repro.cluster.transport``): each worker gets its *own*
+framed socket — one end of a private ``socketpair`` for a local
+worker, a dialled-in TCP connection for a remote one — so killing one
+worker can never wedge another (a shared queue's write lock dies with
+whoever holds it), and the parent always observes a worker's messages
+*in order, before* the link's EOF — a worker whose ``close`` is still
+in flight when it exits is drained, not misreported as a crash.  With
+``listen=`` workers may live on other machines (``repro worker
+--connect``).
 """
 
 from __future__ import annotations
@@ -79,12 +80,7 @@ from repro import telemetry as tel
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.shard import shard_summaries
 from repro.cluster.supervisor import TICK, Supervisor
-from repro.cluster.transport import (
-    PipeTransport,
-    SummaryTransport,
-    TcpTransport,
-    parse_hostport,
-)
+from repro.cluster.transport import WorkerLinks, parse_hostport
 from repro.pipeline.pipeline import PipelineResult
 from repro.pipeline.sources import RecordSource, SourceSpec, build_source
 from repro.resilience.chaos import FaultPlan, corrupt_payload
@@ -156,7 +152,7 @@ def _shard_worker(spec: _WorkerSpec, conn) -> None:
                     time.sleep(fault.secs)
                 elif fault.kind == "corrupt":
                     payload = corrupt_payload(payload)
-        # stage.ship includes back-pressure: a full pipe means the
+        # stage.ship includes back-pressure: a full link means the
         # worker waits here for the coordinator.
         with tel.span("stage.ship"):
             conn.send(("summary", spec.shard_id, spec.attempt, payload,
@@ -234,7 +230,6 @@ def run_cluster_source(
     checkpoint: str | Path | None = None,
     resume: bool = False,
     chaos: FaultPlan | str | None = None,
-    transport: str = "pipe",
     listen: str | tuple[str, int] | None = None,
 ) -> PipelineResult:
     """Run the sharded pipeline over any :class:`RecordSource`.
@@ -262,12 +257,9 @@ def run_cluster_source(
             (``report.meta["resumed_bins"]`` counts the replayed bins).
         chaos: Deterministic fault plan (or its ``--chaos`` spec
             string) injected at the workers' ship points.
-        transport: ``"pipe"`` (local multiprocessing, the default) or
-            ``"tcp"`` (framed sockets; loopback self-spawned workers
-            unless ``listen`` is given).
-        listen: ``"HOST:PORT"`` to bind and wait for external
-            ``repro worker --connect`` processes instead of spawning
-            local ones (TCP only).
+        listen: ``"HOST:PORT"`` (or a ``(host, port)`` pair) to bind
+            and wait for external ``repro worker --connect`` processes
+            instead of spawning local ones.
 
     Returns:
         A ``mode="cluster"`` :class:`PipelineResult`: the merged report,
@@ -278,10 +270,6 @@ def run_cluster_source(
         raise ValueError("n_shards must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume requires a checkpoint path")
-    if transport not in ("pipe", "tcp"):
-        raise ValueError(f"unknown transport {transport!r} (pipe or tcp)")
-    if listen is not None and transport != "tcp":
-        raise ValueError("--listen requires --transport tcp")
     if isinstance(source, SourceSpec):
         source = build_source(source)
     n_bins = source.spec.n_bins
@@ -303,8 +291,7 @@ def run_cluster_source(
         start=source.spec.bin_start,
     )
     engine.meta.update(source.provenance)
-    engine.meta.update({"mode": "cluster", "n_shards": int(n_shards),
-                        "transport": transport})
+    engine.meta.update({"mode": "cluster", "n_shards": int(n_shards)})
     engine.meta.update(meta or {})
     coordinator = ClusterCoordinator(engine, shard_ids=range(n_shards))
     telemetry = tel.active() is not None
@@ -331,14 +318,11 @@ def run_cluster_source(
 
         coordinator.on_bin_merged = _spill
 
-    context = multiprocessing.get_context(start_method)
-    if transport == "tcp":
-        bind = parse_hostport(listen) if isinstance(listen, str) else listen
-        link: SummaryTransport = TcpTransport(
-            context=context, listen=bind, spawn_local=listen is None
-        )
-    else:
-        link = PipeTransport(entry=_shard_worker, context=context)
+    link = WorkerLinks(
+        _shard_worker,
+        multiprocessing.get_context(start_method),
+        listen=parse_hostport(listen) if isinstance(listen, str) else listen,
+    )
 
     def build_spec(shard_id: int, attempt: int, resume_bin: int) -> _WorkerSpec:
         return _WorkerSpec(

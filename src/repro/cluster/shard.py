@@ -62,7 +62,7 @@ class ShardMonitor(StreamFeatureStage):
     Attributes:
         shard_id: This shard's identity, echoed to the coordinator.
 
-    ``ingest`` / ``ingest_histograms`` / ``flush`` return
+    ``ingest`` / ``flush`` return
     :class:`ShardBinSummary` row blocks (one per closed bin, gap bins
     included) ready to serialize with ``to_bytes()``.
     """

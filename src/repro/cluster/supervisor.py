@@ -3,7 +3,7 @@
 The :class:`Supervisor` decides what the cluster runner does about
 workers that die, stall or ship garbage.  It owns no process, socket or
 clock — tests drive it with scripted events and injected time.  Its
-input is ``(now, event)``: one of the transport's message tuples
+input is ``(now, event)``: one of the worker links' message tuples
 (``summary`` / ``close`` / ``error`` / ``eof`` / ``frame_error``, see
 :mod:`repro.cluster.transport`) or :data:`TICK`, which the runner sends
 after every poll.  Its output is a list of commands:

@@ -1,7 +1,7 @@
-"""Summary transports: how shard workers reach the coordinator.
+"""Worker links: how shard workers reach the coordinator.
 
-The cluster runner speaks one message vocabulary regardless of where a
-worker lives; a :class:`SummaryTransport` owns the links and normalises
+Every worker, local or remote, speaks one framed protocol to the
+coordinator, and :class:`WorkerLinks` owns the links and normalises
 whatever happens on them into plain tuples:
 
 * ``("summary", shard, attempt, payload, heartbeat)`` — one wire-format
@@ -11,43 +11,37 @@ whatever happens on them into plain tuples:
   finished after reducing ``n_records`` records;
 * ``("error", shard, attempt, text)`` — the worker raised;
 * ``("eof", shard, exitcode)`` — the link died; everything the worker
-  sent before dying has already been delivered (pipes and TCP both
-  deliver in order ahead of EOF);
-* ``("frame_error", shard, reason)`` — undecodable bytes on a TCP
-  link; routed into the same supervised-restart path as a corrupt
-  summary payload.
+  sent before dying has already been delivered (a stream socket
+  delivers in order ahead of EOF);
+* ``("frame_error", shard, reason)`` — undecodable bytes on a link;
+  routed into the same supervised-restart path as a corrupt summary
+  payload.
 
-Two implementations:
+Frame layout::
 
-:class:`PipeTransport`
-    The original per-worker ``multiprocessing.Pipe``.  One pipe per
-    worker so a killed worker can never wedge a sibling, back-pressure
-    via the OS pipe buffer.
+    <u32 total_len> <u32 header_len> <header JSON> <payload bytes>
 
-:class:`TcpTransport`
-    Length-prefixed frames over raw TCP sockets.  Frame layout::
+The header carries the message kind and scalar fields; the payload
+carries the ``RBS4`` row-block bytes (which embed their own CRC32, so a
+flipped bit surfaces as ``SummaryCorruptError`` at the merge, not
+silent skew), the close snapshot JSON, or — coordinator to remote
+worker only — the pickled worker spec.
 
-        <u32 total_len> <u32 header_len> <header JSON> <payload bytes>
-
-    The header carries the message kind and scalar fields; the payload
-    carries the ``RBS4`` row-block bytes (which embed their own CRC32,
-    so a flipped bit surfaces as ``SummaryCorruptError`` at the merge,
-    not silent skew), the close snapshot JSON, or the pickled worker
-    spec.  Without ``--listen`` the transport binds a loopback
-    ephemeral port and spawns local connector processes — same
-    process tree as the pipe transport, but every byte crosses a real
-    socket.  With ``--listen HOST:PORT`` it only binds and waits:
-    remote ``repro worker --connect HOST:PORT`` processes pick up
-    queued shard specs FIFO (the spec is pickled on the wire — run
-    this on a trusted network only, exactly like every other pickle
-    transport).  The supervisor's deadlines and degrade policy cover a
-    remote worker that never connects or silently dies.
+A *local* worker holds one end of a ``socket.socketpair()`` from its
+launch: the pair has no name, so it is as private as a pipe, and the
+coordinator decodes its frames without unpickling anything.  A
+*remote* ``repro worker --connect HOST:PORT`` process dials in to the
+address the coordinator was told to ``listen`` on and picks up queued
+shard specs FIFO.  That listener is unauthenticated and the spec is
+pickled on the wire, so run it on a trusted network only.  A listener
+exists only when ``listen`` is given.  The supervisor's deadlines and
+degrade policy cover a remote worker that never connects or silently
+dies.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import socket
 import struct
@@ -57,9 +51,7 @@ from multiprocessing import connection as mp_connection
 
 __all__ = [
     "FrameError",
-    "PipeTransport",
-    "SummaryTransport",
-    "TcpTransport",
+    "WorkerLinks",
     "decode_message",
     "encode_message",
     "parse_hostport",
@@ -90,7 +82,7 @@ _RECV_BYTES = 1 << 16
 
 
 class FrameError(ValueError):
-    """A TCP frame that cannot be decoded (bad length, header, kind)."""
+    """A frame that cannot be decoded (bad length, header, kind)."""
 
 
 # -- frame codec -------------------------------------------------------
@@ -142,7 +134,7 @@ def decode_message(header: dict, payload: bytes) -> tuple:
 
 
 class _FrameBuffer:
-    """Reassembles frames from a TCP byte stream (recv gives fragments)."""
+    """Reassembles frames from a byte stream (recv gives fragments)."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -189,7 +181,7 @@ def _recv_frame(sock: socket.socket, buffer: _FrameBuffer) -> tuple[dict, bytes]
 
 class _SocketConn:
     """Worker-side adapter: the ``conn.send(message)`` surface that
-    ``_shard_worker`` expects, over a framed TCP socket."""
+    ``_shard_worker`` expects, over a framed socket."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -205,148 +197,69 @@ class _SocketConn:
         self._sock.close()
 
 
-# -- transports --------------------------------------------------------
+# -- links -------------------------------------------------------------
 
 
-class SummaryTransport:
-    """Owns the links between the supervisor and its worker units."""
+class WorkerLinks:
+    """The framed links between the supervisor and its workers.
 
-    def launch(self, spec) -> None:
-        """Start (or queue, for remote TCP) one worker for ``spec``."""
-        raise NotImplementedError
-
-    def poll(self, timeout: float) -> list[tuple]:
-        """Wait up to ``timeout`` seconds and return decoded messages."""
-        raise NotImplementedError
-
-    def discard(self, unit_id: int) -> None:
-        """Sever the unit's link and terminate its local process."""
-        raise NotImplementedError
-
-    def drain(self) -> None:
-        """Join local processes after a clean finish."""
-
-    def shutdown(self) -> None:
-        """Close every link; terminate any local process still alive."""
-        raise NotImplementedError
-
-
-class PipeTransport(SummaryTransport):
-    """One ``multiprocessing.Pipe`` per local worker process."""
-
-    def __init__(self, entry, context) -> None:
-        self._entry = entry
-        self._context = context
-        self._procs: dict[int, object] = {}
-        self._conns: dict[int, mp_connection.Connection] = {}
-        self._conn_unit: dict[mp_connection.Connection, int] = {}
-
-    def launch(self, spec) -> None:
-        unit_id = spec.shard_id
-        reader, writer_end = self._context.Pipe(duplex=False)
-        proc = self._context.Process(
-            target=self._entry, args=(spec, writer_end), daemon=True
-        )
-        proc.start()
-        # Close the parent's copy of the write end *now*: the pipe's
-        # EOF fires when the last writer closes, and must not wait on
-        # this process (or later-forked siblings, which never inherit
-        # an already-closed fd).
-        writer_end.close()
-        self._procs[unit_id] = proc
-        self._conns[unit_id] = reader
-        self._conn_unit[reader] = unit_id
-
-    def poll(self, timeout: float) -> list[tuple]:
-        if not self._conn_unit:
-            time.sleep(timeout)
-            return []
-        ready = mp_connection.wait(list(self._conn_unit), timeout=timeout)
-        messages: list[tuple] = []
-        for reader in ready:
-            unit_id = self._conn_unit.get(reader)
-            if unit_id is None:
-                continue  # discarded earlier in this batch
-            try:
-                messages.append(reader.recv())
-            except EOFError:
-                # The worker is gone and — pipes deliver in order —
-                # everything it sent has already been handled.
-                self._drop(unit_id)
-                proc = self._procs.get(unit_id)
-                if proc is not None:
-                    proc.join()
-                code = proc.exitcode if proc is not None else None
-                messages.append(("eof", unit_id, code))
-        return messages
-
-    def _drop(self, unit_id: int) -> None:
-        reader = self._conns.pop(unit_id, None)
-        if reader is not None:
-            self._conn_unit.pop(reader, None)
-            reader.close()
-
-    def discard(self, unit_id: int) -> None:
-        self._drop(unit_id)
-        proc = self._procs.pop(unit_id, None)
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join()
-
-    def drain(self) -> None:
-        for proc in self._procs.values():
-            proc.join()
-
-    def shutdown(self) -> None:
-        for unit_id in list(self._conns):
-            self._drop(unit_id)
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        self._procs.clear()
-
-
-class TcpTransport(SummaryTransport):
-    """Framed TCP links, loopback self-spawned or remote workers.
-
-    ``spawn_local=True`` (the default, used when no ``--listen`` was
-    given) binds ``127.0.0.1:0`` and forks one connector process per
-    launched spec.  ``spawn_local=False`` binds the given address and
-    waits for external ``repro worker --connect`` processes; queued
-    specs are handed out in launch order as workers say hello.
+    Without ``listen`` every launched spec gets a local worker process
+    holding one end of a ``socket.socketpair()``: the pair has no name,
+    so nothing else on the host can reach it, and the coordinator
+    decodes its frames like any other link's (it unpickles nothing).
+    With ``listen=(host, port)`` nothing is spawned: the links bind
+    that address and hand queued specs, in launch order, to the
+    ``repro worker --connect`` processes that say hello.
     """
 
-    def __init__(self, context, listen=None, spawn_local: bool = True) -> None:
+    def __init__(self, entry, context, listen=None) -> None:
+        self._entry = entry
         self._context = context
-        self._spawn_local = spawn_local
-        host, port = listen or ("127.0.0.1", 0)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        # A connection that vanishes between wait() and accept() must
-        # not wedge the supervisor loop.
-        self._listener.settimeout(_HANDSHAKE_TIMEOUT_S)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._pending: deque = deque()  # specs awaiting a connection
-        self._parked: deque = deque()  # hello'd workers awaiting a spec
+        self._listener = None
+        if listen is not None:
+            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(listen)
+            self._listener.listen(16)
+            # A connection that vanishes between wait() and accept()
+            # must not wedge the supervisor loop.
+            self._listener.settimeout(_HANDSHAKE_TIMEOUT_S)
+        self._pending: deque = deque()  # specs awaiting a remote worker
+        self._parked: deque = deque()  # hello'd remote workers awaiting a spec
         self._socks: dict[int, socket.socket] = {}
         self._sock_unit: dict[socket.socket, int] = {}
         self._buffers: dict[int, _FrameBuffer] = {}
-        self._procs: dict[int, list] = {}  # unit -> local connector procs
-        self._unassigned: list = []  # local procs not yet handshaken
+        self._procs: dict[int, object] = {}  # unit -> local worker process
 
     def launch(self, spec) -> None:
-        self._pending.append(spec)
-        self._drain_parked()
-        if self._spawn_local:
+        """Start a local worker for ``spec``, or queue it for a remote one."""
+        if self._listener is not None:
+            self._pending.append(spec)
+            self._drain_parked()
+            return
+        ours, theirs = socket.socketpair()
+        try:
             proc = self._context.Process(
-                target=serve, args=(self.address,), kwargs={"once": True},
-                daemon=True,
+                target=self._entry, args=(spec, _SocketConn(theirs)), daemon=True
             )
             proc.start()
-            self._unassigned.append(proc)
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            # Close our copy of the worker's end *now*: EOF on ours
+            # fires when the last copy of theirs closes, and must not
+            # wait on this process (later-forked siblings never
+            # inherit it).
+            theirs.close()
+        self._procs[spec.shard_id] = proc
+        self._register(spec.shard_id, ours, _FrameBuffer())
+
+    def _register(self, unit_id: int, sock: socket.socket, buffer: _FrameBuffer) -> None:
+        sock.setblocking(False)
+        self._socks[unit_id] = sock
+        self._sock_unit[sock] = unit_id
+        self._buffers[unit_id] = buffer
 
     def _accept(self) -> None:
         try:
@@ -362,80 +275,65 @@ class TcpTransport(SummaryTransport):
         except (FrameError, OSError, socket.timeout):
             sock.close()
             return
-        if not self._pending:
-            # A worker dialing in early (before launch) or beyond the
-            # shard count waits parked; the next launch — including a
-            # supervised restart — assigns it.
-            self._parked.append((sock, buffer, header.get("pid")))
-            return
-        spec = self._pending.popleft()
-        if not self._try_assign(sock, buffer, header.get("pid"), spec):
-            self._pending.appendleft(spec)
+        # A worker dialing in early (before launch) or beyond the shard
+        # count waits parked; the next launch — including a supervised
+        # restart — assigns it.
+        self._parked.append((sock, buffer))
+        self._drain_parked()
 
     def _drain_parked(self) -> None:
         while self._parked and self._pending:
-            sock, buffer, pid = self._parked.popleft()
-            spec = self._pending.popleft()
-            if not self._try_assign(sock, buffer, pid, spec):
-                self._pending.appendleft(spec)
-
-    def _try_assign(self, sock, buffer, pid, spec) -> bool:
-        try:
-            sock.sendall(_encode_frame({"kind": "spec"}, pickle.dumps(spec)))
-        except OSError:
-            sock.close()  # worker went away while parked; next one
-            return False
-        sock.settimeout(None)
-        sock.setblocking(False)
-        unit_id = spec.shard_id
-        self._socks[unit_id] = sock
-        self._sock_unit[sock] = unit_id
-        self._buffers[unit_id] = buffer
-        if self._unassigned and pid is not None:
-            for proc in list(self._unassigned):
-                if proc.pid == pid:
-                    self._unassigned.remove(proc)
-                    self._procs.setdefault(unit_id, []).append(proc)
-                    break
-        return True
+            sock, buffer = self._parked.popleft()
+            spec = self._pending[0]
+            try:
+                sock.sendall(_encode_frame({"kind": "spec"}, pickle.dumps(spec)))
+            except OSError:
+                sock.close()  # worker went away while parked; next one
+                continue
+            self._pending.popleft()
+            self._register(spec.shard_id, sock, buffer)
 
     def poll(self, timeout: float) -> list[tuple]:
-        waitables = [self._listener] + list(self._sock_unit)
-        ready = mp_connection.wait(waitables, timeout=timeout)
+        """Wait up to ``timeout`` seconds; return the decoded messages."""
+        waitables = list(self._sock_unit)
+        if self._listener is not None:
+            waitables.append(self._listener)
+        if not waitables:
+            time.sleep(timeout)
+            return []
         messages: list[tuple] = []
-        for obj in ready:
+        for obj in mp_connection.wait(waitables, timeout=timeout):
             if obj is self._listener:
                 self._accept()
                 continue
             unit_id = self._sock_unit.get(obj)
-            if unit_id is None:
-                continue  # discarded earlier in this batch
+            if unit_id is not None:  # else: discarded earlier in this batch
+                messages.extend(self._read(unit_id, obj))
+        return messages
+
+    def _read(self, unit_id: int, sock: socket.socket) -> list[tuple]:
+        """Everything ``sock`` holds now, in order, then its EOF."""
+        messages: list[tuple] = []
+        while True:
             try:
-                data = obj.recv(_RECV_BYTES)
+                data = sock.recv(_RECV_BYTES)
             except BlockingIOError:
-                continue
+                return messages
             except OSError:
                 data = b""
             if not data:
-                # TCP delivers in order ahead of FIN, so everything the
-                # worker sent is already buffered/decoded by now.
+                # Stream sockets deliver in order ahead of EOF, so
+                # everything the worker sent is in ``messages`` by now.
                 self._drop(unit_id)
                 messages.append(("eof", unit_id, self._reap(unit_id)))
-                continue
+                return messages
             try:
-                frames = self._buffers[unit_id].feed(data)
+                for header, payload in self._buffers[unit_id].feed(data):
+                    messages.append(decode_message(header, payload))
             except FrameError as exc:
                 self._drop(unit_id)
                 messages.append(("frame_error", unit_id, str(exc)))
-                continue
-            for header, payload in frames:
-                try:
-                    messages.append(decode_message(header, payload))
-                except FrameError as exc:
-                    self._drop(unit_id)
-                    messages.append(("frame_error", unit_id, str(exc)))
-                    break
-        return messages
+                return messages
 
     def _drop(self, unit_id: int) -> None:
         sock = self._socks.pop(unit_id, None)
@@ -445,13 +343,14 @@ class TcpTransport(SummaryTransport):
         self._buffers.pop(unit_id, None)
 
     def _reap(self, unit_id: int):
-        code = None
-        for proc in self._procs.pop(unit_id, []):
-            proc.join()
-            code = proc.exitcode if proc.exitcode is not None else code
-        return code
+        proc = self._procs.pop(unit_id, None)
+        if proc is None:
+            return None  # a remote worker's exit code is not ours to see
+        proc.join()
+        return proc.exitcode
 
     def discard(self, unit_id: int) -> None:
+        """Sever the unit's link and terminate its local process."""
         self._drop(unit_id)
         # A spec still queued for this unit (remote worker never
         # connected) must not reach a late-arriving worker: the
@@ -459,38 +358,30 @@ class TcpTransport(SummaryTransport):
         self._pending = deque(
             s for s in self._pending if s.shard_id != unit_id
         )
-        for proc in self._procs.pop(unit_id, []):
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+        proc = self._procs.pop(unit_id, None)
+        if proc is not None and proc.is_alive():
+            proc.terminate()
+            proc.join()
 
     def drain(self) -> None:
-        for procs in self._procs.values():
-            for proc in procs:
-                proc.join()
-        for proc in self._unassigned:
+        """Join local processes after a clean finish."""
+        for proc in self._procs.values():
             proc.join()
 
     def shutdown(self) -> None:
+        """Close every link; terminate any local process still alive."""
         for unit_id in list(self._socks):
             self._drop(unit_id)
         while self._parked:
-            sock, _buffer, _pid = self._parked.popleft()
-            try:
-                sock.close()  # parked workers see EOF and exit cleanly
-            except OSError:
-                pass
-        for procs in list(self._procs.values()) + [self._unassigned]:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
+            sock, _buffer = self._parked.popleft()
+            sock.close()  # parked workers see EOF and exit cleanly
+        for proc in self._procs.values():
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
         self._procs.clear()
-        self._unassigned = []
-        try:
+        if self._listener is not None:
             self._listener.close()
-        except OSError:
-            pass
 
 
 # -- worker side -------------------------------------------------------
@@ -499,10 +390,9 @@ class TcpTransport(SummaryTransport):
 def serve(address: tuple[str, int], once: bool = False) -> int:
     """Connect to a coordinator and run assigned shard specs.
 
-    The ``repro worker --connect HOST:PORT`` entry point (and the local
-    connector the loopback transport forks).  Each connection serves
-    one spec: hello -> receive pickled spec -> run it, shipping frames
-    back over the same socket.  A worker that dials in before the
+    The ``repro worker --connect HOST:PORT`` entry point.  Each
+    connection serves one spec: hello -> receive pickled spec -> run
+    it, shipping frames back over the same socket.  A worker that dials in before the
     coordinator has work is parked and waits — possibly indefinitely —
     for an assignment; the coordinator closing the link releases it.
     With ``once=False`` the worker reconnects for further assignments
@@ -531,9 +421,7 @@ def serve(address: tuple[str, int], once: bool = False) -> int:
             # close (EOF -> FrameError below).
             sock.settimeout(None)
             try:
-                sock.sendall(
-                    _encode_frame({"kind": "hello", "pid": os.getpid()})
-                )
+                sock.sendall(_encode_frame({"kind": "hello"}))
                 header, payload = _recv_frame(sock, _FrameBuffer())
             except (FrameError, OSError):
                 return served  # coordinator closed without assigning

@@ -54,13 +54,20 @@ ANOMALY_LABELS = (
 
 
 def unit_normalize(points: np.ndarray) -> np.ndarray:
-    """Rescale each row to unit Euclidean norm (zero rows left as zero)."""
+    """Rescale each row to unit Euclidean norm (zero rows left as zero).
+
+    Each row is first divided by its largest magnitude, so the norm is
+    taken of entries in [-1, 1] and neither underflows (a row near
+    1e-162 squares to a subnormal) nor overflows; only an all-zero row
+    stays zero.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be 2-D")
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return points / safe
+    scale = np.abs(points).max(axis=1, initial=0.0, keepdims=True)
+    scaled = points / np.where(scale > 0, scale, 1.0)
+    norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+    return scaled / np.where(norms > 0, norms, 1.0)
 
 
 @dataclass

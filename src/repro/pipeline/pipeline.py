@@ -20,9 +20,10 @@ and this module is its one execution engine::
   kernel pass over composite ``bin*p+od`` keys), then the *same*
   detector bank scores the bins in order;
 * ``"cluster"`` — the sharded deployment: worker processes finish
-  their OD-flow slices into per-bin entropy rows, the coordinator
-  scatters and scores them with the same bank
-  (:func:`repro.cluster.runner.run_cluster_source`).
+  their OD-flow slices into per-bin entropy rows and ship them over one
+  framed link each (local workers, or remote ones dialling in to
+  ``listen``), and the coordinator scatters and scores them with the
+  same bank (:func:`repro.cluster.runner.run_cluster_source`).
 
 Because every mode reduces the same records with the same kernels and
 scores them with the same bank, exact-histogram detections are
@@ -170,7 +171,6 @@ class DetectionPipeline:
         checkpoint: str | Path | None = None,
         resume: bool = False,
         chaos=None,
-        transport: str = "pipe",
         listen=None,
     ) -> PipelineResult:
         """Run the full pipeline over a source in the chosen mode.
@@ -193,10 +193,9 @@ class DetectionPipeline:
             chaos: A :class:`repro.resilience.FaultPlan` or spec string
                 injecting deterministic worker faults (cluster mode
                 only; testing aid).
-            transport: ``"pipe"`` or ``"tcp"`` worker links (cluster
-                mode only; see :mod:`repro.cluster.transport`).
             listen: ``HOST:PORT`` to await external ``repro worker``
-                processes (cluster mode, TCP only).
+                processes instead of spawning local ones (cluster mode
+                only; see :mod:`repro.cluster.transport`).
 
         Returns:
             A :class:`PipelineResult`; exact-histogram detections are
@@ -211,7 +210,6 @@ class DetectionPipeline:
                 "chaos": chaos,
                 "resume": resume or None,
                 "listen": listen,
-                "transport": None if transport == "pipe" else transport,
             }
             given = [k for k, v in cluster_only.items() if v is not None]
             if given:
@@ -234,7 +232,6 @@ class DetectionPipeline:
                 checkpoint=checkpoint,
                 resume=resume,
                 chaos=chaos,
-                transport=transport,
                 listen=listen,
             )
         if mode == "batch":

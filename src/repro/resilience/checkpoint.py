@@ -12,17 +12,20 @@ File layout (little-endian)::
     8s   magic  b"RPROCKPT"
     <I   header length
     ...  JSON header {"version": 1, "fingerprint": {...}}
-    then per closed bin, in bin order starting at 0:
+    then per closed bin, in bin order from the first bin merged:
     <q   bin index
     <i   payload length in bytes, or -1 for a gap bin (no payload)
     <I   crc32 of the payload (0 for gaps)
     ...  payload bytes
 
-Records are flushed per append, so a kill can leave at most one torn
-record at the tail; :func:`load_checkpoint` stops at the first short,
-CRC-bad, or out-of-sequence record and reports the byte offset of the
-last good one, which :class:`CheckpointWriter` truncates back to before
-resuming appends.
+The first record is the coordinator's first merged bin — its first
+non-empty one, so not bin 0 when the source's leading bins are empty —
+and every later record is the next bin.  Records are flushed per
+append, so a kill can leave at most one torn record at the tail;
+:func:`load_checkpoint` stops at the first short, CRC-bad, or
+out-of-sequence record and reports the byte offset of the last good
+one, which :class:`CheckpointWriter` truncates back to before resuming
+appends.
 
 The header ``fingerprint`` (see :func:`run_fingerprint`) pins the
 source spec, engine config, and detector set; resuming with a different
@@ -67,8 +70,8 @@ class CheckpointState:
     Attributes:
         fingerprint: The run fingerprint stored in the header.
         bins: ``(bin_index, payload_or_None)`` for each recovered
-            closed bin, contiguous from bin 0; ``None`` marks a gap bin
-            (synthesized-empty at merge time).
+            closed bin, contiguous from the first bin merged; ``None``
+            marks a gap bin (synthesized-empty at merge time).
         end_offset: Byte offset just past the last good record — where
             a resuming writer truncates to before appending.
     """
@@ -79,8 +82,8 @@ class CheckpointState:
 
     @property
     def next_bin(self) -> int:
-        """First bin the checkpoint does not cover."""
-        return len(self.bins)
+        """First bin after the ones the checkpoint covers (0 if none)."""
+        return self.bins[-1][0] + 1 if self.bins else 0
 
 
 def run_fingerprint(spec, config) -> dict:
@@ -137,7 +140,7 @@ def load_checkpoint(path: str, fingerprint: dict | None = None) -> CheckpointSta
         if offset + _RECORD.size > len(blob):
             break  # torn or absent record header
         bin_index, length, crc = _RECORD.unpack_from(blob, offset)
-        if bin_index != len(bins):
+        if bin_index < 0 or (bins and bin_index != bins[-1][0] + 1):
             break  # out of sequence — treat the rest as garbage
         if length < 0:
             if crc != 0:
@@ -179,7 +182,7 @@ class CheckpointWriter:
             self._fh = open(self.path, "r+b")
             self._fh.truncate(resume_from.end_offset)
             self._fh.seek(resume_from.end_offset)
-            self._next_bin = resume_from.next_bin
+            self._next_bin = resume_from.next_bin if resume_from.bins else None
         else:
             header = json.dumps(
                 {"version": _VERSION, "fingerprint": fingerprint},
@@ -191,13 +194,15 @@ class CheckpointWriter:
             self._fh.write(_LEN.pack(len(header)))
             self._fh.write(header)
             self._fh.flush()
-            self._next_bin = 0
+            #: bin the next append must carry; None until the first
+            #: append, which may be any bin
+            self._next_bin = None
 
     def append(self, bin_index: int, payload: bytes | None) -> None:
         """Record one closed bin (``None`` payload = gap bin)."""
         if self._fh is None:
             raise CheckpointError(f"{self.path}: writer already closed")
-        if bin_index != self._next_bin:
+        if bin_index < 0 or self._next_bin not in (None, bin_index):
             raise CheckpointError(
                 f"{self.path}: bins must be appended in order; "
                 f"expected bin {self._next_bin}, got {bin_index}"

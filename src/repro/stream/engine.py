@@ -170,14 +170,6 @@ class StreamingDetectionEngine:
         verdicts = (self.bank.observe(s) for s in self.stage.ingest(batch))
         return [v for v in verdicts if v is not None]
 
-    def ingest_histograms(self, bin_index: int, hists_by_od) -> list[StreamDetection]:
-        """Feed one bin of router-exported histograms (see window stage)."""
-        verdicts = (
-            self.bank.observe(s)
-            for s in self.stage.ingest_histograms(bin_index, hists_by_od)
-        )
-        return [v for v in verdicts if v is not None]
-
     def observe_summary(self, summary: BinSummary) -> StreamDetection | None:
         """Score one already-built bin summary (coordinator/batch entry)."""
         return self.bank.observe(summary)

@@ -70,47 +70,36 @@ def check_derived(info, topology: Topology) -> None:
 
 
 def derived_runs(
-    rid: np.ndarray,
-    ods: np.ndarray,
-    weights: np.ndarray,
-    values: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    rid: np.ndarray, ods: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One feature's count runs from its stored run ids.
 
     ``rid`` holds the (non-negative) run id of each record in the bin's
     canonical (od, value) order, aligned with ``ods`` and the record
-    weights.  One weighted ``bincount`` sums each run, one scatter maps
-    run -> OD, and — when ``values`` is given — one more maps run ->
-    value.  Runs no record here reaches (another shard's, when the
-    records are one shard's slice of the bin) have count zero and are
-    compacted away.
+    weights.  One weighted ``bincount`` sums each run and one scatter
+    maps run -> OD.  Runs no record here reaches (another shard's, when
+    the records are one shard's slice of the bin) have count zero and
+    are compacted away.
 
     Returns:
-        ``(group_ids, starts, counts, run_values)``: the distinct ODs
-        ascending, CSR offsets of each OD's runs, the float64 run sums
-        (integer weights sum exactly) and the runs' values (None when
-        ``values`` is None) — the layout of
+        ``(group_ids, starts, counts)``: the distinct ODs ascending, CSR
+        offsets of each OD's runs and the float64 run sums (integer
+        weights sum exactly) — the layout of
         :class:`repro.kernels.GroupedRuns`.
     """
     counts = np.bincount(rid, weights=weights)
     # Every run with a non-zero count is written; the rest are dropped.
     od_of_run = np.empty(len(counts), dtype=np.int64)
     od_of_run[rid] = ods
-    run_values = None
-    if values is not None:
-        run_values = np.empty(len(counts), dtype=np.int64)
-        run_values[rid] = values
     if not counts.all():
         live = np.flatnonzero(counts > 0)
         counts, od_of_run = counts[live], od_of_run[live]
-        if run_values is not None:
-            run_values = run_values[live]
     new_group = np.empty(len(counts), dtype=bool)
     new_group[0] = True
     np.not_equal(od_of_run[1:], od_of_run[:-1], out=new_group[1:])
     group_starts = np.flatnonzero(new_group)
     starts = np.append(group_starts, len(counts)).astype(np.int64)
-    return od_of_run[group_starts], starts, counts, run_values
+    return od_of_run[group_starts], starts, counts
 
 
 def bin_summary_from_derived(
@@ -152,7 +141,7 @@ def bin_summary_from_derived(
                 rid = rid[valid]
             if not len(rid):
                 continue
-            group_ids, starts, counts, _ = derived_runs(rid, od_v, w_v)
+            group_ids, starts, counts = derived_runs(rid, od_v, w_v)
             entropy[group_ids, k] = grouped_entropy(counts, starts)
         pk = group_sums(ods, packets, n_od_flows)
         by = group_sums(ods, byte_counts, n_od_flows)

@@ -134,14 +134,9 @@ class BinAccumulator:
             self._candidates = [_no_runs()] * N_FEATURES
             #: ``(N_FEATURES, p)`` candidates tracked per (feature, OD)
             self._distinct = np.zeros((N_FEATURES, self.n_od_flows), dtype=np.int64)
-            #: ODs any record or histogram of this bin reached
-            self._active = np.zeros(self.n_od_flows, dtype=bool)
         self._packets = np.zeros(self.n_od_flows, dtype=np.int64)
         self._bytes = np.zeros(self.n_od_flows, dtype=np.int64)
         self.n_records = 0
-        #: True once any record batch or histogram landed here (empty
-        #: histograms included) — bins touched this way still close.
-        self.touched = False
 
     def _add_feature(self, k: int, ods: np.ndarray, values: np.ndarray,
                      weights: np.ndarray) -> None:
@@ -150,7 +145,6 @@ class BinAccumulator:
             return
         runs = group_reduce(ods, values, weights)
         self._banks[k].update(runs.group_ids, runs.starts, runs.values, runs.counts)
-        self._active[runs.group_ids] = True
         # An OD tracking fewer values than the cap takes all of the
         # chunk's (check-then-insert, so it may end above the cap).  A
         # bin's first chunk is its own candidate store — the kernel's
@@ -177,37 +171,11 @@ class BinAccumulator:
         if len(batch) == 0:
             return
         _check_ods(ods, self.n_od_flows)
-        self.touched = True
         for k, name in enumerate(FEATURES):
             self._add_feature(k, ods, getattr(batch, name), batch.packets)
         self._packets += group_sums(ods, batch.packets, self.n_od_flows)
         self._bytes += group_sums(ods, batch.bytes, self.n_od_flows)
         self.n_records += len(batch)
-
-    def add_histograms(
-        self, od: int, histograms, packets: float, byte_count: float
-    ) -> None:
-        """Add router-exported per-feature (values, counts) histograms.
-
-        ``histograms`` is a length-4 sequence of ``(values, counts)``
-        pairs in :data:`FEATURES` order — the distributed deployment
-        where PoPs ship summaries instead of raw records.
-        """
-        if len(histograms) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} histograms")
-        _check_ods(np.array([od], dtype=np.int64), self.n_od_flows)
-        self.touched = True
-        if not self.exact:
-            # Register the OD even when every histogram is empty, so
-            # the closed bin still carries an (all-zero) row for it.
-            self._active[od] = True
-        for k, (values, counts) in enumerate(histograms):
-            values = np.asarray(values, dtype=np.int64)
-            counts = np.asarray(counts, dtype=np.int64)
-            ods = np.full(len(values), int(od), dtype=np.int64)
-            self._add_feature(k, ods, values, counts)
-        self._packets[od] += int(packets)
-        self._bytes[od] += int(byte_count)
 
     def feature_runs(self, k: int) -> GroupedRuns:
         """Exact mode: feature ``k``'s accumulated (od, value, count)
@@ -227,15 +195,14 @@ class BinAccumulator:
         return group_reduce(ods, values, weights)
 
     def sketch_state(self):
-        """Sketch mode: ``(banks, candidates, active)`` — the four
-        per-feature :class:`SketchBank` objects, the four per-feature
+        """Sketch mode: ``(banks, candidates)`` — the four per-feature
+        :class:`SketchBank` objects and the four per-feature
         candidate-value runs (``runs.group(od)[0]`` is an OD's sorted
-        candidates) and the ``(p,)`` mask of ODs any record or
-        histogram reached.  All of it is reused by the next bin, so the
-        caller must copy what it keeps."""
+        candidates).  Both are reused by the next bin, so the caller
+        must copy what it keeps."""
         if self.exact:
             raise ValueError("sketch_state() requires sketch mode")
-        return self._banks, self._candidates, self._active
+        return self._banks, self._candidates
 
     def finalize(self, bin_index: int) -> BinSummary:
         """Emit the bin's entropy matrix and volume rows."""
@@ -381,33 +348,6 @@ class StreamFeatureStage:
             tel.count("reduce.records", n)
         return closed
 
-    def ingest_histograms(
-        self, bin_index: int, hists_by_od
-    ) -> list[BinSummary]:
-        """Feed one bin's router-exported histograms directly.
-
-        Args:
-            bin_index: Global bin index (must be >= the open bin).
-            hists_by_od: Mapping ``od -> (histograms, packets, bytes)``
-                with ``histograms`` a length-4 sequence of
-                ``(values, counts)`` pairs.
-
-        Returns:
-            Summaries of bins closed by advancing to ``bin_index``.
-        """
-        _check_ods(np.fromiter(hists_by_od, dtype=np.int64, count=len(hists_by_od)),
-                   self.topology.n_od_flows)
-        closed: list[BinSummary] = []
-        if self._current_bin is None:
-            self._current_bin = int(bin_index)
-        if bin_index < self._current_bin:
-            raise ValueError("histogram bins must arrive in order")
-        while bin_index > self._current_bin:
-            closed.append(self._close())
-        for od, (hists, packets, byte_count) in hists_by_od.items():
-            self._current.add_histograms(int(od), hists, packets, byte_count)
-        return closed
-
     def _finalize(self, accumulator: BinAccumulator, bin_index: int):
         """Build the emitted summary for one closed bin.
 
@@ -427,7 +367,7 @@ class StreamFeatureStage:
 
     def flush(self) -> list[BinSummary]:
         """Close the open bin (end of stream)."""
-        if self._current_bin is None or not self._current.touched:
+        if self._current_bin is None or not self._current.n_records:
             return []
         with tel.span("stage.reduce.close"):
             summary = self._finalize(self._current, self._current_bin)

@@ -3,7 +3,7 @@
 ``tests/data/seed_stream_detections.json`` pins the detections of one
 small workload (Abilene, 28 bins, a port scan planted in bin 22) so
 that every way of computing them — the kernel path, precomputed trace
-replay, cluster runs over any transport and tier shape — can be held
+replay, cluster runs at any shard count, over any worker link — can be held
 byte-for-byte to a single answer.  The file stores its own workload
 block; everything that turns that block into records, an engine config
 and rendered bytes lives here, shared by ``test_kernels.py``,

@@ -9,7 +9,7 @@ pieces for test doubles (:class:`ScriptedLink`):
 
 * **workers** become event scripts: on ``spawn(unit, attempt,
   resume_bin)`` a unit's precomputed payloads from ``resume_bin`` on
-  turn into the transport's message tuples, one every ``STEP_S``
+  turn into the worker links' message tuples, one every ``STEP_S``
   seconds, with the unit's faults applied the way the live worker
   (or its link) would apply them;
 * **the clock** is a number: a poll that finds no message advances it
@@ -145,7 +145,7 @@ def worker_script(stream, unit, attempt, resume_bin, faults, now):
 
 
 class ScriptedLink:
-    """The transport's stand-in: a launched attempt becomes its
+    """The worker links' stand-in: a launched attempt becomes its
     :func:`worker_script`, and a poll advances the fake clock ``now``.
 
     A poll returns one message, from the unit ``choose`` picks among

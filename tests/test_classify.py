@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.classify import (
@@ -38,12 +38,29 @@ class TestUnitNormalize:
             unit_normalize(np.ones(4))
 
     @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+    @example([0.0, 0.0, 0.0, 2.2055108010589854e-162])  # subnormal sum of squares
+    @example([1e-170, 0.0, 0.0, 0.0])  # norm underflows to 0
     @settings(max_examples=40)
     def test_idempotent(self, row):
         X = np.array([row])
         once = unit_normalize(X)
         twice = unit_normalize(once)
         assert np.allclose(once, twice, atol=1e-9)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=4, max_size=4))
+    @example([0.0, 0.0, 0.0, 2.2055108010589854e-162])
+    @example([1e-170, 0.0, 0.0, 0.0])
+    @example([5e-324, 0.0, -5e-324, 0.0])
+    @example([1.7e308, -1.7e308, 0.0, 0.0])  # sum of squares overflows
+    @settings(max_examples=80)
+    def test_every_finite_nonzero_row_has_unit_norm(self, row):
+        out = unit_normalize(np.array([row]))
+        if any(row):
+            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+            assert (out[0] * np.array(row) >= 0).all()  # no sign flips
+        else:
+            assert not out.any()
 
 
 class TestSummarizeClusters:

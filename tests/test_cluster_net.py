@@ -1,18 +1,21 @@
-"""Tests for the networked cluster transport and the bin alignment.
+"""Tests for the cluster's worker links and the bin alignment.
 
 Three contracts pin the scale-out:
 
-* **wire safety** — the framed-TCP codec round-trips every runner
-  message, rejects garbage with :class:`FrameError` (routing it into
-  the supervised-restart path instead of crashing the coordinator),
-  and reassembles frames from arbitrary stream fragmentation;
+* **wire safety** — the framed codec every worker link speaks
+  round-trips every runner message, rejects garbage with
+  :class:`FrameError` (routing it into the supervised-restart path
+  instead of crashing the coordinator), reassembles frames from
+  arbitrary stream fragmentation, and delivers a link's frames ahead
+  of its EOF;
 * **merge invariance** — :class:`BinAligner`, the one alignment rule
   behind the coordinator, releases the same merged bytes for *any*
   arrival interleaving of its units' blocks (per-unit bin order is the
   only requirement);
-* **end-to-end bit-identity** — detections over loopback TCP, at any
-  shard count, render byte-for-byte equal to the frozen
-  single-process fixture (``tests/data/seed_stream_detections.json``).
+* **end-to-end bit-identity** — detections over local links, at any
+  shard count and start method, and over remote ``--listen`` links,
+  render byte-for-byte equal to the frozen single-process fixture
+  (``tests/data/seed_stream_detections.json``).
 """
 
 import multiprocessing
@@ -39,7 +42,7 @@ from repro.cluster import (
 from repro.cluster.coordinator import BinAligner
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
-    _encode_frame,
+    WorkerLinks,
     _FrameBuffer,
     decode_message,
     encode_message,
@@ -117,7 +120,7 @@ class TestFrameCodec:
 
     def test_corrupt_summary_payload_survives_framing(self):
         # Framing must deliver a bit-flipped summary intact so the
-        # CRC inside the summary payload (not the transport) catches it.
+        # CRC inside the summary payload (not the framing) catches it.
         from repro.cluster import ShardBinSummary
         from repro.resilience import corrupt_payload
 
@@ -138,7 +141,7 @@ class TestFrameCodec:
     def test_shape_lie_under_a_valid_crc_survives_framing_too(self):
         # What the CRC cannot catch — a body that lies about its sizes
         # — is refused by the summary's shape checks with the same
-        # error class, so over TCP it takes the same restart path.
+        # error class, so over a link it takes the same restart path.
         from test_cluster_summary import HOSTILE, _payload, _reframe
 
         from repro.cluster import ShardBinSummary
@@ -153,6 +156,53 @@ class TestFrameCodec:
             with pytest.raises(SummaryCorruptError):
                 ShardBinSummary.from_bytes(delivered)
 
+
+class TestWorkerLinks:
+    """One :class:`WorkerLinks` read loop, driven over a bare
+    ``socketpair`` registered as unit 0 (no worker process)."""
+
+    @pytest.fixture
+    def linked(self):
+        links = WorkerLinks(entry=None, context=None)
+        ours, theirs = socket.socketpair()
+        links._register(0, ours, _FrameBuffer())
+        yield links, theirs
+        links.shutdown()
+        theirs.close()
+
+    @staticmethod
+    def _poll_until_dropped(links):
+        messages = []
+        deadline = time.monotonic() + 10.0
+        while links._socks:
+            assert time.monotonic() < deadline, messages
+            messages += links.poll(1.0)
+        return messages
+
+    def test_frames_sent_before_exit_arrive_ahead_of_eof(self, linked):
+        links, theirs = linked
+        sent = TestFrameCodec()._messages()
+        theirs.sendall(b"".join(encode_message(m) for m in sent))
+        theirs.close()
+        assert self._poll_until_dropped(links) == sent + [("eof", 0, None)]
+
+    def test_garbage_is_one_frame_error_and_drops_the_link(self, linked):
+        links, theirs = linked
+        theirs.sendall(b"\xff" * 64)
+        messages = self._poll_until_dropped(links)
+        assert [m[:2] for m in messages] == [("frame_error", 0)]
+        theirs.settimeout(5.0)
+        assert theirs.recv(1) == b""  # our end is closed
+        assert links.poll(0.05) == []
+
+    def test_discard_severs_the_link(self, linked):
+        links, theirs = linked
+        links.discard(0)
+        theirs.settimeout(2.0)
+        assert theirs.recv(1) == b""  # our end is closed
+        with pytest.raises(BrokenPipeError):
+            theirs.sendall(encode_message(("error", 0, 0, "late")))
+        assert links.poll(0.05) == []
 
 
 def _child_streams(n_children=3, n_bins=4, seed=8):
@@ -210,7 +260,7 @@ class TestBinAlignerInvariance:
     ):
         # Project the shuffled event indices back to a per-child
         # FIFO delivery: each child's summaries still arrive in bin
-        # order (the transport guarantees that), but children
+        # order (each link guarantees that), but children
         # interleave arbitrarily.
         per_child = [iter(stream) for stream in _STREAMS]
         aligner = BinAligner(range(len(_STREAMS)))
@@ -391,26 +441,36 @@ class _FixtureCluster:
 
 
 class TestLoopbackParity(_FixtureCluster):
-    """Detections must be bit-identical to the frozen single-process
-    fixture at every shard count x transport."""
+    """Detections over local links must be bit-identical to the frozen
+    single-process fixture at every shard count and start method."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_tcp_flat(self, fixture_env, n_shards):
-        result = self.run(fixture_env, n_shards=n_shards, transport="tcp")
+        result = self.run(fixture_env, n_shards=n_shards)
         assert sorted(result.shard_records) == list(range(n_shards))
         assert sum(result.shard_records.values()) == result.n_records
+        assert "transport" not in result.report.meta
 
-    def test_pipe_flat_matches_tcp(self, fixture_env):
-        self.run(fixture_env, n_shards=2, transport="pipe")
+    def test_spawned_workers_match(self, fixture_env):
+        # A spawned worker receives its socket end pickled through
+        # multiprocessing, not inherited by fork.
+        self.run(fixture_env, n_shards=2, start_method="spawn")
+
+    def test_local_run_opens_no_listening_socket(self, fixture_env, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a local cluster run must not listen")
+
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        self.run(fixture_env, n_shards=2, start_method="fork")
 
 
 class TestChaosOverTcp(_FixtureCluster):
-    """One live run per chaos fault kind over TCP (the supervision
-    logic itself is scripted in ``tests/test_supervisor.py``)."""
+    """One live run per chaos fault kind over the local link (the
+    supervision logic itself is scripted in ``tests/test_supervisor.py``)."""
 
     def test_killed_tcp_worker_restarts_to_parity(self, fixture_env):
         result = self.run(
-            fixture_env, n_shards=2, transport="tcp",
+            fixture_env, n_shards=2,
             chaos="kill:shard=1,bin=24",
             resilience=ResiliencePolicy(backoff_s=0.01),
         )
@@ -419,7 +479,7 @@ class TestChaosOverTcp(_FixtureCluster):
 
     def test_corrupt_tcp_frame_restarts_to_parity(self, fixture_env):
         result = self.run(
-            fixture_env, n_shards=2, transport="tcp",
+            fixture_env, n_shards=2,
             chaos="corrupt:shard=0,bin=23",
             resilience=ResiliencePolicy(backoff_s=0.01),
         )
@@ -437,7 +497,7 @@ class TestChaosOverTcp(_FixtureCluster):
             lambda payload: _reframe(payload, *HOSTILE["OD ids unsorted"]),
         )
         result = self.run(
-            fixture_env, n_shards=2, transport="tcp", start_method="fork",
+            fixture_env, n_shards=2, start_method="fork",
             chaos="corrupt:shard=0,bin=23",
             resilience=ResiliencePolicy(backoff_s=0.01),
         )
@@ -450,7 +510,7 @@ class TestChaosOverTcp(_FixtureCluster):
         # rendering of a failed unit, end to end.
         wl, path, config, _ = fixture_env
         result = run_cluster_source(
-            TraceSource(path), n_shards=2, transport="tcp", config=config,
+            TraceSource(path), n_shards=2, config=config,
             chaos="kill:shard=1,bin=24,attempts=10",
             resilience=ResiliencePolicy(max_retries=0, backoff_s=0.01,
                                         on_exhaustion="degrade"),
@@ -465,14 +525,14 @@ class TestChaosOverTcp(_FixtureCluster):
 
     def test_stalled_tcp_worker_is_waited_out(self, fixture_env):
         result = self.run(
-            fixture_env, n_shards=2, transport="tcp",
+            fixture_env, n_shards=2,
             chaos="stall:shard=0,bin=23,secs=0.2",
         )
         assert result.restarts == 0
 
     def test_tcp_exit_after_close_is_clean(self, fixture_env):
         result = self.run(
-            fixture_env, n_shards=2, transport="tcp",
+            fixture_env, n_shards=2,
             chaos="exit-after-close:shard=1",
         )
         assert result.restarts == 0
@@ -514,7 +574,6 @@ class TestRemoteWorkers:
                 ScenarioSource("baseline-diurnal", network="abilene",
                                n_bins=14, seed=5, max_records_per_od=20),
                 n_shards=2,
-                transport="tcp",
                 listen=("127.0.0.1", port),
                 config=StreamConfig(warmup_bins=8, refit_every=0,
                                     drift_reset_after=0, n_components=4,
@@ -534,11 +593,6 @@ class TestRemoteWorkers:
 
 
 class TestClusterNetCli:
-    def test_listen_requires_tcp(self, capsys):
-        assert main(["run", "baseline-diurnal", "--mode", "cluster",
-                     "--listen", "127.0.0.1:9100"]) == 2
-        assert "tcp" in capsys.readouterr().err
-
     def test_worker_refused_connection_exits_2(self, capsys):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -553,18 +607,18 @@ class TestClusterNetCli:
     def test_cluster_tcp_command_runs(self, capsys):
         code = main([
             "run", "baseline-diurnal", "--mode", "cluster", "--shards", "2",
-            "--transport", "tcp", "--bins", "10", "--warmup-bins", "8",
+            "--bins", "10", "--warmup-bins", "8",
             "--max-records", "10",
             "--exact", "--refit-every", "0", "--components", "4",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "tcp transport" in out and "records/s" in out
+        assert "2 shards," in out and "records/s" in out
 
     def test_run_mode_rejects_cluster_only_flags(self, capsys):
         code = main([
-            "run", "baseline-diurnal", "--mode", "stream", "--transport", "tcp",
-            "--bins", "10",
+            "run", "baseline-diurnal", "--mode", "stream",
+            "--listen", "127.0.0.1:9100", "--bins", "10",
         ])
         assert code == 2
         assert "cluster" in capsys.readouterr().err

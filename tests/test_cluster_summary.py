@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from test_cluster import _random_batch, _summary_from_batch
 
 from repro.cluster import ShardBinSummary, SummaryCorruptError, merge_summaries
-from repro.stream.window import BinAccumulator
+from repro.stream.window import BinAccumulator, BinSummary
 
 P = 6  # OD flows in these tests' ensembles
 _HEADER = "<iiqqq"  # n_od_flows, shard, bin, n_records, n rows
@@ -54,14 +54,15 @@ class TestRows:
         _assert_rows_equal(clone.to_bin_summary(), acc.finalize(7))
 
     def test_partial_features_volume_only_od_and_gap_bin(self):
-        acc = BinAccumulator(n_od_flows=P, exact=True)
-        nothing = (np.zeros(0, dtype=np.int64),) * 2
-        # OD 1 has source features only, OD 4 none at all (volume only).
-        acc.add_histograms(
-            1, [([7, 9], [3, 1]), nothing, ([80], [4]), nothing], 4, 400
+        entropy = np.zeros((P, 4))
+        # OD 1 has a source-address entropy only, OD 4 none at all
+        # (volume only).
+        entropy[1, 0] = 0.811
+        packets, byte_counts = np.zeros(P), np.zeros(P)
+        packets[[1, 4]], byte_counts[[1, 4]] = (4, 2), (400, 90)
+        partial = ShardBinSummary.from_bin_summary(
+            BinSummary(bin=5, entropy=entropy, packets=packets, bytes=byte_counts)
         )
-        acc.add_histograms(4, [nothing] * 4, 2, 90)
-        partial = ShardBinSummary.from_accumulator(acc, 5)
         gap = ShardBinSummary.from_accumulator(BinAccumulator(P, exact=True), 6)
         assert partial.ods.tolist() == [1, 4]
         assert partial.packets.tolist() == [4, 2]

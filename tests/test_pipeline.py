@@ -443,6 +443,7 @@ class TestRunCLI:
         ["trace", "replay", "x.trace", "--readahead"],
         ["trace", "upgrade", "x.trace"],
         ["run", "baseline-diurnal", "--mode", "cluster", "--tiers", "2x2"],
+        ["run", "baseline-diurnal", "--mode", "cluster", "--transport", "tcp"],
     ])
     def test_removed_commands_and_flags_exit_2(self, argv, capsys):
         from repro.cli import main

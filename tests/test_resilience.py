@@ -263,6 +263,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, {"spec": {"kind": "other"}})
 
+    def test_a_checkpoint_starts_at_the_first_bin_merged(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        with CheckpointWriter(path, self.FINGERPRINT) as writer:
+            writer.append(2, b"two")
+            writer.append(3, None)
+            with pytest.raises(CheckpointError, match="expected bin 4, got 6"):
+                writer.append(6, b"six")
+        state = load_checkpoint(path, self.FINGERPRINT)
+        assert [(b, p) for b, p in state.bins] == [(2, b"two"), (3, None)]
+        assert state.next_bin == 4
+        with CheckpointWriter(path, self.FINGERPRINT, resume_from=state) as writer:
+            writer.append(4, b"four")
+        assert load_checkpoint(path).next_bin == 5
+
     def test_out_of_order_append_raises(self, tmp_path):
         with CheckpointWriter(tmp_path / "run.ckpt", self.FINGERPRINT) as writer:
             writer.append(0, b"a")
@@ -292,7 +306,7 @@ class TestCheckpoint:
 
 
 class TestChaosCluster:
-    """Live smokes over pipes: one per chaos fault kind, plus the
+    """Live smokes over local links: one per chaos fault kind, plus the
     runner's checkpoint/resume glue.  The supervision decisions behind
     them are replayed exhaustively, without processes, in
     ``tests/test_supervisor.py``."""
@@ -385,6 +399,56 @@ class TestChaosCluster:
                 other, n_shards=2, config=_config(),
                 checkpoint=path, resume=True,
             )
+
+
+class TestEmptyFirstBin:
+    """A trace whose bin 0 holds no record: the coordinator's first
+    merged bin is bin 1, and a checkpoint starts there."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        from repro.io.trace import TraceWriter
+
+        generator = TrafficGenerator(abilene(), TimeBins(n_bins=N_BINS), seed=SEED)
+        path = tmp_path_factory.mktemp("late") / "late.trace"
+        with TraceWriter(path, n_bins=N_BINS, network="Abilene") as writer:
+            batches = synthetic_record_stream(
+                generator, range(1, N_BINS),
+                max_records_per_od=MAX_RECORDS_PER_OD, seed=SEED,
+            )
+            for b, batch in enumerate(batches, start=1):
+                writer.append(b, batch)
+        plain = run_cluster_source(TraceSource(path), n_shards=2, config=_config())
+        assert plain.report.n_bins_scored == N_BINS - 1 - WARMUP_BINS
+        return path, _signature(plain.report)
+
+    def test_checkpointed_run_equals_the_unchecked_one(self, trace, tmp_path):
+        path, signature = trace
+        ckpt = tmp_path / "run.ckpt"
+        result = run_cluster_source(TraceSource(path), n_shards=2,
+                                    config=_config(), checkpoint=ckpt)
+        assert _signature(result.report) == signature
+        state = load_checkpoint(ckpt)
+        assert [b for b, _ in state.bins] == list(range(1, N_BINS))
+
+    def test_seeded_kill_and_resume_equals_it(self, trace, tmp_path):
+        path, signature = trace
+        ckpt = tmp_path / "run.ckpt"
+        with pytest.raises(RuntimeError):
+            run_cluster_source(
+                TraceSource(path), n_shards=2, config=_config(), checkpoint=ckpt,
+                chaos="seeded:seed=3,kind=kill",
+                resilience=ResiliencePolicy(max_retries=0, backoff_s=0.01),
+            )
+        crashed = load_checkpoint(ckpt)
+        assert crashed.bins and crashed.bins[0][0] == 1
+        assert crashed.next_bin < N_BINS
+        resumed = run_cluster_source(TraceSource(path), n_shards=2,
+                                     config=_config(), checkpoint=ckpt,
+                                     resume=True)
+        assert resumed.report.meta["resumed_bins"] == len(crashed.bins)
+        assert _signature(resumed.report) == signature
+        assert load_checkpoint(ckpt).next_bin == N_BINS
 
 
 class TestPipelineResilience:

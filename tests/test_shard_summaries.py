@@ -149,11 +149,9 @@ def test_derived_runs_drop_the_runs_a_shards_rows_miss():
     (another shard's OD 2) count zero and must not reach the entropy."""
     rid = np.array([0, 1, 4, 4])  # runs 2-3 belong to OD 2, elsewhere
     ods = np.array([1, 1, 3, 3])
-    group_ids, starts, counts, values = derived_runs(
-        rid, ods, np.array([2, 1, 1, 5]), np.array([7, 9, 7, 7])
-    )
+    group_ids, starts, counts = derived_runs(rid, ods, np.array([2, 1, 1, 5]))
     assert group_ids.tolist() == [1, 3] and starts.tolist() == [0, 2, 3]
-    assert counts.tolist() == [2, 1, 6] and values.tolist() == [7, 9, 7]
+    assert counts.tolist() == [2, 1, 6]
 
 
 class _RowsEngine:

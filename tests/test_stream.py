@@ -212,7 +212,7 @@ def _reference_split(topology, chunks, exact):
             sub = chunk.select(mask)
             acc.add_batch(router.resolve_ods_mixed(sub.ingress_pop, sub.dst_ip),
                           sub.anonymized(topology.anonymization_bits))
-    if current is not None and acc.touched:
+    if current is not None and acc.n_records:
         out.append(acc.finalize(current))
     return out, late
 

@@ -1,11 +1,13 @@
 """Streaming-vs-batch equivalence on a fixed synthetic cube.
 
 The acceptance contract of the streaming engine: warmed up on the same
-data the batch pipeline fits on, and fed the same per-bin histograms,
-its detected bins must match :class:`repro.core.detector.AnomalyDiagnosis`
-— exactly in exact-histogram mode, and within sketch-error tolerance in
-Count-Min mode (any disagreeing bin must sit within a small margin of
-the detection threshold).
+data the batch pipeline fits on, and scoring bins reduced from the same
+per-bin histograms, its detected bins must match
+:class:`repro.core.detector.AnomalyDiagnosis` — exactly when the
+histograms are reduced exactly (the grouped-entropy kernel, as the
+exact stage reduces records), and within sketch-error tolerance when
+their entropies are Count-Min estimates (any disagreeing bin must sit
+within a small margin of the detection threshold).
 
 A record-level variant closes the loop end-to-end: the same raw record
 trace aggregated by :class:`repro.flows.odflows.ODFlowAggregator`
@@ -23,9 +25,12 @@ from repro.core.detector import AnomalyDiagnosis
 from repro.flows.binning import TimeBins
 from repro.flows.odflows import ODFlowAggregator
 from repro.flows.records import FlowRecordBatch
+from repro.flows.sketches import SketchBank, entropy_from_sketch_runs
+from repro.kernels import group_reduce
 from repro.net.topology import abilene
 from repro.stream.chunks import synthetic_record_stream
 from repro.stream.engine import StreamConfig, StreamingDetectionEngine
+from repro.stream.window import BinSummary
 from repro.traffic.generator import TrafficGenerator
 
 N_BINS = 64
@@ -107,11 +112,39 @@ def fixed_cube():
     return topo, cube, hists_by_bin
 
 
-def _run_engine(topo, cube, hists_by_bin, **config_overrides):
+def _bin_summary(b, hists_by_od, p, sketch_width=None):
+    """One bin's rows from its per-OD histograms: exact grouped
+    entropies, or Count-Min estimates over every histogram value."""
+    entropy = np.zeros((p, 4))
+    packets, byte_counts = np.zeros(p), np.zeros(p)
+    for od, (_, n_packets, n_bytes) in hists_by_od.items():
+        packets[od], byte_counts[od] = n_packets, n_bytes
+    for k in range(4):
+        pairs = [(od, hists[k]) for od, (hists, _, _) in hists_by_od.items()]
+        runs = group_reduce(
+            np.concatenate([np.full(len(v), od) for od, (v, _) in pairs]),
+            np.concatenate([v for _, (v, _) in pairs]),
+            np.concatenate([c for _, (_, c) in pairs]).astype(np.int64),
+        )
+        if sketch_width is None:
+            entropy[runs.group_ids, k] = runs.entropies()
+            continue
+        bank = SketchBank(p, width=sketch_width)
+        bank.update(runs.group_ids, runs.starts, runs.values, runs.counts)
+        estimates, totals = bank.query_runs(runs.group_ids, runs.starts, runs.values)
+        entropy[runs.group_ids, k] = entropy_from_sketch_runs(
+            estimates, totals, runs.starts
+        )
+    return BinSummary(bin=b, entropy=entropy, packets=packets, bytes=byte_counts)
+
+
+def _run_engine(topo, cube, hists_by_bin, sketch_width=None, **config_overrides):
     engine = StreamingDetectionEngine(topo, _batch_equivalence_config(**config_overrides))
     engine.warm_up(cube)
     for b in range(N_BINS):
-        engine.ingest_histograms(b, hists_by_bin[b])
+        engine.observe_summary(
+            _bin_summary(b, hists_by_bin[b], topo.n_od_flows, sketch_width)
+        )
     return engine.finish()
 
 
@@ -148,9 +181,7 @@ class TestSketchTolerance:
     ):
         topo, cube, hists_by_bin = fixed_cube
         volume_bins, entropy_bins = batch_reference
-        report = _run_engine(
-            topo, cube, hists_by_bin, exact_histograms=False, sketch_width=8192
-        )
+        report = _run_engine(topo, cube, hists_by_bin, sketch_width=8192)
         # Volume rows bypass the sketches entirely: exact match.
         np.testing.assert_array_equal(report.volume_bins, volume_bins)
         # Entropy bins: any disagreement must be a borderline bin whose

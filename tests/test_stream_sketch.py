@@ -135,13 +135,6 @@ class SetBasedAccumulator:
         for k, name in enumerate(FEATURES):
             self._add_feature(k, ods, getattr(batch, name), batch.packets)
 
-    def add_histograms(self, od, histograms, packets, byte_count):
-        self.candidates.setdefault(od, [set() for _ in range(N_FEATURES)])
-        for k, (values, counts) in enumerate(histograms):
-            ods = np.full(len(values), od, dtype=np.int64)
-            self._add_feature(k, ods, np.asarray(values, dtype=np.int64),
-                              np.asarray(counts, dtype=np.int64))
-
     def entropy(self):
         entropy = np.zeros((P, N_FEATURES))
         ods = np.asarray(sorted(self.candidates), dtype=np.int64)
@@ -161,25 +154,13 @@ record_rows = st.lists(
     st.tuples(st.integers(0, P - 1), st.integers(0, 30), st.integers(0, 4)),
     min_size=1, max_size=40,
 )
-histogram = st.lists(st.tuples(st.integers(0, 30), st.integers(1, 9)), max_size=6)
-histogram_op = st.tuples(
-    st.integers(0, P - 1), st.lists(histogram, min_size=N_FEATURES, max_size=N_FEATURES)
-)
-one_bin = st.lists(st.one_of(record_rows, histogram_op), min_size=1, max_size=6)
+one_bin = st.lists(record_rows, min_size=1, max_size=6)
 
 
 def _feed(target, ops):
     for op in ops:
-        if isinstance(op, tuple):
-            od, hists = op
-            target.add_histograms(
-                od,
-                [([v for v, _ in h], [c for _, c in h]) for h in hists],
-                packets=1, byte_count=40,
-            )
-        else:
-            ods = np.array([r[0] for r in op], dtype=np.int64)
-            target.add_batch(ods, _batch(op))
+        ods = np.array([r[0] for r in op], dtype=np.int64)
+        target.add_batch(ods, _batch(op))
 
 
 class TestCandidateStore:
@@ -193,17 +174,12 @@ class TestCandidateStore:
                 _feed(acc, ops)
                 _feed(ref, ops)
                 assert acc.finalize(b).entropy.tobytes() == ref.entropy().tobytes()
-                _, _, active = acc.sketch_state()
-                assert np.flatnonzero(active).tolist() == sorted(ref.candidates)
+                _, candidates = acc.sketch_state()
+                for k, runs in enumerate(candidates):
+                    assert runs.group_ids.tolist() == sorted(
+                        od for od, sets in ref.candidates.items() if sets[k]
+                    )
                 acc.reset()
-
-    def test_all_empty_histograms_still_register_the_od(self):
-        acc = BinAccumulator(n_od_flows=P, width=WIDTH)
-        empty = np.zeros(0, dtype=np.int64)
-        acc.add_histograms(3, [(empty, empty)] * N_FEATURES, 0, 0)
-        assert acc.touched
-        assert np.flatnonzero(acc.sketch_state()[2]).tolist() == [3]
-        assert not acc.finalize(0).entropy.any()
 
 
 class TestCountMinGuarantee:
@@ -222,7 +198,7 @@ class TestCountMinGuarantee:
         ods = np.array([r[0] for r in rows], dtype=np.int64)
         packets = np.array([r[2] for r in rows], dtype=np.int64)
         od_total = np.bincount(ods, weights=packets, minlength=P).astype(np.int64)
-        banks, candidates, _ = acc.sketch_state()
+        banks, candidates = acc.sketch_state()
         for k, name in enumerate(FEATURES):
             column, runs = getattr(_batch(rows), name), candidates[k]
             estimates, totals = banks[k].query_runs(
@@ -248,15 +224,12 @@ class TestODRange:
         rows = [(0, 3, 2), (5, 4, 1), (bad, 7, 1)]
         with pytest.raises(ValueError, match=f"OD id {bad} outside"):
             acc.add_batch(np.array([r[0] for r in rows]), _batch(rows))
-        hists = [([3], [2])] * N_FEATURES
-        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
-            acc.add_histograms(bad, hists, packets=2, byte_count=80)
-        assert not acc.touched and acc.n_records == 0
+        assert acc.n_records == 0
         summary = acc.finalize(0)
         assert not summary.entropy.any() and not summary.packets.any()
         if not exact:
-            banks, _, active = acc.sketch_state()
-            assert not active.any()
+            banks, candidates = acc.sketch_state()
+            assert not any(len(runs.group_ids) for runs in candidates)
             assert not any(bank.tables.any() or bank.totals.any() for bank in banks)
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -273,9 +246,6 @@ class TestODRange:
         next_bin = _batch(rows, timestamps=np.full(3, 300.0))
         with pytest.raises(ValueError, match=f"OD id {bad} outside"):
             stage.ingest(next_bin, ods=[r[0] for r in rows])
-        hists = [([3], [2])] * N_FEATURES
-        with pytest.raises(ValueError, match=f"OD id {bad} outside"):
-            stage.ingest_histograms(1, {0: (hists, 2, 80), bad: (hists, 2, 80)})
         (summary,) = stage.flush()
         assert summary.bin == 0 and summary.n_records == 2
         assert summary.packets.sum() == 3

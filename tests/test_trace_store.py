@@ -661,7 +661,7 @@ class TestTraceCli:
         code = main(["run", "baseline-diurnal", "--mode", "cluster",
                      "--shards", "2", *args])
         cluster = capsys.readouterr().out
-        assert code == 0 and "2 shards (pipe transport)" in cluster
+        assert code == 0 and "2 shards," in cluster
         pick = lambda text: [l for l in text.splitlines()
                              if l.startswith(("  bin", "detections:"))]
         assert pick(stream) == pick(cluster)

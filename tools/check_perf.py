@@ -20,7 +20,7 @@ drop larger than the allowed fraction (default 20%):
   ``DetectionPipeline`` (``pipeline.json``, the ``baseline-diurnal``
   row).  Skipped with a note when no fresh ``pipeline.json`` exists;
 * **cluster scaling** — the networked-cluster curve
-  (``cluster_net.json``): the 2-worker pipe cluster must beat the
+  (``cluster_net.json``): the 2-worker cluster must beat the
   1-worker run by ``--min-cluster-speedup`` when the recording host
   had >= 2 CPUs; on a 1-core host the requirement degrades to "no
   shared-trace inversion" (the 2-worker rate must stay above
@@ -201,11 +201,11 @@ def _cluster_gate(fresh: dict, min_speedup: float) -> bool:
 
     ``cluster_net.json`` records the host's CPU count alongside the
     curve, so the gate is runner-scaled: with cores to scale onto the
-    2-worker pipe cluster must actually go faster; on a 1-core host it
+    2-worker cluster must actually go faster; on a 1-core host it
     must merely stay clear of the historical shared-trace inversion.
     """
     rates = fresh["records_per_sec"]
-    speedup = float(rates["pipe.2"]) / float(rates["pipe.1"])
+    speedup = float(rates["workers.2"]) / float(rates["workers.1"])
     cpus = int(fresh.get("cpus", 1))
     if cpus >= 2:
         floor, basis = min_speedup, f"{cpus}-core floor"
@@ -216,8 +216,8 @@ def _cluster_gate(fresh: dict, min_speedup: float) -> bool:
     print(
         f"perf gate [{verdict}]: cluster 2-worker speedup x{speedup:.2f} "
         f"vs {basis} x{floor:.2f} "
-        f"(pipe.2 {float(rates['pipe.2']):,.0f} records/s, "
-        f"pipe.1 {float(rates['pipe.1']):,.0f})"
+        f"(workers.2 {float(rates['workers.2']):,.0f} records/s, "
+        f"workers.1 {float(rates['workers.1']):,.0f})"
     )
     return ok
 

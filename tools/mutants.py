@@ -108,6 +108,10 @@ _OTHER_HEADERS = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                   "test_other_headers_are_refused_at_open")
 _TRUNCATED_TAIL = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                    "test_truncated_tail_replays_its_records")
+_TRANSPORT = "src/repro/cluster/transport.py"
+_LINKS = "tests/test_cluster_net.py::TestWorkerLinks"
+#: the paper scorecard: each figure's rows, run as one pytest test
+_CLAIMS = "benchmarks/paper_claims.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     # -- the sliding subspace core (refit cadence and drift reset) ------
@@ -327,6 +331,51 @@ MUTANTS: tuple[Mutant, ...] = (
         "    if info.truncated:\n        raise TraceError(\n",
         "    if False:\n        raise TraceError(\n",
         (_TRUNCATED_TAIL,),
+    ),
+    # -- the one worker link ---------------------------------------------
+    Mutant(
+        "frame-buffer-keeps-first-frame", _TRANSPORT,
+        "            frames.append((header, raw[head_len:]))\n",
+        "            if not frames:\n"
+        "                frames.append((header, raw[head_len:]))\n",
+        ("tests/test_cluster_net.py::TestFrameCodec::"
+         "test_reassembly_is_fragmentation_invariant",),
+    ),
+    Mutant(
+        "link-reports-eof-before-buffered-frames", _TRANSPORT,
+        "                messages.append((\"eof\", unit_id, self._reap(unit_id)))\n",
+        "                messages.insert(0, (\"eof\", unit_id, self._reap(unit_id)))\n",
+        (_LINKS + "::test_frames_sent_before_exit_arrive_ahead_of_eof",),
+    ),
+    Mutant(
+        "discard-leaves-the-link-registered", _TRANSPORT,
+        "        \"\"\"Sever the unit's link and terminate its local process.\"\"\"\n"
+        "        self._drop(unit_id)\n",
+        "        \"\"\"Sever the unit's link and terminate its local process.\"\"\"\n",
+        (_LINKS + "::test_discard_severs_the_link",),
+    ),
+    # -- the paper scorecard: one mutant per figure that only its rows
+    # -- kill (no tier-1 test runs these experiments) --------------------
+    Mutant(
+        "table3-entropy-additional-counts-volume-bins",
+        "src/repro/experiments/table3_breakdown.py",
+        "e.bin in entropy_bins and e.bin not in volume_bins",
+        "e.bin in entropy_bins and e.bin in volume_bins",
+        (_CLAIMS + "::test_table3",),
+    ),
+    Mutant(
+        "fig5-combined-rate-counts-volume-only",
+        "src/repro/experiments/fig5_detection_rate.py",
+        "outcomes[alpha][1] += out.detected_any",
+        "outcomes[alpha][1] += out.detected_volume",
+        (_CLAIMS + "::test_fig5",),
+    ),
+    Mutant(
+        "fig7-one-cluster-short",
+        "src/repro/experiments/fig7_known_clusters.py",
+        "hierarchical(points, k=len(_TYPES), linkage=linkage)",
+        "hierarchical(points, k=len(_TYPES) - 1, linkage=linkage)",
+        (_CLAIMS + "::test_fig7",),
     ),
     # -- the threshold ---------------------------------------------------
     Mutant(
