@@ -139,44 +139,48 @@ class _FrameBuffer:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> list[tuple[dict, bytes]]:
+    def feed(self, data: bytes) -> tuple[list[tuple[dict, bytes]], FrameError | None]:
+        """``(frames, error)``: every whole frame ``data`` completes, in
+        order, and the :class:`FrameError` of undecodable bytes that
+        follow them (``None`` if there are none) — garbage later in a
+        recv must not cost the frames decoded ahead of it."""
         self._buf.extend(data)
         frames = []
         while True:
             if len(self._buf) < _LEN.size:
-                return frames
+                return frames, None
             total, head_len = _LEN.unpack_from(self._buf)
             if total > MAX_FRAME_BYTES or head_len > total:
-                raise FrameError(
+                return frames, FrameError(
                     f"implausible frame length {total} (header {head_len})"
                 )
             end = _LEN.size + total
             if len(self._buf) < end:
-                return frames
+                return frames, None
             raw = bytes(self._buf[_LEN.size:end])
             del self._buf[:end]
             try:
                 header = json.loads(raw[:head_len].decode())
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FrameError(f"undecodable frame header: {exc}")
+                return frames, FrameError(f"undecodable frame header: {exc}")
             if not isinstance(header, dict):
-                raise FrameError("frame header is not an object")
+                return frames, FrameError("frame header is not an object")
             frames.append((header, raw[head_len:]))
 
 
 def _recv_frame(sock: socket.socket, buffer: _FrameBuffer) -> tuple[dict, bytes]:
     """Block until one full frame arrives (handshake use only)."""
+    data = b""
     while True:
-        frames = buffer.feed(b"")
-        if frames:
-            return frames[0]
-        data = sock.recv(_RECV_BYTES)
-        if not data:
-            raise FrameError("connection closed mid-frame")
-        frames = buffer.feed(data)
+        frames, error = buffer.feed(data)
         if frames:
             # At most one frame is in flight during a handshake.
             return frames[0]
+        if error is not None:
+            raise error
+        data = sock.recv(_RECV_BYTES)
+        if not data:
+            raise FrameError("connection closed mid-frame")
 
 
 class _SocketConn:
@@ -327,12 +331,16 @@ class WorkerLinks:
                 self._drop(unit_id)
                 messages.append(("eof", unit_id, self._reap(unit_id)))
                 return messages
+            frames, error = self._buffers[unit_id].feed(data)
             try:
-                for header, payload in self._buffers[unit_id].feed(data):
+                for header, payload in frames:
                     messages.append(decode_message(header, payload))
             except FrameError as exc:
+                error = exc
+            if error is not None:
+                # The frames ahead of the bad bytes were delivered above.
                 self._drop(unit_id)
-                messages.append(("frame_error", unit_id, str(exc)))
+                messages.append(("frame_error", unit_id, str(error)))
                 return messages
 
     def _drop(self, unit_id: int) -> None:

@@ -383,28 +383,33 @@ class OnlineVolumeDetector(_SlidingSubspace):
             r_t - (2 - a - ab) r_{t-1} + (1 - a) r_{t-2}
                 = x_t - 2 x_{t-1} + x_{t-2}
 
-        with level gain ``a`` and trend gain ``b``.  One
-        :func:`scipy.signal.lfilter` call runs that recurrence over
-        every OD column at once — replacing the per-row Python loop —
-        and the closing level/trend state is recovered from the last
-        two one-step predictions, so subsequent :meth:`observe` calls
-        continue exactly where the loop would have left off.  The
-        initial state (level = first row, zero trend) corresponds to a
-        constant pre-history, i.e. zero past residuals.
+        with level gain ``a`` and trend gain ``b``.  One pass over the
+        rows runs that recurrence on every OD column at once, each step
+        in ``scipy.signal.lfilter``'s direct-form-II-transposed order
+        (so the residuals are that filter's, bit for bit), and the
+        closing level/trend state is recovered from the last two
+        one-step predictions, so subsequent :meth:`observe` calls
+        continue exactly where the per-row Holt loop would have left
+        off.  The initial state (level = first row, zero trend)
+        corresponds to a constant pre-history, i.e. zero past
+        residuals.
         """
-        from scipy.signal import lfilter
-
         a, b = self.holt_level, self.holt_trend
         x0 = rows[0]
-        den = np.array([1.0, -(2.0 - a - a * b), 1.0 - a])
-        num = np.array([1.0, -2.0, 1.0])
+        # Denominator (1, a1, a2) over numerator (1, -2, 1).
+        a1, a2 = -(2.0 - a - a * b), 1.0 - a
         # Direct-form II transposed initial state for past inputs
         # [x0, x0] and past outputs [0, 0] (the constant pre-history).
-        zi = np.stack([-x0, x0])
+        z0, z1 = -x0, x0
         # One trailing zero-input step yields the next prediction
         # (r = 0 - p), from which the final level/trend state follows.
         fed = np.vstack([rows[1:], np.zeros_like(x0)[None, :]])
-        out, _ = lfilter(num, den, fed, axis=0, zi=zi)
+        out = np.empty_like(fed)
+        for t, x in enumerate(fed):
+            y = z0 + x
+            z0 = z1 - 2.0 * x - y * a1
+            z1 = x - y * a2
+            out[t] = y
         residuals = out[:-1]
         prediction_next = -out[-1]
         prediction_last = rows[-1] - residuals[-1]

@@ -17,9 +17,9 @@ ring-and-chords approximation of the 2004 topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.net.addressing import Prefix, make_ip
 
@@ -61,7 +61,6 @@ class Topology:
     links: list[tuple[str, str]]
     sampling_rate: int = 100
     anonymization_bits: int = 0
-    graph: nx.Graph = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = [pop.code for pop in self.pops]
@@ -70,15 +69,35 @@ class Topology:
         for i, pop in enumerate(self.pops):
             if pop.index != i:
                 raise ValueError("PoP indices must be dense and ordered")
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(codes)
-        for a, b in self.links:
-            if a not in self.graph or b not in self.graph:
-                raise ValueError(f"link references unknown PoP: {(a, b)}")
-            self.graph.add_edge(a, b)
-        if self.links and not nx.is_connected(self.graph):
-            raise ValueError(f"{self.name} topology is not connected")
         self._by_code = {pop.code: pop for pop in self.pops}
+        neighbours: dict[str, list[str]] = {code: [] for code in codes}
+        for a, b in self.links:
+            if a not in neighbours or b not in neighbours:
+                raise ValueError(f"link references unknown PoP: {(a, b)}")
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        if self.links:
+            seen, queue = {codes[0]}, deque([codes[0]])
+            while queue:
+                for nxt in neighbours[queue.popleft()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+            if len(seen) != len(codes):
+                raise ValueError(f"{self.name} topology is not connected")
+
+    @cached_property
+    def graph(self):
+        """The backbone as a ``networkx.Graph``: PoPs in index order,
+        then :attr:`links` in order (fixing ``edges()`` order and
+        :meth:`shortest_path`'s tie-breaks).  Built on first use, so
+        detection never imports networkx."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(pop.code for pop in self.pops)
+        graph.add_edges_from(self.links)
+        return graph
 
     @property
     def n_pops(self) -> int:
@@ -127,6 +146,8 @@ class Topology:
 
     def shortest_path(self, origin: str, destination: str) -> list[str]:
         """Hop-count shortest path between two PoP codes."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, origin, destination)
 
     def _pop_index(self, pop: int | str) -> int:

@@ -32,14 +32,46 @@ def ar1_draws(
     return rng.normal(0.0, sigma), innovations
 
 
+#: Below this many series a Python-float loop per series beats one
+#: array op per time step (~0.15 vs ~5 us a step on a 2-vCPU box).
+_ARRAY_STEP_SERIES = 24
+
+
 def ar1_recursion(start, innovations: np.ndarray, rho: float) -> np.ndarray:
     """``x[..., i] = rho * x[..., i - 1] + innovations[..., i]`` from
-    ``x[..., -1] = start``: one :func:`scipy.signal.lfilter` pass runs
-    every series side by side, each bit for bit a scalar loop's."""
-    from scipy.signal import lfilter  # heavy: imported on first use
+    ``x[..., -1] = start``, every series side by side.
 
-    zi = (rho * np.asarray(start, dtype=np.float64))[..., None]
-    return lfilter([1.0], [1.0, -rho], innovations, zi=zi)[0]
+    Each step is ``scipy.signal.lfilter([1.0], [1.0, -rho], ...)``'s own
+    direct-form-II-transposed update (``y = z + x``, ``z = x * 0 - y *
+    -rho``), so the result is that filter's, bit for bit, signed zeros
+    included.  A few series step in Python floats (numpy scalars cost
+    ~15x more per step); many run one array op per time step.
+    """
+    x = np.asarray(innovations, dtype=np.float64)
+    z = np.broadcast_to(rho * np.asarray(start, dtype=np.float64), x.shape[:-1])
+    a1 = -float(rho)
+    if z.size < _ARRAY_STEP_SERIES:
+        out = np.empty_like(x)
+        for idx in np.ndindex(z.shape):
+            out[idx] = _ar1_floats(float(z[idx]), x[idx].tolist(), a1)
+        return out
+    steps = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    out = np.empty_like(steps)
+    for i, v in enumerate(steps):
+        y = z + v
+        z = v * 0.0 - y * a1
+        out[i] = y
+    return np.moveaxis(out, 0, -1)
+
+
+def _ar1_floats(z: float, innovations: list[float], a1: float) -> list[float]:
+    """One series of :func:`ar1_recursion`, stepped in Python floats."""
+    out = []
+    for v in innovations:
+        y = z + v
+        z = v * 0.0 - y * a1
+        out.append(y)
+    return out
 
 
 def ar1_series(

@@ -65,6 +65,20 @@ class TestParseHelpers:
                 parse_hostport(bad)
 
 
+def _frames(buffer, data):
+    """``buffer.feed(data)``'s frames, which must come with no error."""
+    frames, error = buffer.feed(data)
+    assert error is None
+    return frames
+
+
+def _error(data):
+    """The :class:`FrameError` a fresh buffer reports for ``data``."""
+    frames, error = _FrameBuffer().feed(data)
+    assert frames == [] and isinstance(error, FrameError)
+    return error
+
+
 class TestFrameCodec:
     def _messages(self):
         rng = np.random.default_rng(0)
@@ -81,7 +95,7 @@ class TestFrameCodec:
     def test_round_trip_every_kind(self):
         buffer = _FrameBuffer()
         for message in self._messages():
-            frames = buffer.feed(encode_message(message))
+            frames = _frames(buffer, encode_message(message))
             assert len(frames) == 1
             assert decode_message(*frames[0]) == message
 
@@ -91,28 +105,32 @@ class TestFrameCodec:
             buffer = _FrameBuffer()
             decoded = []
             for i in range(0, len(wire), step):
-                for header, payload in buffer.feed(wire[i:i + step]):
+                for header, payload in _frames(buffer, wire[i:i + step]):
                     decoded.append(decode_message(header, payload))
             assert decoded == self._messages()
 
     def test_garbage_prefix_is_a_frame_error(self):
-        with pytest.raises(FrameError):
-            _FrameBuffer().feed(b"\xff" * 64)
+        assert "implausible frame length" in str(_error(b"\xff" * 64))
+
+    def test_frames_ahead_of_garbage_are_returned_with_the_error(self):
+        sent = self._messages()
+        wire = b"".join(encode_message(m) for m in sent) + b"\xff" * 64
+        frames, error = _FrameBuffer().feed(wire)
+        assert [decode_message(*f) for f in frames] == sent
+        assert isinstance(error, FrameError)
 
     def test_hostile_length_is_a_frame_error(self):
         import struct
 
         huge = struct.pack("<II", MAX_FRAME_BYTES + 1, 16)
-        with pytest.raises(FrameError):
-            _FrameBuffer().feed(huge)
+        _error(huge)
 
     def test_bad_header_json_is_a_frame_error(self):
         import struct
 
         head = b"not json at all"
         raw = struct.pack("<II", len(head), len(head)) + head
-        with pytest.raises(FrameError):
-            _FrameBuffer().feed(raw)
+        assert "undecodable frame header" in str(_error(raw))
 
     def test_unknown_kind_is_a_frame_error(self):
         with pytest.raises(FrameError):
@@ -129,9 +147,7 @@ class TestFrameCodec:
             _random_batch(50, rng), rng.integers(0, 4, size=50)
         ).to_bytes()
         bad = corrupt_payload(good)
-        frames = _FrameBuffer().feed(
-            encode_message(("summary", 0, 0, bad, None))
-        )
+        frames = _frames(_FrameBuffer(), encode_message(("summary", 0, 0, bad, None)))
         delivered = decode_message(*frames[0])[3]
         assert delivered == bad
         with pytest.raises(SummaryCorruptError):
@@ -148,8 +164,8 @@ class TestFrameCodec:
 
         for case in ("n huge", "n one less than held", "OD ids unsorted"):
             bad = _reframe(_payload(), *HOSTILE[case])
-            frames = _FrameBuffer().feed(
-                encode_message(("summary", 1, 0, bad, None))
+            frames = _frames(
+                _FrameBuffer(), encode_message(("summary", 1, 0, bad, None))
             )
             delivered = decode_message(*frames[0])[3]
             assert delivered == bad
@@ -194,6 +210,14 @@ class TestWorkerLinks:
         theirs.settimeout(5.0)
         assert theirs.recv(1) == b""  # our end is closed
         assert links.poll(0.05) == []
+
+    def test_frames_ahead_of_garbage_reach_the_supervisor_first(self, linked):
+        links, theirs = linked
+        theirs.sendall(encode_message(("error", 0, 0, "first")) + b"\xff" * 64)
+        messages = self._poll_until_dropped(links)
+        assert messages[0] == ("error", 0, 0, "first")
+        assert [m[:2] for m in messages[1:]] == [("frame_error", 0)]
+        assert "implausible frame length" in messages[1][2]
 
     def test_discard_severs_the_link(self, linked):
         links, theirs = linked

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import subspace
 from repro.core.online import (
@@ -14,6 +17,13 @@ from repro.flows.features import N_FEATURES
 from repro.pipeline.bank import DetectorBank
 from repro.stream.engine import StreamConfig
 from repro.stream.window import BinSummary
+
+#: Finite inputs spanning zeros of both signs, negatives and subnormals,
+#: bounded so that no intermediate overflows.
+_FILTER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(-1e6, 1e6, allow_subnormal=True),
+)
 
 
 def _tensor(t=600, p=10, noise=0.01, seed=0):
@@ -252,7 +262,8 @@ class TestOnlineClassifier:
 
 
 class TestBatchedHoltWarmup:
-    """The lfilter-based warm-up recurrence must match the step loop."""
+    """The batched warm-up recurrence must match the step loop, and
+    equal ``scipy.signal.lfilter``'s second-order filter bit for bit."""
 
     @staticmethod
     def _loop_reference(detector, rows):
@@ -294,6 +305,27 @@ class TestBatchedHoltWarmup:
         np.testing.assert_allclose(got, want_res, rtol=1e-9, atol=1e-8)
         np.testing.assert_allclose(detector._level, want_level, atol=1e-8)
         np.testing.assert_allclose(detector._trend, want_trend, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 40), st.integers(1, 9)),
+        gains=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+        data=st.data(),
+    )
+    def test_recurrence_is_lfilter_bit_for_bit(self, shape, gains, data):
+        from scipy.signal import lfilter
+
+        from repro.core.online import OnlineVolumeDetector
+
+        rows = data.draw(arrays(np.float64, shape, elements=_FILTER_FLOATS))
+        detector = OnlineVolumeDetector(window=8, detrend="holt", n_components=1)
+        detector.holt_level, detector.holt_trend = a, b = gains
+        x0 = rows[0]
+        fed = np.vstack([rows[1:], np.zeros_like(x0)[None, :]])
+        want, _ = lfilter([1.0, -2.0, 1.0], [1.0, -(2.0 - a - a * b), 1.0 - a],
+                          fed, axis=0, zi=np.stack([-x0, x0]))
+        got = detector._holt_batch(rows)
+        np.testing.assert_array_equal(got.view(np.int64), want[:-1].view(np.int64))
 
     def test_observe_continues_from_batch_state(self):
         """Scoring after warm-up must behave as if the loop had run."""

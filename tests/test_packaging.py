@@ -7,9 +7,14 @@
   listed in ``__all__`` counts as used).
 * The cluster supervisor stays free of process, socket, signal, thread
   and clock imports.
+* Detection imports numpy and the stdlib only: importing the package
+  and its CLI, and a stream and a 2-shard cluster run of a registered
+  scenario, load no ``scipy`` or ``networkx`` module (scipy serves
+  ``repro.quality`` and the tests; networkx the outage schedule).
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +31,35 @@ def test_setup_py_reports_package_metadata():
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out == ["repro", repro.__version__]
+    tree = ast.parse((ROOT / "setup.py").read_text(encoding="utf-8"))
+    requires = [
+        ast.literal_eval(kw.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) for kw in node.keywords
+        if kw.arg == "install_requires"
+    ]
+    assert requires == [["numpy", "scipy", "networkx"]]
+
+
+_CLOSURE_RUN = """
+import contextlib, io, sys
+import repro
+import repro.cli
+from repro.cli import main
+args = ["ddos-burst", "--bins", "32", "--warmup-bins", "24", "--max-records", "40"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", *args]) == 0
+    assert main(["run", *args, "--mode", "cluster", "--shards", "2"]) == 0
+print(" ".join(sorted({m.split(".")[0] for m in sys.modules})))
+"""
+
+
+def test_detection_imports_neither_scipy_nor_networkx():
+    out = subprocess.run(
+        [sys.executable, "-c", _CLOSURE_RUN], cwd=ROOT, capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout.split()
+    assert "numpy" in out
+    assert {"scipy", "networkx"}.isdisjoint(out)
 
 
 def _top_level_imports(tree: ast.Module):

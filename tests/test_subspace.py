@@ -1,9 +1,12 @@
 """Tests for the PCA subspace method and Q-statistic."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.core.subspace import (
     DetectionResult,
@@ -76,6 +79,33 @@ class TestQThreshold:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             q_threshold(np.array([1.0]), 1.5)
+
+    @pytest.mark.parametrize("alpha", [0.99, 0.999])
+    @pytest.mark.parametrize("k", [5, 10, 40])
+    def test_flat_spectrum_is_the_chi_square_quantile(self, k, alpha):
+        # k unit eigenvalues: Q is chi-square with k degrees of freedom,
+        # and Jackson-Mudholkar lands within 1.2 % of its exact quantile.
+        want = stats.chi2.ppf(alpha, k)
+        assert q_threshold(np.ones(k), alpha) == pytest.approx(want, rel=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.99, 0.999])
+    def test_wishart_residual_spectrum_matches_monte_carlo(self, alpha):
+        # The residual spectrum of a 48-bin x 484-OD window of white
+        # noise past m = 6 components; Q = sum(lambda_i z_i^2) exactly.
+        lam = PCAModel.fit(np.random.default_rng(5).normal(size=(48, 484))).eigenvalues
+        lam = lam[6:][lam[6:] > 0]
+        z = np.random.default_rng(7).standard_normal((200_000, lam.size))
+        want = np.quantile((z ** 2) @ lam, alpha)
+        assert q_threshold(lam, alpha) == pytest.approx(want, rel=0.05)
+
+    def test_c_alpha_is_the_normal_quantile(self):
+        # c_alpha comes from the stdlib (Wichura AS241): scipy's value
+        # exactly at the default alpha, and within 4 ulps elsewhere.
+        assert NormalDist().inv_cdf(0.999) == stats.norm.ppf(0.999)
+        for alpha in np.linspace(0.5, 1.0, 202)[1:-1]:
+            ours = np.float64(NormalDist().inv_cdf(alpha))
+            theirs = np.float64(stats.norm.ppf(alpha))
+            assert abs(int(ours.view(np.int64)) - int(theirs.view(np.int64))) <= 4, alpha
 
     def test_controls_false_alarm_rate_on_gaussian_noise(self):
         # On pure Gaussian residuals, crossing rate at alpha should be

@@ -30,6 +30,10 @@ class TestAbileneTopology:
         topo = abilene()
         assert topo.graph.has_edge("DNVR", "KSCY")
 
+    def test_graph_edges_list_the_links_in_order(self):
+        topo = abilene()
+        assert list(topo.graph.edges()) == topo.links
+
 
 class TestGeantTopology:
     def test_pop_and_od_counts_match_paper(self):
@@ -284,6 +288,29 @@ class TestRouter:
         od = topo.od_index("STTL", "ATLA")
         path = router.path(od)
         assert path[0] == "STTL" and path[-1] == "ATLA"
+
+    @pytest.mark.parametrize("build", [abilene, geant])
+    def test_link_load_ods_match_a_networkx_graph_built_edge_by_edge(self, build):
+        """The outage schedule's inputs: ``edges()`` order and every
+        link's OD set equal those of a reference graph built edge by
+        edge (``nx.Graph``, PoPs, then ``add_edge`` per link)."""
+        import networkx as nx
+
+        topo = build()
+        reference = nx.Graph()
+        reference.add_nodes_from(pop.code for pop in topo.pops)
+        for a, b in topo.links:
+            reference.add_edge(a, b)
+        assert list(topo.graph.edges()) == list(reference.edges())
+        router = Router(topo)
+        for link in reference.edges():
+            want = []
+            for od in range(topo.n_od_flows):
+                o, d = topo.od_pair(od)
+                path = nx.shortest_path(reference, o.code, d.code)
+                if any({u, v} == set(link) for u, v in zip(path, path[1:])):
+                    want.append(od)
+            assert router.link_load_ods(link) == want, link
 
     def test_link_load_ods_includes_endpoint_flow(self):
         topo = abilene()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.flows.binning import BINS_PER_DAY
 from repro.net.topology import abilene
@@ -140,6 +141,29 @@ class TestAR1:
                 prev = 0.93 * prev + step
                 want.append(prev)
             np.testing.assert_array_equal(got[idx], want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (3,), (2, 4), (5, 6)]),
+        n=st.integers(0, 30),
+        rho=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+        data=st.data(),
+    )
+    def test_recursion_is_lfilter_bit_for_bit(self, lead, n, rho, data):
+        """Both stepping paths — a few series in Python floats, (5, 6)
+        in array steps — are ``lfilter``'s, signed zeros included."""
+        from scipy.signal import lfilter
+
+        floats = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            st.floats(-1e6, 1e6, allow_subnormal=True),
+        )
+        start = data.draw(arrays(np.float64, lead, elements=floats))
+        innovations = data.draw(arrays(np.float64, lead + (n,), elements=floats))
+        want = lfilter([1.0], [1.0, -rho], innovations, zi=(rho * start)[..., None])[0]
+        got = ar1_recursion(start, innovations, rho)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_series_is_its_draws_through_the_recursion(self):
         start, innovations = ar1_draws(50, 0.8, 1.5, np.random.default_rng(4))

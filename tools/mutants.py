@@ -110,6 +110,9 @@ _TRUNCATED_TAIL = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                    "test_truncated_tail_replays_its_records")
 _TRANSPORT = "src/repro/cluster/transport.py"
 _LINKS = "tests/test_cluster_net.py::TestWorkerLinks"
+_SUBSPACE = "src/repro/core/subspace.py"
+_Q_THRESHOLD = "tests/test_subspace.py::TestQThreshold"
+_CLOSURE = "tests/test_packaging.py::test_detection_imports_neither_scipy_nor_networkx"
 #: the paper scorecard: each figure's rows, run as one pytest test
 _CLAIMS = "benchmarks/paper_claims.py"
 
@@ -348,6 +351,16 @@ MUTANTS: tuple[Mutant, ...] = (
         (_LINKS + "::test_frames_sent_before_exit_arrive_ahead_of_eof",),
     ),
     Mutant(
+        "frame-error-drops-the-frames-ahead-of-it", _TRANSPORT,
+        "            frames, error = self._buffers[unit_id].feed(data)\n"
+        "            try:\n",
+        "            frames, error = self._buffers[unit_id].feed(data)\n"
+        "            try:\n"
+        "                if error is not None:\n"
+        "                    raise error\n",
+        (_LINKS + "::test_frames_ahead_of_garbage_reach_the_supervisor_first",),
+    ),
+    Mutant(
         "discard-leaves-the-link-registered", _TRANSPORT,
         "        \"\"\"Sever the unit's link and terminate its local process.\"\"\"\n"
         "        self._drop(unit_id)\n",
@@ -380,21 +393,37 @@ MUTANTS: tuple[Mutant, ...] = (
     # -- the threshold ---------------------------------------------------
     Mutant(
         # A 10 % error in Q_alpha flips a verdict of the exact fixture.
-        "q-threshold-times-1.1", "src/repro/core/subspace.py",
+        "q-threshold-times-1.1", _SUBSPACE,
         "    return float(scale * phi1 * term ** (1.0 / h0))\n",
         "    return 1.1 * float(scale * phi1 * term ** (1.0 / h0))\n",
         (_SEED_EXACT,),
     ),
     Mutant(
-        # The same mutation against the threshold's own unit tests: they
-        # read its ordering and scaling, and the false-alarm case's
-        # tolerance (0.2 %–5 % at alpha = 0.99) cannot see 10 %.
-        "q-threshold-times-1.1-unit-tests", "src/repro/core/subspace.py",
+        # The same mutation against the threshold's own unit tests: the
+        # chi-square and Monte Carlo cases pin Q_alpha's value to 5 %.
+        "q-threshold-times-1.1-unit-tests", _SUBSPACE,
         "    return float(scale * phi1 * term ** (1.0 / h0))\n",
         "    return 1.1 * float(scale * phi1 * term ** (1.0 / h0))\n",
-        ("tests/test_subspace.py::TestQThreshold",),
-        expected="survives: ROADMAP 2 (null-calibration gate) or 11 (out-of-sample "
-                 "threshold) pins Q_alpha's value",
+        (_Q_THRESHOLD,),
+    ),
+    Mutant(
+        "c-alpha-two-sided", _SUBSPACE,
+        "    c_alpha = NormalDist().inv_cdf(alpha)\n",
+        "    c_alpha = NormalDist().inv_cdf((1 + alpha) / 2)\n",
+        (_Q_THRESHOLD,),
+    ),
+    # -- the import closure: detection loads neither scipy nor networkx --
+    Mutant(
+        "subspace-imports-scipy-stats", _SUBSPACE,
+        "from statistics import NormalDist\n",
+        "from statistics import NormalDist\n\nimport scipy.stats  # noqa: F401\n",
+        (_CLOSURE,),
+    ),
+    Mutant(
+        "topology-imports-networkx", "src/repro/net/topology.py",
+        "from functools import cached_property\n",
+        "from functools import cached_property\n\nimport networkx  # noqa: F401\n",
+        (_CLOSURE,),
     ),
 )
 
