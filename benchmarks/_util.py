@@ -1,13 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest-benchmark harness.
 
-Every benchmark regenerates one paper table or figure: it runs the
-corresponding experiment once under pytest-benchmark (timing the run)
-and saves the paper-style report to ``benchmarks/results/<name>.txt``
-in addition to printing it, so the regenerated rows survive pytest's
-output capturing.  Performance benchmarks additionally persist a
-machine-readable ``results/<name>.json`` via :func:`write_json_result`
-so the perf trajectory can be tracked across commits without parsing
-prose.
+Each benchmark runs its workload under pytest-benchmark (timing the
+run) and saves a report to ``benchmarks/results/<name>.txt`` in
+addition to printing it, so the rows survive pytest's output capturing.
+It also persists a machine-readable ``results/<name>.json`` via
+:func:`write_json_result` so the perf trajectory can be tracked across
+commits without parsing prose.  The paper's tables and figures are not
+benchmarks here: ``paper_claims.py`` checks them as scorecard rows.
 """
 
 from __future__ import annotations
@@ -127,10 +126,10 @@ def rate_summary(n_items: int, elapsed: list[float]) -> dict:
 
 
 def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under the benchmark timer.
+    """Run a workload exactly once under the benchmark timer.
 
-    The experiments are deterministic and often expensive (full dataset
-    diagnoses, 10^4-injection sweeps), so one timed round is the right
-    trade-off; pytest-benchmark still records the wall time.
+    The workloads are deterministic and often expensive (cluster runs,
+    the quality grid), so one timed round is the right trade-off;
+    pytest-benchmark still records the wall time.
     """
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)

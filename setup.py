@@ -17,6 +17,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "networkx"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -13,7 +13,8 @@ Two usage patterns:
 * :class:`InjectionScorer` — the fast path for the paper's injection
   sweeps (Figures 5 and 6): fit detectors once on the clean cube, then
   score thousands of hypothetical injections by recomputing only the
-  target row.  See DESIGN.md for the fixed-subspace note.
+  target row.  See docs/ARCHITECTURE.md, "Paper experiments", for the
+  fixed-subspace note.
 """
 
 from __future__ import annotations

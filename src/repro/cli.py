@@ -31,9 +31,11 @@ paper) actually runs:
   optionally the intensity × sketch × sampling grid), ``fuzz``
   generates seeded random workloads and cross-checks that every
   deployment mode produces identical detections on them;
-* ``experiment`` — run one of the paper's experiments by name
-  (``fig1``..``fig10``, ``table2``..``table8``, ``ablations``,
-  ``anonymization``) and print the paper-style report.
+* ``experiment`` — run one entry of ``repro.experiments.EXPERIMENTS``
+  by name (``fig1``..``fig10``, ``table2``..``table8``,
+  ``anonymization`` and the extensions ``ablations``,
+  ``baseline_comparison``, ``ablation_metrics``) and print its
+  paper-style report.
 
 Every command exits 0 on success; invalid input (bad arguments, missing
 files, malformed cubes) exits 2 with a one-line error on stderr.
@@ -45,6 +47,8 @@ import argparse
 import sys
 
 import numpy as np
+
+from repro.experiments import EXPERIMENTS
 
 __all__ = ["main", "build_parser"]
 
@@ -66,26 +70,6 @@ def _version() -> str:
         from importlib.metadata import version
 
         return version("repro")
-
-_EXPERIMENTS = {
-    "fig1": "fig1_histograms",
-    "fig2": "fig2_timeseries",
-    "fig4": "fig4_volume_vs_entropy",
-    "fig5": "fig5_detection_rate",
-    "fig6": "fig6_multiflow",
-    "fig7": "fig7_known_clusters",
-    "fig8": "fig8_abilene_space",
-    "fig9": "fig9_geant_space",
-    "fig10": "fig10_cluster_selection",
-    "table2": "table2_detections",
-    "table3": "table3_breakdown",
-    "table4": "table4_traces",
-    "table5": "table5_thinning",
-    "table6": "table6_label_space",
-    "table7": "table7_abilene_clusters",
-    "table8": "table8_geant_clusters",
-    "anonymization": "anonymization_check",
-}
 
 
 def _parent(*adders) -> argparse.ArgumentParser:
@@ -338,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a Prometheus text exposition instead")
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument("name", choices=sorted(_EXPERIMENTS) + ["ablations"])
+    exp.add_argument("name", choices=sorted(EXPERIMENTS))
     return parser
 
 
@@ -941,20 +925,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    import importlib
+    from repro.experiments import load
 
-    if args.name == "ablations":
-        from repro.experiments import ablations
-
-        print(
-            ablations.format_report(
-                ablations.run_normalization(),
-                ablations.run_subspace_dim(),
-                ablations.run_clustering(),
-            )
-        )
-        return 0
-    module = importlib.import_module(f"repro.experiments.{_EXPERIMENTS[args.name]}")
+    module = load(args.name)
     print(module.format_report(module.run()))
     return 0
 

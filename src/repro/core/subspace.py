@@ -254,7 +254,8 @@ class SubspaceDetector:
 
     This object also supports the online/fixed-subspace mode used by the
     injection sweeps: fit on a clean matrix, then score modified rows
-    against the frozen subspace (see DESIGN.md, Section 2).
+    against the frozen subspace (see docs/ARCHITECTURE.md, "Paper
+    experiments", fixed-subspace note).
     """
 
     def __init__(

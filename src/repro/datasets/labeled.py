@@ -6,8 +6,9 @@ clean cube, and the generator — everything the experiments need to
 score detections, attribute labels, and re-derive background
 histograms.
 
-Injection is done in a single per-OD pass so each OD flow's stream is
-regenerated at most once regardless of how many events it hosts.
+Injection rides the generator's own OD loop: each OD's scheduled
+events go in while the stream built for the clean cube is still in
+hand, so a labelled build realises every OD stream exactly once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.datasets.schedule import AnomalySchedule, ScheduledAnomaly, make_schedule
-from repro.anomalies.injector import injected_bin_state, outage_bin_state
+from repro.anomalies.injector import inject_outage, inject_trace
 from repro.flows.binning import TimeBins
 from repro.flows.odflows import TrafficCube
 from repro.net.topology import Topology, abilene, geant
@@ -62,49 +63,6 @@ class LabeledDataset:
         return None
 
 
-def _inject_schedule(
-    cube: TrafficCube, generator: TrafficGenerator, schedule: AnomalySchedule
-) -> None:
-    """Inject all scheduled events into ``cube`` in place, OD by OD.
-
-    Scheduled anomalies are *real traffic*, so the measurement system
-    samples them like everything else: the histogram (entropy) side
-    sees the trace thinned by the network's packet-sampling factor,
-    while the volume counters grow by the full (pre-sampling) packets.
-    This differs deliberately from the paper-protocol injection sweeps
-    (:class:`repro.anomalies.injector.InjectionScorer`), which follow
-    the paper in superimposing *unsampled* attack packets.
-    """
-    sampling = generator.histogram_sampling
-    by_od = schedule.events_by_od()
-    for od in sorted(by_od):
-        stream = generator.od_stream(od)
-        for event in by_od[od]:
-            b = event.bin
-            hists = tuple(h[b] for h in stream.histograms)
-            if event.outage is not None or event.surge is not None:
-                entropy, packets, byte_count = outage_bin_state(
-                    hists,
-                    cube.bytes[b, od],
-                    event.outage or event.surge,
-                    background_packets=cube.packets[b, od],
-                )
-            else:
-                sampled = (
-                    event.trace.thin(sampling, seed=event.bin)
-                    if sampling > 1
-                    else event.trace
-                )
-                entropy, _, _ = injected_bin_state(hists, 0.0, 0.0, sampled)
-                packets = cube.packets[b, od] + event.trace.packets
-                byte_count = cube.bytes[b, od] + event.trace.bytes
-            cube.entropy[b, od, :] = entropy
-            cube.packets[b, od] = packets
-            cube.bytes[b, od] = byte_count
-        # Free the stream cache slot; each OD is visited exactly once.
-        generator._stream_cache.pop(od, None)
-
-
 def make_labeled_dataset(
     topology: Topology,
     weeks: float = 3.0,
@@ -126,12 +84,28 @@ def make_labeled_dataset(
     """
     bins = TimeBins.for_weeks(weeks)
     generator = TrafficGenerator(topology, bins, config=config, seed=seed)
-    clean = generator.generate()
     schedule = make_schedule(
         topology, bins, seed=seed + 1, mix=mix, intensity_scale=intensity_scale
     )
-    cube = clean.copy()
-    _inject_schedule(cube, generator, schedule)
+    by_od = schedule.events_by_od()
+    cube = TrafficCube.zeros(bins, topology.n_od_flows, network=topology.name)
+
+    def inject(clean: TrafficCube, od: int) -> None:
+        # Scheduled anomalies are real traffic, sampled like the rest:
+        # inject_trace thins a trace's histogram side by the network's
+        # sampling factor and adds its full packets to the volumes (the
+        # paper-protocol sweeps of InjectionScorer do not sample).
+        cube.packets[:, od] = clean.packets[:, od]
+        cube.bytes[:, od] = clean.bytes[:, od]
+        cube.entropy[:, od] = clean.entropy[:, od]
+        for event in by_od.get(od, ()):
+            scaler = event.outage or event.surge
+            if scaler is not None:
+                inject_outage(cube, generator, [od], event.bin, scaler)
+            else:
+                inject_trace(cube, generator, od, event.bin, event.trace)
+
+    clean = generator._generate(inject)
     return LabeledDataset(
         topology=topology,
         cube=cube,

@@ -1,10 +1,11 @@
 """Ground-truth anomaly schedules for labeled datasets.
 
 The paper's Abilene labels came from manual inspection of 444
-detections.  Our substitute (DESIGN.md §2): datasets are generated with
-a *known* schedule of anomalies — which types, when, in which OD flows,
-at what intensity — so every detection can be scored against ground
-truth and the classification experiments have labels.
+detections.  Our substitute (docs/ARCHITECTURE.md, "Paper
+experiments"): datasets are generated with a *known* schedule of
+anomalies — which types, when, in which OD flows, at what intensity —
+so every detection can be scored against ground truth and the
+classification experiments have labels.
 
 Type proportions follow the paper's Table 6 Abilene counts; intensity
 ranges are chosen so each type spans its realistic detectability

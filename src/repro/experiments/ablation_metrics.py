@@ -91,7 +91,7 @@ def run(
                     rows_by_metric[m][e.bin] = DISPERSION_METRICS[m](new_row)
             for m in metrics:
                 tensors[m][:, j, k] = rows_by_metric[m]
-        data.generator._stream_cache.pop(od, None)
+        data.generator.evict_stream(od)
 
     # Events at bins of ODs outside the slice are not ground truth here.
     all_rows = []
@@ -119,14 +119,5 @@ def format_report(result: MetricAblation) -> str:
             f"{row.metric:<12} {row.n_detections:>6} {row.counts.precision:>6.2f} "
             f"{row.counts.recall:>7.2f} {row.counts.f1:>6.2f}"
         )
-    entropy_f1 = next(r.counts.f1 for r in result.rows if r.metric == "entropy")
-    best = max(result.rows, key=lambda r: r.counts.f1)
-    lines.append(
-        f"shape check: entropy F1 {entropy_f1:.2f} within the top band "
-        f"(best: {best.metric} {best.counts.f1:.2f}) — 'entropy works well in practice'"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -1,10 +1,11 @@
-"""Ablations on the design choices DESIGN.md calls out.
+"""Ablations on the design choices docs/ARCHITECTURE.md calls out.
 
 Three studies beyond the paper's headline experiments:
 
 * **normalisation** — unit-energy scaling of the unfolded matrix
   computed on raw vs. mean-centred blocks (the paper's wording admits
-  both readings; DESIGN.md §2 explains our default).
+  both readings; docs/ARCHITECTURE.md, "Paper experiments", explains
+  our default).
 * **subspace dimension** — detections vs. the number of normal
   components m (the paper picked m=10 at the variance knee).
 * **clustering robustness** — the paper claims results are insensitive
@@ -26,6 +27,8 @@ __all__ = [
     "NormalizationAblation",
     "SubspaceDimAblation",
     "ClusteringAblation",
+    "Ablations",
+    "run",
     "run_normalization",
     "run_subspace_dim",
     "run_clustering",
@@ -108,12 +111,23 @@ def run_clustering(k: int = 10, rng_seed: int = 0) -> ClusteringAblation:
     return result
 
 
-def format_report(
-    norm: NormalizationAblation,
-    dims: SubspaceDimAblation,
-    clust: ClusteringAblation,
-) -> str:
+@dataclass
+class Ablations:
+    """The three studies, as ``repro experiment ablations`` runs them."""
+
+    normalization: NormalizationAblation
+    subspace_dim: SubspaceDimAblation
+    clustering: ClusteringAblation
+
+
+def run() -> Ablations:
+    """Run all three ablations."""
+    return Ablations(run_normalization(), run_subspace_dim(), run_clustering())
+
+
+def format_report(result: Ablations) -> str:
     """All three ablations in one report."""
+    norm, dims, clust = result.normalization, result.subspace_dim, result.clustering
     lines = ["Ablations"]
     lines.append("1. unit-energy normalisation mode:")
     for mode in norm.detections:
@@ -135,6 +149,3 @@ def format_report(
         lines.append(f"   {a:<14} vs {b:<14} {rate:.3f}")
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run_normalization(), run_subspace_dim(), run_clustering()))

@@ -110,20 +110,5 @@ def format_report(result: BaselineComparison) -> str:
             f"{row.counts.recall:>7.2f} {row.counts.f1:>6.2f} "
             f"{row.low_volume_recall:>13.2f}"
         )
-    by_name = {r.name: r for r in result.rows}
-    naive = [r for r in result.rows if r.name.split("(")[0] in ("ewma", "holt-winters", "wavelet")]
-    lines.append(
-        "shape check: per-flow forecasting baselines only reach the "
-        "low-volume anomalies by flooding the operator "
-        f"(precision {min(r.counts.precision for r in naive):.2f}-"
-        f"{max(r.counts.precision for r in naive):.2f}); the network-wide "
-        f"subspace methods keep precision ~{by_name['volume+entropy'].counts.precision:.2f} "
-        f"and entropy supplies the low-volume recall "
-        f"({by_name['subspace(volume)'].low_volume_recall:.2f} -> "
-        f"{by_name['volume+entropy'].low_volume_recall:.2f})"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -1,11 +1,12 @@
 """Shared, memoised datasets for the experiment suite.
 
-Several experiments (and their benchmarks) consume the same labeled
-datasets; generating one takes tens of seconds, so they are built once
-per process and reused.  Scales follow DESIGN.md: Abilene at the
-paper's full 3 weeks, Geant at 1 week (its 484 OD flows make the full
-3 weeks ~5x more expensive; the experiment modules accept ``weeks``
-overrides for full-scale runs).
+Several experiments (and the paper scorecard, which runs them all in
+one process) consume the same labeled datasets; generating one takes
+tens of seconds, so they are built once per process and reused.
+Scales follow docs/ARCHITECTURE.md ("Paper experiments"): Abilene at
+the paper's full 3 weeks, Geant at 1 week (its 484 OD flows make the
+full 3 weeks ~5x more expensive; the experiment modules accept
+``weeks`` overrides for full-scale runs).
 """
 
 from __future__ import annotations

@@ -68,13 +68,5 @@ def format_report(result: Fig10Result) -> str:
         for k in sorted(curve):
             w, b = curve[k]
             lines.append(f"   k={k:>2}  within={w:9.3f}  between={b:9.3f}")
-    knees = [knee_of(c) for c in result.curves.values()]
-    lines.append(
-        f"shape check: knees at k={sorted(knees)} (paper: 8-12 across all "
-        "algorithm/dataset combinations; k fixed at 10)"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

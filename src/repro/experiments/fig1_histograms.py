@@ -110,6 +110,3 @@ def format_report(result: Fig1Result) -> str:
     ]
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -96,12 +96,5 @@ def format_report(result: Fig2Result) -> str:
     for name, z in result.z_scores.items():
         visibility = "stands out" if abs(z) > 4 else "buried in noise"
         lines.append(f"  {name:<11} z = {z:+7.2f}   ({visibility})")
-    lines.append(
-        "shape check: |z| small for bytes/packets, large negative for "
-        "H(dstIP) (concentration), large positive for H(dstPort) (dispersal)"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -94,16 +94,5 @@ def format_report(result: Fig4Result) -> str:
             f"volume_only={quad['volume_only']:>4}  "
             f"entropy_only={quad['entropy_only']:>4}  both={quad['both']:>4}"
         )
-    qb, qp = result.quadrants_bytes, result.quadrants_packets
-    disjoint_b = qb["volume_only"] + qb["entropy_only"]
-    disjoint_p = qp["volume_only"] + qp["entropy_only"]
-    lines.append(
-        "shape check: detection sets largely disjoint — "
-        f"vs bytes {disjoint_b}/{disjoint_b + qb['both']} exclusive, "
-        f"vs packets {disjoint_p}/{disjoint_p + qp['both']} exclusive"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

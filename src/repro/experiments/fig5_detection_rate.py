@@ -11,7 +11,8 @@ collapses (most dramatically for the worm scan, which volume metrics
 essentially never see).
 
 Detectors are fit once on the clean cube and injections scored against
-the frozen subspaces (DESIGN.md §2, fixed-subspace note).
+the frozen subspaces (docs/ARCHITECTURE.md, "Paper experiments",
+fixed-subspace note).
 """
 
 from __future__ import annotations
@@ -123,17 +124,5 @@ def format_report(result: Fig5Result) -> str:
             f"{p.trace:<6} {p.thinning:>7} {p.pps:>11.4g} {p.alpha:>6} "
             f"{p.rate_volume_alone:>9.2f} {p.rate_volume_plus_entropy:>8.2f}"
         )
-    # Shape check: entropy's advantage at low volume.
-    worm_full = result.curve("worm", 0.995, "combined")
-    worm_vol = result.curve("worm", 0.995, "volume")
-    if worm_full and worm_vol:
-        lines.append(
-            "shape check (worm @0.995): volume-alone max rate "
-            f"{max(r for _, r in worm_vol):.2f}; volume+entropy at thinning 10 "
-            f"{dict(worm_full).get(10, float('nan')):.2f} (paper: ~0.8 at 0.63% intensity)"
-        )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

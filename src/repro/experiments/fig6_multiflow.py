@@ -131,22 +131,5 @@ def format_report(result: Fig6Result) -> str:
             f"{p.k:>3} {p.thinning:>7} {p.alpha:>6} {p.per_flow_pps:>10.3g} "
             f"{p.rate:>6.2f} {p.n_experiments:>5}"
         )
-    # Shape check: for a fixed thinning, rate should not decrease with k.
-    for alpha in {p.alpha for p in result.points}:
-        for thin in {p.thinning for p in result.points}:
-            series = [
-                p.rate
-                for p in sorted(result.points, key=lambda q: q.k)
-                if p.alpha == alpha and p.thinning == thin
-            ]
-            if len(series) >= 2:
-                trend = "rising" if series[-1] >= series[0] else "falling"
-                lines.append(
-                    f"shape check thin={thin} alpha={alpha}: rate k=min..max "
-                    f"{series[0]:.2f}->{series[-1]:.2f} ({trend}; paper: larger k detects better)"
-                )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

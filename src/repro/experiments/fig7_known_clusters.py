@@ -130,12 +130,5 @@ def format_report(result: Fig7Result) -> str:
             f"{type_name:<6} {mean[0]:>9.2f} {mean[1]:>10.2f} "
             f"{mean[2]:>9.2f} {mean[3]:>10.2f}"
         )
-    lines.append(
-        "shape check: dos low srcIP & dstIP; ddos high srcIP, low dstIP; "
-        "worm high dstIP, low dstPort"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

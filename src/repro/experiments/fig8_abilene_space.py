@@ -69,13 +69,5 @@ def format_report(result: Fig8Result) -> str:
             f"{c:>8} {len(sub):>5} {mean[0]:>7.2f} {mean[1]:>8.2f} "
             f"{mean[2]:>7.2f} {mean[3]:>8.2f} {result.tight_axes_per_cluster[c]:>11}"
         )
-    n_tight = sum(1 for v in result.tight_axes_per_cluster.values() if v >= 2)
-    lines.append(
-        f"shape check: {n_tight}/{len(result.tight_axes_per_cluster)} clusters "
-        "tightly bounded in >=2 dimensions (paper: most clusters)"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

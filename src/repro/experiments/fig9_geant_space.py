@@ -62,13 +62,5 @@ def format_report(result: Fig9Result) -> str:
             f"{c:>8} {len(sub):>5} {result.kinds[c]:>9}  "
             f"({mean[0]:+.2f}, {mean[1]:+.2f}, {mean[2]:+.2f}, {mean[3]:+.2f})"
         )
-    n_localized = sum(1 for kind in result.kinds.values() if kind != "diffuse")
-    lines.append(
-        f"shape check: {n_localized}/{len(result.kinds)} clusters localized "
-        "(clumps/bands), as in the paper's 3-D views"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

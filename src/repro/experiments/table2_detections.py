@@ -59,16 +59,5 @@ def format_report(result: Table2Result) -> str:
             f"{name:<10} {counts['volume_only']:>11} {counts['entropy_only']:>12} "
             f"{counts['both']:>6} {counts['total']:>7}   ({weeks:.1f} weeks)"
         )
-    for name, counts in (("Geant", result.geant), ("Abilene", result.abilene)):
-        total = max(counts["total"], 1)
-        lines.append(
-            f"shape check {name}: overlap 'both' is small "
-            f"({counts['both']}/{total} = {counts['both'] / total:.0%}); "
-            "entropy adds a substantial set beyond volume "
-            f"({counts['entropy_only']} additional)"
-        )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -7,8 +7,9 @@ network scans and point-to-multipoint transfers were detected *only*
 via entropy (all low-volume), and ~10% of detections were false alarms.
 
 Our ground truth comes from the dataset's schedule instead of manual
-inspection (DESIGN.md §2): every detected bin is matched against the
-scheduled event at that bin; detections at clean bins are false alarms.
+inspection (docs/ARCHITECTURE.md, "Paper experiments"): every detected
+bin is matched against the scheduled event at that bin; detections at
+clean bins are false alarms.
 The table also reports each type's detection (recall) rate, which the
 paper could not measure on wild data.
 """
@@ -116,16 +117,5 @@ def format_report(result: Table3Result) -> str:
         f"total detected bins: {result.total_detections}  "
         f"(false-alarm share {fa_rate:.0%}; paper reports ~10%)"
     )
-    scans = [r for r in result.rows if r.label in ("port_scan", "network_scan",
-                                                   "worm", "point_multipoint")]
-    vol_scans = sum(r.found_in_volume for r in scans)
-    ent_scans = sum(r.additional_in_entropy for r in scans)
-    lines.append(
-        "shape check: scans/point-to-multipoint found (almost) only via "
-        f"entropy — volume {vol_scans}, entropy-additional {ent_scans}"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -4,8 +4,8 @@ The paper injects three documented attack traces (Table 4): a
 single-source DOS at 3.47e5 pps and a multi-source DDOS at 2.75e4 pps
 (both from Los Nettos, Hussain et al. [11]) and a worm scan at 141 pps
 (Utah ISP, Schechter et al. [32]).  We rebuild each as a parametric
-trace at the documented intensity (DESIGN.md §2) and verify the
-documented structure.
+trace at the documented intensity (docs/ARCHITECTURE.md, "Paper
+experiments") and verify the documented structure.
 """
 
 from __future__ import annotations
@@ -86,6 +86,3 @@ def format_report(rows: list[Table4Row]) -> str:
     )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

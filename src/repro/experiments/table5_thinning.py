@@ -78,6 +78,3 @@ def format_report(result: Table5Result) -> str:
         )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

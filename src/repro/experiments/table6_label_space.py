@@ -77,21 +77,5 @@ def format_report(result: Table6Result) -> str:
                 f"{row.mean[axis]:+.2f}±{row.std[axis]:.2f}{row.stars(axis):<2}"
             )
         lines.append(f"{row.label:<18} {row.count:>5}  " + "  ".join(f"{c:^16}" for c in cells))
-    by_label = {r.label: r for r in result.rows}
-    checks = []
-    if "port_scan" in by_label:
-        r = by_label["port_scan"]
-        checks.append(f"port_scan dstPort mean {r.mean[3]:+.2f} (paper: strongly +)")
-        checks.append(f"port_scan dstIP mean {r.mean[2]:+.2f} (paper: -)")
-    if "network_scan" in by_label:
-        r = by_label["network_scan"]
-        checks.append(f"network_scan srcPort mean {r.mean[1]:+.2f} (paper: strongly +)")
-    if "alpha" in by_label:
-        r = by_label["alpha"]
-        checks.append(f"alpha srcIP mean {r.mean[0]:+.2f} (paper: -)")
-    lines.append("shape check: " + "; ".join(checks))
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -49,17 +49,5 @@ def format_report(result: Table7Result) -> str:
             f"{c.n_unknown:>4}  {c.signature[0]:>5} {c.signature[1]:>7} "
             f"{c.signature[2]:>5} {c.signature[3]:>7}"
         )
-    consistent = sum(
-        1 for c in result.clusters if c.plurality_count >= max(1, c.size // 2)
-    )
-    distinct_labels = len({c.plurality_label for c in result.clusters})
-    lines.append(
-        f"shape check: {consistent}/{len(result.clusters)} clusters majority-"
-        f"consistent; {distinct_labels} distinct plurality labels "
-        "(paper: clusters internally consistent, >=5 distinct labels)"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -95,21 +95,5 @@ def format_report(result: Table8Result) -> str:
             f"{s.signature[2]:>5} {s.signature[3]:>7}  {match:>8} "
             f"{row.auto_label:<17} {row.truth_label:<16}"
         )
-    n_matched = sum(1 for r in result.rows if r.abilene_match > 0)
-    agree = sum(
-        1
-        for r in result.rows
-        if r.auto_label == r.truth_label
-        or (r.auto_label in ("network_scan", "worm") and r.truth_label in ("network_scan", "worm"))
-        or (r.auto_label in ("dos", "ddos") and r.truth_label in ("dos", "ddos"))
-    )
-    lines.append(
-        f"shape check: {n_matched}/{len(result.rows)} Geant clusters match an "
-        f"Abilene region (paper: most, some 'none'); auto-label agrees with "
-        f"ground truth for {agree}/{len(result.rows)} clusters"
-    )
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(format_report(run()))

@@ -24,7 +24,7 @@ result diffs meaningfully; no default is derived from it here.
 
 from __future__ import annotations
 
-from scipy import stats
+import math
 
 from repro.pipeline.bank import DetectorBank
 from repro.pipeline.sources import ScenarioSource
@@ -48,12 +48,64 @@ NULL_MARGINS = (0.0, 1.0, 1.5)
 CHANNELS = ("entropy", "volume")
 
 
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta ``I_x(a, b)``.
+
+    The continued fraction of Numerical Recipes' ``betacf``, evaluated
+    by the modified Lentz method; it converges fast for ``x`` below the
+    mean ``(a + 1) / (a + b + 2)``, and the symmetry ``I_x(a, b) = 1 −
+    I_{1−x}(b, a)`` covers the other side.
+    """
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(10_000):
+        m = i // 2
+        if i == 0:
+            step = 1.0
+        elif i % 2:
+            step = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            step = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + step * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + step / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-16:
+            break
+    return math.exp(log_front) * (f - 1.0) / a
+
+
+def _beta_ppf(q: float, a: float, b: float) -> float:
+    """The ``x`` with ``I_x(a, b) = q``, by bisection to the last bit."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _betainc(a, b, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
 def clopper_pearson(k: int, n: int) -> tuple[float, float]:
-    """Exact 95 % binomial interval for ``k`` successes in ``n`` trials."""
+    """Exact 95 % binomial interval for ``k`` successes in ``n`` trials.
+
+    The bounds are beta quantiles (``Beta(k, n − k + 1)`` at 2.5 %,
+    ``Beta(k + 1, n − k)`` at 97.5 %), found by bisection on the
+    regularised incomplete beta with the standard library alone.
+    """
     if not 0 <= k <= n or n <= 0:
         raise ValueError(f"need 0 <= k <= n and n > 0, got k={k}, n={n}")
-    lower = 0.0 if k == 0 else float(stats.beta.ppf(0.025, k, n - k + 1))
-    upper = 1.0 if k == n else float(stats.beta.ppf(0.975, k + 1, n - k))
+    lower = 0.0 if k == 0 else _beta_ppf(0.025, k, n - k + 1)
+    upper = 1.0 if k == n else _beta_ppf(0.975, k + 1, n - k)
     return lower, upper
 
 

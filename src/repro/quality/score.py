@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "CHANNELS",
@@ -192,8 +191,29 @@ def _misassigned(clusters, labels) -> int:
     label_ids, cols = np.unique(np.asarray(labels), return_inverse=True)
     table = np.zeros((len(cluster_ids), len(label_ids)), dtype=np.int64)
     np.add.at(table, (rows, cols), 1)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return len(clusters) - int(table[rows, cols].sum())
+    return len(clusters) - _max_matching_weight(table)
+
+
+def _max_matching_weight(table: np.ndarray) -> int:
+    """Largest total of a one-to-one row -> column matching of ``table``.
+
+    Exact, by dynamic programming over the subsets of the shorter side:
+    ``best`` maps each set of its used entries to the heaviest partial
+    matching, extended one entry of the longer side at a time.  One
+    run's clusters and labels number a handful, so the sets are few.
+    The total is unique even where the optimal matching is not.
+    """
+    if table.shape[0] < table.shape[1]:
+        table = table.T
+    best = {0: 0}
+    for row in table.tolist():
+        grown = dict(best)
+        for used, total in best.items():
+            for j, weight in enumerate(row):
+                if not used >> j & 1 and grown.get(used | 1 << j, -1) < total + weight:
+                    grown[used | 1 << j] = total + weight
+        best = grown
+    return max(best.values())
 
 
 def score_report(

@@ -42,6 +42,7 @@ aggregation -> cube) can be exercised end-to-end.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,7 +137,8 @@ class GeneratorConfig:
             packets, exactly like histograms built from NetFlow records.
             This scale split is what makes the paper's injection
             protocol (unsampled attack packets superimposed on sampled
-            background) so sensitive; see DESIGN.md.
+            background) so sensitive; see docs/ARCHITECTURE.md, "Paper
+            experiments".
         feature_models: Per-feature distribution models.
         mean_packet_size: Average bytes per packet.
         packet_size_sigma: Lognormal sigma of per-bin mean packet size.
@@ -469,8 +471,20 @@ class TrafficGenerator:
 
     # -- cube construction -------------------------------------------------
 
-    def generate(self, progress: bool = False) -> TrafficCube:
+    def generate(self) -> TrafficCube:
         """Generate the full traffic cube for all OD flows."""
+        return self._generate()
+
+    def _generate(
+        self, visit: Callable[[TrafficCube, int], None] | None = None
+    ) -> TrafficCube:
+        """The cube, OD flow by OD flow: the one loop that realises streams.
+
+        ``visit(cube, od)``, when given, runs once OD ``od``'s column is
+        written and while its stream is still cached, so the labelled
+        build injects the OD's scheduled events into its histograms
+        without realising the stream a second time.
+        """
         p = self.topology.n_od_flows
         cube = TrafficCube.zeros(self.bins, p, network=self.topology.name)
         for od in range(p):
@@ -478,11 +492,11 @@ class TrafficGenerator:
             cube.packets[:, od] = stream.packets
             cube.bytes[:, od] = stream.bytes
             cube.entropy[:, od, :] = stream.entropy
+            if visit is not None:
+                visit(cube, od)
             # Streams are regenerable; do not let the cache balloon while
             # sweeping every OD.
             self.evict_stream(od)
-            if progress and od % 50 == 0:
-                print(f"  generated OD {od}/{p}", flush=True)
         return cube
 
     def evict_stream(self, od: int) -> None:

@@ -1,12 +1,15 @@
 """Tests for labeled datasets and schedules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.datasets.labeled import make_labeled_dataset
+from repro.datasets.labeled import abilene_dataset, geant_dataset, make_labeled_dataset
 from repro.datasets.schedule import DEFAULT_MIX, make_schedule
 from repro.flows.binning import TimeBins
 from repro.net.topology import abilene
+from repro.traffic.generator import TrafficGenerator
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +130,49 @@ class TestLabeledDataset:
         od = 5
         stream = dataset.generator.od_stream(od)
         assert np.allclose(stream.entropy, dataset.clean_cube.entropy[:, od, :])
+
+
+def _cube_digest(cube) -> str:
+    h = hashlib.sha256()
+    for a in (cube.packets, cube.bytes, cube.entropy):
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestLabelledBuildRealisesEachStreamOnce:
+    """The labelled build injects each OD's events while the stream built
+    for the clean cube is in hand: ``p`` realisations, not ``p`` plus one
+    per OD that carries an event, and the same bytes as the two-pass
+    build (digests computed with the clean cube generated first, then
+    every event OD's stream realised again to inject it)."""
+
+    DIGESTS = {
+        "abilene": (
+            "9567fc786d69f4eb6c04f258f414669f32fee34d77980bf0ed241885b40a52d8",
+            "6100c0a11c97794ef683351c1fade9d5b9a989c04a09f598e1716a4dbeb86fec",
+        ),
+        "geant": (
+            "9db9883423252775b6bdabb02dc4aa61ef66aede059edc67f2059ffd76abea80",
+            "a0684819acd3d1fc3231f6517b145aee67d51652d1bfb4291794be521eb0ce7d",
+        ),
+    }
+
+    @pytest.mark.parametrize("network, maker, weeks", [
+        ("abilene", abilene_dataset, 0.1),
+        ("geant", geant_dataset, 0.05),
+    ])
+    def test_one_stream_per_od_and_the_same_bytes(self, monkeypatch, network, maker, weeks):
+        realised = []
+        model = TrafficGenerator._model
+
+        def counting(self, ods):
+            realised.extend(ods)
+            return model(self, ods)
+
+        monkeypatch.setattr(TrafficGenerator, "_model", counting)
+        data = maker(weeks=weeks)
+        assert any(e.outage is not None or e.surge is not None
+                   for e in data.schedule.events)
+        assert sorted(realised) == list(range(data.topology.n_od_flows))
+        assert (_cube_digest(data.cube), _cube_digest(data.clean_cube)) == self.DIGESTS[network]

@@ -1,20 +1,51 @@
-"""Smoke tests for the cheap experiment modules.
+"""Smoke tests for the cheap experiment modules and the registry.
 
-The dataset-scale experiments are exercised by the benchmark harness
-(benchmarks/); here we cover the experiment modules whose cost is
-dominated by the shared clean-week fixture, plus all report formatters
-(formatting must never crash on real results).
+The dataset-scale experiments are exercised by the paper scorecard
+(benchmarks/paper_claims.py); here we cover the experiment modules
+whose cost is dominated by the shared clean-week fixture, plus all
+report formatters (formatting must never crash on real results), and
+hold the one name -> module registry that ``repro experiment`` and the
+scorecard both read.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments import (
+    EXPERIMENTS,
+    EXTENSIONS,
     fig1_histograms,
     fig2_timeseries,
+    load,
     table4_traces,
     table5_thinning,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_name_parses_and_loads(self, name):
+        assert build_parser().parse_args(["experiment", name]).name == name
+        module = load(name)
+        assert callable(module.run) and callable(module.format_report)
+
+    def test_extensions_are_registered(self):
+        assert EXTENSIONS < set(EXPERIMENTS)
+
+    def test_scorecard_has_rows_for_every_entry(self):
+        spec = importlib.util.spec_from_file_location(
+            "paper_claims", REPO / "benchmarks" / "paper_claims.py"
+        )
+        claims = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(claims)
+        assert list(claims.CLAIMS) == list(EXPERIMENTS)
+        assert {f"test_{name}" for name in EXPERIMENTS} <= set(vars(claims))
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -24,6 +24,16 @@ class TestClopperPearson:
         assert mirror_lower == pytest.approx(1.0 - upper, rel=1e-10)
         assert mirror_upper == pytest.approx(1.0 - lower, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 48, 100, 480, 2000])
+    def test_bounds_equal_scipy_beta_quantiles(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        for k in sorted({0, 1, 2, 3, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
+            lower, upper = clopper_pearson(k, n)
+            if k > 0:
+                assert lower == pytest.approx(stats.beta.ppf(0.025, k, n - k + 1), rel=1e-10)
+            if k < n:
+                assert upper == pytest.approx(stats.beta.ppf(0.975, k + 1, n - k), rel=1e-10)
+
     @pytest.mark.parametrize("k,n", [(-1, 5), (6, 5), (0, 0)])
     def test_impossible_counts_rejected(self, k, n):
         with pytest.raises(ValueError):

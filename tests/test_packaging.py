@@ -10,7 +10,7 @@
 * Detection imports numpy and the stdlib only: importing the package
   and its CLI, and a stream and a 2-shard cluster run of a registered
   scenario, load no ``scipy`` or ``networkx`` module (scipy serves
-  ``repro.quality`` and the tests; networkx the outage schedule).
+  only the tests; networkx the outage schedule).
 """
 
 import ast
@@ -37,7 +37,7 @@ def test_setup_py_reports_package_metadata():
         if isinstance(node, ast.Call) for kw in node.keywords
         if kw.arg == "install_requires"
     ]
-    assert requires == [["numpy", "scipy", "networkx"]]
+    assert requires == [["numpy", "networkx"]]
 
 
 _CLOSURE_RUN = """

@@ -328,6 +328,19 @@ class TestScoreReport:
                 labels, np.array(clusters)
             )
 
+    def test_matching_weight_equals_scipy_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        from repro.quality.score import _max_matching_weight
+
+        rng = np.random.default_rng(46)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 9, size=2))
+            # Few distinct weights: many tables have several optimal
+            # assignments, and the total must still agree.
+            table = rng.integers(0, 4, size=shape)
+            rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+            assert _max_matching_weight(table) == int(table[rows, cols].sum())
+
     def test_merge_is_lossless_and_guarded(self):
         a = DetectorScore("any", tp=2, fp=1, fn=0, latency_total=3,
                           cluster_total=2, cluster_errors=1)

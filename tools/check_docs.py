@@ -10,6 +10,10 @@ the quickstarts cannot rot silently.  In ```bash blocks every
 ``python -m repro ...`` command (continuation lines joined) must parse
 under the CLI's own ``build_parser()``, so a documented invocation of a
 deleted command or flag fails here instead of in a reader's shell.
+Every ``*.md`` path cited in those two documents or anywhere under
+``src/`` must name a file of the repository (from the root, from the
+citing file's folder, or, for a bare name, anywhere in the tree), so a
+pointer to a deleted or never-written document fails too.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py [--run]
@@ -31,6 +35,7 @@ DOCS = ("README.md", "docs/ARCHITECTURE.md")
 RUN_MARKER = "<!-- docs-check: run -->"
 
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
+_MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def extract_blocks(text: str):
@@ -111,6 +116,22 @@ def check_file(path: Path, run: bool) -> list[str]:
     return errors
 
 
+def dangling_md_citations() -> list[str]:
+    """``file:line: path`` for every cited ``*.md`` that names no file."""
+    names = {p.name for p in REPO.rglob("*.md") if ".git" not in p.parts}
+    sources = [REPO / name for name in DOCS] + sorted((REPO / "src").rglob("*.py"))
+    errors = []
+    for source in sources:
+        for number, line in enumerate(source.read_text().splitlines(), 1):
+            for cited in _MD_PATH.findall(line):
+                if ((REPO / cited).is_file() or (source.parent / cited).is_file()
+                        or ("/" not in cited and cited in names)):
+                    continue
+                errors.append(f"{source.relative_to(REPO)}:{number}: cites {cited}, "
+                              "which names no file in the repository")
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -126,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             errors.append(f"{name}: missing")
             continue
         errors.extend(check_file(path, run=args.run))
+    errors.extend(dangling_md_citations())
     for error in errors:
         print(f"ERROR {error}", file=sys.stderr)
     return 1 if errors else 0

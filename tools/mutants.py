@@ -367,8 +367,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "        \"\"\"Sever the unit's link and terminate its local process.\"\"\"\n",
         (_LINKS + "::test_discard_severs_the_link",),
     ),
-    # -- the paper scorecard: one mutant per figure that only its rows
-    # -- kill (no tier-1 test runs these experiments) --------------------
+    # -- the paper scorecard: mutants that only its rows kill (no tier-1
+    # -- test runs Table 3 or Figs 5-7, and Fig 1's tier-1 bounds are
+    # -- looser than its rows) -------------------------------------------
     Mutant(
         "table3-entropy-additional-counts-volume-bins",
         "src/repro/experiments/table3_breakdown.py",
@@ -382,6 +383,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "outcomes[alpha][1] += out.detected_any",
         "outcomes[alpha][1] += out.detected_volume",
         (_CLAIMS + "::test_fig5",),
+    ),
+    Mutant(
+        # Sampling the scan like background traffic (1 in 100) leaves
+        # 3.6x the normal bin's distinct ports: above tier-1's 3x, below
+        # the row's 5x.
+        "fig1-scan-sampled-like-background",
+        "src/repro/experiments/fig1_histograms.py",
+        "    trace = port_scan(np.random.default_rng(seed), pps=scan_pps, victim_rank=0)\n",
+        "    trace = port_scan(np.random.default_rng(seed), pps=scan_pps, victim_rank=0).thin(\n"
+        "        generator.histogram_sampling, seed=b\n"
+        "    )\n",
+        (_CLAIMS + "::test_fig1",),
+    ),
+    Mutant(
+        "fig6-split-ddos-lands-in-one-flow",
+        "src/repro/experiments/fig6_multiflow.py",
+        "for origin, part in zip(combo, parts)",
+        "for origin, part in zip(combo[:1], parts)",
+        (_CLAIMS + "::test_fig6",),
     ),
     Mutant(
         "fig7-one-cluster-short",
