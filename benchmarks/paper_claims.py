@@ -318,7 +318,8 @@ def ablations_rows(result) -> list[dict]:
     d = result.subspace_dim.detections_by_m
     rates = result.clustering.agreements.values()
     return [
-        _row("ablations.normalization.modes", len(norm), "==", 2),
+        _row("ablations.normalization.modes_are_variance_and_raw",
+             int(set(norm) == {"variance", "raw"}), "==", 1),
         _row("ablations.normalization.detection_ratio", hi / max(lo, 1), "<=", 2),
         _row("ablations.subspace_dim.m8_vs_m10",
              abs(d[8] - d[10]) / max(d[10], 1), "<=", 0.3),

@@ -120,4 +120,3 @@ def format_report(result: MetricAblation) -> str:
             f"{row.counts.recall:>7.2f} {row.counts.f1:>6.2f}"
         )
     return "\n".join(lines)
-

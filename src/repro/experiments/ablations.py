@@ -148,4 +148,3 @@ def format_report(result: Ablations) -> str:
     for (a, b), rate in clust.agreements.items():
         lines.append(f"   {a:<14} vs {b:<14} {rate:.3f}")
     return "\n".join(lines)
-

@@ -135,4 +135,3 @@ def format_report(result: AnonymizationResult) -> str:
             f"  detections anonymised: {result.detections_anonymized}",
         ]
     )
-

@@ -111,4 +111,3 @@ def format_report(result: BaselineComparison) -> str:
             f"{row.low_volume_recall:>13.2f}"
         )
     return "\n".join(lines)
-

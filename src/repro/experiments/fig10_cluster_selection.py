@@ -69,4 +69,3 @@ def format_report(result: Fig10Result) -> str:
             w, b = curve[k]
             lines.append(f"   k={k:>2}  within={w:9.3f}  between={b:9.3f}")
     return "\n".join(lines)
-

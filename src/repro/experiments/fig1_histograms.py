@@ -109,4 +109,3 @@ def format_report(result: Fig1Result) -> str:
         f"  max ip count    x{result.dst_ip_anomalous.max() / result.dst_ip_normal.max():.1f}",
     ]
     return "\n".join(lines)
-

@@ -97,4 +97,3 @@ def format_report(result: Fig2Result) -> str:
         visibility = "stands out" if abs(z) > 4 else "buried in noise"
         lines.append(f"  {name:<11} z = {z:+7.2f}   ({visibility})")
     return "\n".join(lines)
-

@@ -95,4 +95,3 @@ def format_report(result: Fig4Result) -> str:
             f"entropy_only={quad['entropy_only']:>4}  both={quad['both']:>4}"
         )
     return "\n".join(lines)
-

@@ -125,4 +125,3 @@ def format_report(result: Fig5Result) -> str:
             f"{p.rate_volume_alone:>9.2f} {p.rate_volume_plus_entropy:>8.2f}"
         )
     return "\n".join(lines)
-

@@ -132,4 +132,3 @@ def format_report(result: Fig6Result) -> str:
             f"{p.rate:>6.2f} {p.n_experiments:>5}"
         )
     return "\n".join(lines)
-

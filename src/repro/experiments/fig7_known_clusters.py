@@ -131,4 +131,3 @@ def format_report(result: Fig7Result) -> str:
             f"{mean[2]:>9.2f} {mean[3]:>10.2f}"
         )
     return "\n".join(lines)
-

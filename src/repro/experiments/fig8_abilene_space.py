@@ -70,4 +70,3 @@ def format_report(result: Fig8Result) -> str:
             f"{mean[2]:>7.2f} {mean[3]:>8.2f} {result.tight_axes_per_cluster[c]:>11}"
         )
     return "\n".join(lines)
-

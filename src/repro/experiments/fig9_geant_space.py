@@ -63,4 +63,3 @@ def format_report(result: Fig9Result) -> str:
             f"({mean[0]:+.2f}, {mean[1]:+.2f}, {mean[2]:+.2f}, {mean[3]:+.2f})"
         )
     return "\n".join(lines)
-

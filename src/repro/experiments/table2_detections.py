@@ -60,4 +60,3 @@ def format_report(result: Table2Result) -> str:
             f"{counts['both']:>6} {counts['total']:>7}   ({weeks:.1f} weeks)"
         )
     return "\n".join(lines)
-

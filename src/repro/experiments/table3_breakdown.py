@@ -118,4 +118,3 @@ def format_report(result: Table3Result) -> str:
         f"(false-alarm share {fa_rate:.0%}; paper reports ~10%)"
     )
     return "\n".join(lines)
-

@@ -85,4 +85,3 @@ def format_report(rows: list[Table4Row]) -> str:
         f"{'PASS' if verify_intensities(rows) else 'FAIL'}"
     )
     return "\n".join(lines)
-

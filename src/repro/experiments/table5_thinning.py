@@ -77,4 +77,3 @@ def format_report(result: Table5Result) -> str:
             f"{cell.percent_of_od:>8.3g}%"
         )
     return "\n".join(lines)
-

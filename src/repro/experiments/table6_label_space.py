@@ -78,4 +78,3 @@ def format_report(result: Table6Result) -> str:
             )
         lines.append(f"{row.label:<18} {row.count:>5}  " + "  ".join(f"{c:^16}" for c in cells))
     return "\n".join(lines)
-

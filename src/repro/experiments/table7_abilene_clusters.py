@@ -50,4 +50,3 @@ def format_report(result: Table7Result) -> str:
             f"{c.signature[2]:>5} {c.signature[3]:>7}"
         )
     return "\n".join(lines)
-

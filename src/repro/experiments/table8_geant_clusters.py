@@ -96,4 +96,3 @@ def format_report(result: Table8Result) -> str:
             f"{row.auto_label:<17} {row.truth_label:<16}"
         )
     return "\n".join(lines)
-
