@@ -9,6 +9,12 @@ timestamps, rates, or machine facts — so the committed baseline diffs
 meaningfully across commits and ``tools/check_quality.py`` can gate
 precision/recall drops the way ``check_perf.py`` gates throughput.
 
+The same files carry one reported, ungated block: the entropy–volume
+coupling statistics (:func:`repro.quality.coupling.entropy_volume_coupling`,
+"within" and "across" per feature on the cube path and the record
+path), so a change to the estimator or the sampling lands with the
+number in view.
+
 Also runs the null-calibration curve (:func:`repro.quality.null_calibration`)
 over :data:`NULL_SEEDS` and commits ``results/null_calibration.json``
 / ``.txt``: the measured per-channel false-alarm rate on attack-free
@@ -19,6 +25,7 @@ not gated.
 from _util import emit, run_once, write_json_result
 
 from repro.quality import null_calibration, quality_payload
+from repro.quality.coupling import entropy_volume_coupling
 from repro.quality.grid import QUALITY_SEED
 
 N_FUZZED = 10
@@ -50,7 +57,26 @@ def _format_report(payload: dict) -> str:
                 f"1/{cell['sampling_rate']:<4} sampling: "
                 f"R {cell['channels']['any']['recall']:.2f}"
             )
+    lines.extend(_format_coupling(payload["coupling"]))
     return "\n".join(lines)
+
+
+def _format_coupling(coupling: dict) -> list[str]:
+    lines = [
+        f"  entropy-volume coupling ({coupling['scenario']}, "
+        f"{coupling['n_bins']} bins, seed {coupling['seed']}; |corr(H, log "
+        f"packets)|, per feature {'/'.join(coupling['features'])}):",
+        f"    {'path':<28} {'within OD (median)':<27} across ODs",
+    ]
+    labels = {
+        "cube": "cube (population)",
+        "records": f"records ({coupling['max_records_per_od']}/OD-bin)",
+    }
+    for path, stats in coupling["paths"].items():
+        within = " / ".join(f"{v:.2f}" for v in stats["within"])
+        across = " / ".join(f"{v:.2f}" for v in stats["across"])
+        lines.append(f"    {labels[path]:<28} {within:<27} {across}")
+    return lines
 
 
 def _format_null_calibration(payload: dict) -> str:
@@ -92,6 +118,7 @@ def test_null_calibration(benchmark):
 
 def test_quality_grid(benchmark):
     payload = run_once(benchmark, quality_payload, QUALITY_SEED, N_FUZZED)
+    payload["coupling"] = entropy_volume_coupling()
     assert len(payload["scenarios"]) >= 6 + N_FUZZED
     assert payload["grid"], "grid sweep produced no cells"
     emit("quality", _format_report(payload))

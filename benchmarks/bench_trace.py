@@ -7,16 +7,18 @@ Three questions, one workload (the 648k-record synthetic Abilene trace
   materialise records into a trace file, deriving each bin's detection
   columns (resolved OD + per-feature run ids) on the way;
 * **replay ingest vs inline generation** — records/sec of producing
-  ready-to-ingest chunks from the mmap'd trace (every column touched,
-  so the pages really stream through memory) against synthesising the
-  same records inline.  Replay is reported warm (page cache populated)
+  ready-to-ingest chunks from the trace, each read by row range into
+  fresh arrays (every column touched) against synthesising the same
+  records inline.  Replay is reported warm (page cache populated)
   and cold (pages dropped via ``posix_fadvise(DONTNEED)`` first, where
   the platform supports it);
 * **cluster sharing** — ``run_cluster_source`` ingest at 1 and 2 workers when
-  every worker memory-maps one shared trace instead of regenerating
-  its OD slice, on the smaller bench_cluster workload.
+  every worker reads one shared trace instead of regenerating its OD
+  slice, on the smaller bench_cluster workload.
 
-Medians of 3 land in ``results/trace.json``; ``tools/check_perf.py``
+Medians of 3 land in ``results/trace.json`` (the ``replay_mmap_*``
+keys keep the names of the committed baseline, written when the reader
+memory-mapped the file); ``tools/check_perf.py``
 gates replay-ingest regressions against the committed baseline.  The
 acceptance floor for this subsystem is replay ingest >= 2x the
 committed streaming-exact reduction rate: record production must no
@@ -82,9 +84,9 @@ def _write_trace(path, n_bins, max_records_per_od, seed):
 def _consume(chunks) -> int:
     """Drain a chunk stream touching every column of every record.
 
-    Summing each column forces the bytes through memory (or off disk,
-    for a cold mmap), so the measured rate is an honest "records ready
-    for the reduction" number, not view-creation bookkeeping.
+    Summing each column forces the bytes through memory, so the
+    measured rate is an honest "records ready
+    for the reduction" number.
     """
     n = 0
     checksum = 0
@@ -146,7 +148,8 @@ def test_trace_write_and_replay(benchmark, tmp_path):
 
     # Cold replay with readahead: fadvise(WILLNEED) at open overlaps
     # the page-ins with the consuming sweep instead of paying each
-    # fault inline — the reader-side answer to cold-cache variance.
+    # read's disk wait inline — the reader-side answer to cold-cache
+    # variance.
     def _replay_readahead():
         with TraceReader(path, readahead=True) as reader:
             return _consume(reader.iter_chunks(chunk_records=CHUNK_RECORDS))
@@ -186,16 +189,15 @@ def test_trace_write_and_replay(benchmark, tmp_path):
                 f"Trace store ({n_records} records, {N_BINS} bins, {size_mb:.1f} MB)",
                 f"  write trace            : {fmt(write_rate)}",
                 f"  inline generation      : {fmt(inline_rate)}",
-                f"  mmap replay, warm      : {fmt(warm_rate)}",
-                f"  mmap replay, {cold_label:<10}: {fmt(cold_rate)}",
-                f"  mmap replay, cold+readahead: {fmt(cold_ra_rate)}",
+                f"  replay, warm           : {fmt(warm_rate)}",
+                f"  replay, {cold_label:<15}: {fmt(cold_rate)}",
+                f"  replay, cold+readahead : {fmt(cold_ra_rate)}",
                 "  (replay touches all nine columns of every record)",
             ]
         ),
     )
-    # One instrumented warm replay records the per-reader chunk timing
-    # (trace.chunk.cold is the reader's first sweep, .warm the steady
-    # state); the timed repeats above stay uninstrumented.
+    # One instrumented warm replay records the per-chunk read timing
+    # (``trace.chunk``); the timed repeats above stay uninstrumented.
     _, replay_stages = stage_profile(_replay)
     write_json_result(
         "trace",
@@ -332,7 +334,7 @@ def test_precomputed_detection(benchmark, tmp_path):
 
 
 def test_cluster_on_shared_trace(tmp_path):
-    """1/2-worker cluster ingest from one shared mmap'd trace file."""
+    """1/2-worker cluster ingest from one shared trace file."""
     path = tmp_path / "cluster.trace"
     # The stored OD column replaces each worker's longest-prefix
     # attribution pass — this (with the disjoint OD split) is what

@@ -24,7 +24,7 @@ paper) actually runs:
 * ``trace``    — record and replay columnar flow-record traces:
   ``write`` records a scenario's stream into a single binary file
   (with its derived detection columns), ``info`` prints its header,
-  ``replay`` streams it zero-copy through the detection engine;
+  ``replay`` streams it through the detection engine;
 * ``quality``  — the detection-quality harness (``repro.quality``):
   ``run`` scores every registered scenario plus a fuzzed fleet against
   ground truth (precision/recall/F1/latency per detection channel,
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "trace instead of failing")
 
     tr = trace_sub.add_parser(
-        "replay", help="replay a trace zero-copy through the streaming engine "
+        "replay", help="replay a trace through the streaming engine "
         "(exact runs detect straight off its derived columns)",
         parents=[_parent(_add_warmup, _add_engine, _add_telemetry)],
     )
@@ -741,41 +741,41 @@ def _cmd_trace(args) -> int:
     from repro.net.topology import topology_by_name
     from repro.stream import StreamingDetectionEngine
 
-    reader = TraceReader(args.path, allow_partial=args.allow_partial)
-    topo = topology_by_name(reader.network)
-    # Replay adopts the trace's own bin grid (recorded in the header).
-    engine = StreamingDetectionEngine(
-        topo, _stream_config(args),
-        bin_width=reader.bins.width, start=reader.bins.start,
-    )
-    # Exact runs detect straight off the stored columns; sketch runs and
-    # truncated tails (which lose them) replay the records.
-    precomputed = args.exact and not reader.info.truncated
-    print(
-        f"replaying {reader.path} ({reader.n_records} records, "
-        f"{reader.n_bins} bins, {topo.name}): "
-        f"{'precomputed columns' if precomputed else _histograms(args)}, "
-        f"warm-up {args.warmup_bins} bins"
-    )
-    if reader.info.truncated:
-        print(
-            f"  trace is truncated: replaying {reader.n_bins} complete bins "
-            f"({reader.info.dropped_records} trailing records dropped)"
+    with TraceReader(args.path, allow_partial=args.allow_partial) as reader:
+        topo = topology_by_name(reader.network)
+        # Replay adopts the trace's own bin grid (recorded in the header).
+        engine = StreamingDetectionEngine(
+            topo, _stream_config(args),
+            bin_width=reader.bins.width, start=reader.bins.start,
         )
-    session, meter = _telemetry_begin(args, total_bins=reader.n_bins)
-    run_info = {"command": "trace replay", "mode": "stream",
-                "network": topo.name, "trace": str(reader.path)}
-    try:
-        start = time.perf_counter()
-        if precomputed:
-            report = engine.process_precomputed(reader)
-        else:
-            chunks = reader.iter_chunks(args.chunk_records)
-            report = engine.process(tel.timed_iter(chunks, "stage.source"))
-        elapsed = time.perf_counter() - start
-        run_info.update(n_records=report.n_records, elapsed_s=elapsed)
-    finally:
-        _telemetry_end(args, session, meter, run_info)
+        # Exact runs detect straight off the stored columns; sketch runs and
+        # truncated tails (which lose them) replay the records.
+        precomputed = args.exact and not reader.info.truncated
+        print(
+            f"replaying {reader.path} ({reader.n_records} records, "
+            f"{reader.n_bins} bins, {topo.name}): "
+            f"{'precomputed columns' if precomputed else _histograms(args)}, "
+            f"warm-up {args.warmup_bins} bins"
+        )
+        if reader.info.truncated:
+            print(
+                f"  trace is truncated: replaying {reader.n_bins} complete bins "
+                f"({reader.info.dropped_records} trailing records dropped)"
+            )
+        session, meter = _telemetry_begin(args, total_bins=reader.n_bins)
+        run_info = {"command": "trace replay", "mode": "stream",
+                    "network": topo.name, "trace": str(reader.path)}
+        try:
+            start = time.perf_counter()
+            if precomputed:
+                report = engine.process_precomputed(reader)
+            else:
+                chunks = reader.iter_chunks(args.chunk_records)
+                report = engine.process(tel.timed_iter(chunks, "stage.source"))
+            elapsed = time.perf_counter() - start
+            run_info.update(n_records=report.n_records, elapsed_s=elapsed)
+        finally:
+            _telemetry_end(args, session, meter, run_info)
     for verdict in report.detections:
         _print_verdict(topo, verdict)
     rate = report.n_records / elapsed if elapsed > 0 else float("inf")

@@ -17,9 +17,10 @@ Workers source their records through the pipeline's
 rebuilds the source from its picklable :class:`SourceSpec` and consumes
 only its shard's slice:
 
-* **trace** sources: every worker memory-maps the *same* columnar
-  trace (:mod:`repro.io.trace`) and picks its OD-flow slice by the
-  stored OD column — one producer pass at write time, zero
+* **trace** sources: every worker reads the *same* columnar trace
+  (:mod:`repro.io.trace`) by row ranges — one chunk or bin resident at
+  a time, whatever the trace's length — and picks its OD-flow slice by
+  the stored OD column — one producer pass at write time, zero
   regeneration.  In exact mode the worker reads no records: it builds
   each bin's rows from the trace's stored run ids, so the parent
   refuses a trace whose run ids were derived under another

@@ -84,12 +84,31 @@ class ShardPass:
     """
 
     def __init__(self) -> None:
-        self.n_records = 0
-        self.late_records = 0
+        # The pass's generator writes its counts here rather than into
+        # the pass: a generator holding the pass that holds it would be
+        # a cycle, and an abandoned pass would keep its trace reader
+        # open until the cycle collector ran.
+        self._load = _Load()
         self._summaries: Iterator[ShardBinSummary] = iter(())
+
+    @property
+    def n_records(self) -> int:
+        return self._load.n_records
+
+    @property
+    def late_records(self) -> int:
+        return self._load.late_records
 
     def __iter__(self) -> Iterator[ShardBinSummary]:
         return self._summaries
+
+
+@dataclass
+class _Load:
+    """What a shard pass counts while it runs (see :class:`ShardPass`)."""
+
+    n_records: int = 0
+    late_records: int = 0
 
 
 def shard_summaries(
@@ -127,7 +146,7 @@ def shard_summaries(
     scan = ShardPass()
     if exact and source.spec.kind == "trace":
         scan._summaries = _stored_run_summaries(
-            scan, source, shard_id, n_shards, resume_bin
+            scan._load, source, shard_id, n_shards, resume_bin
         )
     else:
         monitor = ShardMonitor(
@@ -143,19 +162,19 @@ def shard_summaries(
         chunks = source.shard_batches(
             shard_id, n_shards, router=monitor.router, chunk_records=chunk_records
         )
-        scan._summaries = _record_summaries(scan, monitor, chunks, resume_bin)
+        scan._summaries = _record_summaries(scan._load, monitor, chunks, resume_bin)
     return scan
 
 
 def _record_summaries(
-    scan: ShardPass, monitor: ShardMonitor, chunks, resume_bin: int
+    load: _Load, monitor: ShardMonitor, chunks, resume_bin: int
 ) -> Iterator[ShardBinSummary]:
     # Fast-forward on resume: chunks entirely before the resume bin
     # only feed bins whose summaries would be dropped anyway; they
     # still count towards the shard's load.
     resume_time = monitor.start + resume_bin * monitor.bin_width
     for chunk, ods in tel.timed_iter(chunks, "stage.source"):
-        scan.n_records += len(chunk)
+        load.n_records += len(chunk)
         if resume_bin > 0 and len(chunk) and chunk.timestamp.max() < resume_time:
             continue
         for summary in monitor.ingest(chunk, ods=ods):
@@ -164,47 +183,58 @@ def _record_summaries(
     for summary in monitor.flush():
         if summary.bin >= resume_bin:
             yield summary
-    scan.late_records = monitor.late_records
+    load.late_records = monitor.late_records
+
+
+#: Rows of the stored OD column read per block by the check that runs
+#: before a shard ships anything (512 KiB of int64 ODs).
+_OD_CHECK_ROWS = 1 << 16
 
 
 def _stored_run_summaries(
-    scan: ShardPass, source, shard_id: int, n_shards: int, resume_bin: int
+    load: _Load, source, shard_id: int, n_shards: int, resume_bin: int
 ) -> Iterator[ShardBinSummary]:
     topology = source.topology
     p = topology.n_od_flows
-    with tel.span("stage.source"):
-        reader = TraceReader(source.spec.trace_path)
-        check_derived(reader.info, topology)
-        first_bin = min(resume_bin, source.spec.n_bins)
-        offsets = reader.info.bin_offsets[:source.spec.n_bins + 1]
-        od = np.asarray(reader.derived_column("od"))
-        span = od[:offsets[-1]]
-        _check_ods(span, p)
-        # Indices of the shard's records (``od % n_shards == shard_id``,
-        # looked up in a p-entry table: numpy's integer ``%`` costs
-        # three times the gather), and where each bin's share of them
-        # starts from the resume bin on.  All of them count towards
-        # the shard's load, whatever the resume bin.
-        owned = np.zeros(p, dtype=bool)
-        owned[shard_ods(p, n_shards, shard_id)] = True
-        rows = np.flatnonzero(owned[span])
-        scan.n_records = len(rows)
-        offsets = offsets[first_bin:]
-        bounds = np.searchsorted(rows, offsets)
-        packets = np.asarray(reader.column("packets"))
-        byte_counts = np.asarray(reader.column("bytes"))
-        runids = [np.asarray(reader.derived_column(f"runid_{name}")) for name in FEATURES]
-    nonempty = np.flatnonzero(np.diff(bounds))
-    if not len(nonempty):
-        return
-    for i in range(int(nonempty[0]), int(nonempty[-1]) + 1):
-        with tel.span("stage.reduce"):
-            index = rows[bounds[i]:bounds[i + 1]]
-            summary = bin_summary_from_derived(
-                first_bin + i, od.take(index), [r.take(index) for r in runids],
-                packets.take(index), byte_counts.take(index), p,
-            )
-            block = ShardBinSummary.from_bin_summary(summary, shard_id)
-            tel.count("reduce.records", len(index))
-        tel.count("reduce.bins_closed")
-        yield block
+    n_bins = source.spec.n_bins
+    # The shard's ODs (``od % n_shards == shard_id``) as a p-entry
+    # table: numpy's integer ``%`` costs three times the gather.
+    owned = np.zeros(p, dtype=bool)
+    owned[shard_ods(p, n_shards, shard_id)] = True
+    with TraceReader(source.spec.trace_path) as reader:
+        with tel.span("stage.source"):
+            check_derived(reader.info, topology)
+            offsets = reader.info.bin_offsets[:n_bins + 1]
+            # Before the first block ships, check every stored OD and
+            # count the shard's rows per bin, one bounded block of the
+            # OD column at a time.  All of them count towards the
+            # shard's load, whatever the resume bin.
+            n_rows = int(offsets[-1])
+            owned_per_bin = np.zeros(n_bins, dtype=np.int64)
+            for lo in range(0, n_rows, _OD_CHECK_ROWS):
+                od = reader.read_rows("od", lo, min(lo + _OD_CHECK_ROWS, n_rows))
+                _check_ods(od, p)
+                rows = lo + np.flatnonzero(owned[od])
+                bins = np.searchsorted(offsets, rows, side="right") - 1
+                owned_per_bin += np.bincount(bins, minlength=n_bins)
+            load.n_records = int(owned_per_bin.sum())
+        first_bin = min(resume_bin, n_bins)
+        nonempty = first_bin + np.flatnonzero(owned_per_bin[first_bin:])
+        if not len(nonempty):
+            return
+        for b in range(int(nonempty[0]), int(nonempty[-1]) + 1):
+            with tel.span("stage.reduce"):
+                lo, hi = int(offsets[b]), int(offsets[b + 1])
+                od = reader.read_rows("od", lo, hi)
+                index = np.flatnonzero(owned[od])
+                summary = bin_summary_from_derived(
+                    b, od.take(index),
+                    [reader.read_rows(f"runid_{name}", lo, hi).take(index)
+                     for name in FEATURES],
+                    reader.read_rows("packets", lo, hi).take(index),
+                    reader.read_rows("bytes", lo, hi).take(index), p,
+                )
+                block = ShardBinSummary.from_bin_summary(summary, shard_id)
+                tel.count("reduce.records", len(index))
+            tel.count("reduce.bins_closed")
+            yield block

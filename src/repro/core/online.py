@@ -59,7 +59,9 @@ class _SlidingSubspace:
     """Sliding-window subspace scoring shared by both online detectors.
 
     Owns the clean-row buffer (the last ``window`` rows the model may
-    learn from), the refit cadence (every ``refit_every`` clean bins; 0
+    learn from, kept as a ring: an absorbed bin overwrites the oldest
+    row in place, and the rows are put in window order only when a fit
+    runs), the refit cadence (every ``refit_every`` clean bins; 0
     freezes the model), the consecutive-hit drift reset and the
     threshold rule.  Subclasses supply :meth:`_fit_model` (fit the
     buffer, return a :class:`~repro.core.subspace.SubspaceModel`) and
@@ -106,7 +108,9 @@ class _SlidingSubspace:
         self.calibration_margin = calibration_margin
         self._model: SubspaceModel | None = None
         self._threshold = 0.0
+        #: Ring of clean rows; ``_head`` indexes the oldest one.
         self._buffer: np.ndarray | None = None
+        self._head = 0
         self._since_refit = 0
         self._consecutive_hits = 0
 
@@ -152,6 +156,7 @@ class _SlidingSubspace:
         """Seed the buffer with the trailing window of ``rows`` and fit."""
         self._check_fit_rows(min(len(rows), self.window))
         self._buffer = rows[-self.window :].copy()
+        self._head = 0
         self._fit()
 
     def _row(self, observation) -> np.ndarray:
@@ -165,12 +170,19 @@ class _SlidingSubspace:
             )
         return row
 
+    def _window_rows(self) -> np.ndarray:
+        """The buffered rows in window order (oldest first), as a copy."""
+        return np.concatenate(
+            (self._buffer[self._head:], self._buffer[:self._head]), axis=0
+        )
+
     def _fit(self) -> None:
         """Fit the buffer; compute everything that depends only on the fit."""
-        self._model = self._fit_model(self._buffer)
+        rows = self._window_rows()
+        self._model = self._fit_model(rows)
         self._threshold = self._model.threshold(self.alpha)
         if self.calibration_margin:
-            window_spe = self._spe(self._buffer)
+            window_spe = self._spe(rows)
             self._threshold = max(
                 self._threshold, float(self.calibration_margin * window_spe.max())
             )
@@ -194,7 +206,8 @@ class _SlidingSubspace:
             self._consecutive_hits = 0
         else:
             self._consecutive_hits = 0
-        self._buffer = np.concatenate([self._buffer[1:], rows], axis=0)
+        self._buffer[self._head] = rows[0]
+        self._head = (self._head + 1) % len(self._buffer)
         self._since_refit += 1
         if hit or (self.refit_every and self._since_refit >= self.refit_every):
             self._fit()

@@ -174,8 +174,8 @@ class FlowRecordBatch:
     def select(self, mask_or_index: np.ndarray | slice) -> "FlowRecordBatch":
         """Select rows by boolean mask, integer index array, or slice.
 
-        Slices produce *view* columns (no copies) — the zero-copy path
-        chunked replay of memory-mapped traces depends on; masks and
+        Slices produce *view* columns (no copies) — what re-chunking a
+        stream (:func:`repro.stream.iter_record_chunks`) relies on; masks and
         index arrays copy, as numpy fancy indexing always does.  A
         boolean mask is turned into row indices once and every column
         is gathered with ``take``, instead of nine boolean-index passes

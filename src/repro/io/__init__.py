@@ -8,8 +8,9 @@ Three kinds of artifact live here:
   diagnosed anomalies for downstream tooling;
 * **flow-record traces** (:mod:`repro.io.trace`) — the raw measurement
   input itself, stored once in a columnar binary format and replayed
-  zero-copy through ``mmap`` by any number of consumers (the streaming
-  engine, the batch pipeline, every shard of a cluster).
+  by row ranges — in memory that does not grow with the trace — by any
+  number of consumers (the streaming engine, the batch pipeline, every
+  shard of a cluster).
 
 Importing from ``repro.io`` keeps working exactly as it did when this
 was a single module.

@@ -12,8 +12,8 @@ mode behind it) can consume any of them:
   ``baseline-diurnal`` schedules no events, so it is the plain
   background stream; :meth:`ScenarioSource.write_trace` is the one way
   synthesised records become a trace file;
-* :class:`TraceSource` — zero-copy mmap replay of a recorded columnar
-  trace (:mod:`repro.io.trace`).
+* :class:`TraceSource` — replay of a recorded columnar trace
+  (:mod:`repro.io.trace`), read by row ranges.
 
 Every source reduces to a picklable :class:`SourceSpec` description, so
 cluster workers rebuild *their* view of the same source in another
@@ -186,7 +186,7 @@ class RecordSource:
 
 
 class TraceSource(RecordSource):
-    """Zero-copy replay of a recorded columnar trace file.
+    """Replay of a recorded columnar trace file, read by row ranges.
 
     The trace's own bin grid and network win: ``network``/``n_bins``
     arguments are validated against the header
@@ -242,26 +242,25 @@ class TraceSource(RecordSource):
                       chunk_records=DEFAULT_CHUNK_RECORDS):
         from repro.io.trace import TraceReader
 
-        reader = TraceReader(self.spec.trace_path)
         # The trace stores the resolved OD per record; bins replay
-        # contiguously and in record order, so a running offset maps
-        # every yielded chunk onto the stored column.  It doubles as
-        # the shard filter and is fed to the monitor, so no LPM pass
-        # runs anywhere.
-        stored = reader.derived_column("od")
-        offset = reader.bin_range(0)[0] if self.spec.n_bins else 0
-        for chunk in reader.iter_chunks(
-            chunk_records=chunk_records, bins=range(self.spec.n_bins)
-        ):
-            ods = np.asarray(stored[offset:offset + len(chunk)], dtype=np.int64)
-            offset += len(chunk)
-            if n_shards > 1:
-                mask = shard_mask(ods, n_shards, shard_id)
-                if not mask.any():
-                    continue
-                chunk = chunk.select(mask)
-                ods = ods[mask]
-            yield chunk, ods
+        # contiguously and in record order from row 0, so a running
+        # offset maps every yielded chunk onto its rows of the stored
+        # column.  It doubles as the shard filter and is fed to the
+        # monitor, so no LPM pass runs anywhere.
+        with TraceReader(self.spec.trace_path) as reader:
+            offset = 0
+            for chunk in reader.iter_chunks(
+                chunk_records=chunk_records, bins=range(self.spec.n_bins)
+            ):
+                ods = reader.read_rows("od", offset, offset + len(chunk))
+                offset += len(chunk)
+                if n_shards > 1:
+                    mask = shard_mask(ods, n_shards, shard_id)
+                    if not mask.any():
+                        continue
+                    chunk = chunk.select(mask)
+                    ods = ods[mask]
+                yield chunk, ods
 
 
 class ScenarioSource(RecordSource):

@@ -2,7 +2,7 @@
 
 The perf side of the repo (``benchmarks/`` + ``tools/check_perf.py``)
 answers "did it get slower?"; this package answers "did it get
-*worse*?".  Three pieces:
+*worse*?".  Its pieces:
 
 * :mod:`repro.quality.fuzzer` — seeded random scenarios (anomaly type,
   intensity, duration, OD placement, flow-size mix, thinning) that
@@ -15,6 +15,9 @@ answers "did it get slower?"; this package answers "did it get
 * :mod:`repro.quality.calibration` — the null-calibration curve: the
   measured per-channel false-alarm rate on attack-free traffic against
   alpha and the calibration margins, with Clopper–Pearson intervals.
+* :mod:`repro.quality.coupling` — how closely feature entropy tracks
+  volume, within OD flows and across them, on the cube path and the
+  record path (reported beside the quality grid, not gated).
 """
 
 from repro.quality.calibration import clopper_pearson, null_calibration

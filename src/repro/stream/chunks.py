@@ -14,7 +14,8 @@ Two matching sources cover the reproduction's workloads:
   synthetic trace can be streamed without ever holding more than one
   bin group of records;
 * :func:`trace_record_stream` replays a columnar trace file written by
-  :mod:`repro.io.trace` as zero-copy memory-mapped views — the fast
+  :mod:`repro.io.trace`, each chunk read by row range into fresh
+  arrays, so replay memory does not grow with the trace — the fast
   path once a trace has been recorded.
 """
 
@@ -47,9 +48,9 @@ def iter_record_chunks(
         ``chunk_records`` rows covering exactly the source records in
         their original order.  A batch that already fits the bound while
         nothing is pending is forwarded *as-is*, and a larger batch is
-        carved into slice *views* (no column copies) — so a view-backed
-        source such as a memory-mapped trace replays without forcing
-        any column into fresh memory.  Copies happen only when a chunk
+        carved into slice *views* of it (no column copies) — so the
+        chunks a trace reader already read are not copied again.
+        Copies happen only when a chunk
         must stitch together rows from more than one source batch.
         Chunk boundaries, though never exceeding the bound, depend on
         how the source was batched.
@@ -135,7 +136,7 @@ def trace_record_stream(
     bins: Sequence[int] | None = None,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> Iterator[FlowRecordBatch]:
-    """Replay a recorded columnar trace as zero-copy record chunks.
+    """Replay a recorded columnar trace as record chunks read by range.
 
     Args:
         trace: A trace path or an open
@@ -144,8 +145,8 @@ def trace_record_stream(
         chunk_records: Upper bound on records per yielded chunk.
 
     Yields:
-        Time-ordered :class:`FlowRecordBatch` chunks whose columns are
-        views into the file mapping.
+        Time-ordered :class:`FlowRecordBatch` chunks, each owning its
+        columns (fresh arrays read from the file).
     """
     from repro.io.trace import TraceReader
 

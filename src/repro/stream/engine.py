@@ -229,20 +229,21 @@ class StreamingDetectionEngine:
                 "(sketch mode hashes raw feature values, which the "
                 "derived columns do not carry)"
             )
-        if isinstance(trace, TraceReader):
-            reader = trace
-        else:
-            reader = TraceReader(trace)
-        reader.info.ensure_compatible(
-            network=self.topology.name,
-            bin_width=self.stage.bin_width,
-            start=self.stage.start,
-        )
-        self.meta.setdefault("source", "trace")
-        self.meta.setdefault("trace_path", str(reader.path))
-        for summary in iter_precomputed_summaries(reader, self.topology):
-            self._n_records += summary.n_records
-            self.bank.observe(summary)
+        reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
+        try:
+            reader.info.ensure_compatible(
+                network=self.topology.name,
+                bin_width=self.stage.bin_width,
+                start=self.stage.start,
+            )
+            self.meta.setdefault("source", "trace")
+            self.meta.setdefault("trace_path", str(reader.path))
+            for summary in iter_precomputed_summaries(reader, self.topology):
+                self._n_records += summary.n_records
+                self.bank.observe(summary)
+        finally:
+            if reader is not trace:
+                reader.close()
         return self.bank.finish(
             n_records=self._n_records, late_records=0, meta=self.meta
         )

@@ -1,6 +1,6 @@
 """Precomputed-trace detection replay: derived columns -> bin summaries.
 
-Warm mmap replay streams records ~40x faster than the exact detection
+Warm trace replay streams records ~40x faster than the exact detection
 path consumes them; the committed telemetry shows why — the per-bin
 (od, value) sort inside :func:`repro.kernels.group_reduce` is the
 single hottest span.  Every trace (:mod:`repro.io.trace`) stores
@@ -184,8 +184,8 @@ def iter_precomputed_summaries(
                 b,
                 ods,
                 runids,
-                reader.column("packets")[lo:hi],
-                reader.column("bytes")[lo:hi],
+                reader.read_rows("packets", lo, hi),
+                reader.read_rows("bytes", lo, hi),
                 topology.n_od_flows,
             )
         tel.count("trace.records_replayed", int(hi - lo))

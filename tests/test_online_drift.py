@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.online import OnlineMultiwayDetector, OnlineVolumeDetector
+from repro.core.online import (
+    OnlineMultiwayDetector,
+    OnlineVolumeDetector,
+    _SlidingSubspace,
+)
 from repro.flows.features import N_FEATURES
 
 
@@ -69,12 +75,12 @@ class TestDriftAbsorption:
             window=300, n_components=4, refit_every=0, drift_reset_after=10
         )
         det.warm_up(history)
-        buffer_before = det._buffer.copy()
+        window_before = det._window_rows()
         spike = history[-1].copy()
         spike[0] += 5.0
         assert det.observe(spike) is not None
         # Buffer unchanged by the anomalous observation.
-        assert np.array_equal(det._buffer, buffer_before)
+        assert np.array_equal(det._window_rows(), window_before)
 
 
 class TestDriftCounter:
@@ -121,3 +127,76 @@ class TestDriftCounter:
         reported, resets = self._run(kind, script)
         assert reported == [step == "hit" for step in script]
         assert resets == [0] * len(script)
+
+
+class _FitRecorder(_SlidingSubspace):
+    """A sliding subspace whose fits record the rows they are handed."""
+
+    class _Model:
+        def threshold(self, alpha):
+            return 0.0
+
+    def __init__(self, **kwargs):
+        super().__init__(n_components=None, alpha=0.999, **kwargs)
+        self.fitted, self.scored = [], []
+
+    def _fit_model(self, buffer):
+        self.fitted.append(buffer.copy())
+        return self._Model()
+
+    def _spe(self, rows):
+        self.scored.append(rows.copy())
+        return np.zeros(len(rows))
+
+
+def _concatenating_fits(history, steps, window, refit_every, drift_reset_after):
+    """The rows each fit gets from a window that re-concatenates itself
+    on every absorbed bin (the policy of ``_SlidingSubspace._advance``)."""
+    buffer = history[-window:].copy()
+    fits = [buffer]
+    since_refit = hits = 0
+    for row, hit in steps:
+        if hit:
+            hits += 1
+            if not drift_reset_after or hits < drift_reset_after:
+                continue
+        hits = 0
+        buffer = np.concatenate([buffer[1:], row[None]], axis=0)
+        since_refit += 1
+        if hit or (refit_every and since_refit >= refit_every):
+            fits.append(buffer)
+            since_refit = 0
+    return fits
+
+
+class TestRingBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(8, 16),
+        history_rows=st.integers(8, 24),
+        refit_every=st.integers(0, 5),
+        drift_reset_after=st.integers(0, 4),
+        hits=st.lists(st.booleans(), max_size=60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fits_see_the_concatenating_window(
+        self, window, history_rows, refit_every, drift_reset_after, hits, seed
+    ):
+        """Any run of clean bins, hits and drift resets hands every fit
+        (and the calibration scoring after it) the same rows, in the same
+        order, as a window that concatenates on every absorbed bin."""
+        rng = np.random.default_rng(seed)
+        history = rng.normal(size=(history_rows, 3))
+        steps = [(rng.normal(size=3), hit) for hit in hits]
+        det = _FitRecorder(window=window, refit_every=refit_every,
+                           drift_reset_after=drift_reset_after,
+                           calibration_margin=1.0)
+        det._seed(history)
+        for row, hit in steps:
+            det._advance(row[None], hit)
+        want = _concatenating_fits(history, steps, window, refit_every,
+                                   drift_reset_after)
+        assert len(det.fitted) == len(det.scored) == len(want)
+        for got, scored, expected in zip(det.fitted, det.scored, want):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(scored, expected)

@@ -504,3 +504,45 @@ class TestQualityCLI:
 
         assert main(["quality", "fuzz", "--modes", "warp"]) == 2
         assert "unknown mode" in capsys.readouterr().err
+
+
+class TestEntropyVolumeCoupling:
+    """``coupling_stats`` reads 1 when entropy is a function of volume
+    and ~0 when it ignores it, within ODs and across them."""
+
+    def _packets(self, rng, t=72, p=40):
+        # Per-OD levels spanning 30x, each with its own diurnal swing.
+        level = rng.uniform(100, 3000, size=p)
+        day = np.sin(np.linspace(0, 2 * np.pi, t))[:, None]
+        swing = 1 + 0.5 * day * rng.uniform(0.3, 1, p)
+        return level * swing * rng.lognormal(0, 0.1, size=(t, p))
+
+    def test_entropy_affine_in_log_packets_reads_one(self):
+        from repro.quality.coupling import coupling_stats
+
+        rng = np.random.default_rng(0)
+        packets = self._packets(rng)
+        slopes = np.array([0.5, 1.0, 2.0, 0.1])
+        entropy = 1.0 + np.log(packets)[:, :, None] * slopes
+        stats = coupling_stats(entropy, packets)
+        assert stats["ods"] == packets.shape[1]
+        np.testing.assert_allclose(stats["within"], 1.0, atol=1e-9)
+        np.testing.assert_allclose(stats["across"], 1.0, atol=1e-9)
+
+    def test_entropy_independent_of_packets_reads_near_zero(self):
+        from repro.quality.coupling import coupling_stats
+
+        rng = np.random.default_rng(1)
+        packets = self._packets(rng, t=400, p=400)
+        entropy = rng.uniform(2, 8, size=packets.shape + (N_FEATURES,))
+        stats = coupling_stats(entropy, packets)
+        assert max(stats["within"]) < 0.1 and max(stats["across"]) < 0.2
+
+    def test_ods_without_packets_in_every_bin_drop_out(self):
+        from repro.quality.coupling import coupling_stats
+
+        rng = np.random.default_rng(2)
+        packets = self._packets(rng)
+        packets[5, :3] = 0
+        stats = coupling_stats(np.log1p(packets)[:, :, None], packets)
+        assert stats["ods"] == packets.shape[1] - 3

@@ -26,7 +26,7 @@ from repro.cli import main
 from repro.cluster import ClusterCoordinator
 from repro.cluster.shard import ShardMonitor, shard_summaries
 from repro.flows.records import FlowRecordBatch
-from repro.io.trace import TraceReader, TraceWriter
+from repro.io.trace import TraceWriter, trace_info
 from repro.net.topology import abilene
 from repro.pipeline import ScenarioSource, TraceSource
 from repro.stream import StreamConfig
@@ -257,9 +257,9 @@ def test_out_of_range_stored_od_is_refused(tmp_path, exact, bad):
     (sketch): the shard that would own the record raises."""
     path = tmp_path / "t.trace"
     source = _write(path, [[(0, 1), (1, 1), (2, 1)]] * 3)
-    column = TraceReader(path).derived_column("od")
-    damaged = np.memmap(path, dtype=column.dtype, mode="r+",
-                        offset=column.offset, shape=column.shape)
+    info = trace_info(path)
+    damaged = np.memmap(path, dtype="<i8", mode="r+",
+                        offset=info.slab_offset("od"), shape=(info.n_records,))
     damaged[4] = bad
     damaged.flush()
     with pytest.raises(ValueError, match=f"OD id {bad} outside"):

@@ -1,4 +1,4 @@
-"""Tests for the columnar trace store and zero-copy replay path.
+"""Tests for the columnar trace store and its ranged-read replay path.
 
 Load-bearing contracts:
 
@@ -15,11 +15,15 @@ Load-bearing contracts:
   match inline generation exactly, and ``run_cluster_source`` workers reading
   one shared trace file produce identical detections at any worker
   count;
-* **zero copy** — replayed chunks share memory with the file mapping,
-  through ``iter_record_chunks`` included;
+* **ranged reads** — each replayed chunk owns fresh arrays (no chunk
+  aliases another), re-chunking through ``iter_record_chunks`` forwards
+  views of them, a closed reader refuses every read, and replay leaks
+  no file descriptor;
 * **failure modes** — truncated or corrupted files fail loudly with a
   clear :class:`repro.io.TraceError`.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from repro.stream import (
     trace_record_stream,
 )
 from repro.cluster import run_cluster_source
+from repro.cluster.shard import shard_summaries
 from repro.flows.odflows import ODFlowAggregator
 from repro.traffic.generator import SYNTHESIS_SCHEME, TrafficGenerator
 
@@ -436,31 +441,33 @@ class TestReplayEquivalence:
 
 
 class TestZeroCopyReplay:
-    def test_chunks_share_memory_with_mapping(self, small_trace):
+    def test_chunks_own_their_memory(self, small_trace):
+        """The reader reads each chunk's rows into fresh arrays: a chunk
+        owns its columns, and no two chunks (or two columns) alias."""
         path, _, _ = small_trace
         with TraceReader(path) as reader:
-            for chunk in reader.iter_chunks(chunk_records=4096):
-                for name, _ in COLUMN_SPEC:
-                    assert np.shares_memory(
-                        getattr(chunk, name), reader.column(name)
-                    ), name
+            chunks = list(reader.iter_chunks(chunk_records=4096))
+        columns = [getattr(c, name) for c in chunks for name, _ in COLUMN_SPEC]
+        assert all(col.flags.owndata for col in columns)
+        for i, a in enumerate(columns):
+            for b in columns[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_iter_record_chunks_forwards_views(self, small_trace):
-        """Re-chunking a view-backed stream must not force column copies."""
+        """Re-chunking a reader's stream must not force column copies:
+        every re-chunked chunk that lies inside one batch the reader
+        yielded is a view of that batch."""
         path, _, _ = small_trace
         with TraceReader(path) as reader:
-            src_col = reader.column("src_ip")
+            batches = list(reader.iter_chunks(chunk_records=8192))
             # Chunk sizes that exercise the forward-as-is path and the
             # slice-carving path; neither may copy columns.
             for chunk_records in (reader.n_records, 1000):
-                chunks = list(
-                    iter_record_chunks(
-                        reader.iter_chunks(chunk_records=8192), chunk_records
-                    )
-                )
+                chunks = list(iter_record_chunks(iter(batches), chunk_records))
                 assert sum(len(c) for c in chunks) == reader.n_records
                 shared = [
-                    np.shares_memory(c.src_ip, src_col) for c in chunks
+                    any(np.shares_memory(c.src_ip, b.src_ip) for b in batches)
+                    for c in chunks
                 ]
                 # Every chunk that lies inside one source batch is a
                 # view; only stitches across batch boundaries may copy.
@@ -487,6 +494,52 @@ class TestZeroCopyReplay:
             list(trace_record_stream(path, bins=[0]))
         )
         _columns_equal(first_bin, batches[0])
+
+
+class TestReaderLifecycle:
+    def test_closed_reader_refuses_every_read(self, small_trace):
+        path, _, _ = small_trace
+        reader = TraceReader(path)
+        lo, hi = reader.bin_range(5)
+        assert len(reader.read_bin(5)) == hi - lo > 0
+        reader.close()
+        reads = [
+            lambda: reader.read_bin(5),
+            lambda: reader.read_derived_bin(5),
+            lambda: reader.column("src_ip"),
+            lambda: reader.derived_column("od"),
+            lambda: reader.read_rows("packets", lo, hi),
+            lambda: next(reader.iter_chunks()),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="^reader is closed$"):
+                read()
+        reader.close()
+        # The header facts stay: they were read at open.
+        assert reader.bin_range(5) == (lo, hi) and len(reader) == reader.n_records
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_replay_passes_leave_no_descriptor_open(self, small_trace):
+        path, _, _ = small_trace
+        config = StreamConfig(warmup_bins=WARMUP_BINS, refit_every=0,
+                              n_components=4, exact_histograms=True)
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(5):
+            DetectionPipeline(config).run(TraceSource(path), mode="stream")
+        for k in range(5):
+            # Stored run ids (exact) and shard_batches (sketch) alike.
+            list(shard_summaries(TraceSource(path), k % 2, 2, exact=k < 3))
+        for exact in (True, False):
+            # An abandoned pass closes its reader with the generator.
+            scan = iter(shard_summaries(TraceSource(path), 0, 2, exact=exact))
+            next(scan)
+            del scan
+        assert open_fds() == before
 
 
 class TestPartialTailRecovery:

@@ -8,7 +8,7 @@ drop larger than the allowed fraction (default 20%):
 
 * **streaming** — exact-mode and sketch-mode engine ingest
   (``streaming.json``, one gate each);
-* **trace replay** — warm mmap replay ingest of the columnar trace
+* **trace replay** — warm replay ingest of the columnar trace
   store (``trace.json``).  Skipped with a note when no fresh
   ``trace.json`` exists (so streaming-only runs keep working);
 * **precomputed detection** — exact detection from a warm version-2
@@ -385,12 +385,12 @@ def main(argv: list[str] | None = None) -> int:
             trace_base = None
         if trace_base is not None:
             _collect_delta(
-                "trace replay (warm mmap)",
+                "trace replay (warm)",
                 trace_fresh.get("stages", {}).get("replay_mmap_warm"),
                 trace_base.get("stages", {}).get("replay_mmap_warm"),
             )
             ok &= _gate(
-                "trace replay (warm mmap)",
+                "trace replay (warm)",
                 _rate(trace_fresh["records_per_sec"]["replay_mmap_warm"]),
                 _rate(trace_base["records_per_sec"]["replay_mmap_warm"]),
                 args.max_regression,

@@ -108,6 +108,7 @@ _OTHER_HEADERS = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                   "test_other_headers_are_refused_at_open")
 _TRUNCATED_TAIL = ("tests/test_trace_precompute.py::TestTraceV2Format::"
                    "test_truncated_tail_replays_its_records")
+_REPLAY_BOUND = "tests/test_replay_memory.py::test_peak_rss_does_not_grow_with_the_trace"
 _TRANSPORT = "src/repro/cluster/transport.py"
 _LINKS = "tests/test_cluster_net.py::TestWorkerLinks"
 _SUBSPACE = "src/repro/core/subspace.py"
@@ -237,8 +238,9 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "stored-runs-start-at-trace-first-bin", _SHARD,
-        "    for i in range(int(nonempty[0]), int(nonempty[-1]) + 1):\n",
-        "    for i in range(int(np.flatnonzero(np.diff(offsets))[0]), int(nonempty[-1]) + 1):\n",
+        "        for b in range(int(nonempty[0]), int(nonempty[-1]) + 1):\n",
+        "        for b in range(first_bin + int(np.flatnonzero(np.diff(offsets[first_bin:]))[0]),\n"
+        "                       int(nonempty[-1]) + 1):\n",
         (_GAP_IDLE, _SHARD_PARITY),
     ),
     # -- unit-energy normalisation of the unfolded entropy matrix -------
@@ -334,6 +336,22 @@ MUTANTS: tuple[Mutant, ...] = (
         "    if info.truncated:\n        raise TraceError(\n",
         "    if False:\n        raise TraceError(\n",
         (_TRUNCATED_TAIL,),
+    ),
+    # -- trace replay memory: the chunk in hand, not the trace -----------
+    Mutant(
+        "replay-reads-whole-columns-up-front", "src/repro/io/trace.py",
+        "        for start, stop in spans:\n"
+        "            for lo in range(start, stop, chunk_records):\n"
+        "                with tel.span(\"trace.chunk\"):\n"
+        "                    chunk = self._batch(lo, min(lo + chunk_records, stop))\n",
+        "        whole = {name: self.column(name) for name in _BASE_NAMES}\n"
+        "        for start, stop in spans:\n"
+        "            for lo in range(start, stop, chunk_records):\n"
+        "                with tel.span(\"trace.chunk\"):\n"
+        "                    hi = min(lo + chunk_records, stop)\n"
+        "                    chunk = FlowRecordBatch(\n"
+        "                        **{n: c[lo:hi].copy() for n, c in whole.items()})\n",
+        (_REPLAY_BOUND,),
     ),
     # -- the one worker link ---------------------------------------------
     Mutant(
